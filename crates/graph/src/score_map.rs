@@ -21,7 +21,10 @@
 //! Iteration order is the dense insertion order: deterministic for a
 //! deterministic operation sequence (no hashing), but *not* sorted —
 //! callers that need a canonical order (e.g. Gauss-Seidel sweeps) sort the
-//! key list exactly as they previously did with hash maps.
+//! key list exactly as they previously did with hash maps. The dense
+//! position of an entry is itself exposed ([`SparseMap::position`],
+//! [`SparseMap::value_slice`]): a caller that never removes can use it as
+//! a local id into flat side arrays of its own.
 
 /// Sentinel marking an absent key in the sparse index.
 const ABSENT: u32 = u32::MAX;
@@ -106,6 +109,41 @@ impl<T: Copy> SparseMap<T> {
         }
     }
 
+    /// The dense position of `key`, if present: its index into
+    /// [`SparseMap::key_slice`] / [`SparseMap::value_slice`].
+    ///
+    /// Positions are handed out in insertion order (`0, 1, 2, …`) and stay
+    /// valid across further inserts, so a caller can use them as local ids
+    /// for flat side arrays. [`SparseMap::remove`] swap-removes and thereby
+    /// **invalidates** the position of the last entry (and the removed
+    /// one); [`SparseMap::clear`] invalidates all of them.
+    #[inline]
+    pub fn position(&self, key: u32) -> Option<usize> {
+        match self.sparse.get(key as usize) {
+            Some(&pos) if pos != ABSENT => Some(pos as usize),
+            _ => None,
+        }
+    }
+
+    /// Present keys as a slice, indexed by [`SparseMap::position`].
+    #[inline]
+    pub fn key_slice(&self) -> &[u32] {
+        &self.keys
+    }
+
+    /// Present values as a slice, indexed by [`SparseMap::position`].
+    #[inline]
+    pub fn value_slice(&self) -> &[T] {
+        &self.vals
+    }
+
+    /// Mutable view of [`SparseMap::value_slice`]: values can be rewritten
+    /// in place, membership cannot change through it.
+    #[inline]
+    pub fn value_slice_mut(&mut self) -> &mut [T] {
+        &mut self.vals
+    }
+
     /// Insert or overwrite, returning the previous value if any.
     /// Panics if `key >= capacity`.
     #[inline]
@@ -148,7 +186,8 @@ impl<T: Copy> SparseMap<T> {
     }
 
     /// Remove `key`, returning its value if it was present (swap-remove:
-    /// O(1), dense order of the last entry changes).
+    /// O(1), dense order of the last entry changes — any
+    /// [`SparseMap::position`] taken before the call is invalid after it).
     #[inline]
     pub fn remove(&mut self, key: u32) -> Option<T> {
         let pos = *self.sparse.get(key as usize)?;

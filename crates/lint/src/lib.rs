@@ -10,7 +10,7 @@
 //!    tree carries an adjacent `// ordering:` comment naming why that
 //!    ordering is correct (same line or within the 4 preceding lines).
 //! 2. **invariant-expect** — no `unwrap()`/`expect()` in non-test
-//!    library code of serve/cache/distributed/obs/graph/core unless
+//!    library code of serve/cache/distributed/obs/graph/core/net/topk unless
 //!    documented with an adjacent `// invariant:` comment. Bench
 //!    binaries and test modules are exempt.
 //! 3. **hot-path-collections** — no `std` `HashMap`/`HashSet` in the
@@ -65,6 +65,7 @@ pub const EXPECT_CRATES: &[&str] = &[
     "graph",
     "core",
     "net",
+    "topk",
 ];
 
 /// Crates whose src trees form the per-query hot path where `std`

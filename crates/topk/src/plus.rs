@@ -22,12 +22,10 @@ use crate::config::TopKConfig;
 use crate::fbound::FNeighborhood;
 use crate::schemes::Scheme;
 use crate::tbound::TNeighborhood;
-use crate::two_sbound::TopKResult;
+use crate::two_sbound::{rank_members, top_k_decided, TopKResult};
 use crate::workspace::TopKWorkspace;
 use rtr_core::{CoreError, RankParams};
 use rtr_graph::{AdjacencyAccess, AdjacencyError, Graph, NodeId};
-
-const TIE_EPS: f64 = 1e-12;
 
 /// Online top-K for RoundTripRank+ with specificity bias β.
 #[derive(Clone, Copy, Debug)]
@@ -137,8 +135,7 @@ impl TwoSBoundPlus {
             };
         let k = cfg.k.min(a.node_count());
         if k == 0 {
-            // K = 0 (or an empty graph): trivial answer; `conditions_hold`
-            // indexes members[k-1] and must not see it.
+            // K = 0 (or an empty graph) has a trivial answer.
             ws.f = f.into_workspace();
             ws.t = t.into_workspace();
             return Ok(TopKResult {
@@ -184,12 +181,7 @@ impl TwoSBoundPlus {
                 f.seen()
                     .filter_map(|(v, fb)| t.bounds(v).map(|tb| (v, self.blend(&fb, &tb)))),
             );
-            members.sort_by(|a, b| {
-                b.1.lower
-                    .partial_cmp(&a.1.lower)
-                    .expect("NaN bound")
-                    .then(a.0.cmp(&b.0))
-            });
+            rank_members(members);
 
             // Eq. 16 with β exponents.
             let f_unseen = f.unseen_upper();
@@ -206,7 +198,7 @@ impl TwoSBoundPlus {
                 }
             }
 
-            let done = members.len() >= k && conditions_hold(members, k, cfg.epsilon, r_unseen);
+            let done = top_k_decided(members, k, cfg.epsilon, r_unseen);
             let exhausted = f.residual() < 1e-15 && t.unseen_upper() == 0.0;
             if done || exhausted || expansions >= cfg.max_expansions {
                 let active = ActiveSetStats::measure_in_access(
@@ -226,22 +218,6 @@ impl TwoSBoundPlus {
             }
         }
     }
-}
-
-fn conditions_hold(members: &[(NodeId, Bounds)], k: usize, epsilon: f64, r_unseen: f64) -> bool {
-    let mut max_other_upper = r_unseen;
-    for &(_, b) in &members[k..] {
-        max_other_upper = max_other_upper.max(b.upper);
-    }
-    if members[k - 1].1.lower <= max_other_upper - epsilon - TIE_EPS {
-        return false;
-    }
-    for i in 0..k - 1 {
-        if members[i].1.lower <= members[i + 1].1.upper - epsilon - TIE_EPS {
-            return false;
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -382,6 +358,26 @@ mod tests {
         assert!(engine.run_with(&g, NodeId(9999), &mut ws).is_err());
         let after = engine.run_with(&g, ids.t1, &mut ws).unwrap();
         assert_eq!(clean.bounds, after.bounds);
+    }
+
+    #[test]
+    fn dangling_query_converges_at_once() {
+        // The RTR+ loop shares the stopping decision: for any β < 1 the
+        // F-side exponent is positive, the unseen bound is exactly 0 after
+        // the first expansion, and the answer is `[q]`.
+        let (g, q) = crate::two_sbound::tests::dangling_sink(20_000);
+        for beta in [0.3, 0.45, 0.7] {
+            let started = std::time::Instant::now();
+            let result = TwoSBoundPlus::new(RankParams::default(), TopKConfig::default(), beta)
+                .unwrap()
+                .run(&g, q)
+                .unwrap();
+            let elapsed = started.elapsed();
+            assert_eq!(result.ranking, vec![q], "β={beta}");
+            assert!(result.converged, "β={beta}");
+            assert!(result.expansions <= 3, "β={beta}: {}", result.expansions);
+            assert!(elapsed.as_millis() < 50, "β={beta}: took {elapsed:?}");
+        }
     }
 
     #[test]

@@ -20,11 +20,36 @@
 //! to convergence, refreshing the unseen bound each sweep. The *Sarkar*
 //! variant (efficiency baseline) performs a single sweep per expansion
 //! instead of iterating to convergence.
+//!
+//! # Active-set-local layout
+//!
+//! Stage II runs tens of sweeps per expansion, so it must not touch the
+//! graph. Every member is addressed by its dense position in the bounds
+//! map (the query is position 0, newcomers take the next positions in
+//! absorption order) and the [`TWorkspace`] keeps, per position:
+//!
+//! * a row of a small **local CSR** holding the member's out-edges *into*
+//!   `S_t` as `(position, probability)`,
+//! * one scalar with the probability mass of its out-edges *leaving* `S_t`
+//!   (each of those contributes `prob · t̂(q)` to the upper bound, so only
+//!   their sum matters),
+//! * the number of its in-edges that come from *outside* `S_t`; a member is
+//!   a border node while that count is non-zero, and it only ever falls.
+//!
+//! All three grow at absorption inside [`TNeighborhood::expand`]: a
+//! newcomer's row and outside mass come from one scan of its out-edges, its
+//! border count and the `old member → newcomer` edges (which move mass from
+//! the old member's scalar into its row) from one scan of its in-edges.
+//! Every global edge of a member is therefore read once per query, not once
+//! per sweep; a sweep is a linear scan of flat arrays in position order —
+//! the query first, then its in-neighbors, and so on outward, which is the
+//! direction Eq. 17–18 propagate in — and Eq. 22 is a maximum over a flat
+//! border list.
 
 use crate::bounds::Bounds;
 use crate::workspace::TWorkspace;
 use rtr_core::{CoreError, RankParams};
-use rtr_graph::{AdjacencyAccess, AdjacencyError, FetchHint, NodeId, SparseMap};
+use rtr_graph::{AdjacencyAccess, AdjacencyError, FetchHint, NodeId};
 
 /// Which Stage-II realization the t-neighborhood uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,17 +66,15 @@ pub enum TBoundMode {
 /// allocates a fresh one, [`TNeighborhood::with_workspace`] reuses a
 /// worker's buffers.
 ///
-/// The graph is not captured: expansion and refinement take the
-/// [`AdjacencyAccess`] they run against, so the same neighborhood drives
-/// the in-memory graph and the distributed active graph alike.
+/// The graph is not captured: expansion takes the [`AdjacencyAccess`] it
+/// runs against, so the same neighborhood drives the in-memory graph and
+/// the distributed active graph alike; refinement reads only the local
+/// layout `expand` built.
 pub struct TNeighborhood {
-    q: NodeId,
     alpha: f64,
     mode: TBoundMode,
-    bounds: SparseMap<Bounds>,
-    order: Vec<u32>,
-    border_scratch: Vec<(u32, f64)>,
     unseen_upper: f64,
+    ws: TWorkspace,
 }
 
 impl TNeighborhood {
@@ -70,13 +93,13 @@ impl TNeighborhood {
     /// (cleared in O(previous query's touched entries)). Recover the
     /// workspace with [`TNeighborhood::into_workspace`]. Touches no
     /// adjacency — a paged source fetches nothing until the first
-    /// expansion.
+    /// expansion, which is also when the query's own row is laid out.
     pub fn with_workspace<A: AdjacencyAccess>(
         a: &A,
         q: NodeId,
         params: &RankParams,
         mode: TBoundMode,
-        ws: TWorkspace,
+        mut ws: TWorkspace,
     ) -> Result<Self, CoreError> {
         params.validate()?;
         if q.index() >= a.node_count() {
@@ -85,16 +108,8 @@ impl TNeighborhood {
                 node_count: a.node_count(),
             });
         }
-        let TWorkspace {
-            mut bounds,
-            mut order,
-            mut border,
-        } = ws;
-        bounds.ensure_capacity(a.node_count());
-        bounds.clear();
-        order.clear();
-        border.clear();
-        bounds.insert(
+        ws.reset(a.node_count());
+        ws.bounds.insert(
             q.0,
             Bounds {
                 lower: params.alpha,
@@ -102,125 +117,116 @@ impl TNeighborhood {
             },
         );
         Ok(TNeighborhood {
-            q,
             alpha: params.alpha,
             mode,
-            bounds,
-            order,
-            border_scratch: border,
             unseen_upper: 1.0 - params.alpha,
+            ws,
         })
     }
 
     /// Dissolve into the workspace so its buffers serve the next query.
     pub fn into_workspace(self) -> TWorkspace {
-        TWorkspace {
-            bounds: self.bounds,
-            order: self.order,
-            border: self.border_scratch,
-        }
+        self.ws
     }
 
-    /// Whether `v` is a border node of the member set: in `S_t` with an
-    /// in-neighbor outside. `v`'s adjacency must be resident.
-    fn is_border_of<A: AdjacencyAccess>(a: &A, bounds: &SparseMap<Bounds>, v: NodeId) -> bool {
-        a.in_edges(v).any(|(n, _)| !bounds.contains(n.0))
+    /// Current border nodes `∂(S_t)`, ascending by node id. Members
+    /// [`TNeighborhood::expand`] has not laid out yet (the query, before
+    /// the first expansion) are not listed.
+    pub fn border(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.ws.border.iter().map(|&(id, _)| NodeId(id))
     }
 
-    /// Current border nodes `∂(S_t)`.
-    pub fn border<A: AdjacencyAccess>(&self, a: &A) -> Vec<NodeId> {
-        self.bounds
-            .keys()
-            .map(NodeId)
-            .filter(|&v| Self::is_border_of(a, &self.bounds, v))
-            .collect()
-    }
-
-    fn recompute_unseen_upper<A: AdjacencyAccess>(&mut self, a: &A) {
+    /// Eq. 22 over the flat border list. Monotone: the unseen bound never
+    /// loosens.
+    fn refresh_unseen_upper(&mut self) {
+        let vals = self.ws.bounds.value_slice();
         let max_border = self
-            .bounds
+            .ws
+            .border
             .iter()
-            .filter(|&(v, _)| Self::is_border_of(a, &self.bounds, NodeId(v)))
-            .map(|(_, b)| b.upper)
+            .map(|&(_, pos)| vals[pos as usize].upper)
             .fold(f64::NEG_INFINITY, f64::max);
         let fresh = if max_border.is_finite() {
             (1.0 - self.alpha) * max_border
         } else {
             0.0 // no border: every remaining node is unreachable-to-q
         };
-        // Monotone: the unseen bound never loosens.
         if fresh < self.unseen_upper {
             self.unseen_upper = fresh;
         }
     }
 
     /// Stage I: absorb the in-neighbors of up to `m` highest-upper border
-    /// nodes; initialize newcomers to `[0, previous unseen bound]`; refresh
-    /// the unseen bound. Returns the number of newly added nodes.
+    /// nodes; initialize newcomers to `[0, previous unseen bound]`; extend
+    /// the local layout by them; refresh the unseen bound. Returns the
+    /// number of newly added nodes.
+    ///
+    /// After an `Err` the neighborhood is half-grown and must be dropped
+    /// (its workspace stays reusable).
     pub fn expand<A: AdjacencyAccess>(
         &mut self,
         a: &mut A,
         m: usize,
     ) -> Result<usize, AdjacencyError> {
-        // Announce the member set before the border scan reads its in-edges.
-        // Round 1 this fetches {q}; afterwards every member is already
-        // resident and this is a no-op — but the `InFrontier` hint lets a
-        // paged source prefetch the members' missing in-neighbors, which
-        // are exactly the nodes the coming absorptions will demand.
-        self.order.clear();
-        self.order.extend(self.bounds.keys());
-        self.order.sort_unstable();
-        a.ensure(&self.order, FetchHint::InFrontier)?;
-        let border = &mut self.border_scratch;
-        border.clear();
-        for (v, b) in self.bounds.iter() {
-            if Self::is_border_of(a, &self.bounds, NodeId(v)) {
-                border.push((v, b.upper));
-            }
+        // Announce the border before its in-edges are read. Round 1 this
+        // fetches {q}; afterwards every member is already resident and
+        // nothing is demanded — but the `InFrontier` hint lets a paged
+        // source prefetch the border's missing in-neighbors, which are
+        // exactly the nodes the coming absorptions will demand. (Members
+        // off the border have no missing in-neighbor to prefetch.)
+        let ws = &mut self.ws;
+        let first = ws.outside_mass.is_empty();
+        ws.ids.clear();
+        if first {
+            ws.ids.extend(ws.bounds.keys());
+        } else {
+            ws.ids.extend(ws.border.iter().map(|&(id, _)| id));
         }
-        if border.is_empty() {
-            self.recompute_unseen_upper(a);
+        a.ensure(&ws.ids, FetchHint::InFrontier)?;
+        if first {
+            ws.absorb(&*a);
+        }
+        if ws.border.is_empty() {
+            self.refresh_unseen_upper();
             return Ok(0);
         }
-        let take = m.min(border.len()).max(1);
+        let vals = ws.bounds.value_slice();
+        ws.select.clear();
+        ws.select.extend(
+            ws.border
+                .iter()
+                .map(|&(id, pos)| (id, vals[pos as usize].upper)),
+        );
+        let take = m.min(ws.select.len()).max(1);
         // Ties break by node id for run-to-run reproducibility.
-        border.select_nth_unstable_by(take - 1, |a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("NaN upper bound")
-                .then(a.0.cmp(&b.0))
-        });
-        border.truncate(take);
+        ws.select
+            .select_nth_unstable_by(take - 1, |a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
 
-        let prev_unseen = self.unseen_upper;
-        let mut added = 0usize;
-        // `order` doubles as the newcomer list: the refresh below needs the
-        // newcomers' in-edges resident (and refine rebuilds `order` anyway).
-        self.order.clear();
-        for i in 0..take {
-            let u = NodeId(self.border_scratch[i].0);
-            for (src, _) in a.in_edges(u) {
-                if self
-                    .bounds
-                    .insert_if_vacant(src.0, Bounds::unseen(prev_unseen))
-                {
-                    added += 1;
-                    self.order.push(src.0);
+        let newcomer = Bounds::unseen(self.unseen_upper);
+        ws.ids.clear();
+        for &(u, _) in &ws.select[..take] {
+            for (src, _) in a.in_edges(NodeId(u)) {
+                if ws.bounds.insert_if_vacant(src.0, newcomer) {
+                    ws.ids.push(src.0);
                 }
             }
         }
-        self.order.sort_unstable();
-        a.ensure(&self.order, FetchHint::Demand)?;
-        self.recompute_unseen_upper(a);
+        let added = ws.ids.len();
+        ws.ids.sort_unstable();
+        a.ensure(&ws.ids, FetchHint::Demand)?;
+        ws.absorb(&*a);
+        self.refresh_unseen_upper();
         Ok(added)
     }
 
     /// Stage II: refine all bounds over `S_t` (out-neighbor recurrence),
     /// refreshing the unseen bound each sweep. In Sarkar mode only one sweep
-    /// is performed. Returns the number of sweeps. Touches only members'
-    /// adjacency, which [`TNeighborhood::expand`] already made resident.
+    /// is performed. Returns the number of sweeps. Reads only the local
+    /// layout [`TNeighborhood::expand`] built; `_a` is unused and stays for
+    /// the call shape it shares with [`crate::fbound::FNeighborhood::refine`].
     pub fn refine<A: AdjacencyAccess>(
         &mut self,
-        a: &A,
+        _a: &A,
         tolerance: f64,
         max_sweeps: usize,
     ) -> usize {
@@ -228,35 +234,30 @@ impl TNeighborhood {
             TBoundMode::TwoStage => max_sweeps,
             TBoundMode::Sarkar => 1,
         };
-        self.order.clear();
-        self.order.extend(self.bounds.keys());
-        self.order.sort_unstable(); // deterministic Gauss-Seidel sweep order
+        let keep = 1.0 - self.alpha;
         for sweep in 1..=sweeps_cap {
+            let ws = &mut self.ws;
+            let vals = ws.bounds.value_slice_mut();
+            let unseen = self.unseen_upper;
             let mut max_change = 0.0f64;
-            for i in 0..self.order.len() {
-                let vid = self.order[i];
-                let v = NodeId(vid);
-                let indicator = if v == self.q { self.alpha } else { 0.0 };
+            // Gauss-Seidel in position order; the query is position 0.
+            let mut indicator = self.alpha;
+            for (pos, row) in ws.row_start.windows(2).enumerate() {
+                let (lo, hi) = (row[0] as usize, row[1] as usize);
                 let mut lo_acc = 0.0;
                 let mut hi_acc = 0.0;
-                for (dst, prob) in a.out_edges(v) {
-                    match self.bounds.get(dst.0) {
-                        Some(b) => {
-                            lo_acc += prob * b.lower;
-                            hi_acc += prob * b.upper;
-                        }
-                        None => {
-                            hi_acc += prob * self.unseen_upper;
-                        }
-                    }
+                for (&dst, &prob) in ws.cols[lo..hi].iter().zip(&ws.probs[lo..hi]) {
+                    let b = vals[dst as usize];
+                    lo_acc += prob * b.lower;
+                    hi_acc += prob * b.upper;
                 }
-                let cand_lo = indicator + (1.0 - self.alpha) * lo_acc;
-                let cand_hi = indicator + (1.0 - self.alpha) * hi_acc;
-                let b = self.bounds.get_mut(vid).expect("member");
-                max_change = max_change.max(b.tighten_lower(cand_lo));
-                max_change = max_change.max(b.tighten_upper(cand_hi));
+                hi_acc += ws.outside_mass[pos] * unseen;
+                let b = &mut vals[pos];
+                max_change = max_change.max(b.tighten_lower(indicator + keep * lo_acc));
+                max_change = max_change.max(b.tighten_upper(indicator + keep * hi_acc));
+                indicator = 0.0;
             }
-            self.recompute_unseen_upper(a);
+            self.refresh_unseen_upper();
             if max_change < tolerance {
                 return sweep;
             }
@@ -271,7 +272,7 @@ impl TNeighborhood {
 
     /// Bounds of a seen node, if seen.
     pub fn bounds(&self, v: NodeId) -> Option<Bounds> {
-        self.bounds.get(v.0)
+        self.ws.bounds.get(v.0)
     }
 
     /// Effective bounds of *any* node (unseen ⇒ `[0, t̂(q)]`).
@@ -282,27 +283,148 @@ impl TNeighborhood {
 
     /// Whether `v` is in `S_t`.
     pub fn contains(&self, v: NodeId) -> bool {
-        self.bounds.contains(v.0)
+        self.ws.bounds.contains(v.0)
     }
 
     /// Iterate over seen nodes and their bounds.
     pub fn seen(&self) -> impl Iterator<Item = (NodeId, Bounds)> + '_ {
-        self.bounds.iter().map(|(v, b)| (NodeId(v), b))
+        self.ws.bounds.iter().map(|(v, b)| (NodeId(v), b))
     }
 
     /// `|S_t|`.
     pub fn len(&self) -> usize {
-        self.bounds.len()
+        self.ws.bounds.len()
     }
 
     /// Whether no node (not even the query) has been seen yet.
     pub fn is_empty(&self) -> bool {
-        self.bounds.is_empty()
+        self.ws.bounds.is_empty()
     }
 
     /// Whether only the query is in the neighborhood so far.
     pub fn is_query_only(&self) -> bool {
-        self.bounds.len() == 1
+        self.ws.bounds.len() == 1
+    }
+}
+
+impl TWorkspace {
+    /// Extend the local layout by the members that have no row yet
+    /// (positions `outside_mass.len()..bounds.len()`; their ids, ascending,
+    /// are in `ids` and their adjacency is resident in `a`).
+    fn absorb<A: AdjacencyAccess>(&mut self, a: &A) {
+        let first_new = self.outside_mass.len();
+        let members = self.bounds.len();
+
+        // Newcomers' in-edges: how many come from outside (the border
+        // count), and which come from old members — those edges leave the
+        // old member's outside mass and join its row.
+        self.grown.clear();
+        for pos in first_new..members {
+            let v = NodeId(self.bounds.key_slice()[pos]);
+            let mut outside = 0u32;
+            for (src, prob) in a.in_edges(v) {
+                match self.bounds.position(src.0) {
+                    Some(src_pos) if src_pos < first_new => {
+                        self.grown.push((src_pos as u32, pos as u32, prob));
+                    }
+                    Some(_) => {} // newcomer → newcomer: laid out with the source's row
+                    None => outside += 1,
+                }
+            }
+            self.outside_in.push(outside);
+        }
+        self.grow_old_rows(first_new);
+
+        // Newcomers' rows, from their out-edges; an edge into an old member
+        // is one outside in-edge less for that member.
+        for pos in first_new..members {
+            let v = NodeId(self.bounds.key_slice()[pos]);
+            let mut outside = 0.0;
+            for (dst, prob) in a.out_edges(v) {
+                match self.bounds.position(dst.0) {
+                    Some(dst_pos) => {
+                        self.cols.push(dst_pos as u32);
+                        self.probs.push(prob);
+                        if dst_pos < first_new {
+                            self.outside_in[dst_pos] -= 1;
+                        }
+                    }
+                    None => outside += prob,
+                }
+            }
+            self.outside_mass.push(outside);
+            self.row_start.push(self.cols.len() as u32);
+        }
+
+        // Border: drop the members whose last outside in-edge just went,
+        // merge in the newcomers that have one. Both runs ascend by id, so
+        // the merge fills the grown list from its end.
+        let outside_in = &self.outside_in;
+        self.border.retain(|&(_, pos)| outside_in[pos as usize] > 0);
+        let bounds = &self.bounds;
+        let fresh = |&id: &u32| {
+            let pos = bounds.position(id)?;
+            (outside_in[pos] > 0).then_some((id, pos as u32))
+        };
+        let mut old = self.border.len();
+        let mut write = old + self.ids.iter().filter_map(fresh).count();
+        self.border.resize(write, (0, 0));
+        for entry in self.ids.iter().rev().filter_map(fresh) {
+            while old > 0 && self.border[old - 1].0 > entry.0 {
+                write -= 1;
+                old -= 1;
+                self.border[write] = self.border[old];
+            }
+            write -= 1;
+            self.border[write] = entry;
+        }
+    }
+
+    /// Move the `grown` edges (`old member → newcomer`, gathered from the
+    /// newcomers' in-edges) out of the old members' outside mass and into
+    /// their rows: rows shift right in place, last row first, by the number
+    /// of edges grown into the rows before them.
+    fn grow_old_rows(&mut self, first_new: usize) {
+        if self.grown.is_empty() {
+            return;
+        }
+        // `cursor[p]`: first the number of edges row `p` gains, then the
+        // slot its next gained edge goes to.
+        self.cursor.clear();
+        self.cursor.resize(first_new, 0);
+        for &(src, _, _) in &self.grown {
+            self.cursor[src as usize] += 1;
+        }
+        let old_total = self.cols.len();
+        let total = old_total + self.grown.len();
+        self.cols.resize(total, 0);
+        self.probs.resize(total, 0.0);
+        let mut shift = self.grown.len();
+        let mut old_end = old_total;
+        for p in (0..first_new).rev() {
+            let old_start = self.row_start[p] as usize;
+            shift -= self.cursor[p] as usize;
+            let start = old_start + shift;
+            self.cols.copy_within(old_start..old_end, start);
+            self.probs.copy_within(old_start..old_end, start);
+            self.cursor[p] = (start + old_end - old_start) as u32;
+            self.row_start[p] = start as u32;
+            old_end = old_start;
+            if shift == 0 {
+                break; // earlier rows neither move nor grow
+            }
+        }
+        self.row_start[first_new] = total as u32;
+        for &(src, dst, prob) in &self.grown {
+            let slot = &mut self.cursor[src as usize];
+            self.cols[*slot as usize] = dst;
+            self.probs[*slot as usize] = prob;
+            *slot += 1;
+            // Clamped: the sum was accumulated in another order than it is
+            // taken apart, so it may end a rounding error below zero.
+            let mass = &mut self.outside_mass[src as usize];
+            *mass = (*mass - prob).max(0.0);
+        }
     }
 }
 
@@ -473,6 +595,100 @@ mod tests {
         }
         assert_eq!(nb.unseen_upper(), 0.0);
         assert_eq!(nb.effective_bounds(y).upper, 0.0);
+    }
+
+    /// A pseudo-random graph: 0–4 weighted out-edges per node, so dangling
+    /// nodes, sources, self-loops and unreachable regions all occur.
+    fn scrambled_graph(n: u32, seed: u64) -> Graph {
+        let mut state = seed;
+        let mut next = move |bound: u32| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as u32) % bound
+        };
+        let mut b = rtr_graph::GraphBuilder::new();
+        let ty = b.register_type("n");
+        let nodes: Vec<_> = (0..n).map(|_| b.add_node(ty)).collect();
+        for &v in &nodes {
+            for _ in 0..next(5) {
+                b.add_edge(v, nodes[next(n) as usize], 1.0 + next(4) as f64);
+            }
+        }
+        b.build()
+    }
+
+    /// The local layout against a from-scratch reading of the graph.
+    fn assert_layout_matches(nb: &TNeighborhood, g: &Graph) {
+        let ws = &nb.ws;
+        let keys = ws.bounds.key_slice();
+        assert_eq!(ws.outside_mass.len(), keys.len(), "every member laid out");
+        assert_eq!(ws.row_start.len(), keys.len() + 1);
+        let mut border = Vec::new();
+        for (pos, &v) in keys.iter().enumerate() {
+            let (lo, hi) = (ws.row_start[pos] as usize, ws.row_start[pos + 1] as usize);
+            let mut row: Vec<(u32, u64)> = ws.cols[lo..hi]
+                .iter()
+                .zip(&ws.probs[lo..hi])
+                .map(|(&c, &p)| (keys[c as usize], p.to_bits()))
+                .collect();
+            row.sort_unstable();
+            let mut want = Vec::new();
+            let mut outside = 0.0;
+            for (dst, p) in g.out_edges(NodeId(v)) {
+                if nb.contains(dst) {
+                    want.push((dst.0, p.to_bits()));
+                } else {
+                    outside += p;
+                }
+            }
+            assert_eq!(row, want, "row of node {v}");
+            assert!(
+                (ws.outside_mass[pos] - outside).abs() < 1e-12 && ws.outside_mass[pos] >= 0.0,
+                "outside mass of node {v}: {} vs {outside}",
+                ws.outside_mass[pos]
+            );
+            let outside_in = g
+                .in_edges(NodeId(v))
+                .filter(|&(src, _)| !nb.contains(src))
+                .count();
+            assert_eq!(ws.outside_in[pos] as usize, outside_in, "node {v}");
+            if outside_in > 0 {
+                border.push(NodeId(v));
+            }
+        }
+        border.sort_unstable();
+        assert_eq!(nb.border().collect::<Vec<_>>(), border);
+    }
+
+    #[test]
+    fn local_layout_tracks_the_graph_through_every_expansion() {
+        for seed in 0..8 {
+            let g = scrambled_graph(400, seed);
+            let exact = exact_trank(&g, NodeId(0));
+            let mut nb =
+                TNeighborhood::new(&g, NodeId(0), &RankParams::default(), TBoundMode::TwoStage)
+                    .unwrap();
+            for round in 0..400 {
+                let added = nb.expand(&mut &g, 1 + seed as usize % 3).unwrap();
+                assert_layout_matches(&nb, &g);
+                nb.refine(&g, 1e-12, 50);
+                for v in g.nodes() {
+                    let b = nb.effective_bounds(v);
+                    assert!(
+                        b.contains(exact.score(v), 1e-9),
+                        "seed {seed} round {round} {v:?}: {} outside [{}, {}]",
+                        exact.score(v),
+                        b.lower,
+                        b.upper
+                    );
+                }
+                if added == 0 && nb.border().next().is_none() {
+                    break;
+                }
+            }
+            assert_eq!(nb.unseen_upper(), 0.0, "seed {seed}: border must empty");
+        }
     }
 
     #[test]

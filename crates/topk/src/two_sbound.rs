@@ -138,8 +138,7 @@ impl TwoSBound {
             };
         let k = cfg.k.min(a.node_count());
         if k == 0 {
-            // K = 0 (or an empty graph) has a trivial answer; the stopping
-            // conditions below index members[k-1] and must not see it.
+            // K = 0 (or an empty graph) has a trivial answer.
             ws.f = f.into_workspace();
             ws.t = t.into_workspace();
             return Ok(TopKResult {
@@ -188,18 +187,12 @@ impl TwoSBound {
                 f.seen()
                     .filter_map(|(v, fb)| t.bounds(v).map(|tb| (v, fb.product(&tb)))),
             );
-            members.sort_by(|a, b| {
-                b.1.lower
-                    .partial_cmp(&a.1.lower)
-                    .expect("NaN bound")
-                    .then(a.0.cmp(&b.0))
-            });
+            rank_members(members);
 
             // Unseen upper bound (Eq. 16).
             let r_unseen = self.unseen_upper(f, t);
 
-            let done =
-                members.len() >= k && Self::conditions_hold(members, k, cfg.epsilon, r_unseen);
+            let done = top_k_decided(members, k, cfg.epsilon, r_unseen);
             // Bounds can no longer improve once the residual is exhausted
             // and the border has emptied; return whatever we have.
             let exhausted = f.residual() < 1e-15 && t.unseen_upper() == 0.0;
@@ -240,34 +233,48 @@ impl TwoSBound {
         }
         r_unseen
     }
+}
 
-    /// The top-K conditions (Eq. 13–14) with slack ε.
-    fn conditions_hold(
-        members: &[(NodeId, Bounds)],
-        k: usize,
-        epsilon: f64,
-        r_unseen: f64,
-    ) -> bool {
-        // Eq. 13: the K-th lower bound beats every other upper bound.
-        let mut max_other_upper = r_unseen;
-        for &(_, b) in &members[k..] {
-            max_other_upper = max_other_upper.max(b.upper);
-        }
-        if members[k - 1].1.lower <= max_other_upper - epsilon - TIE_EPS {
-            return false;
-        }
-        // Eq. 14: consecutive order within the top K is certain.
-        for i in 0..k - 1 {
-            if members[i].1.lower <= members[i + 1].1.upper - epsilon - TIE_EPS {
-                return false;
-            }
-        }
-        true
+/// Order the r-neighborhood best lower bound first, ties by node id.
+pub(crate) fn rank_members(members: &mut [(NodeId, Bounds)]) {
+    members.sort_by(|a, b| b.1.lower.total_cmp(&a.1.lower).then(a.0.cmp(&b.0)));
+}
+
+/// The stopping decision over the ranked r-neighborhood: the top-K
+/// conditions (Eq. 13–14) with slack ε, shared with
+/// [`crate::plus::TwoSBoundPlus`].
+///
+/// With fewer than `k` members the search normally has to go on — unless the
+/// unseen bound (Eq. 16) is exactly 0: then no node outside the members can
+/// score at all, the members are the full support of the ranking, and the
+/// answer is decided as soon as their order is (Eq. 14). A dangling query
+/// node is the case in point: its F-Rank mass dies at the query, so its
+/// ranking is `[q]` however large the component leading into it.
+pub(crate) fn top_k_decided(
+    members: &[(NodeId, Bounds)],
+    k: usize,
+    epsilon: f64,
+    r_unseen: f64,
+) -> bool {
+    if members.len() < k && r_unseen != 0.0 {
+        return false;
     }
+    let (top, rest) = members.split_at(k.min(members.len()));
+    let Some(kth) = top.last() else {
+        return true; // nothing can score: the empty ranking is complete
+    };
+    // Eq. 13: the K-th lower bound beats every other upper bound.
+    let max_other_upper = rest.iter().map(|&(_, b)| b.upper).fold(r_unseen, f64::max);
+    if kth.1.lower <= max_other_upper - epsilon - TIE_EPS {
+        return false;
+    }
+    // Eq. 14: consecutive order within the top K is certain.
+    top.windows(2)
+        .all(|w| w[0].1.lower > w[1].1.upper - epsilon - TIE_EPS)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rtr_core::prelude::*;
     use rtr_graph::toy::fig2_toy;
@@ -473,6 +480,58 @@ mod tests {
         for (got, want) in result.ranking.iter().zip(&want) {
             assert!((exact.score(*got) - exact.score(*want)).abs() < 1e-9);
         }
+    }
+
+    /// A dangling query node (no out-edges) whose in-component is the whole
+    /// graph: node `i` points at its binary-tree parent `i / 2` (the query
+    /// is the root, node 0) and at one pseudo-random other non-query node.
+    pub(crate) fn dangling_sink(n: u32) -> (Graph, NodeId) {
+        let mut b = rtr_graph::GraphBuilder::new();
+        let ty = b.register_type("n");
+        let nodes: Vec<_> = (0..n).map(|_| b.add_node(ty)).collect();
+        for i in 1..n {
+            b.add_edge(nodes[i as usize], nodes[(i / 2) as usize], 1.0);
+            let other = 1 + (i.wrapping_mul(7919) + 3) % (n - 1);
+            if other != i {
+                b.add_edge(nodes[i as usize], nodes[other as usize], 1.0);
+            }
+        }
+        (b.build(), nodes[0])
+    }
+
+    #[test]
+    fn dangling_query_converges_at_once() {
+        // Regression: F-Rank mass dies at a dangling query, so S_f ∩ S_t
+        // stays {q} and never reaches K members; the search used to grind
+        // through `max_expansions` rounds of the in-component (a minute on
+        // a 200k-node graph) and then report `converged: false`.
+        let (g, q) = dangling_sink(20_000);
+        assert!(g.is_dangling(q));
+        let started = std::time::Instant::now();
+        let result = TwoSBound::new(RankParams::default(), TopKConfig::default())
+            .run(&g, q)
+            .unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(result.ranking, vec![q]);
+        assert!(result.converged);
+        assert!(result.expansions <= 3, "{} expansions", result.expansions);
+        assert!(elapsed.as_millis() < 50, "took {elapsed:?}");
+        let alpha = RankParams::default().alpha;
+        let (lo, hi) = result.bounds[0];
+        assert!(lo <= alpha * alpha + 1e-12 && alpha * alpha <= hi + 1e-12);
+    }
+
+    #[test]
+    fn fewer_than_k_members_stop_only_on_a_zero_unseen_bound() {
+        let b = |lower, upper| Bounds { lower, upper };
+        let members = [(NodeId(4), b(0.5, 0.6)), (NodeId(2), b(0.1, 0.2))];
+        assert!(top_k_decided(&members, 10, 0.0, 0.0));
+        assert!(!top_k_decided(&members, 10, 0.0, 1e-300));
+        // Eq. 14 still has to hold over the members.
+        let tangled = [(NodeId(4), b(0.5, 0.6)), (NodeId(2), b(0.1, 0.55))];
+        assert!(!top_k_decided(&tangled, 10, 0.0, 0.0));
+        assert!(top_k_decided(&tangled, 10, 0.1, 0.0));
+        assert!(top_k_decided(&[], 10, 0.0, 0.0));
     }
 
     #[test]

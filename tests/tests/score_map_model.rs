@@ -8,7 +8,7 @@
 
 use proptest::collection;
 use proptest::prelude::*;
-use rtr_graph::{NodeSet, ScoreMap};
+use rtr_graph::{NodeSet, ScoreMap, SparseMap};
 use std::collections::HashMap;
 
 /// Key universe for the model tests (small, to force collisions of every
@@ -105,4 +105,83 @@ proptest! {
         b.sort_by_key(|&(k, _)| k);
         prop_assert_eq!(a, b);
     }
+
+    #[test]
+    fn positions_index_the_slices_and_survive_inserts_and_clears(
+        ops in collection::vec((0..6u8, 0..CAP, -8.0f64..8.0), 1..120)
+    ) {
+        // Model: the entries in insertion order; an entry's index is its
+        // position for as long as nothing is removed.
+        let mut map: SparseMap<f64> = SparseMap::with_capacity(CAP as usize);
+        let mut model: Vec<(u32, f64)> = Vec::new();
+        for (op, k, v) in ops {
+            let at = model.iter().position(|&(key, _)| key == k);
+            match op {
+                0 | 1 => {
+                    prop_assert_eq!(map.insert_if_vacant(k, v), at.is_none());
+                    if at.is_none() {
+                        model.push((k, v));
+                    }
+                }
+                2 => match at {
+                    // Overwriting keeps the position.
+                    Some(i) => {
+                        prop_assert_eq!(map.insert(k, v), Some(model[i].1));
+                        model[i].1 = v;
+                    }
+                    None => {
+                        prop_assert_eq!(map.insert(k, v), None);
+                        model.push((k, v));
+                    }
+                },
+                3 => {
+                    // A write through the mutable slice is a write to the map.
+                    if let Some(i) = at {
+                        map.value_slice_mut()[i] = v;
+                        model[i].1 = v;
+                    }
+                }
+                4 => {
+                    *map.get_or_insert(k, v) += 1.0;
+                    match at {
+                        Some(i) => model[i].1 += 1.0,
+                        None => model.push((k, v + 1.0)),
+                    }
+                }
+                _ => {
+                    // Clearing forgets every position; numbering restarts.
+                    if k % 4 == 0 {
+                        map.clear();
+                        model.clear();
+                    }
+                }
+            }
+            let keys: Vec<u32> = model.iter().map(|&(key, _)| key).collect();
+            let vals: Vec<f64> = model.iter().map(|&(_, val)| val).collect();
+            prop_assert_eq!(map.key_slice(), &keys[..]);
+            prop_assert_eq!(map.value_slice(), &vals[..]);
+            for key in 0..CAP + 2 {
+                let want = model.iter().position(|&(present, _)| present == key);
+                prop_assert_eq!(map.position(key), want);
+                prop_assert_eq!(map.get(key), want.map(|i| map.value_slice()[i]));
+            }
+        }
+    }
+}
+
+#[test]
+fn remove_invalidates_the_position_of_the_last_entry() {
+    // The documented exception: `remove` swap-removes, so the last entry
+    // takes over the removed entry's position.
+    let mut map: SparseMap<f64> = SparseMap::with_capacity(8);
+    for (k, v) in [(5, 0.5), (2, 0.2), (7, 0.7)] {
+        map.insert(k, v);
+    }
+    assert_eq!(map.position(7), Some(2));
+    assert_eq!(map.remove(5), Some(0.5));
+    assert_eq!(map.position(5), None);
+    assert_eq!(map.position(7), Some(0));
+    assert_eq!(map.position(2), Some(1));
+    assert_eq!(map.key_slice(), &[7, 2]);
+    assert_eq!(map.value_slice(), &[0.7, 0.2]);
 }

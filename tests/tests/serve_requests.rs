@@ -288,3 +288,41 @@ fn tiny_cache_thrashes_but_mixed_traffic_stays_correct() {
     let stats = engine.cache_stats().expect("cache on");
     assert!(stats.evictions > 0, "capacity 4 must evict, got {stats:?}");
 }
+
+#[test]
+fn dangling_query_node_is_answered_at_once_through_submit() {
+    // A dangling query node scores only itself (its F-Rank mass dies on the
+    // spot), however large the component leading into it. The bound search
+    // used to absorb that component for `max_expansions` rounds — a worker
+    // pinned for a minute on a 200k-node graph — before giving up
+    // unconverged. Node `i` points at its tree parent `i / 2` (the query is
+    // the root) and at one pseudo-random other non-query node.
+    let n = 20_000u32;
+    let mut b = rtr_graph::GraphBuilder::new();
+    let ty = b.register_type("n");
+    let nodes: Vec<NodeId> = (0..n).map(|_| b.add_node(ty)).collect();
+    for i in 1..n {
+        b.add_edge(nodes[i as usize], nodes[(i / 2) as usize], 1.0);
+        let other = 1 + (i.wrapping_mul(7919) + 3) % (n - 1);
+        if other != i {
+            b.add_edge(nodes[i as usize], nodes[other as usize], 1.0);
+        }
+    }
+    let g = b.build();
+    let q = nodes[0];
+    assert!(g.is_dangling(q));
+    let engine = ServeEngine::start(Arc::new(g), ServeConfig::default().with_workers(1));
+    for request in [
+        QueryRequest::node(q),
+        QueryRequest::node(q).with_measure(Measure::RtrPlus { beta: 0.45 }),
+    ] {
+        let started = std::time::Instant::now();
+        let response = engine.submit(request).wait();
+        let elapsed = started.elapsed();
+        let result = response.result.expect("typed answer");
+        assert_eq!(result.ranking, vec![q]);
+        assert!(result.converged);
+        assert!(result.expansions <= 3, "{} expansions", result.expansions);
+        assert!(elapsed.as_millis() < 50, "took {elapsed:?}");
+    }
+}

@@ -1,13 +1,24 @@
 //! 2SBound against exact RoundTripRank on generated graphs — the online
 //! algorithm's correctness contract, beyond the toy graph its unit tests use.
+//!
+//! The fixed cases come first; the property suite at the end is the oracle
+//! on random inputs: random graphs from all three generators (query log,
+//! bibliographic network, hand-built), random query nodes (dangling ones
+//! included) and random expansion granularities, checked against the exact
+//! fixed-point engines after every bound-update round and at the end of
+//! every top-K search, locally and on the distributed backend.
 
+use proptest::prelude::*;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use rtr_core::prelude::*;
 use rtr_datagen::{BibNet, BibNetConfig, QLog, QLogConfig};
-use rtr_graph::{Graph, NodeId};
+use rtr_distributed::{DistributedTwoSBound, DistributedTwoSBoundPlus, GpCluster};
+use rtr_graph::{Graph, GraphBuilder, NodeId};
 use rtr_integration_tests::SEED;
+use rtr_topk::fbound::{FBoundMode, FNeighborhood};
 use rtr_topk::prelude::*;
+use rtr_topk::tbound::{TBoundMode, TNeighborhood};
 
 fn random_queries(g: &Graph, n: usize, seed: u64) -> Vec<NodeId> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -165,6 +176,191 @@ fn naive_and_2sbound_agree() {
                 (exact.score(*a) - exact.score(*b)).abs() < 1e-9,
                 "query {q:?}: naive {a:?} vs 2sbound {b:?}"
             );
+        }
+    }
+}
+
+/// A random graph from one of the three generators.
+fn random_graph(kind: u8, seed: u64) -> Graph {
+    match kind % 3 {
+        0 => QLog::generate(&QLogConfig::tiny(), seed).graph,
+        1 => BibNet::generate(&BibNetConfig::tiny(), seed).graph,
+        _ => {
+            // Hand-built: 0–4 weighted out-edges per node, so dangling nodes,
+            // sources, self-loops and regions that cannot reach the query
+            // all occur.
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut b = GraphBuilder::new();
+            let types = [b.register_type("a"), b.register_type("b")];
+            let n = rng.gen_range(20..120usize);
+            let nodes: Vec<NodeId> = (0..n).map(|i| b.add_node(types[i % 2])).collect();
+            for &v in &nodes {
+                for _ in 0..rng.gen_range(0..5usize) {
+                    let dst = nodes[rng.gen_range(0..n)];
+                    b.add_edge(v, dst, rng.gen_range(1..6usize) as f64);
+                }
+            }
+            b.build()
+        }
+    }
+}
+
+/// Exact engines iterate well past the tolerance the assertions use.
+fn oracle_params() -> RankParams {
+    RankParams {
+        tolerance: 1e-13,
+        max_iterations: 5_000,
+        ..RankParams::default()
+    }
+}
+
+/// The ε-contract of a converged top-K answer against exact `scores`, plus
+/// the bracket every answer owes: reported bounds contain the exact score.
+fn check_contract(
+    what: &str,
+    g: &Graph,
+    result: &TopKResult,
+    scores: &ScoreVec,
+    k: usize,
+    eps: f64,
+) -> Result<(), TestCaseError> {
+    for (v, &(lo, hi)) in result.ranking.iter().zip(&result.bounds) {
+        let s = scores.score(*v);
+        prop_assert!(
+            s >= lo - 1e-9 && s <= hi + 1e-9,
+            "{what}: {v:?} exact {s} outside [{lo}, {hi}]"
+        );
+    }
+    if !result.converged {
+        return Ok(()); // best effort at the expansion cap promises bounds only
+    }
+    prop_assert!(result.ranking.len() <= k, "{what}: more than k results");
+    // A short answer claims every other node scores nothing at all.
+    let floor = match result.ranking.last() {
+        Some(&kth) if result.ranking.len() == k.min(g.node_count()) => scores.score(kth) + eps,
+        _ => 0.0,
+    };
+    for v in g.nodes() {
+        if !result.ranking.contains(&v) {
+            prop_assert!(
+                scores.score(v) <= floor + 1e-9,
+                "{what}: missed {v:?} ({}) above {floor}",
+                scores.score(v)
+            );
+        }
+    }
+    for w in result.ranking.windows(2) {
+        prop_assert!(
+            scores.score(w[0]) >= scores.score(w[1]) - eps - 1e-9,
+            "{what}: pair {w:?} swapped beyond ε"
+        );
+    }
+    Ok(())
+}
+
+/// The distributed backend runs the same engine over paged adjacency: every
+/// field of its answer must equal the local one bit for bit.
+fn check_bit_identical(local: &TopKResult, dist: &TopKResult) -> Result<(), TestCaseError> {
+    prop_assert_eq!(&local.ranking, &dist.ranking);
+    prop_assert_eq!(&local.bounds, &dist.bounds);
+    prop_assert_eq!(local.expansions, dist.expansions);
+    prop_assert_eq!(local.converged, dist.converged);
+    prop_assert_eq!(local.active, dist.active);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn neighborhood_bounds_sandwich_exact_ranks_after_every_round(
+        kind in 0..3u8,
+        seed in 0..u64::MAX,
+        pick in 0..10_000usize,
+        m_f in 1..60usize,
+        m_t in 1..7usize,
+    ) {
+        let g = &random_graph(kind, seed);
+        let q = NodeId((pick % g.node_count()) as u32);
+        let params = oracle_params();
+        let query = Query::single(q);
+        let exact_f = FRank::new(params).compute(g, &query).expect("exact F-Rank");
+        let exact_t = TRank::new(params).compute(g, &query).expect("exact T-Rank");
+        let mut f = FNeighborhood::new(&g, q, &params, FBoundMode::TwoStage).expect("f");
+        let mut t = TNeighborhood::new(&g, q, &params, TBoundMode::TwoStage).expect("t");
+        let (mut f_unseen, mut t_unseen) = (f.unseen_upper(), t.unseen_upper());
+        let mut a = g;
+        for round in 0..12 {
+            f.expand(&mut a, m_f).expect("in-memory graph");
+            f.refine(&a, 1e-12, 50);
+            t.expand(&mut a, m_t).expect("in-memory graph");
+            t.refine(&a, 1e-12, 50);
+            prop_assert!(f.unseen_upper() <= f_unseen + 1e-12, "round {round}: f̂(q) rose");
+            prop_assert!(t.unseen_upper() <= t_unseen + 1e-12, "round {round}: t̂(q) rose");
+            (f_unseen, t_unseen) = (f.unseen_upper(), t.unseen_upper());
+            for v in g.nodes() {
+                let (fb, tb) = (f.effective_bounds(v), t.effective_bounds(v));
+                prop_assert!(
+                    fb.contains(exact_f.score(v), 1e-9),
+                    "kind {kind} seed {seed} q {q:?} round {round}: F-Rank of {v:?} = {} outside [{}, {}]",
+                    exact_f.score(v), fb.lower, fb.upper
+                );
+                prop_assert!(
+                    tb.contains(exact_t.score(v), 1e-9),
+                    "kind {kind} seed {seed} q {q:?} round {round}: T-Rank of {v:?} = {} outside [{}, {}]",
+                    exact_t.score(v), tb.lower, tb.upper
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn top_k_engines_keep_the_epsilon_contract_locally_and_distributed(
+        kind in 0..3u8,
+        seed in 0..u64::MAX,
+        pick in 0..10_000usize,
+        knobs in (1..13usize, 0..3usize, 0..3usize, 0..3usize),
+        gps in 1..4usize,
+    ) {
+        let g = &random_graph(kind, seed);
+        let q = NodeId((pick % g.node_count()) as u32);
+        let params = oracle_params();
+        let (k, eps_at, m_f_at, m_t_at) = knobs;
+        let eps = [0.003, 0.01, 0.03][eps_at];
+        let cfg = TopKConfig {
+            k,
+            epsilon: eps,
+            m_f: [4, 20, 100][m_f_at],
+            m_t: [1, 2, 5][m_t_at],
+            ..TopKConfig::default()
+        };
+        let what = format!("kind {kind} seed {seed} q {q:?} {cfg:?}");
+        let query = Query::single(q);
+        let cluster = GpCluster::spawn(g, gps);
+
+        let exact = RoundTripRank::new(params).compute(g, &query).expect("exact RTR");
+        let local = TwoSBound::new(params, cfg).run(g, q).expect("local 2SBound");
+        check_contract(&format!("2SBound, {what}"), g, &local, &exact, k, eps)?;
+        let (dist, _) = DistributedTwoSBound::new(params, cfg)
+            .run(&cluster, q)
+            .expect("distributed 2SBound");
+        check_bit_identical(&local, &dist)?;
+
+        for beta in [0.45, 0.7] {
+            let exact = RoundTripRankPlus::new(params, beta)
+                .expect("valid β")
+                .compute(g, &query)
+                .expect("exact RTR+");
+            let local = TwoSBoundPlus::new(params, cfg, beta)
+                .expect("valid β")
+                .run(g, q)
+                .expect("local RTR+");
+            check_contract(&format!("RTR+ β={beta}, {what}"), g, &local, &exact, k, eps)?;
+            let (dist, _) = DistributedTwoSBoundPlus::new(params, cfg, beta)
+                .expect("valid β")
+                .run(&cluster, q)
+                .expect("distributed RTR+");
+            check_bit_identical(&local, &dist)?;
         }
     }
 }
