@@ -1,9 +1,10 @@
 #![deny(missing_docs)]
 //! # rtr-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (Sect. VI), plus
-//! Criterion micro-benchmarks. The binaries print the same rows/series the
-//! paper reports; EXPERIMENTS.md records paper-vs-measured for each.
+//! One binary per table/figure of the paper's evaluation (Sect. VI). The
+//! binaries print the same rows/series the paper reports. Serving
+//! performance is measured elsewhere: `benchmark/` (declared by
+//! `BENCHMARK.json`) is the repository's one benchmark.
 //!
 //! | Paper artifact | Binary |
 //! |---|---|
@@ -28,10 +29,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod json;
-pub mod openloop;
 pub mod snapshots;
-pub mod summary;
 
 use rtr_datagen::{BibNet, BibNetConfig, QLog, QLogConfig};
 use std::time::{Duration, Instant};
@@ -151,14 +149,12 @@ pub fn mean_ci99(samples: &[f64]) -> (f64, f64) {
 }
 
 /// The `p`-th percentile (`0 ≤ p ≤ 100`) of a sample by the nearest-rank
-/// method on a sorted copy. Used for the latency quantiles the throughput
-/// harness reports.
+/// method on a sorted copy: the exact oracle the `obs_histogram` suite
+/// holds the `rtr-obs` log-linear histogram's quantiles against.
 ///
-/// Total on degenerate inputs — the throughput harness feeds it whatever a
-/// run produced: an **empty** sample returns 0 (there is no latency to
-/// report), a **single** sample is every percentile of itself, and `p`
-/// outside `[0, 100]` is clamped rather than allowed to index out of
-/// bounds.
+/// Total on degenerate inputs: an **empty** sample returns 0, a **single**
+/// sample is every percentile of itself, and `p` outside `[0, 100]` is
+/// clamped rather than allowed to index out of bounds.
 pub fn percentile(samples: &[f64], p: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;

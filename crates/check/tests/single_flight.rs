@@ -2,8 +2,7 @@
 //! (`rtr_serve::check_api::InFlight`): exactly one computation per key
 //! under the engine's double-checked cache pattern, every duplicate
 //! answered exactly once — including when the owner's computation fails
-//! and each attached duplicate is recomputed individually — and the
-//! blocking-wait path never hangs or misses the published result.
+//! and each attached duplicate is recomputed individually.
 
 use loom_shim::model::{explore, Config};
 use loom_shim::sync::atomic::{AtomicU64, Ordering};
@@ -37,7 +36,7 @@ impl World {
     }
 }
 
-/// One request following the engine's work-stealing path: check the
+/// One request following the engine's worker path: check the
 /// cache, attach-or-claim, and as owner re-check the cache under
 /// ownership before computing, then answer everything that attached.
 fn attach_path(w: &World, job: usize) {
@@ -128,58 +127,12 @@ fn owner_error_recomputes_each_duplicate() {
         let computed = w.computed.load(Ordering::SeqCst);
         assert_eq!(computed, 2, "one failed attempt + one recompute");
         // The failed key is free again.
-        assert!(w.flight.begin(&KEY), "key leaked by the error path");
+        assert_eq!(
+            w.flight.attach_or_claim(&KEY, 2),
+            Some(2),
+            "key leaked by the error path"
+        );
     });
     rtr_check::report("single-flight/owner-error", &report);
     assert!(report.total() >= 10_000, "{} schedules", report.total());
-}
-
-/// The shared-queue blocking path: a loser calls `wait` and parks on the
-/// table's condvar. In every schedule the waiter wakes (finish released
-/// the key) and finds the owner's published value — the no-missed-
-/// publication half of the protocol.
-#[test]
-fn blocking_wait_sees_the_published_value() {
-    let report = explore(Config::with_random(5_000, 0x51F1_0003), || {
-        let w = Arc::new(World::new());
-        let waiter = {
-            let w = Arc::clone(&w);
-            thread::spawn(move || {
-                if w.cached.load(Ordering::SeqCst) != 0 {
-                    return;
-                }
-                if w.flight.begin(&KEY) {
-                    // We won instead: same owner duties as the main path.
-                    if w.cached.load(Ordering::SeqCst) == 0 {
-                        w.computed.fetch_add(1, Ordering::SeqCst);
-                        w.cached.store(42, Ordering::SeqCst);
-                    }
-                    w.flight.finish(&KEY);
-                } else {
-                    w.flight.wait(&KEY);
-                    // finish() happens after the owner published; the
-                    // re-check must hit.
-                    assert_eq!(w.cached.load(Ordering::SeqCst), 42, "woke before publish");
-                }
-            })
-        };
-        if w.flight.begin(&KEY) {
-            if w.cached.load(Ordering::SeqCst) == 0 {
-                w.computed.fetch_add(1, Ordering::SeqCst);
-                w.cached.store(42, Ordering::SeqCst);
-            }
-            w.flight.finish(&KEY);
-        } else {
-            w.flight.wait(&KEY);
-            assert_eq!(w.cached.load(Ordering::SeqCst), 42, "woke before publish");
-        }
-        waiter.join().unwrap();
-        assert_eq!(
-            w.computed.load(Ordering::SeqCst),
-            1,
-            "duplicate computation"
-        );
-    });
-    rtr_check::report("single-flight/blocking-wait", &report);
-    assert!(report.dfs_schedules > 1);
 }

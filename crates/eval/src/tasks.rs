@@ -19,7 +19,7 @@
 //! modified graph across the task (one `O(E)` rebuild instead of one per
 //! query). The removal affects well under 1% of edges at our query counts,
 //! applies identically to every measure, and preserves the comparison
-//! shapes. EXPERIMENTS.md records this deviation.
+//! shapes.
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;

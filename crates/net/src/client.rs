@@ -1,12 +1,11 @@
 //! Blocking wire-protocol client.
 //!
 //! [`NetClient`] is the reference implementation of the client side of
-//! `docs/PROTOCOL.md`, used by the e2e tests, the example, and the
-//! `rtr-bench --wire` load generator. One TCP connection, synchronous
+//! `docs/PROTOCOL.md`, used by the e2e tests, the example, and the wire
+//! workloads of `benchmark/`. One TCP connection, synchronous
 //! [`NetClient::call`] for the common case, and a split
-//! [`NetClient::send`] / [`NetClient::recv`] pair so the load generator
-//! can pipeline an open-loop arrival schedule without one thread per
-//! in-flight request.
+//! [`NetClient::send`] / [`NetClient::recv`] pair so a load generator can
+//! keep several requests in flight without one thread per request.
 //!
 //! Responses arrive in request order (the server's per-connection write
 //! queue is FIFO), so `send`/`recv` pairing is positional: the `k`-th

@@ -40,8 +40,7 @@
 //!   endpoint, one frame type instead of one HTTP route).
 //!
 //! [`NetClient`] is the matching blocking client (used by the e2e tests,
-//! `examples/network_serving.rs`, and the wire-level load generator in
-//! `rtr-bench --wire`).
+//! `examples/network_serving.rs`, and the wire workloads of `benchmark/`).
 //!
 //! ```no_run
 //! use rtr_graph::NodeId;

@@ -4,9 +4,9 @@
 //! A [`MetricsSnapshot`] is plain data — cloneable, inspectable in tests,
 //! embeddable in bench artifacts — decoupled from the live atomics it was
 //! read from. The Prometheus rendering is what a future `/metrics`
-//! endpoint serves verbatim; the JSON rendering is what the committed
-//! `BENCH_*.json` artifacts embed (quantile summaries, not raw buckets,
-//! so artifacts stay human-readable).
+//! endpoint serves verbatim; the JSON rendering carries quantile
+//! summaries, not raw buckets, so a report that embeds it stays
+//! human-readable.
 
 use crate::histogram::HistogramSnapshot;
 use std::fmt::Write as _;

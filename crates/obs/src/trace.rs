@@ -21,8 +21,8 @@ use std::time::{Duration, Instant};
 pub enum TraceStage {
     /// The request entered the engine (always the first event, offset 0).
     Submit,
-    /// The submit-side fast path answered it inline (cache hit or trivial
-    /// request); no queueing happened.
+    /// The submit-side fast path answered it inline (a cache hit); no
+    /// queueing happened.
     FastPath,
     /// The request was pushed onto the scheduler's queues.
     Enqueue,

@@ -5,31 +5,6 @@ use rtr_core::RankParams;
 use rtr_distributed::{DEFAULT_MAX_BLOCKS, DEFAULT_PREFETCH_LIMIT};
 use rtr_topk::{Scheme, TopKConfig};
 
-/// How submitted jobs reach (or bypass) the worker threads.
-///
-/// Scheduling is a pure performance knob: every mode produces bit-identical
-/// responses (the `scheduler_determinism` suite pins this), it only changes
-/// *who* runs a request and how long it queues.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedulerMode {
-    /// One shared MPMC channel all workers compete on, and blocking
-    /// single-flight waits: the engine's original scheduler, kept for A/B
-    /// measurement (the open-loop throughput bench runs both modes).
-    SharedQueue,
-    /// Size-aware dispatch with per-worker queues:
-    ///
-    /// * **fast path** — cache hits and trivial (k = 0) requests complete
-    ///   on the submitting thread and never touch the worker queues;
-    /// * **work stealing** — everything else lands in a shared injector
-    ///   that workers batch-drain into per-worker queues, stealing from
-    ///   siblings when their own queue runs dry;
-    /// * **attach batching** — a request identical to one already
-    ///   computing attaches to that in-flight ticket instead of parking a
-    ///   worker thread; the owner answers every attached request from the
-    ///   shared `Arc` when it finishes.
-    WorkStealing,
-}
-
 /// Configuration of a [`crate::ServeEngine`]: pool size, the execution
 /// backend, plus the default parameters a [`crate::QueryRequest`] falls
 /// back to.
@@ -55,19 +30,15 @@ pub struct ServeConfig {
     /// Total entry budget of the shared result cache; **0 disables the
     /// cache entirely** (the default), in which case serving behaves
     /// bit-for-bit as it did before the cache existed — every query is
-    /// computed, nothing is remembered, no key is ever built.
+    /// computed, nothing is remembered, no key is ever built. With the
+    /// cache on, single-flight deduplication is on too: M concurrent
+    /// identical requests compute once and share the result, the M−1
+    /// duplicates attaching to the owner's in-flight entry instead of
+    /// occupying workers.
     pub cache_capacity: usize,
     /// Shard count of the result cache (only read when the cache is on).
     /// More shards, less lock contention; 16 is plenty for CPU-sized pools.
     pub cache_shards: usize,
-    /// Single-flight deduplication: when the cache is on, M concurrent
-    /// identical queries compute once and share the result; the M−1
-    /// duplicates wait on the in-flight table instead of burning workers.
-    /// Inert while the cache is off (there is nowhere to share results).
-    pub single_flight: bool,
-    /// How jobs are dispatched to workers ([`SchedulerMode::WorkStealing`]
-    /// by default). Never changes answers, only latency.
-    pub scheduler: SchedulerMode,
     /// Per-frontier-round speculative fetch cap of each worker's AP-side
     /// [`rtr_distributed::BlockCache`] (0 disables prefetching). Only read
     /// by distributed backends; see [`rtr_distributed::BlockCache::with_limits`].
@@ -106,8 +77,6 @@ impl Default for ServeConfig {
             scheme: Scheme::TwoSBound,
             cache_capacity: 0,
             cache_shards: 16,
-            single_flight: true,
-            scheduler: SchedulerMode::WorkStealing,
             block_prefetch_limit: DEFAULT_PREFETCH_LIMIT,
             block_cache_blocks: DEFAULT_MAX_BLOCKS,
             metrics: false,
@@ -151,18 +120,6 @@ impl ServeConfig {
     /// This configuration with `shards` cache shards.
     pub fn with_cache_shards(mut self, shards: usize) -> Self {
         self.cache_shards = shards;
-        self
-    }
-
-    /// This configuration with single-flight deduplication on or off.
-    pub fn with_single_flight(mut self, single_flight: bool) -> Self {
-        self.single_flight = single_flight;
-        self
-    }
-
-    /// This configuration with the given scheduler mode.
-    pub fn with_scheduler(mut self, scheduler: SchedulerMode) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -293,18 +250,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Single-flight deduplication on or off.
-    pub fn single_flight(mut self, single_flight: bool) -> Self {
-        self.config.single_flight = single_flight;
-        self
-    }
-
-    /// Scheduler mode (see [`SchedulerMode`]).
-    pub fn scheduler(mut self, scheduler: SchedulerMode) -> Self {
-        self.config.scheduler = scheduler;
-        self
-    }
-
     /// Per-worker block-cache knobs for distributed backends (see
     /// [`ServeConfig::with_block_cache_limits`]).
     pub fn block_cache_limits(mut self, prefetch_limit: usize, max_blocks: usize) -> Self {
@@ -356,8 +301,6 @@ mod tests {
         assert!(!c.cache_enabled());
         assert_eq!(c.cache_capacity, 0);
         assert!(c.cache_shards >= 1);
-        assert!(c.single_flight);
-        assert_eq!(c.scheduler, SchedulerMode::WorkStealing);
         // Observability ships off by default: zero-cost unless asked for.
         assert!(!c.metrics);
         assert!(!c.tracing);
@@ -376,26 +319,13 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_builders_apply() {
-        let c = ServeConfig::default().with_scheduler(SchedulerMode::SharedQueue);
-        assert_eq!(c.scheduler, SchedulerMode::SharedQueue);
-        let c = ServeConfig::builder()
-            .scheduler(SchedulerMode::SharedQueue)
-            .build()
-            .unwrap();
-        assert_eq!(c.scheduler, SchedulerMode::SharedQueue);
-    }
-
-    #[test]
     fn cache_builders_apply() {
         let c = ServeConfig::default()
             .with_cache_capacity(1024)
-            .with_cache_shards(4)
-            .with_single_flight(false);
+            .with_cache_shards(4);
         assert!(c.cache_enabled());
         assert_eq!(c.cache_capacity, 1024);
         assert_eq!(c.cache_shards, 4);
-        assert!(!c.single_flight);
     }
 
     #[test]
@@ -416,7 +346,6 @@ mod tests {
         assert_eq!(built.workers, default.workers);
         assert_eq!(built.scheme, default.scheme);
         assert_eq!(built.cache_capacity, default.cache_capacity);
-        assert_eq!(built.single_flight, default.single_flight);
     }
 
     #[test]
@@ -428,7 +357,6 @@ mod tests {
             .scheme(Scheme::Sarkar)
             .cache_capacity(512)
             .cache_shards(4)
-            .single_flight(false)
             .build()
             .unwrap();
         assert_eq!(c.workers, 3);
@@ -437,7 +365,6 @@ mod tests {
         assert_eq!(c.scheme, Scheme::Sarkar);
         assert_eq!(c.cache_capacity, 512);
         assert_eq!(c.cache_shards, 4);
-        assert!(!c.single_flight);
     }
 
     #[test]

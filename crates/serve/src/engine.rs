@@ -12,32 +12,28 @@
 //! the worker lives: steady-state serving is allocation-free on the bound
 //! paths.
 //!
-//! **Scheduling** ([`SchedulerMode`]) never changes answers, only who runs
-//! a request and how long it queues:
+//! **Scheduling** never changes answers, only who runs a request and how
+//! long it queues:
 //!
-//! * [`SchedulerMode::WorkStealing`] (default) — *size-aware dispatch*:
-//!   submission first tries the fast path on the submitting thread (a
-//!   cache hit, or a trivial k = 0 request, completes inline with zero
-//!   queue wait and `worker: None`); everything else lands in a shared
-//!   injector that workers batch-drain into per-worker queues, stealing
-//!   from siblings when their own queue runs dry. Duplicate in-flight
-//!   requests *attach* to the computing owner's ticket instead of parking
-//!   a worker; the owner answers them all from the shared `Arc` when it
-//!   finishes.
-//! * [`SchedulerMode::SharedQueue`] — the engine's original scheduler (one
-//!   shared MPMC channel, blocking single-flight waits), kept so the
-//!   open-loop throughput bench can measure the new scheduler against the
-//!   old one at equal offered load.
+//! * **fast path** — submission first probes the result cache on the
+//!   submitting thread; a hit completes inline with zero queue wait and
+//!   `worker: None`. Nothing is ever *computed* on the submitting thread.
+//! * **work stealing** — everything else lands in a shared injector that
+//!   workers batch-drain into per-worker queues, stealing from siblings
+//!   when their own queue runs dry.
+//! * **attach batching** — a request identical to one already computing
+//!   *attaches* to the computing owner's in-flight entry instead of
+//!   occupying a worker; the owner answers them all from the shared `Arc`
+//!   when it finishes (or re-enqueues them if it failed — errors are never
+//!   shared).
 //!
-//! Shutdown: the shared-queue mode hangs up the job sender so every
-//! worker's `recv` errors out; the stealing mode raises a shutdown flag and
-//! wakes every parked worker, each of which drains until no queue holds
-//! work. Both then join the threads.
+//! Shutdown raises a flag and wakes every parked worker, each of which
+//! drains until no queue holds work; the engine then joins the threads.
 
 use crate::backend::{
     Backend, BackendKind, DistributedBackend, ExecBackend, ExecOutcome, LocalBackend,
 };
-use crate::config::{SchedulerMode, ServeConfig};
+use crate::config::ServeConfig;
 use crate::flight::InFlight;
 use crate::metrics::ServeMetrics;
 use crate::request::{QueryRequest, ResolvedRequest, ServeWorkspace};
@@ -47,10 +43,9 @@ use crate::rtr_sync::{Condvar, Mutex};
 use crossbeam::channel::{self, Sender};
 use crossbeam::deque;
 use rtr_cache::{CacheConfig, CacheKey, CacheStats, ShardedCache};
-use rtr_core::{CoreError, Measure};
-use rtr_graph::{Graph, NodeId};
+use rtr_core::CoreError;
+use rtr_graph::Graph;
 use rtr_obs::{MetricsSnapshot, QueryTrace, Registry, TraceStage};
-use rtr_topk::TopKResult;
 use std::fmt;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -104,41 +99,6 @@ impl From<CoreError> for ServeError {
     }
 }
 
-/// One served query's output, in the pre-PR-4 single-node batch shape
-/// (see [`ServeEngine::run_batch`]). New code should prefer
-/// [`QueryResponse`], which carries the full request and cache telemetry.
-#[derive(Clone, Debug)]
-pub struct QueryOutput {
-    /// Position of the query in its batch (outputs are returned sorted by
-    /// this, so a batch's outputs align with its input slice).
-    pub id: usize,
-    /// The query node.
-    pub query: NodeId,
-    /// The top-K result, or the per-query error.
-    pub result: Result<TopKResult, ServeError>,
-    /// Time between submission and a worker picking the query up.
-    pub queue_wait: Duration,
-    /// Time the worker spent serving it.
-    pub compute: Duration,
-}
-
-impl QueryOutput {
-    /// End-to-end latency: queue-wait plus compute.
-    pub fn latency(&self) -> Duration {
-        self.queue_wait + self.compute
-    }
-
-    fn from_response(response: QueryResponse) -> QueryOutput {
-        QueryOutput {
-            id: response.id,
-            query: response.request.query.nodes()[0],
-            result: response.result.map(Arc::unwrap_or_clone),
-            queue_wait: response.queue_wait,
-            compute: response.compute,
-        }
-    }
-}
-
 /// Human-readable payload of a caught panic.
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
@@ -167,7 +127,7 @@ struct Job {
 /// answering it from the shared result.
 struct AttachedJob {
     job: Job,
-    worker: Option<usize>,
+    worker: usize,
     picked: Instant,
 }
 
@@ -271,15 +231,6 @@ impl StealPool {
     }
 }
 
-/// How jobs travel from submitters to workers — the engine-side handle of
-/// the scheduler chosen by [`ServeConfig::scheduler`].
-enum Dispatcher {
-    /// One shared channel; `None` after shutdown hangs it up.
-    Shared { job_tx: Option<Sender<Job>> },
-    /// Injector + per-worker queues; shutdown is via flag + wakeup.
-    Stealing { pool: Arc<StealPool> },
-}
-
 /// State every worker shares: the graph and (when caching is on) the
 /// result cache, the single-flight table, and the computation counter the
 /// single-flight tests assert on.
@@ -298,9 +249,6 @@ struct Shared {
     /// Queries that actually ran an engine (as opposed to being answered
     /// from the cache or a shared in-flight computation).
     computed: AtomicU64,
-    /// Workspace for trivial requests the fast path computes on the
-    /// submitting thread (k = 0 setup work only — never a full search).
-    inline_ws: Mutex<ServeWorkspace>,
     /// The engine's metric registry; [`ServeEngine::metrics_snapshot`]
     /// renders it. The catalog is registered even with metrics off, so a
     /// snapshot is always complete (if zeroed).
@@ -328,36 +276,35 @@ impl Shared {
         }
     }
 
-    /// Run one request against its routed backend, recycling `ws`. Catches
-    /// panics so a bad query can never kill the worker, and counts the
-    /// computation. The job's trace (if any) is parked in the workspace
+    /// Run one job's request against its routed backend, recycling `ws`.
+    /// Catches panics so a bad query can never kill the worker, and counts
+    /// the computation. The job's trace (if any) is parked in the workspace
     /// for the duration of the run, so the distributed engine can stamp
     /// per-fetch-round events into the same timeline.
     fn compute(
         &self,
-        request: &ResolvedRequest,
+        job: &mut Job,
         ws: &mut ServeWorkspace,
-        trace: &mut Option<Box<QueryTrace>>,
-    ) -> Result<ExecOutcome, ServeError> {
+    ) -> Result<Arc<ExecOutcome>, ServeError> {
         // ordering: Relaxed — computed_queries() is a telemetry read; the
         // single-flight tests that assert on it only read after join().
         self.computed.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = trace.as_deref_mut() {
+        if let Some(t) = job.trace.as_deref_mut() {
             t.record(TraceStage::ComputeStart);
         }
-        let (backend, _) = self.backend_for(request);
-        ws.dist.trace = trace.take();
+        let (backend, _) = self.backend_for(&job.request);
+        ws.dist.trace = job.trace.take();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            backend.execute(&self.graph, request, ws)
+            backend.execute(&self.graph, &job.request, ws)
         }));
         // Reclaim the trace *before* the panic branch below discards the
         // workspace — a panicking query still gets its (partial) timeline.
-        *trace = ws.dist.trace.take();
-        if let Some(t) = trace.as_deref_mut() {
+        job.trace = ws.dist.trace.take();
+        if let Some(t) = job.trace.as_deref_mut() {
             t.record(TraceStage::ComputeEnd);
         }
         match result {
-            Ok(r) => r.map_err(ServeError::from),
+            Ok(r) => r.map(Arc::new).map_err(ServeError::from),
             Err(panic) => {
                 // The workspace may have been mid-mutation when the panic
                 // unwound through it.
@@ -367,129 +314,32 @@ impl Shared {
         }
     }
 
-    /// The full serving path for one request: cache lookup, single-flight
-    /// deduplication, compute, insert. Returns the outcome and whether it
-    /// came from the cache. With the cache off this is exactly one
-    /// [`Shared::compute`] call — the uncached behavior.
-    fn serve(
-        &self,
-        request: &ResolvedRequest,
-        ws: &mut ServeWorkspace,
-        trace: &mut Option<Box<QueryTrace>>,
-    ) -> (Result<Arc<ExecOutcome>, ServeError>, bool) {
-        let Some(cache) = &self.cache else {
-            return (self.compute(request, ws, trace).map(Arc::new), false);
-        };
-        let key = request.cache_key(self.graph.epoch());
-        loop {
-            if let Some(hit) = cache.get(&key) {
-                // Backends are deterministic and bit-identical, and every
-                // output-relevant input is in the (backend-agnostic) key,
-                // so the cached ranking is bit-identical to what a fresh
-                // run on *either* backend would produce. The stored
-                // outcome keeps the original computation's provenance —
-                // and serving it is a refcount bump, not a deep clone.
-                return (Ok(hit), true);
-            }
-            if !self.config.single_flight {
-                let result = self.compute(request, ws, trace).map(Arc::new);
-                if let Ok(r) = &result {
-                    cache.insert(key, Arc::clone(r));
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.record(TraceStage::CacheInsert);
-                    }
-                }
-                return (result, false);
-            }
-            if self.flight.begin(&key) {
-                // Double-check while owning the key: between our miss above
-                // and our claim, the previous owner may have inserted and
-                // finished — computing now would break compute-exactly-once.
-                // Every insert happens under ownership of the key, so an
-                // owner's recheck-miss is authoritative.
-                let (result, from_cache) = match cache.recheck(&key) {
-                    Some(hit) => (Ok(hit), true),
-                    None => {
-                        let result = self.compute(request, ws, trace).map(Arc::new);
-                        if let Ok(r) = &result {
-                            cache.insert(key.clone(), Arc::clone(r));
-                            if let Some(t) = trace.as_deref_mut() {
-                                t.record(TraceStage::CacheInsert);
-                            }
-                        }
-                        (result, false)
-                    }
-                };
-                // Failed queries are not cached (and are cheap to redo);
-                // release the key on every path so waiters never strand.
-                // Nothing attaches in shared-queue mode, so the returned
-                // list is empty by construction.
-                let _ = self.flight.finish(&key);
-                return (result, from_cache);
-            }
-            // Someone else is computing this exact key: wait for them,
-            // then re-check the cache (hit unless their run failed).
-            self.flight.wait(&key);
-        }
-    }
-
-    /// Serve one queued job under the configured scheduler and send its
-    /// response. Returns jobs that must be re-enqueued — only ever
-    /// non-empty in work-stealing mode, when an owned computation failed
-    /// with requests attached (errors are never shared; each duplicate
-    /// recomputes individually).
+    /// The worker's serving path for one dequeued job: cache lookup,
+    /// single-flight claim, compute, insert, respond. A job that finds its
+    /// key already computing *attaches* to the owner instead of occupying
+    /// this worker, and an owner answers everything that attached when it
+    /// finishes. Returns jobs that must be re-enqueued — non-empty only
+    /// when an owned computation failed with requests attached (errors are
+    /// never shared; each duplicate recomputes individually). With the
+    /// cache off this is exactly one [`Shared::compute`] call — the
+    /// uncached behavior.
     fn handle(&self, mut job: Job, worker: usize, ws: &mut ServeWorkspace) -> Vec<Job> {
         let picked = Instant::now();
         let queue_wait = picked.duration_since(job.enqueued);
-        match self.config.scheduler {
-            SchedulerMode::SharedQueue => {
-                let mut trace = job.trace.take();
-                let (served, from_cache) = self.serve(&job.request, ws, &mut trace);
-                job.trace = trace;
-                self.respond(job, Some(worker), served, from_cache, queue_wait, picked);
-                Vec::new()
-            }
-            SchedulerMode::WorkStealing => {
-                self.handle_stealing(job, worker, ws, picked, queue_wait)
-            }
-        }
-    }
-
-    /// The work-stealing worker path: like [`Shared::serve`] but a job that
-    /// finds its key already computing *attaches* to the owner instead of
-    /// blocking this worker, and an owner answers everything that attached
-    /// when it finishes.
-    fn handle_stealing(
-        &self,
-        mut job: Job,
-        worker: usize,
-        ws: &mut ServeWorkspace,
-        picked: Instant,
-        queue_wait: Duration,
-    ) -> Vec<Job> {
         let Some(cache) = &self.cache else {
-            let mut trace = job.trace.take();
-            let served = self.compute(&job.request, ws, &mut trace).map(Arc::new);
-            job.trace = trace;
+            let served = self.compute(&mut job, ws);
             self.respond(job, Some(worker), served, false, queue_wait, picked);
             return Vec::new();
         };
         let key = job.request.cache_key(self.graph.epoch());
         if let Some(hit) = cache.get(&key) {
+            // Backends are deterministic and bit-identical, and every
+            // output-relevant input is in the (backend-agnostic) key, so
+            // the cached ranking is bit-identical to what a fresh run on
+            // *either* backend would produce. The stored outcome keeps the
+            // original computation's provenance — and serving it is a
+            // refcount bump, not a deep clone.
             self.respond(job, Some(worker), Ok(hit), true, queue_wait, picked);
-            return Vec::new();
-        }
-        if !self.config.single_flight {
-            let mut trace = job.trace.take();
-            let served = self.compute(&job.request, ws, &mut trace).map(Arc::new);
-            if let Ok(r) = &served {
-                cache.insert(key, Arc::clone(r));
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(TraceStage::CacheInsert);
-                }
-            }
-            job.trace = trace;
-            self.respond(job, Some(worker), served, false, queue_wait, picked);
             return Vec::new();
         }
         // Stamp Attach *speculatively*: if the claim below wins (no owner
@@ -497,54 +347,52 @@ impl Shared {
         if let Some(t) = job.trace.as_deref_mut() {
             t.record(TraceStage::Attach);
         }
-        let attached_job = AttachedJob {
+        let attaching = AttachedJob {
             job,
-            worker: Some(worker),
+            worker,
             picked,
         };
-        match self.flight.attach_or_claim(&key, attached_job) {
+        let Some(AttachedJob { mut job, .. }) = self.flight.attach_or_claim(&key, attaching) else {
             // Attached: the computing owner will answer it; this worker is
             // free for other traffic.
+            self.m.on_attach();
+            return Vec::new();
+        };
+        if let Some(t) = job.trace.as_deref_mut() {
+            t.retract(TraceStage::Attach);
+        }
+        // This job owns the key. Double-check the cache while owning it:
+        // between our miss above and our claim, the previous owner may have
+        // inserted and finished — computing now would break
+        // compute-exactly-once. Every insert happens under ownership of the
+        // key, so an owner's recheck-miss is authoritative.
+        let (served, from_cache) = match cache.recheck(&key) {
+            Some(hit) => (Ok(hit), true),
             None => {
-                self.m.on_attach();
+                let served = self.compute(&mut job, ws);
+                // Failed queries are not cached (and are cheap to redo).
+                if let Ok(outcome) = &served {
+                    cache.insert(key.clone(), Arc::clone(outcome));
+                    if let Some(t) = job.trace.as_deref_mut() {
+                        t.record(TraceStage::CacheInsert);
+                    }
+                }
+                (served, false)
+            }
+        };
+        // Release the key on every path so attached jobs never strand.
+        let attached = self.flight.finish(&key);
+        let requeue = match &served {
+            Ok(outcome) => {
+                self.answer_attached(cache, &key, outcome, attached);
                 Vec::new()
             }
-            Some(AttachedJob { mut job, .. }) => {
-                // This job owns the key. Double-check the cache while
-                // owning it (see Shared::serve), compute on a true miss,
-                // then settle everything that attached meanwhile.
-                let mut trace = job.trace.take();
-                if let Some(t) = trace.as_deref_mut() {
-                    t.retract(TraceStage::Attach);
-                }
-                let (served, from_cache) = match cache.recheck(&key) {
-                    Some(hit) => (Ok(hit), true),
-                    None => {
-                        let result = self.compute(&job.request, ws, &mut trace).map(Arc::new);
-                        if let Ok(r) = &result {
-                            cache.insert(key.clone(), Arc::clone(r));
-                            if let Some(t) = trace.as_deref_mut() {
-                                t.record(TraceStage::CacheInsert);
-                            }
-                        }
-                        (result, false)
-                    }
-                };
-                job.trace = trace;
-                let attached = self.flight.finish(&key);
-                let requeue = match &served {
-                    Ok(outcome) => {
-                        self.answer_attached(cache, &key, outcome, attached);
-                        Vec::new()
-                    }
-                    // Errors are never served stale: re-enqueue the
-                    // duplicates so each computes (and fails) on its own.
-                    Err(_) => attached.into_iter().map(|a| a.job).collect(),
-                };
-                self.respond(job, Some(worker), served, from_cache, queue_wait, picked);
-                requeue
-            }
-        }
+            // Errors are never served stale: re-enqueue the duplicates so
+            // each computes (and fails) on its own.
+            Err(_) => attached.into_iter().map(|a| a.job).collect(),
+        };
+        self.respond(job, Some(worker), served, from_cache, queue_wait, picked);
+        requeue
     }
 
     /// Answer every job that attached to a successfully computed key, from
@@ -557,138 +405,42 @@ impl Shared {
         attached: Vec<AttachedJob>,
     ) {
         for a in attached {
-            // Read the shared result back out of the cache — the same path
-            // the blocking waiters of shared-queue mode take — so hit
-            // accounting and LRU recency are identical across scheduler
-            // modes. (The entry can only be missing if LRU pressure evicted
-            // it in the instants since the insert; the owner's own `Arc` is
-            // the same bits.)
+            // Read the shared result back out of the cache, so hit
+            // accounting and LRU recency see every answered duplicate.
+            // (The entry can only be missing if LRU pressure evicted it in
+            // the instants since the insert; the owner's own `Arc` is the
+            // same bits.)
             let served = cache.get(key).unwrap_or_else(|| Arc::clone(outcome));
             let queue_wait = a.picked.duration_since(a.job.enqueued);
-            self.respond(a.job, a.worker, Ok(served), true, queue_wait, a.picked);
+            self.respond(
+                a.job,
+                Some(a.worker),
+                Ok(served),
+                true,
+                queue_wait,
+                a.picked,
+            );
         }
     }
 
-    /// The size-aware fast path, run on the *submitting* thread: answers
-    /// the job inline when that is cheap — a cache hit, or a trivial
-    /// request — and hands it back (`Some(job)`) for queueing otherwise.
-    /// Never blocks on another thread's computation: if the key is owned
-    /// in flight, the job queues and the worker that picks it up attaches
-    /// it to the owner.
-    fn try_fast_serve(&self, mut job: Job) -> Option<Job> {
-        if self.config.scheduler != SchedulerMode::WorkStealing {
-            return Some(job);
-        }
-        let submitted = job.enqueued;
-        let trivial = self.is_trivial(&job.request);
+    /// The fast path, run on the *submitting* thread: one cache probe. A
+    /// hit is answered inline (`worker: None`, zero queue wait); a miss
+    /// hands the job back (`Some(job)`) for queueing. The probe is
+    /// `recheck`, which counts a hit but not a miss — the worker that picks
+    /// a missed job up looks it up again with `get`, and that is where the
+    /// miss is counted. Never computes, and never blocks on another
+    /// thread's computation.
+    fn try_fast_serve(&self, job: Job) -> Option<Job> {
         let Some(cache) = &self.cache else {
-            if !trivial {
-                return Some(job);
-            }
-            let mut trace = job.trace.take();
-            let served = self.compute_inline(&job.request, &mut trace);
-            job.trace = trace;
-            self.respond(job, None, served, false, Duration::ZERO, submitted);
-            return None;
+            return Some(job);
         };
         let key = job.request.cache_key(self.graph.epoch());
-        // A trivial request computes inline on a miss, so its miss is real
-        // and counted (`get`); a non-trivial miss is re-looked-up (and
-        // counted) by the worker that picks the job up, so this probe must
-        // not count (`recheck`) — hit rates stay comparable across modes.
-        let lookup = if trivial {
-            cache.get(&key)
-        } else {
-            cache.recheck(&key)
-        };
-        if let Some(hit) = lookup {
-            self.respond(job, None, Ok(hit), true, Duration::ZERO, submitted);
-            return None;
-        }
-        if !trivial {
+        let Some(hit) = cache.recheck(&key) else {
             return Some(job);
-        }
-        if !self.config.single_flight {
-            let mut trace = job.trace.take();
-            let served = self.compute_inline(&job.request, &mut trace);
-            if let Ok(r) = &served {
-                cache.insert(key, Arc::clone(r));
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(TraceStage::CacheInsert);
-                }
-            }
-            job.trace = trace;
-            self.respond(job, None, served, false, Duration::ZERO, submitted);
-            return None;
-        }
-        if !self.flight.begin(&key) {
-            // An identical request is computing right now; queueing (and
-            // attaching) keeps the submitting thread from ever blocking.
-            return Some(job);
-        }
-        let mut trace = job.trace.take();
-        let (served, from_cache) = match cache.recheck(&key) {
-            Some(hit) => (Ok(hit), true),
-            None => {
-                let served = self.compute_inline(&job.request, &mut trace);
-                if let Ok(r) = &served {
-                    cache.insert(key.clone(), Arc::clone(r));
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.record(TraceStage::CacheInsert);
-                    }
-                }
-                (served, false)
-            }
         };
-        job.trace = trace;
-        let attached = self.flight.finish(&key);
-        match &served {
-            Ok(outcome) => self.answer_attached(cache, &key, outcome, attached),
-            Err(_) => {
-                // Errors are never shared; duplicates are trivial, so
-                // recomputing each inline is cheaper than a queue trip.
-                for mut a in attached {
-                    let mut trace = a.job.trace.take();
-                    let served = self.compute_inline(&a.job.request, &mut trace);
-                    if let Ok(r) = &served {
-                        cache.insert(key.clone(), Arc::clone(r));
-                        if let Some(t) = trace.as_deref_mut() {
-                            t.record(TraceStage::CacheInsert);
-                        }
-                    }
-                    a.job.trace = trace;
-                    let queue_wait = a.picked.duration_since(a.job.enqueued);
-                    self.respond(a.job, a.worker, served, false, queue_wait, a.picked);
-                }
-            }
-        }
-        self.respond(job, None, served, from_cache, Duration::ZERO, submitted);
+        let submitted = job.enqueued;
+        self.respond(job, None, Ok(hit), true, Duration::ZERO, submitted);
         None
-    }
-
-    /// Run a trivial request on the submitting thread, on the shared
-    /// inline workspace.
-    fn compute_inline(
-        &self,
-        request: &ResolvedRequest,
-        trace: &mut Option<Box<QueryTrace>>,
-    ) -> Result<Arc<ExecOutcome>, ServeError> {
-        // invariant: compute() propagates errors as values, never panics
-        // under this lock, so the workspace mutex cannot be poisoned.
-        let mut ws = self.inline_ws.lock().expect("inline workspace poisoned");
-        self.compute(request, &mut ws, trace).map(Arc::new)
-    }
-
-    /// Requests the fast path may compute on the submitting thread:
-    /// single-node k = 0 RTR/RTR+ — the dispatch table's bound path, which
-    /// short-circuits to an empty ranking after a bounded amount of
-    /// neighborhood setup. Everything else (real bound searches, exact
-    /// iterations touching the whole graph) belongs on a worker.
-    fn is_trivial(&self, request: &ResolvedRequest) -> bool {
-        request.topk.k == 0
-            && request.query.nodes().len() == 1
-            && matches!(request.measure, Measure::Rtr | Measure::RtrPlus { .. })
-            && self.graph.node_count() > 0
     }
 
     /// Build and send the response for one served job. Every response —
@@ -762,7 +514,7 @@ impl Shared {
 /// collects only its own responses.
 pub struct ServeEngine {
     shared: Arc<Shared>,
-    dispatcher: Dispatcher,
+    pool: Arc<StealPool>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -778,7 +530,6 @@ impl ServeEngine {
     /// load benchmarks.
     pub fn start(graph: Arc<Graph>, config: ServeConfig) -> Self {
         let workers = config.workers.max(1);
-        let scheduler = config.scheduler;
         let distributed = match config.backend {
             Backend::Local => None,
             Backend::Distributed { gps } => Some(DistributedBackend::spawn(&graph, gps)),
@@ -796,7 +547,6 @@ impl ServeEngine {
                 })
             }),
             flight: InFlight::new(),
-            inline_ws: Mutex::new(ServeWorkspace::for_engine(node_count, &config)),
             computed: AtomicU64::new(0),
             graph,
             config,
@@ -804,116 +554,76 @@ impl ServeEngine {
             m,
         });
         shared.m.cache_enabled.set(shared.cache.is_some() as i64);
-        match scheduler {
-            SchedulerMode::SharedQueue => {
-                let (job_tx, job_rx) = channel::unbounded::<Job>();
-                let handles = (0..workers)
-                    .map(|idx| {
-                        let rx = job_rx.clone();
-                        let shared = Arc::clone(&shared);
-                        std::thread::spawn(move || {
-                            // Panics inside a query are caught in
-                            // Shared::compute; a dead worker would strand
-                            // the jobs still queued and hang their batches.
-                            let mut ws = ServeWorkspace::for_engine(node_count, &shared.config);
-                            if shared.distributed.is_some() {
-                                if let Some(bc) = shared.m.block_cache(&shared.registry, idx) {
-                                    ws.dist.cache.set_metrics(bc);
-                                }
+        // Build every local deque first so each worker starts with the
+        // full stealer set — no window where early traffic is invisible to
+        // a sibling.
+        let locals: Vec<deque::Worker<Job>> =
+            (0..workers).map(|_| deque::Worker::new_fifo()).collect();
+        let stealers = locals.iter().map(|l| l.stealer()).collect();
+        let pool = Arc::new(StealPool {
+            injector: deque::Injector::new(),
+            stealers,
+            park: Park::new(),
+            shutdown: AtomicBool::new(false),
+        });
+        let handles = locals
+            .into_iter()
+            .enumerate()
+            .map(|(idx, local)| {
+                let pool = Arc::clone(&pool);
+                let shared = Arc::clone(&shared);
+                // Panics inside a query are caught in Shared::compute; a
+                // dead worker would strand the jobs still queued and hang
+                // their batches.
+                std::thread::spawn(move || {
+                    let mut ws = ServeWorkspace::for_engine(node_count, &shared.config);
+                    if shared.distributed.is_some() {
+                        if let Some(bc) = shared.m.block_cache(&shared.registry, idx) {
+                            ws.dist.cache.set_metrics(bc);
+                        }
+                    }
+                    loop {
+                        // Read the park generation *before* the scan: a
+                        // push between scan and sleep bumps it and the
+                        // sleep returns immediately — no lost wakeups.
+                        let seen = pool.park.current();
+                        if let Some((mut job, stolen)) = pool.find(idx, &local) {
+                            if stolen {
+                                shared.m.on_steal();
                             }
-                            while let Ok(mut job) = rx.recv() {
-                                if let Some(t) = job.trace.as_deref_mut() {
-                                    t.record(TraceStage::Dequeue);
-                                }
-                                let requeue = shared.handle(job, 0, &mut ws);
-                                debug_assert!(
-                                    requeue.is_empty(),
-                                    "shared-queue serving never attaches jobs"
-                                );
+                            if let Some(t) = job.trace.as_deref_mut() {
+                                t.record(if stolen {
+                                    TraceStage::Steal
+                                } else {
+                                    TraceStage::Dequeue
+                                });
                             }
-                        })
-                    })
-                    .collect();
-                ServeEngine {
-                    shared,
-                    dispatcher: Dispatcher::Shared {
-                        job_tx: Some(job_tx),
-                    },
-                    handles,
-                }
-            }
-            SchedulerMode::WorkStealing => {
-                // Build every local deque first so each worker starts with
-                // the full stealer set — no window where early traffic is
-                // invisible to a sibling.
-                let locals: Vec<deque::Worker<Job>> =
-                    (0..workers).map(|_| deque::Worker::new_fifo()).collect();
-                let stealers = locals.iter().map(|l| l.stealer()).collect();
-                let pool = Arc::new(StealPool {
-                    injector: deque::Injector::new(),
-                    stealers,
-                    park: Park::new(),
-                    shutdown: AtomicBool::new(false),
-                });
-                let handles = locals
-                    .into_iter()
-                    .enumerate()
-                    .map(|(idx, local)| {
-                        let pool = Arc::clone(&pool);
-                        let shared = Arc::clone(&shared);
-                        std::thread::spawn(move || {
-                            let mut ws = ServeWorkspace::for_engine(node_count, &shared.config);
-                            if shared.distributed.is_some() {
-                                if let Some(bc) = shared.m.block_cache(&shared.registry, idx) {
-                                    ws.dist.cache.set_metrics(bc);
-                                }
+                            for j in shared.handle(job, idx, &mut ws) {
+                                // A failed owner re-enqueues its attached
+                                // duplicates; pushing them onto our own
+                                // deque guarantees they run even with
+                                // every sibling asleep.
+                                local.push(j);
                             }
-                            loop {
-                                // Read the park generation *before* the
-                                // scan: a push between scan and sleep bumps
-                                // it and the sleep returns immediately — no
-                                // lost wakeups.
-                                let seen = pool.park.current();
-                                if let Some((mut job, stolen)) = pool.find(idx, &local) {
-                                    if stolen {
-                                        shared.m.on_steal();
-                                    }
-                                    if let Some(t) = job.trace.as_deref_mut() {
-                                        t.record(if stolen {
-                                            TraceStage::Steal
-                                        } else {
-                                            TraceStage::Dequeue
-                                        });
-                                    }
-                                    for j in shared.handle(job, idx, &mut ws) {
-                                        // A failed owner re-enqueues its
-                                        // attached duplicates; pushing them
-                                        // onto our own deque guarantees
-                                        // they run even with every sibling
-                                        // asleep.
-                                        local.push(j);
-                                    }
-                                    continue;
-                                }
-                                // ordering: Acquire — pairs with the
-                                // Release store in shutdown_inner(), so a
-                                // worker that sees the flag also sees
-                                // every job enqueued before shutdown.
-                                if pool.shutdown.load(Ordering::Acquire) {
-                                    return;
-                                }
-                                shared.m.on_park();
-                                pool.park.sleep(seen);
-                            }
-                        })
-                    })
-                    .collect();
-                ServeEngine {
-                    shared,
-                    dispatcher: Dispatcher::Stealing { pool },
-                    handles,
-                }
-            }
+                            continue;
+                        }
+                        // ordering: Acquire — pairs with the Release store
+                        // in shutdown_inner(), so a worker that sees the
+                        // flag also sees every job enqueued before
+                        // shutdown.
+                        if pool.shutdown.load(Ordering::Acquire) {
+                            return;
+                        }
+                        shared.m.on_park();
+                        pool.park.sleep(seen);
+                    }
+                })
+            })
+            .collect();
+        ServeEngine {
+            shared,
+            pool,
+            handles,
         }
     }
 
@@ -958,9 +668,10 @@ impl ServeEngine {
     /// either way. Point-in-time gauges (injector depth, cache occupancy)
     /// are polled here, at snapshot time.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        if let Dispatcher::Stealing { pool } = &self.dispatcher {
-            self.shared.m.injector_depth.set(pool.injector.len() as i64);
-        }
+        self.shared
+            .m
+            .injector_depth
+            .set(self.pool.injector.len() as i64);
         self.shared
             .m
             .cache_enabled
@@ -1038,32 +749,16 @@ impl ServeEngine {
                 .tracing
                 .then(|| Box::new(QueryTrace::begin())),
         };
-        // Size-aware dispatch: cache hits and trivial requests complete
-        // right here on the submitting thread; everything else queues.
+        // Cache hits complete right here on the submitting thread;
+        // everything else queues.
         let Some(mut job) = self.shared.try_fast_serve(job) else {
             return;
         };
         if let Some(t) = job.trace.as_deref_mut() {
             t.record(TraceStage::Enqueue);
         }
-        match &self.dispatcher {
-            Dispatcher::Shared { job_tx } => {
-                job_tx
-                    .as_ref()
-                    // invariant: the sender is only taken in
-                    // shutdown_inner, and submit() cannot run after
-                    // shutdown (it borrows self, shutdown consumes it).
-                    .expect("pool is running")
-                    .send(job)
-                    // invariant: workers hold the receiver for the
-                    // engine's whole lifetime.
-                    .expect("workers alive while engine exists");
-            }
-            Dispatcher::Stealing { pool } => {
-                pool.injector.push(job);
-                pool.park.notify_one();
-            }
-        }
+        self.pool.injector.push(job);
+        self.pool.park.notify_one();
     }
 
     /// Execute a batch of heterogeneous requests across the pool and
@@ -1090,39 +785,20 @@ impl ServeEngine {
         responses
     }
 
-    /// Execute a batch of single-node RoundTripRank queries under the
-    /// engine defaults — the pre-PR-4 API, now a thin wrapper over
-    /// [`ServeEngine::run_requests`]. Blocks until the whole batch is done;
-    /// outputs come back in input order and are bit-identical to
-    /// [`run_serial`] at any worker count.
-    pub fn run_batch(&self, queries: &[NodeId]) -> Vec<QueryOutput> {
-        let requests: Vec<QueryRequest> = queries.iter().map(|&q| QueryRequest::node(q)).collect();
-        self.run_requests(&requests)
-            .into_iter()
-            .map(QueryOutput::from_response)
-            .collect()
-    }
-
-    /// Stop the pool: hang up the job queue and join every worker. Called
-    /// automatically on drop; explicit form for callers that want to
-    /// observe the join.
+    /// Stop the pool: let every worker drain the queues, then join them.
+    /// Called automatically on drop; explicit form for callers that want
+    /// to observe the join.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
 
     fn shutdown_inner(&mut self) {
-        match &mut self.dispatcher {
-            Dispatcher::Shared { job_tx } => drop(job_tx.take()),
-            Dispatcher::Stealing { pool } => {
-                // ordering: Release — pairs with the workers' Acquire
-                // load, publishing all queue state written before the
-                // shutdown decision.
-                pool.shutdown.store(true, Ordering::Release);
-                // Workers drain all queues before honoring the flag, so
-                // every job enqueued before this point still completes.
-                pool.park.notify_all();
-            }
-        }
+        // ordering: Release — pairs with the workers' Acquire load,
+        // publishing all queue state written before the shutdown decision.
+        self.pool.shutdown.store(true, Ordering::Release);
+        // Workers drain all queues before honoring the flag, so every job
+        // enqueued before this point still completes.
+        self.pool.park.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -1178,21 +854,12 @@ pub fn run_serial_requests(
         .collect()
 }
 
-/// The serial reference executor for the single-node batch shape: a thin
-/// wrapper over [`run_serial_requests`].
-pub fn run_serial(g: &Graph, config: &ServeConfig, queries: &[NodeId]) -> Vec<QueryOutput> {
-    let requests: Vec<QueryRequest> = queries.iter().map(|&q| QueryRequest::node(q)).collect();
-    run_serial_requests(g, config, &requests)
-        .into_iter()
-        .map(QueryOutput::from_response)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rtr_core::Measure;
     use rtr_graph::toy::fig2_toy;
+    use rtr_graph::NodeId;
     use rtr_topk::TopKConfig;
 
     fn toy_engine(workers: usize) -> (ServeEngine, rtr_graph::toy::Fig2Ids) {
@@ -1203,15 +870,20 @@ mod tests {
         (ServeEngine::start(Arc::new(g), config), ids)
     }
 
+    /// Single-node RoundTripRank requests under the engine defaults.
+    fn nodes(queries: &[NodeId]) -> Vec<QueryRequest> {
+        queries.iter().map(|&q| QueryRequest::node(q)).collect()
+    }
+
     #[test]
     fn batch_outputs_align_with_inputs() {
         let (engine, ids) = toy_engine(3);
         let queries = vec![ids.t1, ids.v1, ids.t2, ids.v2];
-        let outputs = engine.run_batch(&queries);
+        let outputs = engine.run_requests(&nodes(&queries));
         assert_eq!(outputs.len(), queries.len());
         for (i, out) in outputs.iter().enumerate() {
             assert_eq!(out.id, i);
-            assert_eq!(out.query, queries[i]);
+            assert_eq!(out.request.query.nodes(), [queries[i]]);
             assert_eq!(out.result.as_ref().unwrap().ranking[0], queries[i]);
         }
     }
@@ -1222,10 +894,10 @@ mod tests {
         let config = ServeConfig::default()
             .with_workers(4)
             .with_topk(TopKConfig::toy());
-        let queries: Vec<NodeId> = g.nodes().collect();
-        let serial = run_serial(&g, &config, &queries);
+        let requests: Vec<QueryRequest> = g.nodes().map(QueryRequest::node).collect();
+        let serial = run_serial_requests(&g, &config, &requests);
         let engine = ServeEngine::start(Arc::new(g), config);
-        let pooled = engine.run_batch(&queries);
+        let pooled = engine.run_requests(&requests);
         let _ = ids;
         for (s, p) in serial.iter().zip(&pooled) {
             let (s, p) = (s.result.as_ref().unwrap(), p.result.as_ref().unwrap());
@@ -1288,9 +960,9 @@ mod tests {
     #[test]
     fn engine_survives_many_batches() {
         let (engine, ids) = toy_engine(2);
-        let first = engine.run_batch(&[ids.t1]);
+        let first = engine.run_requests(&nodes(&[ids.t1]));
         for _ in 0..5 {
-            let again = engine.run_batch(&[ids.t1]);
+            let again = engine.run_requests(&nodes(&[ids.t1]));
             assert_eq!(
                 first[0].result.as_ref().unwrap().ranking,
                 again[0].result.as_ref().unwrap().ranking
@@ -1301,7 +973,7 @@ mod tests {
     #[test]
     fn bad_query_reports_error_without_poisoning_batch() {
         let (engine, ids) = toy_engine(2);
-        let outputs = engine.run_batch(&[ids.t1, NodeId(9999), ids.t2]);
+        let outputs = engine.run_requests(&nodes(&[ids.t1, NodeId(9999), ids.t2]));
         assert!(outputs[0].result.is_ok());
         assert!(matches!(
             outputs[1].result,
@@ -1319,8 +991,12 @@ mod tests {
         let config = ServeConfig::default()
             .with_workers(1)
             .with_topk(TopKConfig::toy());
-        let mixed = run_serial(&g, &config, &[ids.t1, NodeId(9999), ids.t2, NodeId(8888)]);
-        let clean = run_serial(&g, &config, &[ids.t1, ids.t2]);
+        let mixed = run_serial_requests(
+            &g,
+            &config,
+            &nodes(&[ids.t1, NodeId(9999), ids.t2, NodeId(8888)]),
+        );
+        let clean = run_serial_requests(&g, &config, &nodes(&[ids.t1, ids.t2]));
         assert_eq!(
             mixed[0].result.as_ref().unwrap().bounds,
             clean[0].result.as_ref().unwrap().bounds
@@ -1335,7 +1011,6 @@ mod tests {
     #[test]
     fn empty_batch_is_fine() {
         let (engine, _) = toy_engine(2);
-        assert!(engine.run_batch(&[]).is_empty());
         assert!(engine.run_requests(&[]).is_empty());
     }
 
@@ -1343,14 +1018,14 @@ mod tests {
     fn zero_workers_clamps_to_one() {
         let (engine, ids) = toy_engine(0);
         assert_eq!(engine.workers(), 1);
-        let outputs = engine.run_batch(&[ids.t1]);
+        let outputs = engine.run_requests(&nodes(&[ids.t1]));
         assert!(outputs[0].result.is_ok());
     }
 
     #[test]
     fn explicit_shutdown_joins() {
         let (engine, ids) = toy_engine(2);
-        let _ = engine.run_batch(&[ids.t1]);
+        let _ = engine.run_requests(&nodes(&[ids.t1]));
         engine.shutdown(); // must not hang
     }
 
@@ -1367,12 +1042,12 @@ mod tests {
                 .with_cache_capacity(capacity);
             let engine = ServeEngine::start(Arc::new(g), config);
             let queries = vec![ids.t1, ids.v1, ids.t1, ids.t1, ids.v1];
-            let outputs = engine.run_batch(&queries);
+            let outputs = engine.run_requests(&nodes(&queries));
             assert_eq!(outputs.len(), queries.len());
             let first = outputs[0].result.as_ref().unwrap();
             for dup in [2, 3] {
                 let r = outputs[dup].result.as_ref().unwrap();
-                assert_eq!(outputs[dup].query, ids.t1);
+                assert_eq!(outputs[dup].request.query.nodes(), [ids.t1]);
                 assert_eq!(r.ranking, first.ranking, "capacity {capacity}");
                 assert_eq!(r.bounds, first.bounds, "capacity {capacity}");
             }
@@ -1397,7 +1072,7 @@ mod tests {
                 })
                 .with_cache_capacity(capacity);
             let engine = ServeEngine::start(Arc::new(g), config);
-            let outputs = engine.run_batch(&[ids.t1, ids.v1, ids.t1]);
+            let outputs = engine.run_requests(&nodes(&[ids.t1, ids.v1, ids.t1]));
             for out in &outputs {
                 let r = out.result.as_ref().unwrap();
                 assert!(r.ranking.is_empty(), "capacity {capacity}");
@@ -1411,7 +1086,7 @@ mod tests {
     fn cache_off_reports_no_stats_and_counts_every_computation() {
         let (engine, ids) = toy_engine(2);
         assert!(engine.cache_stats().is_none());
-        let n = engine.run_batch(&[ids.t1, ids.t1, ids.t2]).len() as u64;
+        let n = engine.run_requests(&nodes(&[ids.t1, ids.t1, ids.t2])).len() as u64;
         assert_eq!(engine.computed_queries(), n);
         assert_eq!(engine.cache_len(), 0);
     }
@@ -1424,9 +1099,8 @@ mod tests {
             .with_topk(TopKConfig::toy())
             .with_cache_capacity(128);
         let engine = ServeEngine::start(Arc::new(g), config);
-        let queries = vec![ids.t1, ids.t2, ids.v1];
-        let cold = engine.run_batch(&queries);
-        let requests: Vec<QueryRequest> = queries.iter().map(|&q| QueryRequest::node(q)).collect();
+        let requests = nodes(&[ids.t1, ids.t2, ids.v1]);
+        let cold = engine.run_requests(&requests);
         let warm = engine.run_requests(&requests);
         let stats = engine.cache_stats().expect("cache on");
         assert_eq!(stats.inserts, 3);
@@ -1683,7 +1357,7 @@ mod tests {
             .with_cache_capacity(128);
         let engine = ServeEngine::start(Arc::new(g), config);
         let bad = NodeId(9999);
-        let outputs = engine.run_batch(&[bad, ids.t1, bad]);
+        let outputs = engine.run_requests(&nodes(&[bad, ids.t1, bad]));
         assert!(outputs[0].result.is_err());
         assert!(outputs[1].result.is_ok());
         assert!(outputs[2].result.is_err());
@@ -1704,10 +1378,7 @@ mod tests {
         assert!(first.worker.is_some(), "a cold miss goes through a worker");
         let hit = engine.submit(QueryRequest::node(ids.t1).with_k(3)).wait();
         assert!(hit.from_cache);
-        assert_eq!(
-            hit.worker, None,
-            "a cache hit never queues under work stealing"
-        );
+        assert_eq!(hit.worker, None, "a cache hit never queues");
         assert_eq!(hit.queue_wait, Duration::ZERO);
         assert_eq!(
             first.result.unwrap().ranking,
@@ -1717,7 +1388,7 @@ mod tests {
     }
 
     #[test]
-    fn trivial_requests_serve_inline_even_without_a_cache() {
+    fn k_zero_without_a_cache_is_answered_by_a_worker() {
         let (g, ids) = fig2_toy();
         let config = ServeConfig::default()
             .with_workers(2)
@@ -1725,56 +1396,14 @@ mod tests {
             .with_cache_capacity(0);
         let engine = ServeEngine::start(Arc::new(g), config);
         let response = engine.submit(QueryRequest::node(ids.t1).with_k(0)).wait();
-        assert_eq!(response.worker, None, "k = 0 completes on the submitter");
+        assert!(
+            response.worker.is_some(),
+            "nothing computes on the submitter"
+        );
         assert!(!response.from_cache);
         let r = response.result.unwrap();
         assert!(r.ranking.is_empty());
         assert!(r.converged);
-        // A real search still queues.
-        let response = engine.submit(QueryRequest::node(ids.t1).with_k(3)).wait();
-        assert!(response.worker.is_some());
-        assert_eq!(response.result.unwrap().ranking.len(), 3);
-    }
-
-    #[test]
-    fn shared_queue_mode_still_serves_and_reports_its_worker() {
-        let (g, ids) = fig2_toy();
-        let config = ServeConfig::default()
-            .with_workers(2)
-            .with_topk(TopKConfig::toy())
-            .with_cache_capacity(64)
-            .with_scheduler(SchedulerMode::SharedQueue);
-        let engine = ServeEngine::start(Arc::new(g), config);
-        // The legacy scheduler has no fast path: even hits cross the queue.
-        for expect_hit in [false, true] {
-            let r = engine.submit(QueryRequest::node(ids.t1).with_k(3)).wait();
-            assert_eq!(r.from_cache, expect_hit);
-            assert!(r.worker.is_some(), "shared queue serves on a worker");
-            assert!(r.result.is_ok());
-        }
-    }
-
-    #[test]
-    fn both_schedulers_agree_bit_for_bit() {
-        let (g, ids) = fig2_toy();
-        let queries: Vec<NodeId> = g.nodes().collect();
-        let _ = ids;
-        let mut per_mode = Vec::new();
-        let graph = Arc::new(g);
-        for scheduler in [SchedulerMode::SharedQueue, SchedulerMode::WorkStealing] {
-            let config = ServeConfig::default()
-                .with_workers(3)
-                .with_topk(TopKConfig::toy())
-                .with_scheduler(scheduler);
-            let engine = ServeEngine::start(Arc::clone(&graph), config);
-            per_mode.push(engine.run_batch(&queries));
-        }
-        for (a, b) in per_mode[0].iter().zip(&per_mode[1]) {
-            let (a, b) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
-            assert_eq!(a.ranking, b.ranking);
-            assert_eq!(a.bounds, b.bounds); // exact f64 equality
-            assert_eq!(a.expansions, b.expansions);
-        }
     }
 
     #[test]
@@ -1785,7 +1414,7 @@ mod tests {
             .with_topk(TopKConfig::toy())
             .with_metrics(true);
         let engine = ServeEngine::start(Arc::new(g), config);
-        let n = engine.run_batch(&[ids.t1, ids.t2, ids.v1]).len();
+        let n = engine.run_requests(&nodes(&[ids.t1, ids.t2, ids.v1])).len();
         let snap = engine.metrics_snapshot();
         assert_eq!(snap.counter_total("rtr_serve_responses_total"), n as u64);
         assert_eq!(
@@ -1810,7 +1439,7 @@ mod tests {
     #[test]
     fn metrics_off_still_snapshots_a_zeroed_catalog() {
         let (engine, ids) = toy_engine(2);
-        let _ = engine.run_batch(&[ids.t1]);
+        let _ = engine.run_requests(&nodes(&[ids.t1]));
         let snap = engine.metrics_snapshot();
         // Catalog present, nothing recorded.
         assert_eq!(snap.counter_total("rtr_serve_responses_total"), 0);

@@ -3,27 +3,20 @@
 //! When M identical queries are in flight at once, only the first should
 //! pay for the computation; the rest share its result. The primitive is a
 //! table of in-flight keys behind a mutex, each holding the list of
-//! requests that arrived *while* the key was computing. Two consumption
-//! styles share it:
+//! requests that arrived *while* the key was computing: a later claimant
+//! [`InFlight::attach_or_claim`]s its job onto the owner's entry and
+//! returns to serving other traffic, and when the owner
+//! [`InFlight::finish`]es it receives everything that attached and answers
+//! it from the shared result — no thread ever blocks.
 //!
-//! * **Blocking** ([`SchedulerMode::SharedQueue`](crate::SchedulerMode)):
-//!   later claimants call [`InFlight::wait`] and park on the condvar until
-//!   the key is released, then re-check the cache — the engine's original
-//!   behavior, which costs one blocked worker thread per duplicate.
-//! * **Attaching** ([`SchedulerMode::WorkStealing`](crate::SchedulerMode)):
-//!   later claimants [`InFlight::attach_or_claim`] their job onto the
-//!   owner's entry and return to serving other traffic. When the owner
-//!   [`InFlight::finish`]es it receives everything that attached and
-//!   answers it from the shared result — no thread ever blocks.
-//!
-//! Progress is guaranteed because a key is only ever claimed by a caller
-//! actively running its job: the computing owner never waits, so waiters
-//! (blocking or attached) always have a live computation to wait for. If
-//! the computation fails (the result is never cached), each duplicate is
-//! recomputed individually — errors are cheap to recompute and
-//! deterministic, so answers are unchanged.
+//! Progress is guaranteed because a key is only ever claimed by a worker
+//! actively running its job: the computing owner never waits, so attached
+//! jobs always have a live computation behind them. If the computation
+//! fails (the result is never cached), the owner re-enqueues each
+//! duplicate to be recomputed individually — errors are cheap to recompute
+//! and deterministic, so answers are unchanged.
 
-use crate::rtr_sync::{Condvar, Mutex};
+use crate::rtr_sync::Mutex;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -35,7 +28,6 @@ use std::hash::Hash;
 /// itself stays private, so production builds expose nothing.
 pub struct InFlight<K, J> {
     inner: Mutex<HashMap<K, Vec<J>>>,
-    done: Condvar,
 }
 
 impl<K: Hash + Eq + Clone, J> Default for InFlight<K, J> {
@@ -49,30 +41,17 @@ impl<K: Hash + Eq + Clone, J> InFlight<K, J> {
     pub fn new() -> Self {
         InFlight {
             inner: Mutex::new(HashMap::new()),
-            done: Condvar::new(),
-        }
-    }
-
-    /// Try to claim `key`. `true` means the caller owns the computation
-    /// and must call [`InFlight::finish`] when done (on every path).
-    pub fn begin(&self, key: &K) -> bool {
-        // invariant: only map ops run under the table lock (here and in
-        // every method below), so it cannot be poisoned.
-        let mut guard = self.inner.lock().expect("in-flight table poisoned");
-        if guard.contains_key(key) {
-            false
-        } else {
-            guard.insert(key.clone(), Vec::new());
-            true
         }
     }
 
     /// Claim `key` (returning the job to its caller, now the owner) or, if
     /// it is already being computed, attach `job` to the owner's entry —
     /// the owner's [`InFlight::finish`] will hand it back for answering.
-    /// Exactly one of the two happens, atomically.
+    /// Exactly one of the two happens, atomically. An owner must call
+    /// [`InFlight::finish`] when done, on every path.
     pub fn attach_or_claim(&self, key: &K, job: J) -> Option<J> {
-        // invariant: see begin() — no user code runs under the lock.
+        // invariant: only map ops run under the table lock (here and in
+        // finish()), so it cannot be poisoned.
         let mut guard = self.inner.lock().expect("in-flight table poisoned");
         match guard.get_mut(key) {
             Some(attached) => {
@@ -86,92 +65,47 @@ impl<K: Hash + Eq + Clone, J> InFlight<K, J> {
         }
     }
 
-    /// Block until `key` is no longer in flight. Spurious wakeups are
-    /// absorbed by re-checking membership.
-    pub fn wait(&self, key: &K) {
-        // invariant: see begin() — no user code runs under the lock
-        // (×2, the condvar reacquisition included).
-        let mut guard = self.inner.lock().expect("in-flight table poisoned");
-        while guard.contains_key(key) {
-            guard = self.done.wait(guard).expect("in-flight table poisoned");
-        }
-    }
-
-    /// Release `key`, wake all blocking waiters (each re-checks the
-    /// cache), and return every job that attached while the owner
+    /// Release `key` and return every job that attached while the owner
     /// computed — the owner must answer (or re-enqueue) each of them.
     pub fn finish(&self, key: &K) -> Vec<J> {
-        let attached = self
-            .inner
+        self.inner
             .lock()
-            // invariant: see begin() — no user code under the lock.
+            // invariant: see attach_or_claim() — no user code under the lock.
             .expect("in-flight table poisoned")
             .remove(key)
-            .unwrap_or_default();
-        self.done.notify_all();
-        attached
+            .unwrap_or_default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
 
     #[test]
     fn first_claim_wins_until_finished() {
-        let f: InFlight<u32, ()> = InFlight::new();
-        assert!(f.begin(&1));
-        assert!(!f.begin(&1));
-        assert!(f.begin(&2), "distinct keys are independent");
-        f.finish(&1);
-        assert!(f.begin(&1), "released key is claimable again");
-    }
-
-    #[test]
-    fn waiters_block_until_finish() {
-        let f = Arc::new(InFlight::<u32, ()>::new());
-        let woke = Arc::new(AtomicUsize::new(0));
-        assert!(f.begin(&7));
-        let waiters: Vec<_> = (0..4)
-            .map(|_| {
-                let f = Arc::clone(&f);
-                let woke = Arc::clone(&woke);
-                std::thread::spawn(move || {
-                    f.wait(&7);
-                    // ordering: Relaxed — the final assert reads after
-                    // join(), which already gives happens-before; SeqCst
-                    // would add nothing.
-                    woke.fetch_add(1, Ordering::Relaxed);
-                })
-            })
-            .collect();
-        // Give the waiters time to park; none may wake early.
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        // ordering: Relaxed — a timing check, not a synchronization one.
-        assert_eq!(woke.load(Ordering::Relaxed), 0);
-        f.finish(&7);
-        for w in waiters {
-            w.join().unwrap();
-        }
-        // ordering: Relaxed — join() established happens-before.
-        assert_eq!(woke.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn wait_on_idle_key_returns_immediately() {
-        let f: InFlight<u32, ()> = InFlight::new();
-        f.wait(&99); // must not block
+        let f: InFlight<u32, u32> = InFlight::new();
+        assert_eq!(f.attach_or_claim(&1, 0), Some(0));
+        assert_eq!(f.attach_or_claim(&1, 1), None);
+        assert_eq!(
+            f.attach_or_claim(&2, 2),
+            Some(2),
+            "distinct keys are independent"
+        );
+        assert_eq!(f.finish(&1), vec![1]);
+        assert_eq!(
+            f.attach_or_claim(&1, 3),
+            Some(3),
+            "released key is claimable again"
+        );
     }
 
     #[test]
     fn attach_or_claim_claims_an_idle_key() {
         let f: InFlight<u32, &str> = InFlight::new();
         assert_eq!(f.attach_or_claim(&3, "job"), Some("job"));
-        // The caller now owns the key, exactly as if it had begun it.
-        assert!(!f.begin(&3));
-        assert!(f.finish(&3).is_empty(), "nothing attached");
+        // The caller now owns the key: the next claimant attaches.
+        assert_eq!(f.attach_or_claim(&3, "dup"), None);
+        assert_eq!(f.finish(&3), vec!["dup"]);
     }
 
     #[test]
@@ -185,19 +119,5 @@ mod tests {
         // The key is free again; a fresh claim starts an empty entry.
         assert_eq!(f.attach_or_claim(&5, 9), Some(9));
         assert!(f.finish(&5).is_empty());
-    }
-
-    #[test]
-    fn attach_and_blocking_wait_interoperate() {
-        let f = Arc::new(InFlight::<u32, u32>::new());
-        assert!(f.begin(&1));
-        assert_eq!(f.attach_or_claim(&1, 7), None);
-        let waiter = {
-            let f = Arc::clone(&f);
-            std::thread::spawn(move || f.wait(&1))
-        };
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(f.finish(&1), vec![7]);
-        waiter.join().unwrap(); // finish released the blocking waiter too
     }
 }

@@ -30,15 +30,16 @@
 //! * a **fixed pool of worker threads**, each owning one reusable
 //!   [`ServeWorkspace`] so that steady-state serving performs zero
 //!   per-query allocation on the bound paths, fed through
-//! * **crossbeam channels** as the job and reply queues (workers compete
-//!   for jobs on a shared queue; each submission gets its own reply
-//!   channel, so concurrent batches never interleave results).
+//! * **one work-stealing scheduler** (a shared injector that workers
+//!   batch-drain into per-worker deques, stealing from siblings when idle;
+//!   see [`engine`]) and a reply channel per submission, so concurrent
+//!   batches never interleave results.
 //!
 //! Submission is non-blocking: [`ServeEngine::submit`] returns a
-//! [`QueryTicket`] to join later, and [`ServeEngine::run_requests`] /
-//! [`ServeEngine::run_batch`] are the blocking batch forms. Every
-//! [`QueryResponse`] reports the request as it actually ran, a
-//! `from_cache` flag, and its latency split into queue-wait and compute.
+//! [`QueryTicket`] to join later, and [`ServeEngine::run_requests`] is the
+//! blocking batch form. Every [`QueryResponse`] reports the request as it
+//! actually ran, a `from_cache` flag, and its latency split into
+//! queue-wait and compute.
 //!
 //! Concurrency never changes answers: every request is independent and
 //! every engine path deterministic, so a batch executed at any worker
@@ -49,14 +50,14 @@
 //!
 //! **Caching.** Real traffic is Zipf-skewed, so the engine can optionally
 //! front the pool with an `rtr-cache` sharded result cache
-//! ([`ServeConfig::cache_capacity`] > 0): workers look up the full request
-//! identity — canonicalized query, measure (β bits included), graph epoch,
-//! params, top-K config, scheme — before dispatch and insert on
-//! completion, and **single-flight deduplication**
-//! ([`ServeConfig::single_flight`]) collapses M concurrent identical
-//! requests into one computation whose result all M share. Because every
-//! output-relevant input is part of the cache key and the engines are
-//! deterministic, cached serving stays bit-identical to
+//! ([`ServeConfig::cache_capacity`] > 0): the submitting thread answers a
+//! hit inline, workers look up the full request identity — canonicalized
+//! query, measure (β bits included), graph epoch, params, top-K config,
+//! scheme — before dispatch and insert on completion, and **single-flight
+//! deduplication** (always on with the cache) collapses M concurrent
+//! identical requests into one computation whose result all M share.
+//! Because every output-relevant input is part of the cache key and the
+//! engines are deterministic, cached serving stays bit-identical to
 //! [`run_serial_requests`] even under heterogeneous traffic — the
 //! `serve_cache_determinism` suite enforces that too. The key is
 //! **backend-agnostic** (routing is not identity): an entry computed by
@@ -101,7 +102,7 @@ mod rtr_sync;
 /// the `rtr_check` feature, which production builds never enable.
 ///
 /// Exposes the two hot protocols this crate hand-reasons about:
-/// [`check_api::InFlight`] (single-flight attach/claim/wait/finish) and
+/// [`check_api::InFlight`] (single-flight attach/claim/finish) and
 /// [`check_api::Park`] (the scheduler's generation-counted parking lot),
 /// both built on the [`loom_shim`]-instrumented facade so a model run
 /// can drive every interleaving.
@@ -114,8 +115,8 @@ pub mod check_api {
 pub use backend::{
     Backend, BackendKind, DistributedBackend, ExecBackend, ExecOutcome, LocalBackend,
 };
-pub use config::{SchedulerMode, ServeConfig, ServeConfigBuilder, ServeConfigError};
-pub use engine::{run_serial, run_serial_requests, QueryOutput, ServeEngine, ServeError};
+pub use config::{ServeConfig, ServeConfigBuilder, ServeConfigError};
+pub use engine::{run_serial_requests, ServeEngine, ServeError};
 pub use request::{QueryRequest, ResolvedRequest, ServeWorkspace};
 pub use response::{QueryResponse, QueryTicket};
 // Re-exported so callers reading `ServeEngine::cache_stats`, building

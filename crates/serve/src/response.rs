@@ -57,10 +57,9 @@ pub struct QueryResponse {
     /// than an engine run of this request.
     pub from_cache: bool,
     /// Index of the worker thread that picked this request off the queue,
-    /// or `None` when it never queued at all — served inline on the
-    /// submitting thread by the size-aware fast path
-    /// ([`crate::SchedulerMode::WorkStealing`]), or by the serial
-    /// reference executor. Lets load benches split queued from
+    /// or `None` when it never queued at all — a cache hit served inline
+    /// on the submitting thread by the fast path, or a response of the
+    /// serial reference executor. Lets load benches split queued from
     /// fast-pathed traffic and attribute per-worker latency effects.
     pub worker: Option<usize>,
     /// Time between submission and a worker picking the request up.

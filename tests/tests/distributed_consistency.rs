@@ -320,6 +320,60 @@ fn mixed_measure_batches_match_serial_local_at_every_pool_shape() {
     }
 }
 
+/// The hardware-independent clause of the retired distributed perf gate:
+/// one worker is one AP with one block cache, so a fixed request stream
+/// costs exactly the same wire traffic every time, and the cross-query
+/// block cache plus frontier prefetch keep that traffic at a small
+/// fraction of what a cache that forgets everything between queries pays.
+#[test]
+fn single_worker_wire_cost_repeats_exactly_and_the_block_cache_bounds_it() {
+    let log = QLog::generate(&QLogConfig::small(), SEED);
+    let g = Arc::new(log.graph);
+    let pool = queries(&g, 40, SEED);
+    // The pool cycled five times: popular phrases repeat.
+    let requests: Vec<QueryRequest> = (0..200)
+        .map(|i| QueryRequest::node(pool[i % pool.len()]))
+        .collect();
+    let base = ServeConfig::default()
+        .with_topk(cfg())
+        .with_workers(1)
+        .with_backend(Backend::Distributed { gps: 4 });
+    let serial = run_serial_requests(&g, &base, &requests);
+
+    // Σ bytes and Σ fetch rounds of the stream on a fresh engine, with
+    // every answer checked against the serial local reference.
+    let wire_cost = |config: ServeConfig| -> (usize, usize) {
+        let engine = ServeEngine::start(Arc::clone(&g), config);
+        let responses = engine.run_requests(&requests);
+        assert_eq!(responses.len(), serial.len());
+        let (mut bytes, mut rounds) = (0, 0);
+        for (got, want) in responses.iter().zip(&serial) {
+            let (got_r, want_r) = (
+                got.result.as_ref().expect("served"),
+                want.result.as_ref().expect("serial"),
+            );
+            assert_eq!(got_r.ranking, want_r.ranking, "id={}", want.id);
+            assert_eq!(got_r.bounds, want_r.bounds, "id={}", want.id);
+            let stats = got.distributed.expect("distributed stats");
+            bytes += stats.bytes_transferred;
+            rounds += stats.fetch_requests;
+        }
+        (bytes, rounds)
+    };
+    let first = wire_cost(base);
+    assert_eq!(
+        first,
+        wire_cost(base),
+        "the wire stream must repeat exactly"
+    );
+    let (starved_bytes, _) = wire_cost(base.with_block_cache_limits(0, 0));
+    assert!(
+        first.0 * 10 <= starved_bytes,
+        "block cache + prefetch must cut wire bytes at least 10x: {} vs {starved_bytes} starved",
+        first.0
+    );
+}
+
 #[test]
 fn per_request_route_override_wins_over_engine_backend() {
     let net = BibNet::generate(&BibNetConfig::tiny(), SEED + 6);

@@ -7,7 +7,7 @@
 
 use rtr_datagen::{QLog, QLogConfig};
 use rtr_graph::NodeId;
-use rtr_integration_tests::SEED;
+use rtr_integration_tests::{node_requests, SEED};
 use rtr_serve::{QueryRequest, ServeConfig, ServeEngine, TraceStage};
 use rtr_topk::TopKConfig;
 use std::sync::Arc;
@@ -96,20 +96,20 @@ fn traced_timelines_are_monotone_and_bracket_the_latency_split() {
 #[test]
 fn queued_requests_record_a_scheduler_stage() {
     let (engine, queries) = engine(true, 2);
-    // k > 0 requests never take the submit-side fast path, so every one
-    // of these queued and must show a Dequeue or Steal stage.
-    let requests: Vec<QueryRequest> = queries.iter().map(|&q| QueryRequest::node(q)).collect();
+    // The submit-side fast path answers cache hits only, and this engine
+    // has no cache: every request — the k = 0 one included — queued, and
+    // must show Enqueue followed by exactly one Dequeue or Steal.
+    let mut requests = node_requests(&queries);
+    requests.push(QueryRequest::node(queries[0]).with_k(0));
     for r in engine.run_requests(&requests) {
         let trace = r.trace.as_ref().expect("trace");
-        if r.worker.is_some() {
-            assert!(
-                trace.count(TraceStage::Dequeue) + trace.count(TraceStage::Steal) == 1,
-                "a queued request is picked up exactly once"
-            );
-            assert_eq!(trace.count(TraceStage::FastPath), 0);
-        } else {
-            assert_eq!(trace.count(TraceStage::FastPath), 1);
-        }
+        assert!(r.worker.is_some(), "a miss is served by a worker");
+        assert_eq!(trace.count(TraceStage::Enqueue), 1);
+        assert!(
+            trace.count(TraceStage::Dequeue) + trace.count(TraceStage::Steal) == 1,
+            "a queued request is picked up exactly once"
+        );
+        assert_eq!(trace.count(TraceStage::FastPath), 0);
     }
 }
 

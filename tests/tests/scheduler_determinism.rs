@@ -1,28 +1,26 @@
 //! Scheduler-matrix determinism suite.
 //!
-//! PR 7 replaced the single shared job channel with a work-stealing
-//! scheduler (per-worker deques + a global injector) plus a size-aware
-//! fast path that completes cache hits and trivial requests on the
-//! *submitting* thread, and batches identical in-flight requests behind
-//! one computation. None of that may change a single bit of output: every
-//! cell of the matrix
+//! The engine serves through a work-stealing scheduler (a global injector
+//! feeding per-worker deques), a submit-side fast path that answers cache
+//! hits on the *submitting* thread, and attach batching of identical
+//! in-flight requests behind one computation. None of that may change a
+//! single bit of output: every cell of the matrix
 //!
-//! `{SharedQueue, WorkStealing} × {1, 2, 8 workers} × {cache off, on}`
+//! `{1, 2, 8 workers} × {cache off, on}`
 //!
 //! must be bit-identical to [`run_serial_requests`] on the same request
-//! stream. The stream is deliberately adversarial for the new scheduler:
-//! hot duplicates (attach-batching + single-flight), trivial `k = 0`
-//! requests (inline fast path), a heterogeneous measure mix, and a skewed
-//! burst that forces stealing at 8 workers on a small queue.
+//! stream. The stream is deliberately adversarial for the scheduler: hot
+//! duplicates (attach-batching + single-flight), `k = 0` requests (empty
+//! rankings, computed by a worker like everything else), a heterogeneous
+//! measure mix, and a skewed burst that forces stealing at 8 workers on a
+//! small queue.
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use rtr_core::Measure;
 use rtr_datagen::{QLog, QLogConfig};
 use rtr_graph::NodeId;
-use rtr_serve::{
-    run_serial_requests, QueryRequest, QueryResponse, SchedulerMode, ServeConfig, ServeEngine,
-};
+use rtr_serve::{run_serial_requests, QueryRequest, QueryResponse, ServeConfig, ServeEngine};
 use rtr_topk::TopKConfig;
 use std::sync::Arc;
 
@@ -46,9 +44,8 @@ fn assert_responses_identical(label: &str, got: &[QueryResponse], want: &[QueryR
 }
 
 /// A request stream exercising every scheduler path at once: repeats of a
-/// small hot pool (cache hits + attach batching), trivial `k = 0` probes
-/// (the submit-side fast path), and a measure/k mix (ordinary queued
-/// compute).
+/// small hot pool (cache hits + attach batching), `k = 0` probes (empty
+/// rankings) and a measure/k mix (ordinary queued compute).
 fn scheduler_stress_requests(nodes: &[NodeId], n: usize, seed: u64) -> Vec<QueryRequest> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let hot: Vec<NodeId> = nodes.iter().copied().take(8).collect();
@@ -60,7 +57,7 @@ fn scheduler_stress_requests(nodes: &[NodeId], n: usize, seed: u64) -> Vec<Query
                 nodes[rng.gen_range(0..nodes.len())]
             };
             match i % 5 {
-                // Trivial: empty ranking, eligible for inline serving.
+                // Empty ranking after a bounded amount of setup work.
                 0 => QueryRequest::node(q).with_k(0),
                 1 => QueryRequest::node(q).with_measure(Measure::RtrPlus { beta: 0.4 }),
                 2 => QueryRequest::node(q).with_k(3),
@@ -92,19 +89,14 @@ fn scheduler_matrix_is_bit_identical_to_serial() {
     let requests = scheduler_stress_requests(&nodes, 120, 2013);
     let serial = run_serial_requests(&g, &base, &requests);
 
-    for mode in [SchedulerMode::SharedQueue, SchedulerMode::WorkStealing] {
-        for workers in [1, 2, 8] {
-            for cache in [0, 512] {
-                let label = format!("{mode:?} × {workers} workers × cache {cache}");
-                let config = base
-                    .with_scheduler(mode)
-                    .with_workers(workers)
-                    .with_cache_capacity(cache);
-                let engine = ServeEngine::start(Arc::clone(&g), config);
-                let got = engine.run_requests(&requests);
-                assert_responses_identical(&label, &got, &serial);
-                engine.shutdown();
-            }
+    for workers in [1, 2, 8] {
+        for cache in [0, 512] {
+            let label = format!("{workers} workers × cache {cache}");
+            let config = base.with_workers(workers).with_cache_capacity(cache);
+            let engine = ServeEngine::start(Arc::clone(&g), config);
+            let got = engine.run_requests(&requests);
+            assert_responses_identical(&label, &got, &serial);
+            engine.shutdown();
         }
     }
 }
@@ -120,12 +112,11 @@ fn fast_path_reports_no_worker_and_queued_requests_report_one() {
         },
         ..ServeConfig::default()
     }
-    .with_scheduler(SchedulerMode::WorkStealing)
     .with_workers(2)
     .with_cache_capacity(512);
     let engine = ServeEngine::start(Arc::clone(&g), config);
 
-    // Cold non-trivial query: must be computed by a pool worker.
+    // Cold query: must be computed by a pool worker.
     let cold = engine.run_requests(&[QueryRequest::node(nodes[0])]);
     assert!(
         cold[0].worker.is_some(),
@@ -137,8 +128,12 @@ fn fast_path_reports_no_worker_and_queued_requests_report_one() {
     assert!(hit[0].from_cache, "repeat must hit the cache");
     assert_eq!(hit[0].worker, None, "cache hit must serve inline");
 
-    // Trivial request (k = 0): inline even when it misses the cache.
-    let trivial = engine.run_requests(&[QueryRequest::node(nodes[1]).with_k(0)]);
-    assert_eq!(trivial[0].worker, None, "trivial request must serve inline");
+    // A k = 0 miss is computed like any other miss: by a worker.
+    let empty = engine.run_requests(&[QueryRequest::node(nodes[1]).with_k(0)]);
+    assert!(!empty[0].from_cache);
+    assert!(
+        empty[0].worker.is_some(),
+        "a k = 0 miss must name its worker"
+    );
     engine.shutdown();
 }

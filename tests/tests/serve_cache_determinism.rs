@@ -1,29 +1,28 @@
 //! Determinism suite for the *cached* serving path.
 //!
 //! The contract extends `serve_determinism`: turning the result cache on —
-//! at any worker count, with or without single-flight — must leave every
-//! computed value bit-identical to the serial reference. A cache hit is a
-//! clone of a deterministic engine's output and every output-relevant
-//! input is part of the cache key, so hits can never differ from fresh
-//! runs; these tests enforce that end to end, including second batches
-//! served almost entirely from cache.
+//! at any worker count — must leave every computed value bit-identical to
+//! the serial reference. A cache hit is a clone of a deterministic engine's
+//! output and every output-relevant input is part of the cache key, so hits
+//! can never differ from fresh runs; these tests enforce that end to end,
+//! including second batches served almost entirely from cache.
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use rtr_datagen::{QLog, QLogConfig};
 use rtr_graph::toy::fig2_toy;
 use rtr_graph::{Graph, NodeId};
-use rtr_serve::{run_serial, QueryOutput, ServeConfig, ServeEngine};
+use rtr_serve::{run_serial_requests, QueryRequest, QueryResponse, ServeConfig, ServeEngine};
 use rtr_topk::TopKConfig;
 use std::sync::Arc;
 
 /// Strict comparison: every value that the engine computes must agree
 /// exactly (no tolerances — determinism means bit-identity).
-fn assert_outputs_identical(label: &str, a: &[QueryOutput], b: &[QueryOutput]) {
+fn assert_outputs_identical(label: &str, a: &[QueryResponse], b: &[QueryResponse]) {
     assert_eq!(a.len(), b.len(), "{label}: batch sizes differ");
     for (x, y) in a.iter().zip(b) {
         assert_eq!(x.id, y.id, "{label}: ids diverge");
-        assert_eq!(x.query, y.query, "{label}: queries diverge");
+        assert_eq!(x.request.query, y.request.query, "{label}: queries diverge");
         let (rx, ry) = (
             x.result.as_ref().expect("query failed"),
             y.result.as_ref().expect("query failed"),
@@ -39,41 +38,34 @@ fn assert_outputs_identical(label: &str, a: &[QueryOutput], b: &[QueryOutput]) {
 
 /// A workload with heavy repetition (every query appears `repeats` times,
 /// shuffled): the shape a cache exists for.
-fn repeated_shuffled(queries: &[NodeId], repeats: usize, seed: u64) -> Vec<NodeId> {
-    let mut out: Vec<NodeId> = queries
+fn repeated_shuffled(queries: &[NodeId], repeats: usize, seed: u64) -> Vec<QueryRequest> {
+    let mut out: Vec<QueryRequest> = queries
         .iter()
-        .flat_map(|&q| std::iter::repeat_n(q, repeats))
+        .flat_map(|&q| std::iter::repeat_n(QueryRequest::node(q), repeats))
         .collect();
     out.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
     out
 }
 
-fn check_cached_matches_serial(g: Graph, queries: Vec<NodeId>, config: ServeConfig) {
+fn check_cached_matches_serial(g: Graph, queries: Vec<QueryRequest>, config: ServeConfig) {
     assert!(config.cache_enabled(), "suite exercises the cached path");
     // The reference is the plain serial engine — no cache involved.
-    let serial = run_serial(&g, &config.with_cache_capacity(0), &queries);
+    let serial = run_serial_requests(&g, &config.with_cache_capacity(0), &queries);
     let g = Arc::new(g);
     for workers in [1usize, 2, 8] {
-        for single_flight in [true, false] {
-            let label = format!("{workers} workers, single_flight={single_flight}");
-            let engine = ServeEngine::start(
-                Arc::clone(&g),
-                config
-                    .with_workers(workers)
-                    .with_single_flight(single_flight),
-            );
-            // Cold pass: misses compute and populate the cache.
-            let cold = engine.run_batch(&queries);
-            assert_outputs_identical(&format!("{label}, cold"), &cold, &serial);
-            // Warm pass: served from cache, still bit-identical.
-            let warm = engine.run_batch(&queries);
-            assert_outputs_identical(&format!("{label}, warm"), &warm, &serial);
-            let stats = engine.cache_stats().expect("cache on");
-            assert!(
-                stats.hits > 0,
-                "{label}: a repeated workload must hit the cache, got {stats:?}"
-            );
-        }
+        let label = format!("{workers} workers");
+        let engine = ServeEngine::start(Arc::clone(&g), config.with_workers(workers));
+        // Cold pass: misses compute and populate the cache.
+        let cold = engine.run_requests(&queries);
+        assert_outputs_identical(&format!("{label}, cold"), &cold, &serial);
+        // Warm pass: served from cache, still bit-identical.
+        let warm = engine.run_requests(&queries);
+        assert_outputs_identical(&format!("{label}, warm"), &warm, &serial);
+        let stats = engine.cache_stats().expect("cache on");
+        assert!(
+            stats.hits > 0,
+            "{label}: a repeated workload must hit the cache, got {stats:?}"
+        );
     }
 }
 
@@ -119,9 +111,9 @@ fn tiny_cache_evicts_but_stays_correct() {
     let config = ServeConfig::default()
         .with_cache_capacity(4)
         .with_cache_shards(2);
-    let serial = run_serial(&g, &config.with_cache_capacity(0), &queries);
+    let serial = run_serial_requests(&g, &config.with_cache_capacity(0), &queries);
     let engine = ServeEngine::start(Arc::new(g), config.with_workers(4));
-    let outputs = engine.run_batch(&queries);
+    let outputs = engine.run_requests(&queries);
     assert_outputs_identical("thrashing cache", &outputs, &serial);
     let stats = engine.cache_stats().expect("cache on");
     assert!(stats.evictions > 0, "capacity 4 must evict, got {stats:?}");
@@ -146,9 +138,9 @@ fn ablation_schemes_cached_identical() {
                 max_expansions: 500,
                 ..TopKConfig::default()
             });
-        let serial = run_serial(&g, &config.with_cache_capacity(0), &queries);
+        let serial = run_serial_requests(&g, &config.with_cache_capacity(0), &queries);
         let engine = ServeEngine::start(Arc::new(g.clone()), config.with_workers(4));
-        let outputs = engine.run_batch(&queries);
+        let outputs = engine.run_requests(&queries);
         assert_outputs_identical(&format!("{scheme:?} cached vs serial"), &outputs, &serial);
     }
 }

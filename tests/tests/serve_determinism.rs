@@ -13,55 +13,52 @@ use rtr_core::RankParams;
 use rtr_datagen::{QLog, QLogConfig};
 use rtr_graph::toy::fig2_toy;
 use rtr_graph::{Graph, NodeId};
-use rtr_serve::{run_serial, QueryOutput, ServeConfig, ServeEngine};
-use rtr_topk::{TopKConfig, TwoSBound};
+use rtr_integration_tests::node_requests as requests;
+use rtr_serve::{run_serial_requests, QueryRequest, QueryResponse, ServeConfig, ServeEngine};
+use rtr_topk::{TopKConfig, TopKResult, TwoSBound};
 use std::sync::Arc;
 
 /// Strict comparison: every value that the engine computes must agree
 /// exactly (no tolerances — determinism means bit-identity).
-fn assert_outputs_identical(label: &str, a: &[QueryOutput], b: &[QueryOutput]) {
+fn assert_results_identical(label: &str, rx: &TopKResult, ry: &TopKResult) {
+    assert_eq!(rx.ranking, ry.ranking, "{label}: rankings diverge");
+    // Bit-exact f64 equality, deliberately not an epsilon comparison.
+    assert_eq!(rx.bounds, ry.bounds, "{label}: bounds diverge");
+    assert_eq!(rx.expansions, ry.expansions, "{label}: expansions diverge");
+    assert_eq!(rx.converged, ry.converged, "{label}: convergence diverges");
+    assert_eq!(rx.active, ry.active, "{label}: active sets diverge");
+}
+
+fn assert_outputs_identical(label: &str, a: &[QueryResponse], b: &[QueryResponse]) {
     assert_eq!(a.len(), b.len(), "{label}: batch sizes differ");
     for (x, y) in a.iter().zip(b) {
         assert_eq!(x.id, y.id, "{label}: ids diverge");
-        assert_eq!(x.query, y.query, "{label}: queries diverge");
-        let (rx, ry) = (
+        assert_eq!(x.request.query, y.request.query, "{label}: queries diverge");
+        assert_results_identical(
+            label,
             x.result.as_ref().expect("query failed"),
             y.result.as_ref().expect("query failed"),
         );
-        assert_eq!(rx.ranking, ry.ranking, "{label}: rankings diverge");
-        // Bit-exact f64 equality, deliberately not an epsilon comparison.
-        assert_eq!(rx.bounds, ry.bounds, "{label}: bounds diverge");
-        assert_eq!(rx.expansions, ry.expansions, "{label}: expansions diverge");
-        assert_eq!(rx.converged, ry.converged, "{label}: convergence diverges");
-        assert_eq!(rx.active, ry.active, "{label}: active sets diverge");
     }
 }
 
-/// The plain allocating engine, one fresh state per query — the original
-/// pre-serving code path, still the semantic ground truth.
-fn run_allocating(g: &Graph, config: &ServeConfig, queries: &[NodeId]) -> Vec<QueryOutput> {
-    let runner = TwoSBound::with_scheme(config.params, config.topk, config.scheme);
-    queries
-        .iter()
-        .enumerate()
-        .map(|(id, &query)| QueryOutput {
-            id,
-            query,
-            result: runner.run(g, query).map_err(rtr_serve::ServeError::Query),
-            queue_wait: std::time::Duration::ZERO,
-            compute: std::time::Duration::ZERO,
-        })
-        .collect()
-}
-
 fn check_all_worker_counts(g: Graph, queries: Vec<NodeId>, config: ServeConfig) {
-    let serial = run_serial(&g, &config, &queries);
-    let allocating = run_allocating(&g, &config, &queries);
-    assert_outputs_identical("workspace-reuse vs allocating", &serial, &allocating);
+    let requests = requests(&queries);
+    let serial = run_serial_requests(&g, &config, &requests);
+    // The plain allocating engine, one fresh state per query — the
+    // original pre-serving code path, still the semantic ground truth.
+    let runner = TwoSBound::with_scheme(config.params, config.topk, config.scheme);
+    for (s, &query) in serial.iter().zip(&queries) {
+        assert_results_identical(
+            "workspace-reuse vs allocating",
+            s.result.as_ref().expect("query failed"),
+            &runner.run(&g, query).expect("query failed"),
+        );
+    }
     let g = Arc::new(g);
     for workers in [1usize, 2, 8] {
         let engine = ServeEngine::start(Arc::clone(&g), config.with_workers(workers));
-        let pooled = engine.run_batch(&queries);
+        let pooled = engine.run_requests(&requests);
         assert_outputs_identical(&format!("{workers} workers vs serial"), &pooled, &serial);
     }
 }
@@ -118,7 +115,7 @@ fn repeated_queries_in_one_batch_are_identical() {
         Arc::new(log.graph.clone()),
         ServeConfig::default().with_workers(1),
     );
-    let outputs = engine.run_batch(&queries);
+    let outputs = engine.run_requests(&requests(&queries));
     let first = outputs.first().unwrap().result.as_ref().unwrap();
     let last = outputs.last().unwrap().result.as_ref().unwrap();
     assert_eq!(first.ranking, last.ranking);
@@ -131,7 +128,7 @@ fn ablation_schemes_also_deterministic_under_concurrency() {
     // The serving layer is scheme-agnostic; the weaker Fig. 11a schemes
     // must round-trip through the pool unchanged too.
     let (g, _) = fig2_toy();
-    let queries: Vec<NodeId> = g.nodes().collect();
+    let requests: Vec<QueryRequest> = g.nodes().map(QueryRequest::node).collect();
     for scheme in rtr_topk::Scheme::all() {
         let config = ServeConfig::default()
             .with_scheme(scheme)
@@ -143,9 +140,9 @@ fn ablation_schemes_also_deterministic_under_concurrency() {
                 max_expansions: 500,
                 ..TopKConfig::default()
             });
-        let serial = run_serial(&g, &config, &queries);
+        let serial = run_serial_requests(&g, &config, &requests);
         let engine = ServeEngine::start(Arc::new(g.clone()), config.with_workers(4));
-        let pooled = engine.run_batch(&queries);
+        let pooled = engine.run_requests(&requests);
         assert_outputs_identical(&format!("{scheme:?} pooled vs serial"), &pooled, &serial);
     }
 }

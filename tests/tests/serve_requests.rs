@@ -6,8 +6,8 @@
 //! contract has two halves:
 //!
 //! 1. **Concurrency + caching change nothing**: a mixed batch at 1, 2, and
-//!    8 workers, cache on or off, single-flight on or off, is bit-identical
-//!    to the serial reference (`run_serial_requests`).
+//!    8 workers, cache on or off, is bit-identical to the serial reference
+//!    (`run_serial_requests`).
 //! 2. **The pool is the engines**: every response is bit-identical to
 //!    running the corresponding *direct* engine — `FRank`/`TRank` for the
 //!    exact measures, `TwoSBound`/`TwoSBoundPlus` for the bound paths,
@@ -81,28 +81,22 @@ fn check_all_worker_counts(g: Graph, requests: Vec<QueryRequest>, config: ServeC
     let g = Arc::new(g);
     for workers in [1usize, 2, 8] {
         for cache in [0usize, 256] {
-            for single_flight in [true, false] {
-                let label =
-                    format!("{workers} workers, cache {cache}, single_flight {single_flight}");
-                let engine = ServeEngine::start(
-                    Arc::clone(&g),
-                    config
-                        .with_workers(workers)
-                        .with_cache_capacity(cache)
-                        .with_single_flight(single_flight),
+            let label = format!("{workers} workers, cache {cache}");
+            let engine = ServeEngine::start(
+                Arc::clone(&g),
+                config.with_workers(workers).with_cache_capacity(cache),
+            );
+            let pooled = engine.run_requests(&requests);
+            assert_responses_identical(&label, &pooled, &serial);
+            if cache > 0 {
+                // Warm pass: served from cache, still bit-identical, and
+                // flagged as cached.
+                let warm = engine.run_requests(&requests);
+                assert_responses_identical(&format!("{label}, warm"), &warm, &serial);
+                assert!(
+                    warm.iter().all(|r| r.from_cache),
+                    "{label}: every warm response must come from the cache"
                 );
-                let pooled = engine.run_requests(&requests);
-                assert_responses_identical(&label, &pooled, &serial);
-                if cache > 0 {
-                    // Warm pass: served from cache, still bit-identical,
-                    // and flagged as cached.
-                    let warm = engine.run_requests(&requests);
-                    assert_responses_identical(&format!("{label}, warm"), &warm, &serial);
-                    assert!(
-                        warm.iter().all(|r| r.from_cache),
-                        "{label}: every warm response must come from the cache"
-                    );
-                }
             }
         }
     }
@@ -153,7 +147,6 @@ fn mixed_batch_matches_direct_engines_with_cache_and_single_flight_on() {
         .workers(4)
         .topk(topk)
         .cache_capacity(256)
-        .single_flight(true)
         .build()
         .unwrap();
     let params = config.params;

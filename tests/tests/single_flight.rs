@@ -1,32 +1,31 @@
 //! Single-flight stress suite.
 //!
-//! With the cache and single-flight on, M concurrent identical queries
-//! must cost exactly one engine computation: the first claimant computes
-//! and inserts, the other M−1 wait on the in-flight table and read the
+//! With the cache on, M concurrent identical queries must cost exactly one
+//! engine computation: the first claimant computes and inserts, the other
+//! M−1 attach to its in-flight entry (or hit the cache) and read the
 //! shared result. `ServeEngine::computed_queries` counts actual engine
 //! runs, so the assertion is direct — not a timing heuristic.
 
 use rtr_datagen::{QLog, QLogConfig};
 use rtr_graph::NodeId;
-use rtr_serve::{run_serial, ServeConfig, ServeEngine};
+use rtr_integration_tests::node_requests as requests;
+use rtr_serve::{run_serial_requests, ServeConfig, ServeEngine};
 use std::sync::Arc;
 
-fn engine_with(workers: usize, single_flight: bool) -> (ServeEngine, Vec<NodeId>) {
+fn engine_with(workers: usize) -> (ServeEngine, Vec<NodeId>) {
     let log = QLog::generate(&QLogConfig::tiny(), 99);
     let phrases = log.phrases.clone();
     let config = ServeConfig::default()
         .with_workers(workers)
-        .with_cache_capacity(256)
-        .with_single_flight(single_flight);
+        .with_cache_capacity(256);
     (ServeEngine::start(Arc::new(log.graph), config), phrases)
 }
 
 #[test]
 fn identical_in_flight_queries_compute_once() {
-    let (engine, phrases) = engine_with(8, true);
+    let (engine, phrases) = engine_with(8);
     let q = phrases[0];
-    let batch = vec![q; 64];
-    let outputs = engine.run_batch(&batch);
+    let outputs = engine.run_requests(&requests(&[q; 64]));
 
     // One computation, one insert, everyone else shared it.
     assert_eq!(engine.computed_queries(), 1, "single-flight must dedup");
@@ -36,7 +35,11 @@ fn identical_in_flight_queries_compute_once() {
 
     // And the shared result is the right one.
     let config = engine.config();
-    let serial = run_serial(engine.graph(), &config.with_cache_capacity(0), &[q]);
+    let serial = run_serial_requests(
+        engine.graph(),
+        &config.with_cache_capacity(0),
+        &requests(&[q]),
+    );
     let want = serial[0].result.as_ref().unwrap();
     for out in &outputs {
         let got = out.result.as_ref().unwrap();
@@ -47,12 +50,12 @@ fn identical_in_flight_queries_compute_once() {
 
 #[test]
 fn one_computation_per_distinct_in_flight_query() {
-    let (engine, phrases) = engine_with(8, true);
+    let (engine, phrases) = engine_with(8);
     let distinct: Vec<NodeId> = phrases.iter().copied().take(4).collect();
     // 32 copies of each of the 4 queries, interleaved so duplicates of
     // every query are in flight together.
     let batch: Vec<NodeId> = (0..32).flat_map(|_| distinct.iter().copied()).collect();
-    let outputs = engine.run_batch(&batch);
+    let outputs = engine.run_requests(&requests(&batch));
     assert_eq!(outputs.len(), 128);
 
     assert_eq!(
@@ -65,13 +68,14 @@ fn one_computation_per_distinct_in_flight_query() {
     assert_eq!(stats.hits, (batch.len() - distinct.len()) as u64);
 
     // Each occurrence of a query got the same (correct) answer.
-    let serial = run_serial(
+    let serial = run_serial_requests(
         engine.graph(),
         &engine.config().with_cache_capacity(0),
-        &distinct,
+        &requests(&distinct),
     );
     for out in &outputs {
-        let pos = distinct.iter().position(|&d| d == out.query).unwrap();
+        let query = out.request.query.nodes()[0];
+        let pos = distinct.iter().position(|&d| d == query).unwrap();
         let want = serial[pos].result.as_ref().unwrap();
         assert_eq!(out.result.as_ref().unwrap().ranking, want.ranking);
         assert_eq!(out.result.as_ref().unwrap().bounds, want.bounds);
@@ -82,43 +86,27 @@ fn one_computation_per_distinct_in_flight_query() {
 fn sequential_duplicates_also_compute_once() {
     // Even with one worker (no two queries ever in flight together), the
     // cache alone collapses duplicates; single-flight must not interfere.
-    let (engine, phrases) = engine_with(1, true);
+    let (engine, phrases) = engine_with(1);
     let q = phrases[1];
-    let _ = engine.run_batch(&[q; 16]);
+    let _ = engine.run_requests(&requests(&[q; 16]));
     assert_eq!(engine.computed_queries(), 1);
     assert_eq!(engine.cache_stats().unwrap().hits, 15);
-}
-
-#[test]
-fn without_single_flight_duplicates_may_recompute_but_stay_identical() {
-    // Control: cache on, single-flight off. Concurrent duplicates can race
-    // to compute (wasted work, never wrong answers).
-    let (engine, phrases) = engine_with(8, false);
-    let q = phrases[2];
-    let outputs = engine.run_batch(&[q; 32]);
-    assert!(engine.computed_queries() >= 1);
-    let first = outputs[0].result.as_ref().unwrap();
-    for out in &outputs[1..] {
-        let got = out.result.as_ref().unwrap();
-        assert_eq!(got.ranking, first.ranking);
-        assert_eq!(got.bounds, first.bounds);
-    }
 }
 
 #[test]
 fn failed_queries_do_not_wedge_single_flight() {
     // A failing query releases its in-flight key on the error path; later
     // duplicates must neither hang nor read a cached error.
-    let (engine, phrases) = engine_with(4, true);
+    let (engine, phrases) = engine_with(4);
     let bad = NodeId(u32::MAX - 1);
-    let outputs = engine.run_batch(&[bad; 16]);
+    let outputs = engine.run_requests(&requests(&[bad; 16]));
     assert_eq!(outputs.len(), 16);
     for out in &outputs {
         assert!(out.result.is_err());
     }
     assert_eq!(engine.cache_stats().unwrap().inserts, 0);
     // A good batch afterwards still works and caches normally.
-    let good = engine.run_batch(&[phrases[0], phrases[0]]);
+    let good = engine.run_requests(&requests(&[phrases[0], phrases[0]]));
     assert!(good[0].result.is_ok() && good[1].result.is_ok());
     assert_eq!(engine.cache_stats().unwrap().inserts, 1);
 }

@@ -1,6 +1,6 @@
 //! Property suite pinning the `rtr-datagen` Zipf sampler.
 //!
-//! The skewed-workload benchmark (`throughput --skew`) and the QLog/BibNet
+//! The benchmark's Zipf-mixed workload (`wire_mixed`) and the QLog/BibNet
 //! generators all lean on this sampler producing the distribution it
 //! claims: `p(k) ∝ 1/(k+1)^s` over ranks `0..n`. If sampling drifted from
 //! the analytic pmf, the cache hit rates and speedups the benchmark
