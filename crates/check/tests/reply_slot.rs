@@ -21,7 +21,15 @@ fn cluster_config(seed: u64) -> Config {
     }
 }
 use rtr_graph::toy::fig2_toy;
-use rtr_graph::NodeId;
+use rtr_graph::{wire, NodeId};
+
+/// The node ids of the whole blocks in a fetch's payloads, in GP order.
+fn fetched_nodes(payloads: &[Vec<u8>]) -> Vec<NodeId> {
+    payloads
+        .iter()
+        .flat_map(|p| wire::blocks(p).map(|(_, b)| b.node()))
+        .collect()
+}
 
 /// Healthy-path sanity inside the model: a two-GP fetch returns exactly
 /// the requested blocks in every schedule.
@@ -32,14 +40,10 @@ fn fetch_is_exact_in_every_schedule() {
         let cluster = GpCluster::spawn(&g, 2);
         let mut slot = ReplySlot::new();
         // NodeId 0 is owned by GP 0, NodeId 1 by GP 1 (round-robin).
-        let (blocks, bytes) = cluster
+        let payloads = cluster
             .fetch(&[NodeId(0), NodeId(1)], &mut slot)
             .expect("healthy cluster");
-        assert_eq!(blocks.len(), 2);
-        assert!(bytes > 0);
-        let mut got: Vec<NodeId> = blocks.iter().map(|b| b.node).collect();
-        got.sort();
-        assert_eq!(got, vec![NodeId(0), NodeId(1)]);
+        assert_eq!(fetched_nodes(payloads), vec![NodeId(0), NodeId(1)]);
     });
     rtr_check::report("reply-slot/healthy-fetch", &report);
     assert!(report.dfs_schedules > 1);
@@ -67,11 +71,14 @@ fn no_stale_reply_after_generation_bump() {
         // Same slot, different node, new generation. GP 1's reply to the
         // *abandoned* fetch may arrive before, during, or after the
         // drain — the generation stamp must absorb every case.
-        let (blocks, _) = cluster
+        let payloads = cluster
             .fetch(&[NodeId(3)], &mut slot)
             .expect("GP 1 is healthy");
-        assert_eq!(blocks.len(), 1, "stale straggler leaked into the result");
-        assert_eq!(blocks[0].node, NodeId(3));
+        assert_eq!(
+            fetched_nodes(payloads),
+            vec![NodeId(3)],
+            "stale straggler leaked into the result"
+        );
     });
     rtr_check::report("reply-slot/straggler", &report);
     assert!(report.dfs_schedules > 1);

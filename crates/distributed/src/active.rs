@@ -24,6 +24,25 @@
 //!   the blocks the next expansion round will demand — collapsing the
 //!   round-trip-per-expansion pattern into roughly one round per two.
 //!
+//! **Blocks stay bytes.** A resident block is the [`rtr_graph::wire`]
+//! encoding the GP sent, appended to a byte arena; a dense node-id →
+//! position index finds it, and `out_edges` / `in_edges` / degrees /
+//! footprints and the prefetch scan read it in place through
+//! [`wire::BlockView`]. Nothing is decoded into an owned form, hashed, or
+//! allocated per block. Each reply is taken in by one length-validated walk
+//! that indexes whole blocks only, so a truncated or hostile payload can
+//! neither panic the AP nor make it read past what arrived.
+//!
+//! **Two generations under a byte budget.** Replies append to the *young*
+//! arena. The first touch in a query of a block still living in the *old*
+//! arena copies it forward. Between queries, once the young arena has grown
+//! past half the budget, the old arena is dropped (O(1): stale index entries
+//! die by comparison against the arena's base position, nothing is walked)
+//! and the young one takes its place. Blocks that keep being touched — the
+//! hubs — therefore survive indefinitely, a block untouched for two
+//! rotations is gone, and nothing a running query touched can disappear
+//! under it, because rotation only happens at a query boundary.
+//!
 //! Every fetch is metered (rounds, demanded blocks, prefetched blocks,
 //! cache hits, payload bytes), and the per-query *touched set* is tracked
 //! separately from cache residency so the Fig. 12 active-set measurements
@@ -31,10 +50,9 @@
 //! blocks_from_cache` always holds.
 
 use crate::gp::{GpCluster, ReplySlot};
-use rtr_graph::wire::NodeBlock;
+use rtr_graph::wire::{self, BlockView};
 use rtr_graph::{AdjacencyAccess, AdjacencyError, FetchHint, NodeId, NodeSet};
 use rtr_obs::{Counter, QueryTrace, TraceStage};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Registry-backed counters a [`BlockCache`] publishes its lifecycle events
@@ -46,8 +64,9 @@ use std::sync::Arc;
 pub struct BlockCacheMetrics {
     /// Demanded blocks served from the warm cache (no wire traffic).
     pub hits: Arc<Counter>,
-    /// Resident blocks dropped because the cache exceeded its block
-    /// budget between queries.
+    /// Resident blocks dropped with their generation between queries: the
+    /// ones no query copied forward before the arena holding them aged out
+    /// of the byte budget.
     pub evictions: Arc<Counter>,
     /// Resident blocks dropped because the graph epoch changed (the
     /// blocks belonged to a different or re-stamped graph).
@@ -56,20 +75,22 @@ pub struct BlockCacheMetrics {
 
 /// Default cap on speculative blocks per prefetch round.
 pub const DEFAULT_PREFETCH_LIMIT: usize = 256;
-/// Default resident-block budget before the cache clears itself.
-pub const DEFAULT_MAX_BLOCKS: usize = 65_536;
+/// Default byte budget of cross-query block residency.
+pub const DEFAULT_CACHE_BYTES: usize = 64 << 20;
 
 /// Cross-query resident-block storage for one AP-side worker.
 ///
 /// Lives in the worker's `DistributedWorkspace` and is handed to each
-/// query's [`ActiveGraph`]. Blocks persist until the graph epoch changes
-/// or the block budget overflows (checked between queries, so a running
-/// query never loses a block it already touched).
+/// query's [`ActiveGraph`]. Blocks persist until the graph epoch changes or
+/// their generation ages out of the byte budget (checked between queries,
+/// so a running query never loses a block it already touched). When a query
+/// starts, the old generation holds at most the budget and the young one at
+/// most half of it; on top of that comes only what the query itself adds.
 #[derive(Debug)]
 pub struct BlockCache {
     /// Epoch of the graph the resident blocks came from.
     epoch: u64,
-    blocks: HashMap<u32, NodeBlock>,
+    resident: Generations,
     /// Per-query touched set (ids this query `ensure`d), cleared per query.
     touched: NodeSet,
     /// Scratch: ids already slated for fetch in the current round.
@@ -77,7 +98,7 @@ pub struct BlockCache {
     /// Scratch: the fetch list under assembly.
     fetch_ids: Vec<NodeId>,
     prefetch_limit: usize,
-    max_blocks: usize,
+    budget_bytes: usize,
     /// Optional registry-backed lifecycle counters (hits / evictions /
     /// invalidations); `None` keeps the cache observation-free.
     metrics: Option<BlockCacheMetrics>,
@@ -86,22 +107,22 @@ pub struct BlockCache {
 impl BlockCache {
     /// An empty cache with the default prefetch/budget knobs.
     pub fn new() -> Self {
-        Self::with_limits(DEFAULT_PREFETCH_LIMIT, DEFAULT_MAX_BLOCKS)
+        Self::with_limits(DEFAULT_PREFETCH_LIMIT, DEFAULT_CACHE_BYTES)
     }
 
     /// An empty cache with explicit knobs: `prefetch_limit` caps the
     /// speculative blocks fetched per frontier round (0 disables
-    /// prefetching), `max_blocks` bounds cross-query residency (the cache
-    /// clears itself between queries once it exceeds the budget).
-    pub fn with_limits(prefetch_limit: usize, max_blocks: usize) -> Self {
+    /// prefetching), `budget_bytes` bounds cross-query residency (0 means
+    /// no block survives its query).
+    pub fn with_limits(prefetch_limit: usize, budget_bytes: usize) -> Self {
         BlockCache {
             epoch: 0, // matches no real graph: first use always re-keys
-            blocks: HashMap::new(),
+            resident: Generations::default(),
             touched: NodeSet::new(),
             pending: NodeSet::new(),
             fetch_ids: Vec::new(),
             prefetch_limit,
-            max_blocks,
+            budget_bytes,
             metrics: None,
         }
     }
@@ -115,17 +136,163 @@ impl BlockCache {
 
     /// Resident blocks currently held.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.resident.len()
     }
 
     /// Whether no block is resident.
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.len() == 0
+    }
+
+    /// Bytes the two arenas hold (blocks superseded by a forward copy
+    /// included, until their generation is dropped).
+    pub fn resident_bytes(&self) -> usize {
+        self.resident.old.len() + self.resident.young.len()
     }
 
     /// The epoch the resident blocks belong to (0 = never used).
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+}
+
+/// The resident blocks: two byte arenas and the index into them.
+///
+/// Every byte ever appended has a position in one logical stream. The old
+/// arena holds positions `old_base..young_base`, the young arena
+/// `young_base..`; an index entry below `old_base` is dead. Dropping a
+/// generation, or everything, is therefore a change of base — no index
+/// entry is visited.
+#[derive(Debug)]
+struct Generations {
+    /// Node id → stream position of its block (sized at the first bind).
+    index: Vec<u64>,
+    old: Vec<u8>,
+    young: Vec<u8>,
+    old_base: u64,
+    young_base: u64,
+    /// Blocks in `old` not copied forward yet: what dropping it evicts.
+    old_blocks: usize,
+    young_blocks: usize,
+}
+
+impl Default for Generations {
+    fn default() -> Self {
+        Generations {
+            index: Vec::new(),
+            old: Vec::new(),
+            young: Vec::new(),
+            // Position 0 is never live, so a zeroed index is an empty one.
+            old_base: 1,
+            young_base: 1,
+            old_blocks: 0,
+            young_blocks: 0,
+        }
+    }
+}
+
+impl Generations {
+    fn len(&self) -> usize {
+        self.old_blocks + self.young_blocks
+    }
+
+    /// Whether `id`'s block is resident (in either generation).
+    fn is_resident(&self, id: u32) -> bool {
+        self.index
+            .get(id as usize)
+            .is_some_and(|&pos| pos >= self.old_base)
+    }
+
+    /// The resident block of `id`.
+    fn block(&self, id: u32) -> Option<BlockView<'_>> {
+        let pos = *self.index.get(id as usize)?;
+        let bytes = if pos >= self.young_base {
+            self.young.get((pos - self.young_base) as usize..)
+        } else if pos >= self.old_base {
+            self.old.get((pos - self.old_base) as usize..)
+        } else {
+            None
+        };
+        BlockView::parse(bytes?)
+    }
+
+    /// First touch of `id` in a query: its block if resident, copied
+    /// forward first if it still lived in the old generation — so everything
+    /// a query touched sits in the young arena, which the next rotation
+    /// keeps.
+    fn touch(&mut self, id: u32) -> Option<BlockView<'_>> {
+        let pos = *self.index.get(id as usize)?;
+        if (self.old_base..self.young_base).contains(&pos) {
+            let at = (pos - self.old_base) as usize;
+            let len = BlockView::parse(self.old.get(at..)?)?.encoded_len();
+            self.index[id as usize] = self.young_base + self.young.len() as u64;
+            self.young.extend_from_slice(&self.old[at..at + len]);
+            self.old_blocks -= 1;
+            self.young_blocks += 1;
+        }
+        self.block(id)
+    }
+
+    /// Take one reply payload in: append its whole blocks to the young
+    /// arena and index them. One total walk — a truncated tail is left
+    /// out, a block whose id the graph does not have is carried but never
+    /// indexed. Returns how many blocks were indexed and their edge count.
+    fn absorb(&mut self, payload: &[u8]) -> (usize, usize) {
+        let base = self.young_base + self.young.len() as u64;
+        let (mut blocks, mut edges, mut whole) = (0, 0, 0);
+        for (at, block) in wire::blocks(payload) {
+            whole = at + block.encoded_len();
+            let Some(entry) = self.index.get_mut(block.node().index()) else {
+                continue;
+            };
+            if *entry < self.old_base {
+                self.young_blocks += 1;
+            } else if *entry < self.young_base {
+                self.old_blocks -= 1;
+                self.young_blocks += 1;
+            }
+            *entry = base + at as u64;
+            blocks += 1;
+            edges += block.out_degree() + block.in_degree();
+        }
+        self.young.extend_from_slice(&payload[..whole]);
+        (blocks, edges)
+    }
+
+    /// Drop every resident block; returns how many there were.
+    fn drop_all(&mut self) -> usize {
+        let dropped = self.len();
+        self.young_base += self.young.len() as u64;
+        self.old_base = self.young_base;
+        self.old.clear();
+        self.young.clear();
+        (self.old_blocks, self.young_blocks) = (0, 0);
+        dropped
+    }
+
+    /// Query-boundary rotation under a byte budget. Once the young arena has
+    /// passed half the budget the old one is dropped and the young one
+    /// becomes old; an old generation that alone exceeds the budget (one
+    /// very large query, or a zero budget) is dropped as well. Returns the
+    /// blocks evicted.
+    fn rotate(&mut self, budget_bytes: usize) -> usize {
+        if self.young.len() <= budget_bytes / 2 {
+            return 0;
+        }
+        let mut evicted = self.old_blocks;
+        self.old.clear();
+        std::mem::swap(&mut self.old, &mut self.young);
+        self.old_base = self.young_base;
+        self.young_base += self.old.len() as u64;
+        self.old_blocks = std::mem::take(&mut self.young_blocks);
+        if self.old.len() > budget_bytes {
+            evicted += self.drop_all();
+        }
+        // An arena keeps its capacity across rotations so steady state
+        // does not reallocate, but never more than the budget.
+        self.old.shrink_to(budget_bytes);
+        self.young.shrink_to(budget_bytes);
+        evicted
     }
 }
 
@@ -149,14 +316,15 @@ pub struct ActiveGraph<'a> {
     blocks_prefetched: usize,
     blocks_from_cache: usize,
     bytes_transferred: usize,
+    touched_edges: usize,
 }
 
 impl<'a> ActiveGraph<'a> {
     /// Bind `cache` (and the reusable reply `slot`) to `cluster` for one
     /// query. Validates the cache's epoch against the cluster's — stale
-    /// blocks from another graph are dropped wholesale — and enforces the
-    /// block budget, both *before* the query starts, so nothing resident
-    /// can disappear mid-query.
+    /// blocks from another graph are dropped wholesale — and otherwise
+    /// rotates the cache's generations under its byte budget, both *before*
+    /// the query starts, so nothing resident can disappear mid-query.
     pub fn new(cluster: &'a GpCluster, cache: &'a mut BlockCache, slot: &'a mut ReplySlot) -> Self {
         Self::with_trace(cluster, cache, slot, None)
     }
@@ -171,16 +339,17 @@ impl<'a> ActiveGraph<'a> {
         trace: Option<&'a mut QueryTrace>,
     ) -> Self {
         if cache.epoch != cluster.epoch() {
+            let dropped = cache.resident.drop_all();
             if let Some(m) = &cache.metrics {
-                m.invalidations.add(cache.blocks.len() as u64);
+                m.invalidations.add(dropped as u64);
             }
-            cache.blocks.clear();
             cache.epoch = cluster.epoch();
-        } else if cache.blocks.len() > cache.max_blocks {
+            cache.resident.index.resize(cluster.node_count(), 0);
+        } else {
+            let evicted = cache.resident.rotate(cache.budget_bytes);
             if let Some(m) = &cache.metrics {
-                m.evictions.add(cache.blocks.len() as u64);
+                m.evictions.add(evicted as u64);
             }
-            cache.blocks.clear();
         }
         cache.touched.ensure_capacity(cluster.node_count());
         cache.touched.clear();
@@ -197,40 +366,43 @@ impl<'a> ActiveGraph<'a> {
             blocks_prefetched: 0,
             blocks_from_cache: 0,
             bytes_transferred: 0,
+            touched_edges: 0,
         }
     }
 
     /// The resident block for `v`, if resident.
-    pub fn block(&self, v: NodeId) -> Option<&NodeBlock> {
-        self.cache.blocks.get(&v.0)
+    pub fn block(&self, v: NodeId) -> Option<BlockView<'_>> {
+        self.cache.resident.block(v.0)
     }
 
-    fn resident_block(&self, v: NodeId) -> &NodeBlock {
+    fn resident_block(&self, v: NodeId) -> BlockView<'_> {
         self.cache
-            .blocks
-            .get(&v.0)
+            .resident
+            .block(v.0)
             .unwrap_or_else(|| panic!("node {v:?} not in active set"))
     }
 
     /// Whether a node's block is resident (cache-wide, not per-query).
     pub fn is_resident(&self, v: NodeId) -> bool {
-        self.cache.blocks.contains_key(&v.0)
+        self.cache.resident.is_resident(v.0)
     }
 
     /// One wire round: fetch `cache.fetch_ids` from the owning GPs and make
-    /// the returned blocks resident. Returns how many blocks arrived.
-    fn fetch_round(&mut self) -> Result<usize, AdjacencyError> {
+    /// the returned blocks resident. Returns how many blocks arrived and
+    /// the edges they carry.
+    fn fetch_round(&mut self) -> Result<(usize, usize), AdjacencyError> {
         self.fetch_requests += 1;
         if let Some(t) = self.trace.as_deref_mut() {
             t.record(TraceStage::FetchRound);
         }
-        let (blocks, bytes) = self.cluster.fetch(&self.cache.fetch_ids, self.slot)?;
-        self.bytes_transferred += bytes;
-        let n = blocks.len();
-        for b in blocks {
-            self.cache.blocks.insert(b.node.0, b);
+        let (mut blocks, mut edges) = (0, 0);
+        for payload in self.cluster.fetch(&self.cache.fetch_ids, self.slot)? {
+            self.bytes_transferred += payload.len();
+            let (b, e) = self.cache.resident.absorb(payload);
+            blocks += b;
+            edges += e;
         }
-        Ok(n)
+        Ok((blocks, edges))
     }
 
     /// Fetch requests (wire rounds, demand + prefetch) issued this query.
@@ -264,32 +436,24 @@ impl<'a> ActiveGraph<'a> {
         self.cache.touched.len()
     }
 
-    /// Directed edges (both stored directions) of the touched nodes.
+    /// Directed edges (both stored directions) of the touched nodes,
+    /// accumulated as each block was first touched.
     pub fn touched_edges(&self) -> usize {
-        self.cache
-            .touched
-            .iter()
-            .map(|v| {
-                let b = &self.cache.blocks[&v];
-                b.out_edges.len() + b.in_edges.len()
-            })
-            .sum()
+        self.touched_edges
     }
 
     /// Wire-encoding bytes of the touched nodes' blocks (the paper's MB
-    /// numbers for the active set).
+    /// numbers for the active set): one edge-less block per touched node
+    /// plus the edges.
     pub fn touched_bytes(&self) -> usize {
-        self.cache
-            .touched
-            .iter()
-            .map(|v| self.cache.blocks[&v].encoded_len())
-            .sum()
+        (self.blocks_fetched + self.blocks_from_cache) * wire::encoded_len(0, 0)
+            + self.touched_edges * wire::EDGE_BYTES
     }
 }
 
 impl AdjacencyAccess for ActiveGraph<'_> {
     type Edges<'b>
-        = std::iter::Copied<std::slice::Iter<'b, (NodeId, f64)>>
+        = wire::Edges<'b>
     where
         Self: 'b;
 
@@ -302,11 +466,11 @@ impl AdjacencyAccess for ActiveGraph<'_> {
     }
 
     fn out_degree(&self, v: NodeId) -> usize {
-        self.resident_block(v).out_edges.len()
+        self.resident_block(v).out_degree()
     }
 
     fn in_degree(&self, v: NodeId) -> usize {
-        self.resident_block(v).in_edges.len()
+        self.resident_block(v).in_degree()
     }
 
     fn node_footprint_bytes(&self, v: NodeId) -> usize {
@@ -314,11 +478,11 @@ impl AdjacencyAccess for ActiveGraph<'_> {
     }
 
     fn out_edges(&self, v: NodeId) -> Self::Edges<'_> {
-        self.resident_block(v).out_edges.iter().copied()
+        self.resident_block(v).out_edges()
     }
 
     fn in_edges(&self, v: NodeId) -> Self::Edges<'_> {
-        self.resident_block(v).in_edges.iter().copied()
+        self.resident_block(v).in_edges()
     }
 
     /// Make `ids` resident: demanded ids missing from the cache are fetched
@@ -336,7 +500,8 @@ impl AdjacencyAccess for ActiveGraph<'_> {
             if !self.cache.touched.insert(id) {
                 continue; // already touched this query
             }
-            if self.cache.blocks.contains_key(&id) {
+            if let Some(block) = self.cache.resident.touch(id) {
+                self.touched_edges += block.out_degree() + block.in_degree();
                 self.blocks_from_cache += 1;
                 if let Some(m) = &self.cache.metrics {
                     m.hits.inc();
@@ -346,29 +511,32 @@ impl AdjacencyAccess for ActiveGraph<'_> {
             }
         }
         if !self.cache.fetch_ids.is_empty() {
-            self.blocks_fetched += self.fetch_round()?;
+            let (blocks, edges) = self.fetch_round()?;
+            self.blocks_fetched += blocks;
+            self.touched_edges += edges;
         }
         // Prefetch phase: speculate on the next round's demand.
         if hint == FetchHint::Demand || self.cache.prefetch_limit == 0 {
             return Ok(());
         }
-        self.cache.pending.clear();
-        self.cache.fetch_ids.clear();
+        let cache = &mut *self.cache;
+        cache.pending.clear();
+        cache.fetch_ids.clear();
         'collect: for &id in ids {
-            let Some(block) = self.cache.blocks.get(&id) else {
+            let Some(block) = cache.resident.block(id) else {
                 continue; // demanded but absent from the stripe: nothing to walk
             };
             let neighbors = match hint {
-                FetchHint::OutFrontier => &block.out_edges,
-                FetchHint::InFrontier => &block.in_edges,
+                FetchHint::OutFrontier => block.out_edges(),
+                FetchHint::InFrontier => block.in_edges(),
                 FetchHint::Demand => unreachable!(),
             };
-            for &(n, _) in neighbors {
-                if self.cache.blocks.contains_key(&n.0) || !self.cache.pending.insert(n.0) {
+            for (n, _) in neighbors {
+                if cache.resident.is_resident(n.0) || !cache.pending.insert(n.0) {
                     continue;
                 }
-                self.cache.fetch_ids.push(n);
-                if self.cache.fetch_ids.len() >= self.cache.prefetch_limit {
+                cache.fetch_ids.push(n);
+                if cache.fetch_ids.len() >= cache.prefetch_limit {
                     break 'collect;
                 }
             }
@@ -376,7 +544,7 @@ impl AdjacencyAccess for ActiveGraph<'_> {
         if !self.cache.fetch_ids.is_empty() {
             // Deterministic wire order (neighbor discovery order is not).
             self.cache.fetch_ids.sort_unstable();
-            self.blocks_prefetched += self.fetch_round()?;
+            self.blocks_prefetched += self.fetch_round()?.0;
         }
         Ok(())
     }
@@ -502,7 +670,7 @@ mod tests {
     #[test]
     fn prefetch_disabled_at_zero_limit() {
         let (_, ids, cluster) = harness();
-        let mut cache = BlockCache::with_limits(0, DEFAULT_MAX_BLOCKS);
+        let mut cache = BlockCache::with_limits(0, DEFAULT_CACHE_BYTES);
         let mut slot = ReplySlot::new();
         let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
         active.ensure(&[ids.t1.0], FetchHint::OutFrontier).unwrap();
@@ -523,7 +691,8 @@ mod tests {
         }
         assert_eq!(cache.len(), 2); // over budget, but intact mid-query
         let active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
-        assert_eq!(active.cache.blocks.len(), 0); // evicted on rebind
+        assert_eq!(active.cache.len(), 0); // evicted on rebind
+        assert_eq!(active.cache.resident_bytes(), 0);
     }
 
     #[test]
@@ -614,5 +783,165 @@ mod tests {
                 active.blocks_fetched() + active.blocks_from_cache()
             );
         }
+    }
+
+    /// The reply of a one-GP stripe to a request for every node: the whole
+    /// graph as one payload, blocks in id order.
+    fn whole_graph_payload(g: &rtr_graph::Graph) -> Vec<u8> {
+        let stores = crate::Striping::new(1).partition(g);
+        let all: Vec<NodeId> = g.nodes().collect();
+        let mut payload = Vec::new();
+        stores[0].append_blocks(&all, &mut payload);
+        payload
+    }
+
+    fn empty_generations(node_count: usize) -> Generations {
+        Generations {
+            index: vec![0; node_count],
+            ..Generations::default()
+        }
+    }
+
+    #[test]
+    fn absorbing_a_payload_cut_anywhere_indexes_exactly_its_whole_blocks() {
+        let (g, _) = fig2_toy();
+        let payload = whole_graph_payload(&g);
+        // Where each node's block ends in the payload.
+        let ends: Vec<usize> = wire::blocks(&payload)
+            .map(|(at, b)| at + b.encoded_len())
+            .collect();
+        assert_eq!(ends.len(), g.node_count());
+        for cut in 0..=payload.len() {
+            let mut gens = empty_generations(g.node_count());
+            let (blocks, edges) = gens.absorb(&payload[..cut]);
+            let whole = ends.iter().filter(|&&end| end <= cut).count();
+            assert_eq!(blocks, whole, "cut {cut}");
+            assert_eq!(gens.len(), whole, "cut {cut}");
+            // The arena holds the whole blocks and not one byte more.
+            let kept = if whole == 0 { 0 } else { ends[whole - 1] };
+            assert_eq!(gens.young, &payload[..kept], "cut {cut}");
+            let mut want_edges = 0;
+            for v in g.nodes() {
+                assert_eq!(gens.is_resident(v.0), v.index() < whole, "cut {cut} {v:?}");
+                match gens.block(v.0) {
+                    Some(block) => {
+                        assert_eq!(block.to_block(), wire::NodeBlock::extract(&g, v));
+                        want_edges += g.out_degree(v) + g.in_degree(v);
+                    }
+                    None => assert!(v.index() >= whole, "cut {cut} {v:?}"),
+                }
+            }
+            assert_eq!(edges, want_edges, "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn hostile_payloads_are_absorbed_without_panic_or_overread() {
+        let (g, ids) = fig2_toy();
+        let good = whole_graph_payload(&g);
+        let n = g.node_count();
+
+        // A header announcing 4 Gi out-edges: nothing is indexed or kept.
+        let mut huge_out = Vec::new();
+        huge_out.extend_from_slice(&ids.t1.0.to_le_bytes());
+        huge_out.extend_from_slice(&u32::MAX.to_le_bytes());
+        huge_out.extend_from_slice(&[0xAB; 40]);
+        let mut gens = empty_generations(n);
+        assert_eq!(gens.absorb(&huge_out), (0, 0));
+        assert!(gens.young.is_empty());
+        assert!(!gens.is_resident(ids.t1.0));
+
+        // The same lie in the in-edge count, after a valid (empty) out list.
+        let mut huge_in = Vec::new();
+        huge_in.extend_from_slice(&ids.t1.0.to_le_bytes());
+        huge_in.extend_from_slice(&0u32.to_le_bytes());
+        huge_in.extend_from_slice(&u32::MAX.to_le_bytes());
+        huge_in.extend_from_slice(&[0xAB; 40]);
+        assert_eq!(gens.absorb(&huge_in), (0, 0));
+        assert!(gens.young.is_empty());
+
+        // A well-formed block for a node the graph does not have, between
+        // two good blocks: carried along, never indexed, and the blocks
+        // around it are unaffected.
+        let first_end = wire::blocks(&good).nth(1).expect("two blocks").0;
+        let mut stranger = good[..first_end].to_vec();
+        stranger.extend_from_slice(&(n as u32 + 7).to_le_bytes());
+        stranger.extend_from_slice(&[0; 8]);
+        stranger.extend_from_slice(&good[first_end..]);
+        let mut gens = empty_generations(n);
+        let (blocks, _) = gens.absorb(&stranger);
+        assert_eq!(blocks, n);
+        assert_eq!(gens.len(), n);
+        for v in g.nodes() {
+            let block = gens.block(v.0).expect("indexed");
+            assert_eq!(block.to_block(), wire::NodeBlock::extract(&g, v));
+        }
+        assert!(!gens.is_resident(n as u32 + 7));
+        assert!(gens.block(u32::MAX).is_none());
+
+        // Trailing garbage after good blocks is left out of the arena.
+        let mut trailing = good.clone();
+        trailing.extend_from_slice(&[0xFF; 29]);
+        let mut gens = empty_generations(n);
+        assert_eq!(gens.absorb(&trailing).0, n);
+        assert_eq!(gens.young, good);
+
+        // A block that arrives twice is resident once.
+        let mut gens = empty_generations(n);
+        gens.absorb(&good);
+        gens.absorb(&good[..first_end]);
+        assert_eq!(gens.len(), n);
+    }
+
+    /// Budget under which every query below (t1 plus one paper, 192 B) is a
+    /// generation of its own: more than half the budget, less than all.
+    const ONE_QUERY_PER_GENERATION: usize = 256;
+
+    #[test]
+    fn a_block_touched_every_generation_survives_and_an_untouched_one_ages_out() {
+        let (_, ids, cluster) = harness();
+        let mut cache = BlockCache::with_limits(0, ONE_QUERY_PER_GENERATION);
+        let metrics = BlockCacheMetrics::default();
+        cache.set_metrics(metrics.clone());
+        let mut slot = ReplySlot::new();
+        let (hub, untouched) = (ids.t1, ids.p[0]);
+        {
+            let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
+            active
+                .ensure(&[hub.0, untouched.0], FetchHint::Demand)
+                .unwrap();
+            assert_eq!(active.blocks_fetched(), 2);
+        }
+        for (rotation, fresh) in ids.p[1..].iter().enumerate() {
+            let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
+            // One rotation keeps what the previous query left; the second
+            // drops what no query touched in between.
+            assert_eq!(active.is_resident(untouched), rotation == 0);
+            assert_eq!(metrics.evictions.get(), rotation as u64);
+            let mut demanded = [hub.0, fresh.0];
+            demanded.sort_unstable();
+            active.ensure(&demanded, FetchHint::Demand).unwrap();
+            assert_eq!(active.blocks_from_cache(), 1, "the hub is a hit");
+            assert_eq!(active.blocks_fetched(), 1, "only the new paper is fetched");
+        }
+        assert_eq!(metrics.hits.get(), 6, "the hub survived six rotations");
+        assert_eq!(cache.len(), 3, "hub + the last two papers");
+    }
+
+    #[test]
+    fn zero_budget_is_cold_every_query() {
+        let (_, ids, cluster) = harness();
+        let mut cache = BlockCache::with_limits(DEFAULT_PREFETCH_LIMIT, 0);
+        let mut slot = ReplySlot::new();
+        let mut costs = Vec::new();
+        for _ in 0..3 {
+            let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
+            assert!(active.cache.is_empty());
+            active.ensure(&[ids.t1.0], FetchHint::OutFrontier).unwrap();
+            costs.push((active.fetch_requests(), active.bytes_transferred()));
+        }
+        assert!(costs[0].1 > 0);
+        assert_eq!(costs[0], costs[1]);
+        assert_eq!(costs[1], costs[2]);
     }
 }

@@ -66,9 +66,9 @@ pub struct DistributedStats {
 
 /// Reusable AP-side state for distributed serving: the engine workspace
 /// (the same [`TopKWorkspace`] the local engines reuse), the cross-query
-/// resident-block cache, and the GP reply channel. A long-lived worker
-/// allocates nothing on the steady-state path — and keeps its warm blocks
-/// between queries.
+/// resident-block cache, and the GP reply channel with its buffers. Once
+/// these have grown to the working set, a long-lived worker's block path
+/// allocates nothing — and keeps its warm blocks between queries.
 #[derive(Debug, Default)]
 pub struct DistributedWorkspace {
     /// Engine buffers (BCA maps, bounds maps, scratch vectors).
@@ -100,11 +100,12 @@ impl DistributedWorkspace {
     }
 }
 
+/// Bind `ws` to `cluster` for one query, let `run` drive an engine's
+/// `run_on` against the paged graph, and read the wire meters back.
 fn run_on_cluster(
-    engine: &TwoSBound,
     cluster: &GpCluster,
-    q: NodeId,
     ws: &mut DistributedWorkspace,
+    run: impl FnOnce(&mut ActiveGraph<'_>, &mut TopKWorkspace) -> Result<TopKResult, CoreError>,
 ) -> Result<(TopKResult, DistributedStats), CoreError> {
     let mut active = ActiveGraph::with_trace(
         cluster,
@@ -112,33 +113,7 @@ fn run_on_cluster(
         &mut ws.slot,
         ws.trace.as_deref_mut(),
     );
-    let result = engine.run_on(&mut active, q, &mut ws.topk)?;
-    let stats = DistributedStats {
-        fetch_requests: active.fetch_requests(),
-        blocks_fetched: active.blocks_fetched(),
-        blocks_prefetched: active.blocks_prefetched(),
-        blocks_from_cache: active.blocks_from_cache(),
-        bytes_transferred: active.bytes_transferred(),
-        active_nodes: active.touched_nodes(),
-        active_edges: active.touched_edges(),
-        active_bytes: active.touched_bytes(),
-    };
-    Ok((result, stats))
-}
-
-fn run_plus_on_cluster(
-    engine: &TwoSBoundPlus,
-    cluster: &GpCluster,
-    q: NodeId,
-    ws: &mut DistributedWorkspace,
-) -> Result<(TopKResult, DistributedStats), CoreError> {
-    let mut active = ActiveGraph::with_trace(
-        cluster,
-        &mut ws.cache,
-        &mut ws.slot,
-        ws.trace.as_deref_mut(),
-    );
-    let result = engine.run_on(&mut active, q, &mut ws.topk)?;
+    let result = run(&mut active, &mut ws.topk)?;
     let stats = DistributedStats {
         fetch_requests: active.fetch_requests(),
         blocks_fetched: active.blocks_fetched(),
@@ -200,7 +175,9 @@ impl DistributedTwoSBound {
         q: NodeId,
         ws: &mut DistributedWorkspace,
     ) -> Result<(TopKResult, DistributedStats), CoreError> {
-        run_on_cluster(&self.engine, cluster, q, ws)
+        run_on_cluster(cluster, ws, |active, topk| {
+            self.engine.run_on(active, q, topk)
+        })
     }
 }
 
@@ -256,7 +233,9 @@ impl DistributedTwoSBoundPlus {
         q: NodeId,
         ws: &mut DistributedWorkspace,
     ) -> Result<(TopKResult, DistributedStats), CoreError> {
-        run_plus_on_cluster(&self.engine, cluster, q, ws)
+        run_on_cluster(cluster, ws, |active, topk| {
+            self.engine.run_on(active, q, topk)
+        })
     }
 }
 

@@ -4,14 +4,18 @@
 //! requests: the AP sends the wanted node ids to the owning GPs, each GP
 //! replies with the wire-encoded blocks it owns ("it aggregates the fast
 //! storage (main memory) of GPs... it enables parallel access to different
-//! parts of the graph", paper Sect. V-B2).
+//! parts of the graph", paper Sect. V-B2). A reply is the buffer the GP
+//! copied its blocks into, handed over the channel as is; the AP reads it
+//! in place (`rtr_graph::wire::blocks`).
 //!
 //! The reply path is a **reusable slot** ([`ReplySlot`]): one channel per
 //! AP-side workspace, re-used for every fetch of every query, instead of a
-//! fresh channel allocation per request. Replies are stamped with a
-//! generation counter so a slot that abandoned a fetch mid-flight (because
-//! one GP failed) simply skips the stragglers of the old generation on its
-//! next use.
+//! fresh channel allocation per request. The slot also owns the buffers of
+//! the protocol — the per-GP id lists and reply payloads travel to the GP
+//! with the request and come back with the reply — so a steady-state fetch
+//! allocates nothing. Replies are stamped with a generation counter so a
+//! slot that abandoned a fetch mid-flight (because one GP failed) simply
+//! skips the stragglers of the old generation on its next use.
 //!
 //! GP failure is a first-class outcome, not a panic: a dead GP thread is
 //! reported as [`AdjacencyError::SourceUnavailable`] naming the processor,
@@ -20,14 +24,14 @@
 
 use crate::rtr_sync::thread::{self, JoinHandle};
 use crate::stripe::{GpStore, Striping};
-use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use rtr_graph::wire::NodeBlock;
 use rtr_graph::{AdjacencyError, Graph, NodeId};
 
 enum Request {
     Fetch {
         wanted: Vec<NodeId>,
+        /// The buffer to write the reply into (its old contents are dead).
+        payload: Vec<u8>,
         generation: u64,
         reply: Sender<Reply>,
     },
@@ -44,7 +48,9 @@ enum Request {
 struct Reply {
     generation: u64,
     gp: usize,
-    payload: Result<Bytes, String>,
+    /// The request's id list, returned for reuse.
+    wanted: Vec<NodeId>,
+    payload: Result<Vec<u8>, String>,
 }
 
 /// A reusable reply channel for [`GpCluster::fetch`].
@@ -59,6 +65,10 @@ pub struct ReplySlot {
     tx: Sender<Reply>,
     rx: Receiver<Reply>,
     generation: u64,
+    /// Per-GP share of the current request (scratch, reused).
+    shares: Vec<Vec<NodeId>>,
+    /// Per-GP reply payload of the last fetch (empty for a GP not asked).
+    payloads: Vec<Vec<u8>>,
 }
 
 impl ReplySlot {
@@ -69,6 +79,8 @@ impl ReplySlot {
             tx,
             rx,
             generation: 0,
+            shares: Vec::new(),
+            payloads: Vec::new(),
         }
     }
 }
@@ -148,37 +160,41 @@ impl GpCluster {
 
     /// Fetch the blocks for `wanted` nodes: one request per owning GP, all
     /// outstanding in parallel, replies collected through the caller's
-    /// reusable `slot`. Returns the decoded blocks and the number of
-    /// payload bytes that crossed the (simulated) network.
+    /// reusable `slot`. Returns one payload per GP (empty for a GP that owns
+    /// none of `wanted`): the concatenated wire encoding of the blocks that
+    /// GP owns, in request order. The payloads live in the slot until its
+    /// next fetch; their summed length is what crossed the (simulated)
+    /// network.
     ///
     /// A dead GP thread surfaces as
     /// [`AdjacencyError::SourceUnavailable`] naming the processor index —
     /// detected at send time if the thread is already gone, or from its
     /// error reply if its lookup panicked mid-request.
-    pub fn fetch(
+    pub fn fetch<'s>(
         &self,
         wanted: &[NodeId],
-        slot: &mut ReplySlot,
-    ) -> Result<(Vec<NodeBlock>, usize), AdjacencyError> {
-        if wanted.is_empty() {
-            return Ok((Vec::new(), 0));
-        }
+        slot: &'s mut ReplySlot,
+    ) -> Result<&'s [Vec<u8>], AdjacencyError> {
         // Abandoned fetches may have left stale replies behind; a new
         // generation distinguishes this fetch's replies from theirs.
         slot.generation += 1;
         while slot.rx.try_recv().is_ok() {}
         // Partition the request by owner so each GP only sees its share.
-        let mut per_gp: Vec<Vec<NodeId>> = vec![Vec::new(); self.gps()];
+        slot.shares.resize_with(self.gps(), Vec::new);
+        slot.payloads.resize_with(self.gps(), Vec::new);
+        slot.shares.iter_mut().for_each(Vec::clear);
         for &v in wanted {
-            per_gp[self.striping.owner(v)].push(v);
+            slot.shares[self.striping.owner(v)].push(v);
         }
         let mut outstanding = 0usize;
-        for (gp, share) in per_gp.into_iter().enumerate() {
-            if share.is_empty() {
+        for (gp, sender) in self.senders.iter().enumerate() {
+            slot.payloads[gp].clear();
+            if slot.shares[gp].is_empty() {
                 continue;
             }
-            let sent = self.senders[gp].send(Request::Fetch {
-                wanted: share,
+            let sent = sender.send(Request::Fetch {
+                wanted: std::mem::take(&mut slot.shares[gp]),
+                payload: std::mem::take(&mut slot.payloads[gp]),
                 generation: slot.generation,
                 reply: slot.tx.clone(),
             });
@@ -189,8 +205,6 @@ impl GpCluster {
             }
             outstanding += 1;
         }
-        let mut blocks = Vec::new();
-        let mut bytes = 0usize;
         while outstanding > 0 {
             // Every live GP replies exactly once per request (its lookup is
             // wrapped in catch_unwind), so this blocks only while a GP is
@@ -209,11 +223,9 @@ impl GpCluster {
                 continue; // straggler from an abandoned fetch
             }
             outstanding -= 1;
+            slot.shares[reply.gp] = reply.wanted;
             match reply.payload {
-                Ok(payload) => {
-                    bytes += payload.len();
-                    blocks.extend(NodeBlock::decode_batch(payload));
-                }
+                Ok(payload) => slot.payloads[reply.gp] = payload,
                 Err(msg) => {
                     return Err(AdjacencyError::SourceUnavailable {
                         detail: format!("graph processor {} failed: {msg}", reply.gp),
@@ -221,7 +233,7 @@ impl GpCluster {
                 }
             }
         }
-        Ok((blocks, bytes))
+        Ok(&slot.payloads)
     }
 
     /// Kill one GP thread in place, simulating a processor crash (for
@@ -268,6 +280,7 @@ fn gp_main(store: GpStore, rx: Receiver<Request>) {
         match req {
             Request::Fetch {
                 wanted,
+                mut payload,
                 generation,
                 reply,
             } => {
@@ -278,14 +291,15 @@ fn gp_main(store: GpStore, rx: Receiver<Request>) {
                     Err("injected fault (fail_next_fetch)".to_string())
                 } else {
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let blocks = store.lookup(&wanted);
-                        NodeBlock::encode_batch(&blocks)
+                        store.append_blocks(&wanted, &mut payload);
+                        payload
                     }))
                     .map_err(|p| panic_message(&p))
                 };
                 let _ = reply.send(Reply {
                     generation,
                     gp,
+                    wanted,
                     payload,
                 });
             }
@@ -310,11 +324,25 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use rtr_graph::toy::fig2_toy;
+    use rtr_graph::wire::{self, NodeBlock};
+
+    /// Fetch through `slot` and decode the payloads: the blocks in GP order
+    /// and the payload bytes.
+    fn fetch_blocks(
+        cluster: &GpCluster,
+        wanted: &[NodeId],
+        slot: &mut ReplySlot,
+    ) -> Result<(Vec<NodeBlock>, usize), AdjacencyError> {
+        let payloads = cluster.fetch(wanted, slot)?;
+        let blocks = payloads
+            .iter()
+            .flat_map(|p| wire::blocks(p).map(|(_, b)| b.to_block()))
+            .collect();
+        Ok((blocks, payloads.iter().map(Vec::len).sum()))
+    }
 
     fn fetch_all(cluster: &GpCluster, wanted: &[NodeId]) -> (Vec<NodeBlock>, usize) {
-        cluster
-            .fetch(wanted, &mut ReplySlot::new())
-            .expect("cluster healthy")
+        fetch_blocks(cluster, wanted, &mut ReplySlot::new()).expect("cluster healthy")
     }
 
     #[test]
@@ -356,8 +384,8 @@ mod tests {
         let (g, ids) = fig2_toy();
         let cluster = GpCluster::spawn(&g, 2);
         let mut slot = ReplySlot::new();
-        let (a, _) = cluster.fetch(&[ids.t1], &mut slot).unwrap();
-        let (b, _) = cluster.fetch(&[ids.t1], &mut slot).unwrap();
+        let (a, _) = fetch_blocks(&cluster, &[ids.t1], &mut slot).unwrap();
+        let (b, _) = fetch_blocks(&cluster, &[ids.t1], &mut slot).unwrap();
         assert_eq!(a, b);
     }
 
@@ -367,7 +395,7 @@ mod tests {
         let cluster = GpCluster::spawn(&g, 3);
         let mut slot = ReplySlot::new();
         for v in g.nodes() {
-            let (blocks, _) = cluster.fetch(&[v], &mut slot).unwrap();
+            let (blocks, _) = fetch_blocks(&cluster, &[v], &mut slot).unwrap();
             assert_eq!(blocks.len(), 1);
             assert_eq!(blocks[0].node, v);
         }
@@ -390,11 +418,11 @@ mod tests {
         cluster.kill_gp(1);
         let mut slot = ReplySlot::new();
         // Node 1 is owned by GP 1 (round-robin by id).
-        let err = cluster.fetch(&[NodeId(1)], &mut slot).unwrap_err();
+        let err = fetch_blocks(&cluster, &[NodeId(1)], &mut slot).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("graph processor 1"), "got: {msg}");
         // The other GPs still serve, through the same slot.
-        let (blocks, _) = cluster.fetch(&[NodeId(0), NodeId(2)], &mut slot).unwrap();
+        let (blocks, _) = fetch_blocks(&cluster, &[NodeId(0), NodeId(2)], &mut slot).unwrap();
         assert_eq!(blocks.len(), 2);
     }
 
@@ -421,7 +449,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let mut slot = ReplySlot::new();
                 for _ in 0..50 {
-                    let (blocks, _) = cluster.fetch(&[want], &mut slot).unwrap();
+                    let (blocks, _) = fetch_blocks(&cluster, &[want], &mut slot).unwrap();
                     assert_eq!(blocks.len(), 1);
                     assert_eq!(blocks[0].node, want);
                 }

@@ -13,9 +13,9 @@
 //!
 //! The simulation is faithful at the protocol level: GPs run on their own
 //! threads, own disjoint node stripes, and answer fetch requests over
-//! channels with the length-prefixed wire encoding of `rtr_graph::wire`;
-//! the AP never touches the full graph — every adjacency byte it uses
-//! arrived in a GP response, and the transfer volume is metered.
+//! channels in the wire layout of `rtr_graph::wire`; the AP never touches
+//! the full graph — every adjacency byte it uses arrived in a GP response,
+//! and the transfer volume is metered.
 //!
 //! The AP-side processors ([`DistributedTwoSBound`] /
 //! [`DistributedTwoSBoundPlus`]) do **not** fork the algorithm: they run
@@ -26,13 +26,22 @@
 //! `TopKConfig` and [`rtr_topk::Scheme`] *by construction* — which is what
 //! lets a serving layer route the same traffic to either execution backend
 //! (and share one result cache between them) without changing a single
-//! answer. The wire layer is where the distributed work happens: a
-//! cross-query [`BlockCache`] keyed to the graph epoch, batched frontier
-//! prefetch driven by the engines' `ensure` hints, and a reusable
-//! [`ReplySlot`] per worker so steady-state serving performs no channel
-//! setup. One [`GpCluster`] is `Send + Sync` and serves any number of
-//! concurrent APs; per-worker [`DistributedWorkspace`]s make steady-state
-//! serving allocation-free.
+//! answer.
+//!
+//! The wire layer is where the distributed work happens, and on it a node
+//! block is one thing only — its wire bytes. A GP keeps its stripe
+//! pre-encoded in one arena and answers a fetch by copying the wanted
+//! blocks into the reply buffer; the buffer crosses the channel as is; the
+//! AP appends it to the arena of its cross-query [`BlockCache`] (keyed to
+//! the graph epoch, two generations under a byte budget) and serves edges,
+//! degrees and the frontier-prefetch scan by reading those bytes in place.
+//! Two copies per block, no decode, no hash map. One [`GpCluster`] is
+//! `Send + Sync` and serves any number of concurrent APs. A per-worker
+//! [`DistributedWorkspace`] owns everything the block path reuses — the
+//! reply channel of its [`ReplySlot`] and the id lists and payload buffers
+//! that travel through it, the cache arenas, the engine buffers — so once
+//! those have grown to the working set's size, fetching, caching and
+//! reading blocks allocates nothing.
 //!
 //! ## Modules
 //!
@@ -41,7 +50,6 @@
 //! * [`active`] — the AP-side incrementally-assembled active graph;
 //! * [`dtopk`] — distributed 2SBound running against the active graph.
 
-#![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod active;
@@ -51,7 +59,7 @@ mod rtr_sync;
 pub mod stripe;
 
 pub use active::{
-    ActiveGraph, BlockCache, BlockCacheMetrics, DEFAULT_MAX_BLOCKS, DEFAULT_PREFETCH_LIMIT,
+    ActiveGraph, BlockCache, BlockCacheMetrics, DEFAULT_CACHE_BYTES, DEFAULT_PREFETCH_LIMIT,
 };
 pub use dtopk::{
     DistributedStats, DistributedTwoSBound, DistributedTwoSBoundPlus, DistributedWorkspace,

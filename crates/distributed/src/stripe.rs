@@ -4,10 +4,14 @@
 //! rely on data striping, a technique to segment data over multiple storage
 //! units. In our case, the graph is segmented across multiple GPs... in a
 //! round-robin fashion."
+//!
+//! A stripe is stored the way it is served: one byte arena holding the
+//! [`rtr_graph::wire`] encoding of every owned node in ascending id order,
+//! plus an offset table addressed by `v / gps`. Answering a fetch is a
+//! `memcpy` of each wanted block into the reply — nothing is encoded,
+//! hashed or cloned per request.
 
-use rtr_graph::wire::NodeBlock;
-use rtr_graph::{Graph, NodeId};
-use std::collections::HashMap;
+use rtr_graph::{wire, Graph, NodeId};
 
 /// The striping function: node → GP index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,62 +33,78 @@ impl Striping {
         (v.0 as usize) % self.gps
     }
 
-    /// Partition a graph into per-GP stores of node blocks.
+    /// Partition a graph into per-GP stores, encoding every node's block
+    /// once, straight from the CSR into its owner's arena.
     pub fn partition(&self, g: &Graph) -> Vec<GpStore> {
-        let mut stores: Vec<GpStore> = (0..self.gps).map(GpStore::new).collect();
+        let mut bytes = vec![0usize; self.gps];
         for v in g.nodes() {
-            let block = NodeBlock::extract(g, v);
-            stores[self.owner(v)].insert(block);
+            bytes[self.owner(v)] += wire::encoded_len(g.out_degree(v), g.in_degree(v));
+        }
+        let mut stores: Vec<GpStore> = bytes
+            .iter()
+            .enumerate()
+            .map(|(index, &bytes)| GpStore {
+                index,
+                striping: *self,
+                arena: Vec::with_capacity(bytes),
+                offsets: vec![0],
+            })
+            .collect();
+        for v in g.nodes() {
+            let store = &mut stores[self.owner(v)];
+            wire::encode_node(g, v, &mut store.arena);
+            store.offsets.push(store.arena.len());
         }
         stores
     }
 }
 
-/// One GP's in-memory stripe: the node blocks it owns.
+/// One GP's in-memory stripe: the encoded blocks of the nodes it owns.
 #[derive(Clone, Debug)]
 pub struct GpStore {
     /// This GP's index.
     pub index: usize,
-    blocks: HashMap<u32, NodeBlock>,
-    bytes: usize,
+    striping: Striping,
+    /// The owned nodes' blocks, concatenated in ascending id order.
+    arena: Vec<u8>,
+    /// Block `i` (node `index + i * gps`) is `arena[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<usize>,
 }
 
 impl GpStore {
-    fn new(index: usize) -> Self {
-        GpStore {
-            index,
-            blocks: HashMap::new(),
-            bytes: 0,
+    /// The encoded block of `v`, if this GP owns it.
+    pub fn lookup(&self, v: NodeId) -> Option<&[u8]> {
+        if self.striping.owner(v) != self.index {
+            return None;
         }
+        let i = v.0 as usize / self.striping.gps;
+        Some(&self.arena[*self.offsets.get(i)?..*self.offsets.get(i + 1)?])
     }
 
-    fn insert(&mut self, block: NodeBlock) {
-        self.bytes += block.encoded_len();
-        self.blocks.insert(block.node.0, block);
-    }
-
-    /// Look up the blocks this GP owns among `wanted` (the GP-side half of
-    /// a fetch request).
-    pub fn lookup(&self, wanted: &[NodeId]) -> Vec<NodeBlock> {
-        wanted
-            .iter()
-            .filter_map(|v| self.blocks.get(&v.0).cloned())
-            .collect()
+    /// Append the blocks this GP owns among `wanted` to `reply`, in request
+    /// order (the GP-side half of a fetch). The reply is sized first, so
+    /// each block is copied exactly once.
+    pub fn append_blocks(&self, wanted: &[NodeId], reply: &mut Vec<u8>) {
+        let owned = || wanted.iter().filter_map(|&v| self.lookup(v));
+        reply.reserve(owned().map(<[u8]>::len).sum());
+        for block in owned() {
+            reply.extend_from_slice(block);
+        }
     }
 
     /// Number of nodes stored.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.offsets.len() - 1
     }
 
     /// Whether this stripe is empty.
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.len() == 0
     }
 
     /// Resident bytes of this stripe (wire encoding size).
     pub fn bytes(&self) -> usize {
-        self.bytes
+        self.arena.len()
     }
 }
 
@@ -92,6 +112,7 @@ impl GpStore {
 mod tests {
     use super::*;
     use rtr_graph::toy::fig2_toy;
+    use rtr_graph::wire::NodeBlock;
 
     #[test]
     fn round_robin_assignment() {
@@ -122,13 +143,20 @@ mod tests {
         let stores = striping.partition(&g);
         let all: Vec<NodeId> = g.nodes().collect();
         for store in &stores {
-            for block in store.lookup(&all) {
-                assert_eq!(striping.owner(block.node), store.index);
+            let mut reply = Vec::new();
+            store.append_blocks(&all, &mut reply);
+            assert_eq!(reply.len(), store.bytes());
+            assert_eq!(wire::blocks(&reply).count(), store.len());
+            for (_, block) in wire::blocks(&reply) {
+                assert_eq!(striping.owner(block.node()), store.index);
+                assert_eq!(block.to_block(), NodeBlock::extract(&g, block.node()));
             }
         }
-        // A specific node is found in exactly one store.
-        let found: usize = stores.iter().map(|s| s.lookup(&[ids.v1]).len()).sum();
+        // A specific node is found in exactly one store; an id past the
+        // graph in none.
+        let found = stores.iter().filter(|s| s.lookup(ids.v1).is_some()).count();
         assert_eq!(found, 1);
+        assert!(stores.iter().all(|s| s.lookup(NodeId(9999)).is_none()));
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Compact binary wire format for shipping node adjacency between the active
-//! processor and graph processors (paper Sect. V-B2).
+//! The node-block wire layout: the one byte format a node's adjacency takes
+//! on its way from a graph processor's stripe to the active processor's
+//! edge iterator (paper Sect. V-B2).
 //!
-//! A [`NodeBlock`] is everything the active processor needs to add one node
-//! to its active set: the node id plus its out- and in-adjacency with
-//! transition probabilities. Blocks are encoded little-endian with explicit
-//! length prefixes; the format is self-delimiting so multiple blocks can be
-//! concatenated into a single response buffer.
+//! A block is everything the active processor needs to add one node to its
+//! active set: the node id plus its out- and in-adjacency with transition
+//! probabilities. Blocks are little-endian with explicit length prefixes;
+//! the format is self-delimiting, so blocks concatenate into stripes, reply
+//! buffers and cache arenas without any framing around them.
 //!
 //! Layout (all little-endian):
 //! ```text
@@ -13,12 +14,193 @@
 //! u32 out_len   | out_len × (u32 target, f64 prob)
 //! u32 in_len    | in_len  × (u32 source, f64 prob)
 //! ```
+//!
+//! Three things speak the layout, and all of them go through this module:
+//!
+//! * [`encode_node`] writes a block straight from the graph's CSR rows —
+//!   how a GP stripe is built;
+//! * [`BlockView`] reads a block *in place*: a total, length-validated parse
+//!   of the three length fields, after which degrees are slice lengths and
+//!   [`Edges`] decodes `(neighbour, probability)` pairs on the fly — how the
+//!   AP serves adjacency from the bytes a GP sent, with no owned copy;
+//! * [`NodeBlock`] is the owned form (two `Vec`s) that tests and probes
+//!   handle; it encodes through the same writer and decodes through
+//!   [`BlockView`], so there is exactly one definition of the format.
 
 use crate::graph::Graph;
-use crate::node::NodeId;
+use crate::node::{NodeId, NodeTypeId};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::mem::size_of;
 
-/// One node's adjacency as shipped over the (simulated) network.
+/// Bytes of one encoded edge: `u32` neighbour id + `f64` probability.
+pub const EDGE_BYTES: usize = 12;
+
+/// Encoded size of a block with these degrees: the three `u32` fields plus
+/// [`EDGE_BYTES`] per edge.
+pub const fn encoded_len(out_degree: usize, in_degree: usize) -> usize {
+    12 + (out_degree + in_degree) * EDGE_BYTES
+}
+
+/// Resident bytes of a node with these degrees in an AP-side active set —
+/// the same quantity [`Graph::node_footprint_bytes`] reports, computed from
+/// the shipped adjacency alone so the active processor can account
+/// active-set sizes (paper Fig. 12) bit-identically to a single-machine run
+/// without holding the graph.
+pub const fn footprint_bytes(out_degree: usize, in_degree: usize) -> usize {
+    size_of::<NodeId>()
+        + size_of::<NodeTypeId>()
+        + (out_degree + in_degree) * (size_of::<NodeId>() + size_of::<f64>())
+}
+
+fn put_edges(buf: &mut impl BufMut, len: usize, edges: impl Iterator<Item = (NodeId, f64)>) {
+    buf.put_u32_le(len as u32);
+    for (n, p) in edges {
+        let mut edge = [0u8; EDGE_BYTES];
+        edge[..4].copy_from_slice(&n.0.to_le_bytes());
+        edge[4..].copy_from_slice(&p.to_le_bytes());
+        buf.put_slice(&edge);
+    }
+}
+
+/// Append the block of `v` to `buf`, read straight from the graph's CSR.
+pub fn encode_node(g: &Graph, v: NodeId, buf: &mut Vec<u8>) {
+    buf.put_u32_le(v.0);
+    put_edges(buf, g.out_degree(v), g.out_edges(v));
+    put_edges(buf, g.in_degree(v), g.in_edges(v));
+}
+
+fn split_u32(bytes: &[u8]) -> Option<(u32, &[u8])> {
+    let (head, rest) = bytes.split_first_chunk::<4>()?;
+    Some((u32::from_le_bytes(*head), rest))
+}
+
+/// Split one length-prefixed edge list off the front of `bytes`. `None`
+/// when the prefix or any of the edges it announces is missing; the length
+/// is checked against the bytes present before anything is sized by it.
+fn split_edges(bytes: &[u8]) -> Option<(&[[u8; EDGE_BYTES]], &[u8])> {
+    let (len, rest) = split_u32(bytes)?;
+    let (edges, rest) = rest.split_at_checked((len as usize).checked_mul(EDGE_BYTES)?)?;
+    Some((edges.as_chunks().0, rest))
+}
+
+/// One encoded block read in place: nothing is copied or allocated, the
+/// edge lists stay the bytes they arrived as.
+#[derive(Clone, Copy, Debug)]
+pub struct BlockView<'a> {
+    node: NodeId,
+    out_edges: &'a [[u8; EDGE_BYTES]],
+    in_edges: &'a [[u8; EDGE_BYTES]],
+}
+
+impl<'a> BlockView<'a> {
+    /// The block at the front of `bytes` (which may continue past it), or
+    /// `None` if `bytes` ends before the block does. Total: no input panics.
+    pub fn parse(bytes: &'a [u8]) -> Option<Self> {
+        let (node, rest) = split_u32(bytes)?;
+        let (out_edges, rest) = split_edges(rest)?;
+        let (in_edges, _) = split_edges(rest)?;
+        Some(BlockView {
+            node: NodeId(node),
+            out_edges,
+            in_edges,
+        })
+    }
+
+    /// The node this block describes.
+    pub fn node(&self) -> NodeId {
+        self.node
+    }
+
+    /// Number of out-edges.
+    pub fn out_degree(&self) -> usize {
+        self.out_edges.len()
+    }
+
+    /// Number of in-edges.
+    pub fn in_degree(&self) -> usize {
+        self.in_edges.len()
+    }
+
+    /// Out-edges `(target, M[node][target])`, in encoded (ascending) order.
+    pub fn out_edges(&self) -> Edges<'a> {
+        Edges(self.out_edges.iter())
+    }
+
+    /// In-edges `(source, M[source][node])`, in encoded (ascending) order.
+    pub fn in_edges(&self) -> Edges<'a> {
+        Edges(self.in_edges.iter())
+    }
+
+    /// Bytes this block occupies on the wire.
+    pub fn encoded_len(&self) -> usize {
+        encoded_len(self.out_degree(), self.in_degree())
+    }
+
+    /// See [`footprint_bytes`].
+    pub fn footprint_bytes(&self) -> usize {
+        footprint_bytes(self.out_degree(), self.in_degree())
+    }
+
+    /// Copy into the owned form.
+    pub fn to_block(&self) -> NodeBlock {
+        NodeBlock {
+            node: self.node,
+            out_edges: self.out_edges().collect(),
+            in_edges: self.in_edges().collect(),
+        }
+    }
+}
+
+/// Iterator over one encoded edge list, decoding `(neighbour, probability)`
+/// from each 12-byte entry as it goes.
+#[derive(Clone, Debug)]
+pub struct Edges<'a>(std::slice::Iter<'a, [u8; EDGE_BYTES]>);
+
+impl Iterator for Edges<'_> {
+    type Item = (NodeId, f64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(NodeId, f64)> {
+        let e = self.0.next()?;
+        let id = u32::from_le_bytes([e[0], e[1], e[2], e[3]]);
+        let prob = f64::from_le_bytes([e[4], e[5], e[6], e[7], e[8], e[9], e[10], e[11]]);
+        Some((NodeId(id), prob))
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Edges<'_> {}
+
+/// The whole blocks at the front of `bytes`, each with the byte offset it
+/// starts at. Stops at the first block `bytes` does not hold completely, so
+/// a truncated or garbage tail is never yielded (and never panics).
+pub fn blocks(bytes: &[u8]) -> Blocks<'_> {
+    Blocks { bytes, offset: 0 }
+}
+
+/// Iterator returned by [`blocks`].
+#[derive(Clone, Debug)]
+pub struct Blocks<'a> {
+    bytes: &'a [u8],
+    offset: usize,
+}
+
+impl<'a> Iterator for Blocks<'a> {
+    type Item = (usize, BlockView<'a>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let view = BlockView::parse(&self.bytes[self.offset..])?;
+        let at = self.offset;
+        self.offset += view.encoded_len();
+        Some((at, view))
+    }
+}
+
+/// One node's adjacency in owned form.
 #[derive(Clone, Debug, PartialEq)]
 pub struct NodeBlock {
     /// The node this block describes.
@@ -41,37 +223,20 @@ impl NodeBlock {
 
     /// Encoded size in bytes.
     pub fn encoded_len(&self) -> usize {
-        4 + 4 + self.out_edges.len() * 12 + 4 + self.in_edges.len() * 12
+        encoded_len(self.out_edges.len(), self.in_edges.len())
     }
 
-    /// Resident bytes of this node in an AP-side active set — the same
-    /// quantity [`Graph::node_footprint_bytes`] reports, computed from the
-    /// shipped adjacency alone so the active processor can account active-set
-    /// sizes (paper Fig. 12) bit-identically to a single-machine run without
-    /// holding the graph.
+    /// See [`footprint_bytes`].
     pub fn footprint_bytes(&self) -> usize {
-        use crate::node::NodeTypeId;
-        use std::mem::size_of;
-        size_of::<NodeId>()
-            + size_of::<NodeTypeId>()
-            + self.out_edges.len() * (size_of::<NodeId>() + size_of::<f64>())
-            + self.in_edges.len() * (size_of::<NodeId>() + size_of::<f64>())
+        footprint_bytes(self.out_edges.len(), self.in_edges.len())
     }
 
     /// Append the encoding of this block to `buf`.
     pub fn encode(&self, buf: &mut BytesMut) {
         buf.reserve(self.encoded_len());
         buf.put_u32_le(self.node.0);
-        buf.put_u32_le(self.out_edges.len() as u32);
-        for &(t, p) in &self.out_edges {
-            buf.put_u32_le(t.0);
-            buf.put_f64_le(p);
-        }
-        buf.put_u32_le(self.in_edges.len() as u32);
-        for &(s, p) in &self.in_edges {
-            buf.put_u32_le(s.0);
-            buf.put_f64_le(p);
-        }
+        put_edges(buf, self.out_edges.len(), self.out_edges.iter().copied());
+        put_edges(buf, self.in_edges.len(), self.in_edges.iter().copied());
     }
 
     /// Decode one block from the front of `buf`, advancing it.
@@ -79,35 +244,9 @@ impl NodeBlock {
     /// Returns `None` if the buffer is truncated (never panics on short
     /// input — a striped response may legitimately be empty).
     pub fn decode(buf: &mut Bytes) -> Option<Self> {
-        if buf.remaining() < 8 {
-            return None;
-        }
-        let node = NodeId(buf.get_u32_le());
-        let out_len = buf.get_u32_le() as usize;
-        if buf.remaining() < out_len * 12 + 4 {
-            return None;
-        }
-        let mut out_edges = Vec::with_capacity(out_len);
-        for _ in 0..out_len {
-            let t = NodeId(buf.get_u32_le());
-            let p = buf.get_f64_le();
-            out_edges.push((t, p));
-        }
-        let in_len = buf.get_u32_le() as usize;
-        if buf.remaining() < in_len * 12 {
-            return None;
-        }
-        let mut in_edges = Vec::with_capacity(in_len);
-        for _ in 0..in_len {
-            let s = NodeId(buf.get_u32_le());
-            let p = buf.get_f64_le();
-            in_edges.push((s, p));
-        }
-        Some(NodeBlock {
-            node,
-            out_edges,
-            in_edges,
-        })
+        let block = BlockView::parse(buf.chunk())?.to_block();
+        buf.advance(block.encoded_len());
+        Some(block)
     }
 
     /// Encode a batch of blocks into one buffer (a GP response payload).
@@ -121,12 +260,8 @@ impl NodeBlock {
     }
 
     /// Decode a whole buffer of concatenated blocks.
-    pub fn decode_batch(mut buf: Bytes) -> Vec<NodeBlock> {
-        let mut out = Vec::new();
-        while let Some(b) = NodeBlock::decode(&mut buf) {
-            out.push(b);
-        }
-        out
+    pub fn decode_batch(buf: Bytes) -> Vec<NodeBlock> {
+        blocks(buf.as_slice()).map(|(_, b)| b.to_block()).collect()
     }
 }
 
@@ -232,6 +367,77 @@ mod tests {
             assert_eq!(want.to_bits(), got.to_bits(), "{want} mangled to {got}");
         }
         assert_eq!(decoded.node, NodeId(u32::MAX));
+        // The in-place view hands out the same bits without decoding.
+        let mut buf = BytesMut::new();
+        block.encode(&mut buf);
+        let view = BlockView::parse(buf.as_slice()).unwrap();
+        assert_eq!(view.node(), NodeId(u32::MAX));
+        assert_eq!(view.out_edges().len(), probs.len());
+        for ((id, want), (got_id, got)) in block.out_edges.iter().zip(view.out_edges()) {
+            assert_eq!(*id, got_id);
+            assert_eq!(want.to_bits(), got.to_bits(), "{want} mangled to {got}");
+        }
+    }
+
+    #[test]
+    fn graph_writer_owned_form_and_view_are_one_format() {
+        let (g, _) = fig2_toy();
+        for v in g.nodes() {
+            let block = NodeBlock::extract(&g, v);
+            let mut owned = BytesMut::new();
+            block.encode(&mut owned);
+            let mut direct = Vec::new();
+            encode_node(&g, v, &mut direct);
+            assert_eq!(owned.as_slice(), direct);
+            let view = BlockView::parse(&direct).unwrap();
+            assert_eq!(view.to_block(), block);
+            assert_eq!(view.out_degree(), g.out_degree(v));
+            assert_eq!(view.in_degree(), g.in_degree(v));
+            assert_eq!(view.encoded_len(), direct.len());
+            assert_eq!(view.footprint_bytes(), g.node_footprint_bytes(v));
+        }
+    }
+
+    #[test]
+    fn block_walk_is_total_on_truncated_and_hostile_input() {
+        let (g, _) = fig2_toy();
+        let originals: Vec<_> = g.nodes().map(|v| NodeBlock::extract(&g, v)).collect();
+        let full = NodeBlock::encode_batch(&originals);
+        let full = full.as_slice();
+        // Cut anywhere: the walk yields exactly the blocks that fit, at the
+        // offsets they sit at, and nothing of the partial one.
+        let mut ends = vec![0];
+        for block in &originals {
+            ends.push(ends[ends.len() - 1] + block.encoded_len());
+        }
+        for cut in 0..=full.len() {
+            let walked: Vec<_> = blocks(&full[..cut]).collect();
+            assert_eq!(walked.len(), ends.iter().filter(|&&e| e <= cut).count() - 1);
+            for (i, (at, view)) in walked.into_iter().enumerate() {
+                assert_eq!(at, ends[i], "cut {cut}");
+                assert_eq!(view.to_block(), originals[i], "cut {cut}");
+            }
+        }
+        // Length fields far beyond the bytes present are refused before
+        // anything is sized by them — in the view and in the owned decode.
+        let lying = |out_len: u32, in_len: u32| {
+            let mut bytes = vec![];
+            bytes.extend_from_slice(&3u32.to_le_bytes());
+            bytes.extend_from_slice(&out_len.to_le_bytes());
+            bytes.extend_from_slice(&[7u8; 12].repeat(out_len.min(2) as usize));
+            bytes.extend_from_slice(&in_len.to_le_bytes());
+            bytes.extend_from_slice(&[7u8; 30]);
+            bytes
+        };
+        for bytes in [lying(u32::MAX, 0), lying(2, u32::MAX), lying(3, 0)] {
+            assert!(BlockView::parse(&bytes).is_none());
+            assert_eq!(blocks(&bytes).count(), 0);
+            assert!(NodeBlock::decode(&mut Bytes::from(bytes)).is_none());
+        }
+        // Garbage behind good blocks ends the walk; the good blocks stand.
+        let mut trailing = full.to_vec();
+        trailing.extend_from_slice(&[0xFF; 17]);
+        assert_eq!(blocks(&trailing).count(), originals.len());
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!    documented with an adjacent `// invariant:` comment. Bench
 //!    binaries and test modules are exempt.
 //! 3. **hot-path-collections** — no `std` `HashMap`/`HashSet` in the
-//!    per-query compute layer (core/topk/graph src): the PR-2
-//!    regression class that `SparseMap` exists to prevent.
+//!    per-query compute layer (core/topk/graph/distributed src): the PR-2
+//!    regression class that `SparseMap` exists to prevent, and the two
+//!    per-block hash maps that were the `dist_cold` budget before PR 18.
 //! 4. **missing-docs-attr** — every first-party library crate root
 //!    carries `#![deny(missing_docs)]`.
 //! 5. **shim-parity** — every `pub` item the vendored `loom-shim`
@@ -70,7 +71,7 @@ pub const EXPECT_CRATES: &[&str] = &[
 
 /// Crates whose src trees form the per-query hot path where `std`
 /// hash collections are banned in favor of `SparseMap`/dense layouts.
-pub const HOT_PATH_CRATES: &[&str] = &["core", "topk", "graph"];
+pub const HOT_PATH_CRATES: &[&str] = &["core", "topk", "graph", "distributed"];
 
 /// How many preceding lines an `// ordering:` / `// invariant:` marker
 /// may sit above its annotated line (multi-line comments included).

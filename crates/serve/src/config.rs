@@ -2,7 +2,7 @@
 
 use crate::backend::Backend;
 use rtr_core::RankParams;
-use rtr_distributed::{DEFAULT_MAX_BLOCKS, DEFAULT_PREFETCH_LIMIT};
+use rtr_distributed::{DEFAULT_CACHE_BYTES, DEFAULT_PREFETCH_LIMIT};
 use rtr_topk::{Scheme, TopKConfig};
 
 /// Configuration of a [`crate::ServeEngine`]: pool size, the execution
@@ -43,11 +43,12 @@ pub struct ServeConfig {
     /// [`rtr_distributed::BlockCache`] (0 disables prefetching). Only read
     /// by distributed backends; see [`rtr_distributed::BlockCache::with_limits`].
     pub block_prefetch_limit: usize,
-    /// Cross-query residency budget (in blocks) of each worker's AP-side
-    /// block cache: the cache clears itself between queries once it
-    /// exceeds this, so 0 means no block survives its query. Only read by
+    /// Cross-query residency budget (in bytes) of each worker's AP-side
+    /// block cache: between queries the cache drops its older generation
+    /// once the younger has passed half of this, so blocks that keep being
+    /// touched stay and 0 means no block survives its query. Only read by
     /// distributed backends.
-    pub block_cache_blocks: usize,
+    pub block_cache_bytes: usize,
     /// Record serving metrics (scheduler counters, per-measure latency
     /// histograms, distributed wire counters) into the engine's
     /// [`rtr_obs::Registry`], rendered by
@@ -78,7 +79,7 @@ impl Default for ServeConfig {
             cache_capacity: 0,
             cache_shards: 16,
             block_prefetch_limit: DEFAULT_PREFETCH_LIMIT,
-            block_cache_blocks: DEFAULT_MAX_BLOCKS,
+            block_cache_bytes: DEFAULT_CACHE_BYTES,
             metrics: false,
             tracing: false,
         }
@@ -125,13 +126,13 @@ impl ServeConfig {
 
     /// This configuration with explicit per-worker block-cache knobs for
     /// distributed backends: `prefetch_limit` caps speculative fetches per
-    /// frontier round, `max_blocks` bounds cross-query block residency
+    /// frontier round, `budget_bytes` bounds cross-query block residency
     /// (see [`ServeConfig::block_prefetch_limit`] /
-    /// [`ServeConfig::block_cache_blocks`]). Pure performance knobs —
+    /// [`ServeConfig::block_cache_bytes`]). Pure performance knobs —
     /// answers stay bit-identical at any setting.
-    pub fn with_block_cache_limits(mut self, prefetch_limit: usize, max_blocks: usize) -> Self {
+    pub fn with_block_cache_limits(mut self, prefetch_limit: usize, budget_bytes: usize) -> Self {
         self.block_prefetch_limit = prefetch_limit;
-        self.block_cache_blocks = max_blocks;
+        self.block_cache_bytes = budget_bytes;
         self
     }
 
@@ -252,9 +253,9 @@ impl ServeConfigBuilder {
 
     /// Per-worker block-cache knobs for distributed backends (see
     /// [`ServeConfig::with_block_cache_limits`]).
-    pub fn block_cache_limits(mut self, prefetch_limit: usize, max_blocks: usize) -> Self {
+    pub fn block_cache_limits(mut self, prefetch_limit: usize, budget_bytes: usize) -> Self {
         self.config.block_prefetch_limit = prefetch_limit;
-        self.config.block_cache_blocks = max_blocks;
+        self.config.block_cache_bytes = budget_bytes;
         self
     }
 
@@ -394,16 +395,16 @@ mod tests {
     fn block_cache_builders_apply() {
         let d = ServeConfig::default();
         assert_eq!(d.block_prefetch_limit, DEFAULT_PREFETCH_LIMIT);
-        assert_eq!(d.block_cache_blocks, DEFAULT_MAX_BLOCKS);
+        assert_eq!(d.block_cache_bytes, DEFAULT_CACHE_BYTES);
         let c = ServeConfig::default().with_block_cache_limits(32, 1024);
         assert_eq!(c.block_prefetch_limit, 32);
-        assert_eq!(c.block_cache_blocks, 1024);
+        assert_eq!(c.block_cache_bytes, 1024);
         let c = ServeConfig::builder()
             .block_cache_limits(0, 8)
             .build()
             .unwrap();
         assert_eq!(c.block_prefetch_limit, 0, "0 = prefetching off, valid");
-        assert_eq!(c.block_cache_blocks, 8);
+        assert_eq!(c.block_cache_bytes, 8);
     }
 
     #[test]

@@ -1218,8 +1218,8 @@ mod tests {
             .with_backend(Backend::Distributed { gps: 2 });
         let requests: Vec<QueryRequest> = g.nodes().map(QueryRequest::node).collect();
         let reference = run_serial_requests(&g, &base, &requests);
-        for (prefetch, blocks) in [(0, 0), (1, 2), (512, 1 << 20)] {
-            let tuned = base.with_block_cache_limits(prefetch, blocks);
+        for (prefetch, bytes) in [(0, 0), (1, 100), (512, 1 << 20)] {
+            let tuned = base.with_block_cache_limits(prefetch, bytes);
             let engine = ServeEngine::start(Arc::clone(&g), tuned);
             let served = engine.run_requests(&requests);
             for (s, r) in served.iter().zip(&reference) {

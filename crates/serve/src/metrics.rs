@@ -260,7 +260,7 @@ impl ServeMetrics {
             evictions: registry.counter_with(
                 "rtr_dist_block_cache_evictions_total",
                 &labels,
-                "Resident blocks dropped over budget between queries, per AP worker.",
+                "Resident blocks dropped with their generation over the byte budget, per AP worker.",
             ),
             invalidations: registry.counter_with(
                 "rtr_dist_block_cache_invalidations_total",

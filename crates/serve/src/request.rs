@@ -327,7 +327,7 @@ impl ServeWorkspace {
     /// A workspace pre-sized like [`ServeWorkspace::with_capacity`] whose
     /// AP-side block cache runs with the engine-configured limits
     /// ([`ServeConfig::block_prefetch_limit`] /
-    /// [`ServeConfig::block_cache_blocks`]) instead of the crate defaults.
+    /// [`ServeConfig::block_cache_bytes`]) instead of the crate defaults.
     /// This is how every pool worker builds its workspace; local backends
     /// never touch `dist`, so the knobs are inert for them.
     pub fn for_engine(n: usize, config: &ServeConfig) -> Self {
@@ -336,7 +336,7 @@ impl ServeWorkspace {
             iter: IterWorkspace::with_capacity(n),
             dist: DistributedWorkspace::with_cache(BlockCache::with_limits(
                 config.block_prefetch_limit,
-                config.block_cache_blocks,
+                config.block_cache_bytes,
             )),
         }
     }

@@ -17,9 +17,9 @@ use rtr_core::prelude::*;
 use rtr_core::Measure;
 use rtr_datagen::{BibNet, BibNetConfig, QLog, QLogConfig};
 use rtr_distributed::{
-    DistributedTwoSBound, DistributedTwoSBoundPlus, DistributedWorkspace, GpCluster,
+    BlockCache, DistributedTwoSBound, DistributedTwoSBoundPlus, DistributedWorkspace, GpCluster,
 };
-use rtr_graph::{Graph, NodeId};
+use rtr_graph::{AdjacencyError, Graph, NodeId};
 use rtr_integration_tests::SEED;
 use rtr_serve::{
     run_serial_requests, Backend, BackendKind, QueryRequest, ServeConfig, ServeEngine,
@@ -193,6 +193,102 @@ fn warm_cache_reduces_wire_cost_without_changing_answers() {
         );
         assert!(cold_stats.bytes_transferred > 0, "query {q:?}");
     }
+}
+
+/// A query whose active set alone is larger than the whole block budget
+/// keeps every block it touched until it finishes: the answer is the local
+/// one and the accounting holds, query after query. Between queries such a
+/// generation is over budget on its own and is dropped, so each query pays
+/// exactly what a fresh workspace pays.
+#[test]
+fn queries_larger_than_the_block_budget_stay_exact() {
+    let net = BibNet::generate(&BibNetConfig::tiny(), SEED + 12);
+    let g = &net.graph;
+    let params = RankParams::default();
+    let cluster = GpCluster::spawn(g, 3);
+    let engine = DistributedTwoSBound::new(params, cfg());
+    const BUDGET: usize = 2048;
+    let mut ws = DistributedWorkspace::with_cache(BlockCache::with_limits(64, BUDGET));
+    for q in queries(g, 6, SEED + 12) {
+        let local = TwoSBound::new(params, cfg()).run(g, q).expect("local");
+        let (dist, stats) = engine.run_with(&cluster, q, &mut ws).expect("distributed");
+        assert_eq!(local.ranking, dist.ranking, "query {q:?}");
+        assert_eq!(local.bounds, dist.bounds, "query {q:?}");
+        assert_eq!(local.expansions, dist.expansions, "query {q:?}");
+        assert_eq!(local.active, dist.active, "query {q:?}");
+        assert!(
+            stats.active_bytes > BUDGET,
+            "query {q:?} fits the budget ({} B): the test no longer tests anything",
+            stats.active_bytes
+        );
+        assert_eq!(
+            stats.active_nodes,
+            stats.blocks_fetched + stats.blocks_from_cache,
+            "query {q:?}"
+        );
+        // Nothing the query touched was dropped under it ...
+        assert!(
+            ws.cache.resident_bytes() >= stats.active_bytes,
+            "query {q:?}"
+        );
+        // ... and nothing the previous one left was still there.
+        let cold_cache = BlockCache::with_limits(64, BUDGET);
+        let (_, cold) = engine
+            .run_with(
+                &cluster,
+                q,
+                &mut DistributedWorkspace::with_cache(cold_cache),
+            )
+            .expect("cold");
+        assert_eq!(stats, cold, "query {q:?}");
+    }
+}
+
+/// A GP that fails a fetch in the middle of a query surfaces as the typed
+/// error, and the blocks the query had already taken in stay usable: the
+/// same workspace answers the next query exactly.
+#[test]
+fn a_failed_fetch_mid_query_is_typed_and_the_workspace_recovers() {
+    let net = BibNet::generate(&BibNetConfig::tiny(), SEED + 13);
+    let g = &net.graph;
+    let params = RankParams::default();
+    let cluster = GpCluster::spawn(g, 3);
+    let engine = DistributedTwoSBound::new(params, cfg());
+    let mut ws = DistributedWorkspace::new();
+    // A query node GP 0 owns: the first round asks GP 0 alone, so a fault
+    // armed on GP 1 fires in a later round, with blocks already resident.
+    let q = queries(g, 64, SEED + 13)
+        .into_iter()
+        .find(|v| v.index() % 3 == 0)
+        .expect("a query node on GP 0");
+    cluster.fail_next_fetch(1);
+    let err = engine
+        .run_with(&cluster, q, &mut ws)
+        .expect_err("injected fault");
+    match err {
+        CoreError::Adjacency(AdjacencyError::SourceUnavailable { detail }) => {
+            assert!(detail.contains("graph processor 1"), "got: {detail}")
+        }
+        other => panic!("expected SourceUnavailable, got {other:?}"),
+    }
+    assert!(!ws.cache.is_empty(), "the fault hit after the first round");
+    let local = TwoSBound::new(params, cfg()).run(g, q).expect("local");
+    let (cold, _) = engine.run(&cluster, q).expect("fresh workspace");
+    let (dist, stats) = engine.run_with(&cluster, q, &mut ws).expect("recovered");
+    for other in [&cold, &dist] {
+        assert_eq!(local.ranking, other.ranking);
+        assert_eq!(local.bounds, other.bounds);
+        assert_eq!(local.expansions, other.expansions);
+        assert_eq!(local.active, other.active);
+    }
+    assert_eq!(
+        stats.active_nodes,
+        stats.blocks_fetched + stats.blocks_from_cache
+    );
+    assert!(
+        stats.blocks_from_cache > 0,
+        "the half-finished query's blocks serve"
+    );
 }
 
 #[test]

@@ -13,8 +13,11 @@ use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use rtr_core::prelude::*;
 use rtr_datagen::{BibNet, BibNetConfig, QLog, QLogConfig};
-use rtr_distributed::{DistributedTwoSBound, DistributedTwoSBoundPlus, GpCluster};
-use rtr_graph::{Graph, GraphBuilder, NodeId};
+use rtr_distributed::{
+    ActiveGraph, BlockCache, DistributedTwoSBound, DistributedTwoSBoundPlus, GpCluster, ReplySlot,
+};
+use rtr_graph::wire::{BlockView, NodeBlock};
+use rtr_graph::{AdjacencyAccess, FetchHint, Graph, GraphBuilder, NodeId};
 use rtr_integration_tests::SEED;
 use rtr_topk::fbound::{FBoundMode, FNeighborhood};
 use rtr_topk::prelude::*;
@@ -361,6 +364,54 @@ proptest! {
                 .run(&cluster, q)
                 .expect("distributed RTR+");
             check_bit_identical(&local, &dist)?;
+        }
+    }
+
+    // The AP serves adjacency straight from the bytes a GP sent. For every
+    // node of a random graph that byte view must be the graph's own
+    // adjacency — same neighbours in the same order, probabilities equal
+    // bit for bit — and must agree with the owned decoder on the same
+    // bytes, at any GP count.
+    #[test]
+    fn paged_byte_view_equals_the_graph_for_every_node(
+        kind in 0..3u8,
+        seed in 0..u64::MAX,
+        gps in 1..4usize,
+    ) {
+        let g = &random_graph(kind, seed);
+        let cluster = GpCluster::spawn(g, gps);
+        let (mut cache, mut slot) = (BlockCache::new(), ReplySlot::new());
+        let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
+        let all: Vec<u32> = g.nodes().map(|v| v.0).collect();
+        active.ensure(&all, FetchHint::Demand).expect("healthy cluster");
+        prop_assert_eq!(active.blocks_fetched(), g.node_count());
+        let bits = |edges: Vec<(NodeId, f64)>| -> Vec<(NodeId, u64)> {
+            edges.into_iter().map(|(n, p)| (n, p.to_bits())).collect()
+        };
+        for v in g.nodes() {
+            prop_assert_eq!(active.out_degree(v), g.out_degree(v));
+            prop_assert_eq!(active.in_degree(v), g.in_degree(v));
+            prop_assert_eq!(active.node_footprint_bytes(v), g.node_footprint_bytes(v));
+            prop_assert_eq!(
+                bits(active.out_edges(v).collect()),
+                bits(g.out_edges(v).collect())
+            );
+            prop_assert_eq!(
+                bits(active.in_edges(v).collect()),
+                bits(g.in_edges(v).collect())
+            );
+        }
+        // The same bytes through the owned decoder.
+        let mut slot = ReplySlot::new();
+        let wanted: Vec<NodeId> = g.nodes().collect();
+        for payload in cluster.fetch(&wanted, &mut slot).expect("healthy cluster") {
+            let mut rest = bytes::Bytes::from(payload.clone());
+            while let Some(view) = BlockView::parse(rest.as_slice()) {
+                let (node, owned) = (view.node(), view.to_block());
+                prop_assert_eq!(&owned, &NodeBlock::extract(g, node));
+                prop_assert_eq!(NodeBlock::decode(&mut rest), Some(owned));
+            }
+            prop_assert!(rest.is_empty());
         }
     }
 }
