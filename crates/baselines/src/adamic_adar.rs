@@ -28,7 +28,7 @@ impl AdamicAdar {
     fn compute_single(g: &Graph, q: rtr_graph::NodeId) -> ScoreVec {
         let mut scores = ScoreVec::zeros(g.node_count());
         for z in g.undirected_neighbors(q) {
-            let degree = g.undirected_neighbors(z).len();
+            let degree = g.undirected_neighbors(z).count();
             if degree < 2 {
                 // log(1) = 0 would divide by zero; a degree-1 neighbor is
                 // only connected to q anyway and witnesses nothing.

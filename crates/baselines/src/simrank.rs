@@ -56,6 +56,7 @@ impl SimRank {
         for (i, row) in cur.iter_mut().enumerate() {
             row[i] = 1.0;
         }
+        let ins: Vec<Vec<NodeId>> = g.nodes().map(|v| g.in_neighbors(v).collect()).collect();
         for _ in 0..iterations {
             let mut next = vec![vec![0.0f64; n]; n];
             // Symmetric triangular update writes next[a][b] and next[b][a].
@@ -63,8 +64,7 @@ impl SimRank {
             for a in 0..n {
                 next[a][a] = 1.0;
                 for b in (a + 1)..n {
-                    let ia = g.in_neighbors(NodeId(a as u32));
-                    let ib = g.in_neighbors(NodeId(b as u32));
+                    let (ia, ib) = (&ins[a], &ins[b]);
                     if ia.is_empty() || ib.is_empty() {
                         continue;
                     }
@@ -98,13 +98,9 @@ impl SimRank {
                 let mut track = Vec::with_capacity(self.horizon + 1);
                 track.push(pos);
                 for _ in 0..self.horizon {
-                    pos = pos.and_then(|p| {
-                        let ins = g.in_neighbors(p);
-                        if ins.is_empty() {
-                            None
-                        } else {
-                            Some(ins[rng.gen_range(0..ins.len())])
-                        }
+                    pos = pos.and_then(|p| match g.in_degree(p) {
+                        0 => None,
+                        d => g.in_neighbors(p).nth(rng.gen_range(0..d)),
                     });
                     track.push(pos);
                 }

@@ -29,19 +29,20 @@
 //! answer.
 //!
 //! The wire layer is where the distributed work happens, and on it a node
-//! block is one thing only — its wire bytes. A GP keeps its stripe
-//! pre-encoded in one arena and answers a fetch by copying the wanted
-//! blocks into the reply buffer; the buffer crosses the channel as is; the
-//! AP appends it to the arena of its cross-query [`BlockCache`] (keyed to
-//! the graph epoch, two generations under a byte budget) and serves edges,
-//! degrees and the frontier-prefetch scan by reading those bytes in place.
-//! Two copies per block, no decode, no hash map. One [`GpCluster`] is
-//! `Send + Sync` and serves any number of concurrent APs. A per-worker
-//! [`DistributedWorkspace`] owns everything the block path reuses — the
-//! reply channel of its [`ReplySlot`] and the id lists and payload buffers
-//! that travel through it, the cache arenas, the engine buffers — so once
-//! those have grown to the working set's size, fetching, caching and
-//! reading blocks allocates nothing.
+//! block is one thing only — its wire bytes, which are also how the
+//! [`rtr_graph::Graph`] stores its adjacency. A GP's stripe is the ids it
+//! owns over the graph's shared block arena; it answers a fetch by copying
+//! the wanted blocks into the reply buffer; the buffer crosses the channel
+//! as is; the AP appends it to the arena of its cross-query [`BlockCache`]
+//! (keyed to the graph epoch, two generations under a byte budget) and
+//! serves edges, degrees and the frontier-prefetch scan by reading those
+//! bytes in place. Two copies per block, no encode, no decode, no hash
+//! map. One [`GpCluster`] is `Send + Sync` and serves any number of
+//! concurrent APs. A per-worker [`DistributedWorkspace`] owns everything
+//! the block path reuses — the reply channel of its [`ReplySlot`] and the
+//! id lists and payload buffers that travel through it, the cache arenas,
+//! the engine buffers — so once those have grown to the working set's
+//! size, fetching, caching and reading blocks allocates nothing.
 //!
 //! ## Modules
 //!

@@ -5,13 +5,15 @@
 //! units. In our case, the graph is segmented across multiple GPs... in a
 //! round-robin fashion."
 //!
-//! A stripe is stored the way it is served: one byte arena holding the
-//! [`rtr_graph::wire`] encoding of every owned node in ascending id order,
-//! plus an offset table addressed by `v / gps`. Answering a fetch is a
+//! A stripe is the set of node ids a GP owns, over the graph's own block
+//! arena ([`rtr_graph::wire::BlockArena`]): the graph is already stored the
+//! way it is served, so an in-process GP shares the arena (a clone of it
+//! is two `Arc`s) and holds no copy of any edge. Answering a fetch is a
 //! `memcpy` of each wanted block into the reply — nothing is encoded,
 //! hashed or cloned per request.
 
-use rtr_graph::{wire, Graph, NodeId};
+use rtr_graph::wire::BlockArena;
+use rtr_graph::{Graph, NodeId};
 
 /// The striping function: node → GP index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,42 +35,26 @@ impl Striping {
         (v.0 as usize) % self.gps
     }
 
-    /// Partition a graph into per-GP stores, encoding every node's block
-    /// once, straight from the CSR into its owner's arena.
+    /// Partition a graph into per-GP stores, each a view of the graph's
+    /// block arena restricted to the nodes it owns.
     pub fn partition(&self, g: &Graph) -> Vec<GpStore> {
-        let mut bytes = vec![0usize; self.gps];
-        for v in g.nodes() {
-            bytes[self.owner(v)] += wire::encoded_len(g.out_degree(v), g.in_degree(v));
-        }
-        let mut stores: Vec<GpStore> = bytes
-            .iter()
-            .enumerate()
-            .map(|(index, &bytes)| GpStore {
+        (0..self.gps)
+            .map(|index| GpStore {
                 index,
                 striping: *self,
-                arena: Vec::with_capacity(bytes),
-                offsets: vec![0],
+                blocks: g.blocks().clone(),
             })
-            .collect();
-        for v in g.nodes() {
-            let store = &mut stores[self.owner(v)];
-            wire::encode_node(g, v, &mut store.arena);
-            store.offsets.push(store.arena.len());
-        }
-        stores
+            .collect()
     }
 }
 
-/// One GP's in-memory stripe: the encoded blocks of the nodes it owns.
+/// One GP's stripe: the nodes it owns, served from the shared block arena.
 #[derive(Clone, Debug)]
 pub struct GpStore {
     /// This GP's index.
     pub index: usize,
     striping: Striping,
-    /// The owned nodes' blocks, concatenated in ascending id order.
-    arena: Vec<u8>,
-    /// Block `i` (node `index + i * gps`) is `arena[offsets[i]..offsets[i + 1]]`.
-    offsets: Vec<usize>,
+    blocks: BlockArena,
 }
 
 impl GpStore {
@@ -77,8 +63,7 @@ impl GpStore {
         if self.striping.owner(v) != self.index {
             return None;
         }
-        let i = v.0 as usize / self.striping.gps;
-        Some(&self.arena[*self.offsets.get(i)?..*self.offsets.get(i + 1)?])
+        self.blocks.get(v)
     }
 
     /// Append the blocks this GP owns among `wanted` to `reply`, in request
@@ -92,9 +77,16 @@ impl GpStore {
         }
     }
 
-    /// Number of nodes stored.
+    /// The ids this GP owns, ascending.
+    fn owned_ids(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        (self.index..self.blocks.len())
+            .step_by(self.striping.gps)
+            .map(NodeId::from_index)
+    }
+
+    /// Number of nodes owned.
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.owned_ids().len()
     }
 
     /// Whether this stripe is empty.
@@ -102,9 +94,13 @@ impl GpStore {
         self.len() == 0
     }
 
-    /// Resident bytes of this stripe (wire encoding size).
+    /// Bytes of the owned nodes' blocks (their wire encoding size). The
+    /// arena they live in is shared with the graph, not held per stripe.
     pub fn bytes(&self) -> usize {
-        self.arena.len()
+        self.owned_ids()
+            .filter_map(|v| self.blocks.get(v))
+            .map(<[u8]>::len)
+            .sum()
     }
 }
 
@@ -112,7 +108,7 @@ impl GpStore {
 mod tests {
     use super::*;
     use rtr_graph::toy::fig2_toy;
-    use rtr_graph::wire::NodeBlock;
+    use rtr_graph::wire::{self, NodeBlock};
 
     #[test]
     fn round_robin_assignment() {
@@ -157,6 +153,24 @@ mod tests {
         let found = stores.iter().filter(|s| s.lookup(ids.v1).is_some()).count();
         assert_eq!(found, 1);
         assert!(stores.iter().all(|s| s.lookup(NodeId(9999)).is_none()));
+    }
+
+    #[test]
+    fn stripes_are_views_of_the_graph_arena() {
+        let (g, _) = fig2_toy();
+        let arena = g.blocks().as_bytes().as_ptr_range();
+        let mut bytes = 0;
+        for store in Striping::new(3).partition(&g) {
+            assert!(BlockArena::ptr_eq(&store.blocks, g.blocks()));
+            for v in store.owned_ids() {
+                let block = store.lookup(v).unwrap().as_ptr_range();
+                assert!(arena.start <= block.start && block.end <= arena.end);
+                assert_eq!(store.lookup(v), g.blocks().get(v));
+            }
+            bytes += store.bytes();
+        }
+        // Σ owned block lengths over all stripes is the arena, once.
+        assert_eq!(bytes, g.blocks().as_bytes().len());
     }
 
     #[test]

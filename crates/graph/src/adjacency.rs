@@ -9,11 +9,13 @@
 //! nodes it is about to touch.
 //!
 //! * For an in-memory [`Graph`] (implemented on `&Graph`), `ensure` is a
-//!   no-op and every read is a direct CSR scan — zero overhead over calling
-//!   the inherent methods.
+//!   no-op and every read slices the node's block in the graph's arena.
 //! * For a distributed active graph, `ensure` is where demand paging,
 //!   cross-query block caching, and frontier prefetch live; reads then
-//!   serve from resident blocks.
+//!   parse the resident copy of the same block.
+//!
+//! Both yield [`wire::Edges`] over the same bytes, so the two
+//! implementations differ in `ensure` and nothing else.
 //!
 //! Because the *one* generic engine implementation runs over both, local /
 //! distributed bit-identity is true by construction: there is no second
@@ -21,6 +23,7 @@
 
 use crate::graph::Graph;
 use crate::node::NodeId;
+use crate::wire;
 
 /// What an [`ensure`](AdjacencyAccess::ensure) call says about the access
 /// pattern that will follow, so a remote-backed implementation can fetch
@@ -114,15 +117,9 @@ pub trait AdjacencyAccess {
     fn ensure(&mut self, ids: &[u32], hint: FetchHint) -> Result<(), AdjacencyError>;
 }
 
-/// Concrete edge-iterator type of the in-memory [`Graph`] implementation.
-pub type GraphEdges<'a> = std::iter::Zip<
-    std::iter::Copied<std::slice::Iter<'a, NodeId>>,
-    std::iter::Copied<std::slice::Iter<'a, f64>>,
->;
-
 impl AdjacencyAccess for Graph {
     type Edges<'a>
-        = GraphEdges<'a>
+        = wire::Edges<'a>
     where
         Self: 'a;
 
@@ -153,14 +150,12 @@ impl AdjacencyAccess for Graph {
 
     #[inline]
     fn out_edges(&self, v: NodeId) -> Self::Edges<'_> {
-        let (targets, probs) = self.out_edge_slices(v);
-        targets.iter().copied().zip(probs.iter().copied())
+        Graph::out_edges(self, v)
     }
 
     #[inline]
     fn in_edges(&self, v: NodeId) -> Self::Edges<'_> {
-        let (sources, probs) = self.in_edge_slices(v);
-        sources.iter().copied().zip(probs.iter().copied())
+        Graph::in_edges(self, v)
     }
 
     /// Everything is always resident in an in-memory graph.
@@ -175,7 +170,7 @@ impl AdjacencyAccess for Graph {
 /// (never `&mut Graph`) and the `ensure` no-op needs no real mutability.
 impl AdjacencyAccess for &Graph {
     type Edges<'a>
-        = GraphEdges<'a>
+        = wire::Edges<'a>
     where
         Self: 'a;
 
@@ -206,14 +201,12 @@ impl AdjacencyAccess for &Graph {
 
     #[inline]
     fn out_edges(&self, v: NodeId) -> Self::Edges<'_> {
-        let (targets, probs) = self.out_edge_slices(v);
-        targets.iter().copied().zip(probs.iter().copied())
+        Graph::out_edges(self, v)
     }
 
     #[inline]
     fn in_edges(&self, v: NodeId) -> Self::Edges<'_> {
-        let (sources, probs) = self.in_edge_slices(v);
-        sources.iter().copied().zip(probs.iter().copied())
+        Graph::in_edges(self, v)
     }
 
     /// Everything is always resident in an in-memory graph.

@@ -1,12 +1,16 @@
 //! Mutable edge-list builder producing a frozen [`Graph`].
 //!
 //! Build-time representation is a plain edge list; [`GraphBuilder::build`]
-//! sorts it, merges parallel edges by summing weights (the QLog click counts
-//! of Sect. VI are exactly such summed multiplicities), row-normalizes into
-//! transition probabilities, and emits the dual-CSR [`Graph`].
+//! groups it into rows with counting passes (no comparison sort over the
+//! whole list), merges parallel edges by summing weights (the QLog click
+//! counts of Sect. VI are exactly such summed multiplicities),
+//! row-normalizes into transition probabilities, and writes the [`Graph`]'s
+//! block arena and cold out-table.
 
 use crate::graph::Graph;
 use crate::node::{NodeId, NodeTypeId, TypeRegistry};
+use crate::wire::{self, BlockArena, EDGE_BYTES};
+use std::sync::Arc;
 
 /// Incrementally constructs a graph; see module docs.
 #[derive(Clone, Debug, Default)]
@@ -70,7 +74,9 @@ impl GraphBuilder {
 
     /// Add a directed edge `src -> dst` with positive weight.
     ///
-    /// Parallel edges are allowed and merged (weights summed) at build time.
+    /// Parallel edges are allowed and merged at build time: their weights
+    /// are summed left to right in the order they were added, so the merged
+    /// weight is the same for every build of the same edge sequence.
     /// Self-loops are allowed; the paper's toy example has none but nothing
     /// in the model forbids them.
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId, weight: f64) {
@@ -90,84 +96,128 @@ impl GraphBuilder {
         self.add_edge(b, a, weight);
     }
 
-    /// Freeze into an immutable dual-CSR [`Graph`].
+    /// Freeze into an immutable [`Graph`].
     ///
-    /// Runs in `O(E log E)` for the sort plus `O(V + E)` assembly.
-    pub fn build(mut self) -> Graph {
-        let n = self.node_types.len();
-        // Sort by (src, dst) so duplicates are adjacent and rows contiguous.
-        self.edges.sort_unstable_by_key(|a| (a.0, a.1));
+    /// `O(V + E)` counting passes plus a sort of each row by destination:
+    /// 1. scatter the records into per-source rows, keeping insertion order;
+    ///    sort each row by destination (stably) and merge parallel edges;
+    /// 2. write the cold out-table and the row totals;
+    /// 3. drop the records;
+    /// 4. write every node's block into an exactly-sized arena. Sources are
+    ///    scanned in ascending order, so each in-part fills ascending too.
+    ///
+    /// Apart from the records and their rows, the only scratch is one `u32`
+    /// per node: the build leaves no dead buffers behind in the heap.
+    pub fn build(self) -> Graph {
+        let GraphBuilder {
+            types,
+            node_types,
+            labels,
+            edges,
+        } = self;
+        let n = node_types.len();
 
-        // Merge parallel edges.
-        let mut merged: Vec<(u32, u32, f64)> = Vec::with_capacity(self.edges.len());
-        for &(s, d, w) in &self.edges {
-            match merged.last_mut() {
-                Some(last) if last.0 == s && last.1 == d => last.2 += w,
-                _ => merged.push((s, d, w)),
-            }
+        // 1. Rows. Counts go to `out_offsets[s + 2]`, so after the prefix
+        // sum `out_offsets[s + 1]` is where row `s` starts; scattering
+        // advances it to where row `s` ends. Then row `v` is
+        // `rows[out_offsets[v]..out_offsets[v + 1]]`, in insertion order.
+        let mut out_offsets = vec![0usize; n + 2];
+        for &(s, _, _) in &edges {
+            out_offsets[s as usize + 2] += 1;
         }
-        drop(self.edges);
-
-        // Forward CSR.
-        let m = merged.len();
-        let mut out_offsets = vec![0usize; n + 1];
-        for &(s, _, _) in &merged {
-            out_offsets[s as usize + 1] += 1;
+        for i in 2..n + 2 {
+            out_offsets[i] += out_offsets[i - 1];
         }
-        for i in 0..n {
-            out_offsets[i + 1] += out_offsets[i];
+        let mut rows = vec![(0u32, 0.0f64); edges.len()];
+        for (s, d, w) in edges {
+            let at = &mut out_offsets[s as usize + 1];
+            rows[*at] = (d, w);
+            *at += 1;
         }
-        let mut out_targets = Vec::with_capacity(m);
-        let mut out_weights = Vec::with_capacity(m);
-        for &(_, d, w) in &merged {
-            out_targets.push(NodeId(d));
-            out_weights.push(w);
-        }
-
-        // Row-normalize weights into transition probabilities.
-        let mut out_probs = vec![0.0f64; m];
-        let mut weighted_out_degree = vec![0.0f64; n];
+        // Sort each row by destination and merge parallel edges in place,
+        // moving the row bounds down to the merged rows as they shrink.
+        let (mut m, mut lo) = (0, 0);
         for v in 0..n {
-            let (lo, hi) = (out_offsets[v], out_offsets[v + 1]);
-            let total: f64 = out_weights[lo..hi].iter().sum();
-            weighted_out_degree[v] = total;
-            if total > 0.0 {
-                for e in lo..hi {
-                    out_probs[e] = out_weights[e] / total;
+            let hi = out_offsets[v + 1];
+            rows[lo..hi].sort_by_key(|&(d, _)| d);
+            let row = m;
+            for r in lo..hi {
+                let (d, w) = rows[r];
+                match rows[row..m].last_mut() {
+                    Some(last) if last.0 == d => last.1 += w,
+                    _ => {
+                        rows[m] = (d, w);
+                        m += 1;
+                    }
                 }
             }
+            out_offsets[v + 1] = m;
+            lo = hi;
         }
+        out_offsets.truncate(n + 1);
+        rows.truncate(m);
 
-        // Mirrored (in-edge) CSR, carrying the *source-row* probability
-        // M[src][dst] that F-Rank's Eq. 5 needs.
-        let mut in_offsets = vec![0usize; n + 1];
-        for &(_, d, _) in &merged {
-            in_offsets[d as usize + 1] += 1;
+        // 2. The cold out-table; 3. the records go. Row totals are summed in
+        // ascending destination order.
+        let out_targets: Vec<NodeId> = rows.iter().map(|&(d, _)| NodeId(d)).collect();
+        let out_weights: Vec<f64> = rows.iter().map(|&(_, w)| w).collect();
+        drop(rows);
+        let out_row = |v: usize| out_offsets[v]..out_offsets[v + 1];
+        let weighted_out_degree: Vec<f64> = (0..n)
+            .map(|v| out_weights[out_row(v)].iter().sum())
+            .collect();
+
+        // 4. The arena, sized from the degrees. Collected from exact-size
+        // iterators, both shared parts are single allocations written in
+        // place — never copies of finished buffers. `in_filled` holds the
+        // in-degrees until the offsets are known, then how many in-edges
+        // each block has received so far.
+        let mut in_filled = vec![0u32; n];
+        for d in &out_targets {
+            in_filled[d.index()] += 1;
         }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let mut cursor = in_offsets.clone();
-        let mut in_sources = vec![NodeId(0); m];
-        let mut in_probs = vec![0.0f64; m];
-        for (e, &(s, d, _)) in merged.iter().enumerate() {
-            let slot = cursor[d as usize];
-            in_sources[slot] = NodeId(s);
-            in_probs[slot] = out_probs[e];
-            cursor[d as usize] += 1;
+        let mut end = 0;
+        let block_offsets: Arc<[usize]> = (0..=n)
+            .map(|v| {
+                let at = end;
+                if v < n {
+                    end += wire::encoded_len(out_row(v).len(), in_filled[v] as usize);
+                }
+                at
+            })
+            .collect();
+        in_filled.fill(0);
+        let mut arena: Arc<[u8]> = std::iter::repeat_n(0, end).collect();
+        // invariant: the Arc was created on the line above; nothing else
+        // holds it yet.
+        let bytes = Arc::get_mut(&mut arena).expect("fresh arena is unshared");
+        for v in 0..n {
+            let at = block_offsets[v];
+            let block = &mut bytes[at..block_offsets[v + 1]];
+            wire::put_header(block, NodeId(v as u32), out_row(v).len());
+            for (i, e) in out_row(v).enumerate() {
+                // A row with an edge has a positive total (weights are).
+                let prob = out_weights[e] / weighted_out_degree[v];
+                let slot = at + wire::out_edge_at(i);
+                bytes[slot..slot + EDGE_BYTES]
+                    .copy_from_slice(&wire::edge_bytes(out_targets[e], prob));
+                let d = out_targets[e].index();
+                let slot =
+                    block_offsets[d] + wire::in_edge_at(out_row(d).len(), in_filled[d] as usize);
+                bytes[slot..slot + EDGE_BYTES]
+                    .copy_from_slice(&wire::edge_bytes(NodeId(v as u32), prob));
+                in_filled[d] += 1;
+            }
         }
 
         Graph::from_parts(
-            self.types,
-            self.node_types,
-            self.labels,
+            types,
+            node_types,
+            labels,
+            BlockArena::from_parts(arena, block_offsets),
             out_offsets,
             out_targets,
             out_weights,
-            out_probs,
-            in_offsets,
-            in_sources,
-            in_probs,
             weighted_out_degree,
         )
     }
@@ -223,6 +273,36 @@ mod tests {
         let probs: Vec<f64> = g.out_edges(a).map(|(_, p)| p).collect();
         assert!((probs[0] - 0.5).abs() < 1e-12);
         assert!((probs[1] - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn parallel_edges_sum_left_to_right_in_insertion_order() {
+        // 1 + 1 + 1e16 and 1e16 + 1 + 1 round differently, so a merge that
+        // depended on how a sort happened to order equal keys would show.
+        let orders: [[f64; 3]; 2] = [[1.0, 1.0, 1e16], [1e16, 1.0, 1.0]];
+        let folds = orders.map(|ws| ws.iter().fold(0.0, |acc, w| acc + w));
+        assert_ne!(folds[0].to_bits(), folds[1].to_bits());
+        for (weights, want) in orders.iter().zip(folds) {
+            let mut b = GraphBuilder::new();
+            let ty = b.register_type("n");
+            let n: Vec<_> = (0..3).map(|_| b.add_node(ty)).collect();
+            // Other records of the same row and column interleave with the
+            // parallel ones.
+            for &w in weights {
+                b.add_edge(n[0], n[2], 0.5);
+                b.add_edge(n[0], n[1], w);
+                b.add_edge(n[2], n[1], 0.25);
+            }
+            let g = b.build();
+            let merged: Vec<_> = g.out_edges_weighted(n[0]).collect();
+            assert_eq!(merged.len(), 2);
+            assert_eq!((merged[0].0, merged[0].1.to_bits()), (n[1], want.to_bits()));
+            assert_eq!(merged[1].1, 1.5);
+            assert_eq!(
+                g.weighted_out_degree(n[0]).to_bits(),
+                (want + 1.5).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! The frozen dual-CSR graph.
+//! The frozen graph: one block arena for the engines, one cold out-table
+//! for everything else.
 //!
 //! Immutable after construction; all per-query algorithms treat it as shared
 //! read-only state (it is `Send + Sync`), which is what lets the distributed
-//! layer stripe it across graph processors without locks.
+//! layer stripe it across graph processors without locks or copies.
 
 use crate::node::{NodeId, NodeTypeId, TypeRegistry};
+use crate::wire::{self, BlockArena};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -23,29 +25,31 @@ fn fresh_epoch() -> u64 {
     NEXT_EPOCH.fetch_add(1, Ordering::Relaxed)
 }
 
-/// A directed, weighted, typed graph in dual-CSR form.
+/// A directed, weighted, typed graph.
 ///
 /// Stores, per directed edge `s -> d` (after merging parallel edges):
 /// * raw weight `w(s,d)` (for subgraph renormalization),
 /// * forward transition probability `M[s][d] = w(s,d) / Σ_d' w(s,d')`.
 ///
-/// The mirrored in-CSR stores, for each node `d`, its in-neighbors `s`
-/// together with the same `M[s][d]` — the quantity F-Rank's update (paper
-/// Eq. 5) sums over.
+/// The adjacency the engines read is a [`BlockArena`]: node `v`'s
+/// [`wire`] block holds its out-edges `(d, M[v][d])` followed by its
+/// in-edges `(s, M[s][v])` — the quantity F-Rank's update (paper Eq. 5)
+/// sums over — both ascending by neighbour id. A graph processor serves
+/// its stripe from the same (shared) arena. A cold out-table (`out_offsets`,
+/// `out_targets`, `out_weights`) keeps raw weights and plain neighbour-id
+/// rows for [`Graph::out_neighbors`], subgraphs, text I/O and SCCs; of it
+/// the engines read only `out_offsets`, as out-degrees.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Graph {
     types: TypeRegistry,
     node_types: Vec<NodeTypeId>,
     labels: Vec<String>,
 
+    blocks: BlockArena,
+
     out_offsets: Vec<usize>,
     out_targets: Vec<NodeId>,
     out_weights: Vec<f64>,
-    out_probs: Vec<f64>,
-
-    in_offsets: Vec<usize>,
-    in_sources: Vec<NodeId>,
-    in_probs: Vec<f64>,
 
     weighted_out_degree: Vec<f64>,
     has_self_loops: bool,
@@ -58,29 +62,24 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Assemble from pre-built parts. Intended for [`crate::GraphBuilder`]
-    /// and the subgraph machinery; invariants are debug-asserted.
+    /// Assemble from pre-built parts. Intended for [`crate::GraphBuilder`];
+    /// invariants are debug-asserted.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         types: TypeRegistry,
         node_types: Vec<NodeTypeId>,
         labels: Vec<String>,
+        blocks: BlockArena,
         out_offsets: Vec<usize>,
         out_targets: Vec<NodeId>,
         out_weights: Vec<f64>,
-        out_probs: Vec<f64>,
-        in_offsets: Vec<usize>,
-        in_sources: Vec<NodeId>,
-        in_probs: Vec<f64>,
         weighted_out_degree: Vec<f64>,
     ) -> Self {
         let n = node_types.len();
         debug_assert_eq!(labels.len(), n);
+        debug_assert_eq!(blocks.len(), n);
         debug_assert_eq!(out_offsets.len(), n + 1);
-        debug_assert_eq!(in_offsets.len(), n + 1);
-        debug_assert_eq!(out_targets.len(), out_probs.len());
-        debug_assert_eq!(in_sources.len(), in_probs.len());
-        debug_assert_eq!(out_targets.len(), in_sources.len());
+        debug_assert_eq!(out_targets.len(), out_weights.len());
         let has_self_loops = (0..n).any(|v| {
             let (lo, hi) = (out_offsets[v], out_offsets[v + 1]);
             out_targets[lo..hi].binary_search(&NodeId(v as u32)).is_ok()
@@ -89,13 +88,10 @@ impl Graph {
             types,
             node_types,
             labels,
+            blocks,
             out_offsets,
             out_targets,
             out_weights,
-            out_probs,
-            in_offsets,
-            in_sources,
-            in_probs,
             weighted_out_degree,
             has_self_loops,
             epoch: fresh_epoch(),
@@ -180,20 +176,21 @@ impl Graph {
     /// Out-degree (number of distinct out-edges).
     #[inline]
     pub fn out_degree(&self, v: NodeId) -> usize {
-        self.out_offsets[v.index() + 1] - self.out_offsets[v.index()]
+        let (lo, hi) = self.out_row(v);
+        hi - lo
     }
 
     /// In-degree (number of distinct in-edges).
     #[inline]
     pub fn in_degree(&self, v: NodeId) -> usize {
-        self.in_offsets[v.index() + 1] - self.in_offsets[v.index()]
+        self.blocks.total_degree(v) - self.out_degree(v)
     }
 
     /// Total degree (in + out); for undirected edges this counts both
     /// directions, matching the "node degree" heuristics in Hristidis et al.
     #[inline]
     pub fn total_degree(&self, v: NodeId) -> usize {
-        self.out_degree(v) + self.in_degree(v)
+        self.blocks.total_degree(v)
     }
 
     /// Sum of raw out-edge weights of `v`.
@@ -223,20 +220,26 @@ impl Graph {
     // Adjacency
     // ------------------------------------------------------------------
 
+    /// The arena holding every node's block; a graph processor serving a
+    /// stripe of this graph shares it.
+    pub fn blocks(&self) -> &BlockArena {
+        &self.blocks
+    }
+
     /// Out-edges of `v` as `(target, M[v][target])`, ascending by target id.
+    ///
+    /// The out-degree comes from the cold out-table's offsets, so the edge
+    /// list is found from index loads that do not wait on each other, and
+    /// no length field of the block is read first.
     #[inline]
-    pub fn out_edges(&self, v: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        let (lo, hi) = (self.out_offsets[v.index()], self.out_offsets[v.index() + 1]);
-        self.out_targets[lo..hi]
-            .iter()
-            .copied()
-            .zip(self.out_probs[lo..hi].iter().copied())
+    pub fn out_edges(&self, v: NodeId) -> wire::Edges<'_> {
+        self.blocks.out_edges(v, self.out_degree(v))
     }
 
     /// Out-edges of `v` as `(target, raw_weight)`.
     #[inline]
     pub fn out_edges_weighted(&self, v: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        let (lo, hi) = (self.out_offsets[v.index()], self.out_offsets[v.index() + 1]);
+        let (lo, hi) = self.out_row(v);
         self.out_targets[lo..hi]
             .iter()
             .copied()
@@ -245,97 +248,82 @@ impl Graph {
 
     /// In-edges of `v` as `(source, M[source][v])`, ascending by source id.
     #[inline]
-    pub fn in_edges(&self, v: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        let (lo, hi) = (self.in_offsets[v.index()], self.in_offsets[v.index() + 1]);
-        self.in_sources[lo..hi]
-            .iter()
-            .copied()
-            .zip(self.in_probs[lo..hi].iter().copied())
+    pub fn in_edges(&self, v: NodeId) -> wire::Edges<'_> {
+        self.blocks.in_edges(v, self.out_degree(v))
     }
 
-    /// Out-edge slices `(targets, probs)` of `v` — the raw CSR row, for
-    /// the zero-cost [`crate::adjacency::AdjacencyAccess`] impl.
+    /// Range of `v`'s row in the cold out-table.
     #[inline]
-    pub(crate) fn out_edge_slices(&self, v: NodeId) -> (&[NodeId], &[f64]) {
-        let (lo, hi) = (self.out_offsets[v.index()], self.out_offsets[v.index() + 1]);
-        (&self.out_targets[lo..hi], &self.out_probs[lo..hi])
+    fn out_row(&self, v: NodeId) -> (usize, usize) {
+        (self.out_offsets[v.index()], self.out_offsets[v.index() + 1])
     }
 
-    /// In-edge slices `(sources, probs)` of `v`.
-    #[inline]
-    pub(crate) fn in_edge_slices(&self, v: NodeId) -> (&[NodeId], &[f64]) {
-        let (lo, hi) = (self.in_offsets[v.index()], self.in_offsets[v.index() + 1]);
-        (&self.in_sources[lo..hi], &self.in_probs[lo..hi])
-    }
-
-    /// Out-neighbor ids only (no probabilities).
+    /// Out-neighbor ids only (no probabilities), ascending.
     #[inline]
     pub fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
-        let (lo, hi) = (self.out_offsets[v.index()], self.out_offsets[v.index() + 1]);
+        let (lo, hi) = self.out_row(v);
         &self.out_targets[lo..hi]
     }
 
-    /// In-neighbor ids only (no probabilities).
+    /// In-neighbor ids only (no probabilities), ascending.
     #[inline]
-    pub fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        let (lo, hi) = (self.in_offsets[v.index()], self.in_offsets[v.index() + 1]);
-        &self.in_sources[lo..hi]
+    pub fn in_neighbors(&self, v: NodeId) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        self.in_edges(v).map(|(s, _)| s)
     }
 
     /// Transition probability `M[s][d]`, or 0 if no edge (binary search).
     pub fn transition_prob(&self, s: NodeId, d: NodeId) -> f64 {
-        let (lo, hi) = (self.out_offsets[s.index()], self.out_offsets[s.index() + 1]);
-        match self.out_targets[lo..hi].binary_search(&d) {
-            Ok(pos) => self.out_probs[lo + pos],
+        match self.out_neighbors(s).binary_search(&d) {
+            Ok(pos) => self.out_edges(s).nth(pos).map_or(0.0, |(_, p)| p),
             Err(_) => 0.0,
         }
     }
 
     /// `true` if the directed edge `s -> d` exists.
     pub fn has_edge(&self, s: NodeId, d: NodeId) -> bool {
-        let (lo, hi) = (self.out_offsets[s.index()], self.out_offsets[s.index() + 1]);
-        self.out_targets[lo..hi].binary_search(&d).is_ok()
+        self.out_neighbors(s).binary_search(&d).is_ok()
     }
 
     /// Undirected neighbor set (union of in- and out-neighbors), deduplicated
-    /// and sorted. Needed by AdamicAdar and the common-neighbor baselines.
-    pub fn undirected_neighbors(&self, v: NodeId) -> Vec<NodeId> {
-        let mut ns: Vec<NodeId> = self
-            .out_neighbors(v)
-            .iter()
-            .chain(self.in_neighbors(v).iter())
-            .copied()
-            .collect();
-        ns.sort_unstable();
-        ns.dedup();
-        ns
+    /// and ascending — a merge of the two sorted rows, nothing allocated.
+    /// Needed by AdamicAdar and the common-neighbor baselines.
+    pub fn undirected_neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let mut outs = self.out_neighbors(v).iter().copied().peekable();
+        let mut ins = self.in_neighbors(v).peekable();
+        std::iter::from_fn(move || match (outs.peek(), ins.peek()) {
+            (Some(&o), Some(&i)) if o > i => ins.next(),
+            (Some(&o), Some(&i)) if o == i => {
+                ins.next();
+                outs.next()
+            }
+            (Some(_), _) => outs.next(),
+            (None, _) => ins.next(),
+        })
     }
 
     // ------------------------------------------------------------------
     // Memory accounting (paper Fig. 12 reports active-set bytes)
     // ------------------------------------------------------------------
 
-    /// Approximate resident bytes of the CSR arrays (excludes labels, which
-    /// the query algorithms never touch). This mirrors the paper's
+    /// Resident bytes of everything the graph holds per node and per edge
+    /// (excludes labels and the type registry, which the query algorithms
+    /// never touch): the block arena with its offsets, the cold out-table,
+    /// node types and weighted out-degrees. This mirrors the paper's
     /// "snapshot size" metric.
     pub fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let n = self.node_count();
-        let m = self.edge_count();
-        // offsets (2 arrays of n+1 usize), per-edge payloads, per-node payloads
-        2 * (n + 1) * size_of::<usize>()
-            + m * (2 * size_of::<NodeId>() + 3 * size_of::<f64>())
-            + n * (size_of::<NodeTypeId>() + size_of::<f64>())
+        use std::mem::size_of_val;
+        self.blocks.memory_bytes()
+            + size_of_val(self.out_offsets.as_slice())
+            + size_of_val(self.out_targets.as_slice())
+            + size_of_val(self.out_weights.as_slice())
+            + size_of_val(self.node_types.as_slice())
+            + size_of_val(self.weighted_out_degree.as_slice())
     }
 
     /// Per-node resident bytes if this node and its edges were copied into an
     /// active set: id + type + its out- and in-edge entries.
     pub fn node_footprint_bytes(&self, v: NodeId) -> usize {
-        use std::mem::size_of;
-        size_of::<NodeId>()
-            + size_of::<NodeTypeId>()
-            + self.out_degree(v) * (size_of::<NodeId>() + size_of::<f64>())
-            + self.in_degree(v) * (size_of::<NodeId>() + size_of::<f64>())
+        wire::footprint_bytes(self.out_degree(v), self.in_degree(v))
     }
 
     /// Average (unweighted) out-degree `D̄ = |E| / |V|`, the quantity the
@@ -351,7 +339,7 @@ impl Graph {
 
 #[cfg(test)]
 mod tests {
-
+    use crate::node::NodeId;
     use crate::toy::fig2_toy;
 
     #[test]
@@ -412,8 +400,20 @@ mod tests {
     fn undirected_neighbors_dedup() {
         let (g, ids) = fig2_toy();
         // All fig2 edges are bidirectional so union == out-neighbors.
-        let ns = g.undirected_neighbors(ids.v1);
-        assert_eq!(ns.len(), 4);
+        let ns: Vec<_> = g.undirected_neighbors(ids.v1).collect();
+        assert_eq!(ns, g.out_neighbors(ids.v1));
+        // A one-way edge shows up once, from whichever side it is seen.
+        let mut b = crate::GraphBuilder::new();
+        let ty = b.register_type("n");
+        let n: Vec<_> = (0..4).map(|_| b.add_node(ty)).collect();
+        b.add_edge(n[1], n[0], 1.0);
+        b.add_edge(n[1], n[2], 1.0);
+        b.add_edge(n[2], n[1], 1.0);
+        b.add_edge(n[3], n[1], 1.0);
+        let g = b.build();
+        let ns: Vec<_> = g.undirected_neighbors(n[1]).collect();
+        assert_eq!(ns, vec![n[0], n[2], n[3]]);
+        assert_eq!(g.undirected_neighbors(n[0]).collect::<Vec<_>>(), [n[1]]);
     }
 
     #[test]
@@ -429,6 +429,21 @@ mod tests {
         assert!(g.memory_bytes() > 0);
         // Higher-degree nodes have larger footprints.
         assert!(g.node_footprint_bytes(ids.v1) > g.node_footprint_bytes(ids.v3));
+    }
+
+    #[test]
+    fn memory_bytes_is_the_sum_of_the_layout() {
+        use crate::node::NodeTypeId;
+        use std::mem::size_of;
+        let (g, _) = fig2_toy();
+        let (n, m) = (g.node_count(), g.edge_count());
+        // One 12-byte header per node and each edge twice (out and in part).
+        let arena = 12 * n + 24 * m;
+        assert_eq!(g.blocks().as_bytes().len(), arena);
+        let offsets = 2 * (n + 1) * size_of::<usize>(); // arena + cold table
+        let cold_edges = m * (size_of::<NodeId>() + size_of::<f64>());
+        let per_node = n * (size_of::<NodeTypeId>() + size_of::<f64>());
+        assert_eq!(g.memory_bytes(), arena + offsets + cold_edges + per_node);
     }
 
     #[test]

@@ -18,10 +18,12 @@
 //! * T-Rank iterates over **out**-neighbors with probabilities `M[v][v']`
 //!   (paper Eq. 8).
 //!
-//! We therefore store a dual CSR (compressed sparse row) representation:
-//! a forward CSR over out-edges and a mirrored CSR over in-edges, each entry
-//! carrying the *source-row-normalized* transition probability, so both
-//! iteration patterns are cache-friendly single scans.
+//! We therefore store every node's adjacency as one [`wire`] block — its
+//! out-edges followed by its in-edges, each entry carrying the
+//! *source-row-normalized* transition probability — in one arena, so both
+//! iteration patterns are single scans of one contiguous row. The arena is
+//! also the unit the distributed layer serves: a graph processor's stripe
+//! is a set of node ids over the same bytes.
 //!
 //! ## Modules
 //!
@@ -30,7 +32,8 @@
 //!   distributed active graph (demand paging + prefetch behind `ensure`).
 //! * [`node`] — node identifiers, node types, and the type registry.
 //! * [`builder`] — mutable edge-list builder that produces a frozen [`Graph`].
-//! * [`graph`] — the frozen dual-CSR [`Graph`] itself.
+//! * [`graph`] — the frozen [`Graph`] itself: the block arena plus a cold
+//!   out-table of raw weights.
 //! * [`scc`] — Tarjan strongly-connected components and the dummy-edge
 //!   irreducibility repair the paper relies on (Sect. III-B, "we can always
 //!   make a graph irreducible by adding some dummy edges").
@@ -41,8 +44,8 @@
 //!   lets the serving layer run queries with zero steady-state allocation.
 //! * [`stats`] — degree statistics and memory-footprint accounting (the
 //!   "active set" measurements of Fig. 12 need byte sizes).
-//! * [`wire`] — a compact binary wire format for shipping node/edge blocks
-//!   between graph processors (paper Sect. V-B2).
+//! * [`wire`] — the node-block layout the graph is stored in and ships
+//!   between graph processors in (paper Sect. V-B2).
 //!
 //! ## Quick example
 //!

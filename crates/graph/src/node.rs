@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Dense node identifier: an index into the graph's CSR arrays.
+/// Dense node identifier: an index into the graph's per-node tables.
 ///
 /// `u32` keeps adjacency arrays half the size of `usize` on 64-bit targets;
 /// the paper's largest graph (2M nodes) fits comfortably.

@@ -100,7 +100,7 @@ pub fn khop_neighborhood(g: &Graph, seeds: &[NodeId], hops: usize) -> Vec<NodeId
         if d == hops {
             continue;
         }
-        for &n in g.out_neighbors(v).iter().chain(g.in_neighbors(v)) {
+        for n in g.out_neighbors(v).iter().copied().chain(g.in_neighbors(v)) {
             if !seen[n.index()] {
                 seen[n.index()] = true;
                 out.push(n);

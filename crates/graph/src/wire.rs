@@ -1,12 +1,13 @@
 //! The node-block wire layout: the one byte format a node's adjacency takes
-//! on its way from a graph processor's stripe to the active processor's
-//! edge iterator (paper Sect. V-B2).
+//! everywhere — in the [`Graph`] itself, on its way from a graph processor
+//! to the active processor, and under the active processor's edge iterator
+//! (paper Sect. V-B2).
 //!
 //! A block is everything the active processor needs to add one node to its
 //! active set: the node id plus its out- and in-adjacency with transition
 //! probabilities. Blocks are little-endian with explicit length prefixes;
-//! the format is self-delimiting, so blocks concatenate into stripes, reply
-//! buffers and cache arenas without any framing around them.
+//! the format is self-delimiting, so blocks concatenate into the graph's
+//! arena, reply buffers and cache arenas without any framing around them.
 //!
 //! Layout (all little-endian):
 //! ```text
@@ -17,20 +18,25 @@
 //!
 //! Three things speak the layout, and all of them go through this module:
 //!
-//! * [`encode_node`] writes a block straight from the graph's CSR rows —
-//!   how a GP stripe is built;
+//! * [`BlockArena`] holds every node's block in ascending id order plus one
+//!   offset table — it *is* the graph's adjacency, written once by
+//!   [`crate::GraphBuilder`], and a graph processor serves its stripe
+//!   straight out of it;
 //! * [`BlockView`] reads a block *in place*: a total, length-validated parse
-//!   of the three length fields, after which degrees are slice lengths and
-//!   [`Edges`] decodes `(neighbour, probability)` pairs on the fly — how the
-//!   AP serves adjacency from the bytes a GP sent, with no owned copy;
+//!   of the three length fields, after which degrees follow from slice
+//!   lengths and [`Edges`] decodes `(neighbour, probability)` pairs on the
+//!   fly — how both the graph and the AP's resident blocks serve
+//!   adjacency, with no owned copy;
 //! * [`NodeBlock`] is the owned form (two `Vec`s) that tests and probes
-//!   handle; it encodes through the same writer and decodes through
-//!   [`BlockView`], so there is exactly one definition of the format.
+//!   handle; it is parsed from the arena through [`BlockView`] and encodes
+//!   through the same edge writer the builder uses, so there is exactly one
+//!   definition of the format.
 
 use crate::graph::Graph;
 use crate::node::{NodeId, NodeTypeId};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::mem::size_of;
+use std::sync::Arc;
 
 /// Bytes of one encoded edge: `u32` neighbour id + `f64` probability.
 pub const EDGE_BYTES: usize = 12;
@@ -52,21 +58,136 @@ pub const fn footprint_bytes(out_degree: usize, in_degree: usize) -> usize {
         + (out_degree + in_degree) * (size_of::<NodeId>() + size_of::<f64>())
 }
 
+/// The encoding of one edge.
+pub(crate) fn edge_bytes(n: NodeId, p: f64) -> [u8; EDGE_BYTES] {
+    let mut edge = [0u8; EDGE_BYTES];
+    edge[..4].copy_from_slice(&n.0.to_le_bytes());
+    edge[4..].copy_from_slice(&p.to_le_bytes());
+    edge
+}
+
+/// Offset of out-edge `i` within a block.
+pub(crate) const fn out_edge_at(i: usize) -> usize {
+    8 + i * EDGE_BYTES
+}
+
+/// Offset of in-edge `j` within a block with `out_degree` out-edges; the
+/// `in_len` field takes the four bytes before in-edge 0.
+pub(crate) const fn in_edge_at(out_degree: usize, j: usize) -> usize {
+    encoded_len(out_degree, 0) + j * EDGE_BYTES
+}
+
+/// Write the node id and both length fields into `block`, the whole
+/// block's bytes (so its length fixes the in-degree); the edges go to
+/// [`out_edge_at`] / [`in_edge_at`].
+pub(crate) fn put_header(block: &mut [u8], v: NodeId, out_degree: usize) {
+    let in_len_at = in_edge_at(out_degree, 0) - 4;
+    let in_degree = (block.len() - in_edge_at(out_degree, 0)) / EDGE_BYTES;
+    block[..4].copy_from_slice(&v.0.to_le_bytes());
+    block[4..8].copy_from_slice(&(out_degree as u32).to_le_bytes());
+    block[in_len_at..in_len_at + 4].copy_from_slice(&(in_degree as u32).to_le_bytes());
+}
+
 fn put_edges(buf: &mut impl BufMut, len: usize, edges: impl Iterator<Item = (NodeId, f64)>) {
     buf.put_u32_le(len as u32);
     for (n, p) in edges {
-        let mut edge = [0u8; EDGE_BYTES];
-        edge[..4].copy_from_slice(&n.0.to_le_bytes());
-        edge[4..].copy_from_slice(&p.to_le_bytes());
-        buf.put_slice(&edge);
+        buf.put_slice(&edge_bytes(n, p));
     }
 }
 
-/// Append the block of `v` to `buf`, read straight from the graph's CSR.
-pub fn encode_node(g: &Graph, v: NodeId, buf: &mut Vec<u8>) {
-    buf.put_u32_le(v.0);
-    put_edges(buf, g.out_degree(v), g.out_edges(v));
-    put_edges(buf, g.in_degree(v), g.in_edges(v));
+/// Every node's block, concatenated in ascending node id order, plus the
+/// offset table that finds them: the adjacency of a [`Graph`].
+///
+/// Built once by [`crate::GraphBuilder`] and immutable afterwards. Both
+/// parts are `Arc`'d, so a clone — what every in-process graph processor
+/// serving a stripe holds — shares the bytes instead of copying them. The
+/// arena sits inline in its owner, pointers and all, which lets a hot loop
+/// keep the data addresses in registers.
+#[derive(Clone, Debug)]
+pub struct BlockArena {
+    bytes: Arc<[u8]>,
+    /// Block of node `v` is `bytes[offsets[v]..offsets[v + 1]]`.
+    offsets: Arc<[usize]>,
+}
+
+impl BlockArena {
+    /// Wrap builder output: `offsets` has one entry per node plus one and
+    /// ends at `bytes.len()`; every range between two entries is one whole
+    /// block (debug-asserted).
+    pub(crate) fn from_parts(bytes: Arc<[u8]>, offsets: Arc<[usize]>) -> Self {
+        debug_assert_eq!(offsets.last(), Some(&bytes.len()));
+        debug_assert!(offsets.windows(2).enumerate().all(|(v, w)| {
+            BlockView::parse(&bytes[w[0]..w[1]])
+                .is_some_and(|b| b.node().index() == v && b.encoded_len() == w[1] - w[0])
+        }));
+        BlockArena { bytes, offsets }
+    }
+
+    /// Whether `a` and `b` are the same arena, not merely equal bytes.
+    pub fn ptr_eq(a: &BlockArena, b: &BlockArena) -> bool {
+        Arc::ptr_eq(&a.bytes, &b.bytes) && Arc::ptr_eq(&a.offsets, &b.offsets)
+    }
+
+    /// Number of blocks (nodes).
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Whether the arena holds no block.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The encoded block of `v`, or `None` past the last node.
+    #[inline]
+    pub fn get(&self, v: NodeId) -> Option<&[u8]> {
+        let i = v.index();
+        Some(&self.bytes[*self.offsets.get(i)?..*self.offsets.get(i + 1)?])
+    }
+
+    /// The block of `v` read in place. Panics if `v` is not a node.
+    pub fn view(&self, v: NodeId) -> BlockView<'_> {
+        // invariant: `from_parts` holds one whole block between every two
+        // offsets, so the parse of an in-range node cannot fail.
+        BlockView::parse(&self.bytes[self.offsets[v.index()]..self.offsets[v.index() + 1]])
+            .expect("arena holds one whole block per node")
+    }
+
+    /// Total degree (out + in) of `v`, from the offset table alone.
+    #[inline]
+    pub(crate) fn total_degree(&self, v: NodeId) -> usize {
+        (self.offsets[v.index() + 1] - self.offsets[v.index()]) / EDGE_BYTES - 1
+    }
+
+    /// Out-edges of `v`, whose out-degree the caller keeps in a table of
+    /// its own. Neither length field is read: each would be one more
+    /// dependent memory access before the first edge (the `in_len` field
+    /// sits behind the out-edges), and the hot loops call this per node.
+    /// Panics if `v` is not a node.
+    #[inline]
+    pub(crate) fn out_edges(&self, v: NodeId, out_degree: usize) -> Edges<'_> {
+        debug_assert_eq!(self.view(v).out_degree(), out_degree);
+        let at = self.offsets[v.index()];
+        Edges(&self.bytes[at + out_edge_at(0)..at + out_edge_at(out_degree)])
+    }
+
+    /// In-edges of `v`; see [`BlockArena::out_edges`].
+    #[inline]
+    pub(crate) fn in_edges(&self, v: NodeId, out_degree: usize) -> Edges<'_> {
+        debug_assert_eq!(self.view(v).out_degree(), out_degree);
+        let at = self.offsets[v.index()] + in_edge_at(out_degree, 0);
+        Edges(&self.bytes[at..self.offsets[v.index() + 1]])
+    }
+
+    /// All blocks, concatenated in ascending node id order.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Resident bytes: the blocks plus the offset table.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.bytes.len() + self.offsets.len() * size_of::<usize>()
+    }
 }
 
 fn split_u32(bytes: &[u8]) -> Option<(u32, &[u8])> {
@@ -77,10 +198,9 @@ fn split_u32(bytes: &[u8]) -> Option<(u32, &[u8])> {
 /// Split one length-prefixed edge list off the front of `bytes`. `None`
 /// when the prefix or any of the edges it announces is missing; the length
 /// is checked against the bytes present before anything is sized by it.
-fn split_edges(bytes: &[u8]) -> Option<(&[[u8; EDGE_BYTES]], &[u8])> {
+fn split_edges(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
     let (len, rest) = split_u32(bytes)?;
-    let (edges, rest) = rest.split_at_checked((len as usize).checked_mul(EDGE_BYTES)?)?;
-    Some((edges.as_chunks().0, rest))
+    rest.split_at_checked((len as usize).checked_mul(EDGE_BYTES)?)
 }
 
 /// One encoded block read in place: nothing is copied or allocated, the
@@ -88,8 +208,9 @@ fn split_edges(bytes: &[u8]) -> Option<(&[[u8; EDGE_BYTES]], &[u8])> {
 #[derive(Clone, Copy, Debug)]
 pub struct BlockView<'a> {
     node: NodeId,
-    out_edges: &'a [[u8; EDGE_BYTES]],
-    in_edges: &'a [[u8; EDGE_BYTES]],
+    /// The encoded edge lists: a whole number of [`EDGE_BYTES`] entries.
+    out_edges: &'a [u8],
+    in_edges: &'a [u8],
 }
 
 impl<'a> BlockView<'a> {
@@ -113,22 +234,22 @@ impl<'a> BlockView<'a> {
 
     /// Number of out-edges.
     pub fn out_degree(&self) -> usize {
-        self.out_edges.len()
+        self.out_edges.len() / EDGE_BYTES
     }
 
     /// Number of in-edges.
     pub fn in_degree(&self) -> usize {
-        self.in_edges.len()
+        self.in_edges.len() / EDGE_BYTES
     }
 
     /// Out-edges `(target, M[node][target])`, in encoded (ascending) order.
     pub fn out_edges(&self) -> Edges<'a> {
-        Edges(self.out_edges.iter())
+        Edges(self.out_edges)
     }
 
     /// In-edges `(source, M[source][node])`, in encoded (ascending) order.
     pub fn in_edges(&self) -> Edges<'a> {
-        Edges(self.in_edges.iter())
+        Edges(self.in_edges)
     }
 
     /// Bytes this block occupies on the wire.
@@ -152,24 +273,39 @@ impl<'a> BlockView<'a> {
 }
 
 /// Iterator over one encoded edge list, decoding `(neighbour, probability)`
-/// from each 12-byte entry as it goes.
+/// from each 12-byte entry as it goes. It walks the bytes themselves, so
+/// starting one costs no division by the entry size.
 #[derive(Clone, Debug)]
-pub struct Edges<'a>(std::slice::Iter<'a, [u8; EDGE_BYTES]>);
+pub struct Edges<'a>(&'a [u8]);
+
+#[inline]
+fn decode_edge(e: &[u8; EDGE_BYTES]) -> (NodeId, f64) {
+    let id = u32::from_le_bytes([e[0], e[1], e[2], e[3]]);
+    let prob = f64::from_le_bytes([e[4], e[5], e[6], e[7], e[8], e[9], e[10], e[11]]);
+    (NodeId(id), prob)
+}
 
 impl Iterator for Edges<'_> {
     type Item = (NodeId, f64);
 
     #[inline]
     fn next(&mut self) -> Option<(NodeId, f64)> {
-        let e = self.0.next()?;
-        let id = u32::from_le_bytes([e[0], e[1], e[2], e[3]]);
-        let prob = f64::from_le_bytes([e[4], e[5], e[6], e[7], e[8], e[9], e[10], e[11]]);
-        Some((NodeId(id), prob))
+        let (edge, rest) = self.0.split_first_chunk()?;
+        self.0 = rest;
+        Some(decode_edge(edge))
+    }
+
+    /// Skips without decoding: the entries are fixed-size.
+    #[inline]
+    fn nth(&mut self, n: usize) -> Option<(NodeId, f64)> {
+        self.0 = self.0.get(n.checked_mul(EDGE_BYTES)?..).unwrap_or_default();
+        self.next()
     }
 
     #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
+        let len = self.0.len() / EDGE_BYTES;
+        (len, Some(len))
     }
 }
 
@@ -212,13 +348,9 @@ pub struct NodeBlock {
 }
 
 impl NodeBlock {
-    /// Extract the block for `v` from a graph.
+    /// The block of `v`, parsed from the graph's own arena.
     pub fn extract(g: &Graph, v: NodeId) -> Self {
-        NodeBlock {
-            node: v,
-            out_edges: g.out_edges(v).collect(),
-            in_edges: g.in_edges(v).collect(),
-        }
+        g.blocks().view(v).to_block()
     }
 
     /// Encoded size in bytes.
@@ -248,27 +380,26 @@ impl NodeBlock {
         buf.advance(block.encoded_len());
         Some(block)
     }
-
-    /// Encode a batch of blocks into one buffer (a GP response payload).
-    pub fn encode_batch(blocks: &[NodeBlock]) -> Bytes {
-        let total: usize = blocks.iter().map(|b| b.encoded_len()).sum();
-        let mut buf = BytesMut::with_capacity(total);
-        for b in blocks {
-            b.encode(&mut buf);
-        }
-        buf.freeze()
-    }
-
-    /// Decode a whole buffer of concatenated blocks.
-    pub fn decode_batch(buf: Bytes) -> Vec<NodeBlock> {
-        blocks(buf.as_slice()).map(|(_, b)| b.to_block()).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::toy::fig2_toy;
+
+    /// The blocks concatenated, as a GP reply carries them.
+    fn encode_all(blocks: &[NodeBlock]) -> Bytes {
+        let mut buf = BytesMut::new();
+        for block in blocks {
+            block.encode(&mut buf);
+        }
+        buf.freeze()
+    }
+
+    /// Every whole block at the front of `bytes`, in owned form.
+    fn walk(bytes: &[u8]) -> Vec<NodeBlock> {
+        blocks(bytes).map(|(_, b)| b.to_block()).collect()
+    }
 
     #[test]
     fn roundtrip_single_block() {
@@ -287,9 +418,7 @@ mod tests {
     fn roundtrip_batch() {
         let (g, _) = fig2_toy();
         let blocks: Vec<_> = g.nodes().map(|v| NodeBlock::extract(&g, v)).collect();
-        let encoded = NodeBlock::encode_batch(&blocks);
-        let decoded = NodeBlock::decode_batch(encoded);
-        assert_eq!(decoded, blocks);
+        assert_eq!(walk(encode_all(&blocks).as_slice()), blocks);
     }
 
     #[test]
@@ -382,27 +511,31 @@ mod tests {
     #[test]
     fn graph_writer_owned_form_and_view_are_one_format() {
         let (g, _) = fig2_toy();
+        let arena = g.blocks();
+        assert_eq!(arena.len(), g.node_count());
         for v in g.nodes() {
             let block = NodeBlock::extract(&g, v);
             let mut owned = BytesMut::new();
             block.encode(&mut owned);
-            let mut direct = Vec::new();
-            encode_node(&g, v, &mut direct);
+            let direct = arena.get(v).unwrap();
             assert_eq!(owned.as_slice(), direct);
-            let view = BlockView::parse(&direct).unwrap();
+            let view = BlockView::parse(direct).unwrap();
             assert_eq!(view.to_block(), block);
             assert_eq!(view.out_degree(), g.out_degree(v));
             assert_eq!(view.in_degree(), g.in_degree(v));
             assert_eq!(view.encoded_len(), direct.len());
             assert_eq!(view.footprint_bytes(), g.node_footprint_bytes(v));
         }
+        // The arena is the blocks back to back, and nothing else.
+        assert_eq!(walk(arena.as_bytes()).len(), g.node_count());
+        assert!(arena.get(NodeId(g.node_count() as u32)).is_none());
     }
 
     #[test]
     fn block_walk_is_total_on_truncated_and_hostile_input() {
         let (g, _) = fig2_toy();
         let originals: Vec<_> = g.nodes().map(|v| NodeBlock::extract(&g, v)).collect();
-        let full = NodeBlock::encode_batch(&originals);
+        let full = encode_all(&originals);
         let full = full.as_slice();
         // Cut anywhere: the walk yields exactly the blocks that fit, at the
         // offsets they sit at, and nothing of the partial one.
@@ -446,11 +579,10 @@ mod tests {
         // a GP response can be split anywhere by a transport layer.
         let (g, _) = fig2_toy();
         let blocks: Vec<_> = g.nodes().map(|v| NodeBlock::extract(&g, v)).collect();
-        let full = NodeBlock::encode_batch(&blocks);
+        let full = encode_all(&blocks);
         for cut in 0..full.len() {
             let mut short = full.slice(..cut);
-            let decoded = NodeBlock::decode_batch(short.clone());
-            assert!(decoded.len() <= blocks.len());
+            assert!(walk(short.as_slice()).len() < blocks.len());
             // Manual decode loop must stop without consuming garbage.
             while NodeBlock::decode(&mut short).is_some() {}
         }
@@ -475,8 +607,7 @@ mod tests {
                 in_edges: vec![],
             },
         ];
-        let decoded = NodeBlock::decode_batch(NodeBlock::encode_batch(&blocks));
-        assert_eq!(decoded, blocks);
+        assert_eq!(walk(encode_all(&blocks).as_slice()), blocks);
     }
 
     #[test]
@@ -485,9 +616,18 @@ mod tests {
         // metered transfer volumes of Fig. 12 are reproducible.
         let (g, _) = fig2_toy();
         let blocks: Vec<_> = g.nodes().map(|v| NodeBlock::extract(&g, v)).collect();
-        assert_eq!(
-            NodeBlock::encode_batch(&blocks),
-            NodeBlock::encode_batch(&blocks)
-        );
+        assert_eq!(encode_all(&blocks), encode_all(&blocks));
+    }
+
+    #[test]
+    fn nth_skips_to_the_same_edge_next_reaches() {
+        let (g, ids) = fig2_toy();
+        let all: Vec<_> = g.blocks().view(ids.t1).out_edges().collect();
+        for (i, &edge) in all.iter().enumerate() {
+            let mut edges = g.blocks().view(ids.t1).out_edges();
+            assert_eq!(edges.nth(i), Some(edge));
+            assert_eq!(edges.len(), all.len() - i - 1);
+        }
+        assert_eq!(g.blocks().view(ids.t1).out_edges().nth(all.len()), None);
     }
 }

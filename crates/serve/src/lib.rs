@@ -25,8 +25,8 @@
 //!   [`QueryRequest::with_backend`]) changes where work happens and what
 //!   the response can observe ([`QueryResponse::backend`],
 //!   [`DistributedStats`] wire costs) — never the answers — over
-//! * a **shared read-only graph** (`Arc<Graph>` — the frozen dual-CSR is
-//!   `Send + Sync`, so queries need no locks), served by
+//! * a **shared read-only graph** (`Arc<Graph>` — the frozen block arena
+//!   is `Send + Sync`, so queries need no locks), served by
 //! * a **fixed pool of worker threads**, each owning one reusable
 //!   [`ServeWorkspace`] so that steady-state serving performs zero
 //!   per-query allocation on the bound paths, fed through

@@ -18,7 +18,7 @@ pub struct ActiveSetStats {
     /// Distinct active nodes (`S_f ∪ S_t`).
     pub active_nodes: usize,
     /// Directed edges incident to active nodes (each counted once per
-    /// direction stored, matching the dual-CSR footprint).
+    /// direction stored, matching a node block's out- and in-part).
     pub active_edges: usize,
     /// Estimated resident bytes of the active set.
     pub bytes: usize,

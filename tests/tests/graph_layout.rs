@@ -1,0 +1,143 @@
+//! The graph's one adjacency layout against a naive reference.
+//!
+//! Random edge lists — parallel edges, self-loops, dangling and isolated
+//! nodes, graphs of zero and one node — are built twice: by
+//! `GraphBuilder` into the block arena plus cold out-table, and by a
+//! `BTreeMap` that merges parallel edges left to right in insertion order.
+//! Every accessor must agree with the reference bit for bit, and every
+//! node's arena bytes must be the wire encoding of the reference block.
+
+use bytes::BytesMut;
+use proptest::prelude::*;
+use rtr_graph::wire::NodeBlock;
+use rtr_graph::{Graph, GraphBuilder, NodeId};
+use std::collections::BTreeMap;
+
+/// Weights that make summation order visible (0.1 is inexact, 1e16 swallows
+/// a 1.0 added after it).
+const WEIGHTS: [f64; 6] = [0.1, 0.25, 1.0, 1.0, 3.0, 1e16];
+
+/// An edge list over `n` nodes, `n` in `0..max_n`.
+fn arb_edges(
+    max_n: usize,
+    max_edges: usize,
+) -> impl Strategy<Value = (usize, Vec<(u32, u32, f64)>)> {
+    (
+        0..max_n,
+        proptest::collection::vec((0..64u32, 0..64u32, 0..WEIGHTS.len()), 0..max_edges),
+    )
+        .prop_map(|(n, raw)| {
+            let edges = if n == 0 {
+                Vec::new()
+            } else {
+                raw.into_iter()
+                    .map(|(s, d, w)| (s % n as u32, d % n as u32, WEIGHTS[w]))
+                    .collect()
+            };
+            (n, edges)
+        })
+}
+
+fn build(n: usize, edges: &[(u32, u32, f64)]) -> Graph {
+    let mut b = GraphBuilder::new();
+    let ty = b.register_type("n");
+    for _ in 0..n {
+        b.add_node(ty);
+    }
+    for &(s, d, w) in edges {
+        b.add_edge(NodeId(s), NodeId(d), w);
+    }
+    b.build()
+}
+
+/// The reference: merged weights keyed `(src, dst)`, ascending.
+fn reference(edges: &[(u32, u32, f64)]) -> BTreeMap<(u32, u32), f64> {
+    let mut merged = BTreeMap::new();
+    for &(s, d, w) in edges {
+        *merged.entry((s, d)).or_insert(0.0) += w;
+    }
+    merged
+}
+
+/// Reference out-row of `v`: `(dst, weight, prob)`, ascending by `dst`.
+fn out_row(merged: &BTreeMap<(u32, u32), f64>, v: u32) -> Vec<(u32, f64, f64)> {
+    let row: Vec<_> = merged.range((v, 0)..=(v, u32::MAX)).collect();
+    let total: f64 = row.iter().map(|(_, &w)| w).sum();
+    row.into_iter()
+        .map(|(&(_, d), &w)| (d, w, w / total))
+        .collect()
+}
+
+/// Reference block of `v` in owned form.
+fn reference_block(merged: &BTreeMap<(u32, u32), f64>, n: usize, v: u32) -> NodeBlock {
+    let in_edges = (0..n as u32)
+        .filter_map(|s| {
+            out_row(merged, s)
+                .into_iter()
+                .find(|&(d, _, _)| d == v)
+                .map(|(_, _, p)| (NodeId(s), p))
+        })
+        .collect();
+    NodeBlock {
+        node: NodeId(v),
+        out_edges: out_row(merged, v)
+            .into_iter()
+            .map(|(d, _, p)| (NodeId(d), p))
+            .collect(),
+        in_edges,
+    }
+}
+
+fn bits(edges: impl Iterator<Item = (NodeId, f64)>) -> Vec<(u32, u64)> {
+    edges.map(|(n, x)| (n.0, x.to_bits())).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn accessors_match_the_reference_bit_for_bit(case in arb_edges(9, 40)) {
+        let (n, edges) = case;
+        let g = build(n, &edges);
+        let merged = reference(&edges);
+        prop_assert_eq!(g.node_count(), n);
+        prop_assert_eq!(g.edge_count(), merged.len());
+        prop_assert_eq!(g.has_self_loops(), merged.keys().any(|&(s, d)| s == d));
+        for v in g.nodes() {
+            let want = reference_block(&merged, n, v.0);
+            prop_assert_eq!(bits(g.out_edges(v)), bits(want.out_edges.iter().copied()));
+            prop_assert_eq!(bits(g.in_edges(v)), bits(want.in_edges.iter().copied()));
+            let row = out_row(&merged, v.0);
+            prop_assert_eq!(
+                bits(g.out_edges_weighted(v)),
+                bits(row.iter().map(|&(d, w, _)| (NodeId(d), w)))
+            );
+            let total: f64 = row.iter().map(|&(_, w, _)| w).sum();
+            prop_assert_eq!(g.weighted_out_degree(v).to_bits(), total.to_bits());
+            prop_assert_eq!(g.out_degree(v), want.out_edges.len());
+            prop_assert_eq!(g.in_degree(v), want.in_edges.len());
+            prop_assert_eq!(g.is_dangling(v), row.is_empty());
+            let neighbors: Vec<_> = row.iter().map(|&(d, _, _)| NodeId(d)).collect();
+            prop_assert_eq!(g.out_neighbors(v), neighbors.as_slice());
+        }
+    }
+
+    #[test]
+    fn arena_bytes_are_the_wire_encoding(case in arb_edges(9, 40)) {
+        let (n, edges) = case;
+        let g = build(n, &edges);
+        let merged = reference(&edges);
+        let mut whole = Vec::new();
+        for v in g.nodes() {
+            let extracted = NodeBlock::extract(&g, v);
+            prop_assert_eq!(&extracted, &reference_block(&merged, n, v.0));
+            let mut encoded = BytesMut::new();
+            extracted.encode(&mut encoded);
+            prop_assert_eq!(g.blocks().get(v), Some(encoded.as_slice()));
+            whole.extend_from_slice(encoded.as_slice());
+        }
+        // Blocks back to back in id order, and nothing else.
+        prop_assert_eq!(g.blocks().as_bytes(), whole.as_slice());
+        prop_assert_eq!(g.blocks().len(), n);
+    }
+}
