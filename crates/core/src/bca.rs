@@ -208,28 +208,28 @@ impl Bca {
         }
         self.ws.ensure_ids.sort_unstable();
         a.ensure(&self.ws.ensure_ids, FetchHint::OutFrontier)?;
-        for (v, r) in self.ws.mu.iter() {
-            if r > 0.0 {
-                let out = a.out_degree(NodeId(v)).max(1);
-                self.ws.candidates.push((v, r / out as f64));
-            }
+        // Candidates in ascending id order: the order they are processed
+        // in, so state evolution is independent of map iteration order.
+        for &v in &self.ws.ensure_ids {
+            let out = a.out_degree(NodeId(v)).max(1);
+            self.ws
+                .candidates
+                .push((v, self.ws.mu.score(v) / out as f64));
         }
         let take = m.min(self.ws.candidates.len());
-        // Partial selection of the top-m benefits; ties break by node id so
-        // runs are reproducible regardless of map iteration order.
-        self.ws
-            .candidates
-            .select_nth_unstable_by(take.saturating_sub(1), |a, b| {
+        if take < self.ws.candidates.len() {
+            // Partial selection of the top-m benefits; ties break by node
+            // id, so the selected set is unique.
+            self.ws.candidates.select_nth_unstable_by(take - 1, |a, b| {
                 b.1.partial_cmp(&a.1)
                     // invariant: benefits are products of finite
                     // probabilities and scores — never NaN.
                     .expect("NaN benefit")
                     .then(a.0.cmp(&b.0))
             });
-        self.ws.candidates.truncate(take);
-        // Process in ascending id order so state evolution is independent of
-        // map iteration order.
-        self.ws.candidates.sort_unstable_by_key(|&(v, _)| v);
+            self.ws.candidates.truncate(take);
+            self.ws.candidates.sort_unstable_by_key(|&(v, _)| v);
+        }
         for i in 0..take {
             let v = NodeId(self.ws.candidates[i].0);
             self.process(a, v);

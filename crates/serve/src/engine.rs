@@ -2,15 +2,15 @@
 //!
 //! One [`ServeEngine`] owns `workers` long-lived threads. Each worker pulls
 //! jobs off the scheduler's queues, resolves nothing (requests arrive
-//! pre-resolved against the engine defaults), dispatches on the request's
-//! measure to the right engine path via [`ResolvedRequest::run`], and sends
-//! a [`QueryResponse`] down the request's reply channel. Every worker owns
-//! one persistent [`ServeWorkspace`] — the sparse top-K buffers for the
-//! bound engines plus the dense vectors for the exact ones — pre-sized to
-//! the graph at spawn (so even a worker's *first* query pays no O(|V|)
+//! pre-resolved against the engine defaults), runs the request on its
+//! backend ([`ResolvedRequest::run`] locally), and sends a
+//! [`QueryResponse`] down the request's reply channel. Every worker owns
+//! one persistent [`ServeWorkspace`] — the sparse top-K buffers of the
+//! bound search — pre-sized to the graph at spawn for the first query node
+//! (so even a worker's *first* single-node query pays no O(|V|)
 //! allocations), wiped in O(touched) between queries, and never freed while
-//! the worker lives: steady-state serving is allocation-free on the bound
-//! paths.
+//! the worker lives: steady-state serving allocates no per-query index
+//! arrays.
 //!
 //! **Scheduling** never changes answers, only who runs a request and how
 //! long it queues:
@@ -1166,6 +1166,7 @@ mod tests {
                 QueryRequest::node(NodeId(0)).with_measure(Measure::F),
                 QueryRequest::node(NodeId(1)).with_measure(Measure::RtrPlus { beta: 0.7 }),
                 QueryRequest::nodes(&[NodeId(0), NodeId(3)]),
+                QueryRequest::node(NodeId(2)).with_k(g.node_count()),
             ])
             .collect();
         let local = ServeEngine::start(Arc::clone(&g), base);
@@ -1184,11 +1185,9 @@ mod tests {
             assert_eq!(lr.bounds, dr.bounds);
             assert_eq!(lr.expansions, dr.expansions);
             assert_eq!(l.backend, BackendKind::Local);
-            // Single-node RTR/RTR+ runs distributed; F and the multi-node
-            // query are recorded fallbacks.
-            let genuinely_distributed = d.request.query.nodes().len() == 1
-                && matches!(d.request.measure, Measure::Rtr | Measure::RtrPlus { .. });
-            if genuinely_distributed {
+            // Every measure and arity runs distributed; the full ranking is
+            // the recorded fallback.
+            if d.request.topk.k < g.node_count() {
                 assert_eq!(d.backend, BackendKind::Distributed);
                 // Wire bytes may be zero once the worker's block cache is
                 // warm; the per-query active-set accounting always holds.

@@ -31,22 +31,13 @@ impl ActiveSetStats {
         I: IntoIterator<Item = NodeId>,
         J: IntoIterator<Item = NodeId>,
     {
-        Self::measure_in(&mut NodeSet::new(), g, f_nodes, t_nodes)
+        Self::measure_in_access(&mut NodeSet::new(), g, f_nodes, t_nodes)
     }
 
-    /// [`ActiveSetStats::measure`] reusing `union` as the scratch set (it is
-    /// cleared first and sized to the graph), so per-query serving performs
-    /// no allocation here.
-    pub fn measure_in<I, J>(union: &mut NodeSet, g: &Graph, f_nodes: I, t_nodes: J) -> Self
-    where
-        I: IntoIterator<Item = NodeId>,
-        J: IntoIterator<Item = NodeId>,
-    {
-        Self::measure_in_access(union, g, f_nodes, t_nodes)
-    }
-
-    /// [`ActiveSetStats::measure_in`] over any [`AdjacencyAccess`] source:
-    /// the generic engines measure through the same trait they ran on, so a
+    /// [`ActiveSetStats::measure`] over any [`AdjacencyAccess`] source,
+    /// reusing `union` as the scratch set (it is cleared first and sized to
+    /// the graph), so per-query serving performs no allocation here. The
+    /// generic engines measure through the same trait they ran on, so a
     /// paged source reports the same numbers as the in-memory graph. Every
     /// measured node must be resident.
     pub fn measure_in_access<A, I, J>(union: &mut NodeSet, a: &A, f_nodes: I, t_nodes: J) -> Self

@@ -64,16 +64,6 @@ impl Bounds {
     pub fn contains(&self, value: f64, tol: f64) -> bool {
         value >= self.lower - tol && value <= self.upper + tol
     }
-
-    /// Product interval: `[a.lower·b.lower, a.upper·b.upper]` — valid for
-    /// non-negative scores, which all our probabilities are (Eq. 15).
-    pub fn product(&self, other: &Bounds) -> Bounds {
-        debug_assert!(self.lower >= 0.0 && other.lower >= 0.0);
-        Bounds {
-            lower: self.lower * other.lower,
-            upper: self.upper * other.upper,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -108,21 +98,6 @@ mod tests {
         assert!(b.contains(0.3, 0.0));
         assert!(!b.contains(0.6, 0.0));
         assert!(b.contains(0.5 + 1e-12, 1e-9));
-    }
-
-    #[test]
-    fn product_interval() {
-        let a = Bounds {
-            lower: 0.2,
-            upper: 0.4,
-        };
-        let b = Bounds {
-            lower: 0.5,
-            upper: 1.0,
-        };
-        let p = a.product(&b);
-        assert!((p.lower - 0.1).abs() < 1e-15);
-        assert!((p.upper - 0.4).abs() < 1e-15);
     }
 
     #[test]

@@ -300,11 +300,6 @@ impl TNeighborhood {
     pub fn is_empty(&self) -> bool {
         self.ws.bounds.is_empty()
     }
-
-    /// Whether only the query is in the neighborhood so far.
-    pub fn is_query_only(&self) -> bool {
-        self.ws.bounds.len() == 1
-    }
 }
 
 impl TWorkspace {
@@ -446,7 +441,7 @@ mod tests {
         let (g, ids) = fig2_toy();
         let nb =
             TNeighborhood::new(&g, ids.t1, &RankParams::default(), TBoundMode::TwoStage).unwrap();
-        assert!(nb.is_query_only());
+        assert_eq!(nb.len(), 1);
         let b = nb.bounds(ids.t1).unwrap();
         assert_eq!(b.lower, 0.25);
         assert_eq!(b.upper, 1.0);

@@ -23,9 +23,7 @@ fn test_graph() -> (Arc<Graph>, Vec<NodeId>) {
     (Arc::new(net.graph), queries)
 }
 
-/// Every measure through one pool: F and T exercise the distributed
-/// backend's recorded local fallback, RTR and RTR+ run genuinely
-/// distributed.
+/// Every measure through one pool, all run genuinely distributed.
 fn mixed_requests(queries: &[NodeId]) -> Vec<QueryRequest> {
     queries
         .iter()

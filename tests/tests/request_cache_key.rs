@@ -223,15 +223,15 @@ proptest! {
 // execution backend answers an identical request routed to the other.
 // ---------------------------------------------------------------------------
 
-/// The mix of request shapes the sharing property must hold for: genuinely
-/// distributed (single-node RTR / RTR+) and recorded-fallback (F, T,
-/// multi-node) alike.
+/// The mix of request shapes the sharing property must hold for: every
+/// measure, single- and multi-node, and a recorded-fallback full ranking.
 fn sharing_mix(ids: &rtr_graph::toy::Fig2Ids) -> Vec<QueryRequest> {
     vec![
         QueryRequest::node(ids.t1),
         QueryRequest::node(ids.v1).with_measure(Measure::RtrPlus { beta: 0.7 }),
         QueryRequest::node(ids.t2).with_measure(Measure::F),
         QueryRequest::nodes(&[ids.t1, ids.t2]),
+        QueryRequest::node(ids.t1).with_k(1_000),
     ]
 }
 

@@ -9,10 +9,10 @@
 //!    8 workers, cache on or off, is bit-identical to the serial reference
 //!    (`run_serial_requests`).
 //! 2. **The pool is the engines**: every response is bit-identical to
-//!    running the corresponding *direct* engine — `FRank`/`TRank` for the
-//!    exact measures, `TwoSBound`/`TwoSBoundPlus` for the bound paths,
-//!    `RoundTripRank`/`RoundTripRankPlus` for multi-node queries — with
-//!    the request's effective parameters.
+//!    running the *direct* bound search (`TwoSBound` for every measure and
+//!    query arity) with the request's effective parameters, and keeps the
+//!    ε-contract against the exact engines (`FRank`, `TRank`,
+//!    `RoundTripRank`, `RoundTripRankPlus`).
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -21,7 +21,7 @@ use rtr_datagen::{QLog, QLogConfig};
 use rtr_graph::toy::fig2_toy;
 use rtr_graph::{Graph, NodeId};
 use rtr_serve::{run_serial_requests, QueryRequest, QueryResponse, ServeConfig, ServeEngine};
-use rtr_topk::{Scheme, TopKConfig, TwoSBound, TwoSBoundPlus};
+use rtr_topk::{Scheme, TopKConfig, TopKWorkspace, TwoSBound, TwoSBoundPlus};
 use std::sync::Arc;
 
 /// Strict comparison: every value that the engine computes must agree
@@ -167,17 +167,33 @@ fn mixed_batch_matches_direct_engines_with_cache_and_single_flight_on() {
     let engine = ServeEngine::start(Arc::new(g.clone()), config);
     let responses = engine.run_requests(&requests);
 
-    // Direct engines, one per request, with the request's effective
-    // parameters.
+    // The direct bound search with the request's effective parameters, and
+    // the ε-contract (here ε = 0: the exact top-k, up to exact ties)
+    // against the exact engine.
     let check_exact = |response: &QueryResponse, scores: &ScoreVec| {
         let result = response.result.as_ref().unwrap();
-        let k = response.request.topk.k;
-        assert_eq!(result.ranking, scores.top_k(k));
-        for (v, &(lo, hi)) in result.ranking.iter().zip(&result.bounds) {
-            assert_eq!(lo, scores.score(*v), "exact bounds are the exact score");
-            assert_eq!(hi, lo);
-        }
+        let r = &response.request;
+        let direct = TwoSBound::for_measure(r.params, r.topk, r.scheme, r.measure)
+            .unwrap()
+            .run_query_with(&g, &r.query, &mut TopKWorkspace::default())
+            .unwrap();
+        assert_eq!(result.ranking, direct.ranking);
+        assert_eq!(result.bounds, direct.bounds);
+        assert_eq!(result.expansions, direct.expansions);
         assert!(result.converged);
+        let want = scores.top_k(r.topk.k);
+        assert_eq!(result.ranking.len(), want.len());
+        for ((v, &(lo, hi)), w) in result.ranking.iter().zip(&result.bounds).zip(&want) {
+            let s = scores.score(*v);
+            assert!(
+                lo <= s + 1e-9 && s <= hi + 1e-9,
+                "{v:?}: {s} outside [{lo}, {hi}]"
+            );
+            assert!(
+                (s - scores.score(*w)).abs() < 1e-9,
+                "{v:?} ranked in place of {w:?}"
+            );
+        }
     };
 
     // [0] single-node RTR → 2SBound.
@@ -188,14 +204,15 @@ fn mixed_batch_matches_direct_engines_with_cache_and_single_flight_on() {
     assert_eq!(got.expansions, direct.expansions);
     assert_eq!(got.active, direct.active);
 
-    // [1] F-Rank → exact PPR, top-3.
+    // [1] F-Rank → bound search on the f-neighborhood, top-3.
     let f = FRank::new(params)
         .compute(&g, &Query::single(ids.t1))
         .unwrap();
     assert_eq!(responses[1].request.topk.k, 3);
     check_exact(&responses[1], &f);
 
-    // [2] T-Rank → exact, k from engine default.
+    // [2] T-Rank → bound search on the t-neighborhood, k from the engine
+    // default.
     let t = TRank::new(params)
         .compute(&g, &Query::single(ids.t1))
         .unwrap();
@@ -214,13 +231,14 @@ fn mixed_batch_matches_direct_engines_with_cache_and_single_flight_on() {
         assert_eq!(got.expansions, direct.expansions, "β={beta}");
     }
 
-    // [5] multi-node RTR → exact linearity reduction.
+    // [5] multi-node RTR → one neighborhood pair per query node, bounding
+    // the linearity reduction.
     let multi = Query::uniform(&[ids.t1, ids.t2]);
     let rtr = RoundTripRank::new(params).compute(&g, &multi).unwrap();
     assert_eq!(responses[5].request.topk.k, 3);
     check_exact(&responses[5], &rtr);
 
-    // [6] multi-node RTR+ → exact linearity reduction with β blend.
+    // [6] multi-node RTR+ → the same with the β blend.
     let plus = RoundTripRankPlus::new(params, 0.7)
         .unwrap()
         .compute(&g, &multi)
