@@ -12,7 +12,6 @@ use crate::error::CoreError;
 use crate::params::RankParams;
 use crate::query::Query;
 use crate::scores::ScoreVec;
-use crate::workspace::IterWorkspace;
 use rtr_graph::Graph;
 
 /// Statistics of an iterative computation.
@@ -44,27 +43,12 @@ pub fn iterate(
     params: &RankParams,
     direction: Direction,
 ) -> Result<(ScoreVec, IterationStats), CoreError> {
-    iterate_with(&mut IterWorkspace::default(), g, query, params, direction)
-}
-
-/// [`iterate`] reusing `ws`'s dense vectors. The returned [`ScoreVec`]
-/// necessarily takes ownership of the converged iterate's buffer, so one
-/// `|V|`-sized allocation per query remains; the start and scratch
-/// vectors (two of the three) are recycled.
-pub fn iterate_with(
-    ws: &mut IterWorkspace,
-    g: &Graph,
-    query: &Query,
-    params: &RankParams,
-    direction: Direction,
-) -> Result<(ScoreVec, IterationStats), CoreError> {
     params.validate()?;
     query.validate(g)?;
 
     let n = g.node_count();
     let alpha = params.alpha;
-    ws.reset(n);
-    let IterWorkspace { start, cur, next } = ws;
+    let (mut start, mut cur, mut next) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
     for (node, w) in query.iter() {
         start[node.index()] += w;
     }
@@ -102,11 +86,11 @@ pub fn iterate_with(
             .zip(next.iter())
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max);
-        std::mem::swap(cur, next);
+        std::mem::swap(&mut cur, &mut next);
         stats.iterations = it;
         stats.final_residual = residual;
         if residual < params.tolerance {
-            return Ok((ws.take_result(), stats));
+            return Ok((ScoreVec::from_vec(cur), stats));
         }
     }
     Err(CoreError::NoConvergence {

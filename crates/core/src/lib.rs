@@ -30,9 +30,8 @@
 //!   the paper's improved unseen upper bound (Prop. 4).
 //! * [`enumerate`] — exact round-trip enumeration on tiny graphs with
 //!   constant walk lengths, validating the by-hand numbers of paper Fig. 4.
-//! * [`workspace`] — reusable per-query workspaces ([`BcaWorkspace`],
-//!   [`IterWorkspace`]) so serving workers run queries with zero
-//!   steady-state allocation.
+//! * [`workspace`] — the reusable per-query [`BcaWorkspace`], so serving
+//!   workers run bound searches with zero steady-state allocation.
 //!
 //! ## Queries
 //!
@@ -77,7 +76,7 @@ pub use measure::{Measure, MeasureKey};
 pub use params::{RankParams, RankParamsKey};
 pub use query::{Query, QueryCacheKey};
 pub use scores::ScoreVec;
-pub use workspace::{BcaWorkspace, IterWorkspace};
+pub use workspace::BcaWorkspace;
 
 /// Convenient glob-import surface for downstream crates.
 pub mod prelude {
@@ -92,5 +91,5 @@ pub mod prelude {
     pub use crate::scores::ScoreVec;
     pub use crate::trank::TRank;
     pub use crate::walk::WalkLength;
-    pub use crate::workspace::{BcaWorkspace, IterWorkspace};
+    pub use crate::workspace::BcaWorkspace;
 }

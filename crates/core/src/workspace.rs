@@ -1,19 +1,17 @@
 //! Reusable per-query workspaces for the core engines.
 //!
 //! Online serving runs the same engines over and over against one shared
-//! graph. The engines' per-query state — BCA's `ρ`/`µ` score maps, the
-//! dense vectors of the exact iteration — is identical in shape from query
-//! to query, so a worker that keeps a workspace alive between queries pays
-//! the allocation cost once and thereafter only the O(touched) cost of
-//! wiping the previous query's entries.
+//! graph. BCA's per-query state — the `ρ`/`µ` score maps — is identical in
+//! shape from query to query, so a worker that keeps a workspace alive
+//! between queries pays the allocation cost once and thereafter only the
+//! O(touched) cost of wiping the previous query's entries.
 //!
-//! Each engine exposes a `*_with` / `with_workspace` entry point that
-//! borrows or consumes a workspace, and keeps its original allocating API
-//! as a thin wrapper over a freshly created workspace, so results are
-//! identical either way (the determinism suite in `tests/` enforces
-//! bit-identity).
+//! [`crate::bca::Bca::with_workspace`] consumes a workspace, and
+//! [`crate::bca::Bca::new`] stays a thin wrapper over a freshly created
+//! one, so results are identical either way (the determinism suite in
+//! `tests/` enforces bit-identity). The exact fixed-point iterations
+//! allocate their dense vectors per call: they serve only full rankings.
 
-use crate::scores::ScoreVec;
 use rtr_graph::ScoreMap;
 
 /// Reusable state for one [`crate::bca::Bca`] run: the `ρ` / `µ` score maps
@@ -72,46 +70,6 @@ impl BcaWorkspace {
     }
 }
 
-/// Reusable dense vectors for [`crate::iterative::iterate_with`]: the start
-/// distribution and the two iterates the fixed point ping-pongs between.
-///
-/// The exact engines ([`crate::frank::FRank`], [`crate::trank::TRank`]) are
-/// O(|V|) in state; re-serving them from a warm workspace avoids two of
-/// the three `|V|`-sized allocations per query (the returned
-/// [`ScoreVec`] necessarily owns the third — the converged iterate's
-/// buffer).
-#[derive(Clone, Debug, Default)]
-pub struct IterWorkspace {
-    pub(crate) start: Vec<f64>,
-    pub(crate) cur: Vec<f64>,
-    pub(crate) next: Vec<f64>,
-}
-
-impl IterWorkspace {
-    /// A workspace pre-sized for graphs of `n` nodes.
-    pub fn with_capacity(n: usize) -> Self {
-        IterWorkspace {
-            start: Vec::with_capacity(n),
-            cur: Vec::with_capacity(n),
-            next: Vec::with_capacity(n),
-        }
-    }
-
-    /// Zero all three vectors at length `n` (retaining their allocations).
-    pub(crate) fn reset(&mut self, n: usize) {
-        for v in [&mut self.start, &mut self.cur, &mut self.next] {
-            v.clear();
-            v.resize(n, 0.0);
-        }
-    }
-
-    /// Move the converged iterate out as a [`ScoreVec`], leaving an empty
-    /// (but still allocated) slot behind.
-    pub(crate) fn take_result(&mut self) -> ScoreVec {
-        ScoreVec::from_vec(std::mem::take(&mut self.cur))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,16 +85,5 @@ mod tests {
         assert!(ws.mu.is_empty());
         assert!(ws.candidates.is_empty());
         assert!(ws.rho.capacity() >= 8);
-    }
-
-    #[test]
-    fn iter_workspace_reset_zeroes() {
-        let mut ws = IterWorkspace::with_capacity(2);
-        ws.reset(3);
-        ws.cur[1] = 9.0;
-        ws.reset(3);
-        assert_eq!(ws.cur, vec![0.0; 3]);
-        assert_eq!(ws.start.len(), 3);
-        assert_eq!(ws.next.len(), 3);
     }
 }
