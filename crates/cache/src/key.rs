@@ -5,8 +5,7 @@
 //! node or weighted multi-node set, in canonical order), the proximity
 //! measure (including the RTR+ β bit pattern), the graph (via its
 //! construction epoch — see [`rtr_graph::Graph::epoch`]), the random-walk
-//! parameters, the top-K configuration, and the computational scheme.
-//! Folding the epoch into the key is what makes invalidation free: when a
+//! parameters, and the top-K configuration. Folding the epoch into the key is what makes invalidation free: when a
 //! new graph replaces an old one, entries computed against the old epoch
 //! simply stop being addressable and age out of the LRU.
 //!
@@ -20,7 +19,7 @@
 use crate::cache::ShardedCache;
 use rtr_core::{Measure, MeasureKey, Query, QueryCacheKey, RankParams, RankParamsKey};
 use rtr_graph::NodeId;
-use rtr_topk::{Scheme, TopKCacheKey, TopKConfig, TopKResult};
+use rtr_topk::{TopKCacheKey, TopKConfig, TopKResult};
 use std::sync::Arc;
 
 /// Identity of one served computation.
@@ -29,14 +28,13 @@ pub struct CacheKey {
     query: QueryCacheKey,
     measure: MeasureKey,
     epoch: u64,
-    scheme: Scheme,
     topk: TopKCacheKey,
     params: RankParamsKey,
 }
 
 impl CacheKey {
     /// Key for ranking `query` under `measure` on a graph stamped `epoch`
-    /// with the given parameters, configuration, and scheme.
+    /// with the given parameters and configuration.
     ///
     /// The query's pair order is keyed as-is: multi-node engines accumulate
     /// in query order, so permutations are not bit-equivalent in general.
@@ -48,13 +46,11 @@ impl CacheKey {
         epoch: u64,
         params: &RankParams,
         config: &TopKConfig,
-        scheme: Scheme,
     ) -> Self {
         CacheKey {
             query: query.cache_key(),
             measure: measure.cache_key(),
             epoch,
-            scheme,
             topk: config.cache_key(),
             params: params.cache_key(),
         }
@@ -62,21 +58,8 @@ impl CacheKey {
 
     /// Convenience for the pre-PR-4 key shape: a single-node RoundTripRank
     /// query.
-    pub fn single(
-        node: NodeId,
-        epoch: u64,
-        params: &RankParams,
-        config: &TopKConfig,
-        scheme: Scheme,
-    ) -> Self {
-        Self::new(
-            &Query::single(node),
-            Measure::Rtr,
-            epoch,
-            params,
-            config,
-            scheme,
-        )
+    pub fn single(node: NodeId, epoch: u64, params: &RankParams, config: &TopKConfig) -> Self {
+        Self::new(&Query::single(node), Measure::Rtr, epoch, params, config)
     }
 
     /// The graph epoch this key is valid for.
@@ -94,13 +77,7 @@ mod tests {
     use super::*;
 
     fn base() -> CacheKey {
-        CacheKey::single(
-            NodeId(3),
-            7,
-            &RankParams::default(),
-            &TopKConfig::default(),
-            Scheme::TwoSBound,
-        )
+        CacheKey::single(NodeId(3), 7, &RankParams::default(), &TopKConfig::default())
     }
 
     #[test]
@@ -114,23 +91,10 @@ mod tests {
         let params = RankParams::default();
         let config = TopKConfig::default();
         let variants = [
-            CacheKey::single(NodeId(4), 7, &params, &config, Scheme::TwoSBound),
-            CacheKey::single(NodeId(3), 8, &params, &config, Scheme::TwoSBound),
-            CacheKey::single(NodeId(3), 7, &params, &config, Scheme::Gupta),
-            CacheKey::single(
-                NodeId(3),
-                7,
-                &RankParams::with_alpha(0.5),
-                &config,
-                Scheme::TwoSBound,
-            ),
-            CacheKey::single(
-                NodeId(3),
-                7,
-                &params,
-                &TopKConfig { k: 3, ..config },
-                Scheme::TwoSBound,
-            ),
+            CacheKey::single(NodeId(4), 7, &params, &config),
+            CacheKey::single(NodeId(3), 8, &params, &config),
+            CacheKey::single(NodeId(3), 7, &RankParams::with_alpha(0.5), &config),
+            CacheKey::single(NodeId(3), 7, &params, &TopKConfig { k: 3, ..config }),
             CacheKey::single(
                 NodeId(3),
                 7,
@@ -139,7 +103,6 @@ mod tests {
                     ..params
                 },
                 &config,
-                Scheme::TwoSBound,
             ),
         ];
         for v in variants {
@@ -153,25 +116,11 @@ mod tests {
         let config = TopKConfig::default();
         let q = Query::single(NodeId(3));
         let keys = [
-            CacheKey::new(&q, Measure::F, 7, &params, &config, Scheme::TwoSBound),
-            CacheKey::new(&q, Measure::T, 7, &params, &config, Scheme::TwoSBound),
-            CacheKey::new(&q, Measure::Rtr, 7, &params, &config, Scheme::TwoSBound),
-            CacheKey::new(
-                &q,
-                Measure::RtrPlus { beta: 0.3 },
-                7,
-                &params,
-                &config,
-                Scheme::TwoSBound,
-            ),
-            CacheKey::new(
-                &q,
-                Measure::RtrPlus { beta: 0.7 },
-                7,
-                &params,
-                &config,
-                Scheme::TwoSBound,
-            ),
+            CacheKey::new(&q, Measure::F, 7, &params, &config),
+            CacheKey::new(&q, Measure::T, 7, &params, &config),
+            CacheKey::new(&q, Measure::Rtr, 7, &params, &config),
+            CacheKey::new(&q, Measure::RtrPlus { beta: 0.3 }, 7, &params, &config),
+            CacheKey::new(&q, Measure::RtrPlus { beta: 0.7 }, 7, &params, &config),
         ];
         for (i, a) in keys.iter().enumerate() {
             for b in &keys[i + 1..] {
@@ -181,15 +130,8 @@ mod tests {
         // β = 0.5 RTR+ is rank-equivalent to RTR but not bit-equivalent
         // (different bound arithmetic): still a distinct key.
         assert_ne!(
-            CacheKey::new(
-                &q,
-                Measure::RtrPlus { beta: 0.5 },
-                7,
-                &params,
-                &config,
-                Scheme::TwoSBound
-            ),
-            CacheKey::new(&q, Measure::Rtr, 7, &params, &config, Scheme::TwoSBound)
+            CacheKey::new(&q, Measure::RtrPlus { beta: 0.5 }, 7, &params, &config),
+            CacheKey::new(&q, Measure::Rtr, 7, &params, &config)
         );
     }
 
@@ -199,8 +141,7 @@ mod tests {
         let config = TopKConfig::default();
         let a = Query::weighted(&[(NodeId(1), 1.0), (NodeId(4), 3.0)]).unwrap();
         let b = Query::weighted(&[(NodeId(4), 3.0), (NodeId(1), 1.0)]).unwrap();
-        let key =
-            |q: &Query| CacheKey::new(q, Measure::Rtr, 7, &params, &config, Scheme::TwoSBound);
+        let key = |q: &Query| CacheKey::new(q, Measure::Rtr, 7, &params, &config);
         // Raw order is part of the key...
         assert_ne!(key(&a), key(&b));
         // ...the canonical forms collapse to one entry.
@@ -219,15 +160,8 @@ mod tests {
     fn single_is_a_rtr_single_node_key() {
         let params = RankParams::default();
         let config = TopKConfig::default();
-        let via_single = CacheKey::single(NodeId(3), 7, &params, &config, Scheme::TwoSBound);
-        let via_new = CacheKey::new(
-            &Query::single(NodeId(3)),
-            Measure::Rtr,
-            7,
-            &params,
-            &config,
-            Scheme::TwoSBound,
-        );
+        let via_single = CacheKey::single(NodeId(3), 7, &params, &config);
+        let via_new = CacheKey::new(&Query::single(NodeId(3)), Measure::Rtr, 7, &params, &config);
         assert_eq!(via_single, via_new);
     }
 }

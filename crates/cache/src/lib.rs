@@ -16,8 +16,8 @@
 //! * [`ShardedCache`] — N independently locked shards (a key's hash picks
 //!   its shard) with atomic hit/miss/insert/eviction counters, snapshotted
 //!   as [`CacheStats`].
-//! * [`CacheKey`] / [`ResultCache`] — the serving key: `(query node, graph
-//!   epoch, RankParams, TopKConfig, Scheme)`. The **graph epoch**
+//! * [`CacheKey`] / [`ResultCache`] — the serving key: `(query, measure,
+//!   graph epoch, RankParams, TopKConfig)`. The **graph epoch**
 //!   ([`rtr_graph::Graph::epoch`]) makes invalidation structural: replace
 //!   the graph and every stale entry stops being addressable — no scanning,
 //!   no tombstones; the LRU ages them out.

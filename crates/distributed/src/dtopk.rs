@@ -23,16 +23,16 @@
 //! the Fig. 12 active-set numbers stay exact however warm the cache is.
 //!
 //! Like the local engines, the distributed processors honor the full
-//! [`TopKConfig`] and the Fig. 11a ablation [`Scheme`]s (`with_scheme`),
-//! and expose workspace-reusing `run_with` entry points so a pooled worker
-//! serves query after query without reallocating its AP-side state.
+//! [`TopKConfig`] and whatever search they wrap (a Fig. 11a ablation is a
+//! `TwoSBound::with_scheme(..).into()`), and expose workspace-reusing
+//! `run_with` entry points so a pooled worker serves query after query
+//! without reallocating its AP-side state.
 
 use crate::active::{ActiveGraph, BlockCache};
 use crate::gp::{GpCluster, ReplySlot};
 use rtr_core::{CoreError, Query, RankParams};
 use rtr_graph::NodeId;
 use rtr_topk::config::TopKConfig;
-use rtr_topk::schemes::Scheme;
 use rtr_topk::two_sbound::{TopKResult, TwoSBound};
 use rtr_topk::workspace::TopKWorkspace;
 
@@ -119,13 +119,6 @@ impl DistributedTwoSBound {
         TwoSBound::new(params, config).into()
     }
 
-    /// RoundTripRank with an explicit computational scheme (the Fig. 11a
-    /// ablations), honored exactly as `TwoSBound::run_with` honors it —
-    /// they are the same code.
-    pub fn with_scheme(params: RankParams, config: TopKConfig, scheme: Scheme) -> Self {
-        TwoSBound::with_scheme(params, config, scheme).into()
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &TopKConfig {
         self.engine.config()
@@ -190,6 +183,7 @@ mod tests {
     use super::*;
     use rtr_core::Measure;
     use rtr_graph::toy::fig2_toy;
+    use rtr_topk::Scheme;
     use rtr_topk::TwoSBoundPlus;
 
     fn toy_config() -> TopKConfig {
@@ -234,9 +228,10 @@ mod tests {
             let local = TwoSBound::with_scheme(params, toy_config(), scheme)
                 .run(&g, ids.t1)
                 .unwrap();
-            let (dist, _) = DistributedTwoSBound::with_scheme(params, toy_config(), scheme)
-                .run(&cluster, ids.t1)
-                .unwrap();
+            let (dist, _) =
+                DistributedTwoSBound::from(TwoSBound::with_scheme(params, toy_config(), scheme))
+                    .run(&cluster, ids.t1)
+                    .unwrap();
             assert_eq!(local.ranking, dist.ranking, "{scheme:?}");
             assert_eq!(local.bounds, dist.bounds, "{scheme:?}");
             assert_eq!(local.expansions, dist.expansions, "{scheme:?}");
@@ -398,12 +393,7 @@ mod tests {
     fn plus_rejects_invalid_beta() {
         let p = RankParams::default();
         for beta in [-0.1, 1.5, f64::NAN] {
-            let engine = TwoSBound::for_measure(
-                p,
-                toy_config(),
-                Scheme::TwoSBound,
-                Measure::RtrPlus { beta },
-            );
+            let engine = TwoSBound::for_measure(p, toy_config(), Measure::RtrPlus { beta });
             assert!(matches!(
                 engine.map(DistributedTwoSBound::from),
                 Err(CoreError::InvalidBeta(_))

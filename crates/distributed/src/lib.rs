@@ -23,9 +23,9 @@
 //! [`rtr_graph::AdjacencyAccess`] trait against an [`ActiveGraph`] that
 //! pages node blocks from the cluster. Results are therefore
 //! **bit-identical** to the local engines under the same `TopKConfig` and
-//! [`rtr_topk::Scheme`] *by construction* — which is what lets a serving
-//! layer route the same traffic to either execution backend (and share one
-//! result cache between them) without changing a single answer.
+//! search *by construction* — which is what lets a serving layer run the
+//! same traffic on either execution backend (and share one result cache
+//! between them) without changing a single answer.
 //!
 //! The wire layer is where the distributed work happens, and on it a node
 //! block is one thing only — its wire bytes, which are also how the

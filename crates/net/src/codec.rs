@@ -11,9 +11,9 @@
 //! of the answer, and decoded responses carry `None`.)
 //!
 //! Decoding is total: every read is bounds-checked (`Reader`), every
-//! enum tag and flag byte is validated, list lengths are checked against
-//! the bytes actually present *before* any buffer is sized from them, and
-//! trailing bytes are rejected. Malformed input yields a typed
+//! enum tag, flag byte and reserved byte is validated, list lengths are
+//! checked against the bytes actually present *before* any buffer is sized
+//! from them, and trailing bytes are rejected. Malformed input yields a typed
 //! [`WireError`], never a panic or an oversized allocation.
 
 use crate::frame::WireError;
@@ -22,7 +22,7 @@ use rtr_core::{CoreError, Measure, Query, RankParams};
 use rtr_distributed::DistributedStats;
 use rtr_graph::NodeId;
 use rtr_serve::{BackendKind, QueryRequest, QueryResponse, ResolvedRequest, ServeError};
-use rtr_topk::{ActiveSetStats, Scheme, TopKConfig, TopKResult};
+use rtr_topk::{ActiveSetStats, TopKConfig, TopKResult};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -153,6 +153,18 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// A reserved byte (`docs/PROTOCOL.md` §5): written as 0, and any
+    /// other value is `Malformed`, so a field v1 no longer carries is never
+    /// silently misread.
+    fn reserved(&mut self, field: &str) -> Result<(), WireError> {
+        match self.u8()? {
+            0 => Ok(()),
+            b => Err(WireError::Malformed(format!(
+                "reserved byte ({field}) must be 0, got {b}"
+            ))),
+        }
+    }
+
     /// A `u32` element count, validated against the bytes still present
     /// (each element occupies at least `min_elem_bytes`), so a hostile
     /// count can never size an allocation beyond the payload itself.
@@ -272,25 +284,6 @@ fn get_topk(r: &mut Reader<'_>) -> Result<TopKConfig, WireError> {
     })
 }
 
-fn scheme_tag(s: Scheme) -> u8 {
-    match s {
-        Scheme::TwoSBound => 0,
-        Scheme::GPlusS => 1,
-        Scheme::Gupta => 2,
-        Scheme::Sarkar => 3,
-    }
-}
-
-fn get_scheme(r: &mut Reader<'_>) -> Result<Scheme, WireError> {
-    Ok(match r.u8()? {
-        0 => Scheme::TwoSBound,
-        1 => Scheme::GPlusS,
-        2 => Scheme::Gupta,
-        3 => Scheme::Sarkar,
-        t => return Err(WireError::Malformed(format!("unknown scheme tag {t}"))),
-    })
-}
-
 fn backend_tag(b: BackendKind) -> u8 {
     match b {
         BackendKind::Local => 0,
@@ -335,20 +328,9 @@ pub fn encode_request(request: &QueryRequest, out: &mut BytesMut) {
         }
         None => out.put_u8(0),
     }
-    match request.scheme() {
-        Some(s) => {
-            out.put_u8(1);
-            out.put_u8(scheme_tag(s));
-        }
-        None => out.put_u8(0),
-    }
-    match request.backend() {
-        Some(b) => {
-            out.put_u8(1);
-            out.put_u8(backend_tag(b));
-        }
-        None => out.put_u8(0),
-    }
+    // Two reserved bytes (docs/PROTOCOL.md §5).
+    out.put_u8(0);
+    out.put_u8(0);
 }
 
 /// Decode a `Request` frame's binary payload.
@@ -369,12 +351,8 @@ pub fn decode_request(payload: &[u8]) -> Result<QueryRequest, WireError> {
     if r.bool()? {
         request = request.with_topk(get_topk(&mut r)?);
     }
-    if r.bool()? {
-        request = request.with_scheme(get_scheme(&mut r)?);
-    }
-    if r.bool()? {
-        request = request.with_backend(get_backend(&mut r)?);
-    }
+    r.reserved("scheme present")?;
+    r.reserved("backend present")?;
     r.finish()?;
     Ok(request)
 }
@@ -388,28 +366,21 @@ fn put_resolved(out: &mut BytesMut, r: &ResolvedRequest) {
     put_measure(out, r.measure);
     put_params(out, &r.params);
     put_topk(out, &r.topk);
-    out.put_u8(scheme_tag(r.scheme));
-    match r.route {
-        None => out.put_u8(0),
-        Some(BackendKind::Local) => out.put_u8(1),
-        Some(BackendKind::Distributed) => out.put_u8(2),
-    }
+    // Two reserved bytes (docs/PROTOCOL.md §5).
+    out.put_u8(0);
+    out.put_u8(0);
 }
 
 fn get_resolved(r: &mut Reader<'_>) -> Result<ResolvedRequest, WireError> {
-    Ok(ResolvedRequest {
+    let resolved = ResolvedRequest {
         query: get_query(r)?,
         measure: get_measure(r)?,
         params: get_params(r)?,
         topk: get_topk(r)?,
-        scheme: get_scheme(r)?,
-        route: match r.u8()? {
-            0 => None,
-            1 => Some(BackendKind::Local),
-            2 => Some(BackendKind::Distributed),
-            t => return Err(WireError::Malformed(format!("unknown route tag {t}"))),
-        },
-    })
+    };
+    r.reserved("resolved scheme")?;
+    r.reserved("route")?;
+    Ok(resolved)
 }
 
 fn put_topk_result(out: &mut BytesMut, t: &TopKResult) {
@@ -565,7 +536,7 @@ pub fn encode_response(response: &QueryResponse, out: &mut BytesMut) {
         }
     }
     out.put_u8(backend_tag(response.backend));
-    out.put_u8(response.routed_fallback as u8);
+    out.put_u8(0); // reserved (docs/PROTOCOL.md §5)
     match &response.distributed {
         Some(d) => {
             out.put_u8(1);
@@ -608,7 +579,7 @@ pub fn decode_response(payload: &[u8]) -> Result<QueryResponse, WireError> {
         Err(get_serve_error(&mut r)?)
     };
     let backend = get_backend(&mut r)?;
-    let routed_fallback = r.bool()?;
+    r.reserved("routed_fallback")?;
     let distributed = if r.bool()? {
         Some(DistributedStats {
             fetch_requests: r.usize64()?,
@@ -633,7 +604,6 @@ pub fn decode_response(payload: &[u8]) -> Result<QueryResponse, WireError> {
         request,
         result,
         backend,
-        routed_fallback,
         distributed,
         from_cache,
         worker,
@@ -689,9 +659,7 @@ pub(crate) mod tests_support {
                     tolerance: 1e-8,
                     max_iterations: 64,
                 })
-                .with_topk(TopKConfig::toy())
-                .with_scheme(Scheme::Gupta)
-                .with_backend(BackendKind::Distributed),
+                .with_topk(TopKConfig::toy()),
             QueryRequest::node(NodeId(0)).with_measure(Measure::F),
         ]
     }
@@ -732,7 +700,6 @@ mod tests {
             assert_eq!(back.id, response.id);
             assert_eq!(back.request, response.request);
             assert_eq!(back.backend, response.backend);
-            assert_eq!(back.routed_fallback, response.routed_fallback);
             assert_eq!(back.distributed, response.distributed);
             assert_eq!(back.from_cache, response.from_cache);
             assert_eq!(back.worker, response.worker);
@@ -775,7 +742,6 @@ mod tests {
                 request: resolved.clone(),
                 result: Err(err.clone()),
                 backend: BackendKind::Distributed,
-                routed_fallback: true,
                 distributed: None,
                 from_cache: false,
                 worker: Some(2),

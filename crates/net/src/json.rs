@@ -20,14 +20,16 @@
 //!  "params": {"alpha": 0.25, "tolerance": 1e-6, "max_iterations": 100},
 //!  "topk": {"k": 10, "epsilon": 0.01, "m_f": 40, "m_t": 40,
 //!            "refine_tolerance": 1e-6, "refine_max_sweeps": 30,
-//!            "max_expansions": 100000},
-//!  "scheme": "two_sbound", "backend": "local"}
+//!            "max_expansions": 100000}}
 //! ```
 //!
-//! `measure` is `"f"`, `"t"`, `"rtr"`, or `{"rtr_plus": {"beta": 0.7}}`;
-//! `scheme` is `"two_sbound"`, `"gplus_s"`, `"gupta"`, or `"sarkar"`.
-//! Response and rejection shapes mirror the binary codec field for field
-//! (see [`response_to_json`] / [`reject_to_json`]).
+//! `measure` is `"f"`, `"t"`, `"rtr"`, or `{"rtr_plus": {"beta": 0.7}}`.
+//! A request that still carries a `"scheme"` or `"backend"` key is
+//! rejected (`BadJson`): those per-request execution settings are gone,
+//! and ignoring them would silently serve 2SBound on the engine's backend
+//! in place of what the client asked for. Response and rejection shapes
+//! mirror the binary codec field for field (see [`response_to_json`] /
+//! [`reject_to_json`]).
 
 use crate::codec::{ErrorCode, Reject};
 use crate::frame::WireError;
@@ -35,7 +37,7 @@ use rtr_core::{CoreError, Measure, Query, RankParams};
 use rtr_distributed::DistributedStats;
 use rtr_graph::NodeId;
 use rtr_serve::{BackendKind, QueryRequest, QueryResponse, ResolvedRequest, ServeError};
-use rtr_topk::{ActiveSetStats, Scheme, TopKConfig, TopKResult};
+use rtr_topk::{ActiveSetStats, TopKConfig, TopKResult};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
@@ -508,25 +510,6 @@ fn topk_from_json(v: &Json) -> Result<TopKConfig, WireError> {
     })
 }
 
-fn scheme_slug(s: Scheme) -> &'static str {
-    match s {
-        Scheme::TwoSBound => "two_sbound",
-        Scheme::GPlusS => "gplus_s",
-        Scheme::Gupta => "gupta",
-        Scheme::Sarkar => "sarkar",
-    }
-}
-
-fn scheme_from_json(v: &Json) -> Result<Scheme, WireError> {
-    match v.as_str()? {
-        "two_sbound" => Ok(Scheme::TwoSBound),
-        "gplus_s" => Ok(Scheme::GPlusS),
-        "gupta" => Ok(Scheme::Gupta),
-        "sarkar" => Ok(Scheme::Sarkar),
-        other => Err(bad(format!("unknown scheme '{other}'"))),
-    }
-}
-
 fn backend_slug(b: BackendKind) -> &'static str {
     match b {
         BackendKind::Local => "local",
@@ -557,18 +540,17 @@ pub fn request_to_json(request: &QueryRequest) -> String {
     if let Some(t) = request.topk() {
         members.push(("topk", topk_to_json(&t)));
     }
-    if let Some(s) = request.scheme() {
-        members.push(("scheme", Json::Str(scheme_slug(s).into())));
-    }
-    if let Some(b) = request.backend() {
-        members.push(("backend", Json::Str(backend_slug(b).into())));
-    }
     obj(members).render()
 }
 
 /// Parse the JSON request shape.
 pub fn request_from_json(text: &str) -> Result<QueryRequest, WireError> {
     let v = Json::parse(text)?;
+    for retired in ["scheme", "backend"] {
+        if v.get(retired).is_some() {
+            return Err(bad(format!("'{retired}' is not a request field")));
+        }
+    }
     let mut request = QueryRequest::new(query_from_json(v.require("query")?)?)
         .with_measure(measure_from_json(v.require("measure")?)?);
     if let Some(k) = v.get("k") {
@@ -580,12 +562,6 @@ pub fn request_from_json(text: &str) -> Result<QueryRequest, WireError> {
     if let Some(t) = v.get("topk") {
         request = request.with_topk(topk_from_json(t)?);
     }
-    if let Some(s) = v.get("scheme") {
-        request = request.with_scheme(scheme_from_json(s)?);
-    }
-    if let Some(b) = v.get("backend") {
-        request = request.with_backend(backend_from_json(b)?);
-    }
     Ok(request)
 }
 
@@ -595,14 +571,6 @@ fn resolved_to_json(r: &ResolvedRequest) -> Json {
         ("measure", measure_to_json(r.measure)),
         ("params", params_to_json(&r.params)),
         ("topk", topk_to_json(&r.topk)),
-        ("scheme", Json::Str(scheme_slug(r.scheme).into())),
-        (
-            "route",
-            match r.route {
-                None => Json::Null,
-                Some(b) => Json::Str(backend_slug(b).into()),
-            },
-        ),
     ])
 }
 
@@ -612,11 +580,6 @@ fn resolved_from_json(v: &Json) -> Result<ResolvedRequest, WireError> {
         measure: measure_from_json(v.require("measure")?)?,
         params: params_from_json(v.require("params")?)?,
         topk: topk_from_json(v.require("topk")?)?,
-        scheme: scheme_from_json(v.require("scheme")?)?,
-        route: match v.get("route") {
-            None => None,
-            Some(b) => Some(backend_from_json(b)?),
-        },
     })
 }
 
@@ -789,7 +752,6 @@ pub fn response_to_json(response: &QueryResponse) -> String {
             },
         ),
         ("backend", Json::Str(backend_slug(response.backend).into())),
-        ("routed_fallback", Json::Bool(response.routed_fallback)),
         (
             "distributed",
             match &response.distributed {
@@ -836,7 +798,6 @@ pub fn response_from_json(text: &str) -> Result<QueryResponse, WireError> {
         request: resolved_from_json(v.require("request")?)?,
         result,
         backend: backend_from_json(v.require("backend")?)?,
-        routed_fallback: v.require("routed_fallback")?.as_bool()?,
         distributed: match v.get("distributed") {
             None => None,
             Some(d) => Some(DistributedStats {

@@ -35,8 +35,8 @@ use rtr_topk::TopKResult;
 use std::fmt;
 use std::sync::Arc;
 
-/// Which execution backend a request ran on (or should run on, when used
-/// as a routing override via [`crate::QueryRequest::with_backend`]).
+/// Which execution backend a request ran on (its provenance, reported in
+/// [`crate::QueryResponse::backend`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// In-process workspace engines over the shared graph.
@@ -61,16 +61,15 @@ impl fmt::Display for BackendKind {
     }
 }
 
-/// Backend construction/selection for a [`crate::ServeConfig`]: which
-/// execution substrate the engine builds at pool start and routes to by
-/// default (requests may override per query).
+/// Backend construction for a [`crate::ServeConfig`]: which execution
+/// substrate the engine builds at pool start and runs every request on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
     /// Serve everything with the in-process engines (the default).
     #[default]
     Local,
     /// Stripe the graph across `gps` graph-processor threads at pool start
-    /// and route eligible queries through distributed 2SBound.
+    /// and run the bound searches through distributed 2SBound.
     Distributed {
         /// Number of graph processors to spawn (clamped to at least 1).
         gps: usize,
@@ -78,7 +77,7 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// The routing kind this construction selects by default.
+    /// The kind of backend this construction builds.
     pub fn kind(&self) -> BackendKind {
         match self {
             Backend::Local => BackendKind::Local,
@@ -109,7 +108,7 @@ pub struct ExecOutcome {
 /// bit-identity contract (pool ≡ serial, cached ≡ uncached, distributed ≡
 /// local) rests on it.
 pub trait ExecBackend: Send + Sync {
-    /// Which kind of backend this is (used for routing and provenance).
+    /// Which kind of backend this is (reported as provenance).
     fn kind(&self) -> BackendKind;
 
     /// Execute `request` against `g`, reusing `ws`'s buffers.

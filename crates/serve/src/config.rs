@@ -3,7 +3,7 @@
 use crate::backend::Backend;
 use rtr_core::RankParams;
 use rtr_distributed::{DEFAULT_CACHE_BYTES, DEFAULT_PREFETCH_LIMIT};
-use rtr_topk::{Scheme, TopKConfig};
+use rtr_topk::TopKConfig;
 
 /// Configuration of a [`crate::ServeEngine`]: pool size, the execution
 /// backend, plus the default parameters a [`crate::QueryRequest`] falls
@@ -13,20 +13,15 @@ pub struct ServeConfig {
     /// Number of worker threads (clamped to at least 1 at pool start).
     pub workers: usize,
     /// Which execution backend the engine constructs at pool start and
-    /// routes to by default ([`Backend::Local`] unless configured
-    /// otherwise; requests may override per query with
-    /// [`crate::QueryRequest::with_backend`]). Backends are bit-identical,
-    /// so this knob changes *where* work happens — and what the responses
-    /// can observe about it — never the answers.
+    /// runs every request on ([`Backend::Local`] unless configured
+    /// otherwise). Backends are bit-identical, so this knob changes
+    /// *where* work happens — and what the responses can observe about
+    /// it — never the answers.
     pub backend: Backend,
     /// Random-walk parameters shared by all queries.
     pub params: RankParams,
     /// Top-K search configuration shared by all queries.
     pub topk: TopKConfig,
-    /// Which computational scheme the workers run (the paper's full
-    /// 2SBound by default; the Fig. 11a ablations are available for
-    /// benchmarking).
-    pub scheme: Scheme,
     /// Total entry budget of the shared result cache; **0 disables the
     /// cache entirely** (the default), in which case serving behaves
     /// bit-for-bit as it did before the cache existed — every query is
@@ -65,8 +60,8 @@ pub struct ServeConfig {
 }
 
 impl Default for ServeConfig {
-    /// Paper defaults (α = 0.25, K = 10, ε = 0.01, full 2SBound) with one
-    /// worker per available CPU.
+    /// Paper defaults (α = 0.25, K = 10, ε = 0.01) with one worker per
+    /// available CPU.
     fn default() -> Self {
         ServeConfig {
             workers: std::thread::available_parallelism()
@@ -75,7 +70,6 @@ impl Default for ServeConfig {
             backend: Backend::Local,
             params: RankParams::default(),
             topk: TopKConfig::default(),
-            scheme: Scheme::TwoSBound,
             cache_capacity: 0,
             cache_shards: 16,
             block_prefetch_limit: DEFAULT_PREFETCH_LIMIT,
@@ -102,12 +96,6 @@ impl ServeConfig {
     /// This configuration with the given top-K settings.
     pub fn with_topk(mut self, topk: TopKConfig) -> Self {
         self.topk = topk;
-        self
-    }
-
-    /// This configuration with the given scheme.
-    pub fn with_scheme(mut self, scheme: Scheme) -> Self {
-        self.scheme = scheme;
         self
     }
 
@@ -232,12 +220,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Default computational scheme (requests may override per query).
-    pub fn scheme(mut self, scheme: Scheme) -> Self {
-        self.config.scheme = scheme;
-        self
-    }
-
     /// Result-cache entry budget (0 keeps the cache off).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.config.cache_capacity = capacity;
@@ -295,7 +277,6 @@ mod tests {
         let c = ServeConfig::default();
         assert!(c.workers >= 1);
         assert_eq!(c.backend, Backend::Local);
-        assert_eq!(c.scheme, Scheme::TwoSBound);
         assert_eq!(c.topk.k, 10);
         // The cache ships off by default: the pre-cache serving behavior is
         // the default behavior.
@@ -333,10 +314,8 @@ mod tests {
     fn builders_apply() {
         let c = ServeConfig::default()
             .with_workers(3)
-            .with_scheme(Scheme::Gupta)
             .with_topk(TopKConfig::toy());
         assert_eq!(c.workers, 3);
-        assert_eq!(c.scheme, Scheme::Gupta);
         assert_eq!(c.topk.k, TopKConfig::toy().k);
     }
 
@@ -344,9 +323,7 @@ mod tests {
     fn validating_builder_defaults_match_default() {
         let built = ServeConfig::builder().build().unwrap();
         let default = ServeConfig::default();
-        assert_eq!(built.workers, default.workers);
-        assert_eq!(built.scheme, default.scheme);
-        assert_eq!(built.cache_capacity, default.cache_capacity);
+        assert_eq!(built, default);
     }
 
     #[test]
@@ -355,7 +332,6 @@ mod tests {
             .workers(3)
             .params(RankParams::with_alpha(0.4))
             .topk(TopKConfig::toy())
-            .scheme(Scheme::Sarkar)
             .cache_capacity(512)
             .cache_shards(4)
             .build()
@@ -363,7 +339,6 @@ mod tests {
         assert_eq!(c.workers, 3);
         assert_eq!(c.params.alpha, 0.4);
         assert_eq!(c.topk.k, TopKConfig::toy().k);
-        assert_eq!(c.scheme, Scheme::Sarkar);
         assert_eq!(c.cache_capacity, 512);
         assert_eq!(c.cache_shards, 4);
     }

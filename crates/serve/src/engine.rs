@@ -237,12 +237,9 @@ impl StealPool {
 struct Shared {
     graph: Arc<Graph>,
     config: ServeConfig,
-    /// The in-process backend — always available: it serves local-routed
-    /// requests and is the deterministic fallback when a request asks for
-    /// a backend the engine does not have.
-    local: LocalBackend,
     /// The AP/GP backend, constructed at pool start when the config says
-    /// [`Backend::Distributed`].
+    /// [`Backend::Distributed`]; without it every request runs on
+    /// [`LocalBackend`].
     distributed: Option<DistributedBackend>,
     cache: Option<OutcomeCache>,
     flight: InFlight<CacheKey, AttachedJob>,
@@ -259,24 +256,15 @@ struct Shared {
 }
 
 impl Shared {
-    /// Resolve a request's route — its per-request override, else the
-    /// engine default — to the backend that will execute it. A route to a
-    /// backend the engine did not construct falls back to local,
-    /// deterministically; the second return is `true` exactly when that
-    /// happened, and the response records it (`routed_fallback`) so a
-    /// silently-absent backend is visible to the caller.
-    fn backend_for(&self, request: &ResolvedRequest) -> (&dyn ExecBackend, bool) {
-        let wanted = request.route.unwrap_or(self.config.backend.kind());
-        match wanted {
-            BackendKind::Local => (&self.local, false),
-            BackendKind::Distributed => match self.distributed.as_ref() {
-                Some(d) => (d as &dyn ExecBackend, false),
-                None => (&self.local, true),
-            },
+    /// The backend the config built: every request runs on it.
+    fn backend(&self) -> &dyn ExecBackend {
+        match &self.distributed {
+            Some(d) => d,
+            None => &LocalBackend,
         }
     }
 
-    /// Run one job's request against its routed backend, recycling `ws`.
+    /// Run one job's request on the engine's backend, recycling `ws`.
     /// Catches panics so a bad query can never kill the worker, and counts
     /// the computation. The job's trace (if any) is parked in the workspace
     /// for the duration of the run, so the distributed engine can stamp
@@ -292,7 +280,7 @@ impl Shared {
         if let Some(t) = job.trace.as_deref_mut() {
             t.record(TraceStage::ComputeStart);
         }
-        let (backend, _) = self.backend_for(&job.request);
+        let backend = self.backend();
         ws.dist.trace = job.trace.take();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             backend.execute(&self.graph, &job.request, ws)
@@ -457,16 +445,15 @@ impl Shared {
         picked: Instant,
     ) {
         let compute = picked.elapsed();
-        let routed_fallback = self.backend_for(&job.request).1;
         let (result, backend, distributed) = match served {
             Ok(outcome) => (
                 Ok(Arc::clone(&outcome.result)),
                 outcome.backend,
                 outcome.distributed,
             ),
-            // A failed request reports the backend it was routed to
-            // (nothing produced a ranking).
-            Err(e) => (Err(e), self.backend_for(&job.request).0.kind(), None),
+            // A failed request reports the engine's backend (nothing
+            // produced a ranking).
+            Err(e) => (Err(e), self.backend().kind(), None),
         };
         self.m.on_response(
             job.request.measure,
@@ -474,7 +461,6 @@ impl Shared {
             compute,
             result.as_ref().err(),
             distributed.as_ref(),
-            routed_fallback,
             worker.is_none(),
             from_cache,
         );
@@ -492,7 +478,6 @@ impl Shared {
             request: job.request,
             result,
             backend,
-            routed_fallback,
             distributed,
             from_cache,
             queue_wait,
@@ -538,7 +523,6 @@ impl ServeEngine {
         let registry = Registry::new();
         let m = ServeMetrics::new(&registry, &config);
         let shared = Arc::new(Shared {
-            local: LocalBackend,
             distributed,
             cache: config.cache_enabled().then(|| {
                 OutcomeCache::new(CacheConfig {
@@ -632,8 +616,7 @@ impl ServeEngine {
         &self.shared.graph
     }
 
-    /// The engine's default routing kind (what a request without a
-    /// [`QueryRequest::with_backend`] override runs on).
+    /// The kind of backend every request runs on.
     pub fn backend_kind(&self) -> BackendKind {
         self.shared.config.backend.kind()
     }
@@ -834,15 +817,11 @@ pub fn run_serial_requests(
                 .run(g, &mut ws)
                 .map(Arc::new)
                 .map_err(ServeError::from);
-            // The serial reference has no distributed backend at all, so a
-            // distributed route is by definition a recorded fallback.
-            let routed_fallback = resolved.route == Some(BackendKind::Distributed);
             QueryResponse {
                 id,
                 request: resolved,
                 result,
                 backend: BackendKind::Local,
-                routed_fallback,
                 distributed: None,
                 from_cache: false,
                 worker: None,
@@ -1232,31 +1211,34 @@ mod tests {
 
     #[test]
     fn cache_preserves_backend_provenance_across_routes() {
-        // One engine on the distributed backend with a cache: a request
-        // computed distributed then re-requested with a local route must
-        // hit the same (backend-agnostic) entry and keep the original
-        // provenance — including the wire cost the computation paid.
+        // One engine on the distributed backend with a cache, and the two
+        // routes its backend takes: a bounded request runs distributed, a
+        // full ranking (k ≥ |V|) falls back to local. A cache hit on
+        // either keeps the computing run's provenance — including the wire
+        // cost the computation paid.
         let (g, ids) = fig2_toy();
+        let n = g.node_count();
         let config = ServeConfig::default()
             .with_workers(2)
             .with_topk(TopKConfig::toy())
             .with_backend(Backend::Distributed { gps: 2 })
             .with_cache_capacity(64);
         let engine = ServeEngine::start(Arc::new(g), config);
-        let cold = engine.submit(QueryRequest::node(ids.t1)).wait();
-        assert!(!cold.from_cache);
-        assert_eq!(cold.backend, BackendKind::Distributed);
-        let cold_stats = cold.distributed.expect("wire cost recorded");
-        assert!(cold_stats.bytes_transferred > 0);
-
-        let warm = engine
-            .submit(QueryRequest::node(ids.t1).with_backend(BackendKind::Local))
-            .wait();
-        assert!(warm.from_cache, "local-routed request must hit the entry");
-        assert_eq!(warm.backend, BackendKind::Distributed, "provenance kept");
-        assert_eq!(warm.distributed, Some(cold_stats));
-        assert_eq!(engine.computed_queries(), 1);
-        assert_eq!(cold.result.unwrap().ranking, warm.result.unwrap().ranking);
+        for (request, kind) in [
+            (QueryRequest::node(ids.t1), BackendKind::Distributed),
+            (QueryRequest::node(ids.t1).with_k(n), BackendKind::Local),
+        ] {
+            let cold = engine.submit(request.clone()).wait();
+            let warm = engine.submit(request).wait();
+            assert!(!cold.from_cache);
+            assert!(warm.from_cache, "the repeat must hit the entry");
+            assert_eq!(cold.backend, kind, "computed");
+            assert_eq!(warm.backend, kind, "provenance kept on a hit");
+            assert_eq!(cold.distributed.is_some(), kind == BackendKind::Distributed);
+            assert_eq!(warm.distributed, cold.distributed);
+            assert_eq!(cold.result.unwrap().ranking, warm.result.unwrap().ranking);
+        }
+        assert_eq!(engine.computed_queries(), 2);
     }
 
     #[test]
@@ -1271,46 +1253,6 @@ mod tests {
         assert!(response.result.is_err());
         assert_eq!(response.backend, BackendKind::Distributed);
         assert!(response.distributed.is_none());
-    }
-
-    #[test]
-    fn distributed_route_on_local_engine_records_fallback() {
-        // A local-only engine routed a Distributed request must serve it
-        // locally AND say so: backend == Local, routed_fallback == true.
-        let (engine, ids) = toy_engine(2);
-        assert!(engine.distributed_backend().is_none());
-        let response = engine
-            .submit(QueryRequest::node(ids.t1).with_backend(BackendKind::Distributed))
-            .wait();
-        assert!(response.result.is_ok());
-        assert_eq!(response.backend, BackendKind::Local);
-        assert!(response.routed_fallback, "substitution must be recorded");
-        // The same route through the serial reference is flagged too.
-        let serial = run_serial_requests(
-            engine.graph(),
-            engine.config(),
-            &[QueryRequest::node(ids.t1).with_backend(BackendKind::Distributed)],
-        );
-        assert!(serial[0].routed_fallback);
-    }
-
-    #[test]
-    fn honored_routes_do_not_claim_fallback() {
-        let (g, ids) = fig2_toy();
-        let config = ServeConfig::default()
-            .with_workers(2)
-            .with_topk(TopKConfig::toy())
-            .with_backend(Backend::Distributed { gps: 2 });
-        let engine = ServeEngine::start(Arc::new(g), config);
-        for request in [
-            QueryRequest::node(ids.t1),
-            QueryRequest::node(ids.t1).with_backend(BackendKind::Distributed),
-            QueryRequest::node(ids.t1).with_backend(BackendKind::Local),
-        ] {
-            let response = engine.submit(request).wait();
-            assert!(response.result.is_ok());
-            assert!(!response.routed_fallback, "route was honored");
-        }
     }
 
     #[test]
@@ -1336,11 +1278,10 @@ mod tests {
             }
             other => panic!("expected a backend error, got {other:?}"),
         }
-        // The worker survived with usable buffers: a local-routed request
-        // on the same worker still serves.
-        let ok = engine
-            .submit(QueryRequest::node(ids.t1).with_backend(BackendKind::Local))
-            .wait();
+        // The worker survived with usable buffers: a full ranking, which
+        // the distributed backend runs locally, still serves.
+        let n = engine.graph().node_count();
+        let ok = engine.submit(QueryRequest::node(ids.t1).with_k(n)).wait();
         assert!(ok.result.is_ok());
         assert_eq!(ok.backend, BackendKind::Local);
         // Engine drop (GpCluster drop with a dead GP) must not hang.
@@ -1425,7 +1366,6 @@ mod tests {
         for name in [
             "rtr_serve_responses_total",
             "rtr_serve_errors_total",
-            "rtr_serve_routed_fallback_total",
             "rtr_serve_latency_seconds_bucket",
             "rtr_serve_injector_depth",
             "rtr_serve_cache_enabled",
@@ -1446,7 +1386,7 @@ mod tests {
     }
 
     #[test]
-    fn error_and_fallback_counters_record() {
+    fn error_counters_record() {
         let (g, ids) = fig2_toy();
         let config = ServeConfig::default()
             .with_workers(1)
@@ -1455,18 +1395,13 @@ mod tests {
         let engine = ServeEngine::start(Arc::new(g), config);
         let bad = engine.submit(QueryRequest::node(NodeId(9999))).wait();
         assert!(bad.result.is_err());
-        let fb = engine
-            .submit(QueryRequest::node(ids.t1).with_backend(BackendKind::Distributed))
-            .wait();
-        assert!(fb.routed_fallback);
+        let ok = engine.submit(QueryRequest::node(ids.t1)).wait();
+        assert!(ok.result.is_ok());
         let snap = engine.metrics_snapshot();
         assert_eq!(
             snap.counter_value("rtr_serve_errors_total", &[("kind", "query")]),
-            Some(1)
-        );
-        assert_eq!(
-            snap.counter_value("rtr_serve_routed_fallback_total", &[]),
-            Some(1)
+            Some(1),
+            "only the failed request counts"
         );
     }
 

@@ -3,29 +3,27 @@
 //! The paper builds 2SBound so that top-K RoundTripRank queries are cheap
 //! enough for *online* use; this crate is the layer that actually serves
 //! them online — and not just RoundTripRank: one engine serves the full
-//! measure space (F-Rank, T-Rank, RTR, RTR+β), with per-request k,
-//! parameters, and scheme. It pairs
+//! measure space (F-Rank, T-Rank, RTR, RTR+β), with per-request k and
+//! parameters. It pairs
 //!
 //! * **self-describing requests** ([`QueryRequest`]: single- or weighted
 //!   multi-node query, [`rtr_core::Measure`], optional k /
-//!   [`rtr_core::RankParams`] / [`rtr_topk::TopKConfig`] /
-//!   [`rtr_topk::Scheme`] / backend-routing overrides falling back to the
-//!   engine's [`ServeConfig`] defaults), all answered by one bound
-//!   search (2SBound, combining the f- and t-bounds per measure and
-//!   summing them over a multi-node query; the exact engines only for
-//!   full rankings, k ≥ |V|, and queries of more than four nodes),
-//!   executed by
+//!   [`rtr_core::RankParams`] / [`rtr_topk::TopKConfig`] overrides falling
+//!   back to the engine's [`ServeConfig`] defaults — what to rank, never
+//!   how), all answered by one bound search (2SBound, combining the f-
+//!   and t-bounds per measure and summing them over a multi-node query;
+//!   the exact engines only for full rankings, k ≥ |V|, and queries of
+//!   more than four nodes), executed by
 //! * a **pluggable execution backend** ([`ExecBackend`]):
 //!   [`LocalBackend`] runs the in-process workspace engines;
 //!   [`DistributedBackend`] runs the paper's AP/GP architecture — the
 //!   graph striped across GP threads, each worker an active processor
 //!   fetching node blocks on demand — with a recorded, deterministic
 //!   local fallback for the requests the exact engines answer. Backends
-//!   are bit-identical mirrors, so routing (engine-wide via
-//!   [`ServeConfig::backend`], per request via
-//!   [`QueryRequest::with_backend`]) changes where work happens and what
-//!   the response can observe ([`QueryResponse::backend`],
-//!   [`DistributedStats`] wire costs) — never the answers — over
+//!   are bit-identical mirrors, so the choice ([`ServeConfig::backend`],
+//!   one per engine) changes where work happens and what the response can
+//!   observe ([`QueryResponse::backend`], [`DistributedStats`] wire
+//!   costs) — never the answers — over
 //! * a **shared read-only graph** (`Arc<Graph>` — the frozen block arena
 //!   is `Send + Sync`, so queries need no locks), served by
 //! * a **fixed pool of worker threads**, each owning one reusable
@@ -53,17 +51,16 @@
 //! front the pool with an `rtr-cache` sharded result cache
 //! ([`ServeConfig::cache_capacity`] > 0): the submitting thread answers a
 //! hit inline, workers look up the full request identity — canonicalized
-//! query, measure (β bits included), graph epoch, params, top-K config,
-//! scheme — before dispatch and insert on completion, and **single-flight
+//! query, measure (β bits included), graph epoch, params, top-K config —
+//! before dispatch and insert on completion, and **single-flight
 //! deduplication** (always on with the cache) collapses M concurrent
 //! identical requests into one computation whose result all M share.
 //! Because every output-relevant input is part of the cache key and the
 //! engines are deterministic, cached serving stays bit-identical to
 //! [`run_serial_requests`] even under heterogeneous traffic — the
 //! `serve_cache_determinism` suite enforces that too. The key is
-//! **backend-agnostic** (routing is not identity): an entry computed by
-//! either backend answers both, and a hit preserves the computing run's
-//! provenance and wire cost. With the cache off (the default) the engine
+//! **backend-agnostic** (where a result was computed is not identity),
+//! and a hit preserves the computing run's provenance and wire cost. With the cache off (the default) the engine
 //! behaves exactly as an uncached pool.
 //!
 //! ```

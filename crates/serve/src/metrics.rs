@@ -47,7 +47,6 @@ pub(crate) struct ServeMetrics {
     err_query: Arc<Counter>,
     err_backend: Arc<Counter>,
     err_panicked: Arc<Counter>,
-    routed_fallback: Arc<Counter>,
     fast_path: Arc<Counter>,
     attached: Arc<Counter>,
     steals: Arc<Counter>,
@@ -115,10 +114,6 @@ impl ServeMetrics {
                 &[("kind", "panicked")],
                 "Requests that failed, by error kind.",
             ),
-            routed_fallback: registry.counter(
-                "rtr_serve_routed_fallback_total",
-                "Requests routed to an absent backend and served locally instead.",
-            ),
             fast_path: registry.counter(
                 "rtr_serve_fast_path_total",
                 "Requests completed inline on the submitting thread.",
@@ -168,7 +163,7 @@ impl ServeMetrics {
     }
 
     /// Record one sent response: per-measure count and latency split,
-    /// error/fallback/fast-path counters, and — for a response that
+    /// error/fast-path counters, and — for a response that
     /// *computed* on the distributed backend (`!from_cache`; cached
     /// responses replay the original run's stats) — the wire cost.
     #[allow(clippy::too_many_arguments)]
@@ -179,7 +174,6 @@ impl ServeMetrics {
         compute: Duration,
         error: Option<&ServeError>,
         distributed: Option<&DistributedStats>,
-        routed_fallback: bool,
         fast_path: bool,
         from_cache: bool,
     ) {
@@ -191,9 +185,6 @@ impl ServeMetrics {
         self.latency[i].record_duration(queue_wait + compute);
         self.queue_wait.record_duration(queue_wait);
         self.compute.record_duration(compute);
-        if routed_fallback {
-            self.routed_fallback.inc();
-        }
         if fast_path {
             self.fast_path.inc();
         }

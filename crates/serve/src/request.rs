@@ -5,11 +5,13 @@
 //! RoundTripRank+ with a per-query bias β, over single- and multi-node
 //! query sets. [`QueryRequest`] makes all of that per-request state: a
 //! query (canonicalized at construction), a [`Measure`], an optional `k`,
-//! and optional [`RankParams`] / [`TopKConfig`] / [`Scheme`] overrides
-//! that fall back to the engine's [`crate::ServeConfig`] defaults. One
-//! worker pool therefore serves the whole measure/β/k/scheme space, and
-//! the result cache stays bit-correct because every one of these inputs is
-//! part of the cache key.
+//! and optional [`RankParams`] / [`TopKConfig`] overrides that fall back to
+//! the engine's [`crate::ServeConfig`] defaults. One worker pool therefore
+//! serves the whole measure/β/k space, and the result cache stays
+//! bit-correct because every one of these inputs is part of the cache key.
+//! A request says *what* to rank, never *how*: every request runs the
+//! paper's full 2SBound (the Fig. 11a ablation schemes are a benchmark,
+//! not a serving option) on the backend the engine was built with.
 //!
 //! **Dispatch.** [`ResolvedRequest::run`] picks the engine path by k and
 //! the query's node count, the same way for every measure:
@@ -32,13 +34,12 @@
 //! The bound search reuses the worker's persistent [`TopKWorkspace`]; the
 //! exact engines allocate their dense vectors per request.
 
-use crate::backend::BackendKind;
 use crate::config::ServeConfig;
 use rtr_cache::CacheKey;
 use rtr_core::prelude::*;
 use rtr_distributed::{BlockCache, DistributedWorkspace};
 use rtr_graph::{Graph, NodeId};
-use rtr_topk::{ActiveSetStats, Scheme, TopKConfig, TopKResult, TopKWorkspace, TwoSBound};
+use rtr_topk::{ActiveSetStats, TopKConfig, TopKResult, TopKWorkspace, TwoSBound};
 
 /// The widest query the bound search serves. It holds one neighborhood
 /// pair per query node, each with ≈ 16 B of index arrays per graph node,
@@ -74,8 +75,6 @@ pub struct QueryRequest {
     k: Option<usize>,
     params: Option<RankParams>,
     topk: Option<TopKConfig>,
-    scheme: Option<Scheme>,
-    backend: Option<BackendKind>,
 }
 
 impl QueryRequest {
@@ -90,8 +89,6 @@ impl QueryRequest {
             k: None,
             params: None,
             topk: None,
-            scheme: None,
-            backend: None,
         }
     }
 
@@ -130,22 +127,6 @@ impl QueryRequest {
         self
     }
 
-    /// This request with its own computational scheme.
-    pub fn with_scheme(mut self, scheme: Scheme) -> Self {
-        self.scheme = Some(scheme);
-        self
-    }
-
-    /// This request routed to a specific execution backend, overriding the
-    /// engine's default. Routing never changes the answer (backends are
-    /// bit-identical and an unavailable backend falls back to local,
-    /// recorded in the response) and is **not** part of the cache key —
-    /// local and distributed traffic share entries.
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
     /// The (canonicalized) query.
     pub fn query(&self) -> &Query {
         &self.query
@@ -161,11 +142,6 @@ impl QueryRequest {
         self.k
     }
 
-    /// The per-query backend routing override, if any.
-    pub fn backend(&self) -> Option<BackendKind> {
-        self.backend
-    }
-
     /// The per-query random-walk parameter override, if any.
     pub fn params(&self) -> Option<RankParams> {
         self.params
@@ -176,11 +152,6 @@ impl QueryRequest {
     /// applies it on top).
     pub fn topk(&self) -> Option<TopKConfig> {
         self.topk
-    }
-
-    /// The per-query scheme override, if any.
-    pub fn scheme(&self) -> Option<Scheme> {
-        self.scheme
     }
 
     /// Fill every unset field from `defaults`, producing the exact
@@ -195,14 +166,12 @@ impl QueryRequest {
             measure: self.measure,
             params: self.params.unwrap_or(defaults.params),
             topk,
-            scheme: self.scheme.unwrap_or(defaults.scheme),
-            route: self.backend,
         }
     }
 }
 
 /// A [`QueryRequest`] with every fallback applied: exactly what ran.
-/// Responses carry this so callers see the scheme/params actually used.
+/// Responses carry this so callers see the params actually used.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ResolvedRequest {
     /// The canonicalized query.
@@ -213,14 +182,6 @@ pub struct ResolvedRequest {
     pub params: RankParams,
     /// The top-K configuration used (per-request `k` already applied).
     pub topk: TopKConfig,
-    /// The computational scheme used (bound search only; the exact engines
-    /// are scheme-independent).
-    pub scheme: Scheme,
-    /// The requested backend routing override (`None` = the engine's
-    /// default backend). Deliberately **not** part of the cache key:
-    /// backends return bit-identical rankings, so where a result was
-    /// computed never determines whether it may be reused.
-    pub route: Option<BackendKind>,
 }
 
 impl ResolvedRequest {
@@ -228,14 +189,7 @@ impl ResolvedRequest {
     /// `epoch`. Covers every output-relevant input, so heterogeneous
     /// traffic through one cache can never alias.
     pub fn cache_key(&self, epoch: u64) -> CacheKey {
-        CacheKey::new(
-            &self.query,
-            self.measure,
-            epoch,
-            &self.params,
-            &self.topk,
-            self.scheme,
-        )
+        CacheKey::new(&self.query, self.measure, epoch, &self.params, &self.topk)
     }
 
     /// Whether this request runs the bound search: a full ranking
@@ -249,14 +203,14 @@ impl ResolvedRequest {
     /// The bound search this request runs when [`ResolvedRequest::bounded`]
     /// (β is validated for RoundTripRank+).
     pub(crate) fn search(&self) -> Result<TwoSBound, CoreError> {
-        TwoSBound::for_measure(self.params, self.topk, self.scheme, self.measure)
+        TwoSBound::for_measure(self.params, self.topk, self.measure)
     }
 
     /// Run this request on the **local** execution path, reusing `ws`'s
     /// buffers (see the [module docs](self)). This is what
     /// [`crate::LocalBackend`] executes (and what a distributed backend
-    /// falls back to); routed serving goes through [`crate::ExecBackend`]
-    /// instead.
+    /// falls back to); the engine's workers go through its
+    /// [`crate::ExecBackend`].
     pub fn run(&self, g: &Graph, ws: &mut ServeWorkspace) -> Result<TopKResult, CoreError> {
         let search = self.search()?;
         if self.bounded(g) {
@@ -355,7 +309,6 @@ mod tests {
         assert_eq!(r.measure, Measure::Rtr);
         assert_eq!(r.params, defaults.params);
         assert_eq!(r.topk, defaults.topk);
-        assert_eq!(r.scheme, defaults.scheme);
     }
 
     #[test]
@@ -371,13 +324,11 @@ mod tests {
             .with_topk(own)
             .with_k(3)
             .with_params(RankParams::with_alpha(0.4))
-            .with_scheme(Scheme::Gupta)
             .resolve(&defaults);
         assert_eq!(r.measure, Measure::T);
         assert_eq!(r.topk.k, 3, "with_k overrides the topk override's k");
         assert_eq!(r.topk.epsilon, 0.5);
         assert_eq!(r.params.alpha, 0.4);
-        assert_eq!(r.scheme, Scheme::Gupta);
     }
 
     #[test]
@@ -458,11 +409,10 @@ mod tests {
                 .resolve(&defaults)
                 .run(&g, &mut ws)
                 .unwrap();
-            let direct =
-                TwoSBound::for_measure(defaults.params, defaults.topk, defaults.scheme, measure)
-                    .unwrap()
-                    .run(&g, ids.t1)
-                    .unwrap();
+            let direct = TwoSBound::for_measure(defaults.params, defaults.topk, measure)
+                .unwrap()
+                .run(&g, ids.t1)
+                .unwrap();
             assert_eq!(served.ranking, direct.ranking, "{measure}");
             assert_eq!(served.bounds, direct.bounds, "{measure}");
             assert_eq!(served.ranking.len(), defaults.topk.k, "{measure}");

@@ -1,7 +1,7 @@
 //! Responses and the non-blocking submission handle.
 //!
 //! A [`QueryResponse`] reports not just the ranking but the request as it
-//! actually ran ([`ResolvedRequest`]: scheme, params, effective k), its
+//! actually ran ([`ResolvedRequest`]: measure, params, effective k), its
 //! **backend provenance** — which execution backend produced the ranking
 //! (a distributed engine records its local fallbacks here) plus, for
 //! genuinely distributed answers, the wire cost paid
@@ -29,7 +29,7 @@ pub struct QueryResponse {
     /// sorted by this; [`crate::ServeEngine::submit`] always uses 0).
     pub id: usize,
     /// The request exactly as it ran: canonical query, measure, and the
-    /// params/topk/scheme actually used after fallback resolution.
+    /// params/topk actually used after fallback resolution.
     pub request: ResolvedRequest,
     /// The ranking, or the per-request error. The result is shared
     /// (`Arc`): a cache hit hands out another reference to the stored
@@ -38,15 +38,9 @@ pub struct QueryResponse {
     /// Which backend produced the ranking. For a cache hit this is the
     /// backend that originally computed the entry (backends are
     /// bit-identical, so entries are shared across them — provenance is
-    /// preserved with the cached value); for a failed request, the backend
-    /// that was routed to.
+    /// preserved with the cached value); for a failed request, the engine's
+    /// backend.
     pub backend: BackendKind,
-    /// `true` when this request's per-query route asked for a backend the
-    /// engine does not have (e.g. [`BackendKind::Distributed`] on a
-    /// local-only engine) and the engine deterministically fell back to
-    /// local execution. Routing never changes the answer; this flag makes
-    /// the substitution observable instead of silent.
-    pub routed_fallback: bool,
     /// Wire cost of a genuinely distributed execution (`None` for local
     /// runs, recorded fallbacks, and failed requests). Preserved through
     /// the cache: a hit reports the cost the original computation paid —

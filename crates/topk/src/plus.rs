@@ -32,7 +32,7 @@ impl TwoSBoundPlus {
     /// Create for a given β ∈ [0, 1] (the paper's full scheme).
     #[allow(clippy::new_ret_no_self)] // a constructor of the one search loop
     pub fn new(params: RankParams, config: TopKConfig, beta: f64) -> Result<TwoSBound, CoreError> {
-        Self::with_scheme(params, config, Scheme::TwoSBound, beta)
+        TwoSBound::for_measure(params, config, Measure::RtrPlus { beta })
     }
 
     /// Create with an explicit computational scheme (the Fig. 11a
@@ -43,7 +43,9 @@ impl TwoSBoundPlus {
         scheme: Scheme,
         beta: f64,
     ) -> Result<TwoSBound, CoreError> {
-        TwoSBound::for_measure(params, config, scheme, Measure::RtrPlus { beta })
+        let mut search = Self::new(params, config, beta)?;
+        search.scheme = scheme;
+        Ok(search)
     }
 }
 

@@ -131,7 +131,9 @@ impl Combine {
 pub struct TwoSBound {
     params: RankParams,
     config: TopKConfig,
-    scheme: Scheme,
+    /// The Fig. 11a scheme; [`crate::TwoSBoundPlus::with_scheme`] swaps it
+    /// into a β search.
+    pub(crate) scheme: Scheme,
     combine: Combine,
 }
 
@@ -153,18 +155,17 @@ impl TwoSBound {
         }
     }
 
-    /// The search that ranks by `measure` (β is validated for
-    /// RoundTripRank+).
+    /// The search that ranks by `measure` under the paper's full scheme
+    /// (β is validated for RoundTripRank+).
     pub fn for_measure(
         params: RankParams,
         config: TopKConfig,
-        scheme: Scheme,
         measure: Measure,
     ) -> Result<Self, CoreError> {
         measure.validate()?;
         Ok(TwoSBound {
             combine: Combine::of(measure),
-            ..Self::with_scheme(params, config, scheme)
+            ..Self::new(params, config)
         })
     }
 
@@ -744,11 +745,10 @@ pub(crate) mod tests {
         for query in &queries {
             for measure in measures {
                 let exact = exact(&g, query, measure);
-                let result =
-                    TwoSBound::for_measure(RankParams::default(), cfg, Scheme::TwoSBound, measure)
-                        .unwrap()
-                        .run_query_with(&g, query, &mut ws)
-                        .unwrap();
+                let result = TwoSBound::for_measure(RankParams::default(), cfg, measure)
+                    .unwrap()
+                    .run_query_with(&g, query, &mut ws)
+                    .unwrap();
                 assert!(result.converged, "{measure} {query:?}");
                 let want = exact.top_k(result.ranking.len());
                 for (i, (v, &(lo, hi))) in result.ranking.iter().zip(&result.bounds).enumerate() {
@@ -774,13 +774,8 @@ pub(crate) mod tests {
         // query it starts from and has laid out no rows.
         let (g, ids) = fig2_toy();
         for measure in [Measure::F, Measure::T] {
-            let engine = TwoSBound::for_measure(
-                RankParams::default(),
-                TopKConfig::toy(),
-                Scheme::TwoSBound,
-                measure,
-            )
-            .unwrap();
+            let engine =
+                TwoSBound::for_measure(RankParams::default(), TopKConfig::toy(), measure).unwrap();
             let mut ws = TopKWorkspace::default();
             engine.run_with(&g, ids.t1, &mut ws).unwrap();
             let (f_ws, t_ws) = &ws.pairs[0];
@@ -822,15 +817,11 @@ pub(crate) mod tests {
         // (Eq. 22) falls below the K-th score within a few levels.
         let (g, q) = dangling_sink(20_000);
         let started = std::time::Instant::now();
-        let result = TwoSBound::for_measure(
-            RankParams::default(),
-            TopKConfig::default(),
-            Scheme::TwoSBound,
-            Measure::T,
-        )
-        .unwrap()
-        .run(&g, q)
-        .unwrap();
+        let result =
+            TwoSBound::for_measure(RankParams::default(), TopKConfig::default(), Measure::T)
+                .unwrap()
+                .run(&g, q)
+                .unwrap();
         let elapsed = started.elapsed();
         assert!(result.converged);
         assert_eq!(result.ranking[0], q);

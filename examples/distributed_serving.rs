@@ -4,10 +4,10 @@
 //! response, which backend actually ran and what the answer cost on the
 //! wire.
 //!
-//! Single-node RTR / RTR+ bound searches run genuinely distributed (the AP
-//! fetches node blocks on demand and assembles the active set); F/T exact
-//! fixed-points and multi-node reductions take the recorded local
-//! fallback. Either way the rankings are bit-identical to local execution
+//! Every bound search — any measure, up to four query nodes — runs
+//! genuinely distributed (the AP fetches node blocks on demand and
+//! assembles the active set); full rankings (k ≥ |V|) and wider queries
+//! take the recorded local fallback. Either way the rankings are bit-identical to local execution
 //! — the sample below verifies that against the serial reference.
 //!
 //! ```sh
@@ -46,8 +46,8 @@ fn main() {
         .with_cache_capacity(1024);
     let engine = ServeEngine::start(Arc::clone(&g), config);
 
-    // A heterogeneous mix over a few well-connected nodes: RTR and RTR+
-    // (distributed), F/T and a multi-node query (recorded local fallback).
+    // A heterogeneous mix over a few well-connected nodes, every one a
+    // distributed bound search.
     let mut seeds = g.nodes().filter(|&v| g.out_degree(v) >= 3);
     let (a, b, c) = (
         seeds.next().expect("node"),

@@ -92,7 +92,7 @@ fn ablation_schemes_match_local_bit_for_bit() {
         let local = TwoSBound::with_scheme(params, cfg(), scheme)
             .run(g, q)
             .expect("local");
-        let (dist, _) = DistributedTwoSBound::with_scheme(params, cfg(), scheme)
+        let (dist, _) = DistributedTwoSBound::from(TwoSBound::with_scheme(params, cfg(), scheme))
             .run(&cluster, q)
             .expect("distributed");
         assert_eq!(local.ranking, dist.ranking, "{scheme:?}");
@@ -461,46 +461,4 @@ fn single_worker_wire_cost_repeats_exactly_and_the_block_cache_bounds_it() {
         "block cache + prefetch must cut wire bytes at least 10x: {} vs {starved_bytes} starved",
         first.0
     );
-}
-
-#[test]
-fn per_request_route_override_wins_over_engine_backend() {
-    let net = BibNet::generate(&BibNetConfig::tiny(), SEED + 6);
-    let g = Arc::new(net.graph);
-    let q = queries(&g, 1, SEED + 6)[0];
-    let base = ServeConfig::default().with_topk(cfg());
-
-    // Distributed engine, request pinned to local.
-    let engine = ServeEngine::start(
-        Arc::clone(&g),
-        base.with_backend(Backend::Distributed { gps: 2 }),
-    );
-    let responses = engine.run_requests(&[
-        QueryRequest::node(q),
-        QueryRequest::node(q).with_backend(BackendKind::Local),
-    ]);
-    assert_eq!(responses[0].backend, BackendKind::Distributed);
-    assert_eq!(responses[1].backend, BackendKind::Local);
-    assert!(!responses[0].routed_fallback, "route honored");
-    assert!(!responses[1].routed_fallback, "local is always available");
-    let (a, b) = (
-        responses[0].result.as_ref().unwrap(),
-        responses[1].result.as_ref().unwrap(),
-    );
-    assert_eq!(a.ranking, b.ranking);
-    assert_eq!(a.bounds, b.bounds);
-
-    // Local engine, request asking for distributed: no cluster exists, so
-    // the route falls back to local — deterministically, and recorded.
-    let engine = ServeEngine::start(Arc::clone(&g), base);
-    let response = engine
-        .submit(QueryRequest::node(q).with_backend(BackendKind::Distributed))
-        .wait();
-    assert_eq!(response.backend, BackendKind::Local);
-    assert!(
-        response.routed_fallback,
-        "the silent substitution must be recorded"
-    );
-    assert!(response.distributed.is_none());
-    assert_eq!(response.result.unwrap().ranking, a.ranking);
 }

@@ -4,18 +4,20 @@
 //! returns `Ok` or a typed [`WireError`]; it never panics and never
 //! allocates beyond the declared (and capped) payload length. And for
 //! every encodable request, decode ∘ encode is the identity, bit for bit,
-//! in both the binary and the JSON payload modes.
+//! in both the binary and the JSON payload modes. The five reserved bytes
+//! (`docs/PROTOCOL.md` §5) and the retired JSON request keys are pinned
+//! case by case at the bottom.
 
 use proptest::prelude::*;
 use rtr_core::{Measure, Query, RankParams};
 use rtr_graph::NodeId;
 use rtr_net::json::{request_from_json, request_to_json};
 use rtr_net::{
-    decode_reject, decode_request, decode_response, encode_request, Frame, FrameType, WireError,
-    HEADER_LEN, MAX_PAYLOAD,
+    decode_reject, decode_request, decode_response, encode_request, encode_response, Frame,
+    FrameType, WireError, HEADER_LEN, MAX_PAYLOAD,
 };
-use rtr_serve::QueryRequest;
-use rtr_topk::{Scheme, TopKConfig};
+use rtr_serve::{run_serial_requests, QueryRequest, ServeConfig};
+use rtr_topk::TopKConfig;
 
 /// Strategy: a request with a random normalized multi-node query and a
 /// random subset of the optional override fields.
@@ -24,7 +26,7 @@ fn arb_request() -> impl Strategy<Value = QueryRequest> {
         proptest::collection::vec((0..500u32, 0.05..1.0f64), 1..6),
         0..5u8,        // measure tag (4 = "leave default")
         0.05..0.95f64, // beta, when RtrPlus
-        0..16u8,       // presence bitmask for k/params/scheme/topk
+        0..8u8,        // presence bitmask for k/params/topk
     )
         .prop_map(|(pairs, measure_tag, beta, presence)| {
             let total: f64 = pairs.iter().map(|(_, w)| w).sum();
@@ -50,14 +52,6 @@ fn arb_request() -> impl Strategy<Value = QueryRequest> {
                 });
             }
             if presence & 4 != 0 {
-                request = request.with_scheme(match presence % 4 {
-                    0 => Scheme::TwoSBound,
-                    1 => Scheme::GPlusS,
-                    2 => Scheme::Gupta,
-                    _ => Scheme::Sarkar,
-                });
-            }
-            if presence & 8 != 0 {
                 request = request.with_topk(TopKConfig::toy());
             }
             request
@@ -168,4 +162,123 @@ proptest! {
             other => prop_assert!(false, "declared {declared}: {other:?}"),
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Reserved bytes and retired JSON keys: each must be refused, never misread.
+// ---------------------------------------------------------------------------
+
+/// `payload` with byte `at` set to `value` must decode to `Malformed`
+/// (and decode unchanged, so the byte really is the reserved one).
+fn assert_reserved(
+    label: &str,
+    payload: &[u8],
+    at: usize,
+    decode: impl Fn(&[u8]) -> Result<(), WireError>,
+) {
+    assert_eq!(payload[at], 0, "{label}: reserved bytes are written as 0");
+    assert!(
+        decode(payload).is_ok(),
+        "{label}: the untouched payload decodes"
+    );
+    for value in [1, 2, 0xFF] {
+        let mut bad = payload.to_vec();
+        bad[at] = value;
+        assert!(
+            matches!(decode(&bad), Err(WireError::Malformed(_))),
+            "{label} = {value} must be Malformed"
+        );
+    }
+}
+
+/// A request payload ends with its two reserved bytes: the former
+/// scheme-present byte, then the former backend-present byte.
+fn request_payload() -> Vec<u8> {
+    encode_payload(&QueryRequest::node(NodeId(3)))
+}
+
+fn decode_request_ok(payload: &[u8]) -> Result<(), WireError> {
+    decode_request(payload).map(drop)
+}
+
+#[test]
+fn request_reserved_scheme_byte_is_malformed() {
+    let payload = request_payload();
+    assert_reserved(
+        "scheme present",
+        &payload,
+        payload.len() - 2,
+        decode_request_ok,
+    );
+}
+
+#[test]
+fn request_reserved_backend_byte_is_malformed() {
+    let payload = request_payload();
+    assert_reserved(
+        "backend present",
+        &payload,
+        payload.len() - 1,
+        decode_request_ok,
+    );
+}
+
+/// A served single-node RoundTripRank response and the offsets of its
+/// three reserved bytes. The id (8), query (4 + 12), measure (1), params
+/// (24) and top-K config (56) are followed by the former resolved-scheme
+/// and route bytes. The former `routed_fallback` byte follows the
+/// provenance byte; behind it come the distributed-stats tag (1, none
+/// here), the cache flag (1), the worker tag (1, none for the serial
+/// reference) and the two latencies (16).
+fn response_payload() -> (Vec<u8>, [usize; 3]) {
+    let (g, _) = rtr_graph::toy::fig2_toy();
+    let config = ServeConfig::default().with_topk(TopKConfig::toy());
+    let response = run_serial_requests(&g, &config, &[QueryRequest::node(NodeId(3))]).remove(0);
+    assert!(response.distributed.is_none() && response.worker.is_none());
+    let mut buf = bytes::BytesMut::new();
+    encode_response(&response, &mut buf);
+    let payload = buf.as_slice().to_vec();
+    let scheme = 8 + 16 + 1 + 24 + 56;
+    let fallback = payload.len() - (1 + 1 + 1 + 16) - 1;
+    (payload, [scheme, scheme + 1, fallback])
+}
+
+fn decode_response_ok(payload: &[u8]) -> Result<(), WireError> {
+    decode_response(payload).map(drop)
+}
+
+#[test]
+fn response_reserved_scheme_byte_is_malformed() {
+    let (payload, [at, _, _]) = response_payload();
+    assert_reserved("resolved scheme", &payload, at, decode_response_ok);
+}
+
+#[test]
+fn response_reserved_route_byte_is_malformed() {
+    let (payload, [_, at, _]) = response_payload();
+    assert_reserved("route", &payload, at, decode_response_ok);
+}
+
+#[test]
+fn response_reserved_fallback_byte_is_malformed() {
+    let (payload, [_, _, at]) = response_payload();
+    assert_reserved("routed_fallback", &payload, at, decode_response_ok);
+}
+
+#[test]
+fn json_request_with_scheme_is_bad_json() {
+    let text = r#"{"query": [[3, 1.0]], "measure": "rtr", "scheme": "gupta"}"#;
+    assert!(matches!(
+        request_from_json(text),
+        Err(WireError::BadJson(_))
+    ));
+}
+
+#[test]
+fn json_request_with_backend_is_bad_json() {
+    let text = r#"{"query": [[3, 1.0]], "measure": "rtr", "backend": "distributed"}"#;
+    assert!(matches!(
+        request_from_json(text),
+        Err(WireError::BadJson(_))
+    ));
 }

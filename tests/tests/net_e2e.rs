@@ -19,7 +19,7 @@ use rtr_net::{
     TenantPolicy,
 };
 use rtr_serve::{run_serial_requests, QueryRequest, QueryResponse, ServeConfig, ServeEngine};
-use rtr_topk::{Scheme, TopKConfig};
+use rtr_topk::TopKConfig;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -55,7 +55,6 @@ fn mixed_requests(nodes: &[NodeId]) -> Vec<QueryRequest> {
                     .with_measure(Measure::F),
             );
         }
-        requests.push(QueryRequest::node(q).with_scheme(Scheme::Gupta).with_k(3));
         requests.push(QueryRequest::node(q).with_params(RankParams::with_alpha(0.35)));
     }
     requests
@@ -379,9 +378,30 @@ fn ping_and_metrics_frame_expose_net_counters() {
     server.shutdown();
 }
 
+/// Read one whole frame off a raw socket.
+fn read_frame(stream: &mut std::net::TcpStream) -> rtr_net::Frame {
+    use std::io::Read;
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match rtr_net::Frame::parse(&buf, rtr_net::MAX_PAYLOAD) {
+            Ok((frame, _)) => return frame,
+            Err(rtr_net::WireError::Truncated { .. }) => {
+                let n = stream.read(&mut chunk).unwrap();
+                assert!(n > 0, "connection closed mid-frame");
+                buf.extend_from_slice(&chunk[..n]);
+            }
+            Err(e) => panic!("unparseable reply: {e:?}"),
+        }
+    }
+}
+
 /// Hostile bytes on a fresh connection: a typed `Error` frame comes
 /// back (Malformed — framing lost), then the server hangs up; the
-/// server survives and keeps serving other connections.
+/// server survives and keeps serving other connections. A well-framed
+/// request that still sets the retired scheme-present byte (what a peer
+/// asking for the Gupta ablation used to send) is a payload error: a
+/// typed `Malformed` rejection, and the same connection keeps serving.
 #[test]
 fn garbage_bytes_get_a_typed_error_and_the_server_survives() {
     use std::io::{Read, Write};
@@ -389,6 +409,37 @@ fn garbage_bytes_get_a_typed_error_and_the_server_survives() {
     let engine = Arc::new(ServeEngine::start(Arc::new(g), toy_config()));
     let server = NetServer::start(Arc::clone(&engine), NetServerConfig::default()).unwrap();
     let addr = server.local_addr();
+
+    let frame = |request_id: u64, payload: Vec<u8>| {
+        rtr_net::Frame {
+            frame_type: rtr_net::FrameType::Request,
+            json: false,
+            tenant: 0,
+            request_id,
+            payload: payload.into(),
+        }
+        .to_bytes()
+    };
+    let mut payload = bytes::BytesMut::new();
+    rtr_net::encode_request(&QueryRequest::node(ids.t1), &mut payload);
+    let good = payload.as_slice().to_vec();
+    let mut old_scheme = good.clone();
+    let n = old_scheme.len();
+    old_scheme[n - 2] = 1; // scheme present ...
+    old_scheme.insert(n - 1, 2); // ... Scheme::Gupta's old tag
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    raw.write_all(frame(1, old_scheme).as_slice()).unwrap();
+    let reply = read_frame(&mut raw);
+    assert_eq!(reply.frame_type, rtr_net::FrameType::Error);
+    assert_eq!(reply.request_id, 1);
+    let reject = rtr_net::decode_reject(reply.payload.as_slice()).unwrap();
+    assert_eq!(reject.code, ErrorCode::Malformed, "{reject:?}");
+    raw.write_all(frame(2, good).as_slice()).unwrap();
+    let reply = read_frame(&mut raw);
+    assert_eq!(reply.frame_type, rtr_net::FrameType::Response);
+    assert_eq!(reply.request_id, 2);
+    let response = rtr_net::decode_response(reply.payload.as_slice()).unwrap();
+    assert!(response.result.is_ok(), "the connection keeps serving");
 
     let mut raw = std::net::TcpStream::connect(addr).unwrap();
     raw.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();

@@ -10,23 +10,18 @@
 //!   results (checked by running both through the serial reference);
 //! * **usefulness**: permuting a weighted multi-node query never changes
 //!   the key (requests canonicalize at construction), while changing any
-//!   output-relevant field — measure, β bits, k, α — always does;
-//! * **backend-agnosticism**: the execution backend is observability, not
-//!   identity — a routing override never changes the key, and (end to end,
-//!   at the bottom of this file) an entry computed by the distributed
-//!   backend answers a local-routed identical request and vice versa, with
-//!   bit-identical rankings. Exactness is what makes the sharing sound:
-//!   both backends run mirror-identical engines.
+//!   output-relevant field — measure, β bits, k, α — always does.
+//!
+//! The key has no backend component: where a result was computed is
+//! provenance, not identity (a hit keeps the computing run's provenance,
+//! pinned by `rtr-serve`'s engine tests).
 
 use proptest::prelude::*;
 use rtr_core::{Measure, Query, RankParams};
 use rtr_graph::toy::fig2_toy;
 use rtr_graph::NodeId;
-use rtr_serve::{
-    run_serial_requests, Backend, BackendKind, QueryRequest, ServeConfig, ServeEngine,
-};
+use rtr_serve::{run_serial_requests, QueryRequest, ServeConfig};
 use rtr_topk::TopKConfig;
-use std::sync::Arc;
 
 // Node universe: the fig2 toy graph's ids (12 nodes).
 const NODES: u32 = 12;
@@ -123,26 +118,6 @@ proptest! {
         prop_assert_ne!(base.resolve(&cfg).cache_key(1), base.resolve(&cfg).cache_key(2));
     }
 
-    // Backend-agnosticism: the routing override is observability, not
-    // identity — it must never separate cache keys, or local and
-    // distributed traffic would stop sharing entries.
-    #[test]
-    fn backend_route_never_changes_the_key(
-        pairs in pairs_strategy(),
-        measure in measure_strategy(),
-        k in 1usize..6,
-    ) {
-        let cfg = defaults();
-        let base = request(&pairs, measure, k);
-        let key = base.resolve(&cfg).cache_key(1);
-        for route in [BackendKind::Local, BackendKind::Distributed] {
-            prop_assert_eq!(
-                base.clone().with_backend(route).resolve(&cfg).cache_key(1),
-                key.clone()
-            );
-        }
-    }
-
     // Usefulness: two RTR+ requests share a key exactly when their β bit
     // patterns agree.
     #[test]
@@ -215,87 +190,5 @@ proptest! {
             prop_assert_eq!(&ra.ranking, &rb.ranking);
             prop_assert_eq!(&ra.bounds, &rb.bounds);
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Cross-backend cache agnosticism, end to end: an entry computed by one
-// execution backend answers an identical request routed to the other.
-// ---------------------------------------------------------------------------
-
-/// The mix of request shapes the sharing property must hold for: every
-/// measure, single- and multi-node, and a recorded-fallback full ranking.
-fn sharing_mix(ids: &rtr_graph::toy::Fig2Ids) -> Vec<QueryRequest> {
-    vec![
-        QueryRequest::node(ids.t1),
-        QueryRequest::node(ids.v1).with_measure(Measure::RtrPlus { beta: 0.7 }),
-        QueryRequest::node(ids.t2).with_measure(Measure::F),
-        QueryRequest::nodes(&[ids.t1, ids.t2]),
-        QueryRequest::node(ids.t1).with_k(1_000),
-    ]
-}
-
-#[test]
-fn distributed_entry_hits_subsequent_local_routed_request() {
-    let (g, ids) = fig2_toy();
-    let config = ServeConfig::default()
-        .with_workers(2)
-        .with_topk(TopKConfig::toy())
-        .with_backend(Backend::Distributed { gps: 3 })
-        .with_cache_capacity(64);
-    let engine = ServeEngine::start(Arc::new(g), config);
-    for request in sharing_mix(&ids) {
-        // Default route: the distributed backend computes (or records a
-        // local fallback) and the cache remembers the outcome.
-        let cold = engine.submit(request.clone()).wait();
-        assert!(!cold.from_cache);
-        // Identical request, pinned to the local backend: same key, so it
-        // must hit — no second computation, bit-identical ranking.
-        let computed_before = engine.computed_queries();
-        let warm = engine
-            .submit(request.clone().with_backend(BackendKind::Local))
-            .wait();
-        assert!(warm.from_cache, "{request:?} missed the shared entry");
-        assert_eq!(engine.computed_queries(), computed_before);
-        let (c, w) = (cold.result.unwrap(), warm.result.unwrap());
-        assert_eq!(c.ranking, w.ranking, "{request:?}");
-        assert_eq!(c.bounds, w.bounds, "{request:?}");
-        // Provenance of the computing run rides along with the entry.
-        assert_eq!(warm.backend, cold.backend, "{request:?}");
-        assert_eq!(warm.distributed, cold.distributed, "{request:?}");
-    }
-}
-
-#[test]
-fn local_entry_hits_subsequent_distributed_routed_request() {
-    let (g, ids) = fig2_toy();
-    let config = ServeConfig::default()
-        .with_workers(2)
-        .with_topk(TopKConfig::toy())
-        .with_backend(Backend::Distributed { gps: 2 })
-        .with_cache_capacity(64);
-    let engine = ServeEngine::start(Arc::new(g), config);
-    for request in sharing_mix(&ids) {
-        // Pin the first serving to local: the entry is computed in-process.
-        let cold = engine
-            .submit(request.clone().with_backend(BackendKind::Local))
-            .wait();
-        assert!(!cold.from_cache);
-        assert_eq!(cold.backend, BackendKind::Local);
-        // The distributed-routed duplicate must reuse it rather than pay
-        // any wire cost.
-        let computed_before = engine.computed_queries();
-        let warm = engine
-            .submit(request.clone().with_backend(BackendKind::Distributed))
-            .wait();
-        assert!(warm.from_cache, "{request:?} missed the shared entry");
-        assert_eq!(engine.computed_queries(), computed_before);
-        assert_eq!(warm.backend, BackendKind::Local, "provenance preserved");
-        assert!(warm.distributed.is_none(), "a hit crosses no wire");
-        assert_eq!(
-            cold.result.unwrap().ranking,
-            warm.result.unwrap().ranking,
-            "{request:?}"
-        );
     }
 }

@@ -120,32 +120,6 @@ fn tiny_cache_evicts_but_stays_correct() {
 }
 
 #[test]
-fn ablation_schemes_cached_identical() {
-    // The cache key includes the scheme, so every Fig. 11a ablation must
-    // round-trip the cached path unchanged — and never share entries.
-    let (g, _) = fig2_toy();
-    let base: Vec<NodeId> = g.nodes().collect();
-    let queries = repeated_shuffled(&base, 2, 31);
-    for scheme in rtr_topk::Scheme::all() {
-        let config = ServeConfig::default()
-            .with_scheme(scheme)
-            .with_cache_capacity(128)
-            .with_topk(TopKConfig {
-                k: 3,
-                epsilon: 0.0,
-                m_f: 4,
-                m_t: 2,
-                max_expansions: 500,
-                ..TopKConfig::default()
-            });
-        let serial = run_serial_requests(&g, &config.with_cache_capacity(0), &queries);
-        let engine = ServeEngine::start(Arc::new(g.clone()), config.with_workers(4));
-        let outputs = engine.run_requests(&queries);
-        assert_outputs_identical(&format!("{scheme:?} cached vs serial"), &outputs, &serial);
-    }
-}
-
-#[test]
 fn graph_epoch_separates_cache_entries() {
     // Two byte-identical graphs have different epochs: an engine over the
     // second must not see (or be poisoned by) entries computed on the
@@ -157,20 +131,8 @@ fn graph_epoch_separates_cache_entries() {
     assert_ne!(g1.epoch(), g2.epoch());
     let params = rtr_core::RankParams::default();
     let cfg = TopKConfig::toy();
-    let k1 = rtr_cache::CacheKey::single(
-        NodeId(0),
-        g1.epoch(),
-        &params,
-        &cfg,
-        rtr_topk::Scheme::TwoSBound,
-    );
-    let k2 = rtr_cache::CacheKey::single(
-        NodeId(0),
-        g2.epoch(),
-        &params,
-        &cfg,
-        rtr_topk::Scheme::TwoSBound,
-    );
+    let k1 = rtr_cache::CacheKey::single(NodeId(0), g1.epoch(), &params, &cfg);
+    let k2 = rtr_cache::CacheKey::single(NodeId(0), g2.epoch(), &params, &cfg);
     assert_ne!(k1, k2, "same query, different graph epoch: distinct keys");
     // A clone is the same graph content and keeps the epoch: cached
     // answers stay valid.

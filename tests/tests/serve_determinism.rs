@@ -14,7 +14,7 @@ use rtr_datagen::{QLog, QLogConfig};
 use rtr_graph::toy::fig2_toy;
 use rtr_graph::{Graph, NodeId};
 use rtr_integration_tests::node_requests as requests;
-use rtr_serve::{run_serial_requests, QueryRequest, QueryResponse, ServeConfig, ServeEngine};
+use rtr_serve::{run_serial_requests, QueryResponse, ServeConfig, ServeEngine};
 use rtr_topk::{TopKConfig, TopKResult, TwoSBound};
 use std::sync::Arc;
 
@@ -47,7 +47,7 @@ fn check_all_worker_counts(g: Graph, queries: Vec<NodeId>, config: ServeConfig) 
     let serial = run_serial_requests(&g, &config, &requests);
     // The plain allocating engine, one fresh state per query — the
     // original pre-serving code path, still the semantic ground truth.
-    let runner = TwoSBound::with_scheme(config.params, config.topk, config.scheme);
+    let runner = TwoSBound::new(config.params, config.topk);
     for (s, &query) in serial.iter().zip(&queries) {
         assert_results_identical(
             "workspace-reuse vs allocating",
@@ -95,8 +95,7 @@ fn seeded_qlog_identical_at_1_2_8_workers() {
         workers: 1,
         params: RankParams::default(),
         topk: TopKConfig::default(), // paper defaults: K = 10, ε = 0.01
-        scheme: rtr_topk::Scheme::TwoSBound,
-        ..ServeConfig::default() // cache off: the uncached contract
+        ..ServeConfig::default()     // cache off: the uncached contract
     };
     check_all_worker_counts(g, queries, config);
 }
@@ -121,28 +120,4 @@ fn repeated_queries_in_one_batch_are_identical() {
     assert_eq!(first.ranking, last.ranking);
     assert_eq!(first.bounds, last.bounds);
     assert_eq!(first.expansions, last.expansions);
-}
-
-#[test]
-fn ablation_schemes_also_deterministic_under_concurrency() {
-    // The serving layer is scheme-agnostic; the weaker Fig. 11a schemes
-    // must round-trip through the pool unchanged too.
-    let (g, _) = fig2_toy();
-    let requests: Vec<QueryRequest> = g.nodes().map(QueryRequest::node).collect();
-    for scheme in rtr_topk::Scheme::all() {
-        let config = ServeConfig::default()
-            .with_scheme(scheme)
-            .with_topk(TopKConfig {
-                k: 3,
-                epsilon: 0.0,
-                m_f: 4,
-                m_t: 2,
-                max_expansions: 500,
-                ..TopKConfig::default()
-            });
-        let serial = run_serial_requests(&g, &config, &requests);
-        let engine = ServeEngine::start(Arc::new(g.clone()), config.with_workers(4));
-        let pooled = engine.run_requests(&requests);
-        assert_outputs_identical(&format!("{scheme:?} pooled vs serial"), &pooled, &serial);
-    }
 }

@@ -2,7 +2,7 @@
 //!
 //! One `ServeEngine` now serves heterogeneous traffic: F-Rank, T-Rank,
 //! RoundTripRank, and RoundTripRank+ at per-request β, over single- and
-//! multi-node queries, with per-request k/params/scheme overrides. The
+//! multi-node queries, with per-request k/params/top-K overrides. The
 //! contract has two halves:
 //!
 //! 1. **Concurrency + caching change nothing**: a mixed batch at 1, 2, and
@@ -21,7 +21,7 @@ use rtr_datagen::{QLog, QLogConfig};
 use rtr_graph::toy::fig2_toy;
 use rtr_graph::{Graph, NodeId};
 use rtr_serve::{run_serial_requests, QueryRequest, QueryResponse, ServeConfig, ServeEngine};
-use rtr_topk::{Scheme, TopKConfig, TopKWorkspace, TwoSBound, TwoSBoundPlus};
+use rtr_topk::{TopKConfig, TopKWorkspace, TwoSBound, TwoSBoundPlus};
 use std::sync::Arc;
 
 /// Strict comparison: every value that the engine computes must agree
@@ -65,8 +65,12 @@ fn mixed_requests(nodes: &[NodeId]) -> Vec<QueryRequest> {
                     .with_measure(Measure::F),
             );
         }
-        // Per-request scheme and params overrides ride along.
-        requests.push(QueryRequest::node(q).with_scheme(Scheme::Gupta).with_k(3));
+        // Per-request top-K and params overrides ride along.
+        let loose = TopKConfig {
+            epsilon: 0.05,
+            ..TopKConfig::default()
+        };
+        requests.push(QueryRequest::node(q).with_topk(loose).with_k(3));
         requests.push(QueryRequest::node(q).with_params(RankParams::with_alpha(0.35)));
     }
     // Interleave duplicates so the cache and single-flight paths see
@@ -173,7 +177,7 @@ fn mixed_batch_matches_direct_engines_with_cache_and_single_flight_on() {
     let check_exact = |response: &QueryResponse, scores: &ScoreVec| {
         let result = response.result.as_ref().unwrap();
         let r = &response.request;
-        let direct = TwoSBound::for_measure(r.params, r.topk, r.scheme, r.measure)
+        let direct = TwoSBound::for_measure(r.params, r.topk, r.measure)
             .unwrap()
             .run_query_with(&g, &r.query, &mut TopKWorkspace::default())
             .unwrap();

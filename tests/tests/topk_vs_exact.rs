@@ -386,7 +386,7 @@ proptest! {
         for measure in MEASURES {
             let what = format!("{measure}, kind {kind} seed {seed} {query:?} {cfg:?}");
             let exact = exact_measure(g, &query, measure, params);
-            let engine = TwoSBound::for_measure(params, cfg, Scheme::TwoSBound, measure)
+            let engine = TwoSBound::for_measure(params, cfg, measure)
                 .expect("valid measure");
             let local = engine.run_query_with(g, &query, &mut ws).expect("local search");
             check_contract(&what, g, &local, &exact, k, eps)?;
