@@ -3,7 +3,7 @@
 //!
 //! This crate has no runtime surface of its own: its value is the test
 //! files under `tests/`, each of which model-checks one of the hot
-//! synchronization protocols (single-flight, condvar parking, reply
+//! synchronization protocols (single-flight, the job queue, reply
 //! slots, histogram sharding, epoch-keyed caching) by exhaustively
 //! exploring every interleaving with up to two preemptions plus a
 //! seeded-random sample beyond that bound. Run with

@@ -130,13 +130,21 @@ impl NetClient {
     pub fn send(&mut self, request: &QueryRequest) -> Result<u64, NetError> {
         let request_id = self.next_request_id;
         self.next_request_id += 1;
-        send_request(
-            &mut self.stream,
-            self.tenant,
-            self.json,
+        let payload = if self.json {
+            Bytes::from(json::request_to_json(request).into_bytes())
+        } else {
+            let mut buf = BytesMut::new();
+            encode_request(request, &mut buf);
+            buf.freeze()
+        };
+        let frame = Frame {
+            frame_type: FrameType::Request,
+            json: self.json,
+            tenant: self.tenant,
             request_id,
-            request,
-        )?;
+            payload,
+        };
+        self.stream.write_all(frame.to_bytes().as_slice())?;
         Ok(request_id)
     }
 
@@ -144,28 +152,6 @@ impl NetClient {
     /// the echoed request id alongside it.
     pub fn recv(&mut self) -> Result<(u64, Result<QueryResponse, Reject>), NetError> {
         decode_outcome(self.read_frame()?)
-    }
-
-    /// Split into independently owned send and receive halves, so a load
-    /// generator can pace sends on one thread while another thread drains
-    /// responses concurrently — pipelining bounded only by the server's
-    /// write queue, with no lock between the two directions. Positional
-    /// pairing still holds per connection: the k-th receive is the k-th
-    /// send (including sends made before the split).
-    pub fn split(self) -> std::io::Result<(WireSender, WireReceiver)> {
-        let read_half = self.stream.try_clone()?;
-        Ok((
-            WireSender {
-                stream: self.stream,
-                tenant: self.tenant,
-                json: self.json,
-                next_request_id: self.next_request_id,
-            },
-            WireReceiver {
-                stream: read_half,
-                buffered: self.buffered,
-            },
-        ))
     }
 
     /// Liveness probe: round-trip a `Ping`. Don't interleave with
@@ -210,71 +196,23 @@ impl NetClient {
 
     /// Read exactly one frame, buffering partial reads.
     fn read_frame(&mut self) -> Result<Frame, NetError> {
-        read_frame_from(&mut self.stream, &mut self.buffered)
+        let mut chunk = [0u8; 64 * 1024];
+        loop {
+            match Frame::parse(&self.buffered, MAX_PAYLOAD) {
+                Ok((frame, consumed)) => {
+                    self.buffered.drain(..consumed);
+                    return Ok(frame);
+                }
+                Err(WireError::Truncated { .. }) => {}
+                Err(fatal) => return Err(NetError::Wire(fatal)),
+            }
+            let n = self.stream.read(&mut chunk)?;
+            if n == 0 {
+                return Err(NetError::ServerClosed);
+            }
+            self.buffered.extend_from_slice(&chunk[..n]);
+        }
     }
-}
-
-/// The sending half of a split [`NetClient`] (see [`NetClient::split`]).
-pub struct WireSender {
-    stream: TcpStream,
-    tenant: u32,
-    json: bool,
-    next_request_id: u64,
-}
-
-impl WireSender {
-    /// [`NetClient::send`] on the sending half.
-    pub fn send(&mut self, request: &QueryRequest) -> Result<u64, NetError> {
-        let request_id = self.next_request_id;
-        self.next_request_id += 1;
-        send_request(
-            &mut self.stream,
-            self.tenant,
-            self.json,
-            request_id,
-            request,
-        )?;
-        Ok(request_id)
-    }
-}
-
-/// The receiving half of a split [`NetClient`] (see [`NetClient::split`]).
-pub struct WireReceiver {
-    stream: TcpStream,
-    buffered: Vec<u8>,
-}
-
-impl WireReceiver {
-    /// [`NetClient::recv`] on the receiving half.
-    pub fn recv(&mut self) -> Result<(u64, Result<QueryResponse, Reject>), NetError> {
-        decode_outcome(read_frame_from(&mut self.stream, &mut self.buffered)?)
-    }
-}
-
-/// Encode and write one request frame.
-fn send_request(
-    stream: &mut TcpStream,
-    tenant: u32,
-    json: bool,
-    request_id: u64,
-    request: &QueryRequest,
-) -> Result<(), NetError> {
-    let payload = if json {
-        Bytes::from(crate::json::request_to_json(request).into_bytes())
-    } else {
-        let mut buf = BytesMut::new();
-        encode_request(request, &mut buf);
-        buf.freeze()
-    };
-    let frame = Frame {
-        frame_type: FrameType::Request,
-        json,
-        tenant,
-        request_id,
-        payload,
-    };
-    stream.write_all(frame.to_bytes().as_slice())?;
-    Ok(())
 }
 
 /// Interpret a server frame as a request outcome.
@@ -304,25 +242,5 @@ fn decode_outcome(frame: Frame) -> Result<(u64, Result<QueryResponse, Reject>), 
         other => Err(NetError::Protocol(format!(
             "unexpected frame type {other:?} while awaiting a response"
         ))),
-    }
-}
-
-/// Read exactly one frame from `stream`, buffering partial reads.
-fn read_frame_from(stream: &mut TcpStream, buffered: &mut Vec<u8>) -> Result<Frame, NetError> {
-    let mut chunk = [0u8; 64 * 1024];
-    loop {
-        match Frame::parse(buffered, MAX_PAYLOAD) {
-            Ok((frame, consumed)) => {
-                buffered.drain(..consumed);
-                return Ok(frame);
-            }
-            Err(WireError::Truncated { .. }) => {}
-            Err(fatal) => return Err(NetError::Wire(fatal)),
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(NetError::ServerClosed);
-        }
-        buffered.extend_from_slice(&chunk[..n]);
     }
 }

@@ -2,7 +2,7 @@
 //! # rtr-net — the network front door
 //!
 //! Everything the serving stack can do in-process (per-request measures,
-//! work-stealing scheduling, the result cache, distributed execution,
+//! the shared job queue, the result cache, distributed execution,
 //! metrics) becomes reachable over a real socket here, with the
 //! production-serving concerns that implies:
 //!
@@ -72,7 +72,7 @@ pub mod server;
 mod client;
 
 pub use admission::{AdmissionConfig, AdmissionDecision, TenantPolicy};
-pub use client::{NetClient, NetError, WireReceiver, WireSender};
+pub use client::{NetClient, NetError};
 pub use codec::{decode_reject, decode_request, decode_response, encode_request, encode_response};
 pub use codec::{ErrorCode, Reject};
 pub use frame::{Frame, FrameType, WireError, HEADER_LEN, MAGIC, MAX_PAYLOAD, PROTOCOL_VERSION};

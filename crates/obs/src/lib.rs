@@ -1,10 +1,10 @@
 //! # rtr-obs — lock-free metrics and per-query tracing
 //!
 //! The single observability surface of the RoundTripRank serving stack:
-//! every layer (`rtr-serve`'s scheduler, `rtr-cache`'s result cache,
+//! every layer (`rtr-serve`'s job queue, `rtr-cache`'s result cache,
 //! `rtr-distributed`'s wire protocol) records into one [`Registry`], and
-//! one [`MetricsSnapshot`] renders the whole system's state as either
-//! Prometheus text exposition format or JSON.
+//! one [`MetricsSnapshot`] renders the whole system's state in the
+//! Prometheus text exposition format.
 //!
 //! Three instruments, all designed for a hot serving path:
 //!
@@ -18,7 +18,7 @@
 //!   error of `1/SUB` (3.125%).
 //!
 //! Plus one request-scoped record: [`QueryTrace`], a timestamped list of
-//! [`TraceStage`]s (submit → fast-path/enqueue → dequeue/steal → compute,
+//! [`TraceStage`]s (submit → fast-path/enqueue → dequeue → compute,
 //! with per-fetch-round events on the distributed path → respond). It is
 //! allocated only when tracing is enabled; a disabled trace is a `None`
 //! and costs one branch.

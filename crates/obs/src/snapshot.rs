@@ -1,12 +1,10 @@
-//! Point-in-time views of a [`Registry`](crate::Registry) and their two
-//! renderings: Prometheus text exposition format and JSON.
+//! Point-in-time views of a [`Registry`](crate::Registry) and their
+//! rendering in the Prometheus text exposition format.
 //!
 //! A [`MetricsSnapshot`] is plain data — cloneable, inspectable in tests,
 //! embeddable in bench artifacts — decoupled from the live atomics it was
-//! read from. The Prometheus rendering is what a future `/metrics`
-//! endpoint serves verbatim; the JSON rendering carries quantile
-//! summaries, not raw buckets, so a report that embeds it stays
-//! human-readable.
+//! read from. The Prometheus rendering is what the network front door's
+//! metrics request serves verbatim.
 
 use crate::histogram::HistogramSnapshot;
 use std::fmt::Write as _;
@@ -16,7 +14,7 @@ use std::fmt::Write as _;
 /// unit); counts and bytes render unscaled.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Unit {
-    /// Dimensionless events (requests, steals, evictions).
+    /// Dimensionless events (requests, attaches, evictions).
     Count,
     /// Durations recorded as whole nanoseconds; rendered as seconds.
     Nanoseconds,
@@ -30,15 +28,6 @@ impl Unit {
         match self {
             Unit::Nanoseconds => 1e9,
             Unit::Count | Unit::Bytes => 1.0,
-        }
-    }
-
-    /// Stable lowercase name for the JSON rendering.
-    pub fn name(self) -> &'static str {
-        match self {
-            Unit::Count => "count",
-            Unit::Nanoseconds => "nanoseconds",
-            Unit::Bytes => "bytes",
         }
     }
 }
@@ -92,7 +81,7 @@ pub struct MetricFamily {
     /// Metric name (already in final exposition form, e.g.
     /// `rtr_serve_latency_seconds`).
     pub name: String,
-    /// One-line description for `# HELP` / the JSON `help` field.
+    /// One-line description for `# HELP`.
     pub help: String,
     /// Instrument kind.
     pub kind: MetricKind,
@@ -124,7 +113,7 @@ pub(crate) fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// Escape a label value or help string for both renderings: backslash,
+/// Escape a label value or help string for the Prometheus text: backslash,
 /// double quote, and newline.
 fn escape(s: &str) -> String {
     s.replace('\\', "\\\\")
@@ -250,69 +239,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// Render as a JSON object keyed by family name. Counter and gauge
-    /// samples carry a `value`; histogram samples carry a quantile
-    /// summary (`count`, `sum`, `mean`, `p50`, `p90`, `p99`, `max`) in
-    /// the family's rendered unit — raw buckets are deliberately not
-    /// emitted, keeping embedded artifacts small and diffable.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let families: Vec<String> = self
-            .families
-            .iter()
-            .map(|family| {
-                let samples: Vec<String> = family
-                    .samples
-                    .iter()
-                    .map(|sample| {
-                        let labels = if sample.labels.is_empty() {
-                            String::new()
-                        } else {
-                            let pairs: Vec<String> = sample
-                                .labels
-                                .iter()
-                                .map(|(k, v)| format!("\"{}\": \"{}\"", escape(k), escape(v)))
-                                .collect();
-                            format!("\"labels\": {{ {} }}, ", pairs.join(", "))
-                        };
-                        let body = match &sample.value {
-                            SampleValue::Counter(v) => format!("\"value\": {v}"),
-                            SampleValue::Gauge(v) => format!("\"value\": {v}"),
-                            SampleValue::Histogram(h) => {
-                                let scale = family.unit.scale();
-                                format!(
-                                    "\"count\": {}, \"sum\": {}, \"mean\": {}, \
-                                     \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}",
-                                    h.count(),
-                                    fmt_f64(h.sum() as f64 / scale),
-                                    fmt_f64(h.mean() / scale),
-                                    fmt_f64(h.quantile(50.0) as f64 / scale),
-                                    fmt_f64(h.quantile(90.0) as f64 / scale),
-                                    fmt_f64(h.quantile(99.0) as f64 / scale),
-                                    fmt_f64(h.max() as f64 / scale)
-                                )
-                            }
-                        };
-                        format!("      {{ {labels}{body} }}")
-                    })
-                    .collect();
-                format!(
-                    "    \"{}\": {{\n      \"type\": \"{}\", \"unit\": \"{}\", \
-                     \"help\": \"{}\",\n      \"samples\": [\n{}\n      ]\n    }}",
-                    escape(&family.name),
-                    family.kind.name(),
-                    family.unit.name(),
-                    escape(&family.help),
-                    samples.join(",\n")
-                )
-            })
-            .collect();
-        out.push_str("  \"families\": {\n");
-        out.push_str(&families.join(",\n"));
-        out.push_str("\n  }\n}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -373,21 +299,6 @@ mod tests {
         }
         assert!(bucket_lines >= 4, "3 distinct buckets + +Inf");
         assert_eq!(last, 6, "+Inf bucket holds every sample");
-    }
-
-    #[test]
-    fn json_rendering_summarizes_histograms() {
-        let r = Registry::new();
-        r.counter("j_total", "c").add(3);
-        let h = r.histogram_with("j_hist", &[], "h", Unit::Count, 1);
-        h.record(10);
-        h.record(30);
-        let json = r.snapshot().to_json();
-        assert!(json.contains("\"j_total\""));
-        assert!(json.contains("\"value\": 3"));
-        assert!(json.contains("\"count\": 2"));
-        assert!(json.contains("\"p50\": 10"));
-        assert!(!json.contains("buckets"), "raw buckets stay out of JSON");
     }
 
     #[test]

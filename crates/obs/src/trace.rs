@@ -24,11 +24,12 @@ pub enum TraceStage {
     /// The submit-side fast path answered it inline (a cache hit); no
     /// queueing happened.
     FastPath,
-    /// The request was pushed onto the scheduler's queues.
+    /// The request was sent to the engine's job queue.
     Enqueue,
-    /// A worker picked it off its own queue or the shared injector.
+    /// A worker received it from the job queue.
     Dequeue,
-    /// A worker stole it from a sibling's queue.
+    /// Never recorded: the engine has one shared job queue and nothing to
+    /// steal from. Kept only because the benchmark's stage table names it.
     Steal,
     /// It attached to an identical in-flight computation instead of
     /// running (the owner answers it at [`TraceStage::Respond`]).

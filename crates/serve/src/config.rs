@@ -53,7 +53,7 @@ pub struct ServeConfig {
     pub metrics: bool,
     /// Attach a per-query [`rtr_obs::QueryTrace`] to every
     /// [`crate::QueryResponse`] (timestamped submit → fast-path/enqueue →
-    /// dequeue/steal → compute → respond stages, with per-fetch-round
+    /// dequeue → compute → respond stages, with per-fetch-round
     /// events on the distributed path). Off by default; when off, no trace
     /// is ever allocated and responses carry `None`.
     pub tracing: bool,

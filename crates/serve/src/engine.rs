@@ -1,7 +1,7 @@
-//! The worker pool and its scheduler.
+//! The worker pool and its job queue.
 //!
 //! One [`ServeEngine`] owns `workers` long-lived threads. Each worker pulls
-//! jobs off the scheduler's queues, resolves nothing (requests arrive
+//! jobs off one shared FIFO channel, resolves nothing (requests arrive
 //! pre-resolved against the engine defaults), runs the request on its
 //! backend ([`ResolvedRequest::run`] locally), and sends a
 //! [`QueryResponse`] down the request's reply channel. Every worker owns
@@ -18,17 +18,20 @@
 //! * **fast path** — submission first probes the result cache on the
 //!   submitting thread; a hit completes inline with zero queue wait and
 //!   `worker: None`. Nothing is ever *computed* on the submitting thread.
-//! * **work stealing** — everything else lands in a shared injector that
-//!   workers batch-drain into per-worker queues, stealing from siblings
-//!   when their own queue runs dry.
+//! * **one job queue** — everything else is one `send` on an unbounded
+//!   MPMC channel that every worker `recv`s from. Each job is a whole
+//!   bound search (milliseconds), so one short lock per job is noise
+//!   next to it.
 //! * **attach batching** — a request identical to one already computing
 //!   *attaches* to the computing owner's in-flight entry instead of
 //!   occupying a worker; the owner answers them all from the shared `Arc`
-//!   when it finishes (or re-enqueues them if it failed — errors are never
-//!   shared).
+//!   when it finishes (or, if it failed, runs them itself straight after —
+//!   errors are never shared).
 //!
-//! Shutdown raises a flag and wakes every parked worker, each of which
-//! drains until no queue holds work; the engine then joins the threads.
+//! The engine holds the only `Sender`. Shutdown drops it: each worker's
+//! `recv` keeps returning queued jobs until the channel is empty and only
+//! then fails, so every job submitted before shutdown is answered; the
+//! engine then joins the threads.
 
 use crate::backend::{
     Backend, BackendKind, DistributedBackend, ExecBackend, ExecOutcome, LocalBackend,
@@ -38,10 +41,8 @@ use crate::flight::InFlight;
 use crate::metrics::ServeMetrics;
 use crate::request::{QueryRequest, ResolvedRequest, ServeWorkspace};
 use crate::response::{QueryResponse, QueryTicket};
-use crate::rtr_sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use crate::rtr_sync::{Condvar, Mutex};
+use crate::rtr_sync::atomic::{AtomicU64, Ordering};
 use crossbeam::channel::{self, Sender};
-use crossbeam::deque;
 use rtr_cache::{CacheConfig, CacheKey, CacheStats, ShardedCache};
 use rtr_core::CoreError;
 use rtr_graph::Graph;
@@ -116,9 +117,9 @@ struct Job {
     request: ResolvedRequest,
     enqueued: Instant,
     reply: Sender<QueryResponse>,
-    /// The request's trace, carried with the job through every scheduler
-    /// hop so each stage stamps into the same timeline. `None` unless the
-    /// engine runs with [`ServeConfig::tracing`].
+    /// The request's trace, carried with the job from submission to
+    /// response so each stage stamps into the same timeline. `None`
+    /// unless the engine runs with [`ServeConfig::tracing`].
     trace: Option<Box<QueryTrace>>,
 }
 
@@ -129,106 +130,6 @@ struct AttachedJob {
     job: Job,
     worker: usize,
     picked: Instant,
-}
-
-/// The generation-counted parking lot for the work-stealing scheduler.
-///
-/// A worker reads the generation *before* scanning the queues and sleeps
-/// only if it is unchanged afterwards; every push bumps the generation
-/// under the same lock before notifying. A push that lands mid-scan
-/// therefore turns the subsequent `sleep` into a no-op — no lost wakeups,
-/// without holding any lock across the scan itself.
-pub struct Park {
-    gen: Mutex<u64>,
-    ready: Condvar,
-}
-
-impl Default for Park {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Park {
-    /// Create a parking lot at generation zero.
-    pub fn new() -> Self {
-        Park {
-            gen: Mutex::new(0),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Read the current generation. Call *before* scanning for work and
-    /// hand the result to [`Park::sleep`].
-    pub fn current(&self) -> u64 {
-        // invariant: the park mutex only guards a u64 bump/read — no user
-        // code runs under it, so it cannot be poisoned.
-        *self.gen.lock().expect("park poisoned")
-    }
-
-    /// Bump the generation and wake one sleeping worker.
-    pub fn notify_one(&self) {
-        {
-            // invariant: see Park::current — the lock never poisons.
-            let mut gen = self.gen.lock().expect("park poisoned");
-            *gen += 1;
-        }
-        self.ready.notify_one();
-    }
-
-    /// Bump the generation and wake every sleeping worker.
-    pub fn notify_all(&self) {
-        {
-            // invariant: see Park::current — the lock never poisons.
-            let mut gen = self.gen.lock().expect("park poisoned");
-            *gen += 1;
-        }
-        self.ready.notify_all();
-    }
-
-    /// Sleep until the generation moves past `seen`. Returns immediately
-    /// if a notify landed since the caller read `seen` — the no-lost-
-    /// wakeup half of the protocol.
-    pub fn sleep(&self, seen: u64) {
-        // invariant: see Park::current — the lock never poisons.
-        let mut gen = self.gen.lock().expect("park poisoned");
-        while *gen == seen {
-            gen = self.ready.wait(gen).expect("park poisoned");
-        }
-    }
-}
-
-/// The work-stealing scheduler's shared half: the global submission
-/// injector, one stealer handle per worker queue, and the parking lot.
-struct StealPool {
-    injector: deque::Injector<Job>,
-    stealers: Vec<deque::Stealer<Job>>,
-    park: Park,
-    shutdown: AtomicBool,
-}
-
-impl StealPool {
-    /// Find work for worker `idx`: its own queue first, then a batch off
-    /// the injector (amortizing the shared lock over many jobs), then a
-    /// steal from each sibling in rotation. The second return is `true`
-    /// exactly when the job came off a *sibling's* queue — a genuine
-    /// steal, which the metrics layer counts separately from ordinary
-    /// dequeues.
-    fn find(&self, idx: usize, local: &deque::Worker<Job>) -> Option<(Job, bool)> {
-        if let Some(job) = local.pop() {
-            return Some((job, false));
-        }
-        if let Some(job) = self.injector.steal_batch_and_pop(local).success() {
-            return Some((job, false));
-        }
-        let n = self.stealers.len();
-        for offset in 1..n {
-            if let Some(job) = self.stealers[(idx + offset) % n].steal().success() {
-                return Some((job, true));
-            }
-        }
-        None
-    }
 }
 
 /// State every worker shares: the graph and (when caching is on) the
@@ -306,7 +207,7 @@ impl Shared {
     /// single-flight claim, compute, insert, respond. A job that finds its
     /// key already computing *attaches* to the owner instead of occupying
     /// this worker, and an owner answers everything that attached when it
-    /// finishes. Returns jobs that must be re-enqueued — non-empty only
+    /// finishes. Returns jobs that must be handled again — non-empty only
     /// when an owned computation failed with requests attached (errors are
     /// never shared; each duplicate recomputes individually). With the
     /// cache off this is exactly one [`Shared::compute`] call — the
@@ -375,7 +276,7 @@ impl Shared {
                 self.answer_attached(cache, &key, outcome, attached);
                 Vec::new()
             }
-            // Errors are never served stale: re-enqueue the duplicates so
+            // Errors are never served stale: hand the duplicates back so
             // each computes (and fails) on its own.
             Err(_) => attached.into_iter().map(|a| a.job).collect(),
         };
@@ -499,7 +400,8 @@ impl Shared {
 /// collects only its own responses.
 pub struct ServeEngine {
     shared: Arc<Shared>,
-    pool: Arc<StealPool>,
+    /// The job queue's only sender; `None` once shutdown has dropped it.
+    jobs: Option<Sender<Job>>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -538,23 +440,10 @@ impl ServeEngine {
             m,
         });
         shared.m.cache_enabled.set(shared.cache.is_some() as i64);
-        // Build every local deque first so each worker starts with the
-        // full stealer set — no window where early traffic is invisible to
-        // a sibling.
-        let locals: Vec<deque::Worker<Job>> =
-            (0..workers).map(|_| deque::Worker::new_fifo()).collect();
-        let stealers = locals.iter().map(|l| l.stealer()).collect();
-        let pool = Arc::new(StealPool {
-            injector: deque::Injector::new(),
-            stealers,
-            park: Park::new(),
-            shutdown: AtomicBool::new(false),
-        });
-        let handles = locals
-            .into_iter()
-            .enumerate()
-            .map(|(idx, local)| {
-                let pool = Arc::clone(&pool);
+        let (jobs, queue) = channel::unbounded::<Job>();
+        let handles = (0..workers)
+            .map(|idx| {
+                let queue = queue.clone();
                 let shared = Arc::clone(&shared);
                 // Panics inside a query are caught in Shared::compute; a
                 // dead worker would strand the jobs still queued and hang
@@ -566,47 +455,26 @@ impl ServeEngine {
                             ws.dist.cache.set_metrics(bc);
                         }
                     }
-                    loop {
-                        // Read the park generation *before* the scan: a
-                        // push between scan and sleep bumps it and the
-                        // sleep returns immediately — no lost wakeups.
-                        let seen = pool.park.current();
-                        if let Some((mut job, stolen)) = pool.find(idx, &local) {
-                            if stolen {
-                                shared.m.on_steal();
-                            }
-                            if let Some(t) = job.trace.as_deref_mut() {
-                                t.record(if stolen {
-                                    TraceStage::Steal
-                                } else {
-                                    TraceStage::Dequeue
-                                });
-                            }
-                            for j in shared.handle(job, idx, &mut ws) {
-                                // A failed owner re-enqueues its attached
-                                // duplicates; pushing them onto our own
-                                // deque guarantees they run even with
-                                // every sibling asleep.
-                                local.push(j);
-                            }
-                            continue;
+                    while let Ok(mut job) = queue.recv() {
+                        if let Some(t) = job.trace.as_deref_mut() {
+                            t.record(TraceStage::Dequeue);
                         }
-                        // ordering: Acquire — pairs with the Release store
-                        // in shutdown_inner(), so a worker that sees the
-                        // flag also sees every job enqueued before
-                        // shutdown.
-                        if pool.shutdown.load(Ordering::Acquire) {
-                            return;
+                        // A failed owner hands back its attached
+                        // duplicates; run them here, straight after. Workers
+                        // hold no `Sender`, so they cannot re-queue — and
+                        // running them inline answers them even when every
+                        // sibling is busy or the engine is shutting down.
+                        let mut retry = shared.handle(job, idx, &mut ws);
+                        while let Some(job) = retry.pop() {
+                            retry.extend(shared.handle(job, idx, &mut ws));
                         }
-                        shared.m.on_park();
-                        pool.park.sleep(seen);
                     }
                 })
             })
             .collect();
         ServeEngine {
             shared,
-            pool,
+            jobs: Some(jobs),
             handles,
         }
     }
@@ -642,19 +510,17 @@ impl ServeEngine {
     }
 
     /// One coherent snapshot of every metric the engine registers —
-    /// scheduler counters, latency histograms, result-cache and
+    /// serving counters, latency histograms, result-cache and
     /// distributed wire telemetry. Render it with
-    /// [`MetricsSnapshot::to_prometheus`] or [`MetricsSnapshot::to_json`].
+    /// [`MetricsSnapshot::to_prometheus`].
     ///
     /// The full catalog is present (zeroed) even when the engine runs
     /// with [`ServeConfig::metrics`] off, so scrapers see a stable schema
-    /// either way. Point-in-time gauges (injector depth, cache occupancy)
+    /// either way. Point-in-time gauges (job-queue depth, cache occupancy)
     /// are polled here, at snapshot time.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.shared
-            .m
-            .injector_depth
-            .set(self.pool.injector.len() as i64);
+        let depth = self.jobs.as_ref().map_or(0, Sender::len);
+        self.shared.m.queue_depth.set(depth as i64);
         self.shared
             .m
             .cache_enabled
@@ -740,8 +606,12 @@ impl ServeEngine {
         if let Some(t) = job.trace.as_deref_mut() {
             t.record(TraceStage::Enqueue);
         }
-        self.pool.injector.push(job);
-        self.pool.park.notify_one();
+        // invariant: `jobs` is only taken by shutdown, which consumes or
+        // drops the engine, so no `&self` method can run after it.
+        let jobs = self.jobs.as_ref().expect("job queue open until shutdown");
+        // Fails only if every worker thread is gone; the job (and with it
+        // the reply sender) is then dropped, so its ticket sees a hangup.
+        let _ = jobs.send(job);
     }
 
     /// Execute a batch of heterogeneous requests across the pool and
@@ -768,7 +638,7 @@ impl ServeEngine {
         responses
     }
 
-    /// Stop the pool: let every worker drain the queues, then join them.
+    /// Stop the pool: let the workers drain the job queue, then join them.
     /// Called automatically on drop; explicit form for callers that want
     /// to observe the join.
     pub fn shutdown(mut self) {
@@ -776,12 +646,10 @@ impl ServeEngine {
     }
 
     fn shutdown_inner(&mut self) {
-        // ordering: Release — pairs with the workers' Acquire load,
-        // publishing all queue state written before the shutdown decision.
-        self.pool.shutdown.store(true, Ordering::Release);
-        // Workers drain all queues before honoring the flag, so every job
-        // enqueued before this point still completes.
-        self.pool.park.notify_all();
+        // Dropping the only sender disconnects the channel; `recv` fails
+        // only once it is also empty, so every job enqueued before this
+        // point still completes.
+        self.jobs = None;
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -1006,6 +874,28 @@ mod tests {
         let (engine, ids) = toy_engine(2);
         let _ = engine.run_requests(&nodes(&[ids.t1]));
         engine.shutdown(); // must not hang
+    }
+
+    #[test]
+    fn shutdown_answers_every_queued_request() {
+        // One worker, no cache: shutting down straight after submitting
+        // leaves most jobs still queued, and each must still be answered.
+        let (g, _) = fig2_toy();
+        let nodes: Vec<NodeId> = g.nodes().collect();
+        let config = ServeConfig::default()
+            .with_workers(1)
+            .with_topk(TopKConfig::toy());
+        let engine = ServeEngine::start(Arc::new(g), config);
+        let tickets: Vec<QueryTicket> = (0..32)
+            .map(|i| {
+                let node = nodes[i % nodes.len()];
+                engine.submit(QueryRequest::node(node).with_k(1 + i / nodes.len()))
+            })
+            .collect();
+        engine.shutdown();
+        for ticket in tickets {
+            assert!(ticket.wait().result.is_ok());
+        }
     }
 
     #[test]
@@ -1367,7 +1257,7 @@ mod tests {
             "rtr_serve_responses_total",
             "rtr_serve_errors_total",
             "rtr_serve_latency_seconds_bucket",
-            "rtr_serve_injector_depth",
+            "rtr_serve_queue_depth",
             "rtr_serve_cache_enabled",
             "rtr_dist_wire_bytes_total",
         ] {
@@ -1475,9 +1365,9 @@ mod tests {
     }
 
     #[test]
-    fn stealing_keeps_all_workers_correct_under_a_skewed_burst() {
+    fn skewed_burst_matches_serial() {
         // One hot query plus a long tail, submitted in one burst: whatever
-        // interleaving of stealing, attaching, and fast-path serving
+        // interleaving of queueing, attaching, and fast-path serving
         // happens, every response must match the serial reference.
         let (g, ids) = fig2_toy();
         let config = ServeConfig::default()

@@ -29,10 +29,9 @@
 //! * a **fixed pool of worker threads**, each owning one reusable
 //!   [`ServeWorkspace`] so that steady-state serving performs zero
 //!   per-query allocation on the bound paths, fed through
-//! * **one work-stealing scheduler** (a shared injector that workers
-//!   batch-drain into per-worker deques, stealing from siblings when idle;
-//!   see [`engine`]) and a reply channel per submission, so concurrent
-//!   batches never interleave results.
+//! * **one job queue** (an unbounded MPMC channel every worker receives
+//!   from; see [`engine`]) and a reply channel per submission, so
+//!   concurrent batches never interleave results.
 //!
 //! Submission is non-blocking: [`ServeEngine::submit`] returns a
 //! [`QueryTicket`] to join later, and [`ServeEngine::run_requests`] is the
@@ -99,15 +98,16 @@ mod rtr_sync;
 /// Internals re-exported for the `rtr-check` model suites — only under
 /// the `rtr_check` feature, which production builds never enable.
 ///
-/// Exposes the two hot protocols this crate hand-reasons about:
+/// Exposes the two hot protocols the engine relies on:
 /// [`check_api::InFlight`] (single-flight attach/claim/finish) and
-/// [`check_api::Park`] (the scheduler's generation-counted parking lot),
-/// both built on the [`loom_shim`]-instrumented facade so a model run
-/// can drive every interleaving.
+/// [`check_api::channel`] (the job queue's MPMC channel — the crossbeam
+/// shim's, which this crate already depends on), both built on
+/// [`loom_shim`]-instrumented primitives so a model run can drive every
+/// interleaving.
 #[cfg(feature = "rtr_check")]
 pub mod check_api {
-    pub use crate::engine::Park;
     pub use crate::flight::InFlight;
+    pub use crossbeam::channel;
 }
 
 pub use backend::{

@@ -34,7 +34,7 @@ pub(crate) fn measure_idx(measure: Measure) -> usize {
     }
 }
 
-/// Pre-registered handles for everything the scheduler and serving paths
+/// Pre-registered handles for everything the job queue and serving paths
 /// record. Cheap to clone into worker closures (`Arc`s all the way down).
 pub(crate) struct ServeMetrics {
     /// Mirror of [`ServeConfig::metrics`]: when false, recording is a
@@ -49,9 +49,7 @@ pub(crate) struct ServeMetrics {
     err_panicked: Arc<Counter>,
     fast_path: Arc<Counter>,
     attached: Arc<Counter>,
-    steals: Arc<Counter>,
-    parks: Arc<Counter>,
-    pub(crate) injector_depth: Arc<Gauge>,
+    pub(crate) queue_depth: Arc<Gauge>,
     pub(crate) cache_enabled: Arc<Gauge>,
     wire_bytes: Arc<Counter>,
     fetch_rounds: Arc<Counter>,
@@ -122,17 +120,9 @@ impl ServeMetrics {
                 "rtr_serve_attached_total",
                 "Requests that attached to an identical in-flight computation.",
             ),
-            steals: registry.counter(
-                "rtr_serve_steals_total",
-                "Jobs a worker stole from a sibling's queue.",
-            ),
-            parks: registry.counter(
-                "rtr_serve_parks_total",
-                "Times a worker went to sleep with no work in sight.",
-            ),
-            injector_depth: registry.gauge(
-                "rtr_serve_injector_depth",
-                "Jobs waiting in the shared injector (polled at snapshot).",
+            queue_depth: registry.gauge(
+                "rtr_serve_queue_depth",
+                "Jobs waiting in the job queue (polled at snapshot).",
             ),
             cache_enabled: registry.gauge(
                 "rtr_serve_cache_enabled",
@@ -210,22 +200,6 @@ impl ServeMetrics {
     pub(crate) fn on_attach(&self) {
         if self.enabled {
             self.attached.inc();
-        }
-    }
-
-    /// A worker stole a job from a sibling.
-    #[inline]
-    pub(crate) fn on_steal(&self) {
-        if self.enabled {
-            self.steals.inc();
-        }
-    }
-
-    /// A worker found no work and is about to park.
-    #[inline]
-    pub(crate) fn on_park(&self) {
-        if self.enabled {
-            self.parks.inc();
         }
     }
 

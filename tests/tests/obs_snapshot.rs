@@ -202,9 +202,7 @@ fn prometheus_rendering_is_valid_and_covers_every_layer() {
         "rtr_serve_errors_total",
         "rtr_serve_fast_path_total",
         "rtr_serve_attached_total",
-        "rtr_serve_steals_total",
-        "rtr_serve_parks_total",
-        "rtr_serve_injector_depth",
+        "rtr_serve_queue_depth",
         "rtr_serve_cache_enabled",
         "rtr_cache_hits_total",
         "rtr_cache_misses_total",

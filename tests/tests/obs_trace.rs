@@ -98,17 +98,20 @@ fn queued_requests_record_a_scheduler_stage() {
     let (engine, queries) = engine(true, 2);
     // The submit-side fast path answers cache hits only, and this engine
     // has no cache: every request — the k = 0 one included — queued, and
-    // must show Enqueue followed by exactly one Dequeue or Steal.
+    // must show Enqueue followed by exactly one Dequeue, and no Steal (there
+    // is one shared queue and nothing to steal from).
     let mut requests = node_requests(&queries);
     requests.push(QueryRequest::node(queries[0]).with_k(0));
     for r in engine.run_requests(&requests) {
         let trace = r.trace.as_ref().expect("trace");
         assert!(r.worker.is_some(), "a miss is served by a worker");
         assert_eq!(trace.count(TraceStage::Enqueue), 1);
-        assert!(
-            trace.count(TraceStage::Dequeue) + trace.count(TraceStage::Steal) == 1,
+        assert_eq!(
+            trace.count(TraceStage::Dequeue),
+            1,
             "a queued request is picked up exactly once"
         );
+        assert_eq!(trace.count(TraceStage::Steal), 0, "Steal is never recorded");
         assert_eq!(trace.count(TraceStage::FastPath), 0);
     }
 }

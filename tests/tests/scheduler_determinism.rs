@@ -1,10 +1,10 @@
 //! Scheduler-matrix determinism suite.
 //!
-//! The engine serves through a work-stealing scheduler (a global injector
-//! feeding per-worker deques), a submit-side fast path that answers cache
-//! hits on the *submitting* thread, and attach batching of identical
-//! in-flight requests behind one computation. None of that may change a
-//! single bit of output: every cell of the matrix
+//! The engine serves through one job queue (an MPMC channel every worker
+//! receives from), a submit-side fast path that answers cache hits on the
+//! *submitting* thread, and attach batching of identical in-flight
+//! requests behind one computation. None of that may change a single bit
+//! of output: every cell of the matrix
 //!
 //! `{1, 2, 8 workers} × {cache off, on}`
 //!
@@ -12,8 +12,8 @@
 //! stream. The stream is deliberately adversarial for the scheduler: hot
 //! duplicates (attach-batching + single-flight), `k = 0` requests (empty
 //! rankings, computed by a worker like everything else), a heterogeneous
-//! measure mix, and a skewed burst that forces stealing at 8 workers on a
-//! small queue.
+//! measure mix, and a skewed burst that keeps all 8 workers competing for
+//! a small queue.
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
