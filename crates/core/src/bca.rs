@@ -30,11 +30,10 @@ use rtr_graph::{AdjacencyAccess, AdjacencyError, FetchHint, NodeId};
 
 /// BCA state for one query node.
 ///
-/// The per-query `ρ`/`µ` maps live in a [`BcaWorkspace`] (dense-backed
-/// sparse maps with O(touched) clearing). [`Bca::new`] allocates a fresh
-/// one; a serving worker instead threads one workspace through
-/// [`Bca::with_workspace`] / [`Bca::into_workspace`] so steady-state
-/// queries allocate nothing.
+/// The per-query `ρ` map and `µ` residuals live in a [`BcaWorkspace`]
+/// (O(touched) clearing). [`Bca::new`] allocates a fresh one; a serving
+/// worker instead threads one workspace through [`Bca::with_workspace`] /
+/// [`Bca::into_workspace`] so steady-state queries allocate nothing.
 ///
 /// The graph is not captured: every processing step takes the
 /// [`AdjacencyAccess`] it runs against, so the *same* BCA drives both the
@@ -42,17 +41,27 @@ use rtr_graph::{AdjacencyAccess, AdjacencyError, FetchHint, NodeId};
 /// full residual frontier is announced via
 /// [`ensure`](AdjacencyAccess::ensure) with [`FetchHint::OutFrontier`],
 /// which is where a paged adjacency does its demand fetch + prefetch.
+///
+/// One pass over the frontier bitset at the end of every batch yields
+/// both `max_u µ(q,u)` for Prop. 4 and the ascending frontier the next
+/// batch announces and selects from: nothing changes `µ` in between
+/// unless [`Bca::process`] is called directly, which marks both stale.
 #[derive(Clone, Debug)]
 pub struct Bca {
     alpha: f64,
     /// Captured at init: whether the graph has self-loops (Prop. 4 check).
     loops: bool,
-    /// The `ρ` / `µ` maps and selection scratch.
+    /// The `ρ` / `µ` state and selection scratch.
     ws: BcaWorkspace,
     /// Incrementally maintained `Σ_u µ(q,u)`.
     total_residual: f64,
     /// Number of node-processing operations performed.
     processed: usize,
+    /// `max_u µ(q,u)` as of the last frontier pass.
+    max_residual: f64,
+    /// Whether `µ` is unchanged since the last frontier pass, i.e. whether
+    /// `max_residual` and `ws.ensure_ids` are current.
+    frontier_fresh: bool,
 }
 
 impl Bca {
@@ -85,14 +94,18 @@ impl Bca {
             });
         }
         ws.reset(a.node_count());
-        ws.mu.insert(q.0, 1.0);
-        Ok(Bca {
+        ws.mu.add(q.0, 1.0);
+        let mut bca = Bca {
             alpha: params.alpha,
             loops: a.has_self_loops(),
             ws,
             total_residual: 1.0,
             processed: 0,
-        })
+            max_residual: 0.0,
+            frontier_fresh: false,
+        };
+        bca.scan_frontier();
+        Ok(bca)
     }
 
     /// Dissolve into the workspace so its buffers serve the next query.
@@ -107,7 +120,7 @@ impl Bca {
 
     /// Current residual `µ(q,v)`.
     pub fn mu(&self, v: NodeId) -> f64 {
-        self.ws.mu.score(v.0)
+        self.ws.mu.get(v.0)
     }
 
     /// `Σ_u µ(q,u)` — the remaining residual budget.
@@ -117,7 +130,12 @@ impl Bca {
 
     /// `max_u µ(q,u)` (0 when no residual remains).
     pub fn max_residual(&self) -> f64 {
-        self.ws.mu.values().fold(0.0, f64::max)
+        if self.frontier_fresh {
+            return self.max_residual;
+        }
+        let mut max = 0.0f64;
+        self.ws.mu.for_each(|_, r| max = max.max(r));
+        max
     }
 
     /// Number of processing operations performed so far.
@@ -146,9 +164,15 @@ impl Bca {
     /// in-memory graph; for a paged source, pass through
     /// [`Bca::process_batch`], which announces the frontier first).
     pub fn process<A: AdjacencyAccess>(&mut self, a: &A, v: NodeId) {
-        let Some(residual) = self.ws.mu.remove(v.0) else {
-            return;
-        };
+        self.frontier_fresh = false;
+        self.push(a, v);
+    }
+
+    /// [`Bca::process`] minus the staleness mark: the batch loop rescans
+    /// the frontier once it has processed its picks.
+    #[inline]
+    fn push<A: AdjacencyAccess>(&mut self, a: &A, v: NodeId) {
+        let residual = self.ws.mu.take(v.0);
         if residual <= 0.0 {
             return;
         }
@@ -163,6 +187,21 @@ impl Bca {
         }
         // total -= consumed-by-rho + lost-on-dangling
         self.total_residual -= residual - spread_out;
+    }
+
+    /// The frontier pass: refill `ws.ensure_ids` with the nodes holding
+    /// residual, ascending by id, and take `max_u µ(q,u)` on the way.
+    fn scan_frontier(&mut self) {
+        let (ids, mut max) = (&mut self.ws.ensure_ids, 0.0f64);
+        ids.clear();
+        self.ws.mu.for_each(|v, r| {
+            max = max.max(r);
+            if r > 0.0 {
+                ids.push(v);
+            }
+        });
+        self.max_residual = max;
+        self.frontier_fresh = true;
     }
 
     /// One Stage-I expansion: pick up to `m` nodes with the largest non-zero
@@ -185,55 +224,63 @@ impl Bca {
     /// [`Bca::process_batch`] without materializing the picked nodes:
     /// returns only how many were processed. The selection scratch lives in
     /// the workspace, so this performs no allocation in steady state.
+    ///
+    /// The frontier comes from the last frontier pass (ascending by id,
+    /// `µ > 0`), so it is announced and ranked without a sort; after the
+    /// picks are processed one more pass prepares the next batch's.
     pub fn process_batch_count<A: AdjacencyAccess>(
         &mut self,
         a: &mut A,
         m: usize,
     ) -> Result<usize, AdjacencyError> {
         self.ws.candidates.clear();
-        if m == 0 || self.ws.mu.is_empty() {
+        if m == 0 {
+            return Ok(0);
+        }
+        if !self.frontier_fresh {
+            self.scan_frontier();
+        }
+        if self.ws.ensure_ids.is_empty() {
             return Ok(0);
         }
         // Announce the whole residual frontier before reading any degree:
         // a paged adjacency demand-fetches the missing blocks here (and may
         // prefetch the next frontier); the in-memory graph does nothing.
-        self.ws.ensure_ids.clear();
-        for (v, r) in self.ws.mu.iter() {
-            if r > 0.0 {
-                self.ws.ensure_ids.push(v);
-            }
-        }
-        if self.ws.ensure_ids.is_empty() {
-            return Ok(0);
-        }
-        self.ws.ensure_ids.sort_unstable();
         a.ensure(&self.ws.ensure_ids, FetchHint::OutFrontier)?;
         // Candidates in ascending id order: the order they are processed
-        // in, so state evolution is independent of map iteration order.
+        // in, so state evolution is independent of selection order.
         for &v in &self.ws.ensure_ids {
             let out = a.out_degree(NodeId(v)).max(1);
-            self.ws
-                .candidates
-                .push((v, self.ws.mu.score(v) / out as f64));
+            self.ws.candidates.push((v, self.ws.mu.get(v) / out as f64));
         }
         let take = m.min(self.ws.candidates.len());
         if take < self.ws.candidates.len() {
-            // Partial selection of the top-m benefits; ties break by node
-            // id, so the selected set is unique.
-            self.ws.candidates.select_nth_unstable_by(take - 1, |a, b| {
-                b.1.partial_cmp(&a.1)
-                    // invariant: benefits are products of finite
-                    // probabilities and scores — never NaN.
-                    .expect("NaN benefit")
-                    .then(a.0.cmp(&b.0))
+            // The top-m benefits, ties broken by node id so the selected
+            // set is unique: find the m-th best benefit in a scratch copy,
+            // then keep, in ascending id order, every candidate above it
+            // and the lowest ids among those equal to it.
+            let ranked = &mut self.ws.ranked;
+            ranked.clear();
+            ranked.extend(self.ws.candidates.iter().map(|&(_, benefit)| benefit));
+            let (above, &mut mth, _) = ranked.select_nth_unstable_by(take - 1, |a, b| {
+                // invariant: benefits are products of finite probabilities
+                // and scores — never NaN.
+                b.partial_cmp(a).expect("NaN benefit")
             });
-            self.ws.candidates.truncate(take);
-            self.ws.candidates.sort_unstable_by_key(|&(v, _)| v);
+            let mut ties = take - above.iter().filter(|&&b| b > mth).count();
+            self.ws.candidates.retain(|&(_, benefit)| {
+                if benefit == mth && ties > 0 {
+                    ties -= 1;
+                    return true;
+                }
+                benefit > mth
+            });
         }
         for i in 0..take {
             let v = NodeId(self.ws.candidates[i].0);
-            self.process(a, v);
+            self.push(a, v);
         }
+        self.scan_frontier();
         Ok(take)
     }
 

@@ -23,8 +23,8 @@
 //! callers that need a canonical order (e.g. Gauss-Seidel sweeps) sort the
 //! key list exactly as they previously did with hash maps. The dense
 //! position of an entry is itself exposed ([`SparseMap::position`],
-//! [`SparseMap::value_slice`]): a caller that never removes can use it as
-//! a local id into flat side arrays of its own.
+//! [`SparseMap::value_slice`]): entries leave only all at once, so a
+//! caller can use it as a local id into flat side arrays of its own.
 
 /// Sentinel marking an absent key in the sparse index.
 const ABSENT: u32 = u32::MAX;
@@ -113,10 +113,8 @@ impl<T: Copy> SparseMap<T> {
     /// [`SparseMap::key_slice`] / [`SparseMap::value_slice`].
     ///
     /// Positions are handed out in insertion order (`0, 1, 2, …`) and stay
-    /// valid across further inserts, so a caller can use them as local ids
-    /// for flat side arrays. [`SparseMap::remove`] swap-removes and thereby
-    /// **invalidates** the position of the last entry (and the removed
-    /// one); [`SparseMap::clear`] invalidates all of them.
+    /// valid until [`SparseMap::clear`] (entries are never removed one by
+    /// one), so a caller can use them as local ids for flat side arrays.
     #[inline]
     pub fn position(&self, key: u32) -> Option<usize> {
         match self.sparse.get(key as usize) {
@@ -183,25 +181,6 @@ impl<T: Copy> SparseMap<T> {
             self.vals.len() - 1
         };
         &mut self.vals[pos]
-    }
-
-    /// Remove `key`, returning its value if it was present (swap-remove:
-    /// O(1), dense order of the last entry changes — any
-    /// [`SparseMap::position`] taken before the call is invalid after it).
-    #[inline]
-    pub fn remove(&mut self, key: u32) -> Option<T> {
-        let pos = *self.sparse.get(key as usize)?;
-        if pos == ABSENT {
-            return None;
-        }
-        let pos = pos as usize;
-        let value = self.vals.swap_remove(pos);
-        self.keys.swap_remove(pos);
-        self.sparse[key as usize] = ABSENT;
-        if let Some(&moved) = self.keys.get(pos) {
-            self.sparse[moved as usize] = pos as u32;
-        }
-        Some(value)
     }
 
     /// Remove all entries in O(touched); capacity is retained.
@@ -341,21 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_swaps_and_unlinks() {
-        let mut m: ScoreMap = SparseMap::with_capacity(8);
-        m.insert(1, 10.0);
-        m.insert(2, 20.0);
-        m.insert(3, 30.0);
-        assert_eq!(m.remove(1), Some(10.0));
-        assert_eq!(m.remove(1), None);
-        assert_eq!(m.len(), 2);
-        // The swapped-in entry stays reachable.
-        assert_eq!(m.get(3), Some(30.0));
-        assert_eq!(m.get(2), Some(20.0));
-        assert!(!m.contains(1));
-    }
-
-    #[test]
     fn clear_is_complete_and_reusable() {
         let mut m: ScoreMap = SparseMap::with_capacity(16);
         for k in 0..10u32 {
@@ -435,9 +399,7 @@ mod tests {
     fn iteration_matches_contents() {
         let mut m: ScoreMap = SparseMap::with_capacity(8);
         m.insert(5, 0.5);
-        m.insert(2, 0.2);
         m.insert(7, 0.7);
-        m.remove(2);
         let mut pairs: Vec<(u32, f64)> = m.iter().collect();
         pairs.sort_by_key(|&(k, _)| k);
         assert_eq!(pairs, vec![(5, 0.5), (7, 0.7)]);

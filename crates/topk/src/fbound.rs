@@ -15,10 +15,19 @@
 //! Stage II sweeps the refinement recurrences (Eq. 17–18) over `S_f`,
 //! gathering over **in**-neighbors, until the bounds stop moving. Unlike
 //! the t-neighborhood (see [`crate::tbound`]) it gathers straight from the
-//! adjacency source, in ascending node-id order: `S_f` holds a few hundred
-//! nodes against the thousands of `S_t` and converges in under half the
-//! sweeps, so its Stage II is ~6 % of a cold query (0.15 of 2.4 ms on the
-//! 1M-node benchmark graph) and a local layout would not pay for itself.
+//! adjacency source, in ascending node-id order: for RoundTripRank on the
+//! 1M-node benchmark graph `S_f` holds a few hundred nodes against the
+//! thousands of `S_t` and converges in under half the sweeps, so its
+//! Stage II is ~6 % of a cold query (0.15 of 2.4 ms) and a local layout
+//! would not pay for itself.
+//!
+//! F-Rank ranked alone is the other extreme: its only bound on unseen
+//! nodes is the BCA residual, which at ε = 0.01 has to fall to ≈ 0.03, so
+//! `S_f` spreads over nearly every node of the 26k-node benchmark graph.
+//! The search skips Stage II for it (see [`crate::two_sbound`]), and a
+//! round costs its Stage-I pushes plus one pass re-initializing every
+//! member's bounds — by position, since members join `bounds` in the
+//! order they join `ρ`.
 //!
 //! The *Gupta* variant (efficiency baseline, Fig. 11a) replaces Prop. 4 with
 //! the weaker first-arrival bound `f̂(q) = Σ_u µ(q,u)` and skips Stage II.
@@ -133,7 +142,20 @@ impl FNeighborhood {
         // (monotone tightening only).
         let unseen = self.unseen_upper;
         let bounds = &mut self.bounds;
-        for (v, rho) in self.bca.seen() {
+        // `bounds` gains members only here, in the order `ρ` reports them
+        // (`ρ` only grows), so its members line up with `ρ`'s first
+        // entries by position and need no lookup.
+        debug_assert!(bounds
+            .key_slice()
+            .iter()
+            .zip(self.bca.seen())
+            .all(|(&member, (v, _))| member == v.0));
+        let mut seen = self.bca.seen();
+        for (entry, (_, rho)) in bounds.value_slice_mut().iter_mut().zip(&mut seen) {
+            entry.tighten_lower(rho);
+            entry.tighten_upper(rho + unseen);
+        }
+        for (v, rho) in seen {
             let entry = bounds.get_or_insert(v.0, Bounds::unseen(1.0));
             entry.tighten_lower(rho);
             entry.tighten_upper(rho + unseen);

@@ -321,6 +321,27 @@ impl TwoSBound {
                 m_f = m_f.saturating_mul(2);
             }
 
+            let r_unseen = pairs
+                .iter()
+                .fold(0.0, |acc, p| acc + p.weight * p.unseen_upper(combine));
+            // Bounds can no longer improve once every live neighborhood is
+            // exhausted; return whatever we have.
+            let exhausted = pairs.iter().all(|p| p.exhausted(combine));
+            let last = exhausted || expansions >= cfg.max_expansions;
+            // Eq. 13 needs min(k, |S|) members whose lower bounds clear
+            // r̂ − ε: count them before ranking — a lone side's members,
+            // its neighborhood, before copying them out. A round that must
+            // go on anyway (most lone-F rounds) skips both.
+            let floor = r_unseen - cfg.epsilon - TIE_EPS;
+            let lowers = |(_, b): (NodeId, Bounds)| b.lower;
+            let lone_may_decide = match (combine, &*pairs) {
+                (Combine::One(Side::F), [p]) => may_decide(p.f.seen().map(lowers), k, floor),
+                (Combine::One(Side::T), [p]) => may_decide(p.t.seen().map(lowers), k, floor),
+                _ => true,
+            };
+            if !last && !lone_may_decide {
+                continue;
+            }
             members.clear();
             for p in pairs.iter() {
                 p.push_members(combine, members);
@@ -340,16 +361,12 @@ impl TwoSBound {
                     });
                 }
             }
+            if !last && !may_decide(members.iter().copied().map(lowers), k, floor) {
+                continue;
+            }
             rank_members(members, k);
-            let r_unseen = pairs
-                .iter()
-                .fold(0.0, |acc, p| acc + p.weight * p.unseen_upper(combine));
-
             let done = top_k_decided(members, k, cfg.epsilon, r_unseen);
-            // Bounds can no longer improve once every live neighborhood is
-            // exhausted; return whatever we have.
-            let exhausted = pairs.iter().all(|p| p.exhausted(combine));
-            if done || exhausted || expansions >= cfg.max_expansions {
+            if done || last {
                 let live = |side| pairs.iter().filter(move |_| combine.live(side));
                 let active = ActiveSetStats::measure_in_access(
                     active,
@@ -433,6 +450,23 @@ fn rank_members(members: &mut [(NodeId, Bounds)], k: usize) {
     }
     let top = k.min(members.len());
     members[..top].sort_unstable_by(order);
+}
+
+/// Whether Eq. 13 can hold at all over members with these lower bounds:
+/// it needs the K-th best lower bound (or, with fewer than `k` members,
+/// the last) above `floor = r̂ − ε − TIE_EPS`, since the largest upper
+/// bound it has to beat is at least `r̂`. `false` is final for the round;
+/// `true` leaves the decision to [`top_k_decided`] over the ranked members.
+fn may_decide(lowers: impl Iterator<Item = f64>, k: usize, floor: f64) -> bool {
+    let (mut members, mut cleared) = (0usize, 0usize);
+    for lower in lowers {
+        members += 1;
+        cleared += (lower > floor) as usize;
+        if cleared >= k {
+            return true;
+        }
+    }
+    cleared >= k.min(members)
 }
 
 /// The stopping decision over the ranked r-neighborhood: the top-K
@@ -841,6 +875,107 @@ pub(crate) mod tests {
         assert!(!top_k_decided(&tangled, 10, 0.0, 0.0));
         assert!(top_k_decided(&tangled, 10, 0.1, 0.0));
         assert!(top_k_decided(&[], 10, 0.0, 0.0));
+    }
+
+    /// SplitMix64: a deterministic stream for the randomized properties.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// A value on a coarse grid in `[0, 1)`, so ties and near-ties
+        /// between bounds are common.
+        fn grid(&mut self) -> f64 {
+            self.below(40) as f64 / 40.0
+        }
+    }
+
+    #[test]
+    fn the_count_pre_check_never_skips_a_decided_round() {
+        // Random member bounds, k ∈ 1..=12, ε ∈ {0, 0.01, 0.05} and an
+        // unseen bound that is 0 a quarter of the time: whenever too few
+        // lower bounds clear r̂ − ε for Eq. 13, the full test agrees.
+        let mut rng = SplitMix(2013);
+        let (mut skipped, mut decided) = (0, 0);
+        for case in 0..20_000 {
+            let n = rng.below(24);
+            let mut members: Vec<(NodeId, Bounds)> = (0..n)
+                .map(|i| {
+                    let lower = rng.grid() * 0.5;
+                    let upper = lower + rng.below(4) as f64 * 0.01;
+                    (NodeId(i as u32), Bounds { lower, upper })
+                })
+                .collect();
+            let k = 1 + rng.below(12);
+            let epsilon = [0.0, 0.01, 0.05][rng.below(3)];
+            let r_unseen = if rng.below(4) == 0 {
+                0.0
+            } else {
+                rng.grid() * 0.5
+            };
+            let floor = r_unseen - epsilon - TIE_EPS;
+            let may = may_decide(members.iter().map(|&(_, b)| b.lower), k, floor);
+            rank_members(&mut members, k);
+            let done = top_k_decided(&members, k, epsilon, r_unseen);
+            assert!(
+                may || !done,
+                "case {case}: skipped a decided round (k {k}, ε {epsilon}, r̂ {r_unseen}, {members:?})"
+            );
+            skipped += !may as usize;
+            decided += done as usize;
+        }
+        // Both outcomes occur often, so the property is not vacuous.
+        assert!(skipped > 1_000 && decided > 1_000, "{skipped} / {decided}");
+    }
+
+    #[test]
+    fn a_lone_f_search_cut_at_the_cap_still_returns_its_top_k() {
+        // Two rounds cannot decide the toy's F-Rank top 4: the pre-check
+        // fails in the last round, which must still rank and return the
+        // best effort rather than skip ahead.
+        let (g, ids) = fig2_toy();
+        let params = RankParams::default();
+        let cfg = TopKConfig {
+            k: 4,
+            epsilon: 0.0,
+            m_f: 2,
+            max_expansions: 2,
+            ..TopKConfig::toy()
+        };
+        let result = TwoSBound::for_measure(params, cfg, Measure::F)
+            .unwrap()
+            .run(&g, ids.t1)
+            .unwrap();
+        assert!(!result.converged);
+        assert_eq!(result.expansions, 2);
+        // The same two Stage-I rounds by hand (a lone F side doubles its
+        // batch and skips Stage II).
+        let mode = crate::fbound::FBoundMode::TwoStage;
+        let mut f = FNeighborhood::new(&g, ids.t1, &params, mode).unwrap();
+        f.expand(&mut &g, 2).unwrap();
+        f.expand(&mut &g, 4).unwrap();
+        let floor = f.unseen_upper() - TIE_EPS;
+        assert!(!may_decide(f.seen().map(|(_, b)| b.lower), 4, floor));
+        let mut want: Vec<(NodeId, Bounds)> = f.seen().collect();
+        assert!(want.len() > 4);
+        rank_members(&mut want, 4);
+        want.truncate(4);
+        assert_eq!(
+            result.ranking,
+            want.iter().map(|&(v, _)| v).collect::<Vec<_>>()
+        );
+        let bounds: Vec<(f64, f64)> = want.iter().map(|&(_, b)| (b.lower, b.upper)).collect();
+        assert_eq!(result.bounds, bounds);
     }
 
     #[test]

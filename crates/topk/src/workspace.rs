@@ -1,10 +1,11 @@
 //! Reusable per-query workspaces for the top-K machinery.
 //!
-//! One 2SBound query touches four sparse structures — BCA's `ρ`/`µ` maps,
-//! the f- and t-neighborhood bounds maps — plus the t-neighborhood's
-//! active-set-local layout (local CSR, outside mass, border counts) and a
-//! handful of scratch vectors (the f sweep order, border selection, the
-//! r-neighborhood member list, the active-set union). [`TopKWorkspace`]
+//! One 2SBound query touches BCA's `ρ` map and dense `µ` residuals (with
+//! their frontier bitset), the f- and t-neighborhood bounds maps, the
+//! t-neighborhood's active-set-local layout (local CSR, outside mass,
+//! border counts) and a handful of scratch vectors (the f sweep order,
+//! border selection, the r-neighborhood member list, the active-set
+//! union). [`TopKWorkspace`]
 //! owns all of them so a serving worker can run query after query against
 //! a shared graph with zero steady-state allocation: every buffer is
 //! cleared in O(touched) and re-used.
