@@ -42,10 +42,10 @@ use rtr_graph::{AdjacencyAccess, AdjacencyError, FetchHint, NodeId};
 /// [`ensure`](AdjacencyAccess::ensure) with [`FetchHint::OutFrontier`],
 /// which is where a paged adjacency does its demand fetch + prefetch.
 ///
-/// One pass over the frontier bitset at the end of every batch yields
-/// both `max_u µ(q,u)` for Prop. 4 and the ascending frontier the next
-/// batch announces and selects from: nothing changes `µ` in between
-/// unless [`Bca::process`] is called directly, which marks both stale.
+/// One pass over the frontier bitset at the end of every batch (and at
+/// initialization) yields both `max_u µ(q,u)` for Prop. 4 and the
+/// ascending frontier the next batch announces and selects from: only a
+/// batch changes `µ`.
 #[derive(Clone, Debug)]
 pub struct Bca {
     alpha: f64,
@@ -57,11 +57,8 @@ pub struct Bca {
     total_residual: f64,
     /// Number of node-processing operations performed.
     processed: usize,
-    /// `max_u µ(q,u)` as of the last frontier pass.
+    /// `max_u µ(q,u)`, taken by the last frontier pass.
     max_residual: f64,
-    /// Whether `µ` is unchanged since the last frontier pass, i.e. whether
-    /// `max_residual` and `ws.ensure_ids` are current.
-    frontier_fresh: bool,
 }
 
 impl Bca {
@@ -102,7 +99,6 @@ impl Bca {
             total_residual: 1.0,
             processed: 0,
             max_residual: 0.0,
-            frontier_fresh: false,
         };
         bca.scan_frontier();
         Ok(bca)
@@ -130,12 +126,7 @@ impl Bca {
 
     /// `max_u µ(q,u)` (0 when no residual remains).
     pub fn max_residual(&self) -> f64 {
-        if self.frontier_fresh {
-            return self.max_residual;
-        }
-        let mut max = 0.0f64;
-        self.ws.mu.for_each(|_, r| max = max.max(r));
-        max
+        self.max_residual
     }
 
     /// Number of processing operations performed so far.
@@ -160,16 +151,8 @@ impl Bca {
     /// On a dangling node the (1-α) portion has nowhere to go and is lost —
     /// consistent with the substochastic F-Rank a dangling graph defines.
     ///
-    /// `v`'s adjacency must be resident in `a` (any node is, for an
-    /// in-memory graph; for a paged source, pass through
-    /// [`Bca::process_batch`], which announces the frontier first).
-    pub fn process<A: AdjacencyAccess>(&mut self, a: &A, v: NodeId) {
-        self.frontier_fresh = false;
-        self.push(a, v);
-    }
-
-    /// [`Bca::process`] minus the staleness mark: the batch loop rescans
-    /// the frontier once it has processed its picks.
+    /// `v`'s adjacency must be resident in `a`: the batch loop announces
+    /// the frontier first, and rescans it once it has processed its picks.
     #[inline]
     fn push<A: AdjacencyAccess>(&mut self, a: &A, v: NodeId) {
         let residual = self.ws.mu.take(v.0);
@@ -201,7 +184,6 @@ impl Bca {
             }
         });
         self.max_residual = max;
-        self.frontier_fresh = true;
     }
 
     /// One Stage-I expansion: pick up to `m` nodes with the largest non-zero
@@ -234,13 +216,7 @@ impl Bca {
         m: usize,
     ) -> Result<usize, AdjacencyError> {
         self.ws.candidates.clear();
-        if m == 0 {
-            return Ok(0);
-        }
-        if !self.frontier_fresh {
-            self.scan_frontier();
-        }
-        if self.ws.ensure_ids.is_empty() {
+        if m == 0 || self.ws.ensure_ids.is_empty() {
             return Ok(0);
         }
         // Announce the whole residual frontier before reading any degree:
@@ -455,7 +431,7 @@ mod tests {
     fn processing_node_without_residual_is_noop() {
         let (g, ids) = fig2_toy();
         let mut bca = Bca::new(&g, ids.t1, &RankParams::default()).unwrap();
-        bca.process(&g, ids.v1); // v1 has no residual yet
+        bca.push(&g, ids.v1); // v1 has no residual yet
         assert_eq!(bca.processed_count(), 0);
         assert_eq!(bca.rho(ids.v1), 0.0);
         assert_eq!(bca.total_residual(), 1.0);

@@ -329,17 +329,14 @@ impl TwoSBound {
             let exhausted = pairs.iter().all(|p| p.exhausted(combine));
             let last = exhausted || expansions >= cfg.max_expansions;
             // Eq. 13 needs min(k, |S|) members whose lower bounds clear
-            // r̂ − ε: count them before ranking — a lone side's members,
-            // its neighborhood, before copying them out. A round that must
-            // go on anyway (most lone-F rounds) skips both.
+            // r̂ − ε: count them before ranking. A single-node lone F
+            // search's members are its f-neighborhood, so it counts them
+            // before copying them out; a round that must go on anyway
+            // (most lone-F rounds) skips both.
             let floor = r_unseen - cfg.epsilon - TIE_EPS;
             let lowers = |(_, b): (NodeId, Bounds)| b.lower;
-            let lone_may_decide = match (combine, &*pairs) {
-                (Combine::One(Side::F), [p]) => may_decide(p.f.seen().map(lowers), k, floor),
-                (Combine::One(Side::T), [p]) => may_decide(p.t.seen().map(lowers), k, floor),
-                _ => true,
-            };
-            if !last && !lone_may_decide {
+            let count_seen = lone_f && pairs.len() == 1;
+            if count_seen && !last && !may_decide(pairs[0].f.seen().map(lowers), k, floor) {
                 continue;
             }
             members.clear();
@@ -361,7 +358,7 @@ impl TwoSBound {
                     });
                 }
             }
-            if !last && !may_decide(members.iter().copied().map(lowers), k, floor) {
+            if !count_seen && !last && !may_decide(members.iter().copied().map(lowers), k, floor) {
                 continue;
             }
             rank_members(members, k);
