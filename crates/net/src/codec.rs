@@ -22,7 +22,7 @@ use rtr_core::{CoreError, Measure, Query, RankParams};
 use rtr_distributed::DistributedStats;
 use rtr_graph::NodeId;
 use rtr_serve::{BackendKind, QueryRequest, QueryResponse, ResolvedRequest, ServeError};
-use rtr_topk::{ActiveSetStats, TopKConfig, TopKResult};
+use rtr_topk::{ActiveSetStats, TopKConfig, TopKResult, TopKWork};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -434,6 +434,8 @@ fn get_topk_result(r: &mut Reader<'_>) -> Result<TopKResult, WireError> {
         expansions,
         converged,
         active,
+        // Work counts are not on the wire.
+        work: TopKWork::default(),
     })
 }
 

@@ -37,7 +37,7 @@ use rtr_core::{CoreError, Measure, Query, RankParams};
 use rtr_distributed::DistributedStats;
 use rtr_graph::NodeId;
 use rtr_serve::{BackendKind, QueryRequest, QueryResponse, ResolvedRequest, ServeError};
-use rtr_topk::{ActiveSetStats, TopKConfig, TopKResult};
+use rtr_topk::{ActiveSetStats, TopKConfig, TopKResult, TopKWork};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
@@ -649,6 +649,8 @@ fn result_from_json(v: &Json) -> Result<TopKResult, WireError> {
             active_edges: active.require("active_edges")?.as_usize()?,
             bytes: active.require("bytes")?.as_usize()?,
         },
+        // Work counts are not on the wire.
+        work: TopKWork::default(),
     })
 }
 

@@ -361,6 +361,7 @@ impl Shared {
             queue_wait,
             compute,
             result.as_ref().err(),
+            result.as_ref().ok().map(|r| &r.work),
             distributed.as_ref(),
             worker.is_none(),
             from_cache,

@@ -17,6 +17,7 @@ use crate::engine::ServeError;
 use rtr_core::Measure;
 use rtr_distributed::{BlockCacheMetrics, DistributedStats};
 use rtr_obs::{Counter, Gauge, Histogram, Registry, Unit};
+use rtr_topk::TopKWork;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -56,6 +57,10 @@ pub(crate) struct ServeMetrics {
     blocks_fetched: Arc<Counter>,
     blocks_prefetched: Arc<Counter>,
     blocks_from_cache: Arc<Counter>,
+    /// `[f, t]`: rounds in which the side expanded.
+    side_expansions: [Arc<Counter>; 2],
+    /// `[f, t]`: Stage II sweeps over the side's neighborhoods.
+    refine_sweeps: [Arc<Counter>; 2],
 }
 
 impl ServeMetrics {
@@ -149,13 +154,28 @@ impl ServeMetrics {
                 "rtr_dist_blocks_from_cache_total",
                 "Demanded node blocks served from a worker's warm block cache.",
             ),
+            side_expansions: ["f", "t"].map(|side| {
+                registry.counter_with(
+                    "rtr_topk_side_expansions_total",
+                    &[("side", side)],
+                    "Bound-search rounds in which the side's neighborhood expanded.",
+                )
+            }),
+            refine_sweeps: ["f", "t"].map(|side| {
+                registry.counter_with(
+                    "rtr_topk_refine_sweeps_total",
+                    &[("side", side)],
+                    "Stage II refinement sweeps over the side's neighborhoods.",
+                )
+            }),
         }
     }
 
     /// Record one sent response: per-measure count and latency split,
-    /// error/fast-path counters, and — for a response that
-    /// *computed* on the distributed backend (`!from_cache`; cached
-    /// responses replay the original run's stats) — the wire cost.
+    /// error/fast-path counters, and — for a response that *computed*
+    /// (`!from_cache`; cached responses replay the original run's
+    /// counts) — the bound search's work and, on the distributed backend,
+    /// the wire cost.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_response(
         &self,
@@ -163,6 +183,7 @@ impl ServeMetrics {
         queue_wait: Duration,
         compute: Duration,
         error: Option<&ServeError>,
+        work: Option<&TopKWork>,
         distributed: Option<&DistributedStats>,
         fast_path: bool,
         from_cache: bool,
@@ -185,6 +206,12 @@ impl ServeMetrics {
             None => {}
         }
         if !from_cache {
+            if let Some(w) = work {
+                self.side_expansions[0].add(w.f_rounds as u64);
+                self.side_expansions[1].add(w.t_rounds as u64);
+                self.refine_sweeps[0].add(w.f_sweeps as u64);
+                self.refine_sweeps[1].add(w.t_sweeps as u64);
+            }
             if let Some(stats) = distributed {
                 self.wire_bytes.add(stats.bytes_transferred as u64);
                 self.fetch_rounds.add(stats.fetch_requests as u64);

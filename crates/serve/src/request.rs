@@ -39,7 +39,7 @@ use rtr_cache::CacheKey;
 use rtr_core::prelude::*;
 use rtr_distributed::{BlockCache, DistributedWorkspace};
 use rtr_graph::{Graph, NodeId};
-use rtr_topk::{ActiveSetStats, TopKConfig, TopKResult, TopKWorkspace, TwoSBound};
+use rtr_topk::{ActiveSetStats, TopKConfig, TopKResult, TopKWork, TopKWorkspace, TwoSBound};
 
 /// The widest query the bound search serves. It holds one neighborhood
 /// pair per query node, each with ≈ 16 B of index arrays per graph node,
@@ -290,6 +290,7 @@ fn exact_to_topk(scores: &ScoreVec, k: usize) -> TopKResult {
         expansions: 0,
         converged: true,
         active: ActiveSetStats::default(),
+        work: TopKWork::default(),
     }
 }
 

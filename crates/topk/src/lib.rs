@@ -54,7 +54,7 @@ pub use active_set::ActiveSetStats;
 pub use config::{TopKCacheKey, TopKConfig};
 pub use plus::TwoSBoundPlus;
 pub use schemes::{NaiveTopK, Scheme};
-pub use two_sbound::{TopKResult, TwoSBound};
+pub use two_sbound::{TopKResult, TopKWork, TwoSBound};
 pub use workspace::{FWorkspace, TWorkspace, TopKWorkspace};
 
 /// Convenient glob-import surface for downstream crates.
@@ -63,6 +63,6 @@ pub mod prelude {
     pub use crate::config::{TopKCacheKey, TopKConfig};
     pub use crate::plus::TwoSBoundPlus;
     pub use crate::schemes::{NaiveTopK, Scheme};
-    pub use crate::two_sbound::{TopKResult, TwoSBound};
+    pub use crate::two_sbound::{TopKResult, TopKWork, TwoSBound};
     pub use crate::workspace::{FWorkspace, TWorkspace, TopKWorkspace};
 }

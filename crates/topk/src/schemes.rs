@@ -11,7 +11,7 @@
 use crate::active_set::ActiveSetStats;
 use crate::fbound::FBoundMode;
 use crate::tbound::TBoundMode;
-use crate::two_sbound::TopKResult;
+use crate::two_sbound::{TopKResult, TopKWork};
 use rtr_core::prelude::*;
 use rtr_graph::{Graph, NodeId};
 
@@ -101,6 +101,7 @@ impl NaiveTopK {
             expansions: 0,
             converged: true,
             active,
+            work: TopKWork::default(),
         })
     }
 }

@@ -9,7 +9,7 @@ use rtr_datagen::{BibNet, BibNetConfig};
 use rtr_graph::{Graph, NodeId};
 use rtr_integration_tests::SEED;
 use rtr_serve::{Backend, Measure, QueryRequest, ServeConfig, ServeEngine, TraceStage};
-use rtr_topk::TopKConfig;
+use rtr_topk::{TopKConfig, TopKWork};
 use std::sync::Arc;
 
 fn test_graph() -> (Arc<Graph>, Vec<NodeId>) {
@@ -92,6 +92,22 @@ fn snapshot_reconciles_with_per_response_stats() {
     let rounds: u64 = stats.iter().map(|s| s.fetch_requests as u64).sum();
     assert_eq!(snap.counter_total("rtr_dist_wire_bytes_total"), wire_bytes);
     assert_eq!(snap.counter_total("rtr_dist_fetch_rounds_total"), rounds);
+
+    // Search work: the per-side counters are the responses' work counts,
+    // summed.
+    let works: Vec<TopKWork> = responses
+        .iter()
+        .map(|r| r.result.as_ref().expect("served").work)
+        .collect();
+    let sum = |count: fn(&TopKWork) -> usize| Some(works.iter().map(|w| count(w) as u64).sum());
+    let side = |side| [("side", side)];
+    let expanded = |s| snap.counter_value("rtr_topk_side_expansions_total", &side(s));
+    let swept = |s| snap.counter_value("rtr_topk_refine_sweeps_total", &side(s));
+    assert_eq!(expanded("f"), sum(|w| w.f_rounds));
+    assert_eq!(expanded("t"), sum(|w| w.t_rounds));
+    assert_eq!(swept("f"), sum(|w| w.f_sweeps));
+    assert_eq!(swept("t"), sum(|w| w.t_sweeps));
+    assert!(expanded("f") > Some(0) && expanded("t") > Some(0));
 
     // The trace agrees with the stats response by response: one FetchRound
     // event per wire round.
@@ -219,6 +235,8 @@ fn prometheus_rendering_is_valid_and_covers_every_layer() {
         "rtr_dist_block_cache_hits_total",
         "rtr_dist_block_cache_evictions_total",
         "rtr_dist_block_cache_invalidations_total",
+        "rtr_topk_side_expansions_total",
+        "rtr_topk_refine_sweeps_total",
     ] {
         assert!(
             text.contains(&format!("# TYPE {name}")),
