@@ -219,11 +219,12 @@ fn oracle_params() -> RankParams {
 }
 
 /// Every measure the search serves, RTR+ at both endpoints included.
-const MEASURES: [Measure; 7] = [
+const MEASURES: [Measure; 8] = [
     Measure::F,
     Measure::T,
     Measure::Rtr,
     Measure::RtrPlus { beta: 0.0 },
+    Measure::RtrPlus { beta: 0.3 },
     Measure::RtrPlus { beta: 0.45 },
     Measure::RtrPlus { beta: 0.7 },
     Measure::RtrPlus { beta: 1.0 },
@@ -309,6 +310,52 @@ fn check_bit_identical(local: &TopKResult, dist: &TopKResult) -> Result<(), Test
     prop_assert_eq!(local.expansions, dist.expansions);
     prop_assert_eq!(local.converged, dist.converged);
     prop_assert_eq!(local.active, dist.active);
+    prop_assert_eq!(local.work, dist.work);
+    Ok(())
+}
+
+/// The work counts add up: no side expands in more rounds than the search
+/// ran, a one-sided measure expands its live side every round and never
+/// touches the inert one, and a two-sided search moves some side every
+/// round and names a binding Eq. 16 term per query node per round.
+fn check_work(
+    what: &str,
+    measure: Measure,
+    arity: usize,
+    r: &TopKResult,
+) -> Result<(), TestCaseError> {
+    let (w, rounds) = (r.work, r.expansions);
+    prop_assert!(
+        w.f_rounds <= rounds && w.t_rounds <= rounds,
+        "{}: {:?}",
+        what,
+        w
+    );
+    let binds = w.bound_both + w.bound_f + w.bound_t;
+    let inert_f = (w.f_rounds, w.bca_pushes, w.f_sweeps) == (0, 0, 0);
+    let inert_t = (w.t_rounds, w.t_absorbed, w.t_sweeps) == (0, 0, 0);
+    match measure {
+        Measure::F | Measure::RtrPlus { beta: 0.0 } => {
+            prop_assert!(
+                inert_t && w.f_rounds == rounds && binds == 0,
+                "{}: {:?}",
+                what,
+                w
+            );
+        }
+        Measure::T | Measure::RtrPlus { beta: 1.0 } => {
+            prop_assert!(
+                inert_f && w.t_rounds == rounds && binds == 0,
+                "{}: {:?}",
+                what,
+                w
+            );
+        }
+        _ => {
+            prop_assert!(w.f_rounds + w.t_rounds >= rounds, "{}: {:?}", what, w);
+            prop_assert!(binds == rounds * arity, "{}: {:?}", what, w);
+        }
+    }
     Ok(())
 }
 
@@ -359,8 +406,8 @@ proptest! {
 
     // Every measure — F and T alone, RTR, RTR+ from β = 0 to β = 1 — over a
     // weighted query of one to three nodes runs the one search loop: its
-    // bounds bracket the exact scores, the answer keeps the ε-contract, and
-    // the AP reproduces it bit for bit.
+    // bounds bracket the exact scores, the answer keeps the ε-contract, its
+    // work counts add up, and the AP reproduces it bit for bit.
     #[test]
     fn top_k_engines_keep_the_epsilon_contract_locally_and_distributed(
         kind in 0..3u8,
@@ -390,6 +437,7 @@ proptest! {
                 .expect("valid measure");
             let local = engine.run_query_with(g, &query, &mut ws).expect("local search");
             check_contract(&what, g, &local, &exact, k, eps)?;
+            check_work(&what, measure, query.len(), &local)?;
             let (dist, _) = DistributedTwoSBound::from(engine)
                 .run_query_with(&cluster, &query, &mut dist_ws)
                 .expect("distributed search");
