@@ -1,13 +1,14 @@
-//! The sharded concurrent cache: N independently locked LRU shards plus
-//! lock-free statistics.
+//! The sharded concurrent cache: N independently locked cost-aware shards
+//! plus lock-free statistics.
 //!
 //! A key's hash picks its shard, so concurrent queries for different keys
 //! contend only when they collide on a shard — with the default 16 shards
 //! and a worker pool sized to the machine, lock hold times (one hash-map
-//! probe plus two list splices) are far below a single 2SBound expansion,
-//! keeping the cache invisible on the miss path.
+//! probe, plus a scan of the shard's few dozen entries on an evicting
+//! insert) are far below a single 2SBound expansion, keeping the cache
+//! invisible on the miss path.
 
-use crate::lru::LruShard;
+use crate::lru::GdsfShard;
 use crate::rtr_sync::atomic::{AtomicU64, Ordering};
 use crate::rtr_sync::Mutex;
 use std::hash::{Hash, Hasher};
@@ -45,6 +46,33 @@ impl CacheConfig {
     }
 }
 
+/// What a cached value would cost to compute again, in deterministic work
+/// units — never wall time, so eviction decisions replay exactly. The
+/// shard counts a cost of 0 as 1.
+pub trait EvictionCost {
+    /// The recomputation cost of this value.
+    fn eviction_cost(&self) -> u64;
+}
+
+impl<T: EvictionCost + ?Sized> EvictionCost for std::sync::Arc<T> {
+    fn eviction_cost(&self) -> u64 {
+        (**self).eviction_cost()
+    }
+}
+
+/// A bare number carries no work: every entry costs one unit, and a cache
+/// of numbers evicts the least hit, then the least recently touched.
+macro_rules! unit_cost {
+    ($($number:ty),*) => {$(
+        impl EvictionCost for $number {
+            fn eviction_cost(&self) -> u64 {
+                1
+            }
+        }
+    )*};
+}
+unit_cost!(u32, u64);
+
 /// A point-in-time snapshot of cache traffic counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -54,7 +82,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries written (first insert and updates alike).
     pub inserts: u64,
-    /// Entries displaced by LRU pressure.
+    /// Entries evicted to make room.
     pub evictions: u64,
 }
 
@@ -85,18 +113,19 @@ impl CacheStats {
     }
 }
 
-/// A concurrent bounded map: `shards` independent [`LruShard`]s behind
+/// A concurrent bounded map: `shards` independent [`GdsfShard`]s behind
 /// mutexes, with atomic traffic counters. Values are returned by clone, so
-/// `V` is typically an `Arc<…>`.
+/// `V` is typically an `Arc<…>`; each value states its own
+/// [`EvictionCost`].
 pub struct ShardedCache<K, V> {
-    shards: Vec<Mutex<LruShard<K, V>>>,
+    shards: Vec<Mutex<GdsfShard<K, V>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
     evictions: AtomicU64,
 }
 
-impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
+impl<K: Hash + Eq + Clone, V: Clone + EvictionCost> ShardedCache<K, V> {
     /// An empty cache shaped by `config` (shards and capacity are clamped
     /// to at least 1).
     pub fn new(config: CacheConfig) -> Self {
@@ -104,7 +133,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         let per_shard = config.capacity.max(1).div_ceil(shards);
         ShardedCache {
             shards: (0..shards)
-                .map(|_| Mutex::new(LruShard::new(per_shard)))
+                .map(|_| Mutex::new(GdsfShard::new(per_shard)))
                 .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -123,7 +152,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         self.shards.len()
             * self.shards[0]
                 .lock()
-                // invariant: only LruShard ops run under a shard lock
+                // invariant: only GdsfShard ops run under a shard lock
                 // (here and in every method below) — no user code, no
                 // panics, no poisoning.
                 .expect("cache shard poisoned")
@@ -144,7 +173,8 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         self.len() == 0
     }
 
-    /// Look up `key`, refreshing its recency and counting a hit or miss.
+    /// Look up `key`, counting a hit (which raises the entry's eviction
+    /// priority) or a miss.
     pub fn get(&self, key: &K) -> Option<V> {
         let found = self
             .shard(key)
@@ -173,8 +203,8 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     /// patterns (single-flight re-checks the cache after winning the
     /// in-flight claim): the caller already recorded the real miss, so a
     /// recheck-miss must not inflate the counters, while a recheck-hit is
-    /// genuinely served from the cache and counts (and refreshes recency)
-    /// like any other hit.
+    /// genuinely served from the cache and counts (and raises the entry's
+    /// priority) like any other hit.
     pub fn recheck(&self, key: &K) -> Option<V> {
         let found = self
             .shard(key)
@@ -190,14 +220,16 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         found
     }
 
-    /// Insert or update `key`, evicting its shard's LRU entry if full.
+    /// Insert or update `key`, evicting its shard's lowest-priority entry
+    /// if full.
     pub fn insert(&self, key: K, value: V) {
+        let cost = value.eviction_cost();
         let evicted = self
             .shard(&key)
             .lock()
             // invariant: see capacity() — no user code under shard locks.
             .expect("cache shard poisoned")
-            .insert(key, value);
+            .insert(key, value, cost);
         // ordering: Relaxed — the insert count is ordered by the Release
         // bump of `evictions` below (or never observed paired with an
         // eviction at all); no other reader pairs it with anything.
@@ -259,7 +291,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         registry
             .counter(
                 "rtr_cache_evictions_total",
-                "Cache entries displaced by LRU pressure.",
+                "Cache entries evicted to make room.",
             )
             .store(stats.evictions);
         registry
@@ -304,7 +336,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         }
     }
 
-    fn shard(&self, key: &K) -> &Mutex<LruShard<K, V>> {
+    fn shard(&self, key: &K) -> &Mutex<GdsfShard<K, V>> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
         &self.shards[(h.finish() as usize) % self.shards.len()]
@@ -348,16 +380,17 @@ mod tests {
 
     #[test]
     fn recheck_refreshes_recency() {
+        // Unit costs: the rechecked entry outranks the unhit one.
         let c: ShardedCache<u32, u32> = ShardedCache::new(CacheConfig {
             capacity: 2,
             shards: 1,
         });
         c.insert(1, 1);
         c.insert(2, 2);
-        assert_eq!(c.recheck(&1), Some(1)); // 2 becomes the LRU
+        assert_eq!(c.recheck(&1), Some(1)); // 2 becomes the eviction candidate
         c.insert(3, 3);
         assert_eq!(c.recheck(&1), Some(1));
-        assert_eq!(c.recheck(&2), None, "LRU entry 2 was evicted");
+        assert_eq!(c.recheck(&2), None, "unhit entry 2 was evicted");
     }
 
     #[test]

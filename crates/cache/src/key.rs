@@ -7,7 +7,8 @@
 //! construction epoch — see [`rtr_graph::Graph::epoch`]), the random-walk
 //! parameters, and the top-K configuration. Folding the epoch into the key is what makes invalidation free: when a
 //! new graph replaces an old one, entries computed against the old epoch
-//! simply stop being addressable and age out of the LRU.
+//! simply stop being addressable, are never hit again, and age out as
+//! their shard's eviction clock passes them.
 //!
 //! Since PR 4 the key covers the full per-request parameter space, so one
 //! cache stays bit-correct across heterogeneous traffic: an F-Rank top-5
@@ -16,7 +17,7 @@
 //! the caller canonicalizes the query first* ([`rtr_core::Query::canonicalize`]
 //! — the serving layer does this at request construction).
 
-use crate::cache::ShardedCache;
+use crate::cache::{EvictionCost, ShardedCache};
 use rtr_core::{Measure, MeasureKey, Query, QueryCacheKey, RankParams, RankParamsKey};
 use rtr_graph::NodeId;
 use rtr_topk::{TopKCacheKey, TopKConfig, TopKResult};
@@ -65,6 +66,15 @@ impl CacheKey {
     /// The graph epoch this key is valid for.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+}
+
+/// A search costs the nodes it processed: BCA pushes on the F side plus
+/// absorptions on the T side (an exact answer counts the graph once per
+/// fixed point it ran).
+impl EvictionCost for TopKResult {
+    fn eviction_cost(&self) -> u64 {
+        (self.work.bca_pushes + self.work.t_absorbed) as u64
     }
 }
 

@@ -9,10 +9,10 @@
 //!
 //! The design, bottom-up:
 //!
-//! * [`lru::LruShard`] — a bounded LRU map (hash map over an intrusive
-//!   recency list in a slab): O(1) get/insert/evict, allocation-free once
-//!   warm. Pinned to a `HashMap` + recency-list model by the `cache_model`
-//!   property suite.
+//! * [`lru::GdsfShard`] — a bounded cost-aware map evicting by
+//!   GreedyDual-Size-Frequency: an entry's priority grows with its
+//!   deterministic [`EvictionCost`] and its hits. Pinned to an O(n)
+//!   reference by the `cache_model` property suite.
 //! * [`ShardedCache`] — N independently locked shards (a key's hash picks
 //!   its shard) with atomic hit/miss/insert/eviction counters, snapshotted
 //!   as [`CacheStats`].
@@ -20,7 +20,7 @@
 //!   graph epoch, RankParams, TopKConfig)`. The **graph epoch**
 //!   ([`rtr_graph::Graph::epoch`]) makes invalidation structural: replace
 //!   the graph and every stale entry stops being addressable — no scanning,
-//!   no tombstones; the LRU ages them out.
+//!   no tombstones; the eviction clock ages them out.
 //!
 //! Correctness stance: a cache hit returns the *bit-identical* `TopKResult`
 //! a fresh run would produce, because every input that can change a run's
@@ -47,6 +47,6 @@ pub mod key;
 pub mod lru;
 mod rtr_sync;
 
-pub use cache::{CacheConfig, CacheStats, ShardedCache};
+pub use cache::{CacheConfig, CacheStats, EvictionCost, ShardedCache};
 pub use key::{CacheKey, ResultCache};
-pub use lru::LruShard;
+pub use lru::GdsfShard;

@@ -1,7 +1,7 @@
 //! Synchronization-primitive facade: plain `std::sync` in production
 //! builds, `loom_shim`'s instrumented types under the `rtr_check`
 //! feature so the `rtr-check` model suites can exhaustively explore the
-//! LRU-shard locking and stats-counter protocols. Code in this crate
+//! shard locking and stats-counter protocols. Code in this crate
 //! imports sync primitives from here, never from `std::sync` directly.
 
 #[cfg(feature = "rtr_check")]

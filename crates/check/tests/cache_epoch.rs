@@ -22,7 +22,7 @@ const NEW: u64 = 2;
 fn epoch_bump_never_serves_stale() {
     let report = explore(Config::with_random(2_000, 0xCA0E_0001), || {
         // Tiny capacity so old- and new-epoch entries fight for the same
-        // LRU slots — eviction is part of the explored surface.
+        // slots — eviction is part of the explored surface.
         let cache: Arc<ShardedCache<(u64, u32), u64>> =
             Arc::new(ShardedCache::new(CacheConfig::with_capacity(2)));
         let query = 9u32;

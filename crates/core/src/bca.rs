@@ -134,6 +134,11 @@ impl Bca {
         self.processed
     }
 
+    /// `ρ(q,v)` if `v` is in the f-neighborhood, else `None`.
+    pub fn seen_rho(&self, v: NodeId) -> Option<f64> {
+        self.ws.rho.get(v.0)
+    }
+
     /// Nodes with non-zero estimated PPR — the paper's f-neighborhood
     /// `S_f = {v : ρ(q,v) > 0}`.
     pub fn seen(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {

@@ -28,6 +28,7 @@
 //! [`ExecOutcome`].
 
 use crate::request::{ResolvedRequest, ServeWorkspace};
+use rtr_cache::EvictionCost;
 use rtr_core::CoreError;
 use rtr_distributed::{DistributedStats, DistributedTwoSBound, GpCluster};
 use rtr_graph::Graph;
@@ -100,6 +101,14 @@ pub struct ExecOutcome {
     /// Network-level statistics of a distributed execution (`None` for
     /// local runs, including recorded fallbacks).
     pub distributed: Option<DistributedStats>,
+}
+
+/// An outcome costs what its ranking cost to compute; where it ran does
+/// not matter, since either backend can recompute it.
+impl EvictionCost for ExecOutcome {
+    fn eviction_cost(&self) -> u64 {
+        self.result.eviction_cost()
+    }
 }
 
 /// One execution substrate: turns a resolved request into a ranking using

@@ -295,10 +295,10 @@ impl Shared {
     ) {
         for a in attached {
             // Read the shared result back out of the cache, so hit
-            // accounting and LRU recency see every answered duplicate.
-            // (The entry can only be missing if LRU pressure evicted it in
-            // the instants since the insert; the owner's own `Arc` is the
-            // same bits.)
+            // accounting and the entry's eviction priority see every
+            // answered duplicate. (The entry can only be missing if an
+            // eviction took it in the instants since the insert; the
+            // owner's own `Arc` is the same bits.)
             let served = cache.get(key).unwrap_or_else(|| Arc::clone(outcome));
             let queue_wait = a.picked.duration_since(a.job.enqueued);
             self.respond(
@@ -361,7 +361,7 @@ impl Shared {
             queue_wait,
             compute,
             result.as_ref().err(),
-            result.as_ref().ok().map(|r| &r.work),
+            result.as_ref().ok().map(|r| &**r),
             distributed.as_ref(),
             worker.is_none(),
             from_cache,

@@ -14,10 +14,11 @@
 
 use crate::config::ServeConfig;
 use crate::engine::ServeError;
+use rtr_cache::EvictionCost;
 use rtr_core::Measure;
 use rtr_distributed::{BlockCacheMetrics, DistributedStats};
 use rtr_obs::{Counter, Gauge, Histogram, Registry, Unit};
-use rtr_topk::TopKWork;
+use rtr_topk::TopKResult;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -61,6 +62,7 @@ pub(crate) struct ServeMetrics {
     side_expansions: [Arc<Counter>; 2],
     /// `[f, t]`: Stage II sweeps over the side's neighborhoods.
     refine_sweeps: [Arc<Counter>; 2],
+    miss_cost: Arc<Counter>,
 }
 
 impl ServeMetrics {
@@ -168,14 +170,18 @@ impl ServeMetrics {
                     "Stage II refinement sweeps over the side's neighborhoods.",
                 )
             }),
+            miss_cost: registry.counter(
+                "rtr_serve_miss_cost_total",
+                "Eviction cost (BCA pushes + T absorptions) of the responses that were computed, not served from cache.",
+            ),
         }
     }
 
     /// Record one sent response: per-measure count and latency split,
     /// error/fast-path counters, and — for a response that *computed*
     /// (`!from_cache`; cached responses replay the original run's
-    /// counts) — the bound search's work and, on the distributed backend,
-    /// the wire cost.
+    /// counts) — the bound search's work, its eviction cost and, on the
+    /// distributed backend, the wire cost.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_response(
         &self,
@@ -183,7 +189,7 @@ impl ServeMetrics {
         queue_wait: Duration,
         compute: Duration,
         error: Option<&ServeError>,
-        work: Option<&TopKWork>,
+        result: Option<&TopKResult>,
         distributed: Option<&DistributedStats>,
         fast_path: bool,
         from_cache: bool,
@@ -206,11 +212,13 @@ impl ServeMetrics {
             None => {}
         }
         if !from_cache {
-            if let Some(w) = work {
+            if let Some(r) = result {
+                let w = &r.work;
                 self.side_expansions[0].add(w.f_rounds as u64);
                 self.side_expansions[1].add(w.t_rounds as u64);
                 self.refine_sweeps[0].add(w.f_sweeps as u64);
                 self.refine_sweeps[1].add(w.t_sweeps as u64);
+                self.miss_cost.add(r.eviction_cost());
             }
             if let Some(stats) = distributed {
                 self.wire_bytes.add(stats.bytes_transferred as u64);

@@ -216,15 +216,29 @@ impl ResolvedRequest {
         if self.bounded(g) {
             return search.run_query_with(g, &self.query, &mut ws.topk);
         }
-        let scores = match self.measure {
-            Measure::F => FRank::new(self.params).compute(g, &self.query)?,
-            Measure::T => TRank::new(self.params).compute(g, &self.query)?,
-            Measure::Rtr => RoundTripRank::new(self.params).compute(g, &self.query)?,
-            Measure::RtrPlus { beta } => {
-                RoundTripRankPlus::new(self.params, beta)?.compute(g, &self.query)?
-            }
+        // Fixed points per side: F and T iterate once on the weighted
+        // query; the round trip runs both sides per query node.
+        let nodes = self.query.len();
+        let (scores, f_points, t_points) = match self.measure {
+            Measure::F => (FRank::new(self.params).compute(g, &self.query)?, 1, 0),
+            Measure::T => (TRank::new(self.params).compute(g, &self.query)?, 0, 1),
+            Measure::Rtr => (
+                RoundTripRank::new(self.params).compute(g, &self.query)?,
+                nodes,
+                nodes,
+            ),
+            Measure::RtrPlus { beta } => (
+                RoundTripRankPlus::new(self.params, beta)?.compute(g, &self.query)?,
+                nodes,
+                nodes,
+            ),
         };
-        Ok(exact_to_topk(&scores, self.topk.k))
+        let work = TopKWork {
+            bca_pushes: f_points * g.node_count(),
+            t_absorbed: t_points * g.node_count(),
+            ..TopKWork::default()
+        };
+        Ok(exact_to_topk(&scores, self.topk.k, work))
     }
 }
 
@@ -277,8 +291,11 @@ impl ServeWorkspace {
 }
 
 /// Collapse an exact score vector into the serving result shape: top-k
-/// ranking, zero-width bounds, no expansions, empty active set.
-fn exact_to_topk(scores: &ScoreVec, k: usize) -> TopKResult {
+/// ranking, zero-width bounds, no expansions, empty active set. `work`
+/// counts every node once per fixed point on its side (as BCA pushes for
+/// F, absorptions for T), so the cache weighs an exact answer by what it
+/// cost.
+fn exact_to_topk(scores: &ScoreVec, k: usize, work: TopKWork) -> TopKResult {
     let ranking = scores.top_k(k);
     let bounds = ranking
         .iter()
@@ -290,7 +307,7 @@ fn exact_to_topk(scores: &ScoreVec, k: usize) -> TopKResult {
         expansions: 0,
         converged: true,
         active: ActiveSetStats::default(),
-        work: TopKWork::default(),
+        work,
     }
 }
 

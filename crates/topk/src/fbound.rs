@@ -26,11 +26,13 @@
 //! nodes is the BCA residual, which at ε = 0.01 has to fall to ≈ 0.03, so
 //! `S_f` spreads over nearly every node of the 26k-node benchmark graph.
 //! The search skips Stage II for it, and since F moves alone every round
-//! its batch doubles every round (see [`crate::two_sbound`]), so a round
-//! costs its Stage-I pushes plus one pass re-initializing every member's
-//! bounds — by position, since members join `bounds` in the order they
-//! join `ρ`. Inside a two-sided search F's batch doubles the same way
-//! while its Eq. 16 term alone binds, but each such round keeps Stage II.
+//! its batch doubles every round (see [`crate::two_sbound`]). Without
+//! Stage II a member's bounds are just Eq. 20–21 of the current round, so
+//! such a neighborhood keeps no per-member bounds at all: a round costs
+//! its Stage-I pushes, and [`FNeighborhood::bounds`] derives
+//! `[ρ, ρ + f̂(q)]` from `ρ` when asked. Inside a two-sided search F's
+//! batch doubles the same way while its Eq. 16 term alone binds, but each
+//! such round keeps Stage II and so the per-member bounds it refines.
 //!
 //! The *Gupta* variant (efficiency baseline, Fig. 11a) replaces Prop. 4 with
 //! the weaker first-arrival bound `f̂(q) = Σ_u µ(q,u)` and skips Stage II.
@@ -67,6 +69,9 @@ pub struct FNeighborhood {
     bounds: SparseMap<Bounds>,
     order: Vec<u32>,
     unseen_upper: f64,
+    /// Whether Stage I (re)initializes `bounds`; without, a member's
+    /// bounds are derived from `ρ` when asked.
+    member_bounds: bool,
 }
 
 impl FNeighborhood {
@@ -110,6 +115,7 @@ impl FNeighborhood {
             bounds,
             order,
             unseen_upper: 1.0,
+            member_bounds: true,
         };
         nb.unseen_upper = nb.fresh_unseen_upper();
         Ok(nb)
@@ -124,6 +130,15 @@ impl FNeighborhood {
         }
     }
 
+    /// Keep no per-member bounds: Stage I only processes nodes, and a
+    /// member's bounds are Eq. 20–21 of the current round, `[ρ, ρ + f̂(q)]`.
+    /// For a neighborhood that never runs Stage II (a lone F search); the
+    /// upper bounds are then no longer the tightest over past rounds.
+    pub(crate) fn without_member_bounds(mut self) -> Self {
+        self.member_bounds = false;
+        self
+    }
+
     fn fresh_unseen_upper(&self) -> f64 {
         match self.mode {
             FBoundMode::TwoStage => self.bca.unseen_upper_bound(),
@@ -131,8 +146,8 @@ impl FNeighborhood {
         }
     }
 
-    /// Stage I: expand by up to `m` nodes and (re)initialize bounds.
-    /// Returns the number of nodes processed.
+    /// Stage I: expand by up to `m` nodes and (re)initialize bounds (unless
+    /// the neighborhood keeps none). Returns the number of nodes processed.
     pub fn expand<A: AdjacencyAccess>(
         &mut self,
         a: &mut A,
@@ -140,6 +155,9 @@ impl FNeighborhood {
     ) -> Result<usize, AdjacencyError> {
         let picked = self.bca.process_batch_count(a, m)?;
         self.unseen_upper = self.fresh_unseen_upper();
+        if !self.member_bounds {
+            return Ok(picked);
+        }
         // (Re)initialize: ρ is a valid lower bound, ρ + f̂(q) an upper bound.
         // Previous expansions' refined bounds are kept when tighter
         // (monotone tightening only).
@@ -167,7 +185,8 @@ impl FNeighborhood {
     }
 
     /// Stage II: iteratively refine all seen bounds over `S_f` using the
-    /// in-neighbor recurrence, until convergence (no-op in Gupta mode).
+    /// in-neighbor recurrence, until convergence (no-op in Gupta mode and
+    /// without per-member bounds).
     /// Returns the number of sweeps performed. Touches only members'
     /// adjacency, which [`FNeighborhood::expand`] already made resident.
     pub fn refine<A: AdjacencyAccess>(
@@ -176,7 +195,7 @@ impl FNeighborhood {
         tolerance: f64,
         max_sweeps: usize,
     ) -> usize {
-        if self.mode == FBoundMode::Gupta {
+        if self.mode == FBoundMode::Gupta || !self.member_bounds {
             return 0;
         }
         self.order.clear();
@@ -224,7 +243,19 @@ impl FNeighborhood {
 
     /// Bounds of a seen node, if seen.
     pub fn bounds(&self, v: NodeId) -> Option<Bounds> {
-        self.bounds.get(v.0)
+        if self.member_bounds {
+            self.bounds.get(v.0)
+        } else {
+            self.bca.seen_rho(v).map(|rho| self.rho_bounds(rho))
+        }
+    }
+
+    /// Eq. 20–21 of the current round for a member with estimate `rho`.
+    fn rho_bounds(&self, rho: f64) -> Bounds {
+        Bounds {
+            lower: rho,
+            upper: rho + self.unseen_upper,
+        }
     }
 
     /// Effective bounds of *any* node (unseen ⇒ `[0, f̂(q)]`).
@@ -235,22 +266,33 @@ impl FNeighborhood {
 
     /// Whether `v` is in `S_f`.
     pub fn contains(&self, v: NodeId) -> bool {
-        self.bounds.contains(v.0)
+        self.bca.seen_rho(v).is_some()
     }
 
-    /// Iterate over seen nodes and their bounds.
+    /// Iterate over seen nodes and their bounds, in the order they joined
+    /// `S_f`.
     pub fn seen(&self) -> impl Iterator<Item = (NodeId, Bounds)> + '_ {
-        self.bounds.iter().map(|(v, b)| (NodeId(v), b))
+        let (kept, derived) = if self.member_bounds {
+            (Some(self.bounds.iter()), None)
+        } else {
+            (None, Some(self.bca.seen()))
+        };
+        let kept = kept.into_iter().flatten().map(|(v, b)| (NodeId(v), b));
+        let derived = derived
+            .into_iter()
+            .flatten()
+            .map(|(v, rho)| (v, self.rho_bounds(rho)));
+        kept.chain(derived)
     }
 
     /// `|S_f|`.
     pub fn len(&self) -> usize {
-        self.bounds.len()
+        self.bca.seen_count()
     }
 
     /// Whether the neighborhood is still empty.
     pub fn is_empty(&self) -> bool {
-        self.bounds.is_empty()
+        self.len() == 0
     }
 
     /// Remaining BCA residual (0 ⇒ bounds can no longer improve via Stage I).

@@ -298,7 +298,18 @@ impl TwoSBound {
         for ((&q, &weight), (f_ws, t_ws)) in nodes.iter().zip(weights).zip(&mut ws.pairs) {
             // Neither constructor can fail: α and `q` were validated above.
             let (scheme, params) = (self.scheme, &self.params);
-            let f = FNeighborhood::with_workspace(&*a, q, params, scheme.f_mode(), take(f_ws))?;
+            let mut f = FNeighborhood::with_workspace(&*a, q, params, scheme.f_mode(), take(f_ws))?;
+            if self.combine == Combine::One(Side::F) {
+                // F-Rank alone is bounded only by the BCA residual (Prop.
+                // 4), and on a well-mixed graph that mass leaks across
+                // nearly every node. So a lone F side runs no Stage II,
+                // which would sweep that whole neighborhood every round,
+                // and keeps no per-member bounds: Eq. 20–21 of the current
+                // round bound each member. (It moves alone every round, so
+                // its batch doubles every round; fixed batches take
+                // hundreds of rounds.)
+                f = f.without_member_bounds();
+            }
             let t = TNeighborhood::with_workspace(&*a, q, params, scheme.t_mode(), take(t_ws))?;
             let (moves, m_f) = (None, self.config.m_f);
             pairs.push(Pair {
@@ -347,13 +358,6 @@ impl TwoSBound {
         // Stage II only needs bounds tight relative to the slack: refining
         // far past ε wastes sweeps without changing the stopping decision.
         let refine_tol = cfg.refine_tolerance.max(cfg.epsilon * 1e-2);
-        // F-Rank alone is bounded only by the BCA residual (Prop. 4), and
-        // on a well-mixed graph that mass leaks across nearly every node.
-        // So a lone F side keeps its Stage I bounds (Eq. 20–21): its Stage
-        // II would sweep that whole neighborhood every round. (It moves
-        // alone every round, so its batch doubles every round; fixed
-        // batches take hundreds of rounds.)
-        let lone_f = combine == Combine::One(Side::F);
         let mut expansions = 0usize;
         let mut work = TopKWork::default();
         loop {
@@ -368,9 +372,7 @@ impl TwoSBound {
                     // starts over at `m_f` in a round that moves both sides.
                     let m_f = if t { cfg.m_f } else { p.m_f };
                     work.bca_pushes += p.f.expand(&mut *a, m_f)?;
-                    if !lone_f {
-                        work.f_sweeps += p.f.refine(&*a, refine_tol, cfg.refine_max_sweeps);
-                    }
+                    work.f_sweeps += p.f.refine(&*a, refine_tol, cfg.refine_max_sweeps);
                     p.m_f = if t { cfg.m_f } else { m_f.saturating_mul(2) };
                 }
                 if t {
@@ -399,40 +401,41 @@ impl TwoSBound {
             // exhausted; return whatever we have.
             let exhausted = pairs.iter().all(|p| p.exhausted(combine));
             let last = exhausted || expansions >= cfg.max_expansions;
-            // Eq. 13 needs min(k, |S|) members whose lower bounds clear
-            // r̂ − ε: count them before ranking. A single-node lone F
-            // search's members are its f-neighborhood, so it counts them
-            // before copying them out; a round that must go on anyway
-            // (most lone-F rounds) skips both.
-            let floor = r_unseen - cfg.epsilon - TIE_EPS;
-            let lowers = |(_, b): (NodeId, Bounds)| b.lower;
-            let count_seen = lone_f && pairs.len() == 1;
-            if count_seen && !last && !may_decide(pairs[0].f.seen().map(lowers), k, floor) {
-                continue;
-            }
-            members.clear();
-            for p in pairs.iter() {
-                p.push_members(combine, members);
-            }
-            if pairs.len() > 1 {
-                // The union of the per-node r-neighborhoods, each member
-                // bounded over every query node.
-                members.sort_unstable_by_key(|&(v, _)| v);
-                members.dedup_by_key(|&mut (v, _)| v);
-                for (v, b) in members.iter_mut() {
-                    *b = pairs.iter().fold(Bounds::exact(0.0), |acc, p| {
-                        let pb = combine.bounds(p.f.effective_bounds(*v), p.t.effective_bounds(*v));
-                        Bounds {
-                            lower: acc.lower + p.weight * pb.lower,
-                            upper: acc.upper + p.weight * pb.upper,
-                        }
-                    });
+            if combine == Combine::One(Side::F) && pairs.len() == 1 {
+                // Every member of a single-node lone F search is bounded
+                // `[ρ, ρ + f̂]`, so upper bounds order like lower ones and
+                // the K + 1 best members decide Eq. 13–14: one pass over ρ.
+                top_members(pairs[0].f.seen(), k + 1, members);
+            } else {
+                members.clear();
+                for p in pairs.iter() {
+                    p.push_members(combine, members);
                 }
+                if pairs.len() > 1 {
+                    // The union of the per-node r-neighborhoods, each
+                    // member bounded over every query node.
+                    members.sort_unstable_by_key(|&(v, _)| v);
+                    members.dedup_by_key(|&mut (v, _)| v);
+                    for (v, b) in members.iter_mut() {
+                        *b = pairs.iter().fold(Bounds::exact(0.0), |acc, p| {
+                            let pb =
+                                combine.bounds(p.f.effective_bounds(*v), p.t.effective_bounds(*v));
+                            Bounds {
+                                lower: acc.lower + p.weight * pb.lower,
+                                upper: acc.upper + p.weight * pb.upper,
+                            }
+                        });
+                    }
+                }
+                // Eq. 13 needs min(k, |S|) members whose lower bounds
+                // clear r̂ − ε: count them before ranking.
+                let floor = r_unseen - cfg.epsilon - TIE_EPS;
+                let lowers = members.iter().map(|&(_, b)| b.lower);
+                if !last && !may_decide(lowers, k, floor) {
+                    continue;
+                }
+                rank_members(members, k);
             }
-            if !count_seen && !last && !may_decide(members.iter().copied().map(lowers), k, floor) {
-                continue;
-            }
-            rank_members(members, k);
             let done = top_k_decided(members, k, cfg.epsilon, r_unseen);
             if done || last {
                 let live = |side| pairs.iter().filter(move |_| combine.live(side));
@@ -550,17 +553,42 @@ impl Pair {
     }
 }
 
-/// Bring the r-neighborhood's `k` best members to the front, best lower
-/// bound first, ties by node id; the rest stay in no particular order.
+/// The ranking order of members: best lower bound first, ties by node id.
+fn rank_order(a: &(NodeId, Bounds), b: &(NodeId, Bounds)) -> std::cmp::Ordering {
+    b.1.lower.total_cmp(&a.1.lower).then(a.0.cmp(&b.0))
+}
+
+/// Bring the r-neighborhood's `k` best members to the front in
+/// [`rank_order`]; the rest stay in no particular order.
 fn rank_members(members: &mut [(NodeId, Bounds)], k: usize) {
-    let order = |a: &(NodeId, Bounds), b: &(NodeId, Bounds)| {
-        b.1.lower.total_cmp(&a.1.lower).then(a.0.cmp(&b.0))
-    };
     if k < members.len() {
-        members.select_nth_unstable_by(k, order);
+        members.select_nth_unstable_by(k, rank_order);
     }
     let top = k.min(members.len());
-    members[..top].sort_unstable_by(order);
+    members[..top].sort_unstable_by(rank_order);
+}
+
+/// Fill `out` with the `keep` best of `members` in [`rank_order`] — what
+/// [`rank_members`] brings to the front, in one pass and O(`keep`) space.
+fn top_members(
+    members: impl Iterator<Item = (NodeId, Bounds)>,
+    keep: usize,
+    out: &mut Vec<(NodeId, Bounds)>,
+) {
+    out.clear();
+    for m in members {
+        if out.len() == keep {
+            if !out
+                .last()
+                .is_some_and(|worst| rank_order(&m, worst).is_lt())
+            {
+                continue;
+            }
+            out.pop();
+        }
+        let at = out.partition_point(|x| rank_order(x, &m).is_lt());
+        out.insert(at, m);
+    }
 }
 
 /// Whether Eq. 13 can hold at all over members with these lower bounds:
@@ -916,22 +944,25 @@ pub(crate) mod tests {
         // The neighborhoods hand their buffers back unchanged, so the
         // workspace shows what each side touched: the inert f-neighborhood
         // never bounds a node, the inert t-neighborhood holds only the
-        // query it starts from and has laid out no rows.
+        // query it starts from and has laid out no rows. A lone F side
+        // grows ρ (S_f, as the active set counts it) but, keeping no
+        // per-member bounds, leaves its bounds map empty too.
         let (g, ids) = fig2_toy();
         for measure in [Measure::F, Measure::T] {
             let engine =
                 TwoSBound::for_measure(RankParams::default(), TopKConfig::toy(), measure).unwrap();
             let mut ws = TopKWorkspace::default();
-            engine.run_with(&g, ids.t1, &mut ws).unwrap();
+            let result = engine.run_with(&g, ids.t1, &mut ws).unwrap();
             let (f_ws, t_ws) = &ws.pairs[0];
-            let (f_seen, t_seen) = (f_ws.bounds.len(), t_ws.bounds.len());
+            let (f_bounded, t_seen) = (f_ws.bounds.len(), t_ws.bounds.len());
+            assert_eq!(f_bounded, 0, "{measure}");
             if measure == Measure::F {
-                assert!(f_seen > 1, "{measure}: {f_seen}");
+                let rho = result.active.f_nodes;
+                assert!(rho > 1, "{measure}: {rho}");
                 assert_eq!(t_seen, 1, "{measure}");
                 assert!(t_ws.outside_mass.is_empty(), "{measure}");
             } else {
                 assert!(t_seen > 1, "{measure}: {t_seen}");
-                assert_eq!(f_seen, 0, "{measure}");
             }
         }
     }
@@ -1051,9 +1082,9 @@ pub(crate) mod tests {
 
     #[test]
     fn a_lone_f_search_cut_at_the_cap_still_returns_its_top_k() {
-        // Two rounds cannot decide the toy's F-Rank top 4: the pre-check
-        // fails in the last round, which must still rank and return the
-        // best effort rather than skip ahead.
+        // Two rounds cannot decide the toy's F-Rank top 4, and the last
+        // round must still rank and return the best effort rather than
+        // skip ahead.
         let (g, ids) = fig2_toy();
         let params = RankParams::default();
         let cfg = TopKConfig {
@@ -1070,13 +1101,19 @@ pub(crate) mod tests {
         assert!(!result.converged);
         assert_eq!(result.expansions, 2);
         // The same two Stage-I rounds by hand (a lone F side doubles its
-        // batch and skips Stage II).
+        // batch and skips Stage II): the answer is ρ's top 4, each bounded
+        // `[ρ, ρ + f̂]` with this round's f̂. The per-member bounds kept
+        // here have lower bound ρ.
         let mode = crate::fbound::FBoundMode::TwoStage;
         let mut f = FNeighborhood::new(&g, ids.t1, &params, mode).unwrap();
         f.expand(&mut &g, 2).unwrap();
         f.expand(&mut &g, 4).unwrap();
-        let floor = f.unseen_upper() - TIE_EPS;
-        assert!(!may_decide(f.seen().map(|(_, b)| b.lower), 4, floor));
+        let unseen = f.unseen_upper();
+        assert!(!may_decide(
+            f.seen().map(|(_, b)| b.lower),
+            4,
+            unseen - TIE_EPS
+        ));
         let mut want: Vec<(NodeId, Bounds)> = f.seen().collect();
         assert!(want.len() > 4);
         rank_members(&mut want, 4);
@@ -1085,8 +1122,89 @@ pub(crate) mod tests {
             result.ranking,
             want.iter().map(|&(v, _)| v).collect::<Vec<_>>()
         );
-        let bounds: Vec<(f64, f64)> = want.iter().map(|&(_, b)| (b.lower, b.upper)).collect();
+        let bounds: Vec<(f64, f64)> = want
+            .iter()
+            .map(|&(_, b)| (b.lower, b.lower + unseen))
+            .collect();
         assert_eq!(result.bounds, bounds);
+    }
+
+    #[test]
+    fn the_top_members_pass_agrees_with_ranking_every_member() {
+        // Random member bounds on a coarse grid (ties common), shuffled
+        // ids, k ∈ 0..=12: the one-pass top-(k + 1) is exactly the first
+        // k + 1 members `rank_members` ranks.
+        let mut rng = SplitMix(2026);
+        let mut kept = Vec::new();
+        for case in 0..20_000 {
+            let n = rng.below(24);
+            let mut members: Vec<(NodeId, Bounds)> = (0..n)
+                .map(|i| {
+                    let lower = rng.grid() * 0.5;
+                    let id = (i * 7 + case) % 24;
+                    (NodeId(id as u32), Bounds::exact(lower))
+                })
+                .collect();
+            let keep = 1 + rng.below(13);
+            top_members(members.iter().copied(), keep, &mut kept);
+            rank_members(&mut members, keep);
+            members.truncate(keep);
+            assert_eq!(kept, members, "case {case}: keep {keep}");
+        }
+    }
+
+    #[test]
+    fn lone_f_ranks_like_the_per_member_bounds_search() {
+        // The single-node lone F search as it ran while it kept per-member
+        // bounds (minimum upper bound over rounds) — doubling batches, no
+        // Stage II, Eq. 13–14 over every member — from every query node of
+        // the toy graphs, at several k and ε: rankings, expansions, pushes
+        // and lower bounds agree bit for bit, and no upper bound is below
+        // the kept one.
+        let params = RankParams::default();
+        let mode = crate::fbound::FBoundMode::TwoStage;
+        let (toy, _) = fig2_toy();
+        let (sink, _) = dangling_sink(64);
+        for g in [&toy, &sink] {
+            for q in g.nodes() {
+                for (k, epsilon) in [(1, 0.0), (3, 0.01), (5, 0.0), (6, 0.05), (40, 0.0)] {
+                    let cfg = TopKConfig {
+                        k,
+                        epsilon,
+                        ..TopKConfig::toy()
+                    };
+                    let got = TwoSBound::for_measure(params, cfg, Measure::F)
+                        .unwrap()
+                        .run(g, q)
+                        .unwrap();
+                    let k = k.min(g.node_count());
+                    let mut f = FNeighborhood::new(g, q, &params, mode).unwrap();
+                    let (mut m_f, mut pushes, mut members) = (cfg.m_f, 0, Vec::new());
+                    let (expansions, converged) = (1..)
+                        .find_map(|round| {
+                            pushes += f.expand(&mut &*g, m_f).unwrap();
+                            m_f = m_f.saturating_mul(2);
+                            members = f.seen().collect();
+                            rank_members(&mut members, k);
+                            let done = top_k_decided(&members, k, epsilon, f.unseen_upper());
+                            let last = f.residual() < 1e-15 || round >= cfg.max_expansions;
+                            (done || last).then_some((round, done))
+                        })
+                        .unwrap();
+                    members.truncate(k);
+                    let case = format!("{q:?} k {k} ε {epsilon}");
+                    assert_eq!(got.expansions, expansions, "{case}");
+                    assert_eq!(got.converged, converged, "{case}");
+                    assert_eq!(got.work.bca_pushes, pushes, "{case}");
+                    let ranking: Vec<NodeId> = members.iter().map(|&(v, _)| v).collect();
+                    assert_eq!(got.ranking, ranking, "{case}");
+                    for (&(lo, hi), (_, b)) in got.bounds.iter().zip(&members) {
+                        assert_eq!(lo.to_bits(), b.lower.to_bits(), "{case}");
+                        assert!(hi >= b.upper, "{case}: {hi} < {}", b.upper);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

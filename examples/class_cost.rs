@@ -5,13 +5,15 @@
 //! it silently. This example runs the 2 048 `wire_mixed` identities (the
 //! benchmark's seed, pool, class pattern, k and ε) serially through
 //! `ResolvedRequest::run` on one thread on qlog-26k and prints, per class,
-//! expansions and milliseconds per query (p50 / p99 / max), the
-//! `converged` fraction and an FNV-1a digest of the answers (ranking,
-//! bound bits, expansions). A class whose engine path did not change
-//! prints the same digest on every checkout. A second table gives each
-//! class's mean work per query from `TopKResult::work`: rounds in which
-//! each side expanded, BCA pushes, T absorptions, Stage II sweeps per
-//! side, and how often each Eq. 16 term bound.
+//! expansions and milliseconds per query (p50 / p99 / max), the mean
+//! eviction cost the result cache weighs an answer by (`EvictionCost`:
+//! BCA pushes + T absorptions), the `converged` fraction and an FNV-1a
+//! digest of the answers (ranking, bound bits, expansions). A class whose
+//! engine path did not change prints the same digest on every checkout.
+//! A second table gives each class's mean work per query from
+//! `TopKResult::work`: rounds in which each side expanded, BCA pushes,
+//! T absorptions, Stage II sweeps per side, and how often each Eq. 16
+//! term bound.
 //!
 //! Every `N`-th identity (default 8) is also checked against the exact
 //! fixed-point engine of its measure, on the same weighted query: every
@@ -20,8 +22,10 @@
 //! identity from each block of `N` consecutive ones, at offset
 //! `block mod N`, so it walks through every class, both k and both
 //! arities; `--exact-every 1` checks all of them (≈ 25 ms per exact side).
-//! Exits non-zero unless every class converged on every identity and
-//! every checked identity passed.
+//! Exits non-zero unless every class converged on every identity, every
+//! checked identity passed and every answer has a non-zero eviction cost
+//! (a zero cost would make the cache evict the answer first, whatever it
+//! cost).
 //!
 //! ```sh
 //! cargo run --release -p rtr-integration-tests --example class_cost [seed] [--exact-every N]
@@ -30,6 +34,7 @@
 use rand::prelude::*;
 use rand::SplitMix64;
 use rand_chacha::ChaCha8Rng;
+use rtr_cache::EvictionCost;
 use rtr_core::prelude::{FRank, RoundTripRank, RoundTripRankPlus, TRank};
 use rtr_core::{Measure, RankParams, ScoreVec};
 use rtr_datagen::{QLog, QLogConfig};
@@ -71,6 +76,8 @@ struct Class {
     expansions: Vec<f64>,
     ms: Vec<f64>,
     converged: usize,
+    cost: u64,
+    costless: usize,
     digest: u64,
     checked: usize,
     failed: usize,
@@ -183,6 +190,9 @@ fn main() -> ExitCode {
         class.expansions.push(result.expansions as f64);
         class.ms.push(ms);
         class.converged += result.converged as usize;
+        let cost = result.eviction_cost();
+        class.cost += cost;
+        class.costless += (cost == 0) as usize;
         class.works.push(result.work);
         let words = result
             .ranking
@@ -208,10 +218,10 @@ fn main() -> ExitCode {
         }
     }
     println!(
-        "{:<19} {:>4} | expansions p50 p99 max | ms p50 p99 max | converged | exact | digest",
+        "{:<19} {:>4} | expansions p50 p99 max | ms p50 p99 max | cost | converged | exact | digest",
         "class", "n"
     );
-    let (mut all_converged, mut all_exact) = (true, true);
+    let (mut all_converged, mut all_exact, mut all_costed) = (true, true, true);
     for (name, class) in classes.iter_mut() {
         class.expansions.sort_by(f64::total_cmp);
         class.ms.sort_by(f64::total_cmp);
@@ -219,14 +229,16 @@ fn main() -> ExitCode {
         let converged = class.converged as f64 / n as f64;
         all_converged &= class.converged == n;
         all_exact &= class.failed == 0;
+        all_costed &= class.costless == 0;
         println!(
-            "{name:<19} {n:>4} | {:>4} {:>4} {:>4} | {:>7.3} {:>7.3} {:>7.3} | {converged:.3} | {:>3}/{:<3} | {:016x}",
+            "{name:<19} {n:>4} | {:>4} {:>4} {:>4} | {:>7.3} {:>7.3} {:>7.3} | {:>6.0} | {converged:.3} | {:>3}/{:<3} | {:016x}",
             pct(ex, 0.5),
             pct(ex, 0.99),
             ex[n - 1],
             pct(ms, 0.5),
             pct(ms, 0.99),
             ms[n - 1],
+            class.cost as f64 / n as f64,
             class.checked - class.failed,
             class.checked,
             class.digest
@@ -259,7 +271,10 @@ fn main() -> ExitCode {
     if !all_exact {
         eprintln!("some answer broke its contract against the exact scores");
     }
-    if all_converged && all_exact {
+    if !all_costed {
+        eprintln!("some answer has an eviction cost of 0");
+    }
+    if all_converged && all_exact && all_costed {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

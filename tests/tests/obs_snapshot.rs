@@ -5,6 +5,7 @@
 //! per-response stats, and whose Prometheus rendering is structurally
 //! valid and covers the scheduler, cache, and distributed layers.
 
+use rtr_cache::EvictionCost;
 use rtr_datagen::{BibNet, BibNetConfig};
 use rtr_graph::{Graph, NodeId};
 use rtr_integration_tests::SEED;
@@ -109,6 +110,18 @@ fn snapshot_reconciles_with_per_response_stats() {
     assert_eq!(swept("t"), sum(|w| w.t_sweeps));
     assert!(expanded("f") > Some(0) && expanded("t") > Some(0));
 
+    // Miss cost: every response computed, so the counter is the sum of
+    // their eviction costs.
+    let cost: u64 = responses
+        .iter()
+        .map(|r| r.result.as_ref().expect("served").eviction_cost())
+        .sum();
+    assert!(cost > 0);
+    assert_eq!(
+        snap.counter_value("rtr_serve_miss_cost_total", &[]),
+        Some(cost)
+    );
+
     // The trace agrees with the stats response by response: one FetchRound
     // event per wire round.
     for r in &responses {
@@ -203,10 +216,22 @@ fn prometheus_rendering_is_valid_and_covers_every_layer() {
     let (g, queries) = test_graph();
     let requests = mixed_requests(&queries);
     let engine = ServeEngine::start(g, base_config().with_cache_capacity(64));
-    let _ = engine.run_requests(&requests);
+    let mut responses = engine.run_requests(&requests);
     // A second pass so the result cache has hits to report.
-    let _ = engine.run_requests(&requests);
-    let text = engine.metrics_snapshot().to_prometheus();
+    responses.extend(engine.run_requests(&requests));
+    let snap = engine.metrics_snapshot();
+    // Hits replay a result and add no miss cost.
+    assert!(responses.iter().any(|r| r.from_cache));
+    let miss_cost: u64 = responses
+        .iter()
+        .filter(|r| !r.from_cache)
+        .map(|r| r.result.as_ref().expect("served").eviction_cost())
+        .sum();
+    assert_eq!(
+        snap.counter_value("rtr_serve_miss_cost_total", &[]),
+        Some(miss_cost)
+    );
+    let text = snap.to_prometheus();
     validate_prometheus(&text);
     // One catalog spanning all three wired layers: every family the
     // engine registers (docs/OBSERVABILITY.md; `rtr_net_*` needs a server).
@@ -220,6 +245,7 @@ fn prometheus_rendering_is_valid_and_covers_every_layer() {
         "rtr_serve_attached_total",
         "rtr_serve_queue_depth",
         "rtr_serve_cache_enabled",
+        "rtr_serve_miss_cost_total",
         "rtr_cache_hits_total",
         "rtr_cache_misses_total",
         "rtr_cache_inserts_total",

@@ -16,6 +16,7 @@
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
+use rtr_cache::EvictionCost;
 use rtr_core::prelude::*;
 use rtr_datagen::{QLog, QLogConfig};
 use rtr_graph::toy::fig2_toy;
@@ -340,4 +341,42 @@ fn dangling_query_node_is_answered_at_once_through_submit() {
         assert!(result.expansions <= 3, "{} expansions", result.expansions);
         assert!(elapsed.as_millis() < 50, "took {elapsed:?}");
     }
+}
+
+#[test]
+fn an_exact_answer_outlives_a_stream_of_cheap_misses() {
+    // A full ranking runs the exact engines, which touch every node once
+    // per fixed point, so its cache entry weighs 2·|V| for RoundTripRank;
+    // a single-node T search absorbs a few nodes. In a one-shard,
+    // two-entry cache the exact entry survives a stream of T misses whose
+    // costs sum below its own (LRU, or an exact answer costed at zero,
+    // would lose it to the second miss).
+    let log = QLog::generate(&QLogConfig::small(), 2013);
+    let g = Arc::new(log.graph);
+    let n = g.node_count();
+    let config = ServeConfig::default()
+        .with_cache_capacity(2)
+        .with_cache_shards(1)
+        .with_workers(1);
+    let engine = ServeEngine::start(Arc::clone(&g), config);
+    let queries: Vec<NodeId> = g.nodes().filter(|&v| !g.is_dangling(v)).collect();
+    let exact = QueryRequest::node(queries[0]).with_k(n);
+    let first = engine.submit(exact.clone()).wait();
+    let exact_cost = first.result.expect("exact answer").eviction_cost();
+    assert_eq!(exact_cost, 2 * n as u64);
+    let mut stream_cost = 0;
+    for &q in queries[1..].iter().take(12) {
+        let response = engine
+            .submit(QueryRequest::node(q).with_measure(Measure::T))
+            .wait();
+        assert!(!response.from_cache);
+        stream_cost += response.result.expect("T answer").eviction_cost();
+    }
+    assert!(
+        stream_cost < exact_cost,
+        "the T misses cost {stream_cost}, the exact answer {exact_cost}"
+    );
+    let again = engine.submit(exact).wait();
+    assert!(again.from_cache, "the exact answer was evicted");
+    assert_eq!(engine.cache_stats().expect("cache on").evictions, 11);
 }
