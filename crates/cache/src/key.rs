@@ -71,7 +71,7 @@ impl CacheKey {
 
 /// A search costs the nodes it processed: BCA pushes on the F side plus
 /// absorptions on the T side (an exact answer counts the graph once per
-/// fixed point it ran).
+/// sweep of the fixed points it ran).
 impl EvictionCost for TopKResult {
     fn eviction_cost(&self) -> u64 {
         (self.work.bca_pushes + self.work.t_absorbed) as u64

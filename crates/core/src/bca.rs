@@ -16,7 +16,11 @@
 //! * **batched expansion** — instead of the single max-residual node, pick up
 //!   to `m` nodes by *benefit* `µ(q,v)/|Out(v)|` (the paper's criterion
 //!   balancing residual reduction against processing cost; `m = 100` in the
-//!   paper's experiments);
+//!   paper's experiments). Ranking needs only out-degrees, which every
+//!   [`AdjacencyAccess`] serves for any node, so a batch announces just its
+//!   picks to [`ensure`](AdjacencyAccess::ensure): a paged adjacency
+//!   fetches the nodes BCA processes and none of the frontier it passed
+//!   over;
 //! * **the improved unseen upper bound of Prop. 4** —
 //!   `f̂(q) = α/(2-α)·max_u µ(q,u) + (1-α)/(2-α)·Σ_u µ(q,u)`, which accounts
 //!   for residual repeatedly returning to a node, vs. the weaker
@@ -26,7 +30,7 @@
 use crate::error::CoreError;
 use crate::params::RankParams;
 use crate::workspace::BcaWorkspace;
-use rtr_graph::{AdjacencyAccess, AdjacencyError, FetchHint, NodeId};
+use rtr_graph::{AdjacencyAccess, AdjacencyError, NodeId};
 
 /// BCA state for one query node.
 ///
@@ -37,15 +41,15 @@ use rtr_graph::{AdjacencyAccess, AdjacencyError, FetchHint, NodeId};
 ///
 /// The graph is not captured: every processing step takes the
 /// [`AdjacencyAccess`] it runs against, so the *same* BCA drives both the
-/// in-memory graph and the distributed active graph. Before each batch the
-/// full residual frontier is announced via
-/// [`ensure`](AdjacencyAccess::ensure) with [`FetchHint::OutFrontier`],
-/// which is where a paged adjacency does its demand fetch + prefetch.
+/// in-memory graph and the distributed active graph. Each batch ranks the
+/// residual frontier by out-degree alone and announces only its picks via
+/// [`ensure`](AdjacencyAccess::ensure), which is where a paged adjacency
+/// fetches the blocks it is missing.
 ///
 /// One pass over the frontier bitset at the end of every batch (and at
 /// initialization) yields both `max_u µ(q,u)` for Prop. 4 and the
-/// ascending frontier the next batch announces and selects from: only a
-/// batch changes `µ`.
+/// ascending frontier the next batch selects from: only a batch changes
+/// `µ`.
 #[derive(Clone, Debug)]
 pub struct Bca {
     alpha: f64,
@@ -157,7 +161,8 @@ impl Bca {
     /// consistent with the substochastic F-Rank a dangling graph defines.
     ///
     /// `v`'s adjacency must be resident in `a`: the batch loop announces
-    /// the frontier first, and rescans it once it has processed its picks.
+    /// its picks first, and rescans the frontier once it has processed
+    /// them.
     #[inline]
     fn push<A: AdjacencyAccess>(&mut self, a: &A, v: NodeId) {
         let residual = self.ws.mu.take(v.0);
@@ -213,8 +218,9 @@ impl Bca {
     /// the workspace, so this performs no allocation in steady state.
     ///
     /// The frontier comes from the last frontier pass (ascending by id,
-    /// `µ > 0`), so it is announced and ranked without a sort; after the
-    /// picks are processed one more pass prepares the next batch's.
+    /// `µ > 0`), so it is ranked without a sort; the picks, still
+    /// ascending, are announced to `ensure` and processed, and one more
+    /// pass prepares the next batch's frontier.
     pub fn process_batch_count<A: AdjacencyAccess>(
         &mut self,
         a: &mut A,
@@ -224,12 +230,9 @@ impl Bca {
         if m == 0 || self.ws.ensure_ids.is_empty() {
             return Ok(0);
         }
-        // Announce the whole residual frontier before reading any degree:
-        // a paged adjacency demand-fetches the missing blocks here (and may
-        // prefetch the next frontier); the in-memory graph does nothing.
-        a.ensure(&self.ws.ensure_ids, FetchHint::OutFrontier)?;
         // Candidates in ascending id order: the order they are processed
-        // in, so state evolution is independent of selection order.
+        // in, so state evolution is independent of selection order. Their
+        // out-degrees need no resident block.
         for &v in &self.ws.ensure_ids {
             let out = a.out_degree(NodeId(v)).max(1);
             self.ws.candidates.push((v, self.ws.mu.get(v) / out as f64));
@@ -256,9 +259,17 @@ impl Bca {
                 }
                 benefit > mth
             });
+            let (ids, picks) = (&mut self.ws.ensure_ids, &self.ws.candidates);
+            ids.clear();
+            ids.extend(picks.iter().map(|&(v, _)| v));
         }
+        // `ensure_ids` now lists the picks (the whole frontier when every
+        // candidate is picked), the only nodes whose edges the batch reads:
+        // a paged adjacency demand-fetches the missing blocks here; the
+        // in-memory graph does nothing.
+        a.ensure(&self.ws.ensure_ids)?;
         for i in 0..take {
-            let v = NodeId(self.ws.candidates[i].0);
+            let v = NodeId(self.ws.ensure_ids[i]);
             self.push(a, v);
         }
         self.scan_frontier();

@@ -23,6 +23,24 @@ pub struct IterationStats {
     pub final_residual: f64,
 }
 
+impl IterationStats {
+    /// No iteration at all: what [`IterationStats::then`] starts from.
+    pub const NONE: IterationStats = IterationStats {
+        iterations: 0,
+        final_residual: 0.0,
+    };
+
+    /// The statistics of `self` and then `other`, as of one computation
+    /// running several fixed points: the iterations add up, the final
+    /// residual is the larger one.
+    pub fn then(self, other: IterationStats) -> IterationStats {
+        IterationStats {
+            iterations: self.iterations + other.iterations,
+            final_residual: self.final_residual.max(other.final_residual),
+        }
+    }
+}
+
 /// Which direction the fixed point walks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Direction {

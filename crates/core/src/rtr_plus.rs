@@ -15,6 +15,7 @@
 //! RoundTripRank. The paper's default fallback is β = 0.5.
 
 use crate::error::CoreError;
+use crate::iterative::IterationStats;
 use crate::params::RankParams;
 use crate::query::Query;
 use crate::rtr::RoundTripRank;
@@ -87,18 +88,30 @@ impl RoundTripRankPlus {
     /// Multi-node queries follow the same linear reduction as RoundTripRank:
     /// per-query-node blends combined by query weight.
     pub fn compute(&self, g: &Graph, query: &Query) -> Result<ScoreVec, CoreError> {
+        Ok(self.compute_with_stats(g, query)?.0)
+    }
+
+    /// Compute `r_β(q, ·)`, also returning the iteration statistics of its
+    /// F and T fixed points (`[f, t]`), each summed over the query nodes.
+    pub fn compute_with_stats(
+        &self,
+        g: &Graph,
+        query: &Query,
+    ) -> Result<(ScoreVec, [IterationStats; 2]), CoreError> {
         query.validate(g)?;
         let rtr = RoundTripRank::new(self.params);
         if query.len() == 1 {
-            let parts = rtr.compute_parts(g, query)?;
-            return Ok(parts.f.geometric_blend(&parts.t, self.beta));
+            let (parts, stats) = rtr.parts_with_stats(g, query)?;
+            return Ok((parts.f.geometric_blend(&parts.t, self.beta), stats));
         }
         let mut acc = ScoreVec::zeros(g.node_count());
+        let mut stats = [IterationStats::NONE; 2];
         for (node, w) in query.iter() {
-            let parts = rtr.compute_parts(g, &Query::single(node))?;
+            let (parts, [f, t]) = rtr.parts_with_stats(g, &Query::single(node))?;
+            stats = [stats[0].then(f), stats[1].then(t)];
             acc.accumulate(&parts.f.geometric_blend(&parts.t, self.beta), w);
         }
-        Ok(acc)
+        Ok((acc, stats))
     }
 
     /// Compute `r_β` reusing precomputed `f` and `t` vectors (the β-sweep of

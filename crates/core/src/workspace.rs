@@ -55,9 +55,9 @@ pub struct BcaWorkspace {
     /// Benefit-selection scratch: the candidates' benefits, partitioned
     /// around the m-th best.
     pub(crate) ranked: Vec<f64>,
-    /// The residual frontier (ids with `µ > 0`, ascending), announced to
-    /// `AdjacencyAccess::ensure` before each batch (demand-paging /
-    /// prefetch scratch).
+    /// The residual frontier (ids with `µ > 0`, ascending) a batch selects
+    /// from; while the batch runs, its picks as announced to
+    /// `AdjacencyAccess::ensure`.
     pub(crate) ensure_ids: Vec<u32>,
 }
 

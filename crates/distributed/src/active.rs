@@ -9,29 +9,28 @@
 //! [`AdjacencyAccess`] — the same trait the in-memory [`rtr_graph::Graph`]
 //! implements — so the *local* bound engines run against it unchanged.
 //! Adjacency is available only for nodes whose blocks are resident; the
-//! engines announce what they are about to touch through
-//! [`AdjacencyAccess::ensure`], which is where the two distributed-only
-//! behaviours live:
+//! engines announce the nodes whose edges they are about to read through
+//! [`AdjacencyAccess::ensure`], which demand-fetches the missing blocks in
+//! one batched round and nothing more. The one read that needs no block is
+//! the out-degree: the [`GpCluster`] carries every node's (4 B per node),
+//! so BCA ranks its whole residual frontier by benefit `µ(q,v)/|Out(v)|`
+//! without fetching it, and ensures only the nodes it then processes. What
+//! a query fetches is therefore exactly its active set `S_f ∪ S_t`.
 //!
-//! * **Cross-query block cache** ([`BlockCache`]): resident blocks are
-//!   keyed by the source graph's epoch and *survive between queries*, so a
-//!   worker serving a warm region stops paying wire cost for it entirely.
-//!   The cache self-invalidates when it meets a cluster striped from a
-//!   different (or `bump_epoch`ed) graph.
-//! * **Frontier prefetch**: an `ensure` carrying a
-//!   [`FetchHint::OutFrontier`] / [`FetchHint::InFrontier`] hint batches a
-//!   speculative fetch of the requested nodes' missing out-/in-neighbors —
-//!   the blocks the next expansion round will demand — collapsing the
-//!   round-trip-per-expansion pattern into roughly one round per two.
+//! **Cross-query block cache** ([`BlockCache`]): resident blocks are keyed
+//! by the source graph's epoch and *survive between queries*, so a worker
+//! serving a warm region stops paying wire cost for it entirely. The cache
+//! self-invalidates when it meets a cluster striped from a different (or
+//! `bump_epoch`ed) graph.
 //!
 //! **Blocks stay bytes.** A resident block is the [`rtr_graph::wire`]
 //! encoding the GP sent, appended to a byte arena; a dense node-id →
-//! position index finds it, and `out_edges` / `in_edges` / degrees /
-//! footprints and the prefetch scan read it in place through
-//! [`wire::BlockView`]. Nothing is decoded into an owned form, hashed, or
-//! allocated per block. Each reply is taken in by one length-validated walk
-//! that indexes whole blocks only, so a truncated or hostile payload can
-//! neither panic the AP nor make it read past what arrived.
+//! position index finds it, and `out_edges` / `in_edges` / `in_degree` /
+//! footprints read it in place through [`wire::BlockView`]. Nothing is
+//! decoded into an owned form, hashed, or allocated per block. Each reply
+//! is taken in by one length-validated walk that indexes whole blocks
+//! only, so a truncated or hostile payload can neither panic the AP nor
+//! make it read past what arrived.
 //!
 //! **Two generations under a byte budget.** Replies append to the *young*
 //! arena. The first touch in a query of a block still living in the *old*
@@ -43,15 +42,15 @@
 //! rotations is gone, and nothing a running query touched can disappear
 //! under it, because rotation only happens at a query boundary.
 //!
-//! Every fetch is metered (rounds, demanded blocks, prefetched blocks,
-//! cache hits, payload bytes), and the per-query *touched set* is tracked
+//! Every fetch is metered (rounds, fetched blocks, cache hits, payload
+//! bytes), and the per-query *touched set* is tracked
 //! separately from cache residency so the Fig. 12 active-set measurements
 //! stay exact under caching: `active_nodes = blocks_fetched +
 //! blocks_from_cache` always holds.
 
 use crate::gp::{GpCluster, ReplySlot};
 use rtr_graph::wire::{self, BlockView};
-use rtr_graph::{AdjacencyAccess, AdjacencyError, FetchHint, NodeId, NodeSet};
+use rtr_graph::{AdjacencyAccess, AdjacencyError, NodeId, NodeSet};
 use rtr_obs::{Counter, QueryTrace, TraceStage};
 use std::sync::Arc;
 
@@ -73,8 +72,6 @@ pub struct BlockCacheMetrics {
     pub invalidations: Arc<Counter>,
 }
 
-/// Default cap on speculative blocks per prefetch round.
-pub const DEFAULT_PREFETCH_LIMIT: usize = 256;
 /// Default byte budget of cross-query block residency.
 pub const DEFAULT_CACHE_BYTES: usize = 64 << 20;
 
@@ -93,11 +90,8 @@ pub struct BlockCache {
     resident: Generations,
     /// Per-query touched set (ids this query `ensure`d), cleared per query.
     touched: NodeSet,
-    /// Scratch: ids already slated for fetch in the current round.
-    pending: NodeSet,
     /// Scratch: the fetch list under assembly.
     fetch_ids: Vec<NodeId>,
-    prefetch_limit: usize,
     budget_bytes: usize,
     /// Optional registry-backed lifecycle counters (hits / evictions /
     /// invalidations); `None` keeps the cache observation-free.
@@ -105,23 +99,19 @@ pub struct BlockCache {
 }
 
 impl BlockCache {
-    /// An empty cache with the default prefetch/budget knobs.
+    /// An empty cache with the default byte budget.
     pub fn new() -> Self {
-        Self::with_limits(DEFAULT_PREFETCH_LIMIT, DEFAULT_CACHE_BYTES)
+        Self::with_budget(DEFAULT_CACHE_BYTES)
     }
 
-    /// An empty cache with explicit knobs: `prefetch_limit` caps the
-    /// speculative blocks fetched per frontier round (0 disables
-    /// prefetching), `budget_bytes` bounds cross-query residency (0 means
-    /// no block survives its query).
-    pub fn with_limits(prefetch_limit: usize, budget_bytes: usize) -> Self {
+    /// An empty cache whose cross-query residency is bounded by
+    /// `budget_bytes` (0 means no block survives its query).
+    pub fn with_budget(budget_bytes: usize) -> Self {
         BlockCache {
             epoch: 0, // matches no real graph: first use always re-keys
             resident: Generations::default(),
             touched: NodeSet::new(),
-            pending: NodeSet::new(),
             fetch_ids: Vec::new(),
-            prefetch_limit,
             budget_bytes,
             metrics: None,
         }
@@ -313,7 +303,6 @@ pub struct ActiveGraph<'a> {
     node_count: usize,
     fetch_requests: usize,
     blocks_fetched: usize,
-    blocks_prefetched: usize,
     blocks_from_cache: usize,
     bytes_transferred: usize,
     touched_edges: usize,
@@ -353,8 +342,6 @@ impl<'a> ActiveGraph<'a> {
         }
         cache.touched.ensure_capacity(cluster.node_count());
         cache.touched.clear();
-        cache.pending.ensure_capacity(cluster.node_count());
-        cache.pending.clear();
         ActiveGraph {
             node_count: cluster.node_count(),
             cluster,
@@ -363,7 +350,6 @@ impl<'a> ActiveGraph<'a> {
             trace,
             fetch_requests: 0,
             blocks_fetched: 0,
-            blocks_prefetched: 0,
             blocks_from_cache: 0,
             bytes_transferred: 0,
             touched_edges: 0,
@@ -387,25 +373,7 @@ impl<'a> ActiveGraph<'a> {
         self.cache.resident.is_resident(v.0)
     }
 
-    /// One wire round: fetch `cache.fetch_ids` from the owning GPs and make
-    /// the returned blocks resident. Returns how many blocks arrived and
-    /// the edges they carry.
-    fn fetch_round(&mut self) -> Result<(usize, usize), AdjacencyError> {
-        self.fetch_requests += 1;
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.record(TraceStage::FetchRound);
-        }
-        let (mut blocks, mut edges) = (0, 0);
-        for payload in self.cluster.fetch(&self.cache.fetch_ids, self.slot)? {
-            self.bytes_transferred += payload.len();
-            let (b, e) = self.cache.resident.absorb(payload);
-            blocks += b;
-            edges += e;
-        }
-        Ok((blocks, edges))
-    }
-
-    /// Fetch requests (wire rounds, demand + prefetch) issued this query.
+    /// Fetch requests (batched wire rounds) issued this query.
     pub fn fetch_requests(&self) -> usize {
         self.fetch_requests
     }
@@ -413,11 +381,6 @@ impl<'a> ActiveGraph<'a> {
     /// Demanded blocks received over the wire this query.
     pub fn blocks_fetched(&self) -> usize {
         self.blocks_fetched
-    }
-
-    /// Speculatively prefetched blocks received over the wire this query.
-    pub fn blocks_prefetched(&self) -> usize {
-        self.blocks_prefetched
     }
 
     /// Demanded blocks served from the warm cache this query (no wire).
@@ -465,8 +428,9 @@ impl AdjacencyAccess for ActiveGraph<'_> {
         self.cluster.has_self_loops()
     }
 
+    /// From the cluster's degree table: no block needed.
     fn out_degree(&self, v: NodeId) -> usize {
-        self.resident_block(v).out_degree()
+        self.cluster.out_degree(v)
     }
 
     fn in_degree(&self, v: NodeId) -> usize {
@@ -485,66 +449,40 @@ impl AdjacencyAccess for ActiveGraph<'_> {
         self.resident_block(v).in_edges()
     }
 
-    /// Make `ids` resident: demanded ids missing from the cache are fetched
-    /// in one batched round; under a frontier hint, the requested nodes'
-    /// missing neighbors (out- for [`FetchHint::OutFrontier`], in- for
-    /// [`FetchHint::InFrontier`]) are then prefetched in a second round,
-    /// capped at the cache's prefetch limit. Once a region is warm, both
-    /// rounds vanish — every id is resident and no candidate is missing.
-    fn ensure(&mut self, ids: &[u32], hint: FetchHint) -> Result<(), AdjacencyError> {
-        // Demand phase: first touch of each id classifies it as a cache hit
-        // or a wire fetch — exactly one of the two, which is what keeps the
-        // active-set accounting exact under caching.
-        self.cache.fetch_ids.clear();
+    /// Make `ids` resident: the first touch of each id this query is a
+    /// cache hit or a wire fetch — exactly one of the two, which is what
+    /// keeps the active-set accounting exact under caching — and the
+    /// fetches go out in one batched round. Once a region is warm, the
+    /// round vanishes.
+    fn ensure(&mut self, ids: &[u32]) -> Result<(), AdjacencyError> {
+        let cache = &mut *self.cache;
+        cache.fetch_ids.clear();
         for &id in ids {
-            if !self.cache.touched.insert(id) {
+            if !cache.touched.insert(id) {
                 continue; // already touched this query
             }
-            if let Some(block) = self.cache.resident.touch(id) {
+            if let Some(block) = cache.resident.touch(id) {
                 self.touched_edges += block.out_degree() + block.in_degree();
                 self.blocks_from_cache += 1;
-                if let Some(m) = &self.cache.metrics {
+                if let Some(m) = &cache.metrics {
                     m.hits.inc();
                 }
             } else {
-                self.cache.fetch_ids.push(NodeId(id));
+                cache.fetch_ids.push(NodeId(id));
             }
         }
-        if !self.cache.fetch_ids.is_empty() {
-            let (blocks, edges) = self.fetch_round()?;
-            self.blocks_fetched += blocks;
-            self.touched_edges += edges;
-        }
-        // Prefetch phase: speculate on the next round's demand.
-        if hint == FetchHint::Demand || self.cache.prefetch_limit == 0 {
+        if cache.fetch_ids.is_empty() {
             return Ok(());
         }
-        let cache = &mut *self.cache;
-        cache.pending.clear();
-        cache.fetch_ids.clear();
-        'collect: for &id in ids {
-            let Some(block) = cache.resident.block(id) else {
-                continue; // demanded but absent from the stripe: nothing to walk
-            };
-            let neighbors = match hint {
-                FetchHint::OutFrontier => block.out_edges(),
-                FetchHint::InFrontier => block.in_edges(),
-                FetchHint::Demand => unreachable!(),
-            };
-            for (n, _) in neighbors {
-                if cache.resident.is_resident(n.0) || !cache.pending.insert(n.0) {
-                    continue;
-                }
-                cache.fetch_ids.push(n);
-                if cache.fetch_ids.len() >= cache.prefetch_limit {
-                    break 'collect;
-                }
-            }
+        self.fetch_requests += 1;
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.record(TraceStage::FetchRound);
         }
-        if !self.cache.fetch_ids.is_empty() {
-            // Deterministic wire order (neighbor discovery order is not).
-            self.cache.fetch_ids.sort_unstable();
-            self.blocks_prefetched += self.fetch_round()?.0;
+        for payload in self.cluster.fetch(&cache.fetch_ids, self.slot)? {
+            self.bytes_transferred += payload.len();
+            let (blocks, edges) = cache.resident.absorb(payload);
+            self.blocks_fetched += blocks;
+            self.touched_edges += edges;
         }
         Ok(())
     }
@@ -567,11 +505,11 @@ mod tests {
         let mut cache = BlockCache::new();
         let mut slot = ReplySlot::new();
         let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
-        active.ensure(&[ids.t1.0], FetchHint::Demand).unwrap();
+        active.ensure(&[ids.t1.0]).unwrap();
         assert_eq!(active.fetch_requests(), 1);
         assert_eq!(active.blocks_fetched(), 1);
         // Second ensure is free: already touched.
-        active.ensure(&[ids.t1.0], FetchHint::Demand).unwrap();
+        active.ensure(&[ids.t1.0]).unwrap();
         assert_eq!(active.fetch_requests(), 1);
         assert!(active.is_resident(ids.t1));
         assert_eq!(active.touched_nodes(), 1);
@@ -583,7 +521,7 @@ mod tests {
         let mut cache = BlockCache::new();
         let mut slot = ReplySlot::new();
         let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
-        active.ensure(&[ids.v2.0], FetchHint::Demand).unwrap();
+        active.ensure(&[ids.v2.0]).unwrap();
         let expected: Vec<(NodeId, f64)> = g.out_edges(ids.v2).collect();
         let got: Vec<(NodeId, f64)> = active.out_edges(ids.v2).collect();
         assert_eq!(got, expected);
@@ -611,17 +549,13 @@ mod tests {
         let mut slot = ReplySlot::new();
         {
             let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
-            active
-                .ensure(&[ids.t1.0, ids.v1.0], FetchHint::Demand)
-                .unwrap();
+            active.ensure(&[ids.t1.0, ids.v1.0]).unwrap();
             assert_eq!(active.blocks_fetched(), 2);
             assert_eq!(active.blocks_from_cache(), 0);
         }
         // Same cache, next query: both blocks are warm.
         let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
-        active
-            .ensure(&[ids.t1.0, ids.v1.0], FetchHint::Demand)
-            .unwrap();
+        active.ensure(&[ids.t1.0, ids.v1.0]).unwrap();
         assert_eq!(active.blocks_fetched(), 0);
         assert_eq!(active.blocks_from_cache(), 2);
         assert_eq!(active.bytes_transferred(), 0);
@@ -636,7 +570,7 @@ mod tests {
         let mut slot = ReplySlot::new();
         {
             let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
-            active.ensure(&[ids.t1.0], FetchHint::Demand).unwrap();
+            active.ensure(&[ids.t1.0]).unwrap();
         }
         assert_eq!(cache.len(), 1);
         // A cluster over a re-stamped clone of the graph: different epoch,
@@ -645,49 +579,52 @@ mod tests {
         g2.bump_epoch();
         let cluster2 = GpCluster::spawn(&g2, 2);
         let mut active = ActiveGraph::new(&cluster2, &mut cache, &mut slot);
-        active.ensure(&[ids.t1.0], FetchHint::Demand).unwrap();
+        active.ensure(&[ids.t1.0]).unwrap();
         assert_eq!(active.blocks_from_cache(), 0);
         assert_eq!(active.blocks_fetched(), 1);
     }
 
     #[test]
-    fn out_frontier_prefetches_neighbors() {
+    fn ensure_fetches_only_the_demanded_blocks() {
         let (g, ids, cluster) = harness();
         let mut cache = BlockCache::new();
         let mut slot = ReplySlot::new();
         let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
-        active.ensure(&[ids.t1.0], FetchHint::OutFrontier).unwrap();
+        active.ensure(&[ids.t1.0]).unwrap();
+        assert_eq!(active.fetch_requests(), 1);
         assert_eq!(active.blocks_fetched(), 1);
-        assert_eq!(active.blocks_prefetched(), g.out_degree(ids.t1));
-        // Every out-neighbor is now resident without having been demanded.
-        for (n, _) in g.out_edges(ids.t1) {
-            assert!(active.is_resident(n));
+        // No neighbor came along: the next round fetches what it demands.
+        for (n, _) in g.out_edges(ids.t1).chain(g.in_edges(ids.t1)) {
+            assert!(!active.is_resident(n), "{n:?}");
         }
-        // ... and the active set only counts the demanded node.
         assert_eq!(active.touched_nodes(), 1);
+        assert_eq!(
+            active.bytes_transferred(),
+            wire::encoded_len(g.out_degree(ids.t1), g.in_degree(ids.t1))
+        );
     }
 
     #[test]
-    fn prefetch_disabled_at_zero_limit() {
-        let (_, ids, cluster) = harness();
-        let mut cache = BlockCache::with_limits(0, DEFAULT_CACHE_BYTES);
+    fn out_degree_of_every_node_needs_no_fetch() {
+        let (g, _, cluster) = harness();
+        let mut cache = BlockCache::new();
         let mut slot = ReplySlot::new();
-        let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
-        active.ensure(&[ids.t1.0], FetchHint::OutFrontier).unwrap();
-        assert_eq!(active.blocks_prefetched(), 0);
-        assert_eq!(active.fetch_requests(), 1);
+        let active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
+        for v in g.nodes() {
+            assert_eq!(active.out_degree(v), g.out_degree(v), "{v:?}");
+        }
+        assert_eq!(active.fetch_requests(), 0);
+        assert_eq!(active.touched_nodes(), 0);
     }
 
     #[test]
     fn block_budget_clears_between_queries() {
         let (_, ids, cluster) = harness();
-        let mut cache = BlockCache::with_limits(0, 1);
+        let mut cache = BlockCache::with_budget(1);
         let mut slot = ReplySlot::new();
         {
             let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
-            active
-                .ensure(&[ids.t1.0, ids.v1.0], FetchHint::Demand)
-                .unwrap();
+            active.ensure(&[ids.t1.0, ids.v1.0]).unwrap();
         }
         assert_eq!(cache.len(), 2); // over budget, but intact mid-query
         let active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
@@ -698,27 +635,23 @@ mod tests {
     #[test]
     fn armed_metrics_count_hits_evictions_and_invalidations() {
         let (g, ids, cluster) = harness();
-        let mut cache = BlockCache::with_limits(0, 1);
+        let mut cache = BlockCache::with_budget(1);
         let metrics = BlockCacheMetrics::default();
         cache.set_metrics(metrics.clone());
         let mut slot = ReplySlot::new();
         {
             let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
-            active
-                .ensure(&[ids.t1.0, ids.v1.0], FetchHint::Demand)
-                .unwrap();
+            active.ensure(&[ids.t1.0, ids.v1.0]).unwrap();
             // Second touch in the same query is deduped, not a hit.
-            active.ensure(&[ids.t1.0], FetchHint::Demand).unwrap();
+            active.ensure(&[ids.t1.0]).unwrap();
         }
         assert_eq!(metrics.hits.get(), 0);
         {
             // Rebind: 2 resident blocks exceed the budget of 1 → evicted.
             let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
             assert_eq!(metrics.evictions.get(), 2);
-            active.ensure(&[ids.t1.0], FetchHint::Demand).unwrap();
-            active
-                .ensure(&[ids.t1.0, ids.v1.0], FetchHint::Demand)
-                .unwrap();
+            active.ensure(&[ids.t1.0]).unwrap();
+            active.ensure(&[ids.t1.0, ids.v1.0]).unwrap();
         }
         // t1 was resident when re-demanded (within budget mid-query).
         assert_eq!(metrics.hits.get(), 0, "same-query re-touch is deduped");
@@ -726,7 +659,7 @@ mod tests {
             let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
             // Budget of 1 evicted again; refetch t1 then warm-hit nothing new.
             assert_eq!(metrics.evictions.get(), 4);
-            active.ensure(&[ids.t1.0], FetchHint::Demand).unwrap();
+            active.ensure(&[ids.t1.0]).unwrap();
         }
         // Epoch change: the resident block is invalidated, not evicted.
         let mut g2 = g.clone();
@@ -746,10 +679,10 @@ mod tests {
         let mut slot = ReplySlot::new();
         {
             let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
-            active.ensure(&[ids.t1.0], FetchHint::Demand).unwrap();
+            active.ensure(&[ids.t1.0]).unwrap();
         }
         let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
-        active.ensure(&[ids.t1.0], FetchHint::Demand).unwrap();
+        active.ensure(&[ids.t1.0]).unwrap();
         assert_eq!(metrics.hits.get(), 1);
         assert_eq!(active.blocks_from_cache(), 1);
     }
@@ -762,7 +695,7 @@ mod tests {
         let mut slot = ReplySlot::new();
         let mut trace = QueryTrace::begin();
         let mut active = ActiveGraph::with_trace(&cluster, &mut cache, &mut slot, Some(&mut trace));
-        active.ensure(&[ids.t1.0], FetchHint::OutFrontier).unwrap();
+        active.ensure(&[ids.t1.0]).unwrap();
         let rounds = active.fetch_requests();
         assert!(rounds >= 1);
         assert_eq!(trace.count(TraceStage::FetchRound), rounds);
@@ -776,8 +709,8 @@ mod tests {
         let all: Vec<u32> = g.nodes().map(|v| v.0).collect();
         for _ in 0..2 {
             let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
-            active.ensure(&all[..4], FetchHint::OutFrontier).unwrap();
-            active.ensure(&all, FetchHint::Demand).unwrap();
+            active.ensure(&all[..4]).unwrap();
+            active.ensure(&all).unwrap();
             assert_eq!(
                 active.touched_nodes(),
                 active.blocks_fetched() + active.blocks_from_cache()
@@ -900,16 +833,14 @@ mod tests {
     #[test]
     fn a_block_touched_every_generation_survives_and_an_untouched_one_ages_out() {
         let (_, ids, cluster) = harness();
-        let mut cache = BlockCache::with_limits(0, ONE_QUERY_PER_GENERATION);
+        let mut cache = BlockCache::with_budget(ONE_QUERY_PER_GENERATION);
         let metrics = BlockCacheMetrics::default();
         cache.set_metrics(metrics.clone());
         let mut slot = ReplySlot::new();
         let (hub, untouched) = (ids.t1, ids.p[0]);
         {
             let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
-            active
-                .ensure(&[hub.0, untouched.0], FetchHint::Demand)
-                .unwrap();
+            active.ensure(&[hub.0, untouched.0]).unwrap();
             assert_eq!(active.blocks_fetched(), 2);
         }
         for (rotation, fresh) in ids.p[1..].iter().enumerate() {
@@ -920,7 +851,7 @@ mod tests {
             assert_eq!(metrics.evictions.get(), rotation as u64);
             let mut demanded = [hub.0, fresh.0];
             demanded.sort_unstable();
-            active.ensure(&demanded, FetchHint::Demand).unwrap();
+            active.ensure(&demanded).unwrap();
             assert_eq!(active.blocks_from_cache(), 1, "the hub is a hit");
             assert_eq!(active.blocks_fetched(), 1, "only the new paper is fetched");
         }
@@ -931,13 +862,13 @@ mod tests {
     #[test]
     fn zero_budget_is_cold_every_query() {
         let (_, ids, cluster) = harness();
-        let mut cache = BlockCache::with_limits(DEFAULT_PREFETCH_LIMIT, 0);
+        let mut cache = BlockCache::with_budget(0);
         let mut slot = ReplySlot::new();
         let mut costs = Vec::new();
         for _ in 0..3 {
             let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
             assert!(active.cache.is_empty());
-            active.ensure(&[ids.t1.0], FetchHint::OutFrontier).unwrap();
+            active.ensure(&[ids.t1.0]).unwrap();
             costs.push((active.fetch_requests(), active.bytes_transferred()));
         }
         assert!(costs[0].1 > 0);

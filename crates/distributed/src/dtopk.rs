@@ -14,13 +14,13 @@
 //! is what lets a serving cache share entries between local and distributed
 //! backends — the answers are interchangeable, only the wire cost differs.
 //!
-//! The distributed-only machinery lives below the trait: the cross-query
-//! [`BlockCache`], the frontier prefetch batched into the `ensure` calls
-//! the engines already make, and the reusable GP reply channel
-//! ([`ReplySlot`]). [`DistributedStats`] meters all of it per query —
-//! demand fetches, prefetches, and cache hits are reported separately, and
-//! `blocks_fetched + blocks_from_cache == active_nodes` always holds, so
-//! the Fig. 12 active-set numbers stay exact however warm the cache is.
+//! The distributed-only machinery lives below the trait: the cluster's
+//! out-degree table, the cross-query [`BlockCache`] behind the `ensure`
+//! calls the engines make, and the reusable GP reply channel
+//! ([`ReplySlot`]). [`DistributedStats`] meters all of it per query — wire
+//! fetches and cache hits are reported separately, and `blocks_fetched +
+//! blocks_from_cache == active_nodes` always holds, so the Fig. 12
+//! active-set numbers stay exact however warm the cache is.
 //!
 //! Like the local engines, the distributed processors honor the full
 //! [`TopKConfig`] and whatever search they wrap (a Fig. 11a ablation is a
@@ -39,22 +39,24 @@ use rtr_topk::workspace::TopKWorkspace;
 /// Network-level statistics of one distributed query.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DistributedStats {
-    /// Batched fetch rounds the AP issued (demand + prefetch).
+    /// Batched fetch rounds the AP issued.
     pub fetch_requests: usize,
     /// Node blocks the query demanded and received over the wire.
     pub blocks_fetched: usize,
-    /// Node blocks speculatively prefetched over the wire.
+    /// Always 0: the AP fetches nothing on speculation. Kept so the wire
+    /// format of a response and the readers of this field stay as they
+    /// are.
     pub blocks_prefetched: usize,
-    /// Node blocks the query demanded that were already resident — warm
-    /// from a previous query's [`BlockCache`] contents, or prefetched
-    /// earlier in this one — and so cost no wire traffic.
+    /// Node blocks the query demanded that were already resident, warm
+    /// from a previous query's [`BlockCache`] contents, and so cost no
+    /// wire traffic.
     pub blocks_from_cache: usize,
     /// Payload bytes received.
     pub bytes_transferred: usize,
     /// Nodes this query made part of its working set (every block it
-    /// demanded) — always `blocks_fetched + blocks_from_cache`. A superset
-    /// of the result's `active` union: benefit selection reads the degree
-    /// of the whole residual frontier, processed or not.
+    /// demanded) — always `blocks_fetched + blocks_from_cache`, and equal
+    /// to the result's `active.active_nodes`: the engines demand exactly
+    /// the nodes of `S_f ∪ S_t`.
     pub active_nodes: usize,
     /// Directed edges (both stored directions) of the touched nodes.
     pub active_edges: usize,
@@ -89,8 +91,8 @@ impl DistributedWorkspace {
         Self::default()
     }
 
-    /// A workspace whose block cache uses explicit knobs (see
-    /// [`BlockCache::with_limits`]).
+    /// A workspace whose block cache has an explicit byte budget (see
+    /// [`BlockCache::with_budget`]).
     pub fn with_cache(cache: BlockCache) -> Self {
         DistributedWorkspace {
             cache,
@@ -167,7 +169,7 @@ impl DistributedTwoSBound {
         let stats = DistributedStats {
             fetch_requests: active.fetch_requests(),
             blocks_fetched: active.blocks_fetched(),
-            blocks_prefetched: active.blocks_prefetched(),
+            blocks_prefetched: 0,
             blocks_from_cache: active.blocks_from_cache(),
             bytes_transferred: active.bytes_transferred(),
             active_nodes: active.touched_nodes(),
@@ -216,6 +218,10 @@ mod tests {
             assert_eq!(local.converged, dist.converged, "query {q:?}");
             assert_eq!(local.active, dist.active, "query {q:?}");
             assert!(stats.bytes_transferred > 0);
+            // The AP fetched exactly the active set, nothing speculative.
+            assert_eq!(stats.active_nodes, dist.active.active_nodes, "query {q:?}");
+            assert_eq!(stats.blocks_fetched, stats.active_nodes, "query {q:?}");
+            assert_eq!(stats.blocks_prefetched, 0, "query {q:?}");
         }
     }
 

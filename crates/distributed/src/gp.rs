@@ -95,11 +95,12 @@ impl Default for ReplySlot {
 ///
 /// The cluster is the AP side's *only* handle on the graph: it carries just
 /// the global metadata an active processor legitimately holds (node count,
-/// self-loop flag, the source graph's epoch) plus the fetch channels. It is
-/// `Send + Sync`, so one cluster can be shared (`Arc<GpCluster>`) by a
-/// whole pool of serving workers — fetches from concurrent queries
-/// interleave safely because each fetch replies into its caller's private
-/// [`ReplySlot`] and every GP serves its queue sequentially.
+/// self-loop flag, the source graph's epoch, every node's out-degree) plus
+/// the fetch channels. It is `Send + Sync`, so one cluster can be shared
+/// (`Arc<GpCluster>`) by a whole pool of serving workers — fetches from
+/// concurrent queries interleave safely because each fetch replies into
+/// its caller's private [`ReplySlot`] and every GP serves its queue
+/// sequentially.
 pub struct GpCluster {
     senders: Vec<Sender<Request>>,
     handles: Vec<JoinHandle<()>>,
@@ -107,6 +108,9 @@ pub struct GpCluster {
     node_count: usize,
     has_self_loops: bool,
     epoch: u64,
+    /// Out-degree of every node (4 B per node), so BCA can rank a frontier
+    /// by benefit without fetching it.
+    out_degree: Box<[u32]>,
 }
 
 impl GpCluster {
@@ -128,6 +132,7 @@ impl GpCluster {
             node_count: g.node_count(),
             has_self_loops: g.has_self_loops(),
             epoch: g.epoch(),
+            out_degree: g.nodes().map(|v| g.out_degree(v) as u32).collect(),
         }
     }
 
@@ -151,6 +156,11 @@ impl GpCluster {
     /// `bump_epoch`ed) graph.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// Out-degree of `v`, read from the table built at spawn.
+    pub fn out_degree(&self, v: NodeId) -> usize {
+        self.out_degree[v.index()] as usize
     }
 
     /// Number of graph processors.

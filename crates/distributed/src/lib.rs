@@ -34,10 +34,12 @@
 //! the wanted blocks into the reply buffer; the buffer crosses the channel
 //! as is; the AP appends it to the arena of its cross-query [`BlockCache`]
 //! (keyed to the graph epoch, two generations under a byte budget) and
-//! serves edges, degrees and the frontier-prefetch scan by reading those
-//! bytes in place. Two copies per block, no encode, no decode, no hash
-//! map. One [`GpCluster`] is `Send + Sync` and serves any number of
-//! concurrent APs. A per-worker [`DistributedWorkspace`] owns everything
+//! serves edges and degrees by reading those bytes in place. Two copies per
+//! block, no encode, no decode, no hash map. Out-degrees alone come from a
+//! table of every node's that the cluster builds at spawn, so BCA ranks its
+//! frontier without fetching it: the AP fetches exactly the query's active
+//! set `S_f ∪ S_t`, and nothing on speculation. One [`GpCluster`] is
+//! `Send + Sync` and serves any number of concurrent APs. A per-worker [`DistributedWorkspace`] owns everything
 //! the block path reuses — the reply channel of its [`ReplySlot`] and the
 //! id lists and payload buffers that travel through it, the cache arenas,
 //! the engine buffers — so once those have grown to the working set's
@@ -58,9 +60,7 @@ pub mod gp;
 mod rtr_sync;
 pub mod stripe;
 
-pub use active::{
-    ActiveGraph, BlockCache, BlockCacheMetrics, DEFAULT_CACHE_BYTES, DEFAULT_PREFETCH_LIMIT,
-};
+pub use active::{ActiveGraph, BlockCache, BlockCacheMetrics, DEFAULT_CACHE_BYTES};
 pub use dtopk::{DistributedStats, DistributedTwoSBound, DistributedWorkspace};
 pub use gp::{GpCluster, ReplySlot};
 pub use stripe::Striping;

@@ -6,13 +6,15 @@
 //! captures exactly that seam: the read surface the engines need
 //! (`out_edges` / `in_edges` / degrees / footprints) plus one write-side
 //! hook, [`AdjacencyAccess::ensure`], through which an engine announces the
-//! nodes it is about to touch.
+//! nodes whose adjacency it is about to read.
 //!
 //! * For an in-memory [`Graph`] (implemented on `&Graph`), `ensure` is a
 //!   no-op and every read slices the node's block in the graph's arena.
-//! * For a distributed active graph, `ensure` is where demand paging,
-//!   cross-query block caching, and frontier prefetch live; reads then
-//!   parse the resident copy of the same block.
+//! * For a distributed active graph, `ensure` is where demand paging and
+//!   cross-query block caching live; reads then parse the resident copy of
+//!   the same block. Out-degrees alone come from a table of every node's,
+//!   so ranking a BCA frontier by benefit fetches nothing: the ensured
+//!   nodes are exactly the query's active set.
 //!
 //! Both yield [`wire::Edges`] over the same bytes, so the two
 //! implementations differ in `ensure` and nothing else.
@@ -24,23 +26,6 @@
 use crate::graph::Graph;
 use crate::node::NodeId;
 use crate::wire;
-
-/// What an [`ensure`](AdjacencyAccess::ensure) call says about the access
-/// pattern that will follow, so a remote-backed implementation can fetch
-/// ahead of demand.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FetchHint {
-    /// Only the requested nodes will be touched; fetch exactly those.
-    #[default]
-    Demand,
-    /// The requested nodes are a BCA-style expansion frontier: the *next*
-    /// round will demand out-neighbors of (a subset of) these nodes. An
-    /// implementation may prefetch those out-neighbors in the same round.
-    OutFrontier,
-    /// The requested nodes are a backward (t-neighborhood) frontier: the
-    /// next round will demand *in*-neighbors of (a subset of) these nodes.
-    InFrontier,
-}
 
 /// Failure to materialize adjacency from a remote source.
 ///
@@ -75,10 +60,11 @@ impl std::error::Error for AdjacencyError {}
 /// * Edge iterators yield `(neighbor, transition probability)` in ascending
 ///   neighbor-id order — the same order for every implementation, which is
 ///   what makes engine runs bit-identical across backends.
-/// * Reads (`out_edges`, `in_edges`, degrees, footprints) are only valid
-///   for nodes previously passed to [`ensure`](AdjacencyAccess::ensure)
-///   (an in-memory graph accepts any node; a paged implementation may
-///   panic on an un-ensured node).
+/// * [`out_degree`](AdjacencyAccess::out_degree) is valid for every node.
+/// * The other reads (`out_edges`, `in_edges`, `in_degree`, footprints)
+///   are only valid for nodes previously passed to
+///   [`ensure`](AdjacencyAccess::ensure) (an in-memory graph accepts any
+///   node; a paged implementation may panic on an un-ensured node).
 /// * `ensure` is idempotent and order-insensitive; callers pass node ids
 ///   sorted ascending so implementations behave deterministically.
 pub trait AdjacencyAccess {
@@ -94,7 +80,7 @@ pub trait AdjacencyAccess {
     /// bound engines fall back from Prop. 4 to the first-arrival bound).
     fn has_self_loops(&self) -> bool;
 
-    /// Out-degree of `v`.
+    /// Out-degree of `v`, for any node, ensured or not.
     fn out_degree(&self, v: NodeId) -> usize;
 
     /// In-degree of `v`.
@@ -111,10 +97,8 @@ pub trait AdjacencyAccess {
 
     /// Make the adjacency of `ids` (sorted ascending, deduplicated)
     /// readable. A no-op for in-memory graphs; a paged implementation
-    /// fetches whatever is missing — and, under
-    /// [`FetchHint::OutFrontier`], may prefetch the predicted next
-    /// frontier in the same round.
-    fn ensure(&mut self, ids: &[u32], hint: FetchHint) -> Result<(), AdjacencyError>;
+    /// fetches whatever is missing, and nothing else.
+    fn ensure(&mut self, ids: &[u32]) -> Result<(), AdjacencyError>;
 }
 
 impl AdjacencyAccess for Graph {
@@ -160,7 +144,7 @@ impl AdjacencyAccess for Graph {
 
     /// Everything is always resident in an in-memory graph.
     #[inline]
-    fn ensure(&mut self, _ids: &[u32], _hint: FetchHint) -> Result<(), AdjacencyError> {
+    fn ensure(&mut self, _ids: &[u32]) -> Result<(), AdjacencyError> {
         Ok(())
     }
 }
@@ -211,7 +195,7 @@ impl AdjacencyAccess for &Graph {
 
     /// Everything is always resident in an in-memory graph.
     #[inline]
-    fn ensure(&mut self, _ids: &[u32], _hint: FetchHint) -> Result<(), AdjacencyError> {
+    fn ensure(&mut self, _ids: &[u32]) -> Result<(), AdjacencyError> {
         Ok(())
     }
 }
@@ -225,7 +209,7 @@ mod tests {
     fn graph_impl_matches_inherent_accessors() {
         let (g, _) = fig2_toy();
         let mut a = &g;
-        a.ensure(&[0, 1, 2], FetchHint::OutFrontier).unwrap();
+        a.ensure(&[0, 1, 2]).unwrap();
         assert_eq!(AdjacencyAccess::node_count(&a), g.node_count());
         assert_eq!(AdjacencyAccess::has_self_loops(&a), g.has_self_loops());
         for v in g.nodes() {

@@ -29,7 +29,7 @@
 //!
 //! * [`adjacency`] — the [`AdjacencyAccess`] trait the bound engines run
 //!   on: one generic algorithm serves both the in-memory graph and the
-//!   distributed active graph (demand paging + prefetch behind `ensure`).
+//!   distributed active graph (demand paging behind `ensure`).
 //! * [`node`] — node identifiers, node types, and the type registry.
 //! * [`builder`] — mutable edge-list builder that produces a frozen [`Graph`].
 //! * [`graph`] — the frozen [`Graph`] itself: the block arena plus a cold
@@ -82,7 +82,7 @@ pub mod toy;
 pub mod view;
 pub mod wire;
 
-pub use adjacency::{AdjacencyAccess, AdjacencyError, FetchHint};
+pub use adjacency::{AdjacencyAccess, AdjacencyError};
 pub use builder::GraphBuilder;
 pub use graph::Graph;
 pub use node::{NodeId, NodeTypeId, TypeRegistry};
@@ -90,7 +90,7 @@ pub use score_map::{NodeSet, ScoreMap, SparseMap};
 
 /// Convenient glob-import surface for downstream crates.
 pub mod prelude {
-    pub use crate::adjacency::{AdjacencyAccess, AdjacencyError, FetchHint};
+    pub use crate::adjacency::{AdjacencyAccess, AdjacencyError};
     pub use crate::builder::GraphBuilder;
     pub use crate::graph::Graph;
     pub use crate::node::{NodeId, NodeTypeId, TypeRegistry};

@@ -2,7 +2,7 @@
 
 use crate::backend::Backend;
 use rtr_core::RankParams;
-use rtr_distributed::{DEFAULT_CACHE_BYTES, DEFAULT_PREFETCH_LIMIT};
+use rtr_distributed::DEFAULT_CACHE_BYTES;
 use rtr_topk::TopKConfig;
 
 /// Configuration of a [`crate::ServeEngine`]: pool size, the execution
@@ -34,15 +34,11 @@ pub struct ServeConfig {
     /// Shard count of the result cache (only read when the cache is on).
     /// More shards, less lock contention; 16 is plenty for CPU-sized pools.
     pub cache_shards: usize,
-    /// Per-frontier-round speculative fetch cap of each worker's AP-side
-    /// [`rtr_distributed::BlockCache`] (0 disables prefetching). Only read
-    /// by distributed backends; see [`rtr_distributed::BlockCache::with_limits`].
-    pub block_prefetch_limit: usize,
     /// Cross-query residency budget (in bytes) of each worker's AP-side
-    /// block cache: between queries the cache drops its older generation
-    /// once the younger has passed half of this, so blocks that keep being
-    /// touched stay and 0 means no block survives its query. Only read by
-    /// distributed backends.
+    /// [`rtr_distributed::BlockCache`]: between queries the cache drops its
+    /// older generation once the younger has passed half of this, so blocks
+    /// that keep being touched stay and 0 means no block survives its
+    /// query. Only read by distributed backends.
     pub block_cache_bytes: usize,
     /// Record serving metrics (scheduler counters, per-measure latency
     /// histograms, distributed wire counters) into the engine's
@@ -72,7 +68,6 @@ impl Default for ServeConfig {
             topk: TopKConfig::default(),
             cache_capacity: 0,
             cache_shards: 16,
-            block_prefetch_limit: DEFAULT_PREFETCH_LIMIT,
             block_cache_bytes: DEFAULT_CACHE_BYTES,
             metrics: false,
             tracing: false,
@@ -112,14 +107,11 @@ impl ServeConfig {
         self
     }
 
-    /// This configuration with explicit per-worker block-cache knobs for
-    /// distributed backends: `prefetch_limit` caps speculative fetches per
-    /// frontier round, `budget_bytes` bounds cross-query block residency
-    /// (see [`ServeConfig::block_prefetch_limit`] /
-    /// [`ServeConfig::block_cache_bytes`]). Pure performance knobs —
+    /// This configuration with a per-worker block-cache budget of
+    /// `budget_bytes` for distributed backends (see
+    /// [`ServeConfig::block_cache_bytes`]). A pure performance knob —
     /// answers stay bit-identical at any setting.
-    pub fn with_block_cache_limits(mut self, prefetch_limit: usize, budget_bytes: usize) -> Self {
-        self.block_prefetch_limit = prefetch_limit;
+    pub fn with_block_cache_bytes(mut self, budget_bytes: usize) -> Self {
         self.block_cache_bytes = budget_bytes;
         self
     }
@@ -233,10 +225,9 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Per-worker block-cache knobs for distributed backends (see
-    /// [`ServeConfig::with_block_cache_limits`]).
-    pub fn block_cache_limits(mut self, prefetch_limit: usize, budget_bytes: usize) -> Self {
-        self.config.block_prefetch_limit = prefetch_limit;
+    /// Per-worker block-cache budget for distributed backends (see
+    /// [`ServeConfig::with_block_cache_bytes`]).
+    pub fn block_cache_bytes(mut self, budget_bytes: usize) -> Self {
         self.config.block_cache_bytes = budget_bytes;
         self
     }
@@ -369,17 +360,14 @@ mod tests {
     #[test]
     fn block_cache_builders_apply() {
         let d = ServeConfig::default();
-        assert_eq!(d.block_prefetch_limit, DEFAULT_PREFETCH_LIMIT);
         assert_eq!(d.block_cache_bytes, DEFAULT_CACHE_BYTES);
-        let c = ServeConfig::default().with_block_cache_limits(32, 1024);
-        assert_eq!(c.block_prefetch_limit, 32);
+        let c = ServeConfig::default().with_block_cache_bytes(1024);
         assert_eq!(c.block_cache_bytes, 1024);
-        let c = ServeConfig::builder()
-            .block_cache_limits(0, 8)
-            .build()
-            .unwrap();
-        assert_eq!(c.block_prefetch_limit, 0, "0 = prefetching off, valid");
-        assert_eq!(c.block_cache_bytes, 8);
+        let c = ServeConfig::builder().block_cache_bytes(0).build().unwrap();
+        assert_eq!(
+            c.block_cache_bytes, 0,
+            "0 = no cross-query residency, valid"
+        );
     }
 
     #[test]

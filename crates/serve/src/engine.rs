@@ -1076,9 +1076,9 @@ mod tests {
 
     #[test]
     fn block_cache_limits_are_pure_performance_knobs() {
-        // Starved limits (no prefetch, no cross-query residency) change
-        // wire cost, never answers: every tuned response is bit-identical
-        // to the serial local reference.
+        // A starved budget (no cross-query residency) changes wire cost,
+        // never answers: every tuned response is bit-identical to the
+        // serial local reference.
         let (g, _) = fig2_toy();
         let g = Arc::new(g);
         let base = ServeConfig::default()
@@ -1087,8 +1087,8 @@ mod tests {
             .with_backend(Backend::Distributed { gps: 2 });
         let requests: Vec<QueryRequest> = g.nodes().map(QueryRequest::node).collect();
         let reference = run_serial_requests(&g, &base, &requests);
-        for (prefetch, bytes) in [(0, 0), (1, 100), (512, 1 << 20)] {
-            let tuned = base.with_block_cache_limits(prefetch, bytes);
+        for bytes in [0, 100, 1 << 20] {
+            let tuned = base.with_block_cache_bytes(bytes);
             let engine = ServeEngine::start(Arc::clone(&g), tuned);
             let served = engine.run_requests(&requests);
             for (s, r) in served.iter().zip(&reference) {

@@ -56,7 +56,6 @@ pub(crate) struct ServeMetrics {
     wire_bytes: Arc<Counter>,
     fetch_rounds: Arc<Counter>,
     blocks_fetched: Arc<Counter>,
-    blocks_prefetched: Arc<Counter>,
     blocks_from_cache: Arc<Counter>,
     /// `[f, t]`: rounds in which the side expanded.
     side_expansions: [Arc<Counter>; 2],
@@ -142,15 +141,11 @@ impl ServeMetrics {
             ),
             fetch_rounds: registry.counter(
                 "rtr_dist_fetch_rounds_total",
-                "Batched AP/GP fetch rounds issued (demand + prefetch).",
+                "Batched AP/GP fetch rounds issued.",
             ),
             blocks_fetched: registry.counter(
                 "rtr_dist_blocks_fetched_total",
                 "Demanded node blocks received over the wire.",
-            ),
-            blocks_prefetched: registry.counter(
-                "rtr_dist_blocks_prefetched_total",
-                "Speculatively prefetched node blocks received over the wire.",
             ),
             blocks_from_cache: registry.counter(
                 "rtr_dist_blocks_from_cache_total",
@@ -224,7 +219,6 @@ impl ServeMetrics {
                 self.wire_bytes.add(stats.bytes_transferred as u64);
                 self.fetch_rounds.add(stats.fetch_requests as u64);
                 self.blocks_fetched.add(stats.blocks_fetched as u64);
-                self.blocks_prefetched.add(stats.blocks_prefetched as u64);
                 self.blocks_from_cache.add(stats.blocks_from_cache as u64);
             }
         }

@@ -36,6 +36,7 @@
 
 use crate::config::ServeConfig;
 use rtr_cache::CacheKey;
+use rtr_core::iterative::IterationStats;
 use rtr_core::prelude::*;
 use rtr_distributed::{BlockCache, DistributedWorkspace};
 use rtr_graph::{Graph, NodeId};
@@ -216,26 +217,26 @@ impl ResolvedRequest {
         if self.bounded(g) {
             return search.run_query_with(g, &self.query, &mut ws.topk);
         }
-        // Fixed points per side: F and T iterate once on the weighted
-        // query; the round trip runs both sides per query node.
-        let nodes = self.query.len();
-        let (scores, f_points, t_points) = match self.measure {
-            Measure::F => (FRank::new(self.params).compute(g, &self.query)?, 1, 0),
-            Measure::T => (TRank::new(self.params).compute(g, &self.query)?, 0, 1),
-            Measure::Rtr => (
-                RoundTripRank::new(self.params).compute(g, &self.query)?,
-                nodes,
-                nodes,
-            ),
-            Measure::RtrPlus { beta } => (
-                RoundTripRankPlus::new(self.params, beta)?.compute(g, &self.query)?,
-                nodes,
-                nodes,
-            ),
+        // Sweeps per side: F and T iterate once on the weighted query;
+        // the round trip runs both sides per query node.
+        let (p, q) = (self.params, &self.query);
+        let (scores, [f, t]) = match self.measure {
+            Measure::F => {
+                let (scores, f) = FRank::new(p).compute_with_stats(g, q)?;
+                (scores, [f, IterationStats::NONE])
+            }
+            Measure::T => {
+                let (scores, t) = TRank::new(p).compute_with_stats(g, q)?;
+                (scores, [IterationStats::NONE, t])
+            }
+            Measure::Rtr => RoundTripRank::new(p).compute_with_stats(g, q)?,
+            Measure::RtrPlus { beta } => {
+                RoundTripRankPlus::new(p, beta)?.compute_with_stats(g, q)?
+            }
         };
         let work = TopKWork {
-            bca_pushes: f_points * g.node_count(),
-            t_absorbed: t_points * g.node_count(),
+            bca_pushes: f.iterations * g.node_count(),
+            t_absorbed: t.iterations * g.node_count(),
             ..TopKWork::default()
         };
         Ok(exact_to_topk(&scores, self.topk.k, work))
@@ -274,16 +275,14 @@ impl ServeWorkspace {
     }
 
     /// A workspace pre-sized like [`ServeWorkspace::with_capacity`] whose
-    /// AP-side block cache runs with the engine-configured limits
-    /// ([`ServeConfig::block_prefetch_limit`] /
-    /// [`ServeConfig::block_cache_bytes`]) instead of the crate defaults.
+    /// AP-side block cache runs with the engine-configured budget
+    /// ([`ServeConfig::block_cache_bytes`]) instead of the crate default.
     /// This is how every pool worker builds its workspace; local backends
-    /// never touch `dist`, so the knobs are inert for them.
+    /// never touch `dist`, so the budget is inert for them.
     pub fn for_engine(n: usize, config: &ServeConfig) -> Self {
         ServeWorkspace {
             topk: TopKWorkspace::with_capacity(n),
-            dist: DistributedWorkspace::with_cache(BlockCache::with_limits(
-                config.block_prefetch_limit,
+            dist: DistributedWorkspace::with_cache(BlockCache::with_budget(
                 config.block_cache_bytes,
             )),
         }
@@ -292,9 +291,9 @@ impl ServeWorkspace {
 
 /// Collapse an exact score vector into the serving result shape: top-k
 /// ranking, zero-width bounds, no expansions, empty active set. `work`
-/// counts every node once per fixed point on its side (as BCA pushes for
-/// F, absorptions for T), so the cache weighs an exact answer by what it
-/// cost.
+/// counts every node once per sweep of a fixed point on its side (as BCA
+/// pushes for F, absorptions for T), so the cache weighs an exact answer
+/// by what it cost.
 fn exact_to_topk(scores: &ScoreVec, k: usize, work: TopKWork) -> TopKResult {
     let ranking = scores.top_k(k);
     let bounds = ranking

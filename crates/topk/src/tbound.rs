@@ -49,7 +49,7 @@
 use crate::bounds::Bounds;
 use crate::workspace::TWorkspace;
 use rtr_core::{CoreError, RankParams};
-use rtr_graph::{AdjacencyAccess, AdjacencyError, FetchHint, NodeId};
+use rtr_graph::{AdjacencyAccess, AdjacencyError, NodeId};
 
 /// Which Stage-II realization the t-neighborhood uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -168,22 +168,14 @@ impl TNeighborhood {
         a: &mut A,
         m: usize,
     ) -> Result<usize, AdjacencyError> {
-        // Announce the border before its in-edges are read. Round 1 this
-        // fetches {q}; afterwards every member is already resident and
-        // nothing is demanded — but the `InFrontier` hint lets a paged
-        // source prefetch the border's missing in-neighbors, which are
-        // exactly the nodes the coming absorptions will demand. (Members
-        // off the border have no missing in-neighbor to prefetch.)
+        // Round 1 lays out the query's own row, so it announces {q} first.
+        // Every later member is announced as it is absorbed, so the border
+        // whose in-edges are read below is always resident already.
         let ws = &mut self.ws;
-        let first = ws.outside_mass.is_empty();
-        ws.ids.clear();
-        if first {
+        if ws.outside_mass.is_empty() {
+            ws.ids.clear();
             ws.ids.extend(ws.bounds.keys());
-        } else {
-            ws.ids.extend(ws.border.iter().map(|&(id, _)| id));
-        }
-        a.ensure(&ws.ids, FetchHint::InFrontier)?;
-        if first {
+            a.ensure(&ws.ids)?;
             ws.absorb(&*a);
         }
         if ws.border.is_empty() {
@@ -213,7 +205,7 @@ impl TNeighborhood {
         }
         let added = ws.ids.len();
         ws.ids.sort_unstable();
-        a.ensure(&ws.ids, FetchHint::Demand)?;
+        a.ensure(&ws.ids)?;
         ws.absorb(&*a);
         self.refresh_unseen_upper();
         Ok(added)

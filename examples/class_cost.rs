@@ -22,10 +22,13 @@
 //! identity from each block of `N` consecutive ones, at offset
 //! `block mod N`, so it walks through every class, both k and both
 //! arities; `--exact-every 1` checks all of them (≈ 25 ms per exact side).
-//! Exits non-zero unless every class converged on every identity, every
-//! checked identity passed and every answer has a non-zero eviction cost
-//! (a zero cost would make the cache evict the answer first, whatever it
-//! cost).
+//! The same identities also run on a 2-GP cluster (the AP/GP backend): the
+//! answer must be bit-identical to the local one (ranking, bound bits,
+//! expansions, work) and the blocks the AP demanded must be exactly the
+//! result's active set. Exits non-zero unless every class converged on
+//! every identity, every checked identity passed both checks and every
+//! answer has a non-zero eviction cost (a zero cost would make the cache
+//! evict the answer first, whatever it cost).
 //!
 //! ```sh
 //! cargo run --release -p rtr-integration-tests --example class_cost [seed] [--exact-every N]
@@ -38,9 +41,10 @@ use rtr_cache::EvictionCost;
 use rtr_core::prelude::{FRank, RoundTripRank, RoundTripRankPlus, TRank};
 use rtr_core::{Measure, RankParams, ScoreVec};
 use rtr_datagen::{QLog, QLogConfig};
+use rtr_distributed::{DistributedTwoSBound, DistributedWorkspace, GpCluster};
 use rtr_graph::Graph;
 use rtr_serve::{QueryRequest, ResolvedRequest, ServeConfig, ServeWorkspace};
-use rtr_topk::{TopKConfig, TopKResult, TopKWork};
+use rtr_topk::{TopKConfig, TopKResult, TopKWork, TwoSBound};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -81,6 +85,8 @@ struct Class {
     digest: u64,
     checked: usize,
     failed: usize,
+    /// Checked identities whose distributed run broke its contract.
+    dist_failed: usize,
     works: Vec<TopKWork>,
 }
 
@@ -122,6 +128,38 @@ fn contract_violation(
         })
 }
 
+/// Why `request`'s run on `cluster` differs from the `local` answer, if it
+/// does: another ranking, bound bits, expansion count or work, or a set of
+/// demanded blocks other than the active set.
+fn distributed_violation(
+    cluster: &GpCluster,
+    ws: &mut DistributedWorkspace,
+    request: &ResolvedRequest,
+    local: &TopKResult,
+) -> Option<String> {
+    let search = TwoSBound::for_measure(request.params, request.topk, request.measure);
+    let (dist, stats) = DistributedTwoSBound::from(search.expect("valid measure"))
+        .run_query_with(cluster, &request.query, ws)
+        .expect("distributed run");
+    let bits = |r: &TopKResult| -> Vec<(u64, u64)> {
+        r.bounds
+            .iter()
+            .map(|&(lo, hi)| (lo.to_bits(), hi.to_bits()))
+            .collect()
+    };
+    if (&dist.ranking, bits(&dist), dist.expansions, dist.work)
+        != (&local.ranking, bits(local), local.expansions, local.work)
+    {
+        return Some("distributed answer differs from the local one".into());
+    }
+    (stats.active_nodes != dist.active.active_nodes).then(|| {
+        format!(
+            "the AP demanded {} blocks for an active set of {}",
+            stats.active_nodes, dist.active.active_nodes
+        )
+    })
+}
+
 fn main() -> ExitCode {
     let (mut seed, mut exact_every) = (SEED, EXACT_EVERY);
     let mut args = std::env::args().skip(1);
@@ -154,6 +192,8 @@ fn main() -> ExitCode {
         ..ServeConfig::default()
     };
     let mut ws = ServeWorkspace::with_capacity(g.node_count());
+    let cluster = GpCluster::spawn(&g, 2);
+    let mut dist_ws = DistributedWorkspace::new();
     let mut classes: BTreeMap<String, Class> = BTreeMap::new();
     for rank in 0..IDENTITIES {
         let two = rank % 20 == 7;
@@ -215,13 +255,18 @@ fn main() -> ExitCode {
                 eprintln!("identity {rank} ({name}): {why}");
                 class.failed += 1;
             }
+            if let Some(why) = distributed_violation(&cluster, &mut dist_ws, &request, &result) {
+                eprintln!("identity {rank} ({name}), 2 GPs: {why}");
+                class.dist_failed += 1;
+            }
         }
     }
     println!(
-        "{:<19} {:>4} | expansions p50 p99 max | ms p50 p99 max | cost | converged | exact | digest",
+        "{:<19} {:>4} | expansions p50 p99 max | ms p50 p99 max | cost | converged | exact | 2 GPs | digest",
         "class", "n"
     );
     let (mut all_converged, mut all_exact, mut all_costed) = (true, true, true);
+    let mut all_distributed = true;
     for (name, class) in classes.iter_mut() {
         class.expansions.sort_by(f64::total_cmp);
         class.ms.sort_by(f64::total_cmp);
@@ -229,9 +274,10 @@ fn main() -> ExitCode {
         let converged = class.converged as f64 / n as f64;
         all_converged &= class.converged == n;
         all_exact &= class.failed == 0;
+        all_distributed &= class.dist_failed == 0;
         all_costed &= class.costless == 0;
         println!(
-            "{name:<19} {n:>4} | {:>4} {:>4} {:>4} | {:>7.3} {:>7.3} {:>7.3} | {:>6.0} | {converged:.3} | {:>3}/{:<3} | {:016x}",
+            "{name:<19} {n:>4} | {:>4} {:>4} {:>4} | {:>7.3} {:>7.3} {:>7.3} | {:>6.0} | {converged:.3} | {:>3}/{:<3} | {:>3}/{:<3} | {:016x}",
             pct(ex, 0.5),
             pct(ex, 0.99),
             ex[n - 1],
@@ -240,6 +286,8 @@ fn main() -> ExitCode {
             ms[n - 1],
             class.cost as f64 / n as f64,
             class.checked - class.failed,
+            class.checked,
+            class.checked - class.dist_failed,
             class.checked,
             class.digest
         );
@@ -271,10 +319,13 @@ fn main() -> ExitCode {
     if !all_exact {
         eprintln!("some answer broke its contract against the exact scores");
     }
+    if !all_distributed {
+        eprintln!("some distributed answer differs from the local one");
+    }
     if !all_costed {
         eprintln!("some answer has an eviction cost of 0");
     }
-    if all_converged && all_exact && all_costed {
+    if all_converged && all_exact && all_distributed && all_costed {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -7,7 +7,8 @@
 //! selected with node-id ties and processed in ascending id order. After
 //! every batch both must agree exactly — `ρ` and `µ` of every node, the
 //! total residual, the processing count, Prop. 4's unseen bound, the
-//! nodes processed and the id list announced to `ensure` — on random
+//! nodes processed and the id list announced to `ensure` (the processed
+//! nodes, ascending: the frontier is ranked by out-degree alone) — on random
 //! graphs with dangling nodes and self-loops, on the in-memory graph and
 //! on the distributed active graph.
 
@@ -16,7 +17,7 @@ use proptest::prelude::*;
 use rtr_core::bca::Bca;
 use rtr_core::{BcaWorkspace, RankParams};
 use rtr_distributed::{ActiveGraph, BlockCache, GpCluster, ReplySlot};
-use rtr_graph::{AdjacencyAccess, AdjacencyError, FetchHint, Graph, GraphBuilder, NodeId};
+use rtr_graph::{AdjacencyAccess, AdjacencyError, Graph, GraphBuilder, NodeId};
 use std::collections::BTreeMap;
 
 /// The map-based BCA: one unit of residual at the query; a batch picks
@@ -31,13 +32,6 @@ struct Reference {
     processed: usize,
 }
 
-/// What one reference batch did: the frontier it announced and the nodes
-/// it processed.
-struct Batch {
-    frontier: Vec<u32>,
-    processed: Vec<u32>,
-}
-
 impl Reference {
     fn new(g: &Graph, q: NodeId, alpha: f64) -> Self {
         Reference {
@@ -50,7 +44,8 @@ impl Reference {
         }
     }
 
-    fn batch(&mut self, g: &Graph, m: usize) -> Option<Batch> {
+    /// One batch; returns the nodes it processed, ascending.
+    fn batch(&mut self, g: &Graph, m: usize) -> Option<Vec<u32>> {
         if m == 0 || self.mu.is_empty() {
             return None;
         }
@@ -79,10 +74,7 @@ impl Reference {
         for &(v, _) in &candidates {
             self.process(g, v);
         }
-        Some(Batch {
-            frontier,
-            processed: candidates.iter().map(|&(v, _)| v).collect(),
-        })
+        Some(candidates.iter().map(|&(v, _)| v).collect())
     }
 
     fn process(&mut self, g: &Graph, v: u32) {
@@ -158,10 +150,9 @@ impl<A: AdjacencyAccess> AdjacencyAccess for Recording<A> {
         self.inner.in_edges(v)
     }
 
-    fn ensure(&mut self, ids: &[u32], hint: FetchHint) -> Result<(), AdjacencyError> {
-        assert_eq!(hint, FetchHint::OutFrontier);
+    fn ensure(&mut self, ids: &[u32]) -> Result<(), AdjacencyError> {
         self.ensured.push(ids.to_vec());
-        self.inner.ensure(ids, hint)
+        self.inner.ensure(ids)
     }
 }
 
@@ -225,9 +216,9 @@ fn check_against_reference<A: AdjacencyAccess>(
                 prop_assert_eq!(a.ensured.len(), announced);
             }
             Some(want) => {
-                prop_assert_eq!(&picked, &want.processed);
+                prop_assert_eq!(&picked, want);
                 prop_assert_eq!(a.ensured.len(), announced + 1);
-                prop_assert_eq!(&a.ensured[announced], &want.frontier);
+                prop_assert_eq!(&a.ensured[announced], want);
             }
         }
         for v in 0..g.node_count() as u32 {

@@ -114,12 +114,66 @@ fn active_set_is_partial_on_qlog() {
             "query {q:?}: active set covered the whole graph"
         );
         assert!(stats.bytes_transferred > 0);
-        // Every touched node was classified exactly once: demanded over
-        // the wire, or already resident (prefetched earlier this query).
+        // Every touched node was classified exactly once: fetched over the
+        // wire, or already resident from an earlier query.
         assert_eq!(
             stats.blocks_fetched + stats.blocks_from_cache,
             stats.active_nodes
         );
+    }
+}
+
+/// The AP holds exactly the paper's active set `S_f ∪ S_t`: for every
+/// measure and query arity, the blocks a query demands — fetched over the
+/// wire or served from the block cache — are the nodes of its result's
+/// active set, and nothing arrives on speculation. Checked with the block
+/// cache off (a zero budget: every query starts cold) and on (one
+/// workspace warm across the whole run), against the local engine bit for
+/// bit.
+#[test]
+fn the_ap_fetches_exactly_the_active_set() {
+    let qlog = QLog::generate(&QLogConfig::small(), SEED);
+    let g = &qlog.graph;
+    let params = RankParams::default();
+    let cluster = GpCluster::spawn(g, 2);
+    let pool = queries(g, 6, SEED + 14);
+    let measures = [
+        Measure::Rtr,
+        Measure::F,
+        Measure::T,
+        Measure::RtrPlus { beta: 0.3 },
+        Measure::RtrPlus { beta: 0.7 },
+    ];
+    for budget in [0, rtr_distributed::DEFAULT_CACHE_BYTES] {
+        let mut ws = DistributedWorkspace::with_cache(BlockCache::with_budget(budget));
+        for (i, measure) in measures.into_iter().enumerate() {
+            let search = TwoSBound::for_measure(params, cfg(), measure).expect("valid measure");
+            let (a, b) = (pool[i], pool[i + 1]);
+            for query in [Query::single(a), Query::uniform(&[a, b])] {
+                let label = format!("budget {budget} {measure:?} {:?}", query.nodes());
+                let local = search
+                    .run_query_with(g, &query, &mut TopKWorkspace::new())
+                    .expect("local");
+                let (dist, stats) = DistributedTwoSBound::from(search)
+                    .run_query_with(&cluster, &query, &mut ws)
+                    .expect("distributed");
+                assert_eq!(local.ranking, dist.ranking, "{label}");
+                assert_eq!(local.bounds, dist.bounds, "{label}");
+                assert_eq!(local.expansions, dist.expansions, "{label}");
+                assert_eq!(local.work, dist.work, "{label}");
+                assert_eq!(local.active, dist.active, "{label}");
+                assert_eq!(
+                    stats.blocks_fetched + stats.blocks_from_cache,
+                    stats.active_nodes,
+                    "{label}"
+                );
+                assert_eq!(stats.active_nodes, dist.active.active_nodes, "{label}");
+                assert_eq!(stats.blocks_prefetched, 0, "{label}");
+                if budget == 0 {
+                    assert_eq!(stats.blocks_from_cache, 0, "{label}");
+                }
+            }
+        }
     }
 }
 
@@ -142,15 +196,14 @@ fn block_cache_invalidates_on_epoch_bump_and_graph_swap() {
 
     // Same graph, bumped epoch: identical content, but the cache must not
     // trust it. The warm workspace pays exactly a fresh (cold) workspace's
-    // wire cost — fetch for fetch, byte for byte. (`blocks_from_cache`
-    // stays nonzero even when cold: it also counts same-query hits on
-    // blocks prefetched moments earlier, so the cold run is the baseline.)
+    // wire cost — fetch for fetch, byte for byte.
     let mut g1b = g1.clone();
     g1b.bump_epoch();
     let c1b = GpCluster::spawn(&g1b, 3);
     let (_, cold) = engine.run(&c1b, q).expect("cold reference");
     let (_, stats) = engine.run_with(&c1b, q, &mut ws).expect("bumped run");
     assert_eq!(stats, cold, "stale epoch must not serve a single block");
+    assert_eq!(stats.blocks_from_cache, 0);
     assert!(stats.bytes_transferred > 0);
 
     // A different graph entirely: again exactly cold-cache wire cost, and
@@ -203,7 +256,7 @@ fn queries_larger_than_the_block_budget_stay_exact() {
     let cluster = GpCluster::spawn(g, 3);
     let engine = DistributedTwoSBound::new(params, cfg());
     const BUDGET: usize = 2048;
-    let mut ws = DistributedWorkspace::with_cache(BlockCache::with_limits(64, BUDGET));
+    let mut ws = DistributedWorkspace::with_cache(BlockCache::with_budget(BUDGET));
     for q in queries(g, 6, SEED + 12) {
         let local = TwoSBound::new(params, cfg()).run(g, q).expect("local");
         let (dist, stats) = engine.run_with(&cluster, q, &mut ws).expect("distributed");
@@ -227,7 +280,7 @@ fn queries_larger_than_the_block_budget_stay_exact() {
             "query {q:?}"
         );
         // ... and nothing the previous one left was still there.
-        let cold_cache = BlockCache::with_limits(64, BUDGET);
+        let cold_cache = BlockCache::with_budget(BUDGET);
         let (_, cold) = engine
             .run_with(
                 &cluster,
@@ -399,6 +452,8 @@ fn mixed_measure_batches_match_serial_local_at_every_pool_shape() {
                             stats.active_nodes,
                             "{label}"
                         );
+                        assert_eq!(stats.active_nodes, got_r.active.active_nodes, "{label}");
+                        assert_eq!(stats.blocks_prefetched, 0, "{label}");
                     } else {
                         assert_eq!(got.backend, BackendKind::Local, "{label}");
                         assert!(got.distributed.is_none(), "{label}");
@@ -412,8 +467,8 @@ fn mixed_measure_batches_match_serial_local_at_every_pool_shape() {
 /// The hardware-independent clause of the retired distributed perf gate:
 /// one worker is one AP with one block cache, so a fixed request stream
 /// costs exactly the same wire traffic every time, and the cross-query
-/// block cache plus frontier prefetch keep that traffic at a small
-/// fraction of what a cache that forgets everything between queries pays.
+/// block cache keeps that traffic at a small fraction of what a cache that
+/// forgets everything between queries pays.
 #[test]
 fn single_worker_wire_cost_repeats_exactly_and_the_block_cache_bounds_it() {
     let log = QLog::generate(&QLogConfig::small(), SEED);
@@ -455,10 +510,10 @@ fn single_worker_wire_cost_repeats_exactly_and_the_block_cache_bounds_it() {
         wire_cost(base),
         "the wire stream must repeat exactly"
     );
-    let (starved_bytes, _) = wire_cost(base.with_block_cache_limits(0, 0));
+    let (starved_bytes, _) = wire_cost(base.with_block_cache_bytes(0));
     assert!(
         first.0 * 10 <= starved_bytes,
-        "block cache + prefetch must cut wire bytes at least 10x: {} vs {starved_bytes} starved",
+        "the block cache must cut wire bytes at least 10x: {} vs {starved_bytes} starved",
         first.0
     );
 }

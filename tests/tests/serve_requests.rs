@@ -346,11 +346,11 @@ fn dangling_query_node_is_answered_at_once_through_submit() {
 #[test]
 fn an_exact_answer_outlives_a_stream_of_cheap_misses() {
     // A full ranking runs the exact engines, which touch every node once
-    // per fixed point, so its cache entry weighs 2·|V| for RoundTripRank;
-    // a single-node T search absorbs a few nodes. In a one-shard,
-    // two-entry cache the exact entry survives a stream of T misses whose
-    // costs sum below its own (LRU, or an exact answer costed at zero,
-    // would lose it to the second miss).
+    // per sweep of each fixed point, so its cache entry weighs |V| × the
+    // F and T sweeps of RoundTripRank; a single-node T search absorbs a
+    // few nodes. In a one-shard, two-entry cache the exact entry survives a
+    // stream of T misses whose costs sum below its own (LRU, or an exact
+    // answer costed at zero, would lose it to the second miss).
     let log = QLog::generate(&QLogConfig::small(), 2013);
     let g = Arc::new(log.graph);
     let n = g.node_count();
@@ -363,7 +363,12 @@ fn an_exact_answer_outlives_a_stream_of_cheap_misses() {
     let exact = QueryRequest::node(queries[0]).with_k(n);
     let first = engine.submit(exact.clone()).wait();
     let exact_cost = first.result.expect("exact answer").eviction_cost();
-    assert_eq!(exact_cost, 2 * n as u64);
+    let (_, [f, t]) = RoundTripRank::new(config.params)
+        .compute_with_stats(&g, &Query::single(queries[0]))
+        .expect("exact engine");
+    let sweeps = f.iterations + t.iterations;
+    assert!(sweeps > 2, "{sweeps} sweeps");
+    assert_eq!(exact_cost, (n * sweeps) as u64);
     let mut stream_cost = 0;
     for &q in queries[1..].iter().take(12) {
         let response = engine

@@ -18,7 +18,7 @@ use rtr_distributed::{
     ActiveGraph, BlockCache, DistributedTwoSBound, DistributedWorkspace, GpCluster, ReplySlot,
 };
 use rtr_graph::wire::{BlockView, NodeBlock};
-use rtr_graph::{AdjacencyAccess, FetchHint, Graph, GraphBuilder, NodeId};
+use rtr_graph::{AdjacencyAccess, Graph, GraphBuilder, NodeId};
 use rtr_integration_tests::SEED;
 use rtr_topk::fbound::{FBoundMode, FNeighborhood};
 use rtr_topk::prelude::*;
@@ -465,7 +465,7 @@ proptest! {
         let (mut cache, mut slot) = (BlockCache::new(), ReplySlot::new());
         let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
         let all: Vec<u32> = g.nodes().map(|v| v.0).collect();
-        active.ensure(&all, FetchHint::Demand).expect("healthy cluster");
+        active.ensure(&all).expect("healthy cluster");
         prop_assert_eq!(active.blocks_fetched(), g.node_count());
         let bits = |edges: Vec<(NodeId, f64)>| -> Vec<(NodeId, u64)> {
             edges.into_iter().map(|(n, p)| (n, p.to_bits())).collect()
