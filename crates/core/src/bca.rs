@@ -143,6 +143,14 @@ impl Bca {
         self.ws.rho.get(v.0)
     }
 
+    /// `v`'s position in [`Bca::seen`]'s order, if `v` is in the
+    /// f-neighborhood. Positions never change during a run (`S_f` only
+    /// grows), so a caller can index per-member state of its own by them.
+    #[inline]
+    pub fn seen_position(&self, v: NodeId) -> Option<usize> {
+        self.ws.rho.position(v.0)
+    }
+
     /// Nodes with non-zero estimated PPR — the paper's f-neighborhood
     /// `S_f = {v : ρ(q,v) > 0}`.
     pub fn seen(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {

@@ -8,7 +8,7 @@
 //! block arena and cold out-table.
 
 use crate::graph::Graph;
-use crate::node::{NodeId, NodeTypeId, TypeRegistry};
+use crate::node::{Labels, NodeId, NodeTypeId, TypeRegistry};
 use crate::wire::{self, BlockArena, EDGE_BYTES};
 use std::sync::Arc;
 
@@ -17,7 +17,7 @@ use std::sync::Arc;
 pub struct GraphBuilder {
     types: TypeRegistry,
     node_types: Vec<NodeTypeId>,
-    labels: Vec<String>,
+    labels: Labels,
     edges: Vec<(u32, u32, f64)>,
 }
 
@@ -32,7 +32,7 @@ impl GraphBuilder {
         Self {
             types: TypeRegistry::new(),
             node_types: Vec::with_capacity(nodes),
-            labels: Vec::with_capacity(nodes),
+            labels: Labels::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
         }
     }
@@ -58,7 +58,7 @@ impl GraphBuilder {
         assert!(ty.index() < self.types.len().max(1), "unregistered type");
         let id = NodeId::from_index(self.node_types.len());
         self.node_types.push(ty);
-        self.labels.push(label.to_owned());
+        self.labels.push(label);
         id
     }
 
@@ -101,7 +101,7 @@ impl GraphBuilder {
     /// `O(V + E)` counting passes plus a sort of each row by destination:
     /// 1. scatter the records into per-source rows, keeping insertion order;
     ///    sort each row by destination (stably) and merge parallel edges;
-    /// 2. write the cold out-table and the row totals;
+    /// 2. write the cold out-table;
     /// 3. drop the records;
     /// 4. write every node's block into an exactly-sized arena. Sources are
     ///    scanned in ascending order, so each in-part fills ascending too.
@@ -112,9 +112,10 @@ impl GraphBuilder {
         let GraphBuilder {
             types,
             node_types,
-            labels,
+            mut labels,
             edges,
         } = self;
+        labels.shrink_to_fit();
         let n = node_types.len();
 
         // 1. Rows. Counts go to `out_offsets[s + 2]`, so after the prefix
@@ -157,15 +158,11 @@ impl GraphBuilder {
         out_offsets.truncate(n + 1);
         rows.truncate(m);
 
-        // 2. The cold out-table; 3. the records go. Row totals are summed in
-        // ascending destination order.
+        // 2. The cold out-table; 3. the records go.
         let out_targets: Vec<NodeId> = rows.iter().map(|&(d, _)| NodeId(d)).collect();
         let out_weights: Vec<f64> = rows.iter().map(|&(_, w)| w).collect();
         drop(rows);
         let out_row = |v: usize| out_offsets[v]..out_offsets[v + 1];
-        let weighted_out_degree: Vec<f64> = (0..n)
-            .map(|v| out_weights[out_row(v)].iter().sum())
-            .collect();
 
         // 4. The arena, sized from the degrees. Collected from exact-size
         // iterators, both shared parts are single allocations written in
@@ -195,9 +192,12 @@ impl GraphBuilder {
             let at = block_offsets[v];
             let block = &mut bytes[at..block_offsets[v + 1]];
             wire::put_header(block, NodeId(v as u32), out_row(v).len());
+            // Summed in ascending destination order, as
+            // `Graph::weighted_out_degree` sums it.
+            let total: f64 = out_weights[out_row(v)].iter().sum();
             for (i, e) in out_row(v).enumerate() {
                 // A row with an edge has a positive total (weights are).
-                let prob = out_weights[e] / weighted_out_degree[v];
+                let prob = out_weights[e] / total;
                 let slot = at + wire::out_edge_at(i);
                 bytes[slot..slot + EDGE_BYTES]
                     .copy_from_slice(&wire::edge_bytes(out_targets[e], prob));
@@ -218,7 +218,6 @@ impl GraphBuilder {
             out_offsets,
             out_targets,
             out_weights,
-            weighted_out_degree,
         )
     }
 }
@@ -365,10 +364,20 @@ mod tests {
 
     #[test]
     fn labels_survive_build() {
-        let mut b = GraphBuilder::new();
+        // Empty, multi-byte and repeated labels, past the capacity hint.
+        let names = ["VLDB", "", "Zürich · 東京", "VLDB", ""];
+        let mut b = GraphBuilder::with_capacity(2, 0);
         let ty = b.register_type("venue");
-        let v = b.add_labeled_node(ty, "VLDB");
+        let ids: Vec<_> = names.iter().map(|l| b.add_labeled_node(ty, l)).collect();
+        b.add_edge(ids[0], ids[2], 1.0);
         let g = b.build();
-        assert_eq!(g.label(v), "VLDB");
+        for (&v, name) in ids.iter().zip(names) {
+            assert_eq!(g.label(v), name);
+        }
+        // The first of equal labels wins.
+        assert_eq!(g.find_by_label("VLDB"), Some(ids[0]));
+        assert_eq!(g.find_by_label(""), Some(ids[1]));
+        assert_eq!(g.find_by_label("東京"), None);
+        assert_eq!(GraphBuilder::new().build().find_by_label(""), None);
     }
 }

@@ -5,7 +5,7 @@
 //! read-only state (it is `Send + Sync`), which is what lets the distributed
 //! layer stripe it across graph processors without locks or copies.
 
-use crate::node::{NodeId, NodeTypeId, TypeRegistry};
+use crate::node::{Labels, NodeId, NodeTypeId, TypeRegistry};
 use crate::wire::{self, BlockArena};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,12 +38,13 @@ fn fresh_epoch() -> u64 {
 /// its stripe from the same (shared) arena. A cold out-table (`out_offsets`,
 /// `out_targets`, `out_weights`) keeps raw weights and plain neighbour-id
 /// rows for [`Graph::out_neighbors`], subgraphs, text I/O and SCCs; of it
-/// the engines read only `out_offsets`, as out-degrees.
+/// the engines read only `out_offsets`, as out-degrees. Labels share one
+/// text arena.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Graph {
     types: TypeRegistry,
     node_types: Vec<NodeTypeId>,
-    labels: Vec<String>,
+    labels: Labels,
 
     blocks: BlockArena,
 
@@ -51,7 +52,6 @@ pub struct Graph {
     out_targets: Vec<NodeId>,
     out_weights: Vec<f64>,
 
-    weighted_out_degree: Vec<f64>,
     has_self_loops: bool,
     // Never serialized: the epoch is process-unique by construction, and a
     // stored stamp could collide with a live graph's after a round trip. A
@@ -64,16 +64,14 @@ pub struct Graph {
 impl Graph {
     /// Assemble from pre-built parts. Intended for [`crate::GraphBuilder`];
     /// invariants are debug-asserted.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         types: TypeRegistry,
         node_types: Vec<NodeTypeId>,
-        labels: Vec<String>,
+        labels: Labels,
         blocks: BlockArena,
         out_offsets: Vec<usize>,
         out_targets: Vec<NodeId>,
         out_weights: Vec<f64>,
-        weighted_out_degree: Vec<f64>,
     ) -> Self {
         let n = node_types.len();
         debug_assert_eq!(labels.len(), n);
@@ -92,7 +90,6 @@ impl Graph {
             out_offsets,
             out_targets,
             out_weights,
-            weighted_out_degree,
             has_self_loops,
             epoch: fresh_epoch(),
         }
@@ -153,7 +150,7 @@ impl Graph {
     /// Human-readable label of a node (may be empty).
     #[inline]
     pub fn label(&self, v: NodeId) -> &str {
-        &self.labels[v.index()]
+        self.labels.get(v.index())
     }
 
     /// All nodes of a given type.
@@ -162,11 +159,9 @@ impl Graph {
     }
 
     /// Find a node by exact label (linear scan; intended for examples/tests).
+    /// Of several nodes with the label, the lowest id wins.
     pub fn find_by_label(&self, label: &str) -> Option<NodeId> {
-        self.labels
-            .iter()
-            .position(|l| l == label)
-            .map(NodeId::from_index)
+        self.labels.position(label).map(NodeId::from_index)
     }
 
     // ------------------------------------------------------------------
@@ -193,10 +188,12 @@ impl Graph {
         self.blocks.total_degree(v)
     }
 
-    /// Sum of raw out-edge weights of `v`.
-    #[inline]
+    /// Sum of raw out-edge weights of `v`, summed over the cold out-table
+    /// row in ascending destination order: the sum the builder normalised
+    /// the row's transition probabilities by, bit for bit.
     pub fn weighted_out_degree(&self, v: NodeId) -> f64 {
-        self.weighted_out_degree[v.index()]
+        let (lo, hi) = self.out_row(v);
+        self.out_weights[lo..hi].iter().sum()
     }
 
     /// `true` if any node has an edge to itself. Several bounds (notably the
@@ -307,17 +304,33 @@ impl Graph {
 
     /// Resident bytes of everything the graph holds per node and per edge
     /// (excludes labels and the type registry, which the query algorithms
-    /// never touch): the block arena with its offsets, the cold out-table,
-    /// node types and weighted out-degrees. This mirrors the paper's
-    /// "snapshot size" metric.
+    /// never touch): the block arena with its offsets, the cold out-table
+    /// and node types. This mirrors the paper's "snapshot size" metric.
     pub fn memory_bytes(&self) -> usize {
+        // Every part of `resident_bytes` but the last, the labels.
+        self.resident_bytes()[..3]
+            .iter()
+            .map(|&(_, bytes)| bytes)
+            .sum()
+    }
+
+    /// Resident bytes by part, as `(part, bytes)`: `adjacency` (the block
+    /// arena with its offsets), `cold_table` (the cold out-table),
+    /// `node_types` and `labels` (the label text with its end offsets).
+    /// The type registry (a few names) is left out.
+    pub fn resident_bytes(&self) -> [(&'static str, usize); 4] {
         use std::mem::size_of_val;
-        self.blocks.memory_bytes()
-            + size_of_val(self.out_offsets.as_slice())
-            + size_of_val(self.out_targets.as_slice())
-            + size_of_val(self.out_weights.as_slice())
-            + size_of_val(self.node_types.as_slice())
-            + size_of_val(self.weighted_out_degree.as_slice())
+        [
+            ("adjacency", self.blocks.memory_bytes()),
+            (
+                "cold_table",
+                size_of_val(self.out_offsets.as_slice())
+                    + size_of_val(self.out_targets.as_slice())
+                    + size_of_val(self.out_weights.as_slice()),
+            ),
+            ("node_types", size_of_val(self.node_types.as_slice())),
+            ("labels", self.labels.memory_bytes()),
+        ]
     }
 
     /// Per-node resident bytes if this node and its edges were copied into an
@@ -440,10 +453,20 @@ mod tests {
         // One 12-byte header per node and each edge twice (out and in part).
         let arena = 12 * n + 24 * m;
         assert_eq!(g.blocks().as_bytes().len(), arena);
-        let offsets = 2 * (n + 1) * size_of::<usize>(); // arena + cold table
+        let offsets = (n + 1) * size_of::<usize>();
         let cold_edges = m * (size_of::<NodeId>() + size_of::<f64>());
-        let per_node = n * (size_of::<NodeTypeId>() + size_of::<f64>());
-        assert_eq!(g.memory_bytes(), arena + offsets + cold_edges + per_node);
+        let types = n * size_of::<NodeTypeId>();
+        let text: usize = g.nodes().map(|v| g.label(v).len()).sum();
+        assert_eq!(
+            g.resident_bytes(),
+            [
+                ("adjacency", arena + offsets),
+                ("cold_table", offsets + cold_edges),
+                ("node_types", types),
+                ("labels", text + 4 * n),
+            ]
+        );
+        assert_eq!(g.memory_bytes(), arena + 2 * offsets + cold_edges + types);
     }
 
     #[test]

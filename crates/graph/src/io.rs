@@ -241,6 +241,24 @@ mod tests {
     }
 
     #[test]
+    fn roundtrip_keeps_empty_and_multibyte_labels() {
+        let names = ["", "Zürich · 東京", "", "VLDB", "VLDB"];
+        let mut b = crate::GraphBuilder::new();
+        let ty = b.register_type("venue");
+        let ids: Vec<_> = names.iter().map(|l| b.add_labeled_node(ty, l)).collect();
+        b.add_undirected_edge(ids[1], ids[3], 2.0);
+        let g = b.build();
+        let mut buf = Vec::new();
+        write_graph(&g, &mut buf).expect("write");
+        let back = read_graph(buf.as_slice()).expect("read");
+        for (&v, name) in ids.iter().zip(names) {
+            assert_eq!(back.label(v), name);
+        }
+        assert_eq!(back.find_by_label("VLDB"), Some(ids[3]));
+        assert_eq!(back.edge_count(), 2);
+    }
+
+    #[test]
     fn labels_with_spaces_survive() {
         let text = "N\t0\tvenue\tSpatio-Temporal Databases, Dagstuhl\n";
         let g = read_graph(text.as_bytes()).expect("parse");

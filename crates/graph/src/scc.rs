@@ -277,6 +277,23 @@ mod tests {
     }
 
     #[test]
+    fn repair_keeps_every_label() {
+        let mut b = GraphBuilder::new();
+        let ty = b.register_type("n");
+        let names = ["a", "", "ß→∞", "a"];
+        let n: Vec<_> = names.iter().map(|l| b.add_labeled_node(ty, l)).collect();
+        b.add_edge(n[0], n[1], 1.0);
+        b.add_edge(n[2], n[3], 1.0);
+        let g = b.build();
+        let (fixed, added) = IrreducibilityRepair::default().repair(&g);
+        assert!(added > 0);
+        for (&v, name) in n.iter().zip(names) {
+            assert_eq!(fixed.label(v), name);
+        }
+        assert_eq!(fixed.find_by_label("a"), Some(n[0]));
+    }
+
+    #[test]
     fn repair_handles_dangling_nodes() {
         let g = line_graph(3); // node 2 dangling
         assert!(g.is_dangling(NodeId(2)));

@@ -194,6 +194,20 @@ mod tests {
     }
 
     #[test]
+    fn induce_relabels_from_the_parent() {
+        let (g, ids) = fig2_toy();
+        // Out of id order, so the subgraph's label arena is refilled in a
+        // new order.
+        let keep = vec![ids.v3, ids.t1, ids.p[6], ids.v1];
+        let sub = Subgraph::induce(&g, &keep);
+        for new in sub.graph.nodes() {
+            assert_eq!(sub.graph.label(new), g.label(sub.to_parent(new)));
+        }
+        assert_eq!(sub.graph.find_by_label("t1:spatio"), Some(NodeId(1)));
+        assert_eq!(sub.graph.find_by_label("v2:ACM-GIS-like"), None);
+    }
+
+    #[test]
     fn induce_dedups_keep_list() {
         let (g, ids) = fig2_toy();
         let keep = vec![ids.v1, ids.v1, ids.v2];

@@ -424,7 +424,7 @@ impl ServeEngine {
         };
         let node_count = graph.node_count();
         let registry = Registry::new();
-        let m = ServeMetrics::new(&registry, &config);
+        let m = ServeMetrics::new(&registry, &config, &graph);
         let shared = Arc::new(Shared {
             distributed,
             cache: config.cache_enabled().then(|| {

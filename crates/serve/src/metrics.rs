@@ -17,6 +17,7 @@ use crate::engine::ServeError;
 use rtr_cache::EvictionCost;
 use rtr_core::Measure;
 use rtr_distributed::{BlockCacheMetrics, DistributedStats};
+use rtr_graph::Graph;
 use rtr_obs::{Counter, Gauge, Histogram, Registry, Unit};
 use rtr_topk::TopKResult;
 use std::sync::Arc;
@@ -67,8 +68,19 @@ pub(crate) struct ServeMetrics {
 impl ServeMetrics {
     /// Register the full catalog in `registry` and capture handles.
     /// Histograms are sharded for `workers` recorders plus the submitting
-    /// thread (the fast path records inline).
-    pub(crate) fn new(registry: &Registry, config: &ServeConfig) -> ServeMetrics {
+    /// thread (the fast path records inline). The graph's resident bytes
+    /// are set here, once: the graph never changes under an engine.
+    pub(crate) fn new(registry: &Registry, config: &ServeConfig, graph: &Graph) -> ServeMetrics {
+        for (part, bytes) in graph.resident_bytes() {
+            let gauge = registry.gauge_with(
+                "rtr_graph_bytes",
+                &[("part", part)],
+                "Resident bytes of the served graph, by part.",
+            );
+            if config.metrics {
+                gauge.set(bytes as i64);
+            }
+        }
         let shards = config.workers.max(1) + 1;
         let hist = |name: &str, label: &str, help: &str| {
             registry.histogram_with(name, &[("measure", label)], help, Unit::Nanoseconds, shards)

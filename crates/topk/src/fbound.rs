@@ -41,7 +41,7 @@ use crate::bounds::Bounds;
 use crate::workspace::FWorkspace;
 use rtr_core::bca::Bca;
 use rtr_core::{CoreError, RankParams};
-use rtr_graph::{AdjacencyAccess, AdjacencyError, NodeId, SparseMap};
+use rtr_graph::{AdjacencyAccess, AdjacencyError, NodeId};
 
 /// Which Stage-I/II realization the f-neighborhood uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,8 +66,10 @@ pub struct FNeighborhood {
     alpha: f64,
     mode: FBoundMode,
     bca: Bca,
-    bounds: SparseMap<Bounds>,
-    order: Vec<u32>,
+    /// Member bounds, indexed by the member's position in `ρ`.
+    bounds: Vec<Bounds>,
+    /// Stage II's sweep order: `(node id, position)`, ascending by id.
+    order: Vec<(u32, u32)>,
     unseen_upper: f64,
     /// Whether Stage I (re)initializes `bounds`; without, a member's
     /// bounds are derived from `ρ` when asked.
@@ -104,7 +106,6 @@ impl FNeighborhood {
             mut order,
         } = ws;
         let bca = Bca::with_workspace(a, q, params, bca_ws)?;
-        bounds.ensure_capacity(a.node_count());
         bounds.clear();
         order.clear();
         let mut nb = FNeighborhood {
@@ -160,24 +161,13 @@ impl FNeighborhood {
         }
         // (Re)initialize: ρ is a valid lower bound, ρ + f̂(q) an upper bound.
         // Previous expansions' refined bounds are kept when tighter
-        // (monotone tightening only).
+        // (monotone tightening only). `ρ` only grows, so the batch's
+        // newcomers hold the positions past the bounds kept so far.
         let unseen = self.unseen_upper;
-        let bounds = &mut self.bounds;
-        // `bounds` gains members only here, in the order `ρ` reports them
-        // (`ρ` only grows), so its members line up with `ρ`'s first
-        // entries by position and need no lookup.
-        debug_assert!(bounds
-            .key_slice()
-            .iter()
-            .zip(self.bca.seen())
-            .all(|(&member, (v, _))| member == v.0));
-        let mut seen = self.bca.seen();
-        for (entry, (_, rho)) in bounds.value_slice_mut().iter_mut().zip(&mut seen) {
-            entry.tighten_lower(rho);
-            entry.tighten_upper(rho + unseen);
-        }
-        for (v, rho) in seen {
-            let entry = bounds.get_or_insert(v.0, Bounds::unseen(1.0));
+        let fresh = self.bca.seen_count() - self.bounds.len();
+        self.bounds
+            .extend(std::iter::repeat_n(Bounds::unseen(1.0), fresh));
+        for (entry, (_, rho)) in self.bounds.iter_mut().zip(self.bca.seen()) {
             entry.tighten_lower(rho);
             entry.tighten_upper(rho + unseen);
         }
@@ -199,19 +189,22 @@ impl FNeighborhood {
             return 0;
         }
         self.order.clear();
-        self.order.extend(self.bounds.keys());
+        let members = self.bca.seen().enumerate();
+        self.order
+            .extend(members.map(|(pos, (v, _))| (v.0, pos as u32)));
         self.order.sort_unstable(); // deterministic Gauss-Seidel sweep order
         for sweep in 1..=max_sweeps {
             let mut max_change = 0.0f64;
             for i in 0..self.order.len() {
-                let vid = self.order[i];
+                let (vid, pos) = self.order[i];
                 let v = NodeId(vid);
                 let indicator = if v == self.q { self.alpha } else { 0.0 };
                 let mut lo_acc = 0.0;
                 let mut hi_acc = 0.0;
                 for (src, prob) in a.in_edges(v) {
-                    match self.bounds.get(src.0) {
-                        Some(b) => {
+                    match self.bca.seen_position(src) {
+                        Some(p) => {
+                            let b = self.bounds[p];
                             lo_acc += prob * b.lower;
                             hi_acc += prob * b.upper;
                         }
@@ -223,9 +216,7 @@ impl FNeighborhood {
                 }
                 let cand_lo = indicator + (1.0 - self.alpha) * lo_acc;
                 let cand_hi = indicator + (1.0 - self.alpha) * hi_acc;
-                // invariant: `order` was filled from this map's keys above
-                // and a sweep removes none.
-                let b = self.bounds.get_mut(vid).expect("member");
+                let b = &mut self.bounds[pos as usize];
                 max_change = max_change.max(b.tighten_lower(cand_lo));
                 max_change = max_change.max(b.tighten_upper(cand_hi));
             }
@@ -244,7 +235,7 @@ impl FNeighborhood {
     /// Bounds of a seen node, if seen.
     pub fn bounds(&self, v: NodeId) -> Option<Bounds> {
         if self.member_bounds {
-            self.bounds.get(v.0)
+            self.bca.seen_position(v).map(|p| self.bounds[p])
         } else {
             self.bca.seen_rho(v).map(|rho| self.rho_bounds(rho))
         }
@@ -272,17 +263,10 @@ impl FNeighborhood {
     /// Iterate over seen nodes and their bounds, in the order they joined
     /// `S_f`.
     pub fn seen(&self) -> impl Iterator<Item = (NodeId, Bounds)> + '_ {
-        let (kept, derived) = if self.member_bounds {
-            (Some(self.bounds.iter()), None)
-        } else {
-            (None, Some(self.bca.seen()))
-        };
-        let kept = kept.into_iter().flatten().map(|(v, b)| (NodeId(v), b));
-        let derived = derived
-            .into_iter()
-            .flatten()
-            .map(|(v, rho)| (v, self.rho_bounds(rho)));
-        kept.chain(derived)
+        self.bca.seen().enumerate().map(|(pos, (v, rho))| {
+            let kept = self.member_bounds.then(|| self.bounds[pos]);
+            (v, kept.unwrap_or_else(|| self.rho_bounds(rho)))
+        })
     }
 
     /// `|S_f|`.

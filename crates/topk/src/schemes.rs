@@ -94,7 +94,7 @@ impl NaiveTopK {
             .iter()
             .map(|&v| (scores.score(v), scores.score(v)))
             .collect();
-        let active = ActiveSetStats::measure(g, g.nodes(), g.nodes());
+        let active = ActiveSetStats::measure_pair(g, g.nodes(), g.nodes(), |_| true);
         Ok(TopKResult {
             ranking,
             bounds,

@@ -52,7 +52,7 @@ use crate::schemes::Scheme;
 use crate::tbound::TNeighborhood;
 use crate::workspace::TopKWorkspace;
 use rtr_core::{CoreError, Measure, Query, RankParams};
-use rtr_graph::{AdjacencyAccess, AdjacencyError, Graph, NodeId, NodeSet};
+use rtr_graph::{AdjacencyAccess, AdjacencyError, Graph, NodeId};
 use std::mem::take;
 
 /// Tolerance used to break *exact* score ties once bounds have converged:
@@ -332,13 +332,15 @@ impl TwoSBound {
                 work: TopKWork::default(),
             })
         } else {
-            self.search(a, &mut pairs, &mut ws.members, &mut ws.active, k)
+            self.search(a, &mut pairs, &mut ws.members, &mut ws.union, k)
         };
         for (slot, p) in ws.pairs.iter_mut().zip(pairs) {
             *slot = (p.f.into_workspace(), p.t.into_workspace());
         }
-        // Every pair holds O(|V|) index arrays; a worker keeps only the
-        // first warm, so one wide query does not pin memory for good.
+        // Every pair holds three node-indexed arrays, 16 B per node: `ρ`'s
+        // and `S_t`'s sparse indexes and `µ`. A worker keeps only the first
+        // warm, so one four-node query does not pin 48 B per node more for
+        // good.
         ws.pairs.truncate(1);
         result.map_err(CoreError::from)
     }
@@ -351,7 +353,7 @@ impl TwoSBound {
         a: &mut A,
         pairs: &mut [Pair],
         members: &mut Vec<(NodeId, Bounds)>,
-        active: &mut NodeSet,
+        union: &mut Vec<u32>,
         k: usize,
     ) -> Result<TopKResult, AdjacencyError> {
         let (cfg, combine) = (&self.config, self.combine);
@@ -439,12 +441,15 @@ impl TwoSBound {
             let done = top_k_decided(members, k, cfg.epsilon, r_unseen);
             if done || last {
                 let live = |side| pairs.iter().filter(move |_| combine.live(side));
-                let active = ActiveSetStats::measure_in_access(
-                    active,
-                    &*a,
-                    live(Side::F).flat_map(|p| p.f.seen().map(|(v, _)| v)),
-                    live(Side::T).flat_map(|p| p.t.seen().map(|(v, _)| v)),
-                );
+                let f_nodes = live(Side::F).flat_map(|p| p.f.seen().map(|(v, _)| v));
+                let t_nodes = live(Side::T).flat_map(|p| p.t.seen().map(|(v, _)| v));
+                let active = match &*pairs {
+                    // One query node: each side lists its members once.
+                    [p] => ActiveSetStats::measure_pair(&*a, f_nodes, t_nodes, |v| {
+                        combine.live(Side::T) && p.t.contains(v)
+                    }),
+                    _ => ActiveSetStats::measure(union, &*a, f_nodes, t_nodes),
+                };
                 members.truncate(k);
                 return Ok(TopKResult {
                     ranking: members.iter().map(|&(v, _)| v).collect(),

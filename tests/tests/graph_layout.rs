@@ -6,6 +6,8 @@
 //! `BTreeMap` that merges parallel edges left to right in insertion order.
 //! Every accessor must agree with the reference bit for bit, and every
 //! node's arena bytes must be the wire encoding of the reference block.
+//! Random labels (empty, multi-byte, repeated) are held against a
+//! `Vec<String>`.
 
 use bytes::BytesMut;
 use proptest::prelude::*;
@@ -16,6 +18,9 @@ use std::collections::BTreeMap;
 /// Weights that make summation order visible (0.1 is inexact, 1e16 swallows
 /// a 1.0 added after it).
 const WEIGHTS: [f64; 6] = [0.1, 0.25, 1.0, 1.0, 3.0, 1e16];
+
+/// Labels for the label arena: empty, multi-byte, and prefixes of each other.
+const LABELS: [&str; 5] = ["", "a", "ab", "Zürich · 東京", "ß"];
 
 /// An edge list over `n` nodes, `n` in `0..max_n`.
 fn arb_edges(
@@ -38,11 +43,11 @@ fn arb_edges(
         })
 }
 
-fn build(n: usize, edges: &[(u32, u32, f64)]) -> Graph {
+fn build(labels: &[String], edges: &[(u32, u32, f64)]) -> Graph {
     let mut b = GraphBuilder::new();
     let ty = b.register_type("n");
-    for _ in 0..n {
-        b.add_node(ty);
+    for label in labels {
+        b.add_labeled_node(ty, label);
     }
     for &(s, d, w) in edges {
         b.add_edge(NodeId(s), NodeId(d), w);
@@ -96,11 +101,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn accessors_match_the_reference_bit_for_bit(case in arb_edges(9, 40)) {
+    fn accessors_match_the_reference_bit_for_bit(
+        case in arb_edges(9, 40),
+        picks in proptest::collection::vec(0..LABELS.len(), 9..10),
+    ) {
         let (n, edges) = case;
-        let g = build(n, &edges);
+        let labels: Vec<String> = picks[..n].iter().map(|&i| LABELS[i].to_owned()).collect();
+        let g = build(&labels, &edges);
         let merged = reference(&edges);
         prop_assert_eq!(g.node_count(), n);
+        for v in g.nodes() {
+            prop_assert_eq!(g.label(v), labels[v.index()].as_str());
+        }
+        for label in LABELS {
+            let first = labels.iter().position(|l| l == label).map(NodeId::from_index);
+            prop_assert_eq!(g.find_by_label(label), first);
+        }
         prop_assert_eq!(g.edge_count(), merged.len());
         prop_assert_eq!(g.has_self_loops(), merged.keys().any(|&(s, d)| s == d));
         for v in g.nodes() {
@@ -125,7 +141,7 @@ proptest! {
     #[test]
     fn arena_bytes_are_the_wire_encoding(case in arb_edges(9, 40)) {
         let (n, edges) = case;
-        let g = build(n, &edges);
+        let g = build(&vec![String::new(); n], &edges);
         let merged = reference(&edges);
         let mut whole = Vec::new();
         for v in g.nodes() {

@@ -262,12 +262,34 @@ fn prometheus_rendering_is_valid_and_covers_every_layer() {
         "rtr_dist_block_cache_invalidations_total",
         "rtr_topk_side_expansions_total",
         "rtr_topk_refine_sweeps_total",
+        "rtr_graph_bytes",
     ] {
         assert!(
             text.contains(&format!("# TYPE {name}")),
             "Prometheus text missing {name}"
         );
     }
+}
+
+#[test]
+fn graph_bytes_are_set_once_at_start_when_metrics_are_on() {
+    let (g, _) = test_graph();
+    let parts = g.resident_bytes();
+    let on = ServeEngine::start(Arc::clone(&g), base_config()).metrics_snapshot();
+    let off =
+        ServeEngine::start(Arc::clone(&g), base_config().with_metrics(false)).metrics_snapshot();
+    for (part, bytes) in parts {
+        assert!(bytes > 0, "{part}");
+        let gauge = |snap: &rtr_obs::MetricsSnapshot| {
+            snap.gauge_value("rtr_graph_bytes", &[("part", part)])
+        };
+        assert_eq!(gauge(&on), Some(bytes as i64), "{part}");
+        // Off, the catalog still lists the family, zeroed.
+        assert_eq!(gauge(&off), Some(0), "{part}");
+    }
+    // The parts the engines read are the graph's `memory_bytes`.
+    let engine: usize = parts.iter().filter(|p| p.0 != "labels").map(|p| p.1).sum();
+    assert_eq!(engine, g.memory_bytes());
 }
 
 #[test]
