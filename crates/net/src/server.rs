@@ -87,18 +87,6 @@ impl Default for NetServerConfig {
 }
 
 impl NetServerConfig {
-    /// Set the bind address.
-    pub fn with_addr(mut self, addr: SocketAddr) -> Self {
-        self.addr = addr;
-        self
-    }
-
-    /// Set the concurrent-connection cap.
-    pub fn with_max_connections(mut self, n: usize) -> Self {
-        self.max_connections = n;
-        self
-    }
-
     /// Set the write-queue depths (data lane, reserved control lane).
     pub fn with_queue_depths(mut self, data: usize, control: usize) -> Self {
         self.write_queue_depth = data;

@@ -132,131 +132,6 @@ impl ServeConfig {
     pub fn cache_enabled(&self) -> bool {
         self.cache_capacity > 0
     }
-
-    /// A validating builder seeded with the defaults, so callers set only
-    /// what they care about and get shape errors at build time instead of
-    /// silent clamping at pool start.
-    pub fn builder() -> ServeConfigBuilder {
-        ServeConfigBuilder {
-            config: ServeConfig::default(),
-        }
-    }
-}
-
-/// Why a [`ServeConfigBuilder`] refused to build.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServeConfigError {
-    /// `workers` was 0 — a pool needs at least one thread.
-    ZeroWorkers,
-    /// The cache was enabled with a shard count of 0 — entries would have
-    /// nowhere to live.
-    ZeroCacheShards,
-    /// A distributed backend was requested with 0 graph processors — there
-    /// would be no stripe to fetch from.
-    ZeroGps,
-}
-
-impl std::fmt::Display for ServeConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServeConfigError::ZeroWorkers => write!(f, "workers must be at least 1"),
-            ServeConfigError::ZeroCacheShards => {
-                write!(f, "cache_shards must be at least 1 when the cache is on")
-            }
-            ServeConfigError::ZeroGps => {
-                write!(f, "a distributed backend needs at least 1 graph processor")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ServeConfigError {}
-
-/// Builder for [`ServeConfig`] (see [`ServeConfig::builder`]): every field
-/// starts at its default, and [`ServeConfigBuilder::build`] validates the
-/// shape.
-#[derive(Clone, Copy, Debug)]
-pub struct ServeConfigBuilder {
-    config: ServeConfig,
-}
-
-impl Default for ServeConfigBuilder {
-    fn default() -> Self {
-        ServeConfig::builder()
-    }
-}
-
-impl ServeConfigBuilder {
-    /// Number of worker threads (validated ≥ 1 at build).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
-        self
-    }
-
-    /// Execution backend (a distributed backend's GP count is validated
-    /// ≥ 1 at build).
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.config.backend = backend;
-        self
-    }
-
-    /// Default random-walk parameters (requests may override per query).
-    pub fn params(mut self, params: RankParams) -> Self {
-        self.config.params = params;
-        self
-    }
-
-    /// Default top-K configuration (requests may override per query).
-    pub fn topk(mut self, topk: TopKConfig) -> Self {
-        self.config.topk = topk;
-        self
-    }
-
-    /// Result-cache entry budget (0 keeps the cache off).
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.config.cache_capacity = capacity;
-        self
-    }
-
-    /// Result-cache shard count (validated ≥ 1 at build when the cache is
-    /// on).
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        self.config.cache_shards = shards;
-        self
-    }
-
-    /// Per-worker block-cache budget for distributed backends (see
-    /// [`ServeConfig::with_block_cache_bytes`]).
-    pub fn block_cache_bytes(mut self, budget_bytes: usize) -> Self {
-        self.config.block_cache_bytes = budget_bytes;
-        self
-    }
-
-    /// Metrics recording on or off (see [`ServeConfig::metrics`]).
-    pub fn metrics(mut self, metrics: bool) -> Self {
-        self.config.metrics = metrics;
-        self
-    }
-
-    /// Per-query tracing on or off (see [`ServeConfig::tracing`]).
-    pub fn tracing(mut self, tracing: bool) -> Self {
-        self.config.tracing = tracing;
-        self
-    }
-
-    /// Validate and produce the configuration.
-    pub fn build(self) -> Result<ServeConfig, ServeConfigError> {
-        if self.config.workers == 0 {
-            return Err(ServeConfigError::ZeroWorkers);
-        }
-        if self.config.cache_enabled() && self.config.cache_shards == 0 {
-            return Err(ServeConfigError::ZeroCacheShards);
-        }
-        if self.config.backend == (Backend::Distributed { gps: 0 }) {
-            return Err(ServeConfigError::ZeroGps);
-        }
-        Ok(self.config)
-    }
 }
 
 #[cfg(test)]
@@ -283,12 +158,6 @@ mod tests {
     fn observability_builders_apply() {
         let c = ServeConfig::default().with_metrics(true).with_tracing(true);
         assert!(c.metrics && c.tracing);
-        let c = ServeConfig::builder()
-            .metrics(true)
-            .tracing(true)
-            .build()
-            .unwrap();
-        assert!(c.metrics && c.tracing);
     }
 
     #[test]
@@ -311,73 +180,17 @@ mod tests {
     }
 
     #[test]
-    fn validating_builder_defaults_match_default() {
-        let built = ServeConfig::builder().build().unwrap();
-        let default = ServeConfig::default();
-        assert_eq!(built, default);
-    }
-
-    #[test]
-    fn validating_builder_sets_every_field() {
-        let c = ServeConfig::builder()
-            .workers(3)
-            .params(RankParams::with_alpha(0.4))
-            .topk(TopKConfig::toy())
-            .cache_capacity(512)
-            .cache_shards(4)
-            .build()
-            .unwrap();
-        assert_eq!(c.workers, 3);
-        assert_eq!(c.params.alpha, 0.4);
-        assert_eq!(c.topk.k, TopKConfig::toy().k);
-        assert_eq!(c.cache_capacity, 512);
-        assert_eq!(c.cache_shards, 4);
-    }
-
-    #[test]
-    fn validating_builder_rejects_bad_shapes() {
-        assert_eq!(
-            ServeConfig::builder().workers(0).build(),
-            Err(ServeConfigError::ZeroWorkers)
-        );
-        assert_eq!(
-            ServeConfig::builder()
-                .cache_capacity(64)
-                .cache_shards(0)
-                .build(),
-            Err(ServeConfigError::ZeroCacheShards)
-        );
-        // Zero shards with the cache off is harmless: nothing reads them.
-        assert!(ServeConfig::builder().cache_shards(0).build().is_ok());
-        assert_eq!(
-            ServeConfig::builder()
-                .backend(Backend::Distributed { gps: 0 })
-                .build(),
-            Err(ServeConfigError::ZeroGps)
-        );
-    }
-
-    #[test]
     fn block_cache_builders_apply() {
         let d = ServeConfig::default();
         assert_eq!(d.block_cache_bytes, DEFAULT_CACHE_BYTES);
         let c = ServeConfig::default().with_block_cache_bytes(1024);
         assert_eq!(c.block_cache_bytes, 1024);
-        let c = ServeConfig::builder().block_cache_bytes(0).build().unwrap();
-        assert_eq!(
-            c.block_cache_bytes, 0,
-            "0 = no cross-query residency, valid"
-        );
     }
 
     #[test]
     fn backend_builders_apply() {
         let c = ServeConfig::default().with_backend(Backend::Distributed { gps: 4 });
         assert_eq!(c.backend, Backend::Distributed { gps: 4 });
-        let c = ServeConfig::builder()
-            .backend(Backend::Distributed { gps: 2 })
-            .build()
-            .unwrap();
         assert_eq!(c.backend.kind(), crate::BackendKind::Distributed);
     }
 }

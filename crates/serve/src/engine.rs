@@ -2,15 +2,17 @@
 //!
 //! One [`ServeEngine`] owns `workers` long-lived threads. Each worker pulls
 //! jobs off one shared FIFO channel, resolves nothing (requests arrive
-//! pre-resolved against the engine defaults), runs the request on its
-//! backend ([`ResolvedRequest::run`] locally), and sends a
-//! [`QueryResponse`] down the request's reply channel. Every worker owns
-//! one persistent [`ServeWorkspace`] — the sparse top-K buffers of the
-//! bound search — pre-sized to the graph at spawn for the first query node
+//! pre-resolved against the engine defaults), runs the request with
+//! [`ResolvedRequest::execute`] (on the engine's [`GpCluster`] when it has
+//! one), and sends a [`QueryResponse`] down the request's reply channel.
+//! Every worker owns one persistent [`DistributedWorkspace`]: the sparse
+//! top-K buffers of the bound search, which both the local and the AP/GP
+//! path run on, pre-sized to the graph at spawn for the first query node
 //! (so even a worker's *first* single-node query pays no O(|V|)
-//! allocations), wiped in O(touched) between queries, and never freed while
-//! the worker lives: steady-state serving allocates no per-query index
-//! arrays.
+//! allocations), plus the AP-side block cache at
+//! [`ServeConfig::block_cache_bytes`]. The buffers are wiped in O(touched)
+//! between queries and never freed while the worker lives: steady-state
+//! serving allocates no per-query index arrays.
 //!
 //! **Scheduling** never changes answers, only who runs a request and how
 //! long it queues:
@@ -33,20 +35,20 @@
 //! then fails, so every job submitted before shutdown is answered; the
 //! engine then joins the threads.
 
-use crate::backend::{
-    Backend, BackendKind, DistributedBackend, ExecBackend, ExecOutcome, LocalBackend,
-};
+use crate::backend::{Backend, BackendKind, ExecOutcome};
 use crate::config::ServeConfig;
 use crate::flight::InFlight;
 use crate::metrics::ServeMetrics;
-use crate::request::{QueryRequest, ResolvedRequest, ServeWorkspace};
+use crate::request::{QueryRequest, ResolvedRequest};
 use crate::response::{QueryResponse, QueryTicket};
 use crate::rtr_sync::atomic::{AtomicU64, Ordering};
 use crossbeam::channel::{self, Sender};
 use rtr_cache::{CacheConfig, CacheKey, CacheStats, ShardedCache};
 use rtr_core::CoreError;
+use rtr_distributed::{BlockCache, DistributedWorkspace, GpCluster};
 use rtr_graph::Graph;
 use rtr_obs::{MetricsSnapshot, QueryTrace, Registry, TraceStage};
+use rtr_topk::TopKWorkspace;
 use std::fmt;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -73,7 +75,8 @@ pub enum ServeError {
     /// survive; it keeps serving.
     Backend(String),
     /// The query panicked inside the engine; the worker caught it,
-    /// discarded its (possibly mid-mutation) workspace, and kept serving.
+    /// rebuilt its (possibly mid-mutation) workspace as at spawn, and kept
+    /// serving.
     Panicked(String),
 }
 
@@ -138,10 +141,10 @@ struct AttachedJob {
 struct Shared {
     graph: Arc<Graph>,
     config: ServeConfig,
-    /// The AP/GP backend, constructed at pool start when the config says
-    /// [`Backend::Distributed`]; without it every request runs on
-    /// [`LocalBackend`].
-    distributed: Option<DistributedBackend>,
+    /// The graph processors, spawned at pool start when the config says
+    /// [`Backend::Distributed`]; without them every request runs on the
+    /// shared graph.
+    cluster: Option<GpCluster>,
     cache: Option<OutcomeCache>,
     flight: InFlight<CacheKey, AttachedJob>,
     /// Queries that actually ran an engine (as opposed to being answered
@@ -157,23 +160,34 @@ struct Shared {
 }
 
 impl Shared {
-    /// The backend the config built: every request runs on it.
-    fn backend(&self) -> &dyn ExecBackend {
-        match &self.distributed {
-            Some(d) => d,
-            None => &LocalBackend,
+    /// The workspace a worker serves with, built at spawn and again after
+    /// a caught panic: the top-K buffers pre-sized to the graph, so even a
+    /// worker's first query pays no O(|V|) allocation, and the AP-side
+    /// block cache at [`ServeConfig::block_cache_bytes`], its counters
+    /// armed on a distributed engine that records metrics.
+    fn workspace(&self, worker: usize) -> DistributedWorkspace {
+        let mut ws = DistributedWorkspace::with_cache(BlockCache::with_budget(
+            self.config.block_cache_bytes,
+        ));
+        ws.topk = TopKWorkspace::with_capacity(self.graph.node_count());
+        if self.cluster.is_some() {
+            if let Some(metrics) = self.m.block_cache(&self.registry, worker) {
+                ws.cache.set_metrics(metrics);
+            }
         }
+        ws
     }
 
-    /// Run one job's request on the engine's backend, recycling `ws`.
-    /// Catches panics so a bad query can never kill the worker, and counts
-    /// the computation. The job's trace (if any) is parked in the workspace
-    /// for the duration of the run, so the distributed engine can stamp
-    /// per-fetch-round events into the same timeline.
+    /// Run one job's request, recycling `ws`. Catches panics so a bad
+    /// query can never kill the worker, and counts the computation. The
+    /// job's trace (if any) is parked in the workspace for the duration of
+    /// the run, so the distributed engine can stamp per-fetch-round events
+    /// into the same timeline.
     fn compute(
         &self,
         job: &mut Job,
-        ws: &mut ServeWorkspace,
+        worker: usize,
+        ws: &mut DistributedWorkspace,
     ) -> Result<Arc<ExecOutcome>, ServeError> {
         // ordering: Relaxed — computed_queries() is a telemetry read; the
         // single-flight tests that assert on it only read after join().
@@ -181,23 +195,34 @@ impl Shared {
         if let Some(t) = job.trace.as_deref_mut() {
             t.record(TraceStage::ComputeStart);
         }
-        let backend = self.backend();
-        ws.dist.trace = job.trace.take();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            backend.execute(&self.graph, &job.request, ws)
-        }));
-        // Reclaim the trace *before* the panic branch below discards the
-        // workspace — a panicking query still gets its (partial) timeline.
-        job.trace = ws.dist.trace.take();
+        ws.trace = job.trace.take();
+        let request = &job.request;
+        let result = self.caught(worker, ws, |ws| {
+            request.execute(&self.graph, self.cluster.as_ref(), ws)
+        });
+        // The trace survives a panic: a rebuilt workspace keeps it.
+        job.trace = ws.trace.take();
         if let Some(t) = job.trace.as_deref_mut() {
             t.record(TraceStage::ComputeEnd);
         }
-        match result {
-            Ok(r) => r.map(Arc::new).map_err(ServeError::from),
+        result.map(Arc::new)
+    }
+
+    /// Run `exec` on the worker's workspace. A panic is caught and
+    /// reported, and since the workspace may have been mid-mutation when
+    /// it unwound, the worker's is rebuilt as at spawn (its trace kept).
+    fn caught(
+        &self,
+        worker: usize,
+        ws: &mut DistributedWorkspace,
+        exec: impl FnOnce(&mut DistributedWorkspace) -> Result<ExecOutcome, CoreError>,
+    ) -> Result<ExecOutcome, ServeError> {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exec(ws))) {
+            Ok(r) => r.map_err(ServeError::from),
             Err(panic) => {
-                // The workspace may have been mid-mutation when the panic
-                // unwound through it.
-                *ws = ServeWorkspace::new();
+                let trace = ws.trace.take();
+                *ws = self.workspace(worker);
+                ws.trace = trace;
                 Err(ServeError::Panicked(panic_message(&*panic)))
             }
         }
@@ -212,11 +237,11 @@ impl Shared {
     /// never shared; each duplicate recomputes individually). With the
     /// cache off this is exactly one [`Shared::compute`] call — the
     /// uncached behavior.
-    fn handle(&self, mut job: Job, worker: usize, ws: &mut ServeWorkspace) -> Vec<Job> {
+    fn handle(&self, mut job: Job, worker: usize, ws: &mut DistributedWorkspace) -> Vec<Job> {
         let picked = Instant::now();
         let queue_wait = picked.duration_since(job.enqueued);
         let Some(cache) = &self.cache else {
-            let served = self.compute(&mut job, ws);
+            let served = self.compute(&mut job, worker, ws);
             self.respond(job, Some(worker), served, false, queue_wait, picked);
             return Vec::new();
         };
@@ -258,7 +283,7 @@ impl Shared {
         let (served, from_cache) = match cache.recheck(&key) {
             Some(hit) => (Ok(hit), true),
             None => {
-                let served = self.compute(&mut job, ws);
+                let served = self.compute(&mut job, worker, ws);
                 // Failed queries are not cached (and are cheap to redo).
                 if let Ok(outcome) = &served {
                     cache.insert(key.clone(), Arc::clone(outcome));
@@ -354,7 +379,7 @@ impl Shared {
             ),
             // A failed request reports the engine's backend (nothing
             // produced a ranking).
-            Err(e) => (Err(e), self.backend().kind(), None),
+            Err(e) => (Err(e), self.config.backend.kind(), None),
         };
         self.m.on_response(
             job.request.measure,
@@ -407,10 +432,9 @@ pub struct ServeEngine {
 }
 
 impl ServeEngine {
-    /// Start `config.workers` (at least 1) worker threads over `graph`,
-    /// constructing the configured execution backend (a
-    /// [`Backend::Distributed`] config stripes the graph across GP threads
-    /// here, once, shared by every worker).
+    /// Start `config.workers` (at least 1) worker threads over `graph`. A
+    /// [`Backend::Distributed`] config stripes the graph across its GP
+    /// threads (at least 1) here, once, shared by every worker.
     ///
     /// Every worker's reusable workspace is pre-sized to the graph here,
     /// at spawn — a worker's *first* query pays no O(|V|) allocation burst,
@@ -418,15 +442,14 @@ impl ServeEngine {
     /// load benchmarks.
     pub fn start(graph: Arc<Graph>, config: ServeConfig) -> Self {
         let workers = config.workers.max(1);
-        let distributed = match config.backend {
+        let cluster = match config.backend {
             Backend::Local => None,
-            Backend::Distributed { gps } => Some(DistributedBackend::spawn(&graph, gps)),
+            Backend::Distributed { gps } => Some(GpCluster::spawn(&graph, gps.max(1))),
         };
-        let node_count = graph.node_count();
         let registry = Registry::new();
         let m = ServeMetrics::new(&registry, &config, &graph);
         let shared = Arc::new(Shared {
-            distributed,
+            cluster,
             cache: config.cache_enabled().then(|| {
                 OutcomeCache::new(CacheConfig {
                     capacity: config.cache_capacity,
@@ -450,12 +473,7 @@ impl ServeEngine {
                 // dead worker would strand the jobs still queued and hang
                 // their batches.
                 std::thread::spawn(move || {
-                    let mut ws = ServeWorkspace::for_engine(node_count, &shared.config);
-                    if shared.distributed.is_some() {
-                        if let Some(bc) = shared.m.block_cache(&shared.registry, idx) {
-                            ws.dist.cache.set_metrics(bc);
-                        }
-                    }
+                    let mut ws = shared.workspace(idx);
                     while let Ok(mut job) = queue.recv() {
                         if let Some(t) = job.trace.as_deref_mut() {
                             t.record(TraceStage::Dequeue);
@@ -490,10 +508,10 @@ impl ServeEngine {
         self.shared.config.backend.kind()
     }
 
-    /// The AP/GP backend, when this engine was started with
+    /// The graph processors, when this engine was started with
     /// [`Backend::Distributed`].
-    pub fn distributed_backend(&self) -> Option<&DistributedBackend> {
-        self.shared.distributed.as_ref()
+    pub fn cluster(&self) -> Option<&GpCluster> {
+        self.shared.cluster.as_ref()
     }
 
     /// Result-cache traffic counters, or `None` when the cache is off.
@@ -675,7 +693,7 @@ pub fn run_serial_requests(
     config: &ServeConfig,
     requests: &[QueryRequest],
 ) -> Vec<QueryResponse> {
-    let mut ws = ServeWorkspace::new();
+    let mut ws = DistributedWorkspace::new();
     requests
         .iter()
         .enumerate()
@@ -683,8 +701,8 @@ pub fn run_serial_requests(
             let resolved = request.resolve(config);
             let started = Instant::now();
             let result = resolved
-                .run(g, &mut ws)
-                .map(Arc::new)
+                .execute(g, None, &mut ws)
+                .map(|outcome| outcome.result)
                 .map_err(ServeError::from);
             QueryResponse {
                 id,
@@ -1046,7 +1064,7 @@ mod tests {
         );
         assert_eq!(local.backend_kind(), BackendKind::Local);
         assert_eq!(dist.backend_kind(), BackendKind::Distributed);
-        assert!(dist.distributed_backend().is_some());
+        assert!(dist.cluster().is_some());
         let a = local.run_requests(&requests);
         let b = dist.run_requests(&requests);
         for (l, d) in a.iter().zip(&b) {
@@ -1154,11 +1172,7 @@ mod tests {
             .with_topk(TopKConfig::toy())
             .with_backend(Backend::Distributed { gps: 2 });
         let engine = ServeEngine::start(Arc::new(g), config);
-        engine
-            .distributed_backend()
-            .expect("distributed engine")
-            .cluster()
-            .kill_gp(1);
+        engine.cluster().expect("distributed engine").kill_gp(1);
         // The toy graph's frontier spans both stripes, so the query must
         // hit the dead GP — and fail as a *backend* error naming it, not a
         // query error.
@@ -1393,6 +1407,185 @@ mod tests {
             let (s, p) = (s.result.as_ref().unwrap(), p.result.as_ref().unwrap());
             assert_eq!(s.ranking, p.ranking);
             assert_eq!(s.bounds, p.bounds);
+        }
+    }
+
+    #[test]
+    fn a_caught_panic_rebuilds_the_workspace_as_at_spawn() {
+        // With a block budget of 0 no block survives its query, so a
+        // repeated query on a workspace rebuilt with the configured budget
+        // reads nothing from the cache; the crate default budget would keep
+        // its blocks resident.
+        let (g, ids) = fig2_toy();
+        let config = ServeConfig::default()
+            .with_workers(1)
+            .with_topk(TopKConfig::toy())
+            .with_backend(Backend::Distributed { gps: 2 })
+            .with_block_cache_bytes(0)
+            .with_metrics(true);
+        let engine = ServeEngine::start(Arc::new(g), config);
+        let shared = &engine.shared;
+        let mut ws = shared.workspace(0);
+        let panicked = shared.caught(0, &mut ws, |_| panic!("injected"));
+        assert_eq!(
+            panicked.err(),
+            Some(ServeError::Panicked("injected".into()))
+        );
+        let request = QueryRequest::node(ids.t1).resolve(&config);
+        for _ in 0..3 {
+            let outcome = shared
+                .caught(0, &mut ws, |ws| {
+                    request.execute(&shared.graph, shared.cluster.as_ref(), ws)
+                })
+                .unwrap();
+            assert_eq!(outcome.backend, BackendKind::Distributed);
+            let stats = outcome.distributed.unwrap();
+            assert_eq!(stats.blocks_from_cache, 0);
+            assert_eq!(stats.blocks_fetched, stats.active_nodes);
+        }
+        // The rebuilt block cache publishes to the worker's counters.
+        let evicted = engine
+            .metrics_snapshot()
+            .counter_value("rtr_dist_block_cache_evictions_total", &[("worker", "0")]);
+        assert!(evicted > Some(0), "{evicted:?}");
+    }
+
+    mod worker_memory {
+        use super::*;
+        use rtr_core::Query;
+        use rtr_graph::GraphBuilder;
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        /// The system allocator, counting per thread the live blocks of at
+        /// least `LARGE` bytes.
+        struct Probe;
+
+        #[global_allocator]
+        static PROBE: Probe = Probe;
+
+        thread_local! {
+            static LARGE: Cell<usize> = const { Cell::new(usize::MAX) };
+            static LIVE: Cell<isize> = const { Cell::new(0) };
+        }
+
+        fn note(size: usize, delta: isize) {
+            // `try_with`: the allocator also runs while a thread's locals
+            // are being torn down.
+            let large = LARGE.try_with(Cell::get).unwrap_or(usize::MAX);
+            if size >= large {
+                let _ = LIVE.try_with(|live| live.set(live.get() + delta));
+            }
+        }
+
+        // SAFETY: every method forwards to `System` with the caller's
+        // arguments unchanged, so `System` upholds the contract; the
+        // counting only reads sizes and allocates nothing.
+        unsafe impl GlobalAlloc for Probe {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                // SAFETY: `layout` is the caller's, valid per `alloc`'s
+                // contract.
+                let p = unsafe { System.alloc(layout) };
+                if !p.is_null() {
+                    note(layout.size(), 1);
+                }
+                p
+            }
+
+            unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+                // SAFETY: as in `alloc`.
+                let p = unsafe { System.alloc_zeroed(layout) };
+                if !p.is_null() {
+                    note(layout.size(), 1);
+                }
+                p
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                note(layout.size(), -1);
+                // SAFETY: `ptr` came from `System` through this allocator,
+                // with this `layout`, per `dealloc`'s contract.
+                unsafe { System.dealloc(ptr, layout) }
+            }
+
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                // SAFETY: as in `dealloc`, and `new_size` is valid per
+                // `realloc`'s contract.
+                let p = unsafe { System.realloc(ptr, layout, new_size) };
+                if !p.is_null() {
+                    note(layout.size(), -1);
+                    note(new_size, 1);
+                }
+                p
+            }
+        }
+
+        /// `2^16` nodes in strongly connected 8-node components: every
+        /// neighborhood, and every GP reply, stays within 8 nodes, so only
+        /// a buffer indexed by node id reaches `|V|` bytes.
+        fn components() -> Graph {
+            let n = 1 << 16;
+            let mut b = GraphBuilder::with_capacity(n, 2 * n);
+            let ty = b.register_type("n");
+            for _ in 0..n {
+                b.add_node(ty);
+            }
+            for v in 0..n as u32 {
+                let base = v & !7;
+                b.add_edge(NodeId(v), NodeId(base + (v + 1) % 8), 1.0);
+                b.add_edge(NodeId(v), NodeId(base + (v + 3) % 8), 2.0);
+            }
+            b.build()
+        }
+
+        #[test]
+        fn a_distributed_worker_holds_one_trio_of_node_indexed_arrays() {
+            // The top-K trio (ρ's and S_t's sparse indexes, µ) that both
+            // paths share, plus the block cache's own two: its block index
+            // and its per-query touched set.
+            const ARRAYS: isize = 3 + 2;
+            let config = ServeConfig::default()
+                .with_workers(1)
+                .with_topk(TopKConfig {
+                    k: 3,
+                    epsilon: 0.01,
+                    ..TopKConfig::default()
+                })
+                .with_backend(Backend::Distributed { gps: 2 });
+            let engine = ServeEngine::start(Arc::new(components()), config);
+            let shared = &engine.shared;
+            let n = shared.graph.node_count();
+            let queries = [
+                Query::single(NodeId(8)),
+                Query::weighted(&[(NodeId(16), 0.5), (NodeId(4_100), 0.5)]).unwrap(),
+                Query::weighted(&[(NodeId(1), 1.0), (NodeId(9), 1.0), (NodeId(65_535), 2.0)])
+                    .unwrap(),
+                Query::single(NodeId(40_000)),
+            ];
+            LARGE.with(|large| large.set(n));
+            let before = LIVE.with(Cell::get);
+            let mut ws = shared.workspace(0);
+            for measure in [
+                Measure::Rtr,
+                Measure::F,
+                Measure::T,
+                Measure::RtrPlus { beta: 0.3 },
+            ] {
+                for query in &queries {
+                    let outcome = QueryRequest::new(query.clone())
+                        .with_measure(measure)
+                        .resolve(&config)
+                        .execute(&shared.graph, shared.cluster.as_ref(), &mut ws)
+                        .unwrap();
+                    assert_eq!(outcome.backend, BackendKind::Distributed);
+                    assert!(outcome.result.converged, "{measure:?} {query:?}");
+                    let live = LIVE.with(Cell::get) - before;
+                    assert_eq!(live, ARRAYS, "{measure:?} {query:?}");
+                }
+            }
+            drop(ws);
+            assert_eq!(LIVE.with(Cell::get), before);
+            LARGE.with(|large| large.set(usize::MAX));
         }
     }
 }

@@ -14,21 +14,22 @@
 //!   and t-bounds per measure and summing them over a multi-node query;
 //!   the exact engines only for full rankings, k ≥ |V|, and queries of
 //!   more than four nodes), executed by
-//! * a **pluggable execution backend** ([`ExecBackend`]):
-//!   [`LocalBackend`] runs the in-process workspace engines;
-//!   [`DistributedBackend`] runs the paper's AP/GP architecture — the
-//!   graph striped across GP threads, each worker an active processor
-//!   fetching node blocks on demand — with a recorded, deterministic
-//!   local fallback for the requests the exact engines answer. Backends
-//!   are bit-identical mirrors, so the choice ([`ServeConfig::backend`],
-//!   one per engine) changes where work happens and what the response can
-//!   observe ([`QueryResponse::backend`], [`DistributedStats`] wire
-//!   costs) — never the answers — over
+//! * **one dispatch function** ([`ResolvedRequest::execute`]) on one of
+//!   two **backends** ([`ServeConfig::backend`], one per engine): the
+//!   in-process engines, or the paper's AP/GP architecture — the graph
+//!   striped across GP threads, each worker an active processor running
+//!   the same bound search while fetching node blocks on demand, the
+//!   exact engines still running in-process (and recorded as local). The
+//!   two are bit-identical, so the choice changes where work happens and
+//!   what the response can observe ([`QueryResponse::backend`],
+//!   [`DistributedStats`] wire costs) — never the answers — over
 //! * a **shared read-only graph** (`Arc<Graph>` — the frozen block arena
 //!   is `Send + Sync`, so queries need no locks), served by
 //! * a **fixed pool of worker threads**, each owning one reusable
-//!   [`ServeWorkspace`] so that steady-state serving performs zero
-//!   per-query allocation on the bound paths, fed through
+//!   [`rtr_distributed::DistributedWorkspace`] (one set of top-K buffers
+//!   for either backend, plus the AP-side block cache) so that
+//!   steady-state serving performs zero per-query allocation on the bound
+//!   paths, fed through
 //! * **one job queue** (an unbounded MPMC channel every worker receives
 //!   from; see [`engine`]) and a reply channel per submission, so
 //!   concurrent batches never interleave results.
@@ -110,12 +111,10 @@ pub mod check_api {
     pub use crossbeam::channel;
 }
 
-pub use backend::{
-    Backend, BackendKind, DistributedBackend, ExecBackend, ExecOutcome, LocalBackend,
-};
-pub use config::{ServeConfig, ServeConfigBuilder, ServeConfigError};
+pub use backend::{Backend, BackendKind, ExecOutcome};
+pub use config::ServeConfig;
 pub use engine::{run_serial_requests, ServeEngine, ServeError};
-pub use request::{QueryRequest, ResolvedRequest, ServeWorkspace};
+pub use request::{QueryRequest, ResolvedRequest};
 pub use response::{QueryResponse, QueryTicket};
 // Re-exported so callers reading `ServeEngine::cache_stats`, building
 // requests, or inspecting distributed wire costs need no direct

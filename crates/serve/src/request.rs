@@ -13,13 +13,14 @@
 //! paper's full 2SBound (the Fig. 11a ablation schemes are a benchmark,
 //! not a serving option) on the backend the engine was built with.
 //!
-//! **Dispatch.** [`ResolvedRequest::run`] picks the engine path by k and
-//! the query's node count, the same way for every measure:
+//! **Dispatch.** [`ResolvedRequest::execute`] picks the engine path by k
+//! and the query's node count, the same way for every measure and on
+//! either kind of engine:
 //!
 //! | request | engine |
 //! |---|---|
-//! | k < \|V\|, at most `MAX_BOUNDED_NODES` query nodes | [`TwoSBound`] bound search (the paper's online algorithm), combining f- and t-bounds per measure |
-//! | k ≥ \|V\|, or a wider query | exact engine: [`FRank`], [`TRank`], [`RoundTripRank`] or [`RoundTripRankPlus`] |
+//! | k < \|V\|, at most `MAX_BOUNDED_NODES` query nodes | [`TwoSBound`] bound search (the paper's online algorithm), combining f- and t-bounds per measure — on the engine's [`GpCluster`] when it has one |
+//! | k ≥ \|V\|, or a wider query | exact engine, in-process: [`FRank`], [`TRank`], [`RoundTripRank`] or [`RoundTripRankPlus`] |
 //!
 //! The bound search ranks F and T by their own neighborhood alone and a
 //! multi-node query by the query-weighted sum of per-node bounds, so its
@@ -31,16 +32,20 @@
 //! report). A wide query runs it too, to bound the worker's memory by
 //! \|V\| rather than by the query (see `MAX_BOUNDED_NODES`).
 //!
-//! The bound search reuses the worker's persistent [`TopKWorkspace`]; the
-//! exact engines allocate their dense vectors per request.
+//! The bound search reuses the worker's persistent
+//! [`TopKWorkspace`](rtr_topk::TopKWorkspace) (the `topk` of its
+//! [`DistributedWorkspace`], on either path); the exact engines allocate
+//! their dense vectors per request.
 
+use crate::backend::{BackendKind, ExecOutcome};
 use crate::config::ServeConfig;
 use rtr_cache::CacheKey;
 use rtr_core::iterative::IterationStats;
 use rtr_core::prelude::*;
-use rtr_distributed::{BlockCache, DistributedWorkspace};
+use rtr_distributed::{DistributedTwoSBound, DistributedWorkspace, GpCluster};
 use rtr_graph::{Graph, NodeId};
-use rtr_topk::{ActiveSetStats, TopKConfig, TopKResult, TopKWork, TopKWorkspace, TwoSBound};
+use rtr_topk::{ActiveSetStats, TopKConfig, TopKResult, TopKWork, TwoSBound};
+use std::sync::Arc;
 
 /// The widest query the bound search serves. It holds one neighborhood
 /// pair per query node, each with ≈ 16 B of index arrays per graph node,
@@ -193,30 +198,47 @@ impl ResolvedRequest {
         CacheKey::new(&self.query, self.measure, epoch, &self.params, &self.topk)
     }
 
-    /// Whether this request runs the bound search: a full ranking
-    /// (k ≥ \|V\|) prunes nothing, so exact scoring is both cheaper and
-    /// tight, and a query wider than `MAX_BOUNDED_NODES` would cost the
-    /// search more memory than the exact engines.
-    pub(crate) fn bounded(&self, g: &Graph) -> bool {
-        self.topk.k < g.node_count() && self.query.len() <= MAX_BOUNDED_NODES
+    /// Run this request on `g`, reusing the worker's buffers in `ws` (see
+    /// the [module docs](self)). A request the bound search serves runs on
+    /// `cluster` when the engine has one — the worker acting as the
+    /// paper's active processor, paging node blocks from the graph
+    /// processors — and on `g` otherwise; both run the same engine on the
+    /// same `ws.topk`, so only the outcome's provenance and wire cost
+    /// differ. Every other request runs the exact engines on `g` and
+    /// records [`BackendKind::Local`].
+    pub fn execute(
+        &self,
+        g: &Graph,
+        cluster: Option<&GpCluster>,
+        ws: &mut DistributedWorkspace,
+    ) -> Result<ExecOutcome, CoreError> {
+        let search = TwoSBound::for_measure(self.params, self.topk, self.measure)?;
+        // A full ranking (k ≥ |V|) prunes nothing, so exact scoring is both
+        // cheaper and tight, and a query wider than MAX_BOUNDED_NODES would
+        // cost the search more memory than the exact engines.
+        let bounded = self.topk.k < g.node_count() && self.query.len() <= MAX_BOUNDED_NODES;
+        let (result, backend, distributed) = match cluster {
+            _ if !bounded => (self.exact(g)?, BackendKind::Local, None),
+            None => {
+                let result = search.run_query_with(g, &self.query, &mut ws.topk)?;
+                (result, BackendKind::Local, None)
+            }
+            Some(cluster) => {
+                let (result, stats) =
+                    DistributedTwoSBound::from(search).run_query_with(cluster, &self.query, ws)?;
+                (result, BackendKind::Distributed, Some(stats))
+            }
+        };
+        Ok(ExecOutcome {
+            result: Arc::new(result),
+            backend,
+            distributed,
+        })
     }
 
-    /// The bound search this request runs when [`ResolvedRequest::bounded`]
-    /// (β is validated for RoundTripRank+).
-    pub(crate) fn search(&self) -> Result<TwoSBound, CoreError> {
-        TwoSBound::for_measure(self.params, self.topk, self.measure)
-    }
-
-    /// Run this request on the **local** execution path, reusing `ws`'s
-    /// buffers (see the [module docs](self)). This is what
-    /// [`crate::LocalBackend`] executes (and what a distributed backend
-    /// falls back to); the engine's workers go through its
-    /// [`crate::ExecBackend`].
-    pub fn run(&self, g: &Graph, ws: &mut ServeWorkspace) -> Result<TopKResult, CoreError> {
-        let search = self.search()?;
-        if self.bounded(g) {
-            return search.run_query_with(g, &self.query, &mut ws.topk);
-        }
+    /// Score the whole graph with this request's exact engine and keep the
+    /// top k.
+    fn exact(&self, g: &Graph) -> Result<TopKResult, CoreError> {
         // Sweeps per side: F and T iterate once on the weighted query;
         // the round trip runs both sides per query node.
         let (p, q) = (self.params, &self.query);
@@ -240,52 +262,6 @@ impl ResolvedRequest {
             ..TopKWork::default()
         };
         Ok(exact_to_topk(&scores, self.topk.k, work))
-    }
-}
-
-/// Everything one worker needs to serve any request: the sparse top-K
-/// workspace for the local bound search and the AP-side state for the
-/// distributed one. Both survive between queries, so steady-state serving
-/// allocates no per-query index arrays.
-#[derive(Debug, Default)]
-pub struct ServeWorkspace {
-    /// Sparse per-query state for the local [`TwoSBound`] search.
-    pub topk: TopKWorkspace,
-    /// AP-side state for the distributed bound search (untouched while
-    /// serving on the local backend).
-    pub dist: DistributedWorkspace,
-}
-
-impl ServeWorkspace {
-    /// A workspace (all buffers empty) ready for any graph.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A workspace pre-sized for a graph of `n` nodes. The sparse top-K
-    /// buffers of the first query node are allocated up front, so a
-    /// worker's first query is served from warm buffers instead of paying
-    /// the O(n) index-array allocations mid-request. Results are identical
-    /// to a lazily grown workspace; only the first-query latency changes.
-    pub fn with_capacity(n: usize) -> Self {
-        ServeWorkspace {
-            topk: TopKWorkspace::with_capacity(n),
-            dist: DistributedWorkspace::default(),
-        }
-    }
-
-    /// A workspace pre-sized like [`ServeWorkspace::with_capacity`] whose
-    /// AP-side block cache runs with the engine-configured budget
-    /// ([`ServeConfig::block_cache_bytes`]) instead of the crate default.
-    /// This is how every pool worker builds its workspace; local backends
-    /// never touch `dist`, so the budget is inert for them.
-    pub fn for_engine(n: usize, config: &ServeConfig) -> Self {
-        ServeWorkspace {
-            topk: TopKWorkspace::with_capacity(n),
-            dist: DistributedWorkspace::with_cache(BlockCache::with_budget(
-                config.block_cache_bytes,
-            )),
-        }
     }
 }
 
@@ -314,6 +290,7 @@ fn exact_to_topk(scores: &ScoreVec, k: usize, work: TopKWork) -> TopKResult {
 mod tests {
     use super::*;
     use rtr_graph::toy::fig2_toy;
+    use rtr_topk::TopKWorkspace;
 
     fn toy_defaults() -> ServeConfig {
         ServeConfig::default().with_topk(TopKConfig::toy())
@@ -379,7 +356,10 @@ mod tests {
         let (g, ids) = fig2_toy();
         let defaults = toy_defaults();
         let resolved = QueryRequest::node(ids.t1).resolve(&defaults);
-        let served = resolved.run(&g, &mut ServeWorkspace::new()).unwrap();
+        let served = resolved
+            .execute(&g, None, &mut DistributedWorkspace::new())
+            .unwrap()
+            .result;
         let direct = TwoSBound::new(defaults.params, defaults.topk)
             .run(&g, ids.t1)
             .unwrap();
@@ -417,15 +397,16 @@ mod tests {
         let (g, ids) = fig2_toy();
         let defaults = toy_defaults();
         let q = Query::single(ids.t1);
-        let mut ws = ServeWorkspace::new();
+        let mut ws = DistributedWorkspace::new();
         let exact_f = FRank::new(defaults.params).compute(&g, &q).unwrap();
         let exact_t = TRank::new(defaults.params).compute(&g, &q).unwrap();
         for (measure, exact) in [(Measure::F, exact_f), (Measure::T, exact_t)] {
             let served = QueryRequest::node(ids.t1)
                 .with_measure(measure)
                 .resolve(&defaults)
-                .run(&g, &mut ws)
-                .unwrap();
+                .execute(&g, None, &mut ws)
+                .unwrap()
+                .result;
             let direct = TwoSBound::for_measure(defaults.params, defaults.topk, measure)
                 .unwrap()
                 .run(&g, ids.t1)
@@ -450,8 +431,9 @@ mod tests {
         let request = QueryRequest::nodes(&[ids.t1, ids.t2]).with_k(6);
         let served = request
             .resolve(&defaults)
-            .run(&g, &mut ServeWorkspace::new())
-            .unwrap();
+            .execute(&g, None, &mut DistributedWorkspace::new())
+            .unwrap()
+            .result;
         let direct = RoundTripRank::new(defaults.params)
             .compute(&g, request.query())
             .unwrap();
@@ -476,7 +458,7 @@ mod tests {
         // take the exact path — zero-width bounds over the whole graph.
         let (g, ids) = fig2_toy();
         let defaults = toy_defaults();
-        let mut ws = ServeWorkspace::new();
+        let mut ws = DistributedWorkspace::new();
         let q = Query::uniform(&[ids.t1, ids.v2]);
         let p = defaults.params;
         for measure in [
@@ -489,8 +471,9 @@ mod tests {
                 .with_measure(measure)
                 .with_k(g.node_count())
                 .resolve(&defaults)
-                .run(&g, &mut ws)
-                .unwrap();
+                .execute(&g, None, &mut ws)
+                .unwrap()
+                .result;
             let exact = match measure {
                 Measure::F => FRank::new(p).compute(&g, &q),
                 Measure::T => TRank::new(p).compute(&g, &q),
@@ -514,12 +497,13 @@ mod tests {
         let (g, _) = fig2_toy();
         let defaults = toy_defaults();
         let nodes: Vec<NodeId> = g.nodes().take(MAX_BOUNDED_NODES + 1).collect();
-        let mut ws = ServeWorkspace::new();
+        let mut ws = DistributedWorkspace::new();
         let mut run = |nodes: &[NodeId]| {
             QueryRequest::nodes(nodes)
                 .resolve(&defaults)
-                .run(&g, &mut ws)
+                .execute(&g, None, &mut ws)
                 .unwrap()
+                .result
         };
         assert!(run(&nodes[..MAX_BOUNDED_NODES]).expansions > 0);
         let wide = run(&nodes);
@@ -541,7 +525,7 @@ mod tests {
             .with_measure(Measure::RtrPlus { beta: 1.5 })
             .resolve(&toy_defaults());
         assert!(matches!(
-            resolved.run(&g, &mut ServeWorkspace::new()),
+            resolved.execute(&g, None, &mut DistributedWorkspace::new()),
             Err(CoreError::InvalidBeta(_))
         ));
     }
@@ -551,7 +535,7 @@ mod tests {
         let (g, _) = fig2_toy();
         let resolved = QueryRequest::nodes(&[]).resolve(&toy_defaults());
         assert!(matches!(
-            resolved.run(&g, &mut ServeWorkspace::new()),
+            resolved.execute(&g, None, &mut DistributedWorkspace::new()),
             Err(CoreError::EmptyQuery)
         ));
     }

@@ -43,8 +43,8 @@ use rtr_core::{Measure, RankParams, ScoreVec};
 use rtr_datagen::{QLog, QLogConfig};
 use rtr_distributed::{DistributedTwoSBound, DistributedWorkspace, GpCluster};
 use rtr_graph::Graph;
-use rtr_serve::{QueryRequest, ResolvedRequest, ServeConfig, ServeWorkspace};
-use rtr_topk::{TopKConfig, TopKResult, TopKWork, TwoSBound};
+use rtr_serve::{QueryRequest, ResolvedRequest, ServeConfig};
+use rtr_topk::{TopKConfig, TopKResult, TopKWork, TopKWorkspace, TwoSBound};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -191,7 +191,8 @@ fn main() -> ExitCode {
         },
         ..ServeConfig::default()
     };
-    let mut ws = ServeWorkspace::with_capacity(g.node_count());
+    let mut ws = DistributedWorkspace::new();
+    ws.topk = TopKWorkspace::with_capacity(g.node_count());
     let cluster = GpCluster::spawn(&g, 2);
     let mut dist_ws = DistributedWorkspace::new();
     let mut classes: BTreeMap<String, Class> = BTreeMap::new();
@@ -222,7 +223,7 @@ fn main() -> ExitCode {
         }
         .resolve(&config);
         let started = Instant::now();
-        let result = request.run(&g, &mut ws).expect("query");
+        let result = request.execute(&g, None, &mut ws).expect("query").result;
         let ms = started.elapsed().as_secs_f64() * 1e3;
         let class = classes
             .entry(format!("{}{name}", if two { "two-node " } else { "" }))

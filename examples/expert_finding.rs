@@ -49,13 +49,7 @@ fn main() {
 
     // One pool serves every trade-off. A full ranking (k = |V|) dispatches
     // to the exact engine — zero-width bounds — and we filter to authors.
-    let engine = ServeEngine::start(
-        Arc::clone(&g),
-        ServeConfig::builder()
-            .workers(2)
-            .build()
-            .expect("valid config"),
-    );
+    let engine = ServeEngine::start(Arc::clone(&g), ServeConfig::default().with_workers(2));
     let sweeps = [
         ("broad authority (β=0.1)", 0.1),
         ("balanced reviewer (β=0.5)", 0.5),

@@ -87,16 +87,14 @@ fn main() {
     //    are for.
     let engine = ServeEngine::start(
         std::sync::Arc::new(g),
-        ServeConfig::builder()
-            .workers(2)
-            .topk(TopKConfig {
+        ServeConfig::default()
+            .with_workers(2)
+            .with_topk(TopKConfig {
                 k: 3,
                 epsilon: 0.0,
                 ..TopKConfig::toy()
             })
-            .cache_capacity(256) // repeated requests become O(1) lookups
-            .build()
-            .expect("valid config"),
+            .with_cache_capacity(256), // repeated requests become O(1) lookups
     );
     let responses = engine.run_requests(&[
         QueryRequest::node(ids.t1),                          // RoundTripRank

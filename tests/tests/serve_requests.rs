@@ -148,12 +148,10 @@ fn mixed_batch_matches_direct_engines_with_cache_and_single_flight_on() {
         max_expansions: 500,
         ..TopKConfig::default()
     };
-    let config = ServeConfig::builder()
-        .workers(4)
-        .topk(topk)
-        .cache_capacity(256)
-        .build()
-        .unwrap();
+    let config = ServeConfig::default()
+        .with_workers(4)
+        .with_topk(topk)
+        .with_cache_capacity(256);
     let params = config.params;
 
     let requests = vec![
