@@ -199,9 +199,10 @@ impl<K: Hash + Eq + Clone, V: Clone + EvictionCost> ShardedCache<K, V> {
     }
 
     /// Look up `key` like [`ShardedCache::get`], but record only a hit
-    /// when found — an absent entry records nothing. For double-checked
-    /// patterns (single-flight re-checks the cache after winning the
-    /// in-flight claim): the caller already recorded the real miss, so a
+    /// when found — an absent entry records nothing. For a probe whose
+    /// miss is counted elsewhere: the serving engine's submit-side fast
+    /// path probes with `recheck`, and the worker that takes a missed
+    /// request counts the miss with its own [`ShardedCache::get`]. So a
     /// recheck-miss must not inflate the counters, while a recheck-hit is
     /// genuinely served from the cache and counts (and raises the entry's
     /// priority) like any other hit.

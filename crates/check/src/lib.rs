@@ -3,10 +3,10 @@
 //!
 //! This crate has no runtime surface of its own: its value is the test
 //! files under `tests/`, each of which model-checks one of the hot
-//! synchronization protocols (single-flight, the job queue, reply
-//! slots, histogram sharding, epoch-keyed caching) by exhaustively
-//! exploring every interleaving with up to two preemptions plus a
-//! seeded-random sample beyond that bound. Run with
+//! synchronization protocols (the job queue, reply slots, histogram
+//! sharding, epoch-keyed caching) by exhaustively exploring every
+//! interleaving with up to two preemptions plus a seeded-random sample
+//! beyond that bound. Run with
 //! `cargo test -p rtr-check` (it is excluded from the workspace default
 //! members so production builds never see the `rtr_check` feature).
 

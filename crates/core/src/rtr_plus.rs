@@ -59,14 +59,6 @@ impl RoundTripRankPlus {
         Ok(RoundTripRankPlus { params, beta })
     }
 
-    /// Create from a surfer composition (Def. 3 route).
-    pub fn from_surfers(params: RankParams, surfers: HybridSurfers) -> Self {
-        RoundTripRankPlus {
-            params,
-            beta: surfers.beta(),
-        }
-    }
-
     /// The paper's default fallback β = 0.5 ("which outperforms the extreme
     /// cases of β = 0 or 1 in our experiments").
     pub fn balanced(params: RankParams) -> Self {

@@ -49,11 +49,6 @@ impl ScoreVec {
         &self.values
     }
 
-    /// Consume into the raw vector.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.values
-    }
-
     /// Sum of all scores (for probability vectors this is ≤ 1 on
     /// substochastic graphs, = 1 on irreducible ones).
     pub fn total(&self) -> f64 {

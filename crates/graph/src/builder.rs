@@ -67,11 +67,6 @@ impl GraphBuilder {
         self.node_types.len()
     }
 
-    /// Number of directed edge records added so far (before merging).
-    pub fn edge_record_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Add a directed edge `src -> dst` with positive weight.
     ///
     /// Parallel edges are allowed and merged at build time: their weights

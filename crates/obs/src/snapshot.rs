@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 /// unit); counts and bytes render unscaled.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Unit {
-    /// Dimensionless events (requests, attaches, evictions).
+    /// Dimensionless events (requests, errors, evictions).
     Count,
     /// Durations recorded as whole nanoseconds; rendered as seconds.
     Nanoseconds,
@@ -143,18 +143,6 @@ impl MetricsSnapshot {
     pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<i64> {
         match self.find(name, labels)? {
             SampleValue::Gauge(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Look up a histogram sample. `None` when absent or not a histogram.
-    pub fn histogram_value(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-    ) -> Option<&HistogramSnapshot> {
-        match self.find(name, labels)? {
-            SampleValue::Histogram(h) => Some(h),
             _ => None,
         }
     }

@@ -31,9 +31,6 @@ pub enum TraceStage {
     /// Never recorded: the engine has one shared job queue and nothing to
     /// steal from. Kept only because the benchmark's stage table names it.
     Steal,
-    /// It attached to an identical in-flight computation instead of
-    /// running (the owner answers it at [`TraceStage::Respond`]).
-    Attach,
     /// An execution backend started computing it.
     ComputeStart,
     /// One distributed fetch round crossed the wire (AP/GP backend only;
@@ -56,7 +53,6 @@ impl TraceStage {
             TraceStage::Enqueue => "enqueue",
             TraceStage::Dequeue => "dequeue",
             TraceStage::Steal => "steal",
-            TraceStage::Attach => "attach",
             TraceStage::ComputeStart => "compute_start",
             TraceStage::FetchRound => "fetch_round",
             TraceStage::ComputeEnd => "compute_end",
@@ -107,19 +103,6 @@ impl QueryTrace {
         });
     }
 
-    /// Remove the most recent event if it is `stage`; returns whether it
-    /// was removed. This supports *speculative* stamps — e.g. recording
-    /// [`TraceStage::Attach`] before a racy attach-or-claim call and
-    /// retracting it when the claim (not the attach) won.
-    pub fn retract(&mut self, stage: TraceStage) -> bool {
-        if self.events.last().map(|e| e.stage) == Some(stage) {
-            self.events.pop();
-            true
-        } else {
-            false
-        }
-    }
-
     /// The moment the trace began (the submit instant).
     pub fn origin(&self) -> Instant {
         self.origin
@@ -167,15 +150,6 @@ mod tests {
         assert_eq!(t.stage_at(TraceStage::Submit), Some(Duration::ZERO));
         assert!(t.stage_at(TraceStage::Respond).is_some());
         assert_eq!(t.stage_at(TraceStage::FastPath), None);
-    }
-
-    #[test]
-    fn retract_pops_only_a_matching_tail() {
-        let mut t = QueryTrace::begin();
-        t.record(TraceStage::Attach);
-        assert!(t.retract(TraceStage::Attach));
-        assert_eq!(t.events().len(), 1);
-        assert!(!t.retract(TraceStage::Attach), "nothing left to retract");
     }
 
     #[test]

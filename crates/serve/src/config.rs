@@ -26,10 +26,9 @@ pub struct ServeConfig {
     /// cache entirely** (the default), in which case serving behaves
     /// bit-for-bit as it did before the cache existed — every query is
     /// computed, nothing is remembered, no key is ever built. With the
-    /// cache on, single-flight deduplication is on too: M concurrent
-    /// identical requests compute once and share the result, the M−1
-    /// duplicates attaching to the owner's in-flight entry instead of
-    /// occupying workers.
+    /// cache on, a worker inserts before it takes its next job, so M
+    /// concurrent identical requests run the engine at most once per
+    /// worker while the entry stays resident.
     pub cache_capacity: usize,
     /// Shard count of the result cache (only read when the cache is on).
     /// More shards, less lock contention; 16 is plenty for CPU-sized pools.

@@ -24,11 +24,11 @@
 //!   MPMC channel that every worker `recv`s from. Each job is a whole
 //!   bound search (milliseconds), so one short lock per job is noise
 //!   next to it.
-//! * **attach batching** — a request identical to one already computing
-//!   *attaches* to the computing owner's in-flight entry instead of
-//!   occupying a worker; the owner answers them all from the shared `Arc`
-//!   when it finishes (or, if it failed, runs them itself straight after —
-//!   errors are never shared).
+//! * **duplicates** — a worker runs one job at a time and inserts its
+//!   result before it takes the next, so a burst of identical misses runs
+//!   the engine at most once per worker while the entry stays resident;
+//!   later copies hit, on a worker or on the fast path. Errors are never
+//!   cached: each failing copy computes on its own.
 //!
 //! The engine holds the only `Sender`. Shutdown drops it: each worker's
 //! `recv` keeps returning queued jobs until the channel is empty and only
@@ -37,7 +37,6 @@
 
 use crate::backend::{Backend, BackendKind, ExecOutcome};
 use crate::config::ServeConfig;
-use crate::flight::InFlight;
 use crate::metrics::ServeMetrics;
 use crate::request::{QueryRequest, ResolvedRequest};
 use crate::response::{QueryResponse, QueryTicket};
@@ -126,18 +125,9 @@ struct Job {
     trace: Option<Box<QueryTrace>>,
 }
 
-/// A job parked on a computing owner's in-flight ticket: who picked it up
-/// and when, so the owner can report its latency split correctly when
-/// answering it from the shared result.
-struct AttachedJob {
-    job: Job,
-    worker: usize,
-    picked: Instant,
-}
-
 /// State every worker shares: the graph and (when caching is on) the
-/// result cache, the single-flight table, and the computation counter the
-/// single-flight tests assert on.
+/// result cache, and the computation counter the duplicate-request tests
+/// assert on.
 struct Shared {
     graph: Arc<Graph>,
     config: ServeConfig,
@@ -146,9 +136,8 @@ struct Shared {
     /// shared graph.
     cluster: Option<GpCluster>,
     cache: Option<OutcomeCache>,
-    flight: InFlight<CacheKey, AttachedJob>,
     /// Queries that actually ran an engine (as opposed to being answered
-    /// from the cache or a shared in-flight computation).
+    /// from the cache).
     computed: AtomicU64,
     /// The engine's metric registry; [`ServeEngine::metrics_snapshot`]
     /// renders it. The catalog is registered even with metrics off, so a
@@ -190,7 +179,7 @@ impl Shared {
         ws: &mut DistributedWorkspace,
     ) -> Result<Arc<ExecOutcome>, ServeError> {
         // ordering: Relaxed — computed_queries() is a telemetry read; the
-        // single-flight tests that assert on it only read after join().
+        // duplicate-request tests that assert on it only read after join().
         self.computed.fetch_add(1, Ordering::Relaxed);
         if let Some(t) = job.trace.as_deref_mut() {
             t.record(TraceStage::ComputeStart);
@@ -229,21 +218,15 @@ impl Shared {
     }
 
     /// The worker's serving path for one dequeued job: cache lookup,
-    /// single-flight claim, compute, insert, respond. A job that finds its
-    /// key already computing *attaches* to the owner instead of occupying
-    /// this worker, and an owner answers everything that attached when it
-    /// finishes. Returns jobs that must be handled again — non-empty only
-    /// when an owned computation failed with requests attached (errors are
-    /// never shared; each duplicate recomputes individually). With the
-    /// cache off this is exactly one [`Shared::compute`] call — the
-    /// uncached behavior.
-    fn handle(&self, mut job: Job, worker: usize, ws: &mut DistributedWorkspace) -> Vec<Job> {
+    /// compute, insert (on success), respond. With the cache off this is
+    /// exactly one [`Shared::compute`] call — the uncached behavior.
+    fn handle(&self, mut job: Job, worker: usize, ws: &mut DistributedWorkspace) {
         let picked = Instant::now();
         let queue_wait = picked.duration_since(job.enqueued);
         let Some(cache) = &self.cache else {
             let served = self.compute(&mut job, worker, ws);
             self.respond(job, Some(worker), served, false, queue_wait, picked);
-            return Vec::new();
+            return;
         };
         let key = job.request.cache_key(self.graph.epoch());
         if let Some(hit) = cache.get(&key) {
@@ -254,87 +237,17 @@ impl Shared {
             // original computation's provenance — and serving it is a
             // refcount bump, not a deep clone.
             self.respond(job, Some(worker), Ok(hit), true, queue_wait, picked);
-            return Vec::new();
+            return;
         }
-        // Stamp Attach *speculatively*: if the claim below wins (no owner
-        // to attach to), the stage is retracted before computing.
-        if let Some(t) = job.trace.as_deref_mut() {
-            t.record(TraceStage::Attach);
-        }
-        let attaching = AttachedJob {
-            job,
-            worker,
-            picked,
-        };
-        let Some(AttachedJob { mut job, .. }) = self.flight.attach_or_claim(&key, attaching) else {
-            // Attached: the computing owner will answer it; this worker is
-            // free for other traffic.
-            self.m.on_attach();
-            return Vec::new();
-        };
-        if let Some(t) = job.trace.as_deref_mut() {
-            t.retract(TraceStage::Attach);
-        }
-        // This job owns the key. Double-check the cache while owning it:
-        // between our miss above and our claim, the previous owner may have
-        // inserted and finished — computing now would break
-        // compute-exactly-once. Every insert happens under ownership of the
-        // key, so an owner's recheck-miss is authoritative.
-        let (served, from_cache) = match cache.recheck(&key) {
-            Some(hit) => (Ok(hit), true),
-            None => {
-                let served = self.compute(&mut job, worker, ws);
-                // Failed queries are not cached (and are cheap to redo).
-                if let Ok(outcome) = &served {
-                    cache.insert(key.clone(), Arc::clone(outcome));
-                    if let Some(t) = job.trace.as_deref_mut() {
-                        t.record(TraceStage::CacheInsert);
-                    }
-                }
-                (served, false)
+        let served = self.compute(&mut job, worker, ws);
+        // Failed queries are not cached (and are cheap to redo).
+        if let Ok(outcome) = &served {
+            cache.insert(key, Arc::clone(outcome));
+            if let Some(t) = job.trace.as_deref_mut() {
+                t.record(TraceStage::CacheInsert);
             }
-        };
-        // Release the key on every path so attached jobs never strand.
-        let attached = self.flight.finish(&key);
-        let requeue = match &served {
-            Ok(outcome) => {
-                self.answer_attached(cache, &key, outcome, attached);
-                Vec::new()
-            }
-            // Errors are never served stale: hand the duplicates back so
-            // each computes (and fails) on its own.
-            Err(_) => attached.into_iter().map(|a| a.job).collect(),
-        };
-        self.respond(job, Some(worker), served, from_cache, queue_wait, picked);
-        requeue
-    }
-
-    /// Answer every job that attached to a successfully computed key, from
-    /// the shared result.
-    fn answer_attached(
-        &self,
-        cache: &OutcomeCache,
-        key: &CacheKey,
-        outcome: &Arc<ExecOutcome>,
-        attached: Vec<AttachedJob>,
-    ) {
-        for a in attached {
-            // Read the shared result back out of the cache, so hit
-            // accounting and the entry's eviction priority see every
-            // answered duplicate. (The entry can only be missing if an
-            // eviction took it in the instants since the insert; the
-            // owner's own `Arc` is the same bits.)
-            let served = cache.get(key).unwrap_or_else(|| Arc::clone(outcome));
-            let queue_wait = a.picked.duration_since(a.job.enqueued);
-            self.respond(
-                a.job,
-                Some(a.worker),
-                Ok(served),
-                true,
-                queue_wait,
-                a.picked,
-            );
         }
+        self.respond(job, Some(worker), served, false, queue_wait, picked);
     }
 
     /// The fast path, run on the *submitting* thread: one cache probe. A
@@ -358,7 +271,7 @@ impl Shared {
     }
 
     /// Build and send the response for one served job. Every response —
-    /// fast-pathed, queued, attached, errored — passes through here
+    /// fast-pathed, queued, errored — passes through here
     /// exactly once, which makes this the engine's single metrics and
     /// trace-finalization point.
     fn respond(
@@ -456,7 +369,6 @@ impl ServeEngine {
                     shards: config.cache_shards,
                 })
             }),
-            flight: InFlight::new(),
             computed: AtomicU64::new(0),
             graph,
             config,
@@ -478,15 +390,7 @@ impl ServeEngine {
                         if let Some(t) = job.trace.as_deref_mut() {
                             t.record(TraceStage::Dequeue);
                         }
-                        // A failed owner hands back its attached
-                        // duplicates; run them here, straight after. Workers
-                        // hold no `Sender`, so they cannot re-queue — and
-                        // running them inline answers them even when every
-                        // sibling is busy or the engine is shutting down.
-                        let mut retry = shared.handle(job, idx, &mut ws);
-                        while let Some(job) = retry.pop() {
-                            retry.extend(shared.handle(job, idx, &mut ws));
-                        }
+                        shared.handle(job, idx, &mut ws);
                     }
                 })
             })
@@ -563,9 +467,10 @@ impl ServeEngine {
     }
 
     /// How many queries actually ran an engine, as opposed to being served
-    /// from the cache or a shared in-flight computation. With single-flight
-    /// on, a batch of M copies of one (new) request advances this by
-    /// exactly 1 — the `single_flight` stress suite pins that.
+    /// from the cache. With the cache on, a worker inserts its result
+    /// before it takes its next job, so a batch of M copies of one (new)
+    /// request advances this by at most the worker count while the entry
+    /// stays resident — the `duplicate_requests` suite pins that.
     pub fn computed_queries(&self) -> u64 {
         // ordering: Relaxed — telemetry; callers that need exactness
         // (the stress tests) only read after the batch has joined.
@@ -1382,7 +1287,7 @@ mod tests {
     #[test]
     fn skewed_burst_matches_serial() {
         // One hot query plus a long tail, submitted in one burst: whatever
-        // interleaving of queueing, attaching, and fast-path serving
+        // interleaving of queueing, worker-side hits and fast-path serving
         // happens, every response must match the serial reference.
         let (g, ids) = fig2_toy();
         let config = ServeConfig::default()

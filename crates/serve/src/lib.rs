@@ -52,11 +52,11 @@
 //! ([`ServeConfig::cache_capacity`] > 0): the submitting thread answers a
 //! hit inline, workers look up the full request identity — canonicalized
 //! query, measure (β bits included), graph epoch, params, top-K config —
-//! before dispatch and insert on completion, and **single-flight
-//! deduplication** (always on with the cache) collapses M concurrent
-//! identical requests into one computation whose result all M share.
-//! Because every output-relevant input is part of the cache key and the
-//! engines are deterministic, cached serving stays bit-identical to
+//! before dispatch and insert on completion. A worker inserts before it
+//! takes its next job, so M concurrent identical requests run the engine
+//! at most once per worker while the entry stays resident. Because every
+//! output-relevant input is part of the cache key and the engines are
+//! deterministic, cached serving stays bit-identical to
 //! [`run_serial_requests`] even under heterogeneous traffic — the
 //! `serve_cache_determinism` suite enforces that too. The key is
 //! **backend-agnostic** (where a result was computed is not identity),
@@ -90,7 +90,6 @@
 pub mod backend;
 pub mod config;
 pub mod engine;
-mod flight;
 mod metrics;
 pub mod request;
 pub mod response;
@@ -99,15 +98,12 @@ mod rtr_sync;
 /// Internals re-exported for the `rtr-check` model suites — only under
 /// the `rtr_check` feature, which production builds never enable.
 ///
-/// Exposes the two hot protocols the engine relies on:
-/// [`check_api::InFlight`] (single-flight attach/claim/finish) and
-/// [`check_api::channel`] (the job queue's MPMC channel — the crossbeam
-/// shim's, which this crate already depends on), both built on
+/// Exposes the engine's job queue, [`check_api::channel`] (the crossbeam
+/// shim's MPMC channel, which this crate already depends on), built on
 /// [`loom_shim`]-instrumented primitives so a model run can drive every
 /// interleaving.
 #[cfg(feature = "rtr_check")]
 pub mod check_api {
-    pub use crate::flight::InFlight;
     pub use crossbeam::channel;
 }
 

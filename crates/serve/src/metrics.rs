@@ -51,7 +51,6 @@ pub(crate) struct ServeMetrics {
     err_backend: Arc<Counter>,
     err_panicked: Arc<Counter>,
     fast_path: Arc<Counter>,
-    attached: Arc<Counter>,
     pub(crate) queue_depth: Arc<Gauge>,
     pub(crate) cache_enabled: Arc<Gauge>,
     wire_bytes: Arc<Counter>,
@@ -133,10 +132,6 @@ impl ServeMetrics {
             fast_path: registry.counter(
                 "rtr_serve_fast_path_total",
                 "Requests completed inline on the submitting thread.",
-            ),
-            attached: registry.counter(
-                "rtr_serve_attached_total",
-                "Requests that attached to an identical in-flight computation.",
             ),
             queue_depth: registry.gauge(
                 "rtr_serve_queue_depth",
@@ -233,14 +228,6 @@ impl ServeMetrics {
                 self.blocks_fetched.add(stats.blocks_fetched as u64);
                 self.blocks_from_cache.add(stats.blocks_from_cache as u64);
             }
-        }
-    }
-
-    /// A request attached to an in-flight computation.
-    #[inline]
-    pub(crate) fn on_attach(&self) {
-        if self.enabled {
-            self.attached.inc();
         }
     }
 

@@ -46,9 +46,8 @@ pub struct QueryResponse {
     /// the cache: a hit reports the cost the original computation paid —
     /// the serving of the hit itself crossed no wire.
     pub distributed: Option<DistributedStats>,
-    /// Whether the ranking came out of the result cache (including a
-    /// result shared from another request's in-flight computation) rather
-    /// than an engine run of this request.
+    /// Whether the ranking came out of the result cache rather than an
+    /// engine run of this request.
     pub from_cache: bool,
     /// Index of the worker thread that picked this request off the queue,
     /// or `None` when it never queued at all — a cache hit served inline

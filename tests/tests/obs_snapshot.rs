@@ -242,7 +242,6 @@ fn prometheus_rendering_is_valid_and_covers_every_layer() {
         "rtr_serve_compute_seconds",
         "rtr_serve_errors_total",
         "rtr_serve_fast_path_total",
-        "rtr_serve_attached_total",
         "rtr_serve_queue_depth",
         "rtr_serve_cache_enabled",
         "rtr_serve_miss_cost_total",

@@ -2,18 +2,18 @@
 //!
 //! The engine serves through one job queue (an MPMC channel every worker
 //! receives from), a submit-side fast path that answers cache hits on the
-//! *submitting* thread, and attach batching of identical in-flight
-//! requests behind one computation. None of that may change a single bit
-//! of output: every cell of the matrix
+//! *submitting* thread, and a worker-side cache lookup before each
+//! computation. None of that may change a single bit of output: every
+//! cell of the matrix
 //!
 //! `{1, 2, 8 workers} × {cache off, on}`
 //!
 //! must be bit-identical to [`run_serial_requests`] on the same request
 //! stream. The stream is deliberately adversarial for the scheduler: hot
-//! duplicates (attach-batching + single-flight), `k = 0` requests (empty
-//! rankings, computed by a worker like everything else), a heterogeneous
-//! measure mix, and a skewed burst that keeps all 8 workers competing for
-//! a small queue.
+//! duplicates (hits on workers and on the fast path), `k = 0` requests
+//! (empty rankings, computed by a worker like everything else), a
+//! heterogeneous measure mix, and a skewed burst that keeps all 8 workers
+//! competing for a small queue.
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -44,7 +44,7 @@ fn assert_responses_identical(label: &str, got: &[QueryResponse], want: &[QueryR
 }
 
 /// A request stream exercising every scheduler path at once: repeats of a
-/// small hot pool (cache hits + attach batching), `k = 0` probes (empty
+/// small hot pool (cache hits), `k = 0` probes (empty
 /// rankings) and a measure/k mix (ordinary queued compute).
 fn scheduler_stress_requests(nodes: &[NodeId], n: usize, seed: u64) -> Vec<QueryRequest> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);

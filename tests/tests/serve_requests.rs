@@ -74,8 +74,8 @@ fn mixed_requests(nodes: &[NodeId]) -> Vec<QueryRequest> {
         requests.push(QueryRequest::node(q).with_topk(loose).with_k(3));
         requests.push(QueryRequest::node(q).with_params(RankParams::with_alpha(0.35)));
     }
-    // Interleave duplicates so the cache and single-flight paths see
-    // repeats of every measure in flight together.
+    // Interleave duplicates so the cache paths see repeats of every
+    // measure in flight together.
     let dups: Vec<QueryRequest> = requests.iter().step_by(3).cloned().collect();
     requests.extend(dups);
     requests
@@ -134,9 +134,9 @@ fn seeded_qlog_mixed_measures_identical_at_1_2_8_workers() {
 }
 
 /// The acceptance clause: one engine, one batch mixing every measure (two
-/// distinct β values), multi-node queries, and two k values, with cache and
-/// single-flight on — each response bit-identical to the corresponding
-/// direct engine run.
+/// distinct β values), multi-node queries, and two k values, with the
+/// cache on — each response bit-identical to the corresponding direct
+/// engine run.
 #[test]
 fn mixed_batch_matches_direct_engines_with_cache_and_single_flight_on() {
     let (g, ids) = fig2_toy();
