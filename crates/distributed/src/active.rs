@@ -8,287 +8,140 @@
 //! [`ActiveGraph`] is the AP's only view of the graph, and it implements
 //! [`AdjacencyAccess`] — the same trait the in-memory [`rtr_graph::Graph`]
 //! implements — so the *local* bound engines run against it unchanged.
-//! Adjacency is available only for nodes whose blocks are resident; the
-//! engines announce the nodes whose edges they are about to read through
-//! [`AdjacencyAccess::ensure`], which demand-fetches the missing blocks in
-//! one batched round and nothing more. The one read that needs no block is
-//! the out-degree: the [`GpCluster`] carries every node's (4 B per node),
-//! so BCA ranks its whole residual frontier by benefit `µ(q,v)/|Out(v)|`
-//! without fetching it, and ensures only the nodes it then processes. What
-//! a query fetches is therefore exactly its active set `S_f ∪ S_t`.
+//! Adjacency is available only for nodes whose blocks this query received;
+//! the engines announce the nodes whose edges they are about to read
+//! through [`AdjacencyAccess::ensure`], which demand-fetches the missing
+//! blocks in one batched round and nothing more. The one read that needs
+//! no block is the out-degree: the [`GpCluster`] carries every node's
+//! (4 B per node), so BCA ranks its whole residual frontier by benefit
+//! `µ(q,v)/|Out(v)|` without fetching it, and ensures only the nodes it
+//! then processes. What a query fetches is therefore exactly its active set
+//! `S_f ∪ S_t`.
 //!
-//! **Cross-query block cache** ([`BlockCache`]): resident blocks are keyed
-//! by the source graph's epoch and *survive between queries*, so a worker
-//! serving a warm region stops paying wire cost for it entirely. The cache
-//! self-invalidates when it meets a cluster striped from a different (or
-//! `bump_epoch`ed) graph.
+//! **One query's blocks** ([`BlockCache`]): the worker's block store holds
+//! the blocks of the query it is running and nothing else. Binding an
+//! [`ActiveGraph`] clears it, so every query pays exactly its own active
+//! set on the wire, and what a worker keeps between queries is at most
+//! the last query's blocks.
 //!
-//! **Blocks stay bytes.** A resident block is the [`rtr_graph::wire`]
-//! encoding the GP sent, appended to a byte arena; a dense node-id →
-//! position index finds it, and `out_edges` / `in_edges` / `in_degree` /
+//! **Blocks stay bytes.** A received block is the [`rtr_graph::wire`]
+//! encoding the GP sent, appended to a byte arena; a sparse node-id →
+//! offset map finds it, and `out_edges` / `in_edges` / `in_degree` /
 //! footprints read it in place through [`wire::BlockView`]. Nothing is
 //! decoded into an owned form, hashed, or allocated per block. Each reply
 //! is taken in by one length-validated walk that indexes whole blocks
-//! only, so a truncated or hostile payload can neither panic the AP nor
-//! make it read past what arrived.
+//! only, and only those of ids the query asked for and has not received
+//! yet, so a truncated, repeated or hostile payload can neither panic the
+//! AP, make it read past what arrived, nor inflate its counts.
 //!
-//! **Two generations under a byte budget.** Replies append to the *young*
-//! arena. The first touch in a query of a block still living in the *old*
-//! arena copies it forward. Between queries, once the young arena has grown
-//! past half the budget, the old arena is dropped (O(1): stale index entries
-//! die by comparison against the arena's base position, nothing is walked)
-//! and the young one takes its place. Blocks that keep being touched — the
-//! hubs — therefore survive indefinitely, a block untouched for two
-//! rotations is gone, and nothing a running query touched can disappear
-//! under it, because rotation only happens at a query boundary.
-//!
-//! Every fetch is metered (rounds, fetched blocks, cache hits, payload
-//! bytes), and the per-query *touched set* is tracked
-//! separately from cache residency so the Fig. 12 active-set measurements
-//! stay exact under caching: `active_nodes = blocks_fetched +
-//! blocks_from_cache` always holds.
+//! Every fetch is metered (rounds, fetched blocks, payload bytes), and the
+//! map's entries are the ids the query demanded, so the Fig. 12 active-set
+//! measurements are exact: `active_nodes = blocks_fetched` always holds.
 
 use crate::gp::{GpCluster, ReplySlot};
 use rtr_graph::wire::{self, BlockView};
-use rtr_graph::{AdjacencyAccess, AdjacencyError, NodeId, NodeSet};
+use rtr_graph::{AdjacencyAccess, AdjacencyError, NodeId, SparseMap};
 use rtr_obs::{Counter, QueryTrace, TraceStage};
 use std::sync::Arc;
 
-/// Registry-backed counters a [`BlockCache`] publishes its lifecycle events
-/// into, once armed via [`BlockCache::set_metrics`]. Each is a shared
-/// [`rtr_obs::Counter`] handle (typically obtained from a
-/// [`rtr_obs::Registry`] with a per-worker label), so recording is a single
-/// relaxed atomic add and an unarmed cache costs one branch.
+/// Counters a caller may arm on a [`BlockCache`]. No block outlives its
+/// query, so nothing is ever evicted or invalidated and both stay at 0;
+/// the type is kept so callers that arm them still build.
 #[derive(Clone, Debug, Default)]
 pub struct BlockCacheMetrics {
-    /// Demanded blocks served from the warm cache (no wire traffic).
-    pub hits: Arc<Counter>,
-    /// Resident blocks dropped with their generation between queries: the
-    /// ones no query copied forward before the arena holding them aged out
-    /// of the byte budget.
+    /// Always 0: no block outlives its query, so none is evicted.
     pub evictions: Arc<Counter>,
-    /// Resident blocks dropped because the graph epoch changed (the
-    /// blocks belonged to a different or re-stamped graph).
+    /// Always 0: no block outlives its query, so none goes stale.
     pub invalidations: Arc<Counter>,
 }
 
-/// Default byte budget of cross-query block residency.
-pub const DEFAULT_CACHE_BYTES: usize = 64 << 20;
+/// Offset of a block this query demanded that has not arrived yet.
+const PENDING: u64 = u64::MAX;
 
-/// Cross-query resident-block storage for one AP-side worker.
+/// The blocks of one query, for one AP-side worker.
 ///
 /// Lives in the worker's `DistributedWorkspace` and is handed to each
-/// query's [`ActiveGraph`]. Blocks persist until the graph epoch changes or
-/// their generation ages out of the byte budget (checked between queries,
-/// so a running query never loses a block it already touched). When a query
-/// starts, the old generation holds at most the budget and the young one at
-/// most half of it; on top of that comes only what the query itself adds.
-#[derive(Debug)]
+/// query's [`ActiveGraph`], which clears it when it binds. The arena and
+/// the map keep their capacity, so once they have grown to the largest
+/// query's size, serving allocates nothing.
+#[derive(Debug, Default)]
 pub struct BlockCache {
-    /// Epoch of the graph the resident blocks came from.
-    epoch: u64,
-    resident: Generations,
-    /// Per-query touched set (ids this query `ensure`d), cleared per query.
-    touched: NodeSet,
+    /// The whole blocks of this query's replies, as the GPs sent them.
+    arena: Vec<u8>,
+    /// Node id → offset of its block in `arena`, for every id this query
+    /// demanded ([`PENDING`] until the block arrives).
+    index: SparseMap<u64>,
+    /// Blocks received this query: the map's entries that are not pending.
+    blocks: usize,
     /// Scratch: the fetch list under assembly.
     fetch_ids: Vec<NodeId>,
-    budget_bytes: usize,
-    /// Optional registry-backed lifecycle counters (hits / evictions /
-    /// invalidations); `None` keeps the cache observation-free.
-    metrics: Option<BlockCacheMetrics>,
 }
 
 impl BlockCache {
-    /// An empty cache with the default byte budget.
+    /// An empty store.
     pub fn new() -> Self {
-        Self::with_budget(DEFAULT_CACHE_BYTES)
+        Self::default()
     }
 
-    /// An empty cache whose cross-query residency is bounded by
-    /// `budget_bytes` (0 means no block survives its query).
-    pub fn with_budget(budget_bytes: usize) -> Self {
-        BlockCache {
-            epoch: 0, // matches no real graph: first use always re-keys
-            resident: Generations::default(),
-            touched: NodeSet::new(),
-            fetch_ids: Vec::new(),
-            budget_bytes,
-            metrics: None,
-        }
-    }
+    /// Accepts counters and records nothing into them (see
+    /// [`BlockCacheMetrics`]).
+    pub fn set_metrics(&mut self, _metrics: BlockCacheMetrics) {}
 
-    /// Arm registry-backed counters: from now on, warm-cache hits and
-    /// between-query evictions/invalidations are also published through
-    /// `metrics` (the internal per-query meters are unaffected).
-    pub fn set_metrics(&mut self, metrics: BlockCacheMetrics) {
-        self.metrics = Some(metrics);
-    }
-
-    /// Resident blocks currently held.
+    /// Blocks held: those the current (or last) query received.
     pub fn len(&self) -> usize {
-        self.resident.len()
+        self.blocks
     }
 
-    /// Whether no block is resident.
+    /// Whether no block is held.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.blocks == 0
     }
 
-    /// Bytes the two arenas hold (blocks superseded by a forward copy
-    /// included, until their generation is dropped).
+    /// Bytes the arena holds: the current (or last) query's reply payloads,
+    /// cut to their whole blocks.
     pub fn resident_bytes(&self) -> usize {
-        self.resident.old.len() + self.resident.young.len()
+        self.arena.len()
     }
 
-    /// The epoch the resident blocks belong to (0 = never used).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-}
-
-/// The resident blocks: two byte arenas and the index into them.
-///
-/// Every byte ever appended has a position in one logical stream. The old
-/// arena holds positions `old_base..young_base`, the young arena
-/// `young_base..`; an index entry below `old_base` is dead. Dropping a
-/// generation, or everything, is therefore a change of base — no index
-/// entry is visited.
-#[derive(Debug)]
-struct Generations {
-    /// Node id → stream position of its block (sized at the first bind).
-    index: Vec<u64>,
-    old: Vec<u8>,
-    young: Vec<u8>,
-    old_base: u64,
-    young_base: u64,
-    /// Blocks in `old` not copied forward yet: what dropping it evicts.
-    old_blocks: usize,
-    young_blocks: usize,
-}
-
-impl Default for Generations {
-    fn default() -> Self {
-        Generations {
-            index: Vec::new(),
-            old: Vec::new(),
-            young: Vec::new(),
-            // Position 0 is never live, so a zeroed index is an empty one.
-            old_base: 1,
-            young_base: 1,
-            old_blocks: 0,
-            young_blocks: 0,
-        }
-    }
-}
-
-impl Generations {
-    fn len(&self) -> usize {
-        self.old_blocks + self.young_blocks
+    /// Drop every block and admit node ids `0..node_count`. O(touched).
+    fn reset(&mut self, node_count: usize) {
+        self.arena.clear();
+        self.index.clear();
+        self.index.ensure_capacity(node_count);
+        self.blocks = 0;
     }
 
-    /// Whether `id`'s block is resident (in either generation).
-    fn is_resident(&self, id: u32) -> bool {
-        self.index
-            .get(id as usize)
-            .is_some_and(|&pos| pos >= self.old_base)
-    }
-
-    /// The resident block of `id`.
+    /// The block of `id`, if it has arrived.
     fn block(&self, id: u32) -> Option<BlockView<'_>> {
-        let pos = *self.index.get(id as usize)?;
-        let bytes = if pos >= self.young_base {
-            self.young.get((pos - self.young_base) as usize..)
-        } else if pos >= self.old_base {
-            self.old.get((pos - self.old_base) as usize..)
-        } else {
-            None
-        };
-        BlockView::parse(bytes?)
-    }
-
-    /// First touch of `id` in a query: its block if resident, copied
-    /// forward first if it still lived in the old generation — so everything
-    /// a query touched sits in the young arena, which the next rotation
-    /// keeps.
-    fn touch(&mut self, id: u32) -> Option<BlockView<'_>> {
-        let pos = *self.index.get(id as usize)?;
-        if (self.old_base..self.young_base).contains(&pos) {
-            let at = (pos - self.old_base) as usize;
-            let len = BlockView::parse(self.old.get(at..)?)?.encoded_len();
-            self.index[id as usize] = self.young_base + self.young.len() as u64;
-            self.young.extend_from_slice(&self.old[at..at + len]);
-            self.old_blocks -= 1;
-            self.young_blocks += 1;
+        match self.index.get(id)? {
+            PENDING => None,
+            at => BlockView::parse(self.arena.get(at as usize..)?),
         }
-        self.block(id)
     }
 
-    /// Take one reply payload in: append its whole blocks to the young
-    /// arena and index them. One total walk — a truncated tail is left
-    /// out, a block whose id the graph does not have is carried but never
-    /// indexed. Returns how many blocks were indexed and their edge count.
+    /// Take one reply payload in: append its whole blocks to the arena and
+    /// index those of pending ids. One total walk — a truncated tail is
+    /// left out, and a block nobody asked for (an id not demanded, one
+    /// the graph does not have, or a repeat of a block already here) is
+    /// carried but never indexed or counted. Returns how many blocks were
+    /// indexed and their edge count.
     fn absorb(&mut self, payload: &[u8]) -> (usize, usize) {
-        let base = self.young_base + self.young.len() as u64;
+        let base = self.arena.len() as u64;
         let (mut blocks, mut edges, mut whole) = (0, 0, 0);
         for (at, block) in wire::blocks(payload) {
             whole = at + block.encoded_len();
-            let Some(entry) = self.index.get_mut(block.node().index()) else {
-                continue;
-            };
-            if *entry < self.old_base {
-                self.young_blocks += 1;
-            } else if *entry < self.young_base {
-                self.old_blocks -= 1;
-                self.young_blocks += 1;
+            match self.index.get_mut(block.node().0) {
+                Some(offset) if *offset == PENDING => {
+                    *offset = base + at as u64;
+                    blocks += 1;
+                    edges += block.out_degree() + block.in_degree();
+                }
+                _ => {} // not asked for, or already here
             }
-            *entry = base + at as u64;
-            blocks += 1;
-            edges += block.out_degree() + block.in_degree();
         }
-        self.young.extend_from_slice(&payload[..whole]);
+        self.arena.extend_from_slice(&payload[..whole]);
+        self.blocks += blocks;
         (blocks, edges)
-    }
-
-    /// Drop every resident block; returns how many there were.
-    fn drop_all(&mut self) -> usize {
-        let dropped = self.len();
-        self.young_base += self.young.len() as u64;
-        self.old_base = self.young_base;
-        self.old.clear();
-        self.young.clear();
-        (self.old_blocks, self.young_blocks) = (0, 0);
-        dropped
-    }
-
-    /// Query-boundary rotation under a byte budget. Once the young arena has
-    /// passed half the budget the old one is dropped and the young one
-    /// becomes old; an old generation that alone exceeds the budget (one
-    /// very large query, or a zero budget) is dropped as well. Returns the
-    /// blocks evicted.
-    fn rotate(&mut self, budget_bytes: usize) -> usize {
-        if self.young.len() <= budget_bytes / 2 {
-            return 0;
-        }
-        let mut evicted = self.old_blocks;
-        self.old.clear();
-        std::mem::swap(&mut self.old, &mut self.young);
-        self.old_base = self.young_base;
-        self.young_base += self.old.len() as u64;
-        self.old_blocks = std::mem::take(&mut self.young_blocks);
-        if self.old.len() > budget_bytes {
-            evicted += self.drop_all();
-        }
-        // An arena keeps its capacity across rotations so steady state
-        // does not reallocate, but never more than the budget.
-        self.old.shrink_to(budget_bytes);
-        self.young.shrink_to(budget_bytes);
-        evicted
-    }
-}
-
-impl Default for BlockCache {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -302,18 +155,13 @@ pub struct ActiveGraph<'a> {
     trace: Option<&'a mut QueryTrace>,
     node_count: usize,
     fetch_requests: usize,
-    blocks_fetched: usize,
-    blocks_from_cache: usize,
     bytes_transferred: usize,
     touched_edges: usize,
 }
 
 impl<'a> ActiveGraph<'a> {
     /// Bind `cache` (and the reusable reply `slot`) to `cluster` for one
-    /// query. Validates the cache's epoch against the cluster's — stale
-    /// blocks from another graph are dropped wholesale — and otherwise
-    /// rotates the cache's generations under its byte budget, both *before*
-    /// the query starts, so nothing resident can disappear mid-query.
+    /// query. Clears the cache first: the query starts with no block.
     pub fn new(cluster: &'a GpCluster, cache: &'a mut BlockCache, slot: &'a mut ReplySlot) -> Self {
         Self::with_trace(cluster, cache, slot, None)
     }
@@ -327,21 +175,7 @@ impl<'a> ActiveGraph<'a> {
         slot: &'a mut ReplySlot,
         trace: Option<&'a mut QueryTrace>,
     ) -> Self {
-        if cache.epoch != cluster.epoch() {
-            let dropped = cache.resident.drop_all();
-            if let Some(m) = &cache.metrics {
-                m.invalidations.add(dropped as u64);
-            }
-            cache.epoch = cluster.epoch();
-            cache.resident.index.resize(cluster.node_count(), 0);
-        } else {
-            let evicted = cache.resident.rotate(cache.budget_bytes);
-            if let Some(m) = &cache.metrics {
-                m.evictions.add(evicted as u64);
-            }
-        }
-        cache.touched.ensure_capacity(cluster.node_count());
-        cache.touched.clear();
+        cache.reset(cluster.node_count());
         ActiveGraph {
             node_count: cluster.node_count(),
             cluster,
@@ -349,28 +183,25 @@ impl<'a> ActiveGraph<'a> {
             slot,
             trace,
             fetch_requests: 0,
-            blocks_fetched: 0,
-            blocks_from_cache: 0,
             bytes_transferred: 0,
             touched_edges: 0,
         }
     }
 
-    /// The resident block for `v`, if resident.
+    /// The block for `v`, if this query received it.
     pub fn block(&self, v: NodeId) -> Option<BlockView<'_>> {
-        self.cache.resident.block(v.0)
+        self.cache.block(v.0)
     }
 
     fn resident_block(&self, v: NodeId) -> BlockView<'_> {
         self.cache
-            .resident
             .block(v.0)
             .unwrap_or_else(|| panic!("node {v:?} not in active set"))
     }
 
-    /// Whether a node's block is resident (cache-wide, not per-query).
+    /// Whether this query received `v`'s block.
     pub fn is_resident(&self, v: NodeId) -> bool {
-        self.cache.resident.is_resident(v.0)
+        self.cache.block(v.0).is_some()
     }
 
     /// Fetch requests (batched wire rounds) issued this query.
@@ -380,12 +211,7 @@ impl<'a> ActiveGraph<'a> {
 
     /// Demanded blocks received over the wire this query.
     pub fn blocks_fetched(&self) -> usize {
-        self.blocks_fetched
-    }
-
-    /// Demanded blocks served from the warm cache this query (no wire).
-    pub fn blocks_from_cache(&self) -> usize {
-        self.blocks_from_cache
+        self.cache.blocks
     }
 
     /// Payload bytes received over the wire this query.
@@ -394,13 +220,13 @@ impl<'a> ActiveGraph<'a> {
     }
 
     /// Nodes this query touched (demanded), the paper's active-set size —
-    /// always `blocks_fetched() + blocks_from_cache()`.
+    /// equal to `blocks_fetched()` once every fetch has been answered.
     pub fn touched_nodes(&self) -> usize {
-        self.cache.touched.len()
+        self.cache.index.len()
     }
 
     /// Directed edges (both stored directions) of the touched nodes,
-    /// accumulated as each block was first touched.
+    /// accumulated as each block arrived.
     pub fn touched_edges(&self) -> usize {
         self.touched_edges
     }
@@ -409,8 +235,7 @@ impl<'a> ActiveGraph<'a> {
     /// numbers for the active set): one edge-less block per touched node
     /// plus the edges.
     pub fn touched_bytes(&self) -> usize {
-        (self.blocks_fetched + self.blocks_from_cache) * wire::encoded_len(0, 0)
-            + self.touched_edges * wire::EDGE_BYTES
+        self.cache.blocks * wire::encoded_len(0, 0) + self.touched_edges * wire::EDGE_BYTES
     }
 }
 
@@ -449,25 +274,14 @@ impl AdjacencyAccess for ActiveGraph<'_> {
         self.resident_block(v).in_edges()
     }
 
-    /// Make `ids` resident: the first touch of each id this query is a
-    /// cache hit or a wire fetch — exactly one of the two, which is what
-    /// keeps the active-set accounting exact under caching — and the
-    /// fetches go out in one batched round. Once a region is warm, the
-    /// round vanishes.
+    /// Make `ids` resident: each id this query has not demanded before
+    /// goes into one batched wire round; an id it has demanded costs
+    /// nothing.
     fn ensure(&mut self, ids: &[u32]) -> Result<(), AdjacencyError> {
         let cache = &mut *self.cache;
         cache.fetch_ids.clear();
         for &id in ids {
-            if !cache.touched.insert(id) {
-                continue; // already touched this query
-            }
-            if let Some(block) = cache.resident.touch(id) {
-                self.touched_edges += block.out_degree() + block.in_degree();
-                self.blocks_from_cache += 1;
-                if let Some(m) = &cache.metrics {
-                    m.hits.inc();
-                }
-            } else {
+            if cache.index.insert_if_vacant(id, PENDING) {
                 cache.fetch_ids.push(NodeId(id));
             }
         }
@@ -480,9 +294,7 @@ impl AdjacencyAccess for ActiveGraph<'_> {
         }
         for payload in self.cluster.fetch(&cache.fetch_ids, self.slot)? {
             self.bytes_transferred += payload.len();
-            let (blocks, edges) = cache.resident.absorb(payload);
-            self.blocks_fetched += blocks;
-            self.touched_edges += edges;
+            self.touched_edges += cache.absorb(payload).1;
         }
         Ok(())
     }
@@ -543,48 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_survives_across_queries() {
-        let (_, ids, cluster) = harness();
-        let mut cache = BlockCache::new();
-        let mut slot = ReplySlot::new();
-        {
-            let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
-            active.ensure(&[ids.t1.0, ids.v1.0]).unwrap();
-            assert_eq!(active.blocks_fetched(), 2);
-            assert_eq!(active.blocks_from_cache(), 0);
-        }
-        // Same cache, next query: both blocks are warm.
-        let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
-        active.ensure(&[ids.t1.0, ids.v1.0]).unwrap();
-        assert_eq!(active.blocks_fetched(), 0);
-        assert_eq!(active.blocks_from_cache(), 2);
-        assert_eq!(active.bytes_transferred(), 0);
-        // Touched accounting still reports the full per-query active set.
-        assert_eq!(active.touched_nodes(), 2);
-    }
-
-    #[test]
-    fn epoch_change_invalidates_cache() {
-        let (g, ids, cluster) = harness();
-        let mut cache = BlockCache::new();
-        let mut slot = ReplySlot::new();
-        {
-            let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
-            active.ensure(&[ids.t1.0]).unwrap();
-        }
-        assert_eq!(cache.len(), 1);
-        // A cluster over a re-stamped clone of the graph: different epoch,
-        // so the warm block must NOT be served.
-        let mut g2 = g.clone();
-        g2.bump_epoch();
-        let cluster2 = GpCluster::spawn(&g2, 2);
-        let mut active = ActiveGraph::new(&cluster2, &mut cache, &mut slot);
-        active.ensure(&[ids.t1.0]).unwrap();
-        assert_eq!(active.blocks_from_cache(), 0);
-        assert_eq!(active.blocks_fetched(), 1);
-    }
-
-    #[test]
     fn ensure_fetches_only_the_demanded_blocks() {
         let (g, ids, cluster) = harness();
         let mut cache = BlockCache::new();
@@ -620,71 +390,28 @@ mod tests {
     #[test]
     fn block_budget_clears_between_queries() {
         let (_, ids, cluster) = harness();
-        let mut cache = BlockCache::with_budget(1);
-        let mut slot = ReplySlot::new();
-        {
-            let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
-            active.ensure(&[ids.t1.0, ids.v1.0]).unwrap();
-        }
-        assert_eq!(cache.len(), 2); // over budget, but intact mid-query
-        let active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
-        assert_eq!(active.cache.len(), 0); // evicted on rebind
-        assert_eq!(active.cache.resident_bytes(), 0);
-    }
-
-    #[test]
-    fn armed_metrics_count_hits_evictions_and_invalidations() {
-        let (g, ids, cluster) = harness();
-        let mut cache = BlockCache::with_budget(1);
-        let metrics = BlockCacheMetrics::default();
-        cache.set_metrics(metrics.clone());
-        let mut slot = ReplySlot::new();
-        {
-            let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
-            active.ensure(&[ids.t1.0, ids.v1.0]).unwrap();
-            // Second touch in the same query is deduped, not a hit.
-            active.ensure(&[ids.t1.0]).unwrap();
-        }
-        assert_eq!(metrics.hits.get(), 0);
-        {
-            // Rebind: 2 resident blocks exceed the budget of 1 → evicted.
-            let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
-            assert_eq!(metrics.evictions.get(), 2);
-            active.ensure(&[ids.t1.0]).unwrap();
-            active.ensure(&[ids.t1.0, ids.v1.0]).unwrap();
-        }
-        // t1 was resident when re-demanded (within budget mid-query).
-        assert_eq!(metrics.hits.get(), 0, "same-query re-touch is deduped");
-        {
-            let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
-            // Budget of 1 evicted again; refetch t1 then warm-hit nothing new.
-            assert_eq!(metrics.evictions.get(), 4);
-            active.ensure(&[ids.t1.0]).unwrap();
-        }
-        // Epoch change: the resident block is invalidated, not evicted.
-        let mut g2 = g.clone();
-        g2.bump_epoch();
-        let cluster2 = GpCluster::spawn(&g2, 2);
-        let _ = ActiveGraph::new(&cluster2, &mut cache, &mut slot);
-        assert_eq!(metrics.invalidations.get(), 1);
-        assert_eq!(metrics.evictions.get(), 4);
-    }
-
-    #[test]
-    fn warm_hit_increments_armed_hit_counter() {
-        let (_, ids, cluster) = harness();
         let mut cache = BlockCache::new();
         let metrics = BlockCacheMetrics::default();
         cache.set_metrics(metrics.clone());
         let mut slot = ReplySlot::new();
         {
             let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
-            active.ensure(&[ids.t1.0]).unwrap();
+            active.ensure(&[ids.t1.0, ids.v1.0]).unwrap();
         }
+        assert_eq!(cache.len(), 2); // kept until the next query binds
         let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
+        assert!(!active.is_resident(ids.t1));
+        assert_eq!(active.touched_nodes(), 0);
         active.ensure(&[ids.t1.0]).unwrap();
-        assert_eq!(metrics.hits.get(), 1);
-        assert_eq!(active.blocks_from_cache(), 1);
+        assert_eq!(active.blocks_fetched(), 1, "a repeat is fetched again");
+        assert_eq!(active.cache.len(), 1);
+        assert_eq!(
+            active.cache.resident_bytes(),
+            active.bytes_transferred(),
+            "the arena holds this query's replies only"
+        );
+        // The counters a caller may arm have nothing to count.
+        assert_eq!(metrics.evictions.get() + metrics.invalidations.get(), 0);
     }
 
     #[test]
@@ -711,10 +438,8 @@ mod tests {
             let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
             active.ensure(&all[..4]).unwrap();
             active.ensure(&all).unwrap();
-            assert_eq!(
-                active.touched_nodes(),
-                active.blocks_fetched() + active.blocks_from_cache()
-            );
+            assert_eq!(active.touched_nodes(), active.blocks_fetched());
+            assert_eq!(active.touched_nodes(), all.len());
         }
     }
 
@@ -728,11 +453,14 @@ mod tests {
         payload
     }
 
-    fn empty_generations(node_count: usize) -> Generations {
-        Generations {
-            index: vec![0; node_count],
-            ..Generations::default()
+    /// A store bound to an `n`-node graph that has demanded `ids`.
+    fn demanding(n: usize, ids: impl IntoIterator<Item = u32>) -> BlockCache {
+        let mut cache = BlockCache::new();
+        cache.reset(n);
+        for id in ids {
+            cache.index.insert(id, PENDING);
         }
+        cache
     }
 
     #[test]
@@ -745,23 +473,21 @@ mod tests {
             .collect();
         assert_eq!(ends.len(), g.node_count());
         for cut in 0..=payload.len() {
-            let mut gens = empty_generations(g.node_count());
-            let (blocks, edges) = gens.absorb(&payload[..cut]);
+            let mut cache = demanding(g.node_count(), 0..g.node_count() as u32);
+            let (blocks, edges) = cache.absorb(&payload[..cut]);
             let whole = ends.iter().filter(|&&end| end <= cut).count();
             assert_eq!(blocks, whole, "cut {cut}");
-            assert_eq!(gens.len(), whole, "cut {cut}");
+            assert_eq!(cache.len(), whole, "cut {cut}");
             // The arena holds the whole blocks and not one byte more.
             let kept = if whole == 0 { 0 } else { ends[whole - 1] };
-            assert_eq!(gens.young, &payload[..kept], "cut {cut}");
+            assert_eq!(cache.arena, &payload[..kept], "cut {cut}");
             let mut want_edges = 0;
             for v in g.nodes() {
-                assert_eq!(gens.is_resident(v.0), v.index() < whole, "cut {cut} {v:?}");
-                match gens.block(v.0) {
-                    Some(block) => {
-                        assert_eq!(block.to_block(), wire::NodeBlock::extract(&g, v));
-                        want_edges += g.out_degree(v) + g.in_degree(v);
-                    }
-                    None => assert!(v.index() >= whole, "cut {cut} {v:?}"),
+                let here = cache.block(v.0);
+                assert_eq!(here.is_some(), v.index() < whole, "cut {cut} {v:?}");
+                if let Some(block) = here {
+                    assert_eq!(block.to_block(), wire::NodeBlock::extract(&g, v));
+                    want_edges += g.out_degree(v) + g.in_degree(v);
                 }
             }
             assert_eq!(edges, want_edges, "cut {cut}");
@@ -773,16 +499,17 @@ mod tests {
         let (g, ids) = fig2_toy();
         let good = whole_graph_payload(&g);
         let n = g.node_count();
+        let all = || 0..n as u32;
 
         // A header announcing 4 Gi out-edges: nothing is indexed or kept.
         let mut huge_out = Vec::new();
         huge_out.extend_from_slice(&ids.t1.0.to_le_bytes());
         huge_out.extend_from_slice(&u32::MAX.to_le_bytes());
         huge_out.extend_from_slice(&[0xAB; 40]);
-        let mut gens = empty_generations(n);
-        assert_eq!(gens.absorb(&huge_out), (0, 0));
-        assert!(gens.young.is_empty());
-        assert!(!gens.is_resident(ids.t1.0));
+        let mut cache = demanding(n, all());
+        assert_eq!(cache.absorb(&huge_out), (0, 0));
+        assert!(cache.arena.is_empty());
+        assert!(cache.block(ids.t1.0).is_none());
 
         // The same lie in the in-edge count, after a valid (empty) out list.
         let mut huge_in = Vec::new();
@@ -790,8 +517,8 @@ mod tests {
         huge_in.extend_from_slice(&0u32.to_le_bytes());
         huge_in.extend_from_slice(&u32::MAX.to_le_bytes());
         huge_in.extend_from_slice(&[0xAB; 40]);
-        assert_eq!(gens.absorb(&huge_in), (0, 0));
-        assert!(gens.young.is_empty());
+        assert_eq!(cache.absorb(&huge_in), (0, 0));
+        assert!(cache.arena.is_empty());
 
         // A well-formed block for a node the graph does not have, between
         // two good blocks: carried along, never indexed, and the blocks
@@ -801,68 +528,60 @@ mod tests {
         stranger.extend_from_slice(&(n as u32 + 7).to_le_bytes());
         stranger.extend_from_slice(&[0; 8]);
         stranger.extend_from_slice(&good[first_end..]);
-        let mut gens = empty_generations(n);
-        let (blocks, _) = gens.absorb(&stranger);
+        let mut cache = demanding(n, all());
+        let (blocks, _) = cache.absorb(&stranger);
         assert_eq!(blocks, n);
-        assert_eq!(gens.len(), n);
+        assert_eq!(cache.len(), n);
         for v in g.nodes() {
-            let block = gens.block(v.0).expect("indexed");
+            let block = cache.block(v.0).expect("indexed");
             assert_eq!(block.to_block(), wire::NodeBlock::extract(&g, v));
         }
-        assert!(!gens.is_resident(n as u32 + 7));
-        assert!(gens.block(u32::MAX).is_none());
+        assert!(cache.block(n as u32 + 7).is_none());
+        assert!(cache.block(u32::MAX).is_none());
 
         // Trailing garbage after good blocks is left out of the arena.
         let mut trailing = good.clone();
         trailing.extend_from_slice(&[0xFF; 29]);
-        let mut gens = empty_generations(n);
-        assert_eq!(gens.absorb(&trailing).0, n);
-        assert_eq!(gens.young, good);
-
-        // A block that arrives twice is resident once.
-        let mut gens = empty_generations(n);
-        gens.absorb(&good);
-        gens.absorb(&good[..first_end]);
-        assert_eq!(gens.len(), n);
+        let mut cache = demanding(n, all());
+        assert_eq!(cache.absorb(&trailing).0, n);
+        assert_eq!(cache.arena, good);
     }
 
-    /// Budget under which every query below (t1 plus one paper, 192 B) is a
-    /// generation of its own: more than half the budget, less than all.
-    const ONE_QUERY_PER_GENERATION: usize = 256;
-
     #[test]
-    fn a_block_touched_every_generation_survives_and_an_untouched_one_ages_out() {
-        let (_, ids, cluster) = harness();
-        let mut cache = BlockCache::with_budget(ONE_QUERY_PER_GENERATION);
-        let metrics = BlockCacheMetrics::default();
-        cache.set_metrics(metrics.clone());
-        let mut slot = ReplySlot::new();
-        let (hub, untouched) = (ids.t1, ids.p[0]);
-        {
-            let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
-            active.ensure(&[hub.0, untouched.0]).unwrap();
-            assert_eq!(active.blocks_fetched(), 2);
+    fn a_repeated_or_unrequested_block_is_neither_indexed_nor_counted() {
+        let (g, _) = fig2_toy();
+        let good = whole_graph_payload(&g);
+        let n = g.node_count();
+        // Every block once, then the first block again.
+        let first_end = wire::blocks(&good).nth(1).expect("two blocks").0;
+        let mut repeated = good.clone();
+        repeated.extend_from_slice(&good[..first_end]);
+        // The query asked for the even ids only.
+        let asked: Vec<u32> = (0..n as u32).step_by(2).collect();
+        let mut cache = demanding(n, asked.iter().copied());
+        let (blocks, edges) = cache.absorb(&repeated);
+        assert_eq!(blocks, asked.len(), "one count per requested id");
+        assert_eq!(cache.len(), asked.len());
+        let asked_edges: usize = asked
+            .iter()
+            .map(|&v| g.out_degree(NodeId(v)) + g.in_degree(NodeId(v)))
+            .sum();
+        assert_eq!(edges, asked_edges);
+        for v in g.nodes() {
+            assert_eq!(cache.block(v.0).is_some(), v.0 % 2 == 0, "{v:?}");
         }
-        for (rotation, fresh) in ids.p[1..].iter().enumerate() {
-            let mut active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
-            // One rotation keeps what the previous query left; the second
-            // drops what no query touched in between.
-            assert_eq!(active.is_resident(untouched), rotation == 0);
-            assert_eq!(metrics.evictions.get(), rotation as u64);
-            let mut demanded = [hub.0, fresh.0];
-            demanded.sort_unstable();
-            active.ensure(&demanded).unwrap();
-            assert_eq!(active.blocks_from_cache(), 1, "the hub is a hit");
-            assert_eq!(active.blocks_fetched(), 1, "only the new paper is fetched");
-        }
-        assert_eq!(metrics.hits.get(), 6, "the hub survived six rotations");
-        assert_eq!(cache.len(), 3, "hub + the last two papers");
+        // The first copy is the one indexed, and a later reply carrying a
+        // block already here changes nothing.
+        assert_eq!(cache.index.get(0), Some(0));
+        assert_eq!(cache.absorb(&good), (0, 0));
+        assert_eq!(cache.len(), asked.len());
+        assert_eq!(cache.index.len(), asked.len(), "nothing unrequested joins");
     }
 
     #[test]
     fn zero_budget_is_cold_every_query() {
         let (_, ids, cluster) = harness();
-        let mut cache = BlockCache::with_budget(0);
+        let mut cache = BlockCache::new();
         let mut slot = ReplySlot::new();
         let mut costs = Vec::new();
         for _ in 0..3 {

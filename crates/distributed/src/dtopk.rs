@@ -15,12 +15,12 @@
 //! backends — the answers are interchangeable, only the wire cost differs.
 //!
 //! The distributed-only machinery lives below the trait: the cluster's
-//! out-degree table, the cross-query [`BlockCache`] behind the `ensure`
+//! out-degree table, the per-query [`BlockCache`] behind the `ensure`
 //! calls the engines make, and the reusable GP reply channel
-//! ([`ReplySlot`]). [`DistributedStats`] meters all of it per query — wire
-//! fetches and cache hits are reported separately, and `blocks_fetched +
-//! blocks_from_cache == active_nodes` always holds, so the Fig. 12
-//! active-set numbers stay exact however warm the cache is.
+//! ([`ReplySlot`]). [`DistributedStats`] meters all of it per query. Every
+//! query starts with no block and pays its own active set on the wire, so
+//! `blocks_fetched == active_nodes` always holds and the Fig. 12 active-set
+//! numbers are exact.
 //!
 //! Like the local engines, the distributed processors honor the full
 //! [`TopKConfig`] and whatever search they wrap (a Fig. 11a ablation is a
@@ -47,16 +47,16 @@ pub struct DistributedStats {
     /// format of a response and the readers of this field stay as they
     /// are.
     pub blocks_prefetched: usize,
-    /// Node blocks the query demanded that were already resident, warm
-    /// from a previous query's [`BlockCache`] contents, and so cost no
-    /// wire traffic.
+    /// Always 0: no block outlives its query, so none is served without
+    /// a fetch. Kept so the wire format of a response and the readers of
+    /// this field stay as they are.
     pub blocks_from_cache: usize,
     /// Payload bytes received.
     pub bytes_transferred: usize,
     /// Nodes this query made part of its working set (every block it
-    /// demanded) — always `blocks_fetched + blocks_from_cache`, and equal
-    /// to the result's `active.active_nodes`: the engines demand exactly
-    /// the nodes of `S_f ∪ S_t`.
+    /// demanded) — always `blocks_fetched`, and equal to the result's
+    /// `active.active_nodes`: the engines demand exactly the nodes of
+    /// `S_f ∪ S_t`.
     pub active_nodes: usize,
     /// Directed edges (both stored directions) of the touched nodes.
     pub active_edges: usize,
@@ -66,15 +66,15 @@ pub struct DistributedStats {
 }
 
 /// Reusable AP-side state for distributed serving: the engine workspace
-/// (the same [`TopKWorkspace`] the local engines reuse), the cross-query
-/// resident-block cache, and the GP reply channel with its buffers. Once
-/// these have grown to the working set, a long-lived worker's block path
-/// allocates nothing — and keeps its warm blocks between queries.
+/// (the same [`TopKWorkspace`] the local engines reuse), the per-query
+/// block store, and the GP reply channel with its buffers. Once these have
+/// grown to the largest query's size, a long-lived worker's block path
+/// allocates nothing.
 #[derive(Debug, Default)]
 pub struct DistributedWorkspace {
     /// Engine buffers (BCA maps, bounds maps, scratch vectors).
     pub topk: TopKWorkspace,
-    /// Cross-query resident blocks, keyed to the graph epoch.
+    /// The running query's blocks, cleared when the next query starts.
     pub cache: BlockCache,
     /// Reusable reply channel for GP fetches.
     pub slot: ReplySlot,
@@ -86,18 +86,9 @@ pub struct DistributedWorkspace {
 }
 
 impl DistributedWorkspace {
-    /// A workspace (all buffers empty, cache cold) ready for any cluster.
+    /// A workspace (all buffers empty) ready for any cluster.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A workspace whose block cache has an explicit byte budget (see
-    /// [`BlockCache::with_budget`]).
-    pub fn with_cache(cache: BlockCache) -> Self {
-        DistributedWorkspace {
-            cache,
-            ..Self::default()
-        }
     }
 }
 
@@ -126,9 +117,8 @@ impl DistributedTwoSBound {
         self.engine.config()
     }
 
-    /// Run the query against a GP cluster, allocating fresh AP state (and
-    /// a cold block cache). Serving paths use
-    /// [`DistributedTwoSBound::run_with`] instead.
+    /// Run the query against a GP cluster, allocating fresh AP state.
+    /// Serving paths use [`DistributedTwoSBound::run_with`] instead.
     pub fn run(
         &self,
         cluster: &GpCluster,
@@ -137,10 +127,10 @@ impl DistributedTwoSBound {
         self.run_with(cluster, q, &mut DistributedWorkspace::default())
     }
 
-    /// Run the query reusing `ws`'s buffers and warm block cache. The
-    /// [`TopKResult`] is bit-identical to [`DistributedTwoSBound::run`] —
-    /// and to the local `TwoSBound::run_with` under the same parameters;
-    /// only the wire cost in [`DistributedStats`] depends on cache warmth.
+    /// Run the query reusing `ws`'s buffers. The result and the
+    /// [`DistributedStats`] are bit-identical to
+    /// [`DistributedTwoSBound::run`]'s, and the [`TopKResult`] to the local
+    /// `TwoSBound::run_with`'s under the same parameters.
     pub fn run_with(
         &self,
         cluster: &GpCluster,
@@ -170,7 +160,7 @@ impl DistributedTwoSBound {
             fetch_requests: active.fetch_requests(),
             blocks_fetched: active.blocks_fetched(),
             blocks_prefetched: 0,
-            blocks_from_cache: active.blocks_from_cache(),
+            blocks_from_cache: 0,
             bytes_transferred: active.bytes_transferred(),
             active_nodes: active.touched_nodes(),
             active_edges: active.touched_edges(),
@@ -263,9 +253,8 @@ mod tests {
         }
     }
 
-    /// Workspace reuse keeps *results* bit-identical; the wire cost
-    /// legitimately drops as the block cache warms, but the active-set
-    /// accounting invariant holds at every temperature.
+    /// Workspace reuse changes nothing: result and wire cost are those of
+    /// a fresh workspace, query after query, repeats included.
     #[test]
     fn run_with_reuses_workspace_bit_identically() {
         let (g, ids) = fig2_toy();
@@ -280,36 +269,24 @@ mod tests {
             assert_eq!(fresh.bounds, reused.bounds, "{q:?}");
             assert_eq!(fresh.expansions, reused.expansions, "{q:?}");
             assert_eq!(fresh.active, reused.active, "{q:?}");
-            for stats in [&fresh_stats, &reused_stats] {
-                assert_eq!(
-                    stats.blocks_fetched + stats.blocks_from_cache,
-                    stats.active_nodes,
-                    "{q:?}"
-                );
-            }
-            // Same touched set either way; the warm run pays at most the
-            // cold run's wire cost.
-            assert_eq!(fresh_stats.active_nodes, reused_stats.active_nodes, "{q:?}");
-            assert!(
-                reused_stats.bytes_transferred <= fresh_stats.bytes_transferred,
-                "{q:?}"
-            );
+            assert_eq!(fresh_stats, reused_stats, "{q:?}");
+            assert_eq!(reused_stats.blocks_fetched, reused_stats.active_nodes);
+            assert_eq!(reused_stats.blocks_from_cache, 0);
         }
     }
 
-    /// A fully warm cache serves repeat queries with zero wire traffic.
+    /// A repeat of a query fetches its active set again, round for round
+    /// and byte for byte.
     #[test]
-    fn warm_cache_eliminates_wire_traffic() {
+    fn a_repeat_query_pays_its_wire_cost_again() {
         let (g, ids) = fig2_toy();
         let cluster = GpCluster::spawn(&g, 2);
         let engine = DistributedTwoSBound::new(RankParams::default(), toy_config());
         let mut ws = DistributedWorkspace::new();
-        let (_, cold) = engine.run_with(&cluster, ids.t1, &mut ws).unwrap();
-        assert!(cold.bytes_transferred > 0);
-        let (_, warm) = engine.run_with(&cluster, ids.t1, &mut ws).unwrap();
-        assert_eq!(warm.fetch_requests, 0);
-        assert_eq!(warm.bytes_transferred, 0);
-        assert_eq!(warm.blocks_from_cache, warm.active_nodes);
+        let (_, first) = engine.run_with(&cluster, ids.t1, &mut ws).unwrap();
+        assert!(first.bytes_transferred > 0);
+        let (_, again) = engine.run_with(&cluster, ids.t1, &mut ws).unwrap();
+        assert_eq!(again, first);
     }
 
     #[test]
@@ -351,10 +328,7 @@ mod tests {
         assert!(stats.active_bytes > 0);
         assert!(stats.fetch_requests > 0);
         assert!(stats.blocks_fetched <= g.node_count());
-        assert_eq!(
-            stats.blocks_fetched + stats.blocks_from_cache,
-            stats.active_nodes
-        );
+        assert_eq!(stats.blocks_fetched, stats.active_nodes);
     }
 
     #[test]

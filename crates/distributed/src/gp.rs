@@ -95,19 +95,17 @@ impl Default for ReplySlot {
 ///
 /// The cluster is the AP side's *only* handle on the graph: it carries just
 /// the global metadata an active processor legitimately holds (node count,
-/// self-loop flag, the source graph's epoch, every node's out-degree) plus
-/// the fetch channels. It is `Send + Sync`, so one cluster can be shared
-/// (`Arc<GpCluster>`) by a whole pool of serving workers — fetches from
-/// concurrent queries interleave safely because each fetch replies into
-/// its caller's private [`ReplySlot`] and every GP serves its queue
-/// sequentially.
+/// self-loop flag, every node's out-degree) plus the fetch channels. It is
+/// `Send + Sync`, so one cluster can be shared (`Arc<GpCluster>`) by a
+/// whole pool of serving workers — fetches from concurrent queries
+/// interleave safely because each fetch replies into its caller's private
+/// [`ReplySlot`] and every GP serves its queue sequentially.
 pub struct GpCluster {
     senders: Vec<Sender<Request>>,
     handles: Vec<JoinHandle<()>>,
     striping: Striping,
     node_count: usize,
     has_self_loops: bool,
-    epoch: u64,
     /// Out-degree of every node (4 B per node), so BCA can rank a frontier
     /// by benefit without fetching it.
     out_degree: Box<[u32]>,
@@ -131,7 +129,6 @@ impl GpCluster {
             striping,
             node_count: g.node_count(),
             has_self_loops: g.has_self_loops(),
-            epoch: g.epoch(),
             out_degree: g.nodes().map(|v| g.out_degree(v) as u32).collect(),
         }
     }
@@ -147,15 +144,6 @@ impl GpCluster {
     /// `rtr_core::bca::Bca::unseen_upper_bound`).
     pub fn has_self_loops(&self) -> bool {
         self.has_self_loops
-    }
-
-    /// The epoch of the graph this cluster was striped from. An AP-side
-    /// block cache keyed by this value survives across queries and across
-    /// cluster respawns over the *same* graph, and self-invalidates the
-    /// moment it meets a cluster striped from a different (or mutated,
-    /// `bump_epoch`ed) graph.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Out-degree of `v`, read from the table built at spawn.
@@ -418,7 +406,6 @@ mod tests {
         let cluster = GpCluster::spawn(&g, 5);
         assert_eq!(cluster.gps(), 5);
         assert_eq!(cluster.node_count(), n);
-        assert_eq!(cluster.epoch(), g.epoch());
     }
 
     #[test]

@@ -32,18 +32,18 @@
 //! [`rtr_graph::Graph`] stores its adjacency. A GP's stripe is the ids it
 //! owns over the graph's shared block arena; it answers a fetch by copying
 //! the wanted blocks into the reply buffer; the buffer crosses the channel
-//! as is; the AP appends it to the arena of its cross-query [`BlockCache`]
-//! (keyed to the graph epoch, two generations under a byte budget) and
-//! serves edges and degrees by reading those bytes in place. Two copies per
-//! block, no encode, no decode, no hash map. Out-degrees alone come from a
+//! as is; the AP appends it to the arena of its per-query [`BlockCache`]
+//! (cleared when the next query starts) and serves edges and degrees by
+//! reading those bytes in place. Two copies per block, no encode, no
+//! decode, no hash map. Out-degrees alone come from a
 //! table of every node's that the cluster builds at spawn, so BCA ranks its
 //! frontier without fetching it: the AP fetches exactly the query's active
 //! set `S_f ∪ S_t`, and nothing on speculation. One [`GpCluster`] is
 //! `Send + Sync` and serves any number of concurrent APs. A per-worker [`DistributedWorkspace`] owns everything
 //! the block path reuses — the reply channel of its [`ReplySlot`] and the
-//! id lists and payload buffers that travel through it, the cache arenas,
-//! the engine buffers — so once those have grown to the working set's
-//! size, fetching, caching and reading blocks allocates nothing.
+//! id lists and payload buffers that travel through it, the block arena
+//! and its index, the engine buffers — so once those have grown to the
+//! largest query's size, fetching and reading blocks allocates nothing.
 //!
 //! ## Modules
 //!
@@ -60,7 +60,7 @@ pub mod gp;
 mod rtr_sync;
 pub mod stripe;
 
-pub use active::{ActiveGraph, BlockCache, BlockCacheMetrics, DEFAULT_CACHE_BYTES};
+pub use active::{ActiveGraph, BlockCache, BlockCacheMetrics};
 pub use dtopk::{DistributedStats, DistributedTwoSBound, DistributedWorkspace};
 pub use gp::{GpCluster, ReplySlot};
 pub use stripe::Striping;

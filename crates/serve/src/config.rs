@@ -2,7 +2,6 @@
 
 use crate::backend::Backend;
 use rtr_core::RankParams;
-use rtr_distributed::DEFAULT_CACHE_BYTES;
 use rtr_topk::TopKConfig;
 
 /// Configuration of a [`crate::ServeEngine`]: pool size, the execution
@@ -33,12 +32,6 @@ pub struct ServeConfig {
     /// Shard count of the result cache (only read when the cache is on).
     /// More shards, less lock contention; 16 is plenty for CPU-sized pools.
     pub cache_shards: usize,
-    /// Cross-query residency budget (in bytes) of each worker's AP-side
-    /// [`rtr_distributed::BlockCache`]: between queries the cache drops its
-    /// older generation once the younger has passed half of this, so blocks
-    /// that keep being touched stay and 0 means no block survives its
-    /// query. Only read by distributed backends.
-    pub block_cache_bytes: usize,
     /// Record serving metrics (scheduler counters, per-measure latency
     /// histograms, distributed wire counters) into the engine's
     /// [`rtr_obs::Registry`], rendered by
@@ -67,7 +60,6 @@ impl Default for ServeConfig {
             topk: TopKConfig::default(),
             cache_capacity: 0,
             cache_shards: 16,
-            block_cache_bytes: DEFAULT_CACHE_BYTES,
             metrics: false,
             tracing: false,
         }
@@ -103,15 +95,6 @@ impl ServeConfig {
     /// This configuration with `shards` cache shards.
     pub fn with_cache_shards(mut self, shards: usize) -> Self {
         self.cache_shards = shards;
-        self
-    }
-
-    /// This configuration with a per-worker block-cache budget of
-    /// `budget_bytes` for distributed backends (see
-    /// [`ServeConfig::block_cache_bytes`]). A pure performance knob —
-    /// answers stay bit-identical at any setting.
-    pub fn with_block_cache_bytes(mut self, budget_bytes: usize) -> Self {
-        self.block_cache_bytes = budget_bytes;
         self
     }
 
@@ -176,14 +159,6 @@ mod tests {
             .with_topk(TopKConfig::toy());
         assert_eq!(c.workers, 3);
         assert_eq!(c.topk.k, TopKConfig::toy().k);
-    }
-
-    #[test]
-    fn block_cache_builders_apply() {
-        let d = ServeConfig::default();
-        assert_eq!(d.block_cache_bytes, DEFAULT_CACHE_BYTES);
-        let c = ServeConfig::default().with_block_cache_bytes(1024);
-        assert_eq!(c.block_cache_bytes, 1024);
     }
 
     #[test]

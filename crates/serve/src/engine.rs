@@ -9,10 +9,10 @@
 //! top-K buffers of the bound search, which both the local and the AP/GP
 //! path run on, pre-sized to the graph at spawn for the first query node
 //! (so even a worker's *first* single-node query pays no O(|V|)
-//! allocations), plus the AP-side block cache at
-//! [`ServeConfig::block_cache_bytes`]. The buffers are wiped in O(touched)
-//! between queries and never freed while the worker lives: steady-state
-//! serving allocates no per-query index arrays.
+//! allocations), plus the AP-side store of the running query's blocks.
+//! The buffers are wiped in O(touched) between queries and never freed
+//! while the worker lives: steady-state serving allocates no per-query
+//! index arrays, and keeps no block past its query.
 //!
 //! **Scheduling** never changes answers, only who runs a request and how
 //! long it queues:
@@ -44,7 +44,7 @@ use crate::rtr_sync::atomic::{AtomicU64, Ordering};
 use crossbeam::channel::{self, Sender};
 use rtr_cache::{CacheConfig, CacheKey, CacheStats, ShardedCache};
 use rtr_core::CoreError;
-use rtr_distributed::{BlockCache, DistributedWorkspace, GpCluster};
+use rtr_distributed::{DistributedWorkspace, GpCluster};
 use rtr_graph::Graph;
 use rtr_obs::{MetricsSnapshot, QueryTrace, Registry, TraceStage};
 use rtr_topk::TopKWorkspace;
@@ -151,20 +151,13 @@ struct Shared {
 impl Shared {
     /// The workspace a worker serves with, built at spawn and again after
     /// a caught panic: the top-K buffers pre-sized to the graph, so even a
-    /// worker's first query pays no O(|V|) allocation, and the AP-side
-    /// block cache at [`ServeConfig::block_cache_bytes`], its counters
-    /// armed on a distributed engine that records metrics.
-    fn workspace(&self, worker: usize) -> DistributedWorkspace {
-        let mut ws = DistributedWorkspace::with_cache(BlockCache::with_budget(
-            self.config.block_cache_bytes,
-        ));
-        ws.topk = TopKWorkspace::with_capacity(self.graph.node_count());
-        if self.cluster.is_some() {
-            if let Some(metrics) = self.m.block_cache(&self.registry, worker) {
-                ws.cache.set_metrics(metrics);
-            }
+    /// worker's first query pays no O(|V|) allocation, and an empty block
+    /// store that each distributed query clears when it starts.
+    fn workspace(&self) -> DistributedWorkspace {
+        DistributedWorkspace {
+            topk: TopKWorkspace::with_capacity(self.graph.node_count()),
+            ..DistributedWorkspace::new()
         }
-        ws
     }
 
     /// Run one job's request, recycling `ws`. Catches panics so a bad
@@ -175,7 +168,6 @@ impl Shared {
     fn compute(
         &self,
         job: &mut Job,
-        worker: usize,
         ws: &mut DistributedWorkspace,
     ) -> Result<Arc<ExecOutcome>, ServeError> {
         // ordering: Relaxed — computed_queries() is a telemetry read; the
@@ -186,7 +178,7 @@ impl Shared {
         }
         ws.trace = job.trace.take();
         let request = &job.request;
-        let result = self.caught(worker, ws, |ws| {
+        let result = self.caught(ws, |ws| {
             request.execute(&self.graph, self.cluster.as_ref(), ws)
         });
         // The trace survives a panic: a rebuilt workspace keeps it.
@@ -202,7 +194,6 @@ impl Shared {
     /// it unwound, the worker's is rebuilt as at spawn (its trace kept).
     fn caught(
         &self,
-        worker: usize,
         ws: &mut DistributedWorkspace,
         exec: impl FnOnce(&mut DistributedWorkspace) -> Result<ExecOutcome, CoreError>,
     ) -> Result<ExecOutcome, ServeError> {
@@ -210,7 +201,7 @@ impl Shared {
             Ok(r) => r.map_err(ServeError::from),
             Err(panic) => {
                 let trace = ws.trace.take();
-                *ws = self.workspace(worker);
+                *ws = self.workspace();
                 ws.trace = trace;
                 Err(ServeError::Panicked(panic_message(&*panic)))
             }
@@ -224,7 +215,7 @@ impl Shared {
         let picked = Instant::now();
         let queue_wait = picked.duration_since(job.enqueued);
         let Some(cache) = &self.cache else {
-            let served = self.compute(&mut job, worker, ws);
+            let served = self.compute(&mut job, ws);
             self.respond(job, Some(worker), served, false, queue_wait, picked);
             return;
         };
@@ -239,7 +230,7 @@ impl Shared {
             self.respond(job, Some(worker), Ok(hit), true, queue_wait, picked);
             return;
         }
-        let served = self.compute(&mut job, worker, ws);
+        let served = self.compute(&mut job, ws);
         // Failed queries are not cached (and are cheap to redo).
         if let Ok(outcome) = &served {
             cache.insert(key, Arc::clone(outcome));
@@ -385,7 +376,7 @@ impl ServeEngine {
                 // dead worker would strand the jobs still queued and hang
                 // their batches.
                 std::thread::spawn(move || {
-                    let mut ws = shared.workspace(idx);
+                    let mut ws = shared.workspace();
                     while let Ok(mut job) = queue.recv() {
                         if let Some(t) = job.trace.as_deref_mut() {
                             t.record(TraceStage::Dequeue);
@@ -982,44 +973,16 @@ mod tests {
             // the recorded fallback.
             if d.request.topk.k < g.node_count() {
                 assert_eq!(d.backend, BackendKind::Distributed);
-                // Wire bytes may be zero once the worker's block cache is
-                // warm; the per-query active-set accounting always holds.
+                // Every query fetches exactly its own active set.
                 let stats = d.distributed.unwrap();
                 assert!(stats.active_nodes > 0);
-                assert_eq!(
-                    stats.blocks_fetched + stats.blocks_from_cache,
-                    stats.active_nodes
-                );
+                assert!(stats.bytes_transferred > 0);
+                assert_eq!(stats.blocks_fetched, stats.active_nodes);
+                assert_eq!(stats.blocks_from_cache, 0);
             } else {
                 assert_eq!(d.backend, BackendKind::Local);
                 assert!(d.distributed.is_none());
             }
-        }
-    }
-
-    #[test]
-    fn block_cache_limits_are_pure_performance_knobs() {
-        // A starved budget (no cross-query residency) changes wire cost,
-        // never answers: every tuned response is bit-identical to the
-        // serial local reference.
-        let (g, _) = fig2_toy();
-        let g = Arc::new(g);
-        let base = ServeConfig::default()
-            .with_workers(2)
-            .with_topk(TopKConfig::toy())
-            .with_backend(Backend::Distributed { gps: 2 });
-        let requests: Vec<QueryRequest> = g.nodes().map(QueryRequest::node).collect();
-        let reference = run_serial_requests(&g, &base, &requests);
-        for bytes in [0, 100, 1 << 20] {
-            let tuned = base.with_block_cache_bytes(bytes);
-            let engine = ServeEngine::start(Arc::clone(&g), tuned);
-            let served = engine.run_requests(&requests);
-            for (s, r) in served.iter().zip(&reference) {
-                let (sr, rr) = (s.result.as_ref().unwrap(), r.result.as_ref().unwrap());
-                assert_eq!(sr.ranking, rr.ranking);
-                assert_eq!(sr.bounds, rr.bounds);
-            }
-            engine.shutdown();
         }
     }
 
@@ -1317,42 +1280,45 @@ mod tests {
 
     #[test]
     fn a_caught_panic_rebuilds_the_workspace_as_at_spawn() {
-        // With a block budget of 0 no block survives its query, so a
-        // repeated query on a workspace rebuilt with the configured budget
-        // reads nothing from the cache; the crate default budget would keep
-        // its blocks resident.
+        // The panic strikes after a query filled the block store; the
+        // rebuilt workspace holds no block and answers the next queries
+        // exactly as a fresh one does.
         let (g, ids) = fig2_toy();
         let config = ServeConfig::default()
             .with_workers(1)
             .with_topk(TopKConfig::toy())
-            .with_backend(Backend::Distributed { gps: 2 })
-            .with_block_cache_bytes(0)
-            .with_metrics(true);
+            .with_backend(Backend::Distributed { gps: 2 });
         let engine = ServeEngine::start(Arc::new(g), config);
         let shared = &engine.shared;
-        let mut ws = shared.workspace(0);
-        let panicked = shared.caught(0, &mut ws, |_| panic!("injected"));
+        let request = QueryRequest::node(ids.t1).resolve(&config);
+        let run = |ws: &mut DistributedWorkspace| {
+            shared
+                .caught(ws, |ws| {
+                    request.execute(&shared.graph, shared.cluster.as_ref(), ws)
+                })
+                .unwrap()
+        };
+        let fresh = run(&mut shared.workspace());
+        let mut ws = shared.workspace();
+        let panicked = shared.caught(&mut ws, |ws| {
+            request.execute(&shared.graph, shared.cluster.as_ref(), ws)?;
+            assert!(!ws.cache.is_empty());
+            panic!("injected")
+        });
         assert_eq!(
             panicked.err(),
             Some(ServeError::Panicked("injected".into()))
         );
-        let request = QueryRequest::node(ids.t1).resolve(&config);
+        assert!(ws.cache.is_empty(), "rebuilt as at spawn");
         for _ in 0..3 {
-            let outcome = shared
-                .caught(0, &mut ws, |ws| {
-                    request.execute(&shared.graph, shared.cluster.as_ref(), ws)
-                })
-                .unwrap();
+            let outcome = run(&mut ws);
             assert_eq!(outcome.backend, BackendKind::Distributed);
+            assert_eq!(outcome.result.bounds, fresh.result.bounds);
+            assert_eq!(outcome.distributed, fresh.distributed);
             let stats = outcome.distributed.unwrap();
             assert_eq!(stats.blocks_from_cache, 0);
             assert_eq!(stats.blocks_fetched, stats.active_nodes);
         }
-        // The rebuilt block cache publishes to the worker's counters.
-        let evicted = engine
-            .metrics_snapshot()
-            .counter_value("rtr_dist_block_cache_evictions_total", &[("worker", "0")]);
-        assert!(evicted > Some(0), "{evicted:?}");
     }
 
     mod worker_memory {
@@ -1446,9 +1412,9 @@ mod tests {
         #[test]
         fn a_distributed_worker_holds_one_trio_of_node_indexed_arrays() {
             // The top-K trio (ρ's and S_t's sparse indexes, µ) that both
-            // paths share, plus the block cache's own two: its block index
-            // and its per-query touched set.
-            const ARRAYS: isize = 3 + 2;
+            // paths share, plus the block store's one: the sparse index of
+            // its node → offset map.
+            const ARRAYS: isize = 3 + 1;
             let config = ServeConfig::default()
                 .with_workers(1)
                 .with_topk(TopKConfig {
@@ -1469,7 +1435,7 @@ mod tests {
             ];
             LARGE.with(|large| large.set(n));
             let before = LIVE.with(Cell::get);
-            let mut ws = shared.workspace(0);
+            let mut ws = shared.workspace();
             for measure in [
                 Measure::Rtr,
                 Measure::F,

@@ -27,7 +27,7 @@
 //!   is `Send + Sync`, so queries need no locks), served by
 //! * a **fixed pool of worker threads**, each owning one reusable
 //!   [`rtr_distributed::DistributedWorkspace`] (one set of top-K buffers
-//!   for either backend, plus the AP-side block cache) so that
+//!   for either backend, plus the AP-side per-query block store) so that
 //!   steady-state serving performs zero per-query allocation on the bound
 //!   paths, fed through
 //! * **one job queue** (an unbounded MPMC channel every worker receives

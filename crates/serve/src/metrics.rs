@@ -16,7 +16,7 @@ use crate::config::ServeConfig;
 use crate::engine::ServeError;
 use rtr_cache::EvictionCost;
 use rtr_core::Measure;
-use rtr_distributed::{BlockCacheMetrics, DistributedStats};
+use rtr_distributed::DistributedStats;
 use rtr_graph::Graph;
 use rtr_obs::{Counter, Gauge, Histogram, Registry, Unit};
 use rtr_topk::TopKResult;
@@ -56,7 +56,6 @@ pub(crate) struct ServeMetrics {
     wire_bytes: Arc<Counter>,
     fetch_rounds: Arc<Counter>,
     blocks_fetched: Arc<Counter>,
-    blocks_from_cache: Arc<Counter>,
     /// `[f, t]`: rounds in which the side expanded.
     side_expansions: [Arc<Counter>; 2],
     /// `[f, t]`: Stage II sweeps over the side's neighborhoods.
@@ -154,10 +153,6 @@ impl ServeMetrics {
                 "rtr_dist_blocks_fetched_total",
                 "Demanded node blocks received over the wire.",
             ),
-            blocks_from_cache: registry.counter(
-                "rtr_dist_blocks_from_cache_total",
-                "Demanded node blocks served from a worker's warm block cache.",
-            ),
             side_expansions: ["f", "t"].map(|side| {
                 registry.counter_with(
                     "rtr_topk_side_expansions_total",
@@ -226,40 +221,7 @@ impl ServeMetrics {
                 self.wire_bytes.add(stats.bytes_transferred as u64);
                 self.fetch_rounds.add(stats.fetch_requests as u64);
                 self.blocks_fetched.add(stats.blocks_fetched as u64);
-                self.blocks_from_cache.add(stats.blocks_from_cache as u64);
             }
         }
-    }
-
-    /// Per-worker block-cache counters
-    /// (`rtr_dist_block_cache_*_total{worker="i"}`) for arming a worker's
-    /// [`rtr_distributed::BlockCache`], or `None` with metrics off.
-    pub(crate) fn block_cache(
-        &self,
-        registry: &Registry,
-        worker: usize,
-    ) -> Option<BlockCacheMetrics> {
-        if !self.enabled {
-            return None;
-        }
-        let w = worker.to_string();
-        let labels: [(&str, &str); 1] = [("worker", &w)];
-        Some(BlockCacheMetrics {
-            hits: registry.counter_with(
-                "rtr_dist_block_cache_hits_total",
-                &labels,
-                "Warm block-cache hits, per AP worker.",
-            ),
-            evictions: registry.counter_with(
-                "rtr_dist_block_cache_evictions_total",
-                &labels,
-                "Resident blocks dropped with their generation over the byte budget, per AP worker.",
-            ),
-            invalidations: registry.counter_with(
-                "rtr_dist_block_cache_invalidations_total",
-                &labels,
-                "Resident blocks dropped on a graph-epoch change, per AP worker.",
-            ),
-        })
     }
 }

@@ -16,7 +16,7 @@ use rand_chacha::ChaCha8Rng;
 use rtr_core::prelude::*;
 use rtr_core::Measure;
 use rtr_datagen::{BibNet, BibNetConfig, QLog, QLogConfig};
-use rtr_distributed::{BlockCache, DistributedTwoSBound, DistributedWorkspace, GpCluster};
+use rtr_distributed::{DistributedTwoSBound, DistributedWorkspace, GpCluster};
 use rtr_graph::{AdjacencyError, Graph, NodeId};
 use rtr_integration_tests::SEED;
 use rtr_serve::{
@@ -114,22 +114,15 @@ fn active_set_is_partial_on_qlog() {
             "query {q:?}: active set covered the whole graph"
         );
         assert!(stats.bytes_transferred > 0);
-        // Every touched node was classified exactly once: fetched over the
-        // wire, or already resident from an earlier query.
-        assert_eq!(
-            stats.blocks_fetched + stats.blocks_from_cache,
-            stats.active_nodes
-        );
+        // Every touched node was fetched over the wire, exactly once.
+        assert_eq!(stats.blocks_fetched, stats.active_nodes);
     }
 }
 
 /// The AP holds exactly the paper's active set `S_f ∪ S_t`: for every
-/// measure and query arity, the blocks a query demands — fetched over the
-/// wire or served from the block cache — are the nodes of its result's
-/// active set, and nothing arrives on speculation. Checked with the block
-/// cache off (a zero budget: every query starts cold) and on (one
-/// workspace warm across the whole run), against the local engine bit for
-/// bit.
+/// measure and query arity, the blocks a query fetches are the nodes of its
+/// result's active set, and nothing arrives on speculation. One workspace
+/// serves the whole run, against the local engine bit for bit.
 #[test]
 fn the_ap_fetches_exactly_the_active_set() {
     let qlog = QLog::generate(&QLogConfig::small(), SEED);
@@ -144,157 +137,91 @@ fn the_ap_fetches_exactly_the_active_set() {
         Measure::RtrPlus { beta: 0.3 },
         Measure::RtrPlus { beta: 0.7 },
     ];
-    for budget in [0, rtr_distributed::DEFAULT_CACHE_BYTES] {
-        let mut ws = DistributedWorkspace::with_cache(BlockCache::with_budget(budget));
-        for (i, measure) in measures.into_iter().enumerate() {
-            let search = TwoSBound::for_measure(params, cfg(), measure).expect("valid measure");
-            let (a, b) = (pool[i], pool[i + 1]);
-            for query in [Query::single(a), Query::uniform(&[a, b])] {
-                let label = format!("budget {budget} {measure:?} {:?}", query.nodes());
-                let local = search
-                    .run_query_with(g, &query, &mut TopKWorkspace::new())
-                    .expect("local");
-                let (dist, stats) = DistributedTwoSBound::from(search)
-                    .run_query_with(&cluster, &query, &mut ws)
-                    .expect("distributed");
-                assert_eq!(local.ranking, dist.ranking, "{label}");
-                assert_eq!(local.bounds, dist.bounds, "{label}");
-                assert_eq!(local.expansions, dist.expansions, "{label}");
-                assert_eq!(local.work, dist.work, "{label}");
-                assert_eq!(local.active, dist.active, "{label}");
-                assert_eq!(
-                    stats.blocks_fetched + stats.blocks_from_cache,
-                    stats.active_nodes,
-                    "{label}"
-                );
-                assert_eq!(stats.active_nodes, dist.active.active_nodes, "{label}");
-                assert_eq!(stats.blocks_prefetched, 0, "{label}");
-                if budget == 0 {
-                    assert_eq!(stats.blocks_from_cache, 0, "{label}");
-                }
+    let mut ws = DistributedWorkspace::new();
+    for (i, measure) in measures.into_iter().enumerate() {
+        let search = TwoSBound::for_measure(params, cfg(), measure).expect("valid measure");
+        let (a, b) = (pool[i], pool[i + 1]);
+        for query in [Query::single(a), Query::uniform(&[a, b])] {
+            let label = format!("{measure:?} {:?}", query.nodes());
+            let local = search
+                .run_query_with(g, &query, &mut TopKWorkspace::new())
+                .expect("local");
+            let (dist, stats) = DistributedTwoSBound::from(search)
+                .run_query_with(&cluster, &query, &mut ws)
+                .expect("distributed");
+            assert_eq!(local.ranking, dist.ranking, "{label}");
+            assert_eq!(local.bounds, dist.bounds, "{label}");
+            assert_eq!(local.expansions, dist.expansions, "{label}");
+            assert_eq!(local.work, dist.work, "{label}");
+            assert_eq!(local.active, dist.active, "{label}");
+            assert_eq!(stats.blocks_fetched, stats.active_nodes, "{label}");
+            assert_eq!(stats.active_nodes, dist.active.active_nodes, "{label}");
+            assert_eq!(stats.blocks_prefetched, 0, "{label}");
+            assert_eq!(stats.blocks_from_cache, 0, "{label}");
+        }
+    }
+}
+
+/// A workspace carries nothing from one query to the next: a repeat, and a
+/// query on a cluster over another graph, pay exactly what a fresh
+/// workspace pays and answer exactly as the local engine does.
+#[test]
+fn a_reused_workspace_pays_what_a_fresh_one_pays() {
+    let net = BibNet::generate(&BibNetConfig::tiny(), SEED + 4);
+    let other = BibNet::generate(&BibNetConfig::tiny(), SEED + 9);
+    let params = RankParams::default();
+    let engine = DistributedTwoSBound::new(params, cfg());
+    let mut ws = DistributedWorkspace::new();
+    for g in [&net.graph, &other.graph, &net.graph] {
+        let cluster = GpCluster::spawn(g, 4);
+        for q in queries(g, 3, SEED + 4) {
+            let local = TwoSBound::new(params, cfg()).run(g, q).expect("local");
+            let (_, fresh) = engine.run(&cluster, q).expect("fresh");
+            assert!(fresh.bytes_transferred > 0, "query {q:?}");
+            for _ in 0..2 {
+                let (dist, stats) = engine.run_with(&cluster, q, &mut ws).expect("reused");
+                assert_eq!(local.ranking, dist.ranking, "query {q:?}");
+                assert_eq!(local.bounds, dist.bounds, "query {q:?}");
+                assert_eq!(local.active, dist.active, "query {q:?}");
+                assert_eq!(stats, fresh, "query {q:?}");
             }
         }
     }
 }
 
+/// After a run of distinct queries, a worker's block store holds no more
+/// than the largest single query's payload: nothing accumulates across
+/// queries, and every answer is the local one.
 #[test]
-fn block_cache_invalidates_on_epoch_bump_and_graph_swap() {
-    let net1 = BibNet::generate(&BibNetConfig::tiny(), SEED + 8);
-    let net2 = BibNet::generate(&BibNetConfig::tiny(), SEED + 9);
-    let (g1, g2) = (&net1.graph, &net2.graph);
-    let q = queries(g2, 8, SEED + 9)
-        .into_iter()
-        .find(|v| v.index() < g1.node_count() && !g1.is_dangling(*v))
-        .expect("a query valid in both graphs");
+fn a_worker_retains_at_most_one_querys_blocks() {
+    let log = QLog::generate(&QLogConfig::small(), SEED);
+    let g = &log.graph;
     let params = RankParams::default();
+    let cluster = GpCluster::spawn(g, 2);
     let engine = DistributedTwoSBound::new(params, cfg());
-    let mut ws = DistributedWorkspace::new();
-
-    // Warm the worker's block cache against g1.
-    let c1 = GpCluster::spawn(g1, 3);
-    engine.run_with(&c1, q, &mut ws).expect("g1 run");
-
-    // Same graph, bumped epoch: identical content, but the cache must not
-    // trust it. The warm workspace pays exactly a fresh (cold) workspace's
-    // wire cost — fetch for fetch, byte for byte.
-    let mut g1b = g1.clone();
-    g1b.bump_epoch();
-    let c1b = GpCluster::spawn(&g1b, 3);
-    let (_, cold) = engine.run(&c1b, q).expect("cold reference");
-    let (_, stats) = engine.run_with(&c1b, q, &mut ws).expect("bumped run");
-    assert_eq!(stats, cold, "stale epoch must not serve a single block");
-    assert_eq!(stats.blocks_from_cache, 0);
-    assert!(stats.bytes_transferred > 0);
-
-    // A different graph entirely: again exactly cold-cache wire cost, and
-    // the answer must match a local run on the new graph — no stale g1
-    // adjacency can leak into it.
-    let c2 = GpCluster::spawn(g2, 3);
-    let (_, cold2) = engine.run(&c2, q).expect("cold g2 reference");
-    let (dist, stats) = engine.run_with(&c2, q, &mut ws).expect("g2 run");
-    assert_eq!(stats, cold2, "stale blocks must not serve");
-    let local = TwoSBound::new(params, cfg()).run(g2, q).expect("local g2");
-    assert_eq!(local.ranking, dist.ranking);
-    assert_eq!(local.bounds, dist.bounds);
-    assert_eq!(local.active, dist.active);
-}
-
-#[test]
-fn warm_cache_reduces_wire_cost_without_changing_answers() {
-    let net = BibNet::generate(&BibNetConfig::tiny(), SEED + 4);
-    let g = &net.graph;
-    let cluster = GpCluster::spawn(g, 4);
-    let engine = DistributedTwoSBound::new(RankParams::default(), cfg());
-    let mut ws = DistributedWorkspace::new();
-    for q in queries(g, 3, SEED + 4) {
-        let (cold, cold_stats) = engine.run_with(&cluster, q, &mut ws).expect("cold");
-        let (warm, warm_stats) = engine.run_with(&cluster, q, &mut ws).expect("warm");
-        assert_eq!(cold.ranking, warm.ranking, "query {q:?}");
-        assert_eq!(cold.bounds, warm.bounds, "query {q:?}");
-        assert_eq!(cold.active, warm.active, "query {q:?}");
-        // The repeat visit is entirely cache-resident: zero wire rounds.
-        assert_eq!(warm_stats.fetch_requests, 0, "query {q:?}");
-        assert_eq!(warm_stats.bytes_transferred, 0, "query {q:?}");
-        assert_eq!(
-            warm_stats.blocks_from_cache, warm_stats.active_nodes,
-            "query {q:?}"
-        );
-        assert!(cold_stats.bytes_transferred > 0, "query {q:?}");
-    }
-}
-
-/// A query whose active set alone is larger than the whole block budget
-/// keeps every block it touched until it finishes: the answer is the local
-/// one and the accounting holds, query after query. Between queries such a
-/// generation is over budget on its own and is dropped, so each query pays
-/// exactly what a fresh workspace pays.
-#[test]
-fn queries_larger_than_the_block_budget_stay_exact() {
-    let net = BibNet::generate(&BibNetConfig::tiny(), SEED + 12);
-    let g = &net.graph;
-    let params = RankParams::default();
-    let cluster = GpCluster::spawn(g, 3);
-    let engine = DistributedTwoSBound::new(params, cfg());
-    const BUDGET: usize = 2048;
-    let mut ws = DistributedWorkspace::with_cache(BlockCache::with_budget(BUDGET));
-    for q in queries(g, 6, SEED + 12) {
-        let local = TwoSBound::new(params, cfg()).run(g, q).expect("local");
+    let local = TwoSBound::new(params, cfg());
+    let (mut ws, mut local_ws) = (DistributedWorkspace::new(), TopKWorkspace::new());
+    let (mut largest, mut total) = (0, 0);
+    for q in queries(g, 200, SEED + 12) {
+        let want = local.run_with(g, q, &mut local_ws).expect("local");
         let (dist, stats) = engine.run_with(&cluster, q, &mut ws).expect("distributed");
-        assert_eq!(local.ranking, dist.ranking, "query {q:?}");
-        assert_eq!(local.bounds, dist.bounds, "query {q:?}");
-        assert_eq!(local.expansions, dist.expansions, "query {q:?}");
-        assert_eq!(local.active, dist.active, "query {q:?}");
+        assert_eq!(want.ranking, dist.ranking, "query {q:?}");
+        assert_eq!(want.bounds, dist.bounds, "query {q:?}");
+        assert_eq!(stats.blocks_fetched, stats.active_nodes, "query {q:?}");
+        largest = largest.max(stats.bytes_transferred);
+        total += stats.bytes_transferred;
         assert!(
-            stats.active_bytes > BUDGET,
-            "query {q:?} fits the budget ({} B): the test no longer tests anything",
-            stats.active_bytes
+            ws.cache.resident_bytes() <= largest,
+            "query {q:?}: {} B retained, largest payload {largest} B",
+            ws.cache.resident_bytes()
         );
-        assert_eq!(
-            stats.active_nodes,
-            stats.blocks_fetched + stats.blocks_from_cache,
-            "query {q:?}"
-        );
-        // Nothing the query touched was dropped under it ...
-        assert!(
-            ws.cache.resident_bytes() >= stats.active_bytes,
-            "query {q:?}"
-        );
-        // ... and nothing the previous one left was still there.
-        let cold_cache = BlockCache::with_budget(BUDGET);
-        let (_, cold) = engine
-            .run_with(
-                &cluster,
-                q,
-                &mut DistributedWorkspace::with_cache(cold_cache),
-            )
-            .expect("cold");
-        assert_eq!(stats, cold, "query {q:?}");
     }
+    assert!(total > 4 * largest, "the queries must not all be one query");
 }
 
 /// A GP that fails a fetch in the middle of a query surfaces as the typed
-/// error, and the blocks the query had already taken in stay usable: the
-/// same workspace answers the next query exactly.
+/// error, and the same workspace answers the next query exactly, at a
+/// fresh workspace's wire cost.
 #[test]
 fn a_failed_fetch_mid_query_is_typed_and_the_workspace_recovers() {
     let net = BibNet::generate(&BibNetConfig::tiny(), SEED + 13);
@@ -321,7 +248,7 @@ fn a_failed_fetch_mid_query_is_typed_and_the_workspace_recovers() {
     }
     assert!(!ws.cache.is_empty(), "the fault hit after the first round");
     let local = TwoSBound::new(params, cfg()).run(g, q).expect("local");
-    let (cold, _) = engine.run(&cluster, q).expect("fresh workspace");
+    let (cold, cold_stats) = engine.run(&cluster, q).expect("fresh workspace");
     let (dist, stats) = engine.run_with(&cluster, q, &mut ws).expect("recovered");
     for other in [&cold, &dist] {
         assert_eq!(local.ranking, other.ranking);
@@ -329,14 +256,8 @@ fn a_failed_fetch_mid_query_is_typed_and_the_workspace_recovers() {
         assert_eq!(local.expansions, other.expansions);
         assert_eq!(local.active, other.active);
     }
-    assert_eq!(
-        stats.active_nodes,
-        stats.blocks_fetched + stats.blocks_from_cache
-    );
-    assert!(
-        stats.blocks_from_cache > 0,
-        "the half-finished query's blocks serve"
-    );
+    assert_eq!(stats, cold_stats);
+    assert_eq!(stats.active_nodes, stats.blocks_fetched);
 }
 
 #[test]
@@ -442,16 +363,11 @@ fn mixed_measure_batches_match_serial_local_at_every_pool_shape() {
                     // a measurable wire cost.
                     if expect_distributed(&requests[want.id], &g, &base) {
                         assert_eq!(got.backend, BackendKind::Distributed, "{label}");
-                        // Wire bytes may legitimately be zero once the
-                        // worker's cross-query block cache is warm; the
-                        // touched-set accounting must hold regardless.
                         let stats = got.distributed.expect("distributed stats");
                         assert!(stats.active_nodes > 0, "{label}");
-                        assert_eq!(
-                            stats.blocks_fetched + stats.blocks_from_cache,
-                            stats.active_nodes,
-                            "{label}"
-                        );
+                        assert!(stats.bytes_transferred > 0, "{label}");
+                        assert_eq!(stats.blocks_fetched, stats.active_nodes, "{label}");
+                        assert_eq!(stats.blocks_from_cache, 0, "{label}");
                         assert_eq!(stats.active_nodes, got_r.active.active_nodes, "{label}");
                         assert_eq!(stats.blocks_prefetched, 0, "{label}");
                     } else {
@@ -464,56 +380,46 @@ fn mixed_measure_batches_match_serial_local_at_every_pool_shape() {
     }
 }
 
-/// The hardware-independent clause of the retired distributed perf gate:
-/// one worker is one AP with one block cache, so a fixed request stream
-/// costs exactly the same wire traffic every time, and the cross-query
-/// block cache keeps that traffic at a small fraction of what a cache that
-/// forgets everything between queries pays.
+/// Every query a pool serves fetches exactly its own active set, and what
+/// a worker served before it changes nothing: on one and on two workers,
+/// each response reads the bytes, rounds and blocks the same query reads on
+/// a fresh workspace, and answers as the serial local reference does.
 #[test]
-fn single_worker_wire_cost_repeats_exactly_and_the_block_cache_bounds_it() {
+fn pool_queries_fetch_exactly_their_active_set_warm_or_fresh() {
     let log = QLog::generate(&QLogConfig::small(), SEED);
     let g = Arc::new(log.graph);
     let pool = queries(&g, 40, SEED);
-    // The pool cycled five times: popular phrases repeat.
+    // The pool cycled five times: every worker serves repeats.
     let requests: Vec<QueryRequest> = (0..200)
         .map(|i| QueryRequest::node(pool[i % pool.len()]))
         .collect();
     let base = ServeConfig::default()
         .with_topk(cfg())
-        .with_workers(1)
         .with_backend(Backend::Distributed { gps: 4 });
     let serial = run_serial_requests(&g, &base, &requests);
-
-    // Σ bytes and Σ fetch rounds of the stream on a fresh engine, with
-    // every answer checked against the serial local reference.
-    let wire_cost = |config: ServeConfig| -> (usize, usize) {
-        let engine = ServeEngine::start(Arc::clone(&g), config);
-        let responses = engine.run_requests(&requests);
+    let cluster = GpCluster::spawn(&g, 4);
+    let engine = DistributedTwoSBound::new(base.params, base.topk);
+    let fresh: Vec<_> = pool
+        .iter()
+        .map(|&q| engine.run(&cluster, q).expect("fresh").1)
+        .collect();
+    for workers in [1, 2] {
+        let served = ServeEngine::start(Arc::clone(&g), base.with_workers(workers));
+        let responses = served.run_requests(&requests);
         assert_eq!(responses.len(), serial.len());
-        let (mut bytes, mut rounds) = (0, 0);
-        for (got, want) in responses.iter().zip(&serial) {
+        for (i, (got, want)) in responses.iter().zip(&serial).enumerate() {
+            let label = format!("workers={workers} id={}", want.id);
             let (got_r, want_r) = (
                 got.result.as_ref().expect("served"),
                 want.result.as_ref().expect("serial"),
             );
-            assert_eq!(got_r.ranking, want_r.ranking, "id={}", want.id);
-            assert_eq!(got_r.bounds, want_r.bounds, "id={}", want.id);
+            assert_eq!(got_r.ranking, want_r.ranking, "{label}");
+            assert_eq!(got_r.bounds, want_r.bounds, "{label}");
             let stats = got.distributed.expect("distributed stats");
-            bytes += stats.bytes_transferred;
-            rounds += stats.fetch_requests;
+            assert_eq!(stats.blocks_fetched, stats.active_nodes, "{label}");
+            assert_eq!(stats.blocks_from_cache, 0, "{label}");
+            assert_eq!(stats, fresh[i % pool.len()], "{label}");
         }
-        (bytes, rounds)
-    };
-    let first = wire_cost(base);
-    assert_eq!(
-        first,
-        wire_cost(base),
-        "the wire stream must repeat exactly"
-    );
-    let (starved_bytes, _) = wire_cost(base.with_block_cache_bytes(0));
-    assert!(
-        first.0 * 10 <= starved_bytes,
-        "the block cache must cut wire bytes at least 10x: {} vs {starved_bytes} starved",
-        first.0
-    );
+        served.shutdown();
+    }
 }

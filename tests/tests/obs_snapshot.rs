@@ -255,10 +255,6 @@ fn prometheus_rendering_is_valid_and_covers_every_layer() {
         "rtr_dist_wire_bytes_total",
         "rtr_dist_fetch_rounds_total",
         "rtr_dist_blocks_fetched_total",
-        "rtr_dist_blocks_from_cache_total",
-        "rtr_dist_block_cache_hits_total",
-        "rtr_dist_block_cache_evictions_total",
-        "rtr_dist_block_cache_invalidations_total",
         "rtr_topk_side_expansions_total",
         "rtr_topk_refine_sweeps_total",
         "rtr_graph_bytes",
