@@ -32,6 +32,11 @@ use crate::params::RankParams;
 use crate::workspace::BcaWorkspace;
 use rtr_graph::{AdjacencyAccess, AdjacencyError, NodeId};
 
+/// How far ahead the frontier ranking hints index entries and the pushes
+/// hint blocks ("Memory latency" in ARCHITECTURE.md).
+const INDEX_AHEAD: usize = 16;
+const BLOCK_AHEAD: usize = 4;
+
 /// BCA state for one query node.
 ///
 /// The per-query `ρ` map and `µ` residuals live in a [`BcaWorkspace`]
@@ -240,8 +245,12 @@ impl Bca {
         }
         // Candidates in ascending id order: the order they are processed
         // in, so state evolution is independent of selection order. Their
-        // out-degrees need no resident block.
-        for &v in &self.ws.ensure_ids {
+        // out-degrees need no resident block; the walk hints the index
+        // entries ahead of it, which the picks' pushes read again.
+        for (i, &v) in self.ws.ensure_ids.iter().enumerate() {
+            if let Some(&w) = self.ws.ensure_ids.get(i + INDEX_AHEAD) {
+                a.prefetch_index(NodeId(w));
+            }
             let out = a.out_degree(NodeId(v)).max(1);
             self.ws.candidates.push((v, self.ws.mu.get(v) / out as f64));
         }
@@ -274,9 +283,12 @@ impl Bca {
         // `ensure_ids` now lists the picks (the whole frontier when every
         // candidate is picked), the only nodes whose edges the batch reads:
         // a paged adjacency demand-fetches the missing blocks here; the
-        // in-memory graph does nothing.
+        // in-memory graph does nothing, and its blocks are hinted ahead.
         a.ensure(&self.ws.ensure_ids)?;
         for i in 0..take {
+            if let Some(&w) = self.ws.ensure_ids[..take].get(i + BLOCK_AHEAD) {
+                a.prefetch(NodeId(w));
+            }
             let v = NodeId(self.ws.ensure_ids[i]);
             self.push(a, v);
         }

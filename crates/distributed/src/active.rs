@@ -355,6 +355,21 @@ mod tests {
     }
 
     #[test]
+    fn prefetch_hints_keep_the_no_op_default() {
+        let (g, _, cluster) = harness();
+        let mut cache = BlockCache::new();
+        let mut slot = ReplySlot::new();
+        let active = ActiveGraph::new(&cluster, &mut cache, &mut slot);
+        let n = g.node_count() as u32;
+        for v in (0..n + 2).chain([u32::MAX]).map(NodeId) {
+            active.prefetch(v);
+            active.prefetch_index(v);
+        }
+        assert_eq!(active.fetch_requests(), 0);
+        assert_eq!(active.touched_nodes(), 0);
+    }
+
+    #[test]
     fn ensure_fetches_only_the_demanded_blocks() {
         let (g, ids, cluster) = harness();
         let mut cache = BlockCache::new();

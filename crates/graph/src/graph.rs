@@ -249,6 +249,16 @@ impl Graph {
         self.blocks.in_edges(v, self.out_degree(v))
     }
 
+    /// Hint both offset-table entries of `v` the edge reads start from:
+    /// its cold out-table offset (the out-degree) and its block offset.
+    #[inline]
+    pub(crate) fn prefetch_index(&self, v: NodeId) {
+        if let Some(entry) = self.out_offsets.get(v.index()) {
+            wire::prefetch_ptr(entry);
+        }
+        self.blocks.prefetch_index(v);
+    }
+
     /// Range of `v`'s row in the cold out-table.
     #[inline]
     fn out_row(&self, v: NodeId) -> (usize, usize) {

@@ -179,6 +179,25 @@ impl BlockArena {
         Edges(&self.bytes[at..self.offsets[v.index() + 1]])
     }
 
+    /// Hint the first two cache lines of `v`'s block, found through the
+    /// entry [`BlockArena::prefetch_index`] hints. A no-op past the end.
+    #[inline]
+    pub(crate) fn prefetch(&self, v: NodeId) {
+        if let Some(&at) = self.offsets.get(v.index()) {
+            for line in self.bytes[at..].iter().step_by(64).take(2) {
+                prefetch_ptr(line);
+            }
+        }
+    }
+
+    /// Hint `v`'s offset entry. A no-op past the end.
+    #[inline]
+    pub(crate) fn prefetch_index(&self, v: NodeId) {
+        if let Some(entry) = self.offsets.get(v.index()) {
+            prefetch_ptr(entry);
+        }
+    }
+
     /// All blocks, concatenated in ascending node id order.
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
@@ -187,6 +206,20 @@ impl BlockArena {
     /// Resident bytes: the blocks plus the offset table.
     pub(crate) fn memory_bytes(&self) -> usize {
         self.bytes.len() + self.offsets.len() * size_of::<usize>()
+    }
+}
+
+/// Ask the CPU to pull the cache line holding `p` into every cache level
+/// without waiting for it: the graph's prefetch hints. A no-op off x86_64.
+#[inline]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub(crate) fn prefetch_ptr<T>(p: &T) {
+    // SAFETY: `_mm_prefetch` needs only SSE, which every x86_64 CPU has;
+    // a prefetch reads no value, cannot fault and changes no state.
+    #[cfg(target_arch = "x86_64")]
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>((p as *const T).cast());
     }
 }
 

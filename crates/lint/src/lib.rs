@@ -24,6 +24,8 @@
 //!    shim surface must be deleted (escape hatch:
 //!    `// lint: allow(unused-shim)` on the line above a deliberate
 //!    implicit-only export).
+//! 6. **safety-comment** — every `unsafe` in non-test code carries an
+//!    adjacent `// SAFETY:` comment, in rule 1's window.
 //!
 //! Every rule works on `(path, lines)` pairs so the unit tests can feed
 //! seeded in-memory violations without touching the real tree.
@@ -159,30 +161,49 @@ pub fn check_ordering_comments(file: &str, lines: &[&str], out: &mut Vec<Violati
     }
 }
 
-/// Rule 2: `unwrap()`/`expect()` in non-test library code needs an
-/// adjacent `// invariant:` comment stating why it cannot fire.
-pub fn check_invariant_expects(file: &str, lines: &[&str], out: &mut Vec<Violation>) {
+/// Rules 2 and 6: every line outside test items that `hits` needs
+/// `marker` on it or within the [`MARKER_WINDOW`] lines above it.
+fn check_marked_outside_tests(
+    file: &str,
+    lines: &[&str],
+    out: &mut Vec<Violation>,
+    rule: &'static str,
+    marker: &str,
+    hits: impl Fn(&str) -> bool,
+) {
     let mask = test_mask(lines);
     for (i, line) in lines.iter().enumerate() {
-        if mask[i] || is_comment_line(line) {
+        if mask[i] || is_comment_line(line) || !hits(line) {
             continue;
         }
-        if !line.contains(".unwrap()") && !line.contains(".expect(") {
-            continue;
-        }
-        if !has_adjacent_marker(lines, i, "invariant:") {
+        if !has_adjacent_marker(lines, i, marker) {
             out.push(Violation {
                 file: file.to_owned(),
                 line: i + 1,
-                rule: "invariant-expect",
+                rule,
                 msg: format!(
-                    "unwrap/expect in library code without an `// invariant:` \
-                     comment within {MARKER_WINDOW} lines: `{}`",
+                    "no `// {marker}` comment within {MARKER_WINDOW} lines: `{}`",
                     line.trim()
                 ),
             });
         }
     }
+}
+
+/// Rule 2: `unwrap()`/`expect()` in non-test library code needs an
+/// adjacent `// invariant:` comment stating why it cannot fire.
+pub fn check_invariant_expects(file: &str, lines: &[&str], out: &mut Vec<Violation>) {
+    check_marked_outside_tests(file, lines, out, "invariant-expect", "invariant:", |l| {
+        l.contains(".unwrap()") || l.contains(".expect(")
+    });
+}
+
+/// Rule 6: `unsafe` in non-test code needs an adjacent `// SAFETY:`
+/// comment stating why the unsafe contract holds.
+pub fn check_safety_comments(file: &str, lines: &[&str], out: &mut Vec<Violation>) {
+    check_marked_outside_tests(file, lines, out, "safety-comment", "SAFETY:", |l| {
+        token_in_line(l, "unsafe")
+    });
 }
 
 /// Rule 3: `HashMap`/`HashSet` are banned in hot-path (per-query
@@ -418,7 +439,7 @@ fn doc_lib_roots(root: &Path) -> Vec<PathBuf> {
 pub fn run(root: &Path) -> i32 {
     let mut violations = Vec::new();
 
-    // Rules 1–3 over the src trees.
+    // Rules 1–3 and 6 over the src trees.
     let mut src_files = Vec::new();
     if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
         let mut dirs: Vec<_> = entries.flatten().map(|e| e.path()).collect();
@@ -455,6 +476,7 @@ pub fn run(root: &Path) -> i32 {
         if in_crates(HOT_PATH_CRATES) {
             check_hot_path_collections(&file, &lines, &mut violations);
         }
+        check_safety_comments(&file, &lines, &mut violations);
     }
 
     // Rule 4 over library crate roots.
@@ -573,6 +595,16 @@ mod tests {
         let mut out = Vec::new();
         check_hot_path_collections("x.rs", &lines(src), &mut out);
         assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn unsafe_needs_an_adjacent_safety_comment_outside_tests() {
+        let src = "fn g(p: *const u8) -> u8 {\n    unsafe { *p }\n}\nfn f(p: *const u8) -> u8 {\n    // SAFETY: the caller passes a live pointer.\n    unsafe { *p }\n}\n#[cfg(test)]\nmod tests {\n    unsafe impl Send for X {}\n}\n";
+        let mut out = Vec::new();
+        check_safety_comments("x.rs", &lines(src), &mut out);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].rule, "safety-comment");
+        assert_eq!(out[0].line, 2);
     }
 
     #[test]

@@ -51,6 +51,22 @@ use crate::workspace::TWorkspace;
 use rtr_core::{CoreError, RankParams};
 use rtr_graph::{AdjacencyAccess, AdjacencyError, NodeId};
 
+/// How far [`prefetch_ahead`] hints ahead of an in-edge walk: the index
+/// entries twice as far as the blocks they locate ("Memory latency" in
+/// ARCHITECTURE.md).
+const INDEX_AHEAD: usize = 16;
+const BLOCK_AHEAD: usize = 8;
+
+#[inline]
+fn prefetch_ahead<A: AdjacencyAccess>(a: &A, ids: impl Fn(usize) -> Option<u32>, i: usize) {
+    if let Some(w) = ids(i + INDEX_AHEAD) {
+        a.prefetch_index(NodeId(w));
+    }
+    if let Some(w) = ids(i + BLOCK_AHEAD) {
+        a.prefetch(NodeId(w));
+    }
+}
+
 /// Which Stage-II realization the t-neighborhood uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TBoundMode {
@@ -196,7 +212,9 @@ impl TNeighborhood {
 
         let newcomer = Bounds::unseen(self.unseen_upper);
         ws.ids.clear();
-        for &(u, _) in &ws.select[..take] {
+        let picked = &ws.select[..take];
+        for (i, &(u, _)) in picked.iter().enumerate() {
+            prefetch_ahead(&*a, |j| picked.get(j).map(|&(w, _)| w), i);
             for (src, _) in a.in_edges(NodeId(u)) {
                 if ws.bounds.insert_if_vacant(src.0, newcomer) {
                     ws.ids.push(src.0);
@@ -302,12 +320,14 @@ impl TWorkspace {
         let first_new = self.outside_mass.len();
         let members = self.bounds.len();
 
-        // Newcomers' in-edges: how many come from outside (the border
-        // count), and which come from old members — those edges leave the
-        // old member's outside mass and join its row.
+        // Newcomers' in-edges, hinted ahead: how many come from outside (the
+        // border count), and which come from old members — those edges
+        // leave the old member's outside mass and join its row.
         self.grown.clear();
+        let keys = self.bounds.key_slice();
         for pos in first_new..members {
-            let v = NodeId(self.bounds.key_slice()[pos]);
+            prefetch_ahead(a, |j| keys.get(j).copied(), pos);
+            let v = NodeId(keys[pos]);
             let mut outside = 0u32;
             for (src, prob) in a.in_edges(v) {
                 match self.bounds.position(src.0) {
