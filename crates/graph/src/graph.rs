@@ -127,15 +127,6 @@ impl Graph {
         self.epoch
     }
 
-    /// Re-stamp this graph with a fresh epoch, invalidating every cache
-    /// entry keyed against the old one. The hook future dynamic-graph
-    /// layers call after an in-place mutation (edge insertion, weight
-    /// update) so cached rankings computed on the pre-mutation topology
-    /// can never be served again.
-    pub fn bump_epoch(&mut self) {
-        self.epoch = fresh_epoch();
-    }
-
     /// The type registry.
     pub fn types(&self) -> &TypeRegistry {
         &self.types
@@ -488,17 +479,6 @@ mod tests {
         // A clone is the same content, so it keeps the same epoch: cached
         // answers computed against the original stay valid for the clone.
         assert_eq!(a.clone().epoch(), a.epoch());
-    }
-
-    #[test]
-    fn bump_epoch_restamps_forward() {
-        let (mut g, _) = fig2_toy();
-        let before = g.epoch();
-        g.bump_epoch();
-        assert!(g.epoch() > before);
-        let again = g.epoch();
-        g.bump_epoch();
-        assert!(g.epoch() > again);
     }
 
     #[test]

@@ -39,8 +39,8 @@
 //!   make a graph irreducible by adding some dummy edges").
 //! * [`view`] — induced subgraphs and cumulative growth snapshots
 //!   (used by the scalability study, paper Sect. VI-B2).
-//! * [`score_map`] — dense-backed sparse per-query state ([`ScoreMap`],
-//!   [`NodeSet`]) with O(touched) clearing, the workspace primitive that
+//! * [`score_map`] — dense-backed sparse per-query state ([`SparseMap`],
+//!   [`ScoreMap`]) with O(touched) clearing, the workspace primitive that
 //!   lets the serving layer run queries with zero steady-state allocation.
 //! * [`stats`] — degree statistics and memory-footprint accounting (the
 //!   "active set" measurements of Fig. 12 need byte sizes).
@@ -86,7 +86,7 @@ pub use adjacency::{AdjacencyAccess, AdjacencyError};
 pub use builder::GraphBuilder;
 pub use graph::Graph;
 pub use node::{NodeId, NodeTypeId, TypeRegistry};
-pub use score_map::{NodeSet, ScoreMap, SparseMap};
+pub use score_map::{ScoreMap, SparseMap};
 
 /// Convenient glob-import surface for downstream crates.
 pub mod prelude {
@@ -95,6 +95,6 @@ pub mod prelude {
     pub use crate::graph::Graph;
     pub use crate::node::{NodeId, NodeTypeId, TypeRegistry};
     pub use crate::scc::IrreducibilityRepair;
-    pub use crate::score_map::{NodeSet, ScoreMap, SparseMap};
+    pub use crate::score_map::{ScoreMap, SparseMap};
     pub use crate::view::{GrowthSchedule, Subgraph};
 }

@@ -246,65 +246,6 @@ impl ScoreMap {
     }
 }
 
-/// A set of node ids with O(touched) clearing — the workspace replacement
-/// for the active-set `HashSet<u32>`.
-#[derive(Clone, Debug, Default)]
-pub struct NodeSet {
-    map: SparseMap<()>,
-}
-
-impl NodeSet {
-    /// An empty set with zero capacity.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty set admitting ids `0..capacity`.
-    pub fn with_capacity(capacity: usize) -> Self {
-        NodeSet {
-            map: SparseMap::with_capacity(capacity),
-        }
-    }
-
-    /// Grow the id universe to at least `capacity`.
-    pub fn ensure_capacity(&mut self, capacity: usize) {
-        self.map.ensure_capacity(capacity);
-    }
-
-    /// Insert `id`; returns `true` if it was not already present.
-    /// Panics if `id >= capacity`.
-    #[inline]
-    pub fn insert(&mut self, id: u32) -> bool {
-        self.map.insert_if_vacant(id, ())
-    }
-
-    /// Whether `id` is present.
-    #[inline]
-    pub fn contains(&self, id: u32) -> bool {
-        self.map.contains(id)
-    }
-
-    /// Number of present ids.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Remove all ids in O(touched).
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-
-    /// Present ids, in dense (insertion) order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.map.keys()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,18 +322,6 @@ mod tests {
     fn out_of_universe_insert_panics() {
         let mut m: ScoreMap = SparseMap::with_capacity(4);
         m.insert(4, 1.0);
-    }
-
-    #[test]
-    fn node_set_basics() {
-        let mut s = NodeSet::with_capacity(8);
-        assert!(s.insert(3));
-        assert!(!s.insert(3));
-        assert!(s.contains(3));
-        assert_eq!(s.len(), 1);
-        s.clear();
-        assert!(s.is_empty());
-        assert!(!s.contains(3));
     }
 
     #[test]

@@ -14,8 +14,7 @@
 
 use crate::codec::{decode_reject, decode_response, encode_request, Reject};
 use crate::frame::{Frame, FrameType, WireError, MAX_PAYLOAD};
-use crate::json;
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use rtr_serve::{QueryRequest, QueryResponse};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -75,13 +74,11 @@ pub struct NetClient {
     stream: TcpStream,
     buffered: Vec<u8>,
     tenant: u32,
-    json: bool,
     next_request_id: u64,
 }
 
 impl NetClient {
-    /// Connect to a server (e.g. `server.local_addr()`); tenant 0,
-    /// binary payloads.
+    /// Connect to a server (e.g. `server.local_addr()`); tenant 0.
     pub fn connect(addr: SocketAddr) -> std::io::Result<NetClient> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
@@ -89,7 +86,6 @@ impl NetClient {
             stream,
             buffered: Vec::new(),
             tenant: 0,
-            json: false,
             next_request_id: 0,
         })
     }
@@ -98,13 +94,6 @@ impl NetClient {
     /// identity).
     pub fn with_tenant(mut self, tenant: u32) -> Self {
         self.tenant = tenant;
-        self
-    }
-
-    /// Switch request/response payloads to JSON mode (the debug
-    /// encoding).
-    pub fn with_json(mut self, json: bool) -> Self {
-        self.json = json;
         self
     }
 
@@ -130,19 +119,14 @@ impl NetClient {
     pub fn send(&mut self, request: &QueryRequest) -> Result<u64, NetError> {
         let request_id = self.next_request_id;
         self.next_request_id += 1;
-        let payload = if self.json {
-            Bytes::from(json::request_to_json(request).into_bytes())
-        } else {
-            let mut buf = BytesMut::new();
-            encode_request(request, &mut buf);
-            buf.freeze()
-        };
+        let mut payload = BytesMut::new();
+        encode_request(request, &mut payload);
         let frame = Frame {
             frame_type: FrameType::Request,
-            json: self.json,
+            json: false,
             tenant: self.tenant,
             request_id,
-            payload,
+            payload: payload.freeze(),
         };
         self.stream.write_all(frame.to_bytes().as_slice())?;
         Ok(request_id)
@@ -218,26 +202,14 @@ impl NetClient {
 /// Interpret a server frame as a request outcome.
 fn decode_outcome(frame: Frame) -> Result<(u64, Result<QueryResponse, Reject>), NetError> {
     match frame.frame_type {
-        FrameType::Response => {
-            let response = if frame.json {
-                let text = std::str::from_utf8(frame.payload.as_slice())
-                    .map_err(|_| NetError::Protocol("response is not UTF-8".into()))?;
-                json::response_from_json(text)?
-            } else {
-                decode_response(frame.payload.as_slice())?
-            };
-            Ok((frame.request_id, Ok(response)))
-        }
-        FrameType::Error => {
-            let reject = if frame.json {
-                let text = std::str::from_utf8(frame.payload.as_slice())
-                    .map_err(|_| NetError::Protocol("rejection is not UTF-8".into()))?;
-                json::reject_from_json(text)?
-            } else {
-                decode_reject(frame.payload.as_slice())?
-            };
-            Ok((frame.request_id, Err(reject)))
-        }
+        FrameType::Response => Ok((
+            frame.request_id,
+            Ok(decode_response(frame.payload.as_slice())?),
+        )),
+        FrameType::Error => Ok((
+            frame.request_id,
+            Err(decode_reject(frame.payload.as_slice())?),
+        )),
         FrameType::Goodbye => Err(NetError::ServerClosed),
         other => Err(NetError::Protocol(format!(
             "unexpected frame type {other:?} while awaiting a response"

@@ -9,7 +9,7 @@
 //! 0      2    magic       b"RT"
 //! 2      1    version     PROTOCOL_VERSION (1)
 //! 3      1    frame type  FrameType discriminant
-//! 4      1    flags       bit 0 = JSON payload; other bits reserved (0)
+//! 4      1    flags       reserved (0)
 //! 5      3    reserved    must be zero
 //! 8      4    tenant id   u32 LE (admission-control identity)
 //! 12     8    request id  u64 LE (client-chosen correlation id)
@@ -46,10 +46,6 @@ pub const HEADER_LEN: usize = 24;
 /// Hard protocol-level payload cap (16 MiB). Transports may impose a
 /// stricter limit; nothing may accept more.
 pub const MAX_PAYLOAD: usize = 16 << 20;
-
-/// Frame flag bit 0: the payload is JSON text instead of the binary
-/// codec (see [`crate::json`]).
-pub const FLAG_JSON: u8 = 0b0000_0001;
 
 /// What a frame carries. Discriminants are the on-wire type byte.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -128,7 +124,9 @@ pub enum WireError {
     /// The frame parsed but its payload is structurally invalid (bad
     /// enum tag, length mismatch, non-UTF-8 string, semantic violation).
     Malformed(String),
-    /// A JSON-mode payload failed to parse or had the wrong shape.
+    /// A JSON document handed to [`crate::json::response_from_json`]
+    /// failed to parse or had the wrong shape. No socket path produces
+    /// it: frames carry only the binary codec.
     BadJson(String),
 }
 
@@ -156,7 +154,7 @@ impl fmt::Display for WireError {
                 )
             }
             WireError::Malformed(msg) => write!(f, "malformed payload: {msg}"),
-            WireError::BadJson(msg) => write!(f, "bad JSON payload: {msg}"),
+            WireError::BadJson(msg) => write!(f, "bad JSON: {msg}"),
         }
     }
 }
@@ -164,13 +162,14 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// One decoded frame: the header fields plus the raw payload (decoded
-/// further by [`crate::codec`] / [`crate::json`] according to
-/// [`Frame::frame_type`] and [`Frame::json`]).
+/// further by [`crate::codec`] according to [`Frame::frame_type`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Frame {
     /// What the payload is.
     pub frame_type: FrameType,
-    /// Whether the payload is JSON text instead of the binary codec.
+    /// Always `false`. Flag bit 0 once selected a JSON payload; it is
+    /// reserved now, so [`Frame::parse`] never yields `true` and
+    /// [`Frame::encode`] refuses it.
     pub json: bool,
     /// Tenant identity for admission control (0 = the default tenant).
     pub tenant: u32,
@@ -195,9 +194,11 @@ impl Frame {
     /// Append this frame's wire form (header + payload) to `out`.
     ///
     /// # Panics
-    /// If the payload exceeds [`MAX_PAYLOAD`] — encoders construct
-    /// payloads, so an oversized one is a caller bug, not wire input.
+    /// If the payload exceeds [`MAX_PAYLOAD`] or [`Frame::json`] is set —
+    /// encoders construct frames, so either is a caller bug, not wire
+    /// input.
     pub fn encode(&self, out: &mut BytesMut) {
+        assert!(!self.json, "flag bit 0 (the JSON payload mode) is reserved");
         assert!(
             self.payload.len() <= MAX_PAYLOAD,
             "frame payload {} exceeds MAX_PAYLOAD",
@@ -207,8 +208,7 @@ impl Frame {
         out.put_slice(&MAGIC);
         out.put_u8(PROTOCOL_VERSION);
         out.put_u8(self.frame_type as u8);
-        out.put_u8(if self.json { FLAG_JSON } else { 0 });
-        out.put_slice(&[0u8; 3]);
+        out.put_slice(&[0u8; 4]);
         out.put_u32_le(self.tenant);
         out.put_u64_le(self.request_id);
         out.put_u32_le(self.payload.len() as u32);
@@ -240,7 +240,7 @@ impl Frame {
         Ok((
             Frame {
                 frame_type: header.frame_type,
-                json: header.json,
+                json: false,
                 tenant: header.tenant,
                 request_id: header.request_id,
                 payload: Bytes::from(&input[HEADER_LEN..total]),
@@ -256,8 +256,6 @@ impl Frame {
 pub struct FrameHeader {
     /// What the payload will be.
     pub frame_type: FrameType,
-    /// Whether the payload is JSON text.
-    pub json: bool,
     /// Tenant identity.
     pub tenant: u32,
     /// Correlation id.
@@ -283,7 +281,7 @@ pub fn parse_header(input: &[u8], max_payload: usize) -> Result<FrameHeader, Wir
     if input.len() >= 4 && FrameType::from_wire(input[3]).is_none() {
         return Err(WireError::UnknownFrameType(input[3]));
     }
-    if input.len() >= 5 && input[4] & !FLAG_JSON != 0 {
+    if input.len() >= 5 && input[4] != 0 {
         return Err(WireError::UnknownFlags(input[4]));
     }
     if input.len() < HEADER_LEN {
@@ -294,7 +292,6 @@ pub fn parse_header(input: &[u8], max_payload: usize) -> Result<FrameHeader, Wir
     }
     // invariant: byte 3 was validated above once 4 bytes were available.
     let frame_type = FrameType::from_wire(input[3]).expect("validated frame type");
-    let flags = input[4];
     if input[5..8] != [0, 0, 0] {
         return Err(WireError::Malformed(format!(
             "reserved header bytes must be zero, got {:?}",
@@ -317,7 +314,6 @@ pub fn parse_header(input: &[u8], max_payload: usize) -> Result<FrameHeader, Wir
     }
     Ok(FrameHeader {
         frame_type,
-        json: flags & FLAG_JSON != 0,
         tenant,
         request_id,
         payload_len,
@@ -386,12 +382,15 @@ mod tests {
             Err(WireError::UnknownFrameType(0))
         );
 
-        let mut bad = wire.as_slice().to_vec();
-        bad[4] = 0b1000_0001;
-        assert!(matches!(
-            Frame::parse(&bad, MAX_PAYLOAD),
-            Err(WireError::UnknownFlags(_))
-        ));
+        // Bit 0 (the retired JSON payload mode) is as reserved as the rest.
+        for flags in [0b0000_0001, 0b1000_0001] {
+            let mut bad = wire.as_slice().to_vec();
+            bad[4] = flags;
+            assert_eq!(
+                Frame::parse(&bad, MAX_PAYLOAD),
+                Err(WireError::UnknownFlags(flags))
+            );
+        }
 
         let mut bad = wire.as_slice().to_vec();
         bad[6] = 7;
@@ -399,6 +398,14 @@ mod tests {
             Frame::parse(&bad, MAX_PAYLOAD),
             Err(WireError::Malformed(_))
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved")]
+    fn encoding_the_json_flag_panics() {
+        let mut frame = sample();
+        frame.json = true;
+        frame.to_bytes();
     }
 
     #[test]

@@ -1,42 +1,23 @@
-//! JSON payload mode — the debuggability fallback of the wire protocol.
+//! JSON rendering of a [`QueryResponse`]: a debugging aid, not a wire
+//! encoding.
 //!
-//! Setting [`crate::frame::FLAG_JSON`] in a frame header switches that
-//! frame's payload from the binary codec to UTF-8 JSON with the shapes
-//! below; the server answers JSON-mode requests with JSON-mode responses.
-//! This exists so a human with a scripting language (or `xxd` and
-//! patience) can talk to the server without implementing the binary
-//! codec; the binary mode is the production path.
+//! Frames carry only the binary codec ([`crate::codec`]); nothing on a
+//! socket reads or writes JSON. [`response_to_json`] renders a response
+//! as a JSON object with the binary codec's fields, field for field, and
+//! [`response_from_json`] parses that object back, which is how the
+//! rendering is checked to lose nothing.
 //!
 //! The workspace's vendored `serde` shim carries no JSON format, so this
 //! module hand-rolls a small total JSON reader/writer. Numbers keep
 //! full fidelity across a round trip: integers ride as u64, and floats
 //! are printed with Rust's shortest-round-trip formatting — so even the
 //! f64 query weights survive JSON bit for bit.
-//!
-//! Request shape (only `query` and `measure` are required):
-//!
-//! ```json
-//! {"query": [[3, 1.0]], "measure": "rtr", "k": 5,
-//!  "params": {"alpha": 0.25, "tolerance": 1e-6, "max_iterations": 100},
-//!  "topk": {"k": 10, "epsilon": 0.01, "m_f": 40, "m_t": 40,
-//!            "refine_tolerance": 1e-6, "refine_max_sweeps": 30,
-//!            "max_expansions": 100000}}
-//! ```
-//!
-//! `measure` is `"f"`, `"t"`, `"rtr"`, or `{"rtr_plus": {"beta": 0.7}}`.
-//! A request that still carries a `"scheme"` or `"backend"` key is
-//! rejected (`BadJson`): those per-request execution settings are gone,
-//! and ignoring them would silently serve 2SBound on the engine's backend
-//! in place of what the client asked for. Response and rejection shapes
-//! mirror the binary codec field for field (see [`response_to_json`] /
-//! [`reject_to_json`]).
 
-use crate::codec::{ErrorCode, Reject};
 use crate::frame::WireError;
 use rtr_core::{CoreError, Measure, Query, RankParams};
 use rtr_distributed::DistributedStats;
 use rtr_graph::NodeId;
-use rtr_serve::{BackendKind, QueryRequest, QueryResponse, ResolvedRequest, ServeError};
+use rtr_serve::{BackendKind, QueryResponse, ResolvedRequest, ServeError};
 use rtr_topk::{ActiveSetStats, TopKConfig, TopKResult, TopKWork};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -44,8 +25,8 @@ use std::time::Duration;
 
 /// A parsed JSON value. Object members keep insertion order (encode
 /// output is deterministic).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
+#[derive(Debug, PartialEq)]
+enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
@@ -68,7 +49,7 @@ fn bad(msg: impl Into<String>) -> WireError {
 
 impl Json {
     /// Parse a complete JSON document (rejects trailing input).
-    pub fn parse(text: &str) -> Result<Json, WireError> {
+    fn parse(text: &str) -> Result<Json, WireError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
@@ -84,7 +65,7 @@ impl Json {
     }
 
     /// Serialize to compact JSON text.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut out = String::new();
         self.write(&mut out);
         out
@@ -525,46 +506,6 @@ fn backend_from_json(v: &Json) -> Result<BackendKind, WireError> {
     }
 }
 
-/// Render a request as the JSON payload shape (see the [module docs](self)).
-pub fn request_to_json(request: &QueryRequest) -> String {
-    let mut members = vec![
-        ("query", query_to_json(request.query())),
-        ("measure", measure_to_json(request.measure())),
-    ];
-    if let Some(k) = request.k() {
-        members.push(("k", Json::Int(k as u64)));
-    }
-    if let Some(p) = request.params() {
-        members.push(("params", params_to_json(&p)));
-    }
-    if let Some(t) = request.topk() {
-        members.push(("topk", topk_to_json(&t)));
-    }
-    obj(members).render()
-}
-
-/// Parse the JSON request shape.
-pub fn request_from_json(text: &str) -> Result<QueryRequest, WireError> {
-    let v = Json::parse(text)?;
-    for retired in ["scheme", "backend"] {
-        if v.get(retired).is_some() {
-            return Err(bad(format!("'{retired}' is not a request field")));
-        }
-    }
-    let mut request = QueryRequest::new(query_from_json(v.require("query")?)?)
-        .with_measure(measure_from_json(v.require("measure")?)?);
-    if let Some(k) = v.get("k") {
-        request = request.with_k(k.as_usize()?);
-    }
-    if let Some(p) = v.get("params") {
-        request = request.with_params(params_from_json(p)?);
-    }
-    if let Some(t) = v.get("topk") {
-        request = request.with_topk(topk_from_json(t)?);
-    }
-    Ok(request)
-}
-
 fn resolved_to_json(r: &ResolvedRequest) -> Json {
     obj(vec![
         ("query", query_to_json(&r.query)),
@@ -739,9 +680,8 @@ fn serve_error_from_json(v: &Json) -> Result<ServeError, WireError> {
     }
 }
 
-/// Render a response as the JSON payload shape: the binary codec's
-/// fields, field for field (`trace` stays server-side, as in binary
-/// mode).
+/// Render a response as a JSON object: the binary codec's fields, field
+/// for field (`trace` stays server-side, as on the wire).
 pub fn response_to_json(response: &QueryResponse) -> String {
     obj(vec![
         ("id", Json::Int(response.id as u64)),
@@ -787,7 +727,7 @@ pub fn response_to_json(response: &QueryResponse) -> String {
     .render()
 }
 
-/// Parse the JSON response shape (the client side of JSON mode).
+/// Parse the object [`response_to_json`] renders.
 pub fn response_from_json(text: &str) -> Result<QueryResponse, WireError> {
     let v = Json::parse(text)?;
     let result_v = v.require("result")?;
@@ -824,45 +764,10 @@ pub fn response_from_json(text: &str) -> Result<QueryResponse, WireError> {
     })
 }
 
-/// Render a rejection as the JSON payload of an `Error` frame.
-pub fn reject_to_json(reject: &Reject) -> String {
-    let code = match reject.code {
-        ErrorCode::Overloaded => "overloaded",
-        ErrorCode::Malformed => "malformed",
-        ErrorCode::UnsupportedVersion => "unsupported_version",
-        ErrorCode::ShuttingDown => "shutting_down",
-        ErrorCode::Internal => "internal",
-    };
-    obj(vec![
-        ("code", Json::Str(code.into())),
-        ("message", Json::Str(reject.message.clone())),
-        ("retry_after_ms", Json::Int(reject.retry_after_ms)),
-    ])
-    .render()
-}
-
-/// Parse the JSON rejection shape.
-pub fn reject_from_json(text: &str) -> Result<Reject, WireError> {
-    let v = Json::parse(text)?;
-    let code = match v.require("code")?.as_str()? {
-        "overloaded" => ErrorCode::Overloaded,
-        "malformed" => ErrorCode::Malformed,
-        "unsupported_version" => ErrorCode::UnsupportedVersion,
-        "shutting_down" => ErrorCode::ShuttingDown,
-        "internal" => ErrorCode::Internal,
-        other => return Err(bad(format!("unknown error code '{other}'"))),
-    };
-    Ok(Reject {
-        code,
-        message: v.require("message")?.as_str()?.to_string(),
-        retry_after_ms: v.require("retry_after_ms")?.as_u64()?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtr_serve::{run_serial_requests, ServeConfig};
+    use rtr_serve::{run_serial_requests, QueryRequest, ServeConfig};
 
     #[test]
     fn json_value_round_trip() {
@@ -895,15 +800,6 @@ mod tests {
     }
 
     #[test]
-    fn request_json_round_trip_is_exact() {
-        for request in crate::codec::tests_support::sample_requests() {
-            let text = request_to_json(&request);
-            let back = request_from_json(&text).unwrap();
-            assert_eq!(back, request, "JSON drift for {text}");
-        }
-    }
-
-    #[test]
     fn response_json_round_trip_is_exact() {
         let (g, _) = rtr_graph::toy::fig2_toy();
         let cfg = ServeConfig::default().with_topk(TopKConfig::toy());
@@ -920,22 +816,17 @@ mod tests {
     }
 
     #[test]
-    fn reject_json_round_trip() {
-        let reject = Reject {
-            code: ErrorCode::ShuttingDown,
-            message: "draining".into(),
-            retry_after_ms: 0,
-        };
-        assert_eq!(reject_from_json(&reject_to_json(&reject)).unwrap(), reject);
-    }
-
-    #[test]
     fn weights_survive_json_exactly() {
         // 1/3 has no finite decimal expansion; shortest-round-trip
-        // printing must still reproduce the bits.
-        let q = Query::uniform(&[NodeId(0), NodeId(1), NodeId(2)]);
-        let request = QueryRequest::new(q);
-        let back = request_from_json(&request_to_json(&request)).unwrap();
-        assert_eq!(back.query().weights(), request.query().weights());
+        // printing must still reproduce the bits of the resolved query.
+        let (g, _) = rtr_graph::toy::fig2_toy();
+        let cfg = ServeConfig::default().with_topk(TopKConfig::toy());
+        let request = QueryRequest::new(Query::uniform(&[NodeId(0), NodeId(1), NodeId(2)]));
+        let response = run_serial_requests(&g, &cfg, &[request]).remove(0);
+        let back = response_from_json(&response_to_json(&response)).unwrap();
+        assert_eq!(
+            back.request.query.weights(),
+            response.request.query.weights()
+        );
     }
 }

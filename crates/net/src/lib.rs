@@ -6,17 +6,19 @@
 //! metrics) becomes reachable over a real socket here, with the
 //! production-serving concerns that implies:
 //!
-//! * **Wire protocol** ([`frame`], [`codec`], [`json`]) — length-prefixed
-//!   binary frames with a versioned header (magic, version, type, flags,
-//!   tenant id, request id), encoding [`rtr_serve::QueryRequest`] /
+//! * **Wire protocol** ([`frame`], [`codec`]) — length-prefixed binary
+//!   frames with a versioned header (magic, version, type, reserved
+//!   flags, tenant id, request id), encoding [`rtr_serve::QueryRequest`] /
 //!   [`rtr_serve::QueryResponse`] — provenance, latency split, and
 //!   [`rtr_distributed::DistributedStats`] included — in the workspace's
-//!   little-endian `bytes` idiom, plus a JSON payload mode (one header
-//!   flag) for human debugging. Decoding is total: truncated, corrupted,
-//!   or oversized input returns a typed [`WireError`], never a panic, and
-//!   never allocates more than the declared (and capped) payload length.
-//!   The protocol is transport-agnostic — frames don't know about TCP —
-//!   and `docs/PROTOCOL.md` is the normative layout/versioning spec.
+//!   little-endian `bytes` idiom, the one payload encoding. Decoding is
+//!   total: truncated, corrupted, or oversized input returns a typed
+//!   [`WireError`], never a panic, and never allocates more than the
+//!   declared (and capped) payload length. The protocol is
+//!   transport-agnostic — frames don't know about TCP — and
+//!   `docs/PROTOCOL.md` is the normative layout/versioning spec.
+//! * **Debug rendering** ([`json`]) — a response as a JSON object, and
+//!   its parser; no socket path uses it.
 //! * **Server runtime** ([`server`]) — no async runtime (the workspace
 //!   builds offline; there is no tokio): a thread-per-connection acceptor
 //!   where the reader thread decodes frames and drives the engine's

@@ -25,7 +25,6 @@
 use crate::admission::{Admission, AdmissionConfig, AdmissionDecision};
 use crate::codec::{encode_reject, encode_response, ErrorCode, Reject};
 use crate::frame::{Frame, FrameType, WireError, MAX_PAYLOAD};
-use crate::json;
 use crate::{PopOutcome, PushOutcome, WriteQueue};
 use bytes::{Bytes, BytesMut};
 use rtr_obs::{Counter, Gauge};
@@ -184,14 +183,12 @@ enum WriteItem {
         ticket: QueryTicket,
         tenant: u32,
         request_id: u64,
-        json: bool,
     },
     /// A typed rejection (`Error` frame).
     Reject {
         reject: Reject,
         tenant: u32,
         request_id: u64,
-        json: bool,
     },
     /// Reply to a `Ping`.
     Pong { tenant: u32, request_id: u64 },
@@ -316,18 +313,22 @@ fn refuse_connection(mut stream: TcpStream) {
         message: "connection limit reached".into(),
         retry_after_ms: 100,
     };
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+    let _ = stream.write_all(reject_frame(&reject, 0, 0).to_bytes().as_slice());
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// The `Error` frame carrying `reject`.
+fn reject_frame(reject: &Reject, tenant: u32, request_id: u64) -> Frame {
     let mut payload = BytesMut::new();
-    encode_reject(&reject, &mut payload);
-    let frame = Frame {
+    encode_reject(reject, &mut payload);
+    Frame {
         frame_type: FrameType::Error,
         json: false,
-        tenant: 0,
-        request_id: 0,
+        tenant,
+        request_id,
         payload: payload.freeze(),
-    };
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let _ = stream.write_all(frame.to_bytes().as_slice());
-    let _ = stream.shutdown(Shutdown::Both);
+    }
 }
 
 fn run_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
@@ -419,7 +420,6 @@ fn read_loop(shared: &Arc<Shared>, stream: &mut TcpStream, queue: &WriteQueue<Wr
                         },
                         tenant: 0,
                         request_id: 0,
-                        json: false,
                     });
                     return;
                 }
@@ -457,7 +457,7 @@ fn push_reply(queue: &WriteQueue<WriteItem>, item: WriteItem) -> bool {
 
 /// Dispatch one decoded frame; `false` ends the connection.
 fn handle_frame(shared: &Arc<Shared>, queue: &WriteQueue<WriteItem>, frame: Frame) -> bool {
-    let (tenant, request_id, json) = (frame.tenant, frame.request_id, frame.json);
+    let (tenant, request_id) = (frame.tenant, frame.request_id);
     let reject = |code: ErrorCode, message: String, retry_after_ms: u64| WriteItem::Reject {
         reject: Reject {
             code,
@@ -466,7 +466,6 @@ fn handle_frame(shared: &Arc<Shared>, queue: &WriteQueue<WriteItem>, frame: Fram
         },
         tenant,
         request_id,
-        json,
     };
     match frame.frame_type {
         FrameType::Request => {
@@ -505,15 +504,7 @@ fn handle_frame(shared: &Arc<Shared>, queue: &WriteQueue<WriteItem>, frame: Fram
                     ),
                 );
             }
-            let decoded = if json {
-                match std::str::from_utf8(frame.payload.as_slice()) {
-                    Ok(text) => json::request_from_json(text),
-                    Err(_) => Err(WireError::BadJson("payload is not UTF-8".into())),
-                }
-            } else {
-                crate::codec::decode_request(frame.payload.as_slice())
-            };
-            let request = match decoded {
+            let request = match crate::codec::decode_request(frame.payload.as_slice()) {
                 Ok(request) => request,
                 Err(e) => {
                     // Payload-level garbage doesn't lose framing; the
@@ -528,7 +519,6 @@ fn handle_frame(shared: &Arc<Shared>, queue: &WriteQueue<WriteItem>, frame: Fram
                 ticket,
                 tenant,
                 request_id,
-                json,
             }) {
                 PushOutcome::Pushed => true,
                 // has_data_capacity() held and we are the only producer,
@@ -590,50 +580,30 @@ fn write_loop(shared: &Arc<Shared>, mut stream: TcpStream, queue: &WriteQueue<Wr
                 ticket,
                 tenant,
                 request_id,
-                json,
             } => {
                 let response = ticket.wait();
                 if peer_dead {
                     continue;
                 }
-                let payload = if json {
-                    Bytes::from(json::response_to_json(&response).into_bytes())
-                } else {
-                    let mut buf = BytesMut::new();
-                    encode_response(&response, &mut buf);
-                    buf.freeze()
-                };
+                let mut payload = BytesMut::new();
+                encode_response(&response, &mut payload);
                 Frame {
                     frame_type: FrameType::Response,
-                    json,
+                    json: false,
                     tenant,
                     request_id,
-                    payload,
+                    payload: payload.freeze(),
                 }
             }
             WriteItem::Reject {
                 reject,
                 tenant,
                 request_id,
-                json,
             } => {
                 if peer_dead {
                     continue;
                 }
-                let payload = if json {
-                    Bytes::from(json::reject_to_json(&reject).into_bytes())
-                } else {
-                    let mut buf = BytesMut::new();
-                    encode_reject(&reject, &mut buf);
-                    buf.freeze()
-                };
-                Frame {
-                    frame_type: FrameType::Error,
-                    json,
-                    tenant,
-                    request_id,
-                    payload,
-                }
+                reject_frame(&reject, tenant, request_id)
             }
             WriteItem::Pong { tenant, request_id } => {
                 if peer_dead {

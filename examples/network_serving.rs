@@ -10,7 +10,6 @@
 //! * per-tenant token-bucket admission — a throttled tenant collects
 //!   typed `Overloaded` rejections with a retry-after hint while an
 //!   unthrottled neighbour on the same server is untouched,
-//! * the JSON debug payload mode (one header flag away),
 //! * `Ping` liveness and the Prometheus text rendering over a
 //!   `MetricsRequest` frame,
 //! * graceful shutdown: every accepted request drains, then `Goodbye`.
@@ -130,18 +129,6 @@ fn main() {
          with retry-after; tenant 0 unaffected"
     );
 
-    // --- JSON debug mode: same protocol, readable payloads. ------------
-    let mut debug = NetClient::connect(addr).expect("connect").with_json(true);
-    let json_resp = debug
-        .call(&QueryRequest::node(a))
-        .expect("call")
-        .expect("admitted");
-    assert_eq!(
-        json_resp.result.as_ref().expect("ranked").ranking,
-        serial[0].result.as_ref().expect("serial").ranking
-    );
-    println!("json mode: identical ranking through the debug encoding");
-
     // --- Liveness and metrics frames. -----------------------------------
     client.ping().expect("pong");
     let metrics = client.metrics().expect("metrics");
@@ -154,7 +141,6 @@ fn main() {
     // --- Graceful shutdown: drain, Goodbye, join. -----------------------
     client.goodbye().expect("goodbye");
     throttled.goodbye().expect("goodbye");
-    debug.goodbye().expect("goodbye");
     server.shutdown();
     println!("\nserver drained and shut down cleanly");
 }

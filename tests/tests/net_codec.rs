@@ -2,16 +2,15 @@
 //! decoder must be *total*. For every input — well-formed, truncated at
 //! any byte, bit-flipped anywhere, or adversarially sized — decoding
 //! returns `Ok` or a typed [`WireError`]; it never panics and never
-//! allocates beyond the declared (and capped) payload length. And for
-//! every encodable request, decode ∘ encode is the identity, bit for bit,
-//! in both the binary and the JSON payload modes. The five reserved bytes
-//! (`docs/PROTOCOL.md` §5) and the retired JSON request keys are pinned
-//! case by case at the bottom.
+//! allocates beyond the declared (and capped) payload length. For every
+//! encodable request, decode ∘ encode is the identity, bit for bit. Every
+//! flags byte but 0 is refused from the header alone: bit 0 once selected
+//! a JSON payload and is reserved now. The five reserved payload bytes
+//! (`docs/PROTOCOL.md` §5) are pinned case by case at the bottom.
 
 use proptest::prelude::*;
 use rtr_core::{Measure, Query, RankParams};
 use rtr_graph::NodeId;
-use rtr_net::json::{request_from_json, request_to_json};
 use rtr_net::{
     decode_reject, decode_request, decode_response, encode_request, encode_response, Frame,
     FrameType, WireError, HEADER_LEN, MAX_PAYLOAD,
@@ -77,13 +76,31 @@ proptest! {
         prop_assert_eq!(back.unwrap(), request);
     }
 
-    // Same identity through the JSON payload mode.
+    // A non-zero flags byte (bit 0 was the retired JSON payload mode;
+    // bits 1–7 never had a meaning) is refused as `UnknownFlags` by the
+    // header check: every prefix that holds the flags byte is condemned,
+    // so no payload byte is ever read.
     #[test]
-    fn json_round_trip_is_identity(request in arb_request()) {
-        let text = request_to_json(&request);
-        let back = request_from_json(&text);
-        prop_assert!(back.is_ok(), "JSON trip failed on {text}: {:?}", back.err());
-        prop_assert_eq!(back.unwrap(), request);
+    fn nonzero_flags_are_refused_before_any_payload_byte(
+        request in arb_request(),
+        flags in 1..=255u8,
+    ) {
+        let frame = Frame {
+            frame_type: FrameType::Request,
+            json: false,
+            tenant: 42,
+            request_id: 7,
+            payload: bytes::Bytes::from(&encode_payload(&request)[..]),
+        };
+        let mut wire = frame.to_bytes().as_slice().to_vec();
+        wire[4] = flags;
+        for cut in (5..=HEADER_LEN).chain([wire.len()]) {
+            let parsed = Frame::parse(&wire[..cut], MAX_PAYLOAD);
+            prop_assert!(
+                parsed == Err(WireError::UnknownFlags(flags)),
+                "cut at {cut}: {parsed:?}"
+            );
+        }
     }
 
     // Every truncation of a valid frame is `Truncated` (the streaming
@@ -165,7 +182,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Reserved bytes and retired JSON keys: each must be refused, never misread.
+// Reserved payload bytes: each must be refused, never misread.
 // ---------------------------------------------------------------------------
 
 /// `payload` with byte `at` set to `value` must decode to `Malformed`
@@ -263,22 +280,4 @@ fn response_reserved_route_byte_is_malformed() {
 fn response_reserved_fallback_byte_is_malformed() {
     let (payload, [_, _, at]) = response_payload();
     assert_reserved("routed_fallback", &payload, at, decode_response_ok);
-}
-
-#[test]
-fn json_request_with_scheme_is_bad_json() {
-    let text = r#"{"query": [[3, 1.0]], "measure": "rtr", "scheme": "gupta"}"#;
-    assert!(matches!(
-        request_from_json(text),
-        Err(WireError::BadJson(_))
-    ));
-}
-
-#[test]
-fn json_request_with_backend_is_bad_json() {
-    let text = r#"{"query": [[3, 1.0]], "measure": "rtr", "backend": "distributed"}"#;
-    assert!(matches!(
-        request_from_json(text),
-        Err(WireError::BadJson(_))
-    ));
 }

@@ -7,8 +7,8 @@
 //!   another tenant's p99 stays inside the SLO;
 //! * write-queue backpressure surfaces as `Overloaded`, not unbounded
 //!   buffering;
-//! * the JSON payload mode, metrics frame, ping, and hostile-bytes
-//!   handling, all over a real socket.
+//! * the refusal of the retired JSON flag bit, the metrics frame, ping,
+//!   and hostile-bytes handling, all over a real socket.
 
 use rtr_core::{Measure, Query, RankParams};
 use rtr_datagen::{QLog, QLogConfig};
@@ -325,29 +325,56 @@ fn write_queue_backpressure_rejects_with_typed_overloaded() {
     server.shutdown();
 }
 
-/// JSON payload mode over a real socket: same bit-exact identity.
+/// Flag bit 0 once selected the JSON payload mode and is reserved now. A
+/// request frame that sets it is a framing error: exactly one `Error`
+/// frame coded `Malformed` comes back, then the server's `Goodbye` and
+/// the close. A binary request on a fresh connection is still answered.
 #[test]
-fn json_mode_round_trips_over_the_socket() {
+fn retired_json_flag_gets_one_malformed_error_then_a_close() {
+    use std::io::{Read, Write};
     let (g, ids) = fig2_toy();
     let config = toy_config();
-    let requests = vec![
-        QueryRequest::node(ids.t1),
-        QueryRequest::nodes(&[ids.t1, ids.t2])
-            .with_measure(Measure::RtrPlus { beta: 0.7 })
-            .with_k(3),
-        QueryRequest::node(NodeId(9999)), // out of range → typed error result
-    ];
-    let serial = run_serial_requests(&g, &config, &requests);
+    let request = QueryRequest::node(ids.t1);
+    let reference = run_serial_requests(&g, &config, std::slice::from_ref(&request)).remove(0);
     let engine = Arc::new(ServeEngine::start(Arc::new(g), config));
     let server = NetServer::start(Arc::clone(&engine), NetServerConfig::default()).unwrap();
 
-    let mut client = NetClient::connect(server.local_addr())
-        .unwrap()
-        .with_json(true);
-    for (i, (request, reference)) in requests.iter().zip(&serial).enumerate() {
-        let wire = client.call(request).unwrap().expect("admitted");
-        assert_same_answer(&format!("json request {i}"), &wire, reference);
+    let mut payload = bytes::BytesMut::new();
+    rtr_net::encode_request(&request, &mut payload);
+    let mut wire = rtr_net::Frame {
+        frame_type: rtr_net::FrameType::Request,
+        json: false,
+        tenant: 0,
+        request_id: 1,
+        payload: payload.freeze(),
     }
+    .to_bytes()
+    .as_slice()
+    .to_vec();
+    wire[4] = 0b0000_0001;
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    raw.write_all(&wire).unwrap();
+    let mut reply = Vec::new();
+    raw.read_to_end(&mut reply).unwrap(); // the server closes after its replies
+    let mut frames = Vec::new();
+    let mut rest = reply.as_slice();
+    while !rest.is_empty() {
+        let (frame, used) = rtr_net::Frame::parse(rest, rtr_net::MAX_PAYLOAD).unwrap();
+        frames.push(frame);
+        rest = &rest[used..];
+    }
+    let types: Vec<_> = frames.iter().map(|f| f.frame_type).collect();
+    assert_eq!(
+        types,
+        [rtr_net::FrameType::Error, rtr_net::FrameType::Goodbye]
+    );
+    let reject = rtr_net::decode_reject(frames[0].payload.as_slice()).unwrap();
+    assert_eq!(reject.code, ErrorCode::Malformed, "{reject:?}");
+    assert!(reject.message.contains("flag"), "{reject:?}");
+
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    let answer = client.call(&request).unwrap().expect("admitted");
+    assert_same_answer("binary after the refusal", &answer, &reference);
     server.shutdown();
 }
 

@@ -8,7 +8,7 @@
 
 use proptest::collection;
 use proptest::prelude::*;
-use rtr_graph::{NodeSet, ScoreMap, SparseMap};
+use rtr_graph::{ScoreMap, SparseMap};
 use std::collections::HashMap;
 
 /// Key universe for the model tests (small, to force collisions of every
@@ -56,30 +56,6 @@ proptest! {
         for k in 0..CAP {
             prop_assert_eq!(map.score(k), model.get(&k).copied().unwrap_or(0.0));
         }
-    }
-
-    #[test]
-    fn node_set_matches_hashset_model(
-        ops in collection::vec((0..3u8, 0..CAP), 1..100)
-    ) {
-        let mut set = NodeSet::with_capacity(CAP as usize);
-        let mut model: std::collections::HashSet<u32> = Default::default();
-        for (op, k) in ops {
-            match op {
-                0 => prop_assert_eq!(set.insert(k), model.insert(k)),
-                1 => {
-                    set.clear();
-                    model.clear();
-                }
-                _ => prop_assert_eq!(set.contains(k), model.contains(&k)),
-            }
-            prop_assert_eq!(set.len(), model.len());
-        }
-        let mut got: Vec<u32> = set.iter().collect();
-        got.sort_unstable();
-        let mut want: Vec<u32> = model.into_iter().collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
     }
 
     #[test]
