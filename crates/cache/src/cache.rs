@@ -8,7 +8,7 @@
 //! insert) are far below a single 2SBound expansion, keeping the cache
 //! invisible on the miss path.
 
-use crate::lru::GdsfShard;
+use crate::gdsf::GdsfShard;
 use crate::rtr_sync::atomic::{AtomicU64, Ordering};
 use crate::rtr_sync::Mutex;
 use std::hash::{Hash, Hasher};

@@ -9,15 +9,16 @@
 //!
 //! The design, bottom-up:
 //!
-//! * [`lru::GdsfShard`] — a bounded cost-aware map evicting by
+//! * [`gdsf::GdsfShard`] — a bounded cost-aware map evicting by
 //!   GreedyDual-Size-Frequency: an entry's priority grows with its
 //!   deterministic [`EvictionCost`] and its hits. Pinned to an O(n)
 //!   reference by the `cache_model` property suite.
 //! * [`ShardedCache`] — N independently locked shards (a key's hash picks
 //!   its shard) with atomic hit/miss/insert/eviction counters, snapshotted
 //!   as [`CacheStats`].
-//! * [`CacheKey`] / [`ResultCache`] — the serving key: `(query, measure,
-//!   graph epoch, RankParams, TopKConfig)`. The **graph epoch**
+//! * [`CacheKey`] / [`ResultCache`] — the serving key, the one place that
+//!   decides which requests share an answer: every field of the query,
+//!   measure, graph epoch, `TopKConfig` and `RankParams`. The **graph epoch**
 //!   ([`rtr_graph::Graph::epoch`]) makes invalidation structural: replace
 //!   the graph and every stale entry stops being addressable — no scanning,
 //!   no tombstones; the eviction clock ages them out.
@@ -25,8 +26,8 @@
 //! Correctness stance: a cache hit returns the *bit-identical* `TopKResult`
 //! a fresh run would produce, because every input that can change a run's
 //! output is part of the key and the engines are deterministic. The
-//! `serve_cache_determinism` suite enforces this end to end through
-//! `rtr-serve`.
+//! `serve_determinism` suite enforces this end to end through `rtr-serve`
+//! (its matrix runs every stream with the cache off, on, and thrashing).
 //!
 //! ```
 //! use rtr_cache::{CacheConfig, ShardedCache};
@@ -43,10 +44,10 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cache;
+pub mod gdsf;
 pub mod key;
-pub mod lru;
 mod rtr_sync;
 
 pub use cache::{CacheConfig, CacheStats, EvictionCost, ShardedCache};
+pub use gdsf::GdsfShard;
 pub use key::{CacheKey, ResultCache};
-pub use lru::GdsfShard;

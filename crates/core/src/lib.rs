@@ -73,8 +73,8 @@ pub mod workspace;
 
 pub use error::CoreError;
 pub use measure::{Measure, MeasureKey};
-pub use params::{RankParams, RankParamsKey};
-pub use query::{Query, QueryCacheKey};
+pub use params::RankParams;
+pub use query::Query;
 pub use scores::ScoreVec;
 pub use workspace::BcaWorkspace;
 

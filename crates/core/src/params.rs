@@ -44,26 +44,6 @@ impl RankParams {
         }
         Ok(())
     }
-
-    /// A stable, hashable identity of these parameters for result-cache
-    /// keys. Floats are keyed by their IEEE-754 bits: two parameter sets
-    /// compare equal exactly when runs under them are bit-identical.
-    pub fn cache_key(&self) -> RankParamsKey {
-        RankParamsKey {
-            alpha_bits: self.alpha.to_bits(),
-            tolerance_bits: self.tolerance.to_bits(),
-            max_iterations: self.max_iterations,
-        }
-    }
-}
-
-/// Hashable identity of a [`RankParams`] (see [`RankParams::cache_key`]).
-/// Deliberately opaque: consumers treat it as a key component only.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct RankParamsKey {
-    alpha_bits: u64,
-    tolerance_bits: u64,
-    max_iterations: usize,
 }
 
 #[cfg(test)]
@@ -75,26 +55,6 @@ mod tests {
         let p = RankParams::default();
         assert_eq!(p.alpha, 0.25);
         assert!(p.validate().is_ok());
-    }
-
-    #[test]
-    fn cache_key_distinguishes_every_field() {
-        let base = RankParams::default();
-        assert_eq!(base.cache_key(), base.cache_key());
-        let variants = [
-            RankParams::with_alpha(0.5),
-            RankParams {
-                tolerance: 1e-9,
-                ..base
-            },
-            RankParams {
-                max_iterations: 5,
-                ..base
-            },
-        ];
-        for v in variants {
-            assert_ne!(v.cache_key(), base.cache_key(), "{v:?} collided");
-        }
     }
 
     #[test]

@@ -158,24 +158,6 @@ impl Query {
         Query { nodes, weights }
     }
 
-    /// A stable, hashable identity of this query for result-cache keys:
-    /// the `(node, weight-bits)` pairs in their current order.
-    ///
-    /// Deliberately order-*preserving*: multi-node engines accumulate
-    /// per-node scores in query order, and `f64` addition is not
-    /// associative, so permuted queries are not bit-equivalent in general.
-    /// Canonicalize first ([`Query::canonicalize`]) when permutations
-    /// should share an identity — the serving layer does.
-    pub fn cache_key(&self) -> QueryCacheKey {
-        // Single-node queries — the dominant serving traffic — get an
-        // inline key so building (and cloning) one never allocates.
-        if let ([n], [w]) = (self.nodes.as_slice(), self.weights.as_slice()) {
-            QueryCacheKey::Single(n.0, w.to_bits())
-        } else {
-            QueryCacheKey::Multi(self.iter().map(|(n, w)| (n.0, w.to_bits())).collect())
-        }
-    }
-
     /// Validate the query against a graph.
     pub fn validate(&self, g: &Graph) -> Result<(), CoreError> {
         if self.nodes.is_empty() {
@@ -193,18 +175,6 @@ impl Query {
     }
 }
 
-/// Hashable identity of a [`Query`] (see [`Query::cache_key`]).
-/// Deliberately opaque: consumers treat it as a key component only.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub enum QueryCacheKey {
-    /// A single `(node, weight-bits)` pair, held inline so the hot
-    /// single-node serving path builds and clones keys without touching
-    /// the heap.
-    Single(u32, u64),
-    /// The general weighted multi-node pair list.
-    Multi(Vec<(u32, u64)>),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,36 +189,6 @@ mod tests {
         assert!((c.weights()[1] - 0.5).abs() < 1e-12);
         // Weight mass is preserved exactly, not re-normalized.
         assert_eq!(c.weights().iter().sum::<f64>(), q.weights().iter().sum());
-    }
-
-    #[test]
-    fn permuted_queries_share_a_canonical_cache_key() {
-        let a = Query::weighted(&[(NodeId(1), 1.0), (NodeId(4), 3.0)]).unwrap();
-        let b = Query::weighted(&[(NodeId(4), 3.0), (NodeId(1), 1.0)]).unwrap();
-        // Raw keys are order-preserving and differ...
-        assert_ne!(a.cache_key(), b.cache_key());
-        // ...canonical keys agree.
-        assert_eq!(a.canonicalize().cache_key(), b.canonicalize().cache_key());
-    }
-
-    #[test]
-    fn cache_key_distinguishes_nodes_and_weights() {
-        let base = Query::weighted(&[(NodeId(1), 1.0), (NodeId(2), 3.0)]).unwrap();
-        let other_node = Query::weighted(&[(NodeId(1), 1.0), (NodeId(3), 3.0)]).unwrap();
-        let other_weight = Query::weighted(&[(NodeId(1), 1.0), (NodeId(2), 2.0)]).unwrap();
-        assert_ne!(base.cache_key(), other_node.cache_key());
-        assert_ne!(base.cache_key(), other_weight.cache_key());
-        assert_ne!(base.cache_key(), Query::single(NodeId(1)).cache_key());
-    }
-
-    #[test]
-    fn single_node_keys_are_inline_and_construction_independent() {
-        // A one-pair weighted query normalizes to weight 1.0 and must key
-        // identically to Query::single — both via the inline variant.
-        let a = Query::single(NodeId(7)).cache_key();
-        let b = Query::weighted(&[(NodeId(7), 5.0)]).unwrap().cache_key();
-        assert_eq!(a, b);
-        assert!(matches!(a, QueryCacheKey::Single(7, _)));
     }
 
     #[test]

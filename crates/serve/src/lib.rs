@@ -43,22 +43,22 @@
 //! Concurrency never changes answers: every request is independent and
 //! every engine path deterministic, so a batch executed at any worker
 //! count is bit-identical to the serial reference
-//! ([`run_serial_requests`]) — the `serve_determinism` and
-//! `serve_requests` integration suites enforce this at 1, 2, and 8
-//! workers, for heterogeneous measure mixes.
+//! ([`run_serial_requests`]) — the `serve_determinism` integration suite
+//! enforces this at 1, 2, and 8 workers, for heterogeneous measure mixes.
 //!
 //! **Caching.** Real traffic is Zipf-skewed, so the engine can optionally
 //! front the pool with an `rtr-cache` sharded result cache
 //! ([`ServeConfig::cache_capacity`] > 0): the submitting thread answers a
-//! hit inline, workers look up the full request identity — canonicalized
-//! query, measure (β bits included), graph epoch, params, top-K config —
-//! before dispatch and insert on completion. A worker inserts before it
-//! takes its next job, so M concurrent identical requests run the engine
-//! at most once per worker while the entry stays resident. Because every
+//! hit inline, workers look up the full request identity
+//! ([`rtr_cache::CacheKey`]: canonicalized query, measure with β bits,
+//! graph epoch, params, top-K config) before dispatch and insert on
+//! completion. A worker inserts before it takes its next job, so M
+//! concurrent identical requests run the engine at most once per worker
+//! while the entry stays resident. Because every
 //! output-relevant input is part of the cache key and the engines are
 //! deterministic, cached serving stays bit-identical to
-//! [`run_serial_requests`] even under heterogeneous traffic — the
-//! `serve_cache_determinism` suite enforces that too. The key is
+//! [`run_serial_requests`] even under heterogeneous traffic — the same
+//! suite runs every stream with the cache on, warm, and thrashing. The key is
 //! **backend-agnostic** (where a result was computed is not identity),
 //! and a hit preserves the computing run's provenance and wire cost. With the cache off (the default) the engine
 //! behaves exactly as an uncached pool.

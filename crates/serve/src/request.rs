@@ -98,7 +98,7 @@ impl QueryRequest {
         }
     }
 
-    /// A single-node request (the pre-PR-4 API's query shape).
+    /// A single-node request.
     pub fn node(node: NodeId) -> Self {
         Self::new(Query::single(node))
     }
@@ -240,7 +240,10 @@ impl ResolvedRequest {
     /// top k.
     fn exact(&self, g: &Graph) -> Result<TopKResult, CoreError> {
         // Sweeps per side: F and T iterate once on the weighted query;
-        // the round trip runs both sides per query node.
+        // the round trip runs both sides per query node. The work counts
+        // every node once per sweep of a fixed point on its side (as BCA
+        // pushes for F, absorptions for T), so the cache weighs an exact
+        // answer by what it cost; the active set stays empty.
         let (p, q) = (self.params, &self.query);
         let (scores, [f, t]) = match self.measure {
             Measure::F => {
@@ -261,28 +264,12 @@ impl ResolvedRequest {
             t_absorbed: t.iterations * g.node_count(),
             ..TopKWork::default()
         };
-        Ok(exact_to_topk(&scores, self.topk.k, work))
-    }
-}
-
-/// Collapse an exact score vector into the serving result shape: top-k
-/// ranking, zero-width bounds, no expansions, empty active set. `work`
-/// counts every node once per sweep of a fixed point on its side (as BCA
-/// pushes for F, absorptions for T), so the cache weighs an exact answer
-/// by what it cost.
-fn exact_to_topk(scores: &ScoreVec, k: usize, work: TopKWork) -> TopKResult {
-    let ranking = scores.top_k(k);
-    let bounds = ranking
-        .iter()
-        .map(|&v| (scores.score(v), scores.score(v)))
-        .collect();
-    TopKResult {
-        ranking,
-        bounds,
-        expansions: 0,
-        converged: true,
-        active: ActiveSetStats::default(),
-        work,
+        Ok(TopKResult::exact(
+            &scores,
+            self.topk.k,
+            ActiveSetStats::default(),
+            work,
+        ))
     }
 }
 

@@ -52,41 +52,6 @@ impl TopKConfig {
             ..Self::default()
         }
     }
-
-    /// A stable, hashable view of this configuration for result-cache keys.
-    ///
-    /// Every field that can change a [`crate::TwoSBound`] run's output is
-    /// folded in — not just `k` and `ε` but also the expansion
-    /// granularities and refinement knobs, since those shift where the
-    /// search stops and therefore which ε-valid ranking it returns. Floats
-    /// are keyed by their IEEE-754 bits, so two configs compare equal
-    /// exactly when a run under one is bit-identical to a run under the
-    /// other (`-0.0` vs `0.0` hash differently, which is merely a missed
-    /// dedup, never a wrong answer).
-    pub fn cache_key(&self) -> TopKCacheKey {
-        TopKCacheKey {
-            k: self.k,
-            epsilon_bits: self.epsilon.to_bits(),
-            m_f: self.m_f,
-            m_t: self.m_t,
-            refine_tolerance_bits: self.refine_tolerance.to_bits(),
-            refine_max_sweeps: self.refine_max_sweeps,
-            max_expansions: self.max_expansions,
-        }
-    }
-}
-
-/// Hashable identity of a [`TopKConfig`] (see [`TopKConfig::cache_key`]).
-/// Deliberately opaque: consumers treat it as a key component only.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct TopKCacheKey {
-    k: usize,
-    epsilon_bits: u64,
-    m_f: usize,
-    m_t: usize,
-    refine_tolerance_bits: u64,
-    refine_max_sweeps: usize,
-    max_expansions: usize,
 }
 
 #[cfg(test)]
@@ -100,35 +65,5 @@ mod tests {
         assert_eq!(c.m_f, 100);
         assert_eq!(c.m_t, 5);
         assert!((c.epsilon - 0.01).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cache_key_distinguishes_every_output_relevant_field() {
-        let base = TopKConfig::default();
-        assert_eq!(base.cache_key(), base.cache_key());
-        let variants = [
-            TopKConfig { k: 11, ..base },
-            TopKConfig {
-                epsilon: 0.02,
-                ..base
-            },
-            TopKConfig { m_f: 99, ..base },
-            TopKConfig { m_t: 6, ..base },
-            TopKConfig {
-                refine_tolerance: 1e-11,
-                ..base
-            },
-            TopKConfig {
-                refine_max_sweeps: 49,
-                ..base
-            },
-            TopKConfig {
-                max_expansions: 9_999,
-                ..base
-            },
-        ];
-        for v in variants {
-            assert_ne!(v.cache_key(), base.cache_key(), "{v:?} collided");
-        }
     }
 }

@@ -51,7 +51,7 @@ pub mod two_sbound;
 pub mod workspace;
 
 pub use active_set::ActiveSetStats;
-pub use config::{TopKCacheKey, TopKConfig};
+pub use config::TopKConfig;
 pub use plus::TwoSBoundPlus;
 pub use schemes::{NaiveTopK, Scheme};
 pub use two_sbound::{TopKResult, TopKWork, TwoSBound};
@@ -60,7 +60,7 @@ pub use workspace::{FWorkspace, TWorkspace, TopKWorkspace};
 /// Convenient glob-import surface for downstream crates.
 pub mod prelude {
     pub use crate::active_set::ActiveSetStats;
-    pub use crate::config::{TopKCacheKey, TopKConfig};
+    pub use crate::config::TopKConfig;
     pub use crate::plus::TwoSBoundPlus;
     pub use crate::schemes::{NaiveTopK, Scheme};
     pub use crate::two_sbound::{TopKResult, TopKWork, TwoSBound};

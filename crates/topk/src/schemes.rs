@@ -16,11 +16,7 @@ use rtr_core::prelude::*;
 use rtr_graph::{Graph, NodeId};
 
 /// Which bound realizations a run uses (the Fig. 11a ablation grid).
-///
-/// `Hash` so the scheme can participate directly in result-cache keys:
-/// different schemes may return different (still ε-valid) rankings, so
-/// cached results must never be shared across schemes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scheme {
     /// Full 2SBound: Prop. 4 + Stage II for F, border + Stage II for T.
     TwoSBound,
@@ -89,20 +85,13 @@ impl NaiveTopK {
     /// weakness).
     pub fn run(&self, g: &Graph, q: NodeId) -> Result<TopKResult, CoreError> {
         let scores = RoundTripRank::new(self.params).compute(g, &Query::single(q))?;
-        let ranking = scores.top_k(self.k.min(g.node_count()));
-        let bounds = ranking
-            .iter()
-            .map(|&v| (scores.score(v), scores.score(v)))
-            .collect();
         let active = ActiveSetStats::measure_pair(g, g.nodes(), g.nodes(), |_| true);
-        Ok(TopKResult {
-            ranking,
-            bounds,
-            expansions: 0,
-            converged: true,
+        Ok(TopKResult::exact(
+            &scores,
+            self.k,
             active,
-            work: TopKWork::default(),
-        })
+            TopKWork::default(),
+        ))
     }
 }
 

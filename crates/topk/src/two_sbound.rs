@@ -51,7 +51,7 @@ use crate::fbound::FNeighborhood;
 use crate::schemes::Scheme;
 use crate::tbound::TNeighborhood;
 use crate::workspace::TopKWorkspace;
-use rtr_core::{CoreError, Measure, Query, RankParams};
+use rtr_core::{CoreError, Measure, Query, RankParams, ScoreVec};
 use rtr_graph::{AdjacencyAccess, AdjacencyError, Graph, NodeId};
 use std::mem::take;
 
@@ -79,6 +79,28 @@ pub struct TopKResult {
     /// and request, but not part of the answer: the wire codecs leave it
     /// out and decode it as the default.
     pub work: TopKWork,
+}
+
+impl TopKResult {
+    /// An exact answer in the search's result shape: the top `k` of
+    /// `scores` with zero-width bounds, no expansion rounds, converged.
+    /// The caller reports the nodes it touched as `active` and what the
+    /// scoring cost as `work`.
+    pub fn exact(scores: &ScoreVec, k: usize, active: ActiveSetStats, work: TopKWork) -> Self {
+        let ranking = scores.top_k(k);
+        let bounds = ranking
+            .iter()
+            .map(|&v| (scores.score(v), scores.score(v)))
+            .collect();
+        TopKResult {
+            ranking,
+            bounds,
+            expansions: 0,
+            converged: true,
+            active,
+            work,
+        }
+    }
 }
 
 /// The work a top-K search did, in counts (summed over query nodes

@@ -14,6 +14,7 @@ use rtr_core::{Measure, Query, RankParams};
 use rtr_datagen::{QLog, QLogConfig};
 use rtr_graph::toy::fig2_toy;
 use rtr_graph::NodeId;
+use rtr_integration_tests::assert_same_answer;
 use rtr_net::{
     AdmissionConfig, ErrorCode, NetClient, NetError, NetServer, NetServerConfig, Reject,
     TenantPolicy,
@@ -22,24 +23,6 @@ use rtr_serve::{run_serial_requests, QueryRequest, QueryResponse, ServeConfig, S
 use rtr_topk::TopKConfig;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The serving identity, minus transport-local fields (ids are
-/// per-connection, timing/worker/cache provenance are run-dependent).
-fn assert_same_answer(label: &str, wire: &QueryResponse, reference: &QueryResponse) {
-    assert_eq!(wire.request, reference.request, "{label}: resolution");
-    match (&wire.result, &reference.result) {
-        (Ok(w), Ok(r)) => {
-            assert_eq!(w.ranking, r.ranking, "{label}: ranking");
-            // Bit-exact f64 equality — the codec must not perturb a bit.
-            assert_eq!(w.bounds, r.bounds, "{label}: bounds");
-            assert_eq!(w.expansions, r.expansions, "{label}: expansions");
-            assert_eq!(w.converged, r.converged, "{label}: convergence");
-            assert_eq!(w.active, r.active, "{label}: active set");
-        }
-        (Err(w), Err(r)) => assert_eq!(w.to_string(), r.to_string(), "{label}: error"),
-        (w, r) => panic!("{label}: outcome mismatch: {w:?} vs {r:?}"),
-    }
-}
 
 fn mixed_requests(nodes: &[NodeId]) -> Vec<QueryRequest> {
     let mut requests = Vec::new();

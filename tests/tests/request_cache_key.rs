@@ -6,8 +6,10 @@
 //! order-permuted multi-node queries, repeated β bit patterns — collapse
 //! to one key. Both directions are pinned here:
 //!
-//! * **soundness**: two requests with equal cache keys serve bit-identical
-//!   results (checked by running both through the serial reference);
+//! * **soundness**: two requests with equal cache keys serve the same
+//!   answer — resolved request, ranking, bound bits, expansions,
+//!   convergence, active set, or typed error (the shared
+//!   `assert_same_answer`, run on both through the serial reference);
 //! * **usefulness**: permuting a weighted multi-node query never changes
 //!   the key (requests canonicalize at construction), while changing any
 //!   output-relevant field — measure, β bits, k, α — always does.
@@ -20,6 +22,7 @@ use proptest::prelude::*;
 use rtr_core::{Measure, Query, RankParams};
 use rtr_graph::toy::fig2_toy;
 use rtr_graph::NodeId;
+use rtr_integration_tests::assert_same_answer;
 use rtr_serve::{run_serial_requests, QueryRequest, ServeConfig};
 use rtr_topk::TopKConfig;
 
@@ -156,13 +159,7 @@ proptest! {
 
         let (g, _) = fig2_toy();
         let served = run_serial_requests(&g, &cfg, &[a, b]);
-        let (ra, rb) = (
-            served[0].result.as_ref().expect("toy query must succeed"),
-            served[1].result.as_ref().expect("toy query must succeed"),
-        );
-        prop_assert_eq!(&ra.ranking, &rb.ranking);
-        prop_assert_eq!(&ra.bounds, &rb.bounds);
-        prop_assert_eq!(ra.expansions, rb.expansions);
+        assert_same_answer("permuted request", &served[1], &served[0]);
     }
 
     // Soundness across independently drawn requests: whenever two
@@ -183,12 +180,7 @@ proptest! {
         if a.resolve(&cfg).cache_key(1) == b.resolve(&cfg).cache_key(1) {
             let (g, _) = fig2_toy();
             let served = run_serial_requests(&g, &cfg, &[a, b]);
-            let (ra, rb) = (
-                served[0].result.as_ref().expect("toy query must succeed"),
-                served[1].result.as_ref().expect("toy query must succeed"),
-            );
-            prop_assert_eq!(&ra.ranking, &rb.ranking);
-            prop_assert_eq!(&ra.bounds, &rb.bounds);
+            assert_same_answer("key collision", &served[1], &served[0]);
         }
     }
 }

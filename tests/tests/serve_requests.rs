@@ -1,137 +1,27 @@
-//! Determinism + equivalence suite for the per-request serving API.
+//! Equivalence suite for the per-request serving API.
 //!
-//! One `ServeEngine` now serves heterogeneous traffic: F-Rank, T-Rank,
+//! One `ServeEngine` serves heterogeneous traffic: F-Rank, T-Rank,
 //! RoundTripRank, and RoundTripRank+ at per-request β, over single- and
-//! multi-node queries, with per-request k/params/top-K overrides. The
-//! contract has two halves:
-//!
-//! 1. **Concurrency + caching change nothing**: a mixed batch at 1, 2, and
-//!    8 workers, cache on or off, is bit-identical to the serial reference
-//!    (`run_serial_requests`).
-//! 2. **The pool is the engines**: every response is bit-identical to
-//!    running the *direct* bound search (`TwoSBound` for every measure and
-//!    query arity) with the request's effective parameters, and keeps the
-//!    ε-contract against the exact engines (`FRank`, `TRank`,
-//!    `RoundTripRank`, `RoundTripRankPlus`).
+//! multi-node queries, with per-request k/params/top-K overrides. That a
+//! mixed batch is bit-identical to the serial reference at any worker
+//! count, cache on or off, is the `serve_determinism` matrix; this suite
+//! pins the other half — **the pool is the engines**: every response is
+//! bit-identical to running the *direct* bound search (`TwoSBound` for
+//! every measure and query arity) with the request's effective
+//! parameters, and keeps the ε-contract against the exact engines
+//! (`FRank`, `TRank`, `RoundTripRank`, `RoundTripRankPlus`). It also pins
+//! per-request errors, the dangling-node fast answer, and the eviction
+//! weight of an exact answer.
 
-use rand::prelude::*;
-use rand_chacha::ChaCha8Rng;
 use rtr_cache::EvictionCost;
 use rtr_core::prelude::*;
 use rtr_datagen::{QLog, QLogConfig};
 use rtr_graph::toy::fig2_toy;
-use rtr_graph::{Graph, NodeId};
-use rtr_serve::{run_serial_requests, QueryRequest, QueryResponse, ServeConfig, ServeEngine};
+use rtr_graph::NodeId;
+use rtr_integration_tests::assert_same_result;
+use rtr_serve::{QueryRequest, QueryResponse, ServeConfig, ServeEngine};
 use rtr_topk::{TopKConfig, TopKWorkspace, TwoSBound, TwoSBoundPlus};
 use std::sync::Arc;
-
-/// Strict comparison: every value that the engine computes must agree
-/// exactly (no tolerances — determinism means bit-identity).
-fn assert_responses_identical(label: &str, a: &[QueryResponse], b: &[QueryResponse]) {
-    assert_eq!(a.len(), b.len(), "{label}: batch sizes differ");
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.id, y.id, "{label}: ids diverge");
-        assert_eq!(x.request, y.request, "{label}: resolved requests diverge");
-        let (rx, ry) = (
-            x.result.as_ref().expect("query failed"),
-            y.result.as_ref().expect("query failed"),
-        );
-        assert_eq!(rx.ranking, ry.ranking, "{label}: rankings diverge");
-        // Bit-exact f64 equality, deliberately not an epsilon comparison.
-        assert_eq!(rx.bounds, ry.bounds, "{label}: bounds diverge");
-        assert_eq!(rx.expansions, ry.expansions, "{label}: expansions diverge");
-        assert_eq!(rx.converged, ry.converged, "{label}: convergence diverges");
-        assert_eq!(rx.active, ry.active, "{label}: active sets diverge");
-    }
-}
-
-/// The full measure/β/k mix over a pool of query nodes: the traffic shape
-/// the `QueryRequest` redesign exists for.
-fn mixed_requests(nodes: &[NodeId]) -> Vec<QueryRequest> {
-    let mut requests = Vec::new();
-    for (i, &q) in nodes.iter().enumerate() {
-        requests.push(QueryRequest::node(q)); // RTR, default k
-        requests.push(QueryRequest::node(q).with_measure(Measure::F).with_k(3));
-        requests.push(QueryRequest::node(q).with_measure(Measure::T).with_k(8));
-        requests.push(QueryRequest::node(q).with_measure(Measure::RtrPlus { beta: 0.3 }));
-        requests.push(
-            QueryRequest::node(q)
-                .with_measure(Measure::RtrPlus { beta: 0.7 })
-                .with_k(3),
-        );
-        if i + 1 < nodes.len() {
-            requests.push(QueryRequest::nodes(&[q, nodes[i + 1]]).with_k(6));
-            requests.push(
-                QueryRequest::new(Query::weighted(&[(q, 3.0), (nodes[i + 1], 1.0)]).unwrap())
-                    .with_measure(Measure::F),
-            );
-        }
-        // Per-request top-K and params overrides ride along.
-        let loose = TopKConfig {
-            epsilon: 0.05,
-            ..TopKConfig::default()
-        };
-        requests.push(QueryRequest::node(q).with_topk(loose).with_k(3));
-        requests.push(QueryRequest::node(q).with_params(RankParams::with_alpha(0.35)));
-    }
-    // Interleave duplicates so the cache paths see repeats of every
-    // measure in flight together.
-    let dups: Vec<QueryRequest> = requests.iter().step_by(3).cloned().collect();
-    requests.extend(dups);
-    requests
-}
-
-fn check_all_worker_counts(g: Graph, requests: Vec<QueryRequest>, config: ServeConfig) {
-    let serial = run_serial_requests(&g, &config, &requests);
-    let g = Arc::new(g);
-    for workers in [1usize, 2, 8] {
-        for cache in [0usize, 256] {
-            let label = format!("{workers} workers, cache {cache}");
-            let engine = ServeEngine::start(
-                Arc::clone(&g),
-                config.with_workers(workers).with_cache_capacity(cache),
-            );
-            let pooled = engine.run_requests(&requests);
-            assert_responses_identical(&label, &pooled, &serial);
-            if cache > 0 {
-                // Warm pass: served from cache, still bit-identical, and
-                // flagged as cached.
-                let warm = engine.run_requests(&requests);
-                assert_responses_identical(&format!("{label}, warm"), &warm, &serial);
-                assert!(
-                    warm.iter().all(|r| r.from_cache),
-                    "{label}: every warm response must come from the cache"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn fig2_toy_mixed_measures_identical_at_1_2_8_workers() {
-    let (g, ids) = fig2_toy();
-    let config = ServeConfig::default().with_topk(TopKConfig {
-        k: 5,
-        epsilon: 0.0,
-        m_f: 4,
-        m_t: 2,
-        max_expansions: 500,
-        ..TopKConfig::default()
-    });
-    let requests = mixed_requests(&[ids.t1, ids.t2, ids.v1, ids.p[0]]);
-    check_all_worker_counts(g, requests, config);
-}
-
-#[test]
-fn seeded_qlog_mixed_measures_identical_at_1_2_8_workers() {
-    let log = QLog::generate(&QLogConfig::tiny(), 77);
-    let g = log.graph.clone();
-    let mut nodes: Vec<NodeId> = log.phrases.clone();
-    nodes.shuffle(&mut ChaCha8Rng::seed_from_u64(7));
-    nodes.truncate(4);
-    // Paper defaults: K = 10, ε = 0.01.
-    check_all_worker_counts(g, mixed_requests(&nodes), ServeConfig::default());
-}
 
 /// The acceptance clause: one engine, one batch mixing every measure (two
 /// distinct β values), multi-node queries, and two k values, with the
@@ -180,9 +70,7 @@ fn mixed_batch_matches_direct_engines_with_cache_and_single_flight_on() {
             .unwrap()
             .run_query_with(&g, &r.query, &mut TopKWorkspace::default())
             .unwrap();
-        assert_eq!(result.ranking, direct.ranking);
-        assert_eq!(result.bounds, direct.bounds);
-        assert_eq!(result.expansions, direct.expansions);
+        assert_same_result(&format!("{}", r.measure), result, &direct);
         assert!(result.converged);
         let want = scores.top_k(r.topk.k);
         assert_eq!(result.ranking.len(), want.len());
@@ -201,11 +89,7 @@ fn mixed_batch_matches_direct_engines_with_cache_and_single_flight_on() {
 
     // [0] single-node RTR → 2SBound.
     let direct = TwoSBound::new(params, topk).run(&g, ids.t1).unwrap();
-    let got = responses[0].result.as_ref().unwrap();
-    assert_eq!(got.ranking, direct.ranking);
-    assert_eq!(got.bounds, direct.bounds);
-    assert_eq!(got.expansions, direct.expansions);
-    assert_eq!(got.active, direct.active);
+    assert_same_result("RTR", responses[0].result.as_ref().unwrap(), &direct);
 
     // [1] F-Rank → bound search on the f-neighborhood, top-3.
     let f = FRank::new(params)
@@ -229,9 +113,7 @@ fn mixed_batch_matches_direct_engines_with_cache_and_single_flight_on() {
             .run(&g, ids.t2)
             .unwrap();
         let got = responses[idx].result.as_ref().unwrap();
-        assert_eq!(got.ranking, direct.ranking, "β={beta}");
-        assert_eq!(got.bounds, direct.bounds, "β={beta}");
-        assert_eq!(got.expansions, direct.expansions, "β={beta}");
+        assert_same_result(&format!("β={beta}"), got, &direct);
     }
 
     // [5] multi-node RTR → one neighborhood pair per query node, bounding
@@ -276,31 +158,6 @@ fn per_request_errors_do_not_disturb_the_rest_of_a_mixed_batch() {
     assert!(responses[4].result.is_ok());
     // Only the good requests were cached.
     assert_eq!(engine.cache_len(), 2);
-}
-
-#[test]
-fn tiny_cache_thrashes_but_mixed_traffic_stays_correct() {
-    // A 4-entry cache under 5-measure traffic evicts constantly and must
-    // never change an answer.
-    let (g, ids) = fig2_toy();
-    let config = ServeConfig::default()
-        .with_topk(TopKConfig {
-            k: 4,
-            epsilon: 0.0,
-            m_f: 4,
-            m_t: 2,
-            max_expansions: 500,
-            ..TopKConfig::default()
-        })
-        .with_cache_capacity(4)
-        .with_cache_shards(2);
-    let requests = mixed_requests(&[ids.t1, ids.v2, ids.p[1]]);
-    let serial = run_serial_requests(&g, &config, &requests);
-    let engine = ServeEngine::start(Arc::new(g), config.with_workers(4));
-    let pooled = engine.run_requests(&requests);
-    assert_responses_identical("thrashing mixed cache", &pooled, &serial);
-    let stats = engine.cache_stats().expect("cache on");
-    assert!(stats.evictions > 0, "capacity 4 must evict, got {stats:?}");
 }
 
 #[test]
