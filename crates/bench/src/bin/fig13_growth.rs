@@ -56,5 +56,8 @@ fn main() {
     print_growth("BibNet", &measure_prepared(&snaps, n_queries));
 
     let qlg = qlog();
-    print_growth("QLog", &measure_snapshots(&qlg.graph, n_queries));
+    print_growth(
+        "QLog",
+        &measure_snapshots(&qlg.graph, &qlg.edge_weights, n_queries),
+    );
 }

@@ -73,18 +73,19 @@ pub fn measure_prepared(snaps: &[Graph], n_queries: usize) -> Vec<SnapshotRow> {
 }
 
 /// Five cumulative prefix snapshots of `g` under the paper's default growth
-/// schedule (valid when node ids are chronological, e.g. QLog).
-pub fn prefix_snapshot_graphs(g: &Graph) -> Vec<Graph> {
+/// schedule (valid when node ids are chronological, e.g. QLog), each
+/// renormalised from `g`'s raw `weights`.
+pub fn prefix_snapshot_graphs(g: &Graph, weights: &EdgeWeights) -> Vec<Graph> {
     GrowthSchedule::paper_default()
-        .snapshots(g)
+        .snapshots(g, weights)
         .into_iter()
         .map(|s| s.graph)
         .collect()
 }
 
 /// Convenience: measure prefix snapshots of `g` directly.
-pub fn measure_snapshots(g: &Graph, n_queries: usize) -> Vec<SnapshotRow> {
-    measure_prepared(&prefix_snapshot_graphs(g), n_queries)
+pub fn measure_snapshots(g: &Graph, weights: &EdgeWeights, n_queries: usize) -> Vec<SnapshotRow> {
+    measure_prepared(&prefix_snapshot_graphs(g, weights), n_queries)
 }
 
 /// Print the Fig. 12-style table for a dataset.

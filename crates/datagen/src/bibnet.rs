@@ -23,7 +23,7 @@
 use crate::zipf::Zipf;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use rtr_graph::{Graph, GraphBuilder, NodeId, NodeTypeId};
+use rtr_graph::{EdgeWeights, Graph, GraphBuilder, NodeId, NodeTypeId};
 
 /// Size and shape knobs for the BibNet generator.
 #[derive(Clone, Debug)]
@@ -156,6 +156,11 @@ pub struct BibNet {
     /// The graph (terms, venues, authors first; papers chronologically last,
     /// so prefix snapshots model growth).
     pub graph: Graph,
+    /// Raw edge weights of `graph` (all 1, merged over parallel edges):
+    /// what its growth snapshots and the evaluation tasks' edge removals
+    /// renormalise from. The graph itself keeps only transition
+    /// probabilities.
+    pub edge_weights: EdgeWeights,
     /// Term nodes (topic terms grouped by topic, then shared terms).
     pub terms: Vec<NodeId>,
     /// Venue nodes.
@@ -401,8 +406,10 @@ impl BibNet {
             b.add_edge(papers[citing], papers[cited], 1.0);
         }
 
+        let (graph, edge_weights) = b.build_with_weights();
         BibNet {
-            graph: b.build(),
+            graph,
+            edge_weights,
             terms,
             venues,
             authors,
@@ -467,7 +474,7 @@ impl BibNet {
                 keep.extend_from_slice(&self.venues);
                 keep.extend_from_slice(&self.authors);
                 keep.extend_from_slice(&self.papers[..k.min(self.papers.len())]);
-                rtr_graph::view::Subgraph::induce(&self.graph, &keep)
+                rtr_graph::view::Subgraph::induce(&self.graph, &self.edge_weights, &keep)
             })
             .collect()
     }

@@ -18,7 +18,7 @@
 use crate::zipf::Zipf;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use rtr_graph::{Graph, GraphBuilder, NodeId, NodeTypeId};
+use rtr_graph::{EdgeWeights, Graph, GraphBuilder, NodeId, NodeTypeId};
 
 /// Size and shape knobs for the QLog generator.
 #[derive(Clone, Debug)]
@@ -140,6 +140,11 @@ pub struct QLog {
     /// The bipartite click graph (portals first, then concept-by-concept
     /// phrases and URLs, so prefix snapshots model log growth).
     pub graph: Graph,
+    /// Raw edge weights of `graph` (click counts): what its prefix
+    /// snapshots and the evaluation tasks read. The graph itself keeps only
+    /// transition probabilities, so a server that moves `graph` out and
+    /// drops the rest never holds them.
+    pub edge_weights: EdgeWeights,
     /// All phrase nodes.
     pub phrases: Vec<NodeId>,
     /// All URL nodes (portals first).
@@ -262,8 +267,10 @@ impl QLog {
             }
         }
 
+        let (graph, edge_weights) = b.build_with_weights();
         QLog {
-            graph: b.build(),
+            graph,
+            edge_weights,
             phrases,
             urls,
             portals,
@@ -407,7 +414,7 @@ mod tests {
     fn click_weights_are_positive_multiples() {
         let q = log();
         for v in q.graph.nodes() {
-            for (_, w) in q.graph.out_edges_weighted(v) {
+            for (_, w) in q.edge_weights.out_edges(&q.graph, v) {
                 assert!(w >= 1.0, "click weight {w} < 1");
             }
         }

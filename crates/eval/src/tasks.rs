@@ -25,7 +25,7 @@ use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use rtr_core::Query;
 use rtr_datagen::{BibNet, QLog};
-use rtr_graph::{Graph, GraphBuilder, NodeId, NodeTypeId};
+use rtr_graph::{EdgeWeights, Graph, GraphBuilder, NodeId, NodeTypeId};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -87,9 +87,9 @@ pub struct TaskSplit {
     pub dev: TaskInstance,
 }
 
-/// Rebuild `g` without the directed edges in `drop` (both directions of an
-/// undirected pair must be listed by the caller).
-fn remove_edges(g: &Graph, drop: &HashSet<(u32, u32)>) -> Graph {
+/// Rebuild `g` from its raw `weights` without the directed edges in `drop`
+/// (both directions of an undirected pair must be listed by the caller).
+fn remove_edges(g: &Graph, weights: &EdgeWeights, drop: &HashSet<(u32, u32)>) -> Graph {
     let mut b = GraphBuilder::with_capacity(g.node_count(), g.edge_count());
     for (_, name) in g.types().iter() {
         b.register_type(name);
@@ -98,7 +98,7 @@ fn remove_edges(g: &Graph, drop: &HashSet<(u32, u32)>) -> Graph {
         b.add_labeled_node(g.node_type(v), g.label(v));
     }
     for v in g.nodes() {
-        for (d, w) in g.out_edges_weighted(v) {
+        for (d, w) in weights.out_edges(g, v) {
             if !drop.contains(&(v.0, d.0)) {
                 b.add_edge(v, d, w);
             }
@@ -173,7 +173,7 @@ pub fn task1_author(net: &BibNet, n_test: usize, n_dev: usize, seed: u64) -> Tas
     };
     let test = make(&test_idx, &mut drop);
     let dev = make(&dev_idx, &mut drop);
-    let graph = remove_edges(&net.graph, &drop);
+    let graph = remove_edges(&net.graph, &net.edge_weights, &drop);
     build_split(TaskKind::Author, graph, net.author_type(), test, dev)
 }
 
@@ -200,7 +200,7 @@ pub fn task2_venue(net: &BibNet, n_test: usize, n_dev: usize, seed: u64) -> Task
     };
     let test = make(&test_idx, &mut drop);
     let dev = make(&dev_idx, &mut drop);
-    let graph = remove_edges(&net.graph, &drop);
+    let graph = remove_edges(&net.graph, &net.edge_weights, &drop);
     build_split(TaskKind::Venue, graph, net.venue_type(), test, dev)
 }
 
@@ -230,8 +230,8 @@ pub fn task3_relevant_url(qlog: &QLog, n_test: usize, n_dev: usize, seed: u64) -
                 // Tempered (clicks^0.75) weighting: real relevance judgments
                 // correlate with clicks but are not pure click-frequency.
                 let weighted: Vec<(NodeId, f64)> = qlog
-                    .graph
-                    .out_edges_weighted(ph)
+                    .edge_weights
+                    .out_edges(&qlog.graph, ph)
                     .filter(|&(v, _)| qlog.graph.node_type(v) == url_ty)
                     .map(|(v, w)| (v, w.powf(0.75)))
                     .collect();
@@ -256,7 +256,7 @@ pub fn task3_relevant_url(qlog: &QLog, n_test: usize, n_dev: usize, seed: u64) -
     };
     let test = make(&test_ph, &mut drop);
     let dev = make(&dev_ph, &mut drop);
-    let graph = remove_edges(&qlog.graph, &drop);
+    let graph = remove_edges(&qlog.graph, &qlog.edge_weights, &drop);
     build_split(TaskKind::RelevantUrl, graph, qlog.url_type(), test, dev)
 }
 

@@ -5,12 +5,31 @@
 //! whole list), merges parallel edges by summing weights (the QLog click
 //! counts of Sect. VI are exactly such summed multiplicities),
 //! row-normalizes into transition probabilities, and writes the [`Graph`]'s
-//! block arena and cold out-table.
+//! block arena and cold out-table. The merged raw weights leave the build
+//! as an [`EdgeWeights`] column of their own, or not at all.
 
-use crate::graph::Graph;
+use crate::graph::{EdgeWeights, Graph};
 use crate::node::{Labels, NodeId, NodeTypeId, TypeRegistry};
 use crate::wire::{self, BlockArena, EDGE_BYTES};
 use std::sync::Arc;
+
+/// The graph's two `u32` offset tables checked in one place: the
+/// out-table counts edges, the block arena counts [`EDGE_BYTES`] slots
+/// (one per node plus one per edge end). Returns `(|E|, |V| + 2·|E|)`.
+///
+/// # Panics
+///
+/// If either count does not fit in `u32`: the graph is too large for the
+/// layout.
+fn offset_widths(nodes: usize, edges: usize) -> (u32, u32) {
+    let narrow = |count: Option<usize>, what: &str| {
+        count
+            .and_then(|c| u32::try_from(c).ok())
+            .unwrap_or_else(|| panic!("graph too large: its {what} exceed the u32 offset tables"))
+    };
+    let slots = edges.checked_mul(2).and_then(|e| e.checked_add(nodes));
+    (narrow(Some(edges), "edges"), narrow(slots, "arena slots"))
+}
 
 /// Incrementally constructs a graph; see module docs.
 #[derive(Clone, Debug, Default)]
@@ -91,19 +110,45 @@ impl GraphBuilder {
         self.add_edge(b, a, weight);
     }
 
-    /// Freeze into an immutable [`Graph`].
+    /// Freeze into an immutable [`Graph`], dropping the raw weights; see
+    /// [`GraphBuilder::build_with_weights`].
+    ///
+    /// # Panics
+    ///
+    /// As [`GraphBuilder::build_with_weights`].
+    pub fn build(self) -> Graph {
+        self.build_with_weights().0
+    }
+
+    /// Freeze into an immutable [`Graph`] plus the merged raw weights,
+    /// aligned with its out-table rows.
     ///
     /// `O(V + E)` counting passes plus a sort of each row by destination:
     /// 1. scatter the records into per-source rows, keeping insertion order;
     ///    sort each row by destination (stably) and merge parallel edges;
-    /// 2. write the cold out-table;
+    /// 2. split the rows into the cold out-table and the weight column;
     /// 3. drop the records;
     /// 4. write every node's block into an exactly-sized arena. Sources are
     ///    scanned in ascending order, so each in-part fills ascending too.
     ///
     /// Apart from the records and their rows, the only scratch is one `u32`
     /// per node: the build leaves no dead buffers behind in the heap.
-    pub fn build(self) -> Graph {
+    ///
+    /// # Panics
+    ///
+    /// If some node's out-edge weights sum past `f64`'s range (the message
+    /// names the node): its merged weights or its row total would be
+    /// infinite, and its transition probabilities NaN or zero. Also if the
+    /// graph has more than `u32::MAX` edges or more than `u32::MAX` arena
+    /// slots (|V| + 2·|E|).
+    pub fn build_with_weights(self) -> (Graph, EdgeWeights) {
+        self.try_build_with_weights()
+            .unwrap_or_else(|v| panic!("out-edge weights of node {v} sum past f64's range"))
+    }
+
+    /// [`GraphBuilder::build_with_weights`], but a row whose weights sum
+    /// past `f64`'s range is returned as `Err` with its node.
+    pub(crate) fn try_build_with_weights(self) -> Result<(Graph, EdgeWeights), NodeId> {
         let GraphBuilder {
             types,
             node_types,
@@ -150,14 +195,27 @@ impl GraphBuilder {
             out_offsets[v + 1] = m;
             lo = hi;
         }
-        out_offsets.truncate(n + 1);
         rows.truncate(m);
+        let (_, slots) = offset_widths(n, m);
 
-        // 2. The cold out-table; 3. the records go.
+        // 2. The cold out-table and the weights; 3. the records go. Every
+        // offset is at most `m`, which fits.
+        let out_offsets: Vec<u32> = {
+            let wide = out_offsets;
+            wide[..=n].iter().map(|&o| o as u32).collect()
+        };
         let out_targets: Vec<NodeId> = rows.iter().map(|&(d, _)| NodeId(d)).collect();
         let out_weights: Vec<f64> = rows.iter().map(|&(_, w)| w).collect();
         drop(rows);
-        let out_row = |v: usize| out_offsets[v]..out_offsets[v + 1];
+        let out_row = |v: usize| out_offsets[v] as usize..out_offsets[v + 1] as usize;
+        // Summed in ascending destination order, as
+        // `EdgeWeights::weighted_out_degree` sums it. A row with an edge
+        // has a positive total (weights are); a finite one keeps every
+        // merged weight finite too.
+        let totals = |v: usize| -> f64 { out_weights[out_row(v)].iter().sum() };
+        if let Some(v) = (0..n).find(|&v| !totals(v).is_finite()) {
+            return Err(NodeId(v as u32));
+        }
 
         // 4. The arena, sized from the degrees. Collected from exact-size
         // iterators, both shared parts are single allocations written in
@@ -168,52 +226,55 @@ impl GraphBuilder {
         for d in &out_targets {
             in_filled[d.index()] += 1;
         }
-        let mut end = 0;
-        let block_offsets: Arc<[usize]> = (0..=n)
+        // Offsets count `EDGE_BYTES` slots: one for the header, one per
+        // edge. They sum to `slots`, which fits.
+        let mut end = 0u32;
+        let block_offsets: Arc<[u32]> = (0..=n)
             .map(|v| {
                 let at = end;
                 if v < n {
-                    end += wire::encoded_len(out_row(v).len(), in_filled[v] as usize);
+                    end += 1 + out_row(v).len() as u32 + in_filled[v];
                 }
                 at
             })
             .collect();
+        debug_assert_eq!(end, slots);
         in_filled.fill(0);
-        let mut arena: Arc<[u8]> = std::iter::repeat_n(0, end).collect();
+        let at = |v: usize| block_offsets[v] as usize * EDGE_BYTES;
+        let mut arena: Arc<[u8]> = std::iter::repeat_n(0, at(n)).collect();
         // invariant: the Arc was created on the line above; nothing else
         // holds it yet.
         let bytes = Arc::get_mut(&mut arena).expect("fresh arena is unshared");
         for v in 0..n {
-            let at = block_offsets[v];
-            let block = &mut bytes[at..block_offsets[v + 1]];
-            wire::put_header(block, NodeId(v as u32), out_row(v).len());
-            // Summed in ascending destination order, as
-            // `Graph::weighted_out_degree` sums it.
-            let total: f64 = out_weights[out_row(v)].iter().sum();
+            wire::put_header(
+                &mut bytes[at(v)..at(v + 1)],
+                NodeId(v as u32),
+                out_row(v).len(),
+            );
+            let total = totals(v);
             for (i, e) in out_row(v).enumerate() {
-                // A row with an edge has a positive total (weights are).
                 let prob = out_weights[e] / total;
-                let slot = at + wire::out_edge_at(i);
+                let slot = at(v) + wire::out_edge_at(i);
                 bytes[slot..slot + EDGE_BYTES]
                     .copy_from_slice(&wire::edge_bytes(out_targets[e], prob));
                 let d = out_targets[e].index();
-                let slot =
-                    block_offsets[d] + wire::in_edge_at(out_row(d).len(), in_filled[d] as usize);
+                let slot = at(d) + wire::in_edge_at(out_row(d).len(), in_filled[d] as usize);
                 bytes[slot..slot + EDGE_BYTES]
                     .copy_from_slice(&wire::edge_bytes(NodeId(v as u32), prob));
                 in_filled[d] += 1;
             }
         }
 
-        Graph::from_parts(
+        let g = Graph::from_parts(
             types,
             node_types,
             labels,
             BlockArena::from_parts(arena, block_offsets),
             out_offsets,
             out_targets,
-            out_weights,
-        )
+        );
+        let weights = EdgeWeights::new(g.epoch(), out_weights);
+        Ok((g, weights))
     }
 }
 
@@ -287,13 +348,13 @@ mod tests {
                 b.add_edge(n[0], n[1], w);
                 b.add_edge(n[2], n[1], 0.25);
             }
-            let g = b.build();
-            let merged: Vec<_> = g.out_edges_weighted(n[0]).collect();
+            let (g, weights) = b.build_with_weights();
+            let merged: Vec<_> = weights.out_edges(&g, n[0]).collect();
             assert_eq!(merged.len(), 2);
             assert_eq!((merged[0].0, merged[0].1.to_bits()), (n[1], want.to_bits()));
             assert_eq!(merged[1].1, 1.5);
             assert_eq!(
-                g.weighted_out_degree(n[0]).to_bits(),
+                weights.weighted_out_degree(&g, n[0]).to_bits(),
                 (want + 1.5).to_bits()
             );
         }
@@ -332,6 +393,76 @@ mod tests {
         let a = b.add_node(ty);
         let c = b.add_node(ty);
         b.add_edge(a, c, 0.0);
+    }
+
+    /// Node 1's out-edges: `(0, 1e308)` twice then `(2, 1e308)`, or
+    /// `(0, 1e308)` and `(2, 1e308)` once each.
+    fn overflowing_row(parallel: bool) -> GraphBuilder {
+        let mut b = GraphBuilder::new();
+        let ty = b.register_type("n");
+        let n: Vec<_> = (0..3).map(|_| b.add_node(ty)).collect();
+        b.add_edge(n[0], n[1], 1.0);
+        b.add_edge(n[1], n[0], 1e308);
+        if parallel {
+            b.add_edge(n[1], n[0], 1e308);
+        }
+        b.add_edge(n[1], n[2], 1e308);
+        b
+    }
+
+    #[test]
+    #[should_panic(expected = "out-edge weights of node 1 sum past f64's range")]
+    fn parallel_weights_merging_past_f64_range_are_refused() {
+        // Built, the row read `[(0, NaN), (2, 0.0)]`.
+        overflowing_row(true).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "out-edge weights of node 1 sum past f64's range")]
+    fn a_row_total_past_f64_range_is_refused() {
+        // Built, the row read zeros.
+        overflowing_row(false).build_with_weights();
+    }
+
+    #[test]
+    fn one_row_short_of_overflow_builds() {
+        let mut b = GraphBuilder::new();
+        let ty = b.register_type("n");
+        let n: Vec<_> = (0..3).map(|_| b.add_node(ty)).collect();
+        b.add_edge(n[0], n[1], f64::MAX / 2.0);
+        b.add_edge(n[0], n[2], f64::MAX / 2.0);
+        let g = b.build();
+        let probs: Vec<f64> = g.out_edges(n[0]).map(|(_, p)| p).collect();
+        assert_eq!(probs, [0.5, 0.5]);
+    }
+
+    #[test]
+    fn offset_widths_admit_exactly_the_u32_layouts() {
+        let max = u32::MAX as usize;
+        assert_eq!(offset_widths(0, 0), (0, 0));
+        assert_eq!(offset_widths(3, 5), (5, 13));
+        // The arena's slot count is the binding limit: |V| + 2·|E|.
+        assert_eq!(offset_widths(1, max / 2), (u32::MAX / 2, u32::MAX));
+        assert_eq!(offset_widths(max, 0), (0, u32::MAX));
+    }
+
+    fn refusal(nodes: usize, edges: usize) -> String {
+        let err = std::panic::catch_unwind(|| offset_widths(nodes, edges)).unwrap_err();
+        // invariant: `offset_widths` panics with a formatted message.
+        err.downcast::<String>()
+            .map(|m| *m)
+            .expect("a formatted message")
+    }
+
+    #[test]
+    fn offset_widths_refuse_past_either_limit() {
+        let max = u32::MAX as usize;
+        assert!(refusal(2, max / 2).contains("arena slots"));
+        assert!(refusal(max + 1, 0).contains("arena slots"));
+        assert!(refusal(0, max + 1).contains("its edges"));
+        assert!(refusal(0, usize::MAX).contains("its edges"));
+        // |V| + 2·|E| overflowing usize itself is refused, not wrapped.
+        assert!(refusal(usize::MAX, 1).contains("graph too large"));
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! The frozen graph: one block arena for the engines, one cold out-table
-//! for everything else.
+//! The frozen graph — one block arena for the engines plus a narrow out-table
+//! of neighbour ids — and [`EdgeWeights`], the builder's raw weights, which
+//! only the offline transforms (subgraphs, repair, text I/O, evaluation
+//! tasks) read and which a serving process never holds.
 //!
 //! Immutable after construction; all per-query algorithms treat it as shared
 //! read-only state (it is `Send + Sync`), which is what lets the distributed
@@ -8,6 +10,7 @@
 use crate::node::{Labels, NodeId, NodeTypeId, TypeRegistry};
 use crate::wire::{self, BlockArena};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide epoch source. Every constructed [`Graph`] draws a fresh,
@@ -27,19 +30,21 @@ fn fresh_epoch() -> u64 {
 
 /// A directed, weighted, typed graph.
 ///
-/// Stores, per directed edge `s -> d` (after merging parallel edges):
-/// * raw weight `w(s,d)` (for subgraph renormalization),
-/// * forward transition probability `M[s][d] = w(s,d) / Σ_d' w(s,d')`.
+/// Stores, per directed edge `s -> d` (after merging parallel edges), the
+/// forward transition probability `M[s][d] = w(s,d) / Σ_d' w(s,d')`. The
+/// raw weights `w(s,d)` are not part of the graph: the builder hands them
+/// out as an [`EdgeWeights`] column for the offline transforms that
+/// renormalise from them.
 ///
 /// The adjacency the engines read is a [`BlockArena`]: node `v`'s
 /// [`wire`] block holds its out-edges `(d, M[v][d])` followed by its
 /// in-edges `(s, M[s][v])` — the quantity F-Rank's update (paper Eq. 5)
 /// sums over — both ascending by neighbour id. A graph processor serves
-/// its stripe from the same (shared) arena. A cold out-table (`out_offsets`,
-/// `out_targets`, `out_weights`) keeps raw weights and plain neighbour-id
-/// rows for [`Graph::out_neighbors`], subgraphs, text I/O and SCCs; of it
-/// the engines read only `out_offsets`, as out-degrees. Labels share one
-/// text arena.
+/// its stripe from the same (shared) arena. A cold out-table (`u32`
+/// `out_offsets`, `out_targets`) keeps plain neighbour-id rows for
+/// [`Graph::out_neighbors`], subgraphs, text I/O and SCCs; of it the
+/// engines read only `out_offsets`, as out-degrees. Labels share one text
+/// arena.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Graph {
     types: TypeRegistry,
@@ -48,9 +53,10 @@ pub struct Graph {
 
     blocks: BlockArena,
 
-    out_offsets: Vec<usize>,
+    /// Row `v` of `out_targets` is `out_offsets[v]..out_offsets[v + 1]`;
+    /// `u32` because the builder refuses more than `u32::MAX` edges.
+    out_offsets: Vec<u32>,
     out_targets: Vec<NodeId>,
-    out_weights: Vec<f64>,
 
     has_self_loops: bool,
     // Never serialized: the epoch is process-unique by construction, and a
@@ -69,17 +75,16 @@ impl Graph {
         node_types: Vec<NodeTypeId>,
         labels: Labels,
         blocks: BlockArena,
-        out_offsets: Vec<usize>,
+        out_offsets: Vec<u32>,
         out_targets: Vec<NodeId>,
-        out_weights: Vec<f64>,
     ) -> Self {
         let n = node_types.len();
         debug_assert_eq!(labels.len(), n);
         debug_assert_eq!(blocks.len(), n);
         debug_assert_eq!(out_offsets.len(), n + 1);
-        debug_assert_eq!(out_targets.len(), out_weights.len());
+        debug_assert_eq!(out_offsets[n] as usize, out_targets.len());
         let has_self_loops = (0..n).any(|v| {
-            let (lo, hi) = (out_offsets[v], out_offsets[v + 1]);
+            let (lo, hi) = (out_offsets[v] as usize, out_offsets[v + 1] as usize);
             out_targets[lo..hi].binary_search(&NodeId(v as u32)).is_ok()
         });
         Self {
@@ -89,7 +94,6 @@ impl Graph {
             blocks,
             out_offsets,
             out_targets,
-            out_weights,
             has_self_loops,
             epoch: fresh_epoch(),
         }
@@ -162,8 +166,7 @@ impl Graph {
     /// Out-degree (number of distinct out-edges).
     #[inline]
     pub fn out_degree(&self, v: NodeId) -> usize {
-        let (lo, hi) = self.out_row(v);
-        hi - lo
+        self.out_row(v).len()
     }
 
     /// In-degree (number of distinct in-edges).
@@ -177,14 +180,6 @@ impl Graph {
     #[inline]
     pub fn total_degree(&self, v: NodeId) -> usize {
         self.blocks.total_degree(v)
-    }
-
-    /// Sum of raw out-edge weights of `v`, summed over the cold out-table
-    /// row in ascending destination order: the sum the builder normalised
-    /// the row's transition probabilities by, bit for bit.
-    pub fn weighted_out_degree(&self, v: NodeId) -> f64 {
-        let (lo, hi) = self.out_row(v);
-        self.out_weights[lo..hi].iter().sum()
     }
 
     /// `true` if any node has an edge to itself. Several bounds (notably the
@@ -224,14 +219,14 @@ impl Graph {
         self.blocks.out_edges(v, self.out_degree(v))
     }
 
-    /// Out-edges of `v` as `(target, raw_weight)`.
+    /// The same edges as [`Graph::out_edges`]: `(target, M[v][target])`,
+    /// transition probabilities and not raw weights, which the graph does
+    /// not keep (see [`EdgeWeights::out_edges`]). Kept for callers outside
+    /// this workspace that rebuild a graph from its rows: a row of
+    /// probabilities renormalises to the same probabilities up to rounding.
     #[inline]
-    pub fn out_edges_weighted(&self, v: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        let (lo, hi) = self.out_row(v);
-        self.out_targets[lo..hi]
-            .iter()
-            .copied()
-            .zip(self.out_weights[lo..hi].iter().copied())
+    pub fn out_edges_weighted(&self, v: NodeId) -> wire::Edges<'_> {
+        self.out_edges(v)
     }
 
     /// In-edges of `v` as `(source, M[source][v])`, ascending by source id.
@@ -250,17 +245,17 @@ impl Graph {
         self.blocks.prefetch_index(v);
     }
 
-    /// Range of `v`'s row in the cold out-table.
+    /// Range of `v`'s row in the cold out-table, which [`EdgeWeights`]
+    /// shares.
     #[inline]
-    fn out_row(&self, v: NodeId) -> (usize, usize) {
-        (self.out_offsets[v.index()], self.out_offsets[v.index() + 1])
+    fn out_row(&self, v: NodeId) -> Range<usize> {
+        self.out_offsets[v.index()] as usize..self.out_offsets[v.index() + 1] as usize
     }
 
     /// Out-neighbor ids only (no probabilities), ascending.
     #[inline]
     pub fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
-        let (lo, hi) = self.out_row(v);
-        &self.out_targets[lo..hi]
+        &self.out_targets[self.out_row(v)]
     }
 
     /// In-neighbor ids only (no probabilities), ascending.
@@ -307,6 +302,7 @@ impl Graph {
     /// (excludes labels and the type registry, which the query algorithms
     /// never touch): the block arena with its offsets, the cold out-table
     /// and node types. This mirrors the paper's "snapshot size" metric.
+    /// An [`EdgeWeights`] column is not the graph's and is not counted.
     pub fn memory_bytes(&self) -> usize {
         // Every part of `resident_bytes` but the last, the labels.
         self.resident_bytes()[..3]
@@ -316,7 +312,8 @@ impl Graph {
     }
 
     /// Resident bytes by part, as `(part, bytes)`: `adjacency` (the block
-    /// arena with its offsets), `cold_table` (the cold out-table),
+    /// arena with its offsets), `cold_table` (the cold out-table's offsets
+    /// and neighbour ids),
     /// `node_types` and `labels` (the label text with its end offsets).
     /// The type registry (a few names) is left out.
     pub fn resident_bytes(&self) -> [(&'static str, usize); 4] {
@@ -325,9 +322,7 @@ impl Graph {
             ("adjacency", self.blocks.memory_bytes()),
             (
                 "cold_table",
-                size_of_val(self.out_offsets.as_slice())
-                    + size_of_val(self.out_targets.as_slice())
-                    + size_of_val(self.out_weights.as_slice()),
+                size_of_val(self.out_offsets.as_slice()) + size_of_val(self.out_targets.as_slice()),
             ),
             ("node_types", size_of_val(self.node_types.as_slice())),
             ("labels", self.labels.memory_bytes()),
@@ -348,6 +343,69 @@ impl Graph {
         } else {
             self.edge_count() as f64 / self.node_count() as f64
         }
+    }
+}
+
+/// The builder's raw out-edge weights `w(s,d)` (parallel edges merged),
+/// one `f64` per edge, aligned with the graph's out-table rows: the `i`-th
+/// weight of `v`'s row belongs to the `i`-th edge of
+/// [`Graph::out_neighbors`]`(v)`.
+///
+/// Handed out by [`crate::GraphBuilder::build_with_weights`] for the
+/// offline transforms that renormalise rows from raw weights — induced
+/// subgraphs, the irreducibility repair, text I/O, the evaluation tasks.
+/// The graph itself keeps only the transition probabilities, so a serving
+/// process never holds this column. A column belongs to the graph it was
+/// built with (and that graph's clones); every read checks so.
+#[derive(Clone, Debug)]
+pub struct EdgeWeights {
+    epoch: u64,
+    weights: Vec<f64>,
+}
+
+impl EdgeWeights {
+    /// Wrap the builder's merged weights of the graph with this epoch.
+    pub(crate) fn new(epoch: u64, weights: Vec<f64>) -> Self {
+        Self { epoch, weights }
+    }
+
+    /// Number of weights: the graph's [`Graph::edge_count`].
+    pub fn len(&self) -> usize {
+        self.weights.len()
+    }
+
+    /// Whether the column holds no weight (the graph has no edge).
+    pub fn is_empty(&self) -> bool {
+        self.weights.is_empty()
+    }
+
+    /// Raw weights of `v`'s out-edges, ascending by destination id. Panics
+    /// if `g` is not the graph this column was built with, or a clone of it.
+    pub(crate) fn row(&self, g: &Graph, v: NodeId) -> &[f64] {
+        assert_eq!(self.epoch, g.epoch(), "edge weights of another graph");
+        &self.weights[g.out_row(v)]
+    }
+
+    /// Out-edges of `v` as `(target, raw weight)`, ascending by target id.
+    /// Panics if `g` is not the graph this column was built with, or a
+    /// clone of it.
+    pub fn out_edges<'a>(
+        &'a self,
+        g: &'a Graph,
+        v: NodeId,
+    ) -> impl ExactSizeIterator<Item = (NodeId, f64)> + 'a {
+        g.out_neighbors(v)
+            .iter()
+            .copied()
+            .zip(self.row(g, v).iter().copied())
+    }
+
+    /// Sum of raw out-edge weights of `v`, summed in ascending destination
+    /// order: the sum the builder normalised the row's transition
+    /// probabilities by, bit for bit. Panics as [`EdgeWeights::out_edges`]
+    /// does.
+    pub fn weighted_out_degree(&self, g: &Graph, v: NodeId) -> f64 {
+        self.row(g, v).iter().sum()
     }
 }
 
@@ -454,8 +512,8 @@ mod tests {
         // One 12-byte header per node and each edge twice (out and in part).
         let arena = 12 * n + 24 * m;
         assert_eq!(g.blocks().as_bytes().len(), arena);
-        let offsets = (n + 1) * size_of::<usize>();
-        let cold_edges = m * (size_of::<NodeId>() + size_of::<f64>());
+        let offsets = (n + 1) * size_of::<u32>();
+        let cold_edges = m * size_of::<NodeId>();
         let types = n * size_of::<NodeTypeId>();
         let text: usize = g.nodes().map(|v| g.label(v).len()).sum();
         assert_eq!(
@@ -468,6 +526,17 @@ mod tests {
             ]
         );
         assert_eq!(g.memory_bytes(), arena + 2 * offsets + cold_edges + types);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge weights of another graph")]
+    fn edge_weights_serve_only_their_own_graph() {
+        let (g, weights, ids) = crate::toy::fig2_toy_with_weights();
+        // A clone is the same graph: its rows line up with the column.
+        let row: Vec<_> = weights.out_edges(&g.clone(), ids.t1).collect();
+        assert_eq!(row.len(), 5);
+        let (other, _) = fig2_toy();
+        weights.weighted_out_degree(&other, ids.t1);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! line-oriented and streaming-friendly; parse errors carry line numbers.
 
 use crate::builder::GraphBuilder;
-use crate::graph::Graph;
+use crate::graph::{EdgeWeights, Graph};
 use crate::node::NodeId;
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -33,6 +33,14 @@ pub enum IoError {
         /// What went wrong.
         message: String,
     },
+    /// The out-edge weights of `node`, each finite and positive, sum past
+    /// `f64`'s range, so its transition probabilities would be NaN or zero.
+    WeightOverflow {
+        /// 1-based line number of the last edge record in `node`'s row.
+        line: usize,
+        /// The node whose row overflows.
+        node: NodeId,
+    },
 }
 
 impl fmt::Display for IoError {
@@ -40,6 +48,10 @@ impl fmt::Display for IoError {
         match self {
             IoError::Io(e) => write!(f, "i/o error: {e}"),
             IoError::Parse { line, message } => write!(f, "line {line}: {message}"),
+            IoError::WeightOverflow { line, node } => write!(
+                f,
+                "line {line}: out-edge weights of node {node} sum past f64's range"
+            ),
         }
     }
 }
@@ -59,10 +71,13 @@ fn parse_err(line: usize, message: impl Into<String>) -> IoError {
     }
 }
 
-/// Read a graph from the tab-separated text format.
-pub fn read_graph<R: Read>(reader: R) -> Result<Graph, IoError> {
+/// Read a graph from the tab-separated text format, with the raw edge
+/// weights it was written with (merged over parallel records).
+pub fn read_graph<R: Read>(reader: R) -> Result<(Graph, EdgeWeights), IoError> {
     let mut b = GraphBuilder::new();
     let mut next_node = 0u32;
+    // Per node, the line of the last edge record that added to its row.
+    let mut row_end: Vec<usize> = Vec::new();
     for (idx, line) in BufReader::new(reader).lines().enumerate() {
         let lineno = idx + 1;
         let line = line?;
@@ -93,6 +108,7 @@ pub fn read_graph<R: Read>(reader: R) -> Result<Graph, IoError> {
                 let label = fields.next().unwrap_or("");
                 let ty = b.register_type(ty_name);
                 b.add_labeled_node(ty, label);
+                row_end.push(0);
             }
             "E" => {
                 let src: u32 = fields
@@ -116,8 +132,12 @@ pub fn read_graph<R: Read>(reader: R) -> Result<Graph, IoError> {
                 if !(weight > 0.0 && weight.is_finite()) {
                     return Err(parse_err(lineno, format!("non-positive weight {weight}")));
                 }
+                row_end[src as usize] = lineno;
                 match fields.next() {
-                    Some("u") => b.add_undirected_edge(NodeId(src), NodeId(dst), weight),
+                    Some("u") => {
+                        row_end[dst as usize] = lineno;
+                        b.add_undirected_edge(NodeId(src), NodeId(dst), weight)
+                    }
                     Some(other) => {
                         return Err(parse_err(
                             lineno,
@@ -135,12 +155,21 @@ pub fn read_graph<R: Read>(reader: R) -> Result<Graph, IoError> {
             }
         }
     }
-    Ok(b.build())
+    b.try_build_with_weights()
+        .map_err(|node| IoError::WeightOverflow {
+            line: row_end[node.index()],
+            node,
+        })
 }
 
-/// Write a graph in the tab-separated text format. Undirected pairs are
-/// written as two directed `E` records (lossless, if redundant).
-pub fn write_graph<W: Write>(g: &Graph, mut writer: W) -> Result<(), IoError> {
+/// Write a graph with its raw edge weights in the tab-separated text
+/// format. Undirected pairs are written as two directed `E` records
+/// (lossless, if redundant).
+pub fn write_graph<W: Write>(
+    g: &Graph,
+    weights: &EdgeWeights,
+    mut writer: W,
+) -> Result<(), IoError> {
     writeln!(
         writer,
         "# RoundTripRank graph: {} nodes, {} edges",
@@ -157,7 +186,7 @@ pub fn write_graph<W: Write>(g: &Graph, mut writer: W) -> Result<(), IoError> {
         )?;
     }
     for v in g.nodes() {
-        for (d, w) in g.out_edges_weighted(v) {
+        for (d, w) in weights.out_edges(g, v) {
             writeln!(writer, "E\t{}\t{}\t{}", v.0, d.0, w)?;
         }
     }
@@ -167,14 +196,14 @@ pub fn write_graph<W: Write>(g: &Graph, mut writer: W) -> Result<(), IoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::toy::fig2_toy;
+    use crate::toy::fig2_toy_with_weights;
 
     #[test]
     fn roundtrip_preserves_graph() {
-        let (g, _) = fig2_toy();
+        let (g, weights, _) = fig2_toy_with_weights();
         let mut buf = Vec::new();
-        write_graph(&g, &mut buf).expect("write");
-        let back = read_graph(buf.as_slice()).expect("read");
+        write_graph(&g, &weights, &mut buf).expect("write");
+        let (back, back_weights) = read_graph(buf.as_slice()).expect("read");
         assert_eq!(back.node_count(), g.node_count());
         assert_eq!(back.edge_count(), g.edge_count());
         for v in g.nodes() {
@@ -186,13 +215,15 @@ mod tests {
             let a: Vec<_> = g.out_edges(v).collect();
             let b: Vec<_> = back.out_edges(v).collect();
             assert_eq!(a, b, "adjacency differs at {v:?}");
+            assert_eq!(back_weights.row(&back, v), weights.row(&g, v));
         }
     }
 
     #[test]
     fn parses_minimal_example() {
         let text = "# comment\nN\t0\tterm\tspatio\nN\t1\tvenue\tVLDB\nE\t0\t1\t2.5\tu\n";
-        let g = read_graph(text.as_bytes()).expect("parse");
+        let (g, weights) = read_graph(text.as_bytes()).expect("parse");
+        assert_eq!(weights.row(&g, NodeId(1)), [2.5]);
         assert_eq!(g.node_count(), 2);
         assert_eq!(g.edge_count(), 2); // undirected = both directions
         assert_eq!(g.label(NodeId(1)), "VLDB");
@@ -236,7 +267,8 @@ mod tests {
 
     #[test]
     fn empty_input_is_empty_graph() {
-        let g = read_graph("".as_bytes()).expect("parse");
+        let (g, weights) = read_graph("".as_bytes()).expect("parse");
+        assert!(weights.is_empty());
         assert_eq!(g.node_count(), 0);
     }
 
@@ -247,10 +279,10 @@ mod tests {
         let ty = b.register_type("venue");
         let ids: Vec<_> = names.iter().map(|l| b.add_labeled_node(ty, l)).collect();
         b.add_undirected_edge(ids[1], ids[3], 2.0);
-        let g = b.build();
+        let (g, weights) = b.build_with_weights();
         let mut buf = Vec::new();
-        write_graph(&g, &mut buf).expect("write");
-        let back = read_graph(buf.as_slice()).expect("read");
+        write_graph(&g, &weights, &mut buf).expect("write");
+        let (back, _) = read_graph(buf.as_slice()).expect("read");
         for (&v, name) in ids.iter().zip(names) {
             assert_eq!(back.label(v), name);
         }
@@ -261,7 +293,28 @@ mod tests {
     #[test]
     fn labels_with_spaces_survive() {
         let text = "N\t0\tvenue\tSpatio-Temporal Databases, Dagstuhl\n";
-        let g = read_graph(text.as_bytes()).expect("parse");
+        let (g, _) = read_graph(text.as_bytes()).expect("parse");
         assert_eq!(g.label(NodeId(0)), "Spatio-Temporal Databases, Dagstuhl");
+    }
+
+    #[test]
+    fn rejects_weights_that_sum_past_f64_range() {
+        let nodes = "N\t0\tn\t\nN\t1\tn\t\nN\t2\tn\t\n";
+        // Parallel records merge to +∞ (the row read NaN and 0.0), and two
+        // records with finite sums total +∞ (the row read zeros). The error
+        // names the row's last edge record, parallel or not.
+        let merged = "E\t0\t1\t1e308\nE\t0\t2\t1e308\nE\t0\t1\t1e308\nE\t1\t0\t1\n";
+        let total = "E\t0\t1\t1\nE\t1\t0\t1e308\nE\t2\t1\t1e308\tu\n";
+        for (edges, line, node) in [(merged, 6, 0), (total, 6, 1)] {
+            let err = read_graph(format!("{nodes}{edges}").as_bytes()).unwrap_err();
+            assert!(
+                matches!(err, IoError::WeightOverflow { line: l, node: n } if l == line && n == NodeId(node)),
+                "{err}"
+            );
+            assert!(
+                err.to_string().starts_with(&format!("line {line}: ")),
+                "{err}"
+            );
+        }
     }
 }

@@ -32,8 +32,9 @@
 //!   distributed active graph (demand paging behind `ensure`).
 //! * [`node`] — node identifiers, node types, and the type registry.
 //! * [`builder`] — mutable edge-list builder that produces a frozen [`Graph`].
-//! * [`graph`] — the frozen [`Graph`] itself: the block arena plus a cold
-//!   out-table of raw weights.
+//! * [`graph`] — the frozen [`Graph`] itself (the block arena plus a cold
+//!   out-table of neighbour ids), and [`EdgeWeights`], the raw weights the
+//!   builder hands out for the offline transforms.
 //! * [`scc`] — Tarjan strongly-connected components and the dummy-edge
 //!   irreducibility repair the paper relies on (Sect. III-B, "we can always
 //!   make a graph irreducible by adding some dummy edges").
@@ -84,7 +85,7 @@ pub mod wire;
 
 pub use adjacency::{AdjacencyAccess, AdjacencyError};
 pub use builder::GraphBuilder;
-pub use graph::Graph;
+pub use graph::{EdgeWeights, Graph};
 pub use node::{NodeId, NodeTypeId, TypeRegistry};
 pub use score_map::{ScoreMap, SparseMap};
 
@@ -92,7 +93,7 @@ pub use score_map::{ScoreMap, SparseMap};
 pub mod prelude {
     pub use crate::adjacency::{AdjacencyAccess, AdjacencyError};
     pub use crate::builder::GraphBuilder;
-    pub use crate::graph::Graph;
+    pub use crate::graph::{EdgeWeights, Graph};
     pub use crate::node::{NodeId, NodeTypeId, TypeRegistry};
     pub use crate::scc::IrreducibilityRepair;
     pub use crate::score_map::{ScoreMap, SparseMap};

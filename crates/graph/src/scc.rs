@@ -13,7 +13,7 @@
 //! by at most the chosen dummy weight fraction.
 
 use crate::builder::GraphBuilder;
-use crate::graph::Graph;
+use crate::graph::{EdgeWeights, Graph};
 use crate::node::NodeId;
 
 /// Result of Tarjan's algorithm: a component id per node, components numbered
@@ -141,7 +141,12 @@ impl IrreducibilityRepair {
     /// connected. Returns the repaired graph and the number of dummy edges
     /// added (0 if already irreducible — in that case the graph is rebuilt
     /// unchanged).
-    pub fn repair(&self, g: &Graph) -> (Graph, usize) {
+    ///
+    /// `weights` is `g`'s raw weight column (from
+    /// [`crate::GraphBuilder::build_with_weights`]): the repaired graph is
+    /// rebuilt from them, and each dummy edge is sized from its source's
+    /// row sum.
+    pub fn repair(&self, g: &Graph, weights: &EdgeWeights) -> (Graph, usize) {
         let scc = tarjan_scc(g);
         if scc.is_strongly_connected() {
             return (g.clone(), 0);
@@ -167,7 +172,7 @@ impl IrreducibilityRepair {
             b.add_labeled_node(g.node_type(v), g.label(v));
         }
         for v in g.nodes() {
-            for (d, w) in g.out_edges_weighted(v) {
+            for (d, w) in weights.out_edges(g, v) {
                 b.add_edge(v, d, w);
             }
         }
@@ -178,7 +183,7 @@ impl IrreducibilityRepair {
             if src == dst {
                 continue;
             }
-            let base = g.weighted_out_degree(src);
+            let base = weights.weighted_out_degree(g, src);
             let w = if base > 0.0 {
                 base * self.dummy_weight_fraction
             } else {
@@ -195,16 +200,16 @@ impl IrreducibilityRepair {
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
-    use crate::toy::fig2_toy;
+    use crate::toy::{fig2_toy, fig2_toy_with_weights};
 
-    fn line_graph(n: usize) -> Graph {
+    fn line_graph(n: usize) -> (Graph, EdgeWeights) {
         let mut b = GraphBuilder::new();
         let ty = b.register_type("n");
         let nodes: Vec<_> = (0..n).map(|_| b.add_node(ty)).collect();
         for i in 0..n - 1 {
             b.add_edge(nodes[i], nodes[i + 1], 1.0);
         }
-        b.build()
+        b.build_with_weights()
     }
 
     #[test]
@@ -216,7 +221,7 @@ mod tests {
 
     #[test]
     fn line_graph_has_n_components() {
-        let g = line_graph(5);
+        let (g, _) = line_graph(5);
         let scc = tarjan_scc(&g);
         assert_eq!(scc.count, 5);
         assert_eq!(scc.component_sizes(), vec![1; 5]);
@@ -244,8 +249,8 @@ mod tests {
 
     #[test]
     fn repair_makes_line_strongly_connected() {
-        let g = line_graph(6);
-        let (fixed, added) = IrreducibilityRepair::default().repair(&g);
+        let (g, w) = line_graph(6);
+        let (fixed, added) = IrreducibilityRepair::default().repair(&g, &w);
         assert!(added > 0);
         let scc = tarjan_scc(&fixed);
         assert!(scc.is_strongly_connected());
@@ -254,8 +259,8 @@ mod tests {
 
     #[test]
     fn repair_noop_on_connected_graph() {
-        let (g, _) = fig2_toy();
-        let (fixed, added) = IrreducibilityRepair::default().repair(&g);
+        let (g, w, _) = fig2_toy_with_weights();
+        let (fixed, added) = IrreducibilityRepair::default().repair(&g, &w);
         assert_eq!(added, 0);
         assert_eq!(fixed.edge_count(), g.edge_count());
     }
@@ -263,8 +268,8 @@ mod tests {
     #[test]
     fn repair_preserves_ranking_scale() {
         // Dummy edges must perturb transition rows only slightly.
-        let g = line_graph(4);
-        let (fixed, _) = IrreducibilityRepair::default().repair(&g);
+        let (g, w) = line_graph(4);
+        let (fixed, _) = IrreducibilityRepair::default().repair(&g, &w);
         let n0 = NodeId(0);
         // Node 0's original single edge keeps nearly all its mass.
         let main_prob = fixed
@@ -284,8 +289,8 @@ mod tests {
         let n: Vec<_> = names.iter().map(|l| b.add_labeled_node(ty, l)).collect();
         b.add_edge(n[0], n[1], 1.0);
         b.add_edge(n[2], n[3], 1.0);
-        let g = b.build();
-        let (fixed, added) = IrreducibilityRepair::default().repair(&g);
+        let (g, w) = b.build_with_weights();
+        let (fixed, added) = IrreducibilityRepair::default().repair(&g, &w);
         assert!(added > 0);
         for (&v, name) in n.iter().zip(names) {
             assert_eq!(fixed.label(v), name);
@@ -295,9 +300,9 @@ mod tests {
 
     #[test]
     fn repair_handles_dangling_nodes() {
-        let g = line_graph(3); // node 2 dangling
+        let (g, w) = line_graph(3); // node 2 dangling
         assert!(g.is_dangling(NodeId(2)));
-        let (fixed, _) = IrreducibilityRepair::default().repair(&g);
+        let (fixed, _) = IrreducibilityRepair::default().repair(&g, &w);
         for v in fixed.nodes() {
             assert!(!fixed.is_dangling(v), "{v:?} still dangling");
         }
@@ -372,10 +377,10 @@ mod tests {
     fn deep_line_does_not_overflow_stack() {
         // The iterative Tarjan must survive a DFS path the recursive version
         // could not (100k frames would overflow a default thread stack).
-        let g = line_graph(100_000);
+        let (g, w) = line_graph(100_000);
         let scc = tarjan_scc(&g);
         assert_eq!(scc.count, 100_000);
-        let (fixed, added) = IrreducibilityRepair::default().repair(&g);
+        let (fixed, added) = IrreducibilityRepair::default().repair(&g, &w);
         assert!(added > 0);
         assert!(tarjan_scc(&fixed).is_strongly_connected());
     }

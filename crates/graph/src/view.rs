@@ -12,7 +12,7 @@
 //!    cumulative". [`GrowthSchedule`] produces cumulative node prefixes.
 
 use crate::builder::GraphBuilder;
-use crate::graph::Graph;
+use crate::graph::{EdgeWeights, Graph};
 use crate::node::NodeId;
 use std::collections::VecDeque;
 
@@ -34,10 +34,11 @@ const ABSENT: u32 = u32::MAX;
 impl Subgraph {
     /// Induce the subgraph of `g` on `keep` (duplicates ignored).
     ///
-    /// Edge weights are the parent's *raw* weights; transition probabilities
+    /// Edge weights are the parent's *raw* weights, `weights` (its column
+    /// from [`GraphBuilder::build_with_weights`]); transition probabilities
     /// are renormalized over the surviving edges, exactly as if the subgraph
     /// had been the original dataset.
-    pub fn induce(g: &Graph, keep: &[NodeId]) -> Self {
+    pub fn induce(g: &Graph, weights: &EdgeWeights, keep: &[NodeId]) -> Self {
         let mut to_sub = vec![ABSENT; g.node_count()];
         let mut to_parent = Vec::with_capacity(keep.len());
         for &v in keep {
@@ -54,7 +55,7 @@ impl Subgraph {
             b.add_labeled_node(g.node_type(old), g.label(old));
         }
         for (new_src, &old_src) in to_parent.iter().enumerate() {
-            for (old_dst, w) in g.out_edges_weighted(old_src) {
+            for (old_dst, w) in weights.out_edges(g, old_src) {
                 let new_dst = to_sub[old_dst.index()];
                 if new_dst != ABSENT {
                     b.add_edge(NodeId(new_src as u32), NodeId(new_dst), w);
@@ -131,8 +132,9 @@ impl GrowthSchedule {
         }
     }
 
-    /// Build all snapshots of `g` as induced prefix subgraphs.
-    pub fn snapshots(&self, g: &Graph) -> Vec<Subgraph> {
+    /// Build all snapshots of `g` as induced prefix subgraphs, renormalised
+    /// from `g`'s raw `weights`.
+    pub fn snapshots(&self, g: &Graph, weights: &EdgeWeights) -> Vec<Subgraph> {
         assert!(
             self.fractions.windows(2).all(|w| w[0] < w[1]),
             "fractions must be strictly increasing"
@@ -147,7 +149,7 @@ impl GrowthSchedule {
                 let k = ((g.node_count() as f64) * f).round().max(1.0) as usize;
                 let keep: Vec<NodeId> =
                     (0..k.min(g.node_count())).map(NodeId::from_index).collect();
-                Subgraph::induce(g, &keep)
+                Subgraph::induce(g, weights, &keep)
             })
             .collect()
     }
@@ -156,24 +158,24 @@ impl GrowthSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::toy::fig2_toy;
+    use crate::toy::{fig2_toy, fig2_toy_with_weights};
 
     #[test]
     fn induce_keeps_internal_edges_only() {
-        let (g, ids) = fig2_toy();
+        let (g, w, ids) = fig2_toy_with_weights();
         // Keep t1 and its papers p1..p5: edges t1<->p_i survive, paper<->venue don't.
         let mut keep = vec![ids.t1];
         keep.extend(ids.p.iter().take(5).copied());
-        let sub = Subgraph::induce(&g, &keep);
+        let sub = Subgraph::induce(&g, &w, &keep);
         assert_eq!(sub.graph.node_count(), 6);
         assert_eq!(sub.graph.edge_count(), 10); // 5 undirected edges
     }
 
     #[test]
     fn induce_renormalizes_rows() {
-        let (g, ids) = fig2_toy();
+        let (g, w, ids) = fig2_toy_with_weights();
         let keep = vec![ids.t1, ids.p[0], ids.p[1]];
-        let sub = Subgraph::induce(&g, &keep);
+        let sub = Subgraph::induce(&g, &w, &keep);
         let t1 = sub.to_sub(ids.t1).unwrap();
         let probs: Vec<f64> = sub.graph.out_edges(t1).map(|(_, p)| p).collect();
         // t1 kept only 2 of its 5 papers; row renormalizes to 1/2 each.
@@ -183,9 +185,9 @@ mod tests {
 
     #[test]
     fn mapping_roundtrip() {
-        let (g, ids) = fig2_toy();
+        let (g, w, ids) = fig2_toy_with_weights();
         let keep = vec![ids.v1, ids.v2];
-        let sub = Subgraph::induce(&g, &keep);
+        let sub = Subgraph::induce(&g, &w, &keep);
         for new in sub.graph.nodes() {
             let old = sub.to_parent(new);
             assert_eq!(sub.to_sub(old), Some(new));
@@ -195,11 +197,11 @@ mod tests {
 
     #[test]
     fn induce_relabels_from_the_parent() {
-        let (g, ids) = fig2_toy();
+        let (g, w, ids) = fig2_toy_with_weights();
         // Out of id order, so the subgraph's label arena is refilled in a
         // new order.
         let keep = vec![ids.v3, ids.t1, ids.p[6], ids.v1];
-        let sub = Subgraph::induce(&g, &keep);
+        let sub = Subgraph::induce(&g, &w, &keep);
         for new in sub.graph.nodes() {
             assert_eq!(sub.graph.label(new), g.label(sub.to_parent(new)));
         }
@@ -209,9 +211,9 @@ mod tests {
 
     #[test]
     fn induce_dedups_keep_list() {
-        let (g, ids) = fig2_toy();
+        let (g, w, ids) = fig2_toy_with_weights();
         let keep = vec![ids.v1, ids.v1, ids.v2];
-        let sub = Subgraph::induce(&g, &keep);
+        let sub = Subgraph::induce(&g, &w, &keep);
         assert_eq!(sub.graph.node_count(), 2);
     }
 
@@ -237,8 +239,8 @@ mod tests {
 
     #[test]
     fn growth_snapshots_are_cumulative() {
-        let (g, _) = fig2_toy();
-        let snaps = GrowthSchedule::paper_default().snapshots(&g);
+        let (g, w, _) = fig2_toy_with_weights();
+        let snaps = GrowthSchedule::paper_default().snapshots(&g, &w);
         assert_eq!(snaps.len(), 5);
         for w in snaps.windows(2) {
             assert!(w[0].graph.node_count() <= w[1].graph.node_count());
@@ -251,10 +253,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn growth_rejects_non_monotone() {
-        let (g, _) = fig2_toy();
+        let (g, w, _) = fig2_toy_with_weights();
         GrowthSchedule {
             fractions: vec![0.5, 0.2],
         }
-        .snapshots(&g);
+        .snapshots(&g, &w);
     }
 }

@@ -19,9 +19,10 @@
 //! Three things speak the layout, and all of them go through this module:
 //!
 //! * [`BlockArena`] holds every node's block in ascending id order plus one
-//!   offset table — it *is* the graph's adjacency, written once by
-//!   [`crate::GraphBuilder`], and a graph processor serves its stripe
-//!   straight out of it;
+//!   `u32` offset table counted in [`EDGE_BYTES`] slots (a block is one
+//!   slot of header plus one per edge) — it *is* the graph's adjacency,
+//!   written once by [`crate::GraphBuilder`], and a graph processor serves
+//!   its stripe straight out of it;
 //! * [`BlockView`] reads a block *in place*: a total, length-validated parse
 //!   of the three length fields, after which degrees follow from slice
 //!   lengths and [`Edges`] decodes `(neighbour, probability)` pairs on the
@@ -36,9 +37,12 @@ use crate::graph::Graph;
 use crate::node::{NodeId, NodeTypeId};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::mem::size_of;
+use std::ops::Range;
 use std::sync::Arc;
 
-/// Bytes of one encoded edge: `u32` neighbour id + `f64` probability.
+/// Bytes of one encoded edge: `u32` neighbour id + `f64` probability. The
+/// three `u32` header fields take as many, so every block is a whole
+/// number of these slots: one for the header and one per edge.
 pub const EDGE_BYTES: usize = 12;
 
 /// Encoded size of a block with these degrees: the three `u32` fields plus
@@ -98,6 +102,10 @@ fn put_edges(buf: &mut impl BufMut, len: usize, edges: impl Iterator<Item = (Nod
 /// Every node's block, concatenated in ascending node id order, plus the
 /// offset table that finds them: the adjacency of a [`Graph`].
 ///
+/// The offsets count [`EDGE_BYTES`] slots, not bytes, so as `u32` they
+/// address up to 12 · `u32::MAX` bytes (≈ 48 GiB) of arena, and a
+/// node's total degree is its slot count minus the header's one.
+///
 /// Built once by [`crate::GraphBuilder`] and immutable afterwards. Both
 /// parts are `Arc`'d, so a clone — what every in-process graph processor
 /// serving a stripe holds — shares the bytes instead of copying them. The
@@ -106,21 +114,31 @@ fn put_edges(buf: &mut impl BufMut, len: usize, edges: impl Iterator<Item = (Nod
 #[derive(Clone, Debug)]
 pub struct BlockArena {
     bytes: Arc<[u8]>,
-    /// Block of node `v` is `bytes[offsets[v]..offsets[v + 1]]`.
-    offsets: Arc<[usize]>,
+    /// Block of node `v` is slots `offsets[v]..offsets[v + 1]`, i.e. bytes
+    /// `EDGE_BYTES * offsets[v]..EDGE_BYTES * offsets[v + 1]`.
+    offsets: Arc<[u32]>,
 }
 
 impl BlockArena {
     /// Wrap builder output: `offsets` has one entry per node plus one and
-    /// ends at `bytes.len()`; every range between two entries is one whole
-    /// block (debug-asserted).
-    pub(crate) fn from_parts(bytes: Arc<[u8]>, offsets: Arc<[usize]>) -> Self {
-        debug_assert_eq!(offsets.last(), Some(&bytes.len()));
-        debug_assert!(offsets.windows(2).enumerate().all(|(v, w)| {
-            BlockView::parse(&bytes[w[0]..w[1]])
-                .is_some_and(|b| b.node().index() == v && b.encoded_len() == w[1] - w[0])
+    /// ends at the arena's slot count; every range between two entries is
+    /// one whole block (debug-asserted).
+    pub(crate) fn from_parts(bytes: Arc<[u8]>, offsets: Arc<[u32]>) -> Self {
+        let arena = BlockArena { bytes, offsets };
+        debug_assert_eq!(arena.start(arena.len()), arena.bytes.len());
+        debug_assert!((0..arena.len()).all(|v| {
+            let (lo, hi) = (arena.start(v), arena.start(v + 1));
+            BlockView::parse(&arena.bytes[lo..hi])
+                .is_some_and(|b| b.node().index() == v && b.encoded_len() == hi - lo)
         }));
-        BlockArena { bytes, offsets }
+        arena
+    }
+
+    /// Byte offset of the block of node index `i` (of the arena's end at
+    /// `i == len()`). Panics past that.
+    #[inline]
+    fn start(&self, i: usize) -> usize {
+        self.offsets[i] as usize * EDGE_BYTES
     }
 
     /// Whether `a` and `b` are the same arena, not merely equal bytes.
@@ -138,25 +156,33 @@ impl BlockArena {
         self.len() == 0
     }
 
+    /// Where the block of `v` sits in [`BlockArena::as_bytes`], or `None`
+    /// past the last node.
+    #[inline]
+    pub fn byte_range(&self, v: NodeId) -> Option<Range<usize>> {
+        let i = v.index();
+        (i < self.len()).then(|| self.start(i)..self.start(i + 1))
+    }
+
     /// The encoded block of `v`, or `None` past the last node.
     #[inline]
     pub fn get(&self, v: NodeId) -> Option<&[u8]> {
-        let i = v.index();
-        Some(&self.bytes[*self.offsets.get(i)?..*self.offsets.get(i + 1)?])
+        Some(&self.bytes[self.byte_range(v)?])
     }
 
     /// The block of `v` read in place. Panics if `v` is not a node.
     pub fn view(&self, v: NodeId) -> BlockView<'_> {
         // invariant: `from_parts` holds one whole block between every two
         // offsets, so the parse of an in-range node cannot fail.
-        BlockView::parse(&self.bytes[self.offsets[v.index()]..self.offsets[v.index() + 1]])
+        BlockView::parse(&self.bytes[self.start(v.index())..self.start(v.index() + 1)])
             .expect("arena holds one whole block per node")
     }
 
-    /// Total degree (out + in) of `v`, from the offset table alone.
+    /// Total degree (out + in) of `v`, from the offset table alone: the
+    /// block's slots less the header's.
     #[inline]
     pub(crate) fn total_degree(&self, v: NodeId) -> usize {
-        (self.offsets[v.index() + 1] - self.offsets[v.index()]) / EDGE_BYTES - 1
+        (self.offsets[v.index() + 1] - self.offsets[v.index()]) as usize - 1
     }
 
     /// Out-edges of `v`, whose out-degree the caller keeps in a table of
@@ -167,7 +193,7 @@ impl BlockArena {
     #[inline]
     pub(crate) fn out_edges(&self, v: NodeId, out_degree: usize) -> Edges<'_> {
         debug_assert_eq!(self.view(v).out_degree(), out_degree);
-        let at = self.offsets[v.index()];
+        let at = self.start(v.index());
         Edges(&self.bytes[at + out_edge_at(0)..at + out_edge_at(out_degree)])
     }
 
@@ -175,8 +201,8 @@ impl BlockArena {
     #[inline]
     pub(crate) fn in_edges(&self, v: NodeId, out_degree: usize) -> Edges<'_> {
         debug_assert_eq!(self.view(v).out_degree(), out_degree);
-        let at = self.offsets[v.index()] + in_edge_at(out_degree, 0);
-        Edges(&self.bytes[at..self.offsets[v.index() + 1]])
+        let at = self.start(v.index()) + in_edge_at(out_degree, 0);
+        Edges(&self.bytes[at..self.start(v.index() + 1)])
     }
 
     /// Hint the first two cache lines of `v`'s block, found through the
@@ -184,7 +210,11 @@ impl BlockArena {
     #[inline]
     pub(crate) fn prefetch(&self, v: NodeId) {
         if let Some(&at) = self.offsets.get(v.index()) {
-            for line in self.bytes[at..].iter().step_by(64).take(2) {
+            for line in self.bytes[at as usize * EDGE_BYTES..]
+                .iter()
+                .step_by(64)
+                .take(2)
+            {
                 prefetch_ptr(line);
             }
         }
@@ -205,7 +235,7 @@ impl BlockArena {
 
     /// Resident bytes: the blocks plus the offset table.
     pub(crate) fn memory_bytes(&self) -> usize {
-        self.bytes.len() + self.offsets.len() * size_of::<usize>()
+        self.bytes.len() + self.offsets.len() * size_of::<u32>()
     }
 }
 
@@ -650,6 +680,27 @@ mod tests {
         let (g, _) = fig2_toy();
         let blocks: Vec<_> = g.nodes().map(|v| NodeBlock::extract(&g, v)).collect();
         assert_eq!(encode_all(&blocks), encode_all(&blocks));
+    }
+
+    #[test]
+    fn slot_offsets_tile_the_arena_block_by_block() {
+        let (g, _) = fig2_toy();
+        let arena = g.blocks();
+        let mut end = 0;
+        for v in g.nodes() {
+            let range = arena.byte_range(v).unwrap();
+            assert_eq!(range.start, end, "{v:?} starts where its predecessor ends");
+            // One header slot plus one slot per edge end.
+            assert_eq!(range.len(), EDGE_BYTES * (1 + arena.total_degree(v)));
+            assert_eq!(range.len(), arena.view(v).encoded_len());
+            assert_eq!(arena.get(v), Some(&arena.as_bytes()[range.clone()]));
+            end = range.end;
+        }
+        assert_eq!(end, arena.as_bytes().len());
+        assert_eq!(arena.memory_bytes(), end + 4 * (g.node_count() + 1));
+        let past = NodeId(g.node_count() as u32);
+        assert_eq!(arena.byte_range(past), None);
+        assert_eq!(arena.get(past), None);
     }
 
     #[test]

@@ -19,17 +19,18 @@ fn main() {
     let path = std::env::args().nth(1).unwrap_or_else(|| {
         // Self-contained demo input: a mini citation web.
         let path = std::env::temp_dir().join("rtr_custom_graph_demo.tsv");
-        let (g, _) = rtr_graph::toy::fig2_toy();
-        write_graph(&g, File::create(&path).expect("create demo file")).expect("write demo");
+        let (g, weights, _) = rtr_graph::toy::fig2_toy_with_weights();
+        let file = File::create(&path).expect("create demo file");
+        write_graph(&g, &weights, file).expect("write demo");
         path.to_string_lossy().into_owned()
     });
     println!("loading graph from {path}");
-    let g = read_graph(File::open(&path).expect("open input")).expect("parse graph");
+    let (g, weights) = read_graph(File::open(&path).expect("open input")).expect("parse graph");
     println!("loaded: {} nodes, {} edges", g.node_count(), g.edge_count());
 
     // Real data is rarely strongly connected; RoundTripRank needs return
     // paths, so repair with low-weight dummy edges (paper Sect. III-B).
-    let (g, added) = IrreducibilityRepair::default().repair(&g);
+    let (g, added) = IrreducibilityRepair::default().repair(&g, &weights);
     if added > 0 {
         println!("irreducibility repair added {added} dummy edges");
     }
