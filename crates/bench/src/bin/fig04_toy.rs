@@ -4,10 +4,10 @@
 //! computation (Prop. 2).
 
 use rtr_core::enumerate::{round_trips, rtr_by_enumeration, rtr_constant};
-use rtr_graph::toy::fig2_toy;
+use rtr_graph::toy::fig2_toy_with_columns;
 
 fn main() {
-    let (g, ids) = fig2_toy();
+    let (g, _, labels, ids) = fig2_toy_with_columns();
     println!("=== Fig. 4: round trips from t1 with constant L = L' = 2 ===\n");
 
     let trips = round_trips(&g, ids.t1, 2, 2);
@@ -21,7 +21,7 @@ fn main() {
         "target", "#trips", "p(each)", "sum ∝ r(t1,v)"
     );
     for (target, trips) in &by_target {
-        let label = g.label(rtr_graph::NodeId(*target));
+        let label = labels.label(&g, rtr_graph::NodeId(*target));
         let total: f64 = trips.iter().map(|t| t.probability).sum();
         println!(
             "{:<18} {:>8} {:>14.4} {:>16.4}",
@@ -35,7 +35,11 @@ fn main() {
     // Show a few explicit trips, as the paper's table does.
     println!("\nSample round trips targeting v1:");
     for t in trips.iter().filter(|t| t.target == ids.v1).take(4) {
-        let path: Vec<String> = t.nodes.iter().map(|n| g.label(*n).to_owned()).collect();
+        let path: Vec<String> = t
+            .nodes
+            .iter()
+            .map(|n| labels.label(&g, *n).to_owned())
+            .collect();
         println!("  {}   p = {:.4}", path.join(" -> "), t.probability);
     }
 

@@ -13,7 +13,7 @@ use rtr_core::prelude::*;
 
 fn main() {
     let net = bibnet();
-    let g = &net.graph;
+    let (g, labels) = (&net.graph, &net.labels);
     let p = RankParams::default();
     let venue_ty = net.venue_type();
 
@@ -22,7 +22,7 @@ fn main() {
         let terms = net.topic_terms(topic);
         let query_terms: Vec<_> = terms.iter().take(3).copied().collect();
         let query = Query::uniform(&query_terms);
-        let term_labels: Vec<&str> = query_terms.iter().map(|&t| g.label(t)).collect();
+        let term_labels: Vec<&str> = query_terms.iter().map(|&t| labels.label(g, t)).collect();
         println!("\n=== Query: topic-{topic} terms {term_labels:?} ===");
 
         let f = FRank::new(p).compute(g, &query).expect("F-Rank");
@@ -33,7 +33,7 @@ fn main() {
             s.filtered_ranking(g, venue_ty, query.nodes())
                 .into_iter()
                 .take(5)
-                .map(|v| g.label(v).to_owned())
+                .map(|v| labels.label(g, v).to_owned())
                 .collect()
         };
         let (ft, tt, rt) = (top(&f), top(&t), top(&r));

@@ -28,7 +28,7 @@ fn main() {
     );
 
     let qlg = qlog();
-    let rows = measure_snapshots(&qlg.graph, &qlg.edge_weights, n_queries);
+    let rows = measure_snapshots(&qlg.graph, &qlg.edge_weights, &qlg.labels, n_queries);
     print_snapshot_table("QLog", &rows);
     let last = rows.last().expect("snapshots");
     println!(

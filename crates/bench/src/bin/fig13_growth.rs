@@ -58,6 +58,6 @@ fn main() {
     let qlg = qlog();
     print_growth(
         "QLog",
-        &measure_snapshots(&qlg.graph, &qlg.edge_weights, n_queries),
+        &measure_snapshots(&qlg.graph, &qlg.edge_weights, &qlg.labels, n_queries),
     );
 }

@@ -74,18 +74,23 @@ pub fn measure_prepared(snaps: &[Graph], n_queries: usize) -> Vec<SnapshotRow> {
 
 /// Five cumulative prefix snapshots of `g` under the paper's default growth
 /// schedule (valid when node ids are chronological, e.g. QLog), each
-/// renormalised from `g`'s raw `weights`.
-pub fn prefix_snapshot_graphs(g: &Graph, weights: &EdgeWeights) -> Vec<Graph> {
+/// renormalised from `g`'s raw `weights` (and labelled from its `labels`).
+pub fn prefix_snapshot_graphs(g: &Graph, weights: &EdgeWeights, labels: &NodeLabels) -> Vec<Graph> {
     GrowthSchedule::paper_default()
-        .snapshots(g, weights)
+        .snapshots(g, weights, labels)
         .into_iter()
         .map(|s| s.graph)
         .collect()
 }
 
 /// Convenience: measure prefix snapshots of `g` directly.
-pub fn measure_snapshots(g: &Graph, weights: &EdgeWeights, n_queries: usize) -> Vec<SnapshotRow> {
-    measure_prepared(&prefix_snapshot_graphs(g, weights), n_queries)
+pub fn measure_snapshots(
+    g: &Graph,
+    weights: &EdgeWeights,
+    labels: &NodeLabels,
+    n_queries: usize,
+) -> Vec<SnapshotRow> {
+    measure_prepared(&prefix_snapshot_graphs(g, weights, labels), n_queries)
 }
 
 /// Print the Fig. 12-style table for a dataset.

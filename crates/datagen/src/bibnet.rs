@@ -23,7 +23,7 @@
 use crate::zipf::Zipf;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use rtr_graph::{EdgeWeights, Graph, GraphBuilder, NodeId, NodeTypeId};
+use rtr_graph::{EdgeWeights, Graph, GraphBuilder, NodeId, NodeLabels, NodeTypeId};
 
 /// Size and shape knobs for the BibNet generator.
 #[derive(Clone, Debug)]
@@ -161,6 +161,9 @@ pub struct BibNet {
     /// renormalise from. The graph itself keeps only transition
     /// probabilities.
     pub edge_weights: EdgeWeights,
+    /// Labels of `graph` (`term:…`, `venue:…`, `author:…`, `paper:…`),
+    /// which the graph does not hold either.
+    pub labels: NodeLabels,
     /// Term nodes (topic terms grouped by topic, then shared terms).
     pub terms: Vec<NodeId>,
     /// Venue nodes.
@@ -406,10 +409,11 @@ impl BibNet {
             b.add_edge(papers[citing], papers[cited], 1.0);
         }
 
-        let (graph, edge_weights) = b.build_with_weights();
+        let (graph, edge_weights, labels) = b.build_with_columns();
         BibNet {
             graph,
             edge_weights,
+            labels,
             terms,
             venues,
             authors,
@@ -474,7 +478,12 @@ impl BibNet {
                 keep.extend_from_slice(&self.venues);
                 keep.extend_from_slice(&self.authors);
                 keep.extend_from_slice(&self.papers[..k.min(self.papers.len())]);
-                rtr_graph::view::Subgraph::induce(&self.graph, &self.edge_weights, &keep)
+                rtr_graph::view::Subgraph::induce(
+                    &self.graph,
+                    &self.edge_weights,
+                    &self.labels,
+                    &keep,
+                )
             })
             .collect()
     }

@@ -18,7 +18,7 @@
 use crate::zipf::Zipf;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use rtr_graph::{EdgeWeights, Graph, GraphBuilder, NodeId, NodeTypeId};
+use rtr_graph::{EdgeWeights, Graph, GraphBuilder, NodeId, NodeLabels, NodeTypeId};
 
 /// Size and shape knobs for the QLog generator.
 #[derive(Clone, Debug)]
@@ -145,6 +145,9 @@ pub struct QLog {
     /// transition probabilities, so a server that moves `graph` out and
     /// drops the rest never holds them.
     pub edge_weights: EdgeWeights,
+    /// Labels of `graph` (`phrase:<keywords>:v<i>`, `url:<keywords>:<i>`,
+    /// `url:portal:<i>`), which the graph does not hold either.
+    pub labels: NodeLabels,
     /// All phrase nodes.
     pub phrases: Vec<NodeId>,
     /// All URL nodes (portals first).
@@ -267,10 +270,11 @@ impl QLog {
             }
         }
 
-        let (graph, edge_weights) = b.build_with_weights();
+        let (graph, edge_weights, labels) = b.build_with_columns();
         QLog {
             graph,
             edge_weights,
+            labels,
             phrases,
             urls,
             portals,
@@ -363,7 +367,7 @@ mod tests {
         let q = log();
         for &ph in &q.phrases {
             let sig = |v: NodeId| {
-                let label = q.graph.label(v);
+                let label = q.labels.label(&q.graph, v);
                 label
                     .trim_start_matches("phrase:")
                     .rsplit_once(":v")

@@ -25,7 +25,7 @@ use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use rtr_core::Query;
 use rtr_datagen::{BibNet, QLog};
-use rtr_graph::{EdgeWeights, Graph, GraphBuilder, NodeId, NodeTypeId};
+use rtr_graph::{EdgeWeights, Graph, GraphBuilder, NodeId, NodeLabels, NodeTypeId};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -70,6 +70,8 @@ pub struct TaskInstance {
     pub kind: TaskKind,
     /// The evaluation graph (query–truth edges removed).
     pub graph: Arc<Graph>,
+    /// `graph`'s labels, the source dataset's.
+    pub labels: Arc<NodeLabels>,
     /// Test queries.
     pub queries: Vec<TaskQuery>,
     /// Only nodes of this type are ranked ("we filter out the query node
@@ -88,14 +90,20 @@ pub struct TaskSplit {
 }
 
 /// Rebuild `g` from its raw `weights` without the directed edges in `drop`
-/// (both directions of an undirected pair must be listed by the caller).
-fn remove_edges(g: &Graph, weights: &EdgeWeights, drop: &HashSet<(u32, u32)>) -> Graph {
+/// (both directions of an undirected pair must be listed by the caller),
+/// with `g`'s `labels`.
+fn remove_edges(
+    g: &Graph,
+    weights: &EdgeWeights,
+    labels: &NodeLabels,
+    drop: &HashSet<(u32, u32)>,
+) -> (Graph, NodeLabels) {
     let mut b = GraphBuilder::with_capacity(g.node_count(), g.edge_count());
     for (_, name) in g.types().iter() {
         b.register_type(name);
     }
     for v in g.nodes() {
-        b.add_labeled_node(g.node_type(v), g.label(v));
+        b.add_labeled_node(g.node_type(v), labels.label(g, v));
     }
     for v in g.nodes() {
         for (d, w) in weights.out_edges(g, v) {
@@ -104,7 +112,8 @@ fn remove_edges(g: &Graph, weights: &EdgeWeights, drop: &HashSet<(u32, u32)>) ->
             }
         }
     }
-    b.build()
+    let (graph, _, labels) = b.build_with_columns();
+    (graph, labels)
 }
 
 fn sample_disjoint<T: Copy>(
@@ -124,22 +133,24 @@ fn sample_disjoint<T: Copy>(
 
 fn build_split(
     kind: TaskKind,
-    graph: Graph,
+    (graph, labels): (Graph, NodeLabels),
     target_type: NodeTypeId,
     test: Vec<TaskQuery>,
     dev: Vec<TaskQuery>,
 ) -> TaskSplit {
-    let graph = Arc::new(graph);
+    let (graph, labels) = (Arc::new(graph), Arc::new(labels));
     TaskSplit {
         test: TaskInstance {
             kind,
             graph: Arc::clone(&graph),
+            labels: Arc::clone(&labels),
             queries: test,
             target_type,
         },
         dev: TaskInstance {
             kind,
             graph,
+            labels,
             queries: dev,
             target_type,
         },
@@ -173,7 +184,7 @@ pub fn task1_author(net: &BibNet, n_test: usize, n_dev: usize, seed: u64) -> Tas
     };
     let test = make(&test_idx, &mut drop);
     let dev = make(&dev_idx, &mut drop);
-    let graph = remove_edges(&net.graph, &net.edge_weights, &drop);
+    let graph = remove_edges(&net.graph, &net.edge_weights, &net.labels, &drop);
     build_split(TaskKind::Author, graph, net.author_type(), test, dev)
 }
 
@@ -200,7 +211,7 @@ pub fn task2_venue(net: &BibNet, n_test: usize, n_dev: usize, seed: u64) -> Task
     };
     let test = make(&test_idx, &mut drop);
     let dev = make(&dev_idx, &mut drop);
-    let graph = remove_edges(&net.graph, &net.edge_weights, &drop);
+    let graph = remove_edges(&net.graph, &net.edge_weights, &net.labels, &drop);
     build_split(TaskKind::Venue, graph, net.venue_type(), test, dev)
 }
 
@@ -256,7 +267,7 @@ pub fn task3_relevant_url(qlog: &QLog, n_test: usize, n_dev: usize, seed: u64) -
     };
     let test = make(&test_ph, &mut drop);
     let dev = make(&dev_ph, &mut drop);
-    let graph = remove_edges(&qlog.graph, &qlog.edge_weights, &drop);
+    let graph = remove_edges(&qlog.graph, &qlog.edge_weights, &qlog.labels, &drop);
     build_split(TaskKind::RelevantUrl, graph, qlog.url_type(), test, dev)
 }
 
@@ -284,7 +295,7 @@ pub fn task4_equivalent(qlog: &QLog, n_test: usize, n_dev: usize, seed: u64) -> 
     let dev = make(&dev_ph);
     build_split(
         TaskKind::EquivalentSearch,
-        qlog.graph.clone(),
+        (qlog.graph.clone(), qlog.labels.clone()),
         qlog.phrase_type(),
         test,
         dev,
@@ -413,6 +424,12 @@ mod tests {
         let net = net();
         let split = task1_author(&net, 5, 5, 1);
         assert!(Arc::ptr_eq(&split.test.graph, &split.dev.graph));
+        assert!(Arc::ptr_eq(&split.test.labels, &split.dev.labels));
+        // The rebuilt graph keeps every node's label.
+        let (g, labels) = (&split.test.graph, &split.test.labels);
+        for v in net.graph.nodes() {
+            assert_eq!(labels.label(g, v), net.labels.label(&net.graph, v));
+        }
     }
 
     #[test]

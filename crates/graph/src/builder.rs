@@ -5,11 +5,12 @@
 //! whole list), merges parallel edges by summing weights (the QLog click
 //! counts of Sect. VI are exactly such summed multiplicities),
 //! row-normalizes into transition probabilities, and writes the [`Graph`]'s
-//! block arena and cold out-table. The merged raw weights leave the build
-//! as an [`EdgeWeights`] column of their own, or not at all.
+//! block arena and cold out-table. The merged raw weights and the labels
+//! leave the build as columns of their own ([`EdgeWeights`],
+//! [`NodeLabels`]), or not at all.
 
 use crate::graph::{EdgeWeights, Graph};
-use crate::node::{Labels, NodeId, NodeTypeId, TypeRegistry};
+use crate::node::{NodeId, NodeLabels, NodeTypeId, TypeRegistry};
 use crate::wire::{self, BlockArena, EDGE_BYTES};
 use std::sync::Arc;
 
@@ -36,7 +37,7 @@ fn offset_widths(nodes: usize, edges: usize) -> (u32, u32) {
 pub struct GraphBuilder {
     types: TypeRegistry,
     node_types: Vec<NodeTypeId>,
-    labels: Labels,
+    labels: NodeLabels,
     edges: Vec<(u32, u32, f64)>,
 }
 
@@ -51,7 +52,7 @@ impl GraphBuilder {
         Self {
             types: TypeRegistry::new(),
             node_types: Vec::with_capacity(nodes),
-            labels: Labels::with_capacity(nodes),
+            labels: NodeLabels::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
         }
     }
@@ -110,18 +111,19 @@ impl GraphBuilder {
         self.add_edge(b, a, weight);
     }
 
-    /// Freeze into an immutable [`Graph`], dropping the raw weights; see
-    /// [`GraphBuilder::build_with_weights`].
+    /// Freeze into an immutable [`Graph`], dropping the raw weights and
+    /// the labels; see [`GraphBuilder::build_with_columns`].
     ///
     /// # Panics
     ///
-    /// As [`GraphBuilder::build_with_weights`].
+    /// As [`GraphBuilder::build_with_columns`].
     pub fn build(self) -> Graph {
-        self.build_with_weights().0
+        self.build_with_columns().0
     }
 
-    /// Freeze into an immutable [`Graph`] plus the merged raw weights,
-    /// aligned with its out-table rows.
+    /// Freeze into an immutable [`Graph`] plus its two offline columns:
+    /// the merged raw weights, aligned with its out-table rows, and the
+    /// node labels.
     ///
     /// `O(V + E)` counting passes plus a sort of each row by destination:
     /// 1. scatter the records into per-source rows, keeping insertion order;
@@ -141,14 +143,14 @@ impl GraphBuilder {
     /// infinite, and its transition probabilities NaN or zero. Also if the
     /// graph has more than `u32::MAX` edges or more than `u32::MAX` arena
     /// slots (|V| + 2·|E|).
-    pub fn build_with_weights(self) -> (Graph, EdgeWeights) {
-        self.try_build_with_weights()
+    pub fn build_with_columns(self) -> (Graph, EdgeWeights, NodeLabels) {
+        self.try_build_with_columns()
             .unwrap_or_else(|v| panic!("out-edge weights of node {v} sum past f64's range"))
     }
 
-    /// [`GraphBuilder::build_with_weights`], but a row whose weights sum
+    /// [`GraphBuilder::build_with_columns`], but a row whose weights sum
     /// past `f64`'s range is returned as `Err` with its node.
-    pub(crate) fn try_build_with_weights(self) -> Result<(Graph, EdgeWeights), NodeId> {
+    pub(crate) fn try_build_with_columns(self) -> Result<(Graph, EdgeWeights, NodeLabels), NodeId> {
         let GraphBuilder {
             types,
             node_types,
@@ -268,13 +270,13 @@ impl GraphBuilder {
         let g = Graph::from_parts(
             types,
             node_types,
-            labels,
             BlockArena::from_parts(arena, block_offsets),
             out_offsets,
             out_targets,
         );
         let weights = EdgeWeights::new(g.epoch(), out_weights);
-        Ok((g, weights))
+        labels.stamp(g.epoch());
+        Ok((g, weights, labels))
     }
 }
 
@@ -348,7 +350,7 @@ mod tests {
                 b.add_edge(n[0], n[1], w);
                 b.add_edge(n[2], n[1], 0.25);
             }
-            let (g, weights) = b.build_with_weights();
+            let (g, weights, _) = b.build_with_columns();
             let merged: Vec<_> = weights.out_edges(&g, n[0]).collect();
             assert_eq!(merged.len(), 2);
             assert_eq!((merged[0].0, merged[0].1.to_bits()), (n[1], want.to_bits()));
@@ -421,7 +423,7 @@ mod tests {
     #[should_panic(expected = "out-edge weights of node 1 sum past f64's range")]
     fn a_row_total_past_f64_range_is_refused() {
         // Built, the row read zeros.
-        overflowing_row(false).build_with_weights();
+        overflowing_row(false).build_with_columns();
     }
 
     #[test]
@@ -496,14 +498,17 @@ mod tests {
         let ty = b.register_type("venue");
         let ids: Vec<_> = names.iter().map(|l| b.add_labeled_node(ty, l)).collect();
         b.add_edge(ids[0], ids[2], 1.0);
-        let g = b.build();
+        let (g, _, labels) = b.build_with_columns();
+        assert_eq!(labels.len(), names.len());
         for (&v, name) in ids.iter().zip(names) {
-            assert_eq!(g.label(v), name);
+            assert_eq!(labels.label(&g, v), name);
         }
         // The first of equal labels wins.
-        assert_eq!(g.find_by_label("VLDB"), Some(ids[0]));
-        assert_eq!(g.find_by_label(""), Some(ids[1]));
-        assert_eq!(g.find_by_label("東京"), None);
-        assert_eq!(GraphBuilder::new().build().find_by_label(""), None);
+        assert_eq!(labels.find_by_label(&g, "VLDB"), Some(ids[0]));
+        assert_eq!(labels.find_by_label(&g, ""), Some(ids[1]));
+        assert_eq!(labels.find_by_label(&g, "東京"), None);
+        let (empty, _, none) = GraphBuilder::new().build_with_columns();
+        assert!(none.is_empty());
+        assert_eq!(none.find_by_label(&empty, ""), None);
     }
 }

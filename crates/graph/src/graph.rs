@@ -1,13 +1,13 @@
 //! The frozen graph — one block arena for the engines plus a narrow out-table
-//! of neighbour ids — and [`EdgeWeights`], the builder's raw weights, which
-//! only the offline transforms (subgraphs, repair, text I/O, evaluation
-//! tasks) read and which a serving process never holds.
+//! of neighbour ids — and [`EdgeWeights`], the builder's raw weights: like
+//! the labels, a column that only the offline transforms (subgraphs, repair,
+//! text I/O, evaluation tasks) read and a serving process never holds.
 //!
 //! Immutable after construction; all per-query algorithms treat it as shared
 //! read-only state (it is `Send + Sync`), which is what lets the distributed
 //! layer stripe it across graph processors without locks or copies.
 
-use crate::node::{Labels, NodeId, NodeTypeId, TypeRegistry};
+use crate::node::{NodeId, NodeTypeId, TypeRegistry};
 use crate::wire::{self, BlockArena};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -43,13 +43,12 @@ fn fresh_epoch() -> u64 {
 /// its stripe from the same (shared) arena. A cold out-table (`u32`
 /// `out_offsets`, `out_targets`) keeps plain neighbour-id rows for
 /// [`Graph::out_neighbors`], subgraphs, text I/O and SCCs; of it the
-/// engines read only `out_offsets`, as out-degrees. Labels share one text
-/// arena.
+/// engines read only `out_offsets`, as out-degrees. Labels are a
+/// [`NodeLabels`](crate::NodeLabels) column of their own.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Graph {
     types: TypeRegistry,
     node_types: Vec<NodeTypeId>,
-    labels: Labels,
 
     blocks: BlockArena,
 
@@ -73,13 +72,11 @@ impl Graph {
     pub(crate) fn from_parts(
         types: TypeRegistry,
         node_types: Vec<NodeTypeId>,
-        labels: Labels,
         blocks: BlockArena,
         out_offsets: Vec<u32>,
         out_targets: Vec<NodeId>,
     ) -> Self {
         let n = node_types.len();
-        debug_assert_eq!(labels.len(), n);
         debug_assert_eq!(blocks.len(), n);
         debug_assert_eq!(out_offsets.len(), n + 1);
         debug_assert_eq!(out_offsets[n] as usize, out_targets.len());
@@ -90,7 +87,6 @@ impl Graph {
         Self {
             types,
             node_types,
-            labels,
             blocks,
             out_offsets,
             out_targets,
@@ -142,21 +138,9 @@ impl Graph {
         self.node_types[v.index()]
     }
 
-    /// Human-readable label of a node (may be empty).
-    #[inline]
-    pub fn label(&self, v: NodeId) -> &str {
-        self.labels.get(v.index())
-    }
-
     /// All nodes of a given type.
     pub fn nodes_of_type(&self, ty: NodeTypeId) -> impl Iterator<Item = NodeId> + '_ {
         self.nodes().filter(move |&v| self.node_type(v) == ty)
-    }
-
-    /// Find a node by exact label (linear scan; intended for examples/tests).
-    /// Of several nodes with the label, the lowest id wins.
-    pub fn find_by_label(&self, label: &str) -> Option<NodeId> {
-        self.labels.position(label).map(NodeId::from_index)
     }
 
     // ------------------------------------------------------------------
@@ -298,25 +282,18 @@ impl Graph {
     // Memory accounting (paper Fig. 12 reports active-set bytes)
     // ------------------------------------------------------------------
 
-    /// Resident bytes of everything the graph holds per node and per edge
-    /// (excludes labels and the type registry, which the query algorithms
-    /// never touch): the block arena with its offsets, the cold out-table
-    /// and node types. This mirrors the paper's "snapshot size" metric.
-    /// An [`EdgeWeights`] column is not the graph's and is not counted.
+    /// Resident bytes of everything the graph holds per node and per edge,
+    /// the sum of its [`Graph::resident_bytes`] parts: the paper's
+    /// "snapshot size" metric. The offline columns are not the graph's.
     pub fn memory_bytes(&self) -> usize {
-        // Every part of `resident_bytes` but the last, the labels.
-        self.resident_bytes()[..3]
-            .iter()
-            .map(|&(_, bytes)| bytes)
-            .sum()
+        self.resident_bytes().iter().map(|&(_, bytes)| bytes).sum()
     }
 
     /// Resident bytes by part, as `(part, bytes)`: `adjacency` (the block
     /// arena with its offsets), `cold_table` (the cold out-table's offsets
-    /// and neighbour ids),
-    /// `node_types` and `labels` (the label text with its end offsets).
-    /// The type registry (a few names) is left out.
-    pub fn resident_bytes(&self) -> [(&'static str, usize); 4] {
+    /// and neighbour ids) and `node_types`. The type registry (a few
+    /// names) is left out.
+    pub fn resident_bytes(&self) -> [(&'static str, usize); 3] {
         use std::mem::size_of_val;
         [
             ("adjacency", self.blocks.memory_bytes()),
@@ -325,7 +302,6 @@ impl Graph {
                 size_of_val(self.out_offsets.as_slice()) + size_of_val(self.out_targets.as_slice()),
             ),
             ("node_types", size_of_val(self.node_types.as_slice())),
-            ("labels", self.labels.memory_bytes()),
         ]
     }
 
@@ -351,7 +327,7 @@ impl Graph {
 /// weight of `v`'s row belongs to the `i`-th edge of
 /// [`Graph::out_neighbors`]`(v)`.
 ///
-/// Handed out by [`crate::GraphBuilder::build_with_weights`] for the
+/// Handed out by [`crate::GraphBuilder::build_with_columns`] for the
 /// offline transforms that renormalise rows from raw weights — induced
 /// subgraphs, the irreducibility repair, text I/O, the evaluation tasks.
 /// The graph itself keeps only the transition probabilities, so a serving
@@ -490,9 +466,9 @@ mod tests {
 
     #[test]
     fn find_by_label_works() {
-        let (g, ids) = fig2_toy();
-        assert_eq!(g.find_by_label("v2:ACM-GIS-like"), Some(ids.v2));
-        assert_eq!(g.find_by_label("nope"), None);
+        let (g, _, labels, ids) = crate::toy::fig2_toy_with_columns();
+        assert_eq!(labels.find_by_label(&g, "v2:ACM-GIS-like"), Some(ids.v2));
+        assert_eq!(labels.find_by_label(&g, "nope"), None);
     }
 
     #[test]
@@ -515,14 +491,12 @@ mod tests {
         let offsets = (n + 1) * size_of::<u32>();
         let cold_edges = m * size_of::<NodeId>();
         let types = n * size_of::<NodeTypeId>();
-        let text: usize = g.nodes().map(|v| g.label(v).len()).sum();
         assert_eq!(
             g.resident_bytes(),
             [
                 ("adjacency", arena + offsets),
                 ("cold_table", offsets + cold_edges),
                 ("node_types", types),
-                ("labels", text + 4 * n),
             ]
         );
         assert_eq!(g.memory_bytes(), arena + 2 * offsets + cold_edges + types);
@@ -531,12 +505,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "edge weights of another graph")]
     fn edge_weights_serve_only_their_own_graph() {
-        let (g, weights, ids) = crate::toy::fig2_toy_with_weights();
+        let (g, weights, _, ids) = crate::toy::fig2_toy_with_columns();
         // A clone is the same graph: its rows line up with the column.
         let row: Vec<_> = weights.out_edges(&g.clone(), ids.t1).collect();
         assert_eq!(row.len(), 5);
         let (other, _) = fig2_toy();
         weights.weighted_out_degree(&other, ids.t1);
+    }
+
+    #[test]
+    #[should_panic(expected = "labels of another graph")]
+    fn node_labels_serve_only_their_own_graph() {
+        let (g, _, labels, ids) = crate::toy::fig2_toy_with_columns();
+        // A clone is the same graph: the column reads through it.
+        assert_eq!(labels.label(&g.clone(), ids.v1), "v1:VLDB-like");
+        let (other, _) = fig2_toy();
+        labels.label(&other, ids.v1);
     }
 
     #[test]

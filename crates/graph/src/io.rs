@@ -14,10 +14,15 @@
 //!
 //! Lines starting with `#` and blank lines are ignored. The format is
 //! line-oriented and streaming-friendly; parse errors carry line numbers.
+//!
+//! There are no escapes, and the reader trims each line, so [`write_graph`]
+//! refuses ([`IoError::Unwritable`]) a label or type name with a tab, CR or
+//! LF, or trailing whitespace, and an empty type name: they would not read
+//! back as written.
 
 use crate::builder::GraphBuilder;
 use crate::graph::{EdgeWeights, Graph};
-use crate::node::NodeId;
+use crate::node::{NodeId, NodeLabels};
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
 
@@ -41,6 +46,14 @@ pub enum IoError {
         /// The node whose row overflows.
         node: NodeId,
     },
+    /// `node`'s type name or label would not read back as written (see
+    /// the module docs); nothing was written.
+    Unwritable {
+        /// The node.
+        node: NodeId,
+        /// Its names, as `type "…", label "…"`.
+        names: String,
+    },
 }
 
 impl fmt::Display for IoError {
@@ -51,6 +64,11 @@ impl fmt::Display for IoError {
             IoError::WeightOverflow { line, node } => write!(
                 f,
                 "line {line}: out-edge weights of node {node} sum past f64's range"
+            ),
+            IoError::Unwritable { node, names } => write!(
+                f,
+                "node {node} ({names}): a tab, CR or LF, trailing whitespace or an \
+                 empty type name would not read back"
             ),
         }
     }
@@ -71,9 +89,9 @@ fn parse_err(line: usize, message: impl Into<String>) -> IoError {
     }
 }
 
-/// Read a graph from the tab-separated text format, with the raw edge
-/// weights it was written with (merged over parallel records).
-pub fn read_graph<R: Read>(reader: R) -> Result<(Graph, EdgeWeights), IoError> {
+/// Read a graph from the tab-separated text format, with its raw edge
+/// weights (merged over parallel records) and its labels.
+pub fn read_graph<R: Read>(reader: R) -> Result<(Graph, EdgeWeights, NodeLabels), IoError> {
     let mut b = GraphBuilder::new();
     let mut next_node = 0u32;
     // Per node, the line of the last edge record that added to its row.
@@ -155,21 +173,34 @@ pub fn read_graph<R: Read>(reader: R) -> Result<(Graph, EdgeWeights), IoError> {
             }
         }
     }
-    b.try_build_with_weights()
+    b.try_build_with_columns()
         .map_err(|node| IoError::WeightOverflow {
             line: row_end[node.index()],
             node,
         })
 }
 
-/// Write a graph with its raw edge weights in the tab-separated text
-/// format. Undirected pairs are written as two directed `E` records
-/// (lossless, if redundant).
+/// Whether the text format cannot carry `name` (see the module docs).
+fn unreadable(name: &str) -> bool {
+    name.contains(['\t', '\r', '\n']) || name.ends_with(char::is_whitespace)
+}
+
+/// Write a graph with its raw edge weights and labels in the tab-separated
+/// text format, undirected pairs as two directed `E` records; a name
+/// [`read_graph`] would not read back is refused before anything is written.
 pub fn write_graph<W: Write>(
     g: &Graph,
     weights: &EdgeWeights,
+    labels: &NodeLabels,
     mut writer: W,
 ) -> Result<(), IoError> {
+    for v in g.nodes() {
+        let (ty, label) = (g.types().name(g.node_type(v)), labels.label(g, v));
+        if ty.is_empty() || unreadable(ty) || unreadable(label) {
+            let names = format!("type {ty:?}, label {label:?}");
+            return Err(IoError::Unwritable { node: v, names });
+        }
+    }
     writeln!(
         writer,
         "# RoundTripRank graph: {} nodes, {} edges",
@@ -182,7 +213,7 @@ pub fn write_graph<W: Write>(
             "N\t{}\t{}\t{}",
             v.0,
             g.types().name(g.node_type(v)),
-            g.label(v)
+            labels.label(g, v)
         )?;
     }
     for v in g.nodes() {
@@ -196,18 +227,18 @@ pub fn write_graph<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::toy::fig2_toy_with_weights;
+    use crate::toy::fig2_toy_with_columns;
 
     #[test]
     fn roundtrip_preserves_graph() {
-        let (g, weights, _) = fig2_toy_with_weights();
+        let (g, weights, labels, _) = fig2_toy_with_columns();
         let mut buf = Vec::new();
-        write_graph(&g, &weights, &mut buf).expect("write");
-        let (back, back_weights) = read_graph(buf.as_slice()).expect("read");
+        write_graph(&g, &weights, &labels, &mut buf).expect("write");
+        let (back, back_weights, back_labels) = read_graph(buf.as_slice()).expect("read");
         assert_eq!(back.node_count(), g.node_count());
         assert_eq!(back.edge_count(), g.edge_count());
         for v in g.nodes() {
-            assert_eq!(back.label(v), g.label(v));
+            assert_eq!(back_labels.label(&back, v), labels.label(&g, v));
             assert_eq!(
                 back.types().name(back.node_type(v)),
                 g.types().name(g.node_type(v))
@@ -222,11 +253,11 @@ mod tests {
     #[test]
     fn parses_minimal_example() {
         let text = "# comment\nN\t0\tterm\tspatio\nN\t1\tvenue\tVLDB\nE\t0\t1\t2.5\tu\n";
-        let (g, weights) = read_graph(text.as_bytes()).expect("parse");
+        let (g, weights, labels) = read_graph(text.as_bytes()).expect("parse");
         assert_eq!(weights.row(&g, NodeId(1)), [2.5]);
         assert_eq!(g.node_count(), 2);
         assert_eq!(g.edge_count(), 2); // undirected = both directions
-        assert_eq!(g.label(NodeId(1)), "VLDB");
+        assert_eq!(labels.label(&g, NodeId(1)), "VLDB");
         assert!((g.transition_prob(NodeId(0), NodeId(1)) - 1.0).abs() < 1e-12);
     }
 
@@ -267,8 +298,8 @@ mod tests {
 
     #[test]
     fn empty_input_is_empty_graph() {
-        let (g, weights) = read_graph("".as_bytes()).expect("parse");
-        assert!(weights.is_empty());
+        let (g, weights, labels) = read_graph("".as_bytes()).expect("parse");
+        assert!(weights.is_empty() && labels.is_empty());
         assert_eq!(g.node_count(), 0);
     }
 
@@ -279,22 +310,68 @@ mod tests {
         let ty = b.register_type("venue");
         let ids: Vec<_> = names.iter().map(|l| b.add_labeled_node(ty, l)).collect();
         b.add_undirected_edge(ids[1], ids[3], 2.0);
-        let (g, weights) = b.build_with_weights();
+        let (g, weights, labels) = b.build_with_columns();
         let mut buf = Vec::new();
-        write_graph(&g, &weights, &mut buf).expect("write");
-        let (back, _) = read_graph(buf.as_slice()).expect("read");
+        write_graph(&g, &weights, &labels, &mut buf).expect("write");
+        let (back, _, back_labels) = read_graph(buf.as_slice()).expect("read");
         for (&v, name) in ids.iter().zip(names) {
-            assert_eq!(back.label(v), name);
+            assert_eq!(back_labels.label(&back, v), name);
         }
-        assert_eq!(back.find_by_label("VLDB"), Some(ids[3]));
+        assert_eq!(back_labels.find_by_label(&back, "VLDB"), Some(ids[3]));
         assert_eq!(back.edge_count(), 2);
     }
 
     #[test]
     fn labels_with_spaces_survive() {
         let text = "N\t0\tvenue\tSpatio-Temporal Databases, Dagstuhl\n";
-        let (g, _) = read_graph(text.as_bytes()).expect("parse");
-        assert_eq!(g.label(NodeId(0)), "Spatio-Temporal Databases, Dagstuhl");
+        let (g, _, labels) = read_graph(text.as_bytes()).expect("parse");
+        assert_eq!(
+            labels.label(&g, NodeId(0)),
+            "Spatio-Temporal Databases, Dagstuhl"
+        );
+    }
+
+    /// Write a two-node graph whose node 1 has type `ty` and label `label`.
+    fn write_one(ty: &str, label: &str) -> Result<Vec<u8>, IoError> {
+        let mut b = crate::GraphBuilder::new();
+        let plain = b.register_type("venue");
+        let other = b.register_type(ty);
+        let n = [
+            b.add_labeled_node(plain, "VLDB"),
+            b.add_labeled_node(other, label),
+        ];
+        b.add_undirected_edge(n[0], n[1], 1.0);
+        let (g, weights, labels) = b.build_with_columns();
+        let mut buf = Vec::new();
+        write_graph(&g, &weights, &labels, &mut buf).map(|()| buf)
+    }
+
+    #[test]
+    fn names_that_would_not_read_back_are_refused() {
+        // Read back, "VLDB " came back "VLDB", "a\tb" came back "a", and
+        // "a\nb" failed with "line 3: unknown record tag 'b'".
+        for (ty, label) in [
+            ("venue", "VLDB "),
+            ("venue", "a\tb"),
+            ("venue", "a\nb"),
+            ("venue", "a\rb"),
+            ("venue", "\u{a0}"),
+            ("venue ", ""),
+            ("", "x"),
+        ] {
+            let err = write_one(ty, label).unwrap_err();
+            let names = format!("type {ty:?}, label {label:?}");
+            assert!(
+                matches!(&err, IoError::Unwritable { node, names: n } if *node == NodeId(1) && *n == names),
+                "{err}"
+            );
+            assert!(err.to_string().starts_with("node 1 ("), "{err}");
+        }
+        // Leading and inner spaces, and a tab-free type name, are fine.
+        let buf = write_one("venue  x", " a b").expect("writable");
+        let (g, _, labels) = read_graph(buf.as_slice()).expect("read");
+        assert_eq!(labels.label(&g, NodeId(1)), " a b");
+        assert_eq!(g.types().name(g.node_type(NodeId(1))), "venue  x");
     }
 
     #[test]

@@ -30,7 +30,8 @@
 //! * [`adjacency`] — the [`AdjacencyAccess`] trait the bound engines run
 //!   on: one generic algorithm serves both the in-memory graph and the
 //!   distributed active graph (demand paging behind `ensure`).
-//! * [`node`] — node identifiers, node types, and the type registry.
+//! * [`node`] — node identifiers, node types, the type registry, and
+//!   [`NodeLabels`], the label column beside the graph.
 //! * [`builder`] — mutable edge-list builder that produces a frozen [`Graph`].
 //! * [`graph`] — the frozen [`Graph`] itself (the block arena plus a cold
 //!   out-table of neighbour ids), and [`EdgeWeights`], the raw weights the
@@ -59,9 +60,10 @@
 //! let p = b.add_labeled_node(ty_paper, "p1");
 //! let t = b.add_labeled_node(ty_term, "spatio");
 //! b.add_undirected_edge(p, t, 1.0);
-//! let g = b.build();
+//! let (g, _weights, labels) = b.build_with_columns(); // `build()` drops both
 //! assert_eq!(g.node_count(), 2);
 //! assert_eq!(g.out_degree(p), 1);
+//! assert_eq!(labels.label(&g, t), "spatio");
 //! // Row-normalized transition probability p -> t:
 //! let (tgt, prob) = g.out_edges(p).next().unwrap();
 //! assert_eq!(tgt, t);
@@ -86,7 +88,7 @@ pub mod wire;
 pub use adjacency::{AdjacencyAccess, AdjacencyError};
 pub use builder::GraphBuilder;
 pub use graph::{EdgeWeights, Graph};
-pub use node::{NodeId, NodeTypeId, TypeRegistry};
+pub use node::{NodeId, NodeLabels, NodeTypeId, TypeRegistry};
 pub use score_map::{ScoreMap, SparseMap};
 
 /// Convenient glob-import surface for downstream crates.
@@ -94,7 +96,7 @@ pub mod prelude {
     pub use crate::adjacency::{AdjacencyAccess, AdjacencyError};
     pub use crate::builder::GraphBuilder;
     pub use crate::graph::{EdgeWeights, Graph};
-    pub use crate::node::{NodeId, NodeTypeId, TypeRegistry};
+    pub use crate::node::{NodeId, NodeLabels, NodeTypeId, TypeRegistry};
     pub use crate::scc::IrreducibilityRepair;
     pub use crate::score_map::{ScoreMap, SparseMap};
     pub use crate::view::{GrowthSchedule, Subgraph};

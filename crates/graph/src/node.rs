@@ -1,10 +1,11 @@
-//! Node identifiers, node types and the type registry.
+//! Node identifiers, node types, the type registry and the label column.
 //!
 //! The paper's graphs are heterogeneous: BibNet has papers, authors, terms
 //! and venues; QLog has search phrases and URLs (Sect. VI). Ranking tasks
 //! filter results by target type ("we filter out the query node itself and
 //! nodes not of the target type"), so every node carries a compact type id.
 
+use crate::graph::Graph;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -118,22 +119,23 @@ impl TypeRegistry {
     }
 }
 
-/// Every node's label in one text arena: label `i` is
-/// `text[ends[i - 1]..ends[i]]` (`ends[-1]` = 0). One allocation for the
-/// text and 4 B of offset per node, where a `String` per label costs a
-/// 24-byte header plus a heap block of its own.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub(crate) struct Labels {
+/// Every node's label in one text arena (label `i` is
+/// `text[ends[i - 1]..ends[i]]`, `ends[-1]` = 0): a column beside the
+/// graph, which keeps no label text. Like [`crate::EdgeWeights`], it reads
+/// only through the graph it was built with, or a clone of it.
+#[derive(Clone, Debug, Default)]
+pub struct NodeLabels {
+    epoch: u64,
     text: String,
     ends: Vec<u32>,
 }
 
-impl Labels {
+impl NodeLabels {
     /// An empty arena with room for `nodes` offsets.
     pub(crate) fn with_capacity(nodes: usize) -> Self {
-        Labels {
-            text: String::new(),
+        NodeLabels {
             ends: Vec::with_capacity(nodes),
+            ..Self::default()
         }
     }
 
@@ -146,32 +148,41 @@ impl Labels {
         self.ends.push(end);
     }
 
-    /// Number of labels.
-    pub(crate) fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// Label `i`.
-    #[inline]
-    pub(crate) fn get(&self, i: usize) -> &str {
-        let start = i.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
-        &self.text[start..self.ends[i] as usize]
-    }
-
-    /// The first index whose label is `label`.
-    pub(crate) fn position(&self, label: &str) -> Option<usize> {
-        (0..self.len()).find(|&i| self.get(i) == label)
-    }
-
     /// Give back the growth slack of both buffers.
     pub(crate) fn shrink_to_fit(&mut self) {
         self.text.shrink_to_fit();
         self.ends.shrink_to_fit();
     }
 
-    /// Resident bytes: the text plus its offsets.
-    pub(crate) fn memory_bytes(&self) -> usize {
-        self.text.len() + std::mem::size_of_val(self.ends.as_slice())
+    /// Make this the column of the graph with this epoch.
+    pub(crate) fn stamp(&mut self, epoch: u64) {
+        self.epoch = epoch;
+    }
+
+    /// Number of labels: the graph's [`Graph::node_count`].
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the column holds no label (the graph has no node).
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Label of `v` (may be empty). Panics if `g` is not the graph this
+    /// column was built with, or a clone of it.
+    pub fn label(&self, g: &Graph, v: NodeId) -> &str {
+        assert_eq!(self.epoch, g.epoch(), "labels of another graph");
+        let i = v.index();
+        let start = i.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
+        &self.text[start..self.ends[i] as usize]
+    }
+
+    /// The lowest id labelled `label` (linear scan, for examples and
+    /// tests). Panics as [`NodeLabels::label`] does.
+    pub fn find_by_label(&self, g: &Graph, label: &str) -> Option<NodeId> {
+        assert_eq!(self.epoch, g.epoch(), "labels of another graph");
+        g.nodes().find(|&v| self.label(g, v) == label)
     }
 }
 
@@ -228,22 +239,26 @@ mod tests {
     #[test]
     fn labels_slice_one_arena() {
         let names = ["", "VLDB", "", "Zürich · 東京", "VLDB", ""];
-        let mut labels = Labels::with_capacity(2);
+        let mut b = crate::GraphBuilder::with_capacity(2, 0);
+        let ty = b.register_type("venue");
         for name in names {
-            labels.push(name);
+            b.add_labeled_node(ty, name);
         }
-        labels.shrink_to_fit();
+        let (g, _, labels) = b.build_with_columns();
         assert_eq!(labels.len(), names.len());
-        for (i, name) in names.iter().enumerate() {
-            assert_eq!(labels.get(i), *name);
+        for (v, name) in g.nodes().zip(names) {
+            assert_eq!(labels.label(&g, v), name);
         }
+        // One text buffer, without slack, and one end offset per label.
         let text: usize = names.iter().map(|n| n.len()).sum();
-        assert_eq!(labels.memory_bytes(), text + 4 * names.len());
+        assert_eq!(
+            (labels.text.capacity(), labels.ends.len()),
+            (text, names.len())
+        );
         // The first of equal labels wins, empty ones included.
-        assert_eq!(labels.position("VLDB"), Some(1));
-        assert_eq!(labels.position(""), Some(0));
-        assert_eq!(labels.position("Zürich"), None);
-        assert_eq!(Labels::default().position(""), None);
+        assert_eq!(labels.find_by_label(&g, "VLDB"), Some(NodeId(1)));
+        assert_eq!(labels.find_by_label(&g, ""), Some(NodeId(0)));
+        assert_eq!(labels.find_by_label(&g, "Zürich"), None);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::builder::GraphBuilder;
 use crate::graph::{EdgeWeights, Graph};
-use crate::node::NodeId;
+use crate::node::{NodeId, NodeLabels};
 
 /// Result of Tarjan's algorithm: a component id per node, components numbered
 /// in reverse topological order of the condensation (Tarjan's natural output).
@@ -138,18 +138,23 @@ impl IrreducibilityRepair {
     /// Picks one representative node per SCC and threads dummy edges
     /// `rep[0] -> rep[1] -> ... -> rep[k-1] -> rep[0]`. Any directed cycle
     /// through all components of the condensation makes the union strongly
-    /// connected. Returns the repaired graph and the number of dummy edges
-    /// added (0 if already irreducible — in that case the graph is rebuilt
-    /// unchanged).
+    /// connected. Returns the repaired graph, its labels and the number of
+    /// dummy edges added (0 if already irreducible — in that case the
+    /// graph and its labels are returned unchanged).
     ///
-    /// `weights` is `g`'s raw weight column (from
-    /// [`crate::GraphBuilder::build_with_weights`]): the repaired graph is
-    /// rebuilt from them, and each dummy edge is sized from its source's
-    /// row sum.
-    pub fn repair(&self, g: &Graph, weights: &EdgeWeights) -> (Graph, usize) {
+    /// `weights` and `labels` are `g`'s columns (from
+    /// [`crate::GraphBuilder::build_with_columns`]): the repaired graph is
+    /// rebuilt from the raw weights, each dummy edge is sized from its
+    /// source's row sum, and every node keeps its label.
+    pub fn repair(
+        &self,
+        g: &Graph,
+        weights: &EdgeWeights,
+        labels: &NodeLabels,
+    ) -> (Graph, NodeLabels, usize) {
         let scc = tarjan_scc(g);
         if scc.is_strongly_connected() {
-            return (g.clone(), 0);
+            return (g.clone(), labels.clone(), 0);
         }
         // Representative = first node seen per component.
         let mut rep: Vec<Option<NodeId>> = vec![None; scc.count];
@@ -169,7 +174,7 @@ impl IrreducibilityRepair {
             b.register_type(name);
         }
         for v in g.nodes() {
-            b.add_labeled_node(g.node_type(v), g.label(v));
+            b.add_labeled_node(g.node_type(v), labels.label(g, v));
         }
         for v in g.nodes() {
             for (d, w) in weights.out_edges(g, v) {
@@ -192,7 +197,8 @@ impl IrreducibilityRepair {
             b.add_edge(src, dst, w);
             added += 1;
         }
-        (b.build(), added)
+        let (fixed, _, labels) = b.build_with_columns();
+        (fixed, labels, added)
     }
 }
 
@@ -200,16 +206,16 @@ impl IrreducibilityRepair {
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
-    use crate::toy::{fig2_toy, fig2_toy_with_weights};
+    use crate::toy::{fig2_toy, fig2_toy_with_columns};
 
-    fn line_graph(n: usize) -> (Graph, EdgeWeights) {
+    fn line_graph(n: usize) -> (Graph, EdgeWeights, NodeLabels) {
         let mut b = GraphBuilder::new();
         let ty = b.register_type("n");
         let nodes: Vec<_> = (0..n).map(|_| b.add_node(ty)).collect();
         for i in 0..n - 1 {
             b.add_edge(nodes[i], nodes[i + 1], 1.0);
         }
-        b.build_with_weights()
+        b.build_with_columns()
     }
 
     #[test]
@@ -221,7 +227,7 @@ mod tests {
 
     #[test]
     fn line_graph_has_n_components() {
-        let (g, _) = line_graph(5);
+        let (g, _, _) = line_graph(5);
         let scc = tarjan_scc(&g);
         assert_eq!(scc.count, 5);
         assert_eq!(scc.component_sizes(), vec![1; 5]);
@@ -249,8 +255,8 @@ mod tests {
 
     #[test]
     fn repair_makes_line_strongly_connected() {
-        let (g, w) = line_graph(6);
-        let (fixed, added) = IrreducibilityRepair::default().repair(&g, &w);
+        let (g, w, l) = line_graph(6);
+        let (fixed, _, added) = IrreducibilityRepair::default().repair(&g, &w, &l);
         assert!(added > 0);
         let scc = tarjan_scc(&fixed);
         assert!(scc.is_strongly_connected());
@@ -259,8 +265,8 @@ mod tests {
 
     #[test]
     fn repair_noop_on_connected_graph() {
-        let (g, w, _) = fig2_toy_with_weights();
-        let (fixed, added) = IrreducibilityRepair::default().repair(&g, &w);
+        let (g, w, l, _) = fig2_toy_with_columns();
+        let (fixed, _, added) = IrreducibilityRepair::default().repair(&g, &w, &l);
         assert_eq!(added, 0);
         assert_eq!(fixed.edge_count(), g.edge_count());
     }
@@ -268,8 +274,8 @@ mod tests {
     #[test]
     fn repair_preserves_ranking_scale() {
         // Dummy edges must perturb transition rows only slightly.
-        let (g, w) = line_graph(4);
-        let (fixed, _) = IrreducibilityRepair::default().repair(&g, &w);
+        let (g, w, l) = line_graph(4);
+        let (fixed, _, _) = IrreducibilityRepair::default().repair(&g, &w, &l);
         let n0 = NodeId(0);
         // Node 0's original single edge keeps nearly all its mass.
         let main_prob = fixed
@@ -289,20 +295,20 @@ mod tests {
         let n: Vec<_> = names.iter().map(|l| b.add_labeled_node(ty, l)).collect();
         b.add_edge(n[0], n[1], 1.0);
         b.add_edge(n[2], n[3], 1.0);
-        let (g, w) = b.build_with_weights();
-        let (fixed, added) = IrreducibilityRepair::default().repair(&g, &w);
+        let (g, w, l) = b.build_with_columns();
+        let (fixed, labels, added) = IrreducibilityRepair::default().repair(&g, &w, &l);
         assert!(added > 0);
         for (&v, name) in n.iter().zip(names) {
-            assert_eq!(fixed.label(v), name);
+            assert_eq!(labels.label(&fixed, v), name);
         }
-        assert_eq!(fixed.find_by_label("a"), Some(n[0]));
+        assert_eq!(labels.find_by_label(&fixed, "a"), Some(n[0]));
     }
 
     #[test]
     fn repair_handles_dangling_nodes() {
-        let (g, w) = line_graph(3); // node 2 dangling
+        let (g, w, l) = line_graph(3); // node 2 dangling
         assert!(g.is_dangling(NodeId(2)));
-        let (fixed, _) = IrreducibilityRepair::default().repair(&g, &w);
+        let (fixed, _, _) = IrreducibilityRepair::default().repair(&g, &w, &l);
         for v in fixed.nodes() {
             assert!(!fixed.is_dangling(v), "{v:?} still dangling");
         }
@@ -377,10 +383,10 @@ mod tests {
     fn deep_line_does_not_overflow_stack() {
         // The iterative Tarjan must survive a DFS path the recursive version
         // could not (100k frames would overflow a default thread stack).
-        let (g, w) = line_graph(100_000);
+        let (g, w, l) = line_graph(100_000);
         let scc = tarjan_scc(&g);
         assert_eq!(scc.count, 100_000);
-        let (fixed, added) = IrreducibilityRepair::default().repair(&g, &w);
+        let (fixed, _, added) = IrreducibilityRepair::default().repair(&g, &w, &l);
         assert!(added > 0);
         assert!(tarjan_scc(&fixed).is_strongly_connected());
     }

@@ -7,7 +7,7 @@
 
 use crate::builder::GraphBuilder;
 use crate::graph::{EdgeWeights, Graph};
-use crate::node::NodeId;
+use crate::node::{NodeId, NodeLabels};
 
 /// Node handles for the Fig. 2 toy graph.
 pub struct Fig2Ids {
@@ -31,13 +31,13 @@ pub struct Fig2Ids {
 /// round-trip probabilities in Fig. 4 (e.g.
 /// `p(t1→p1→v1→p1→t1) = 1/5 · 1/2 · 1/4 · 1/2 = 0.0125`).
 pub fn fig2_toy() -> (Graph, Fig2Ids) {
-    let (g, _, ids) = fig2_toy_with_weights();
+    let (g, _, _, ids) = fig2_toy_with_columns();
     (g, ids)
 }
 
-/// [`fig2_toy`] plus its raw edge weights, for the transforms that read
-/// them (subgraphs, repair, text output).
-pub fn fig2_toy_with_weights() -> (Graph, EdgeWeights, Fig2Ids) {
+/// [`fig2_toy`] plus its raw edge weights and labels, for the transforms
+/// that read them (subgraphs, repair, text output) and for printing.
+pub fn fig2_toy_with_columns() -> (Graph, EdgeWeights, NodeLabels, Fig2Ids) {
     let mut b = GraphBuilder::new();
     let term = b.register_type("term");
     let paper = b.register_type("paper");
@@ -74,8 +74,8 @@ pub fn fig2_toy_with_weights() -> (Graph, EdgeWeights, Fig2Ids) {
         v2,
         v3,
     };
-    let (g, weights) = b.build_with_weights();
-    (g, weights, ids)
+    let (g, weights, labels) = b.build_with_columns();
+    (g, weights, labels, ids)
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 
 use crate::builder::GraphBuilder;
 use crate::graph::{EdgeWeights, Graph};
-use crate::node::NodeId;
+use crate::node::{NodeId, NodeLabels};
 use std::collections::VecDeque;
 
 /// An induced subgraph: the result of restricting a graph to a node subset.
@@ -23,6 +23,8 @@ use std::collections::VecDeque;
 pub struct Subgraph {
     /// The induced graph (fresh compact node ids).
     pub graph: Graph,
+    /// `graph`'s labels: each node's label in the parent.
+    pub labels: NodeLabels,
     /// `to_parent[new_id] = old_id`.
     pub to_parent: Vec<NodeId>,
     /// Sparse inverse map: `to_sub(old_id) -> Option<new_id>`.
@@ -35,10 +37,11 @@ impl Subgraph {
     /// Induce the subgraph of `g` on `keep` (duplicates ignored).
     ///
     /// Edge weights are the parent's *raw* weights, `weights` (its column
-    /// from [`GraphBuilder::build_with_weights`]); transition probabilities
+    /// from [`GraphBuilder::build_with_columns`]); transition probabilities
     /// are renormalized over the surviving edges, exactly as if the subgraph
-    /// had been the original dataset.
-    pub fn induce(g: &Graph, weights: &EdgeWeights, keep: &[NodeId]) -> Self {
+    /// had been the original dataset. Each kept node takes its label from
+    /// the parent's column, `labels`.
+    pub fn induce(g: &Graph, weights: &EdgeWeights, labels: &NodeLabels, keep: &[NodeId]) -> Self {
         let mut to_sub = vec![ABSENT; g.node_count()];
         let mut to_parent = Vec::with_capacity(keep.len());
         for &v in keep {
@@ -52,7 +55,7 @@ impl Subgraph {
             b.register_type(name);
         }
         for &old in &to_parent {
-            b.add_labeled_node(g.node_type(old), g.label(old));
+            b.add_labeled_node(g.node_type(old), labels.label(g, old));
         }
         for (new_src, &old_src) in to_parent.iter().enumerate() {
             for (old_dst, w) in weights.out_edges(g, old_src) {
@@ -62,8 +65,10 @@ impl Subgraph {
                 }
             }
         }
+        let (graph, _, labels) = b.build_with_columns();
         Subgraph {
-            graph: b.build(),
+            graph,
+            labels,
             to_parent,
             to_sub,
         }
@@ -133,8 +138,13 @@ impl GrowthSchedule {
     }
 
     /// Build all snapshots of `g` as induced prefix subgraphs, renormalised
-    /// from `g`'s raw `weights`.
-    pub fn snapshots(&self, g: &Graph, weights: &EdgeWeights) -> Vec<Subgraph> {
+    /// from `g`'s raw `weights` and labelled from its `labels`.
+    pub fn snapshots(
+        &self,
+        g: &Graph,
+        weights: &EdgeWeights,
+        labels: &NodeLabels,
+    ) -> Vec<Subgraph> {
         assert!(
             self.fractions.windows(2).all(|w| w[0] < w[1]),
             "fractions must be strictly increasing"
@@ -149,7 +159,7 @@ impl GrowthSchedule {
                 let k = ((g.node_count() as f64) * f).round().max(1.0) as usize;
                 let keep: Vec<NodeId> =
                     (0..k.min(g.node_count())).map(NodeId::from_index).collect();
-                Subgraph::induce(g, weights, &keep)
+                Subgraph::induce(g, weights, labels, &keep)
             })
             .collect()
     }
@@ -158,24 +168,24 @@ impl GrowthSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::toy::{fig2_toy, fig2_toy_with_weights};
+    use crate::toy::{fig2_toy, fig2_toy_with_columns};
 
     #[test]
     fn induce_keeps_internal_edges_only() {
-        let (g, w, ids) = fig2_toy_with_weights();
+        let (g, w, l, ids) = fig2_toy_with_columns();
         // Keep t1 and its papers p1..p5: edges t1<->p_i survive, paper<->venue don't.
         let mut keep = vec![ids.t1];
         keep.extend(ids.p.iter().take(5).copied());
-        let sub = Subgraph::induce(&g, &w, &keep);
+        let sub = Subgraph::induce(&g, &w, &l, &keep);
         assert_eq!(sub.graph.node_count(), 6);
         assert_eq!(sub.graph.edge_count(), 10); // 5 undirected edges
     }
 
     #[test]
     fn induce_renormalizes_rows() {
-        let (g, w, ids) = fig2_toy_with_weights();
+        let (g, w, l, ids) = fig2_toy_with_columns();
         let keep = vec![ids.t1, ids.p[0], ids.p[1]];
-        let sub = Subgraph::induce(&g, &w, &keep);
+        let sub = Subgraph::induce(&g, &w, &l, &keep);
         let t1 = sub.to_sub(ids.t1).unwrap();
         let probs: Vec<f64> = sub.graph.out_edges(t1).map(|(_, p)| p).collect();
         // t1 kept only 2 of its 5 papers; row renormalizes to 1/2 each.
@@ -185,9 +195,9 @@ mod tests {
 
     #[test]
     fn mapping_roundtrip() {
-        let (g, w, ids) = fig2_toy_with_weights();
+        let (g, w, l, ids) = fig2_toy_with_columns();
         let keep = vec![ids.v1, ids.v2];
-        let sub = Subgraph::induce(&g, &w, &keep);
+        let sub = Subgraph::induce(&g, &w, &l, &keep);
         for new in sub.graph.nodes() {
             let old = sub.to_parent(new);
             assert_eq!(sub.to_sub(old), Some(new));
@@ -197,23 +207,32 @@ mod tests {
 
     #[test]
     fn induce_relabels_from_the_parent() {
-        let (g, w, ids) = fig2_toy_with_weights();
+        let (g, w, l, ids) = fig2_toy_with_columns();
         // Out of id order, so the subgraph's label arena is refilled in a
         // new order.
         let keep = vec![ids.v3, ids.t1, ids.p[6], ids.v1];
-        let sub = Subgraph::induce(&g, &w, &keep);
+        let sub = Subgraph::induce(&g, &w, &l, &keep);
         for new in sub.graph.nodes() {
-            assert_eq!(sub.graph.label(new), g.label(sub.to_parent(new)));
+            assert_eq!(
+                sub.labels.label(&sub.graph, new),
+                l.label(&g, sub.to_parent(new))
+            );
         }
-        assert_eq!(sub.graph.find_by_label("t1:spatio"), Some(NodeId(1)));
-        assert_eq!(sub.graph.find_by_label("v2:ACM-GIS-like"), None);
+        assert_eq!(
+            sub.labels.find_by_label(&sub.graph, "t1:spatio"),
+            Some(NodeId(1))
+        );
+        assert_eq!(
+            sub.labels.find_by_label(&sub.graph, "v2:ACM-GIS-like"),
+            None
+        );
     }
 
     #[test]
     fn induce_dedups_keep_list() {
-        let (g, w, ids) = fig2_toy_with_weights();
+        let (g, w, l, ids) = fig2_toy_with_columns();
         let keep = vec![ids.v1, ids.v1, ids.v2];
-        let sub = Subgraph::induce(&g, &w, &keep);
+        let sub = Subgraph::induce(&g, &w, &l, &keep);
         assert_eq!(sub.graph.node_count(), 2);
     }
 
@@ -239,8 +258,8 @@ mod tests {
 
     #[test]
     fn growth_snapshots_are_cumulative() {
-        let (g, w, _) = fig2_toy_with_weights();
-        let snaps = GrowthSchedule::paper_default().snapshots(&g, &w);
+        let (g, w, l, _) = fig2_toy_with_columns();
+        let snaps = GrowthSchedule::paper_default().snapshots(&g, &w, &l);
         assert_eq!(snaps.len(), 5);
         for w in snaps.windows(2) {
             assert!(w[0].graph.node_count() <= w[1].graph.node_count());
@@ -253,10 +272,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn growth_rejects_non_monotone() {
-        let (g, w, _) = fig2_toy_with_weights();
+        let (g, w, l, _) = fig2_toy_with_columns();
         GrowthSchedule {
             fractions: vec![0.5, 0.2],
         }
-        .snapshots(&g, &w);
+        .snapshots(&g, &w, &l);
     }
 }

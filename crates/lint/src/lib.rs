@@ -26,6 +26,10 @@
 //!    implicit-only export).
 //! 6. **safety-comment** — every `unsafe` in non-test code carries an
 //!    adjacent `// SAFETY:` comment, in rule 1's window.
+//! 7. **example-run-header** — every `examples/*.rs` whose `//!` header
+//!    has a `cargo run` line names `-p rtr-integration-tests --example
+//!    <file stem>` there, and that stem is an `[[example]]` of
+//!    `tests/Cargo.toml`, the package that builds the examples.
 //!
 //! Every rule works on `(path, lines)` pairs so the unit tests can feed
 //! seeded in-memory violations without touching the real tree.
@@ -382,6 +386,59 @@ pub fn check_shim_parity(
     }
 }
 
+/// The `name`s of a manifest's `[[example]]` tables.
+pub fn manifest_examples(lines: &[&str]) -> Vec<String> {
+    let mut names = Vec::new();
+    let mut in_example = false;
+    for line in lines {
+        let t = line.trim();
+        let name = t
+            .strip_prefix("name")
+            .and_then(|r| r.trim_start().strip_prefix('='));
+        if t.starts_with('[') {
+            in_example = t == "[[example]]";
+        } else if let (true, Some(value)) = (in_example, name) {
+            names.push(value.trim().trim_matches('"').to_owned());
+        }
+    }
+    names
+}
+
+/// Rule 7: a `cargo run` line in an example's `//!` header must name the
+/// package that builds it and its own example name, and the manifest's
+/// `examples` must declare that name.
+pub fn check_example_run_header(
+    file: &str,
+    lines: &[&str],
+    examples: &[String],
+    out: &mut Vec<Violation>,
+) {
+    let stem = Path::new(file)
+        .file_stem()
+        .map_or(String::new(), |s| s.to_string_lossy().into_owned());
+    let header = lines.iter().take_while(|l| l.starts_with("//!"));
+    for (i, line) in header.enumerate() {
+        if !line.contains("cargo run") {
+            continue;
+        }
+        let tokens: Vec<&str> = line.split_whitespace().collect();
+        let names = |flag: &str, value: &str| tokens.windows(2).any(|w| w == [flag, value]);
+        let msg = if !(names("-p", "rtr-integration-tests") && names("--example", &stem)) {
+            format!("the run line must name `-p rtr-integration-tests --example {stem}`")
+        } else if !examples.contains(&stem) {
+            format!("`{stem}` is not an `[[example]]` of tests/Cargo.toml")
+        } else {
+            continue;
+        };
+        out.push(Violation {
+            file: file.to_owned(),
+            line: i + 1,
+            rule: "example-run-header",
+            msg: format!("{msg}: `{}`", line.trim()),
+        });
+    }
+}
+
 fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
@@ -512,6 +569,18 @@ pub fn run(root: &Path) -> i32 {
         .filter_map(|p| read(p).map(|c| (rel(root, p), c)))
         .collect();
     check_shim_parity(&exports, &corpus, &mut violations);
+
+    // Rule 7: the examples' run headers against the manifest that builds
+    // them.
+    let manifest = read(&root.join("tests/Cargo.toml")).unwrap_or_default();
+    let examples = manifest_examples(&manifest.lines().collect::<Vec<_>>());
+    let mut example_files = Vec::new();
+    walk_rs(&root.join("examples"), &mut example_files);
+    for path in &example_files {
+        let Some(content) = read(path) else { continue };
+        let lines: Vec<&str> = content.lines().collect();
+        check_example_run_header(&rel(root, path), &lines, &examples, &mut violations);
+    }
 
     for v in &violations {
         println!("{v}");
@@ -647,6 +716,47 @@ mod tests {
         collect_shim_exports("shim.rs", &lines(shim), &mut exports);
         let names: Vec<&str> = exports.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["Leaf", "Renamed", "X"]);
+    }
+
+    #[test]
+    fn manifest_examples_are_the_example_tables_names() {
+        let manifest = "[package]\nname = \"rtr-integration-tests\"\n\n[[example]]\nname = \"quickstart\"\npath = \"../examples/quickstart.rs\"\n\n[[test]]\nname = \"e2e\"\n[[example]]\npath = \"../examples/b.rs\"\nname=\"b\"\n";
+        assert_eq!(manifest_examples(&lines(manifest)), ["quickstart", "b"]);
+    }
+
+    #[test]
+    fn example_run_header_must_name_its_package_and_example() {
+        let examples = vec!["quickstart".to_owned(), "other".to_owned()];
+        let check = |file: &str, src: &str| {
+            let mut out = Vec::new();
+            check_example_run_header(file, &lines(src), &examples, &mut out);
+            out
+        };
+        let good = "//! Quickstart.\n//!\n//! ```sh\n//! cargo run --release -p rtr-integration-tests --example quickstart\n//! ```\n\nfn main() {}\n";
+        assert!(check("examples/quickstart.rs", good).is_empty());
+        // A package that does not exist, a `--bin`, another example's
+        // name, and a prefix of the stem are all refused, on their line.
+        for bad in [
+            "//! cargo run -p rtr-examples --bin quickstart",
+            "//! cargo run -p rtr-integration-tests --bin quickstart",
+            "//! cargo run -p rtr-integration-tests --example other",
+            "//! cargo run -p rtr-integration-tests --example quick",
+        ] {
+            let out = check("examples/quickstart.rs", &format!("//! Doc.\n{bad}\n"));
+            assert_eq!(out.len(), 1, "{bad}: {out:?}");
+            assert_eq!((out[0].rule, out[0].line), ("example-run-header", 2));
+        }
+        // The right form for an example the manifest does not build.
+        let out = check(
+            "examples/stray.rs",
+            "//! cargo run -p rtr-integration-tests --example stray\n",
+        );
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].msg.contains("not an `[[example]]`"), "{out:?}");
+        // Only the `//!` header counts, and a header without a run line
+        // passes.
+        let body = "//! Doc.\nfn main() {\n    // cargo run -p rtr-examples --bin x\n}\n";
+        assert!(check("examples/quickstart.rs", body).is_empty());
     }
 
     #[test]

@@ -372,11 +372,16 @@ impl ServeEngine {
             .map(|idx| {
                 let queue = queue.clone();
                 let shared = Arc::clone(&shared);
+                // Built on the thread that starts the engine: glibc gives
+                // each thread a malloc arena of its own, and this thread's
+                // heap holds what the graph's set-up freed (the label text
+                // among it), which the pre-sized workspace then reuses
+                // instead of growing the worker's arena.
+                let mut ws = shared.workspace();
                 // Panics inside a query are caught in Shared::compute; a
                 // dead worker would strand the jobs still queued and hang
                 // their batches.
                 std::thread::spawn(move || {
-                    let mut ws = shared.workspace();
                     while let Ok(mut job) = queue.recv() {
                         if let Some(t) = job.trace.as_deref_mut() {
                             t.record(TraceStage::Dequeue);

@@ -3,7 +3,7 @@
 //! the full adoption path for a downstream user with real data.
 //!
 //! ```sh
-//! cargo run -p rtr-examples --bin custom_graph [path/to/graph.tsv]
+//! cargo run --release -p rtr-integration-tests --example custom_graph [path/to/graph.tsv]
 //! ```
 //!
 //! Without an argument, a small citation-flavored TSV is generated in a
@@ -19,18 +19,19 @@ fn main() {
     let path = std::env::args().nth(1).unwrap_or_else(|| {
         // Self-contained demo input: a mini citation web.
         let path = std::env::temp_dir().join("rtr_custom_graph_demo.tsv");
-        let (g, weights, _) = rtr_graph::toy::fig2_toy_with_weights();
+        let (g, weights, labels, _) = rtr_graph::toy::fig2_toy_with_columns();
         let file = File::create(&path).expect("create demo file");
-        write_graph(&g, &weights, file).expect("write demo");
+        write_graph(&g, &weights, &labels, file).expect("write demo");
         path.to_string_lossy().into_owned()
     });
     println!("loading graph from {path}");
-    let (g, weights) = read_graph(File::open(&path).expect("open input")).expect("parse graph");
+    let (g, weights, labels) =
+        read_graph(File::open(&path).expect("open input")).expect("parse graph");
     println!("loaded: {} nodes, {} edges", g.node_count(), g.edge_count());
 
     // Real data is rarely strongly connected; RoundTripRank needs return
     // paths, so repair with low-weight dummy edges (paper Sect. III-B).
-    let (g, added) = IrreducibilityRepair::default().repair(&g, &weights);
+    let (g, labels, added) = IrreducibilityRepair::default().repair(&g, &weights, &labels);
     if added > 0 {
         println!("irreducibility repair added {added} dummy edges");
     }
@@ -38,9 +39,9 @@ fn main() {
     // Query the first node with a label, or node 0.
     let q = g
         .nodes()
-        .find(|&v| !g.label(v).is_empty())
+        .find(|&v| !labels.label(&g, v).is_empty())
         .unwrap_or(rtr_graph::NodeId(0));
-    println!("query node: {} ({})", q, g.label(q));
+    println!("query node: {} ({})", q, labels.label(&g, q));
 
     let params = RankParams::default();
     for beta in [0.25, 0.5, 0.75] {
@@ -63,10 +64,9 @@ fn main() {
             topk.expansions
         );
         for (v, (lo, hi)) in topk.ranking.iter().zip(&topk.bounds) {
-            let label = if g.label(*v).is_empty() {
-                format!("{v}")
-            } else {
-                g.label(*v).to_owned()
+            let label = match labels.label(&g, *v) {
+                "" => format!("{v}"),
+                label => label.to_owned(),
             };
             println!("  {label:<28} r_β ∈ [{lo:.3e}, {hi:.3e}]");
         }

@@ -76,7 +76,7 @@ fn main() {
             if req.query.len() > 1 {
                 format!("{} nodes", req.query.len())
             } else {
-                g.label(req.query.nodes()[0]).to_owned()
+                net.labels.label(&g, req.query.nodes()[0]).to_owned()
             }
         );
         let (wire, fetches) = r

@@ -11,7 +11,7 @@
 //! trade-off setting.
 //!
 //! ```sh
-//! cargo run --release -p rtr-examples --bin expert_finding
+//! cargo run --release -p rtr-integration-tests --example expert_finding
 //! ```
 
 use rtr_core::prelude::*;
@@ -34,11 +34,11 @@ fn main() {
         .expect("some multi-author paper");
     println!(
         "submission: {} (topic {}), by {:?}",
-        g.label(paper),
+        net.labels.label(&g, paper),
         net.paper_topic[idx],
         net.paper_authors[idx]
             .iter()
-            .map(|&a| g.label(a))
+            .map(|&a| net.labels.label(&g, a))
             .collect::<Vec<_>>()
     );
 
@@ -72,7 +72,7 @@ fn main() {
             .iter()
             .filter(|&&v| g.node_type(v) == author_ty && !exclude.contains(&v))
             .take(4)
-            .map(|&v| g.label(v))
+            .map(|&v| net.labels.label(&g, v))
             .collect();
         println!("  {label:<28} {names:?}");
     }

@@ -75,7 +75,7 @@ fn main() {
         println!(
             "{:<16} {:>20} {:>12.3}",
             format!("{} source(s)", req.query().len()),
-            g.label(top),
+            net.labels.label(&g, top),
             resp.latency().as_secs_f64() * 1e3
         );
         responses.push(resp);

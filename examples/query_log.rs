@@ -7,7 +7,7 @@
 //! phrases are inherently specific"). Same measure, different β.
 //!
 //! ```sh
-//! cargo run --release -p rtr-examples --bin query_log
+//! cargo run --release -p rtr-integration-tests --example query_log
 //! ```
 
 use rtr_core::prelude::*;
@@ -15,7 +15,7 @@ use rtr_datagen::{QLog, QLogConfig};
 
 fn main() {
     let qlog = QLog::generate(&QLogConfig::small(), 23);
-    let g = &qlog.graph;
+    let (g, labels) = (&qlog.graph, &qlog.labels);
     let params = RankParams::default();
 
     // Pick a phrase with several equivalents as the user's search.
@@ -24,7 +24,7 @@ fn main() {
         .iter()
         .find(|&&p| qlog.equivalents(p).len() >= 2)
         .expect("some phrase with equivalents");
-    println!("searched phrase: {}", g.label(phrase));
+    println!("searched phrase: {}", labels.label(g, phrase));
 
     let query = Query::single(phrase);
     let f = FRank::new(params).compute(g, &query).expect("F-Rank");
@@ -45,7 +45,7 @@ fn main() {
         } else {
             ""
         };
-        println!("  {}{marker}", g.label(v));
+        println!("  {}{marker}", labels.label(g, v));
     }
 
     // Task D: equivalent phrases, specificity-leaning (β > 0.5).
@@ -64,7 +64,7 @@ fn main() {
         } else {
             ""
         };
-        println!("  {}{marker}", g.label(v));
+        println!("  {}{marker}", labels.label(g, v));
     }
 
     // Quantify: how many true equivalents land in the top-5 under each β?

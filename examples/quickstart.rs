@@ -4,7 +4,7 @@
 //! can be checked by hand against the paper's Sect. III.
 //!
 //! ```sh
-//! cargo run -p rtr-examples --bin quickstart
+//! cargo run --release -p rtr-integration-tests --example quickstart
 //! ```
 
 use rtr_core::prelude::*;
@@ -14,7 +14,7 @@ use rtr_topk::prelude::*;
 fn main() {
     // 1. Build a graph. Here: the paper's Fig. 2 toy network; in your code,
     //    add nodes/edges through GraphBuilder.
-    let (g, ids) = rtr_graph::toy::fig2_toy();
+    let (g, _, labels, ids) = rtr_graph::toy::fig2_toy_with_columns();
     println!(
         "graph: {} nodes, {} directed edges",
         g.node_count(),
@@ -59,7 +59,7 @@ fn main() {
             .expect("compute");
         let venue_ty = g.types().get("venue").expect("registered");
         let top = scores.filtered_ranking(&g, venue_ty, query.nodes());
-        let names: Vec<&str> = top.iter().take(3).map(|&v| g.label(v)).collect();
+        let names: Vec<&str> = top.iter().take(3).map(|&v| labels.label(&g, v)).collect();
         println!("β = {beta}: venues ranked {names:?}");
     }
 
@@ -79,7 +79,7 @@ fn main() {
         result.expansions, result.active.active_nodes
     );
     for (v, (lo, hi)) in result.ranking.iter().zip(&result.bounds) {
-        println!("  {:<18} r ∈ [{lo:.6}, {hi:.6}]", g.label(*v));
+        println!("  {:<18} r ∈ [{lo:.6}, {hi:.6}]", labels.label(&g, *v));
     }
 
     // 6. Serve it all online: one worker pool answers every measure, with
@@ -111,7 +111,7 @@ fn main() {
             .expect("toy queries succeed")
             .ranking
             .iter()
-            .map(|&v| g.label(v))
+            .map(|&v| labels.label(g, v))
             .collect();
         println!(
             "  {:<28} top-{} {top:?} ({:.0}µs compute)",

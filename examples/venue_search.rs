@@ -3,7 +3,7 @@
 //! disagree.
 //!
 //! ```sh
-//! cargo run --release -p rtr-examples --bin venue_search
+//! cargo run --release -p rtr-integration-tests --example venue_search
 //! ```
 
 use rtr_core::prelude::*;
@@ -11,7 +11,7 @@ use rtr_datagen::{BibNet, BibNetConfig};
 
 fn main() {
     let net = BibNet::generate(&BibNetConfig::small(), 7);
-    let g = &net.graph;
+    let (g, labels) = (&net.graph, &net.labels);
     let params = RankParams::default();
     let venue_ty = net.venue_type();
 
@@ -21,7 +21,10 @@ fn main() {
     let query = Query::uniform(&terms);
     println!(
         "query: {:?} (topic {topic})",
-        terms.iter().map(|&t| g.label(t)).collect::<Vec<_>>()
+        terms
+            .iter()
+            .map(|&t| labels.label(g, t))
+            .collect::<Vec<_>>()
     );
 
     let f = FRank::new(params).compute(g, &query).expect("F-Rank");
@@ -35,7 +38,7 @@ fn main() {
             .into_iter()
             .take(5)
         {
-            println!("  {:<28} score {:.3e}", g.label(v), s.score(v));
+            println!("  {:<28} score {:.3e}", labels.label(g, v), s.score(v));
         }
     };
     show("(a) importance only — F-Rank/PPR", &f);

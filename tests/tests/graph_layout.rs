@@ -2,19 +2,25 @@
 //!
 //! Random edge lists — parallel edges, self-loops, dangling and isolated
 //! nodes, graphs of zero and one node — are built twice: by
-//! `GraphBuilder` into the block arena, cold out-table and raw-weight
-//! column, and by a `BTreeMap` that merges parallel edges left to right in
-//! insertion order. Every accessor must agree with the reference bit for
-//! bit, and every node's arena bytes must be the wire encoding of the
-//! reference block, at the byte range its slot offsets name. Random labels
-//! (empty, multi-byte, repeated) are held against a `Vec<String>`. On a
-//! generated graph, the resident bytes must be exactly the layout's.
+//! `GraphBuilder` into the block arena, cold out-table, raw-weight column
+//! and label column, and by a `BTreeMap` that merges parallel edges left
+//! to right in insertion order. Every accessor must agree with the
+//! reference bit for bit, and every node's arena bytes must be the wire
+//! encoding of the reference block, at the byte range its slot offsets
+//! name. Random labels (empty, multi-byte, repeated) are held against a
+//! `Vec<String>`, and the text format either refuses a graph or reads it
+//! back bit for bit. On a generated graph, the resident bytes must be
+//! exactly the layout's, and the transforms that rebuild a graph keep
+//! every node's label.
 
 use bytes::BytesMut;
 use proptest::prelude::*;
 use rtr_datagen::{QLog, QLogConfig};
+use rtr_graph::io::{read_graph, write_graph, IoError};
+use rtr_graph::scc::IrreducibilityRepair;
+use rtr_graph::view::Subgraph;
 use rtr_graph::wire::{self, NodeBlock};
-use rtr_graph::{EdgeWeights, Graph, GraphBuilder, NodeId};
+use rtr_graph::{EdgeWeights, Graph, GraphBuilder, NodeId, NodeLabels};
 use std::collections::BTreeMap;
 
 /// Weights that make summation order visible (0.1 is inexact, 1e16 swallows
@@ -23,6 +29,31 @@ const WEIGHTS: [f64; 6] = [0.1, 0.25, 1.0, 1.0, 3.0, 1e16];
 
 /// Labels for the label arena: empty, multi-byte, and prefixes of each other.
 const LABELS: [&str; 5] = ["", "a", "ab", "Zürich · 東京", "ß"];
+
+/// Labels for the text format, with whether it can carry them: a tab, CR
+/// or LF anywhere, or trailing whitespace, would not read back.
+const TEXT_LABELS: [(&str, bool); 10] = [
+    ("", true),
+    (" lead and  inner", true),
+    ("Zürich · 東京", true),
+    ("#not a comment", true),
+    ("VLDB ", false),
+    ("a\tb", false),
+    ("a\nb", false),
+    ("a\rb", false),
+    ("x\r", false),
+    ("nbsp\u{a0}", false),
+];
+
+/// Type names for the text format, as [`TEXT_LABELS`]; an empty one would
+/// not read back beside an empty label.
+const TEXT_TYPES: [(&str, bool); 5] = [
+    ("venue", true),
+    ("p q", true),
+    ("venue ", false),
+    ("t\tx", false),
+    ("", false),
+];
 
 /// An edge list over `n` nodes, `n` in `0..max_n`.
 fn arb_edges(
@@ -45,7 +76,7 @@ fn arb_edges(
         })
 }
 
-fn build(labels: &[String], edges: &[(u32, u32, f64)]) -> (Graph, EdgeWeights) {
+fn build(labels: &[String], edges: &[(u32, u32, f64)]) -> (Graph, EdgeWeights, NodeLabels) {
     let mut b = GraphBuilder::new();
     let ty = b.register_type("n");
     for label in labels {
@@ -54,7 +85,7 @@ fn build(labels: &[String], edges: &[(u32, u32, f64)]) -> (Graph, EdgeWeights) {
     for &(s, d, w) in edges {
         b.add_edge(NodeId(s), NodeId(d), w);
     }
-    b.build_with_weights()
+    b.build_with_columns()
 }
 
 /// The reference: merged weights keyed `(src, dst)`, ascending.
@@ -109,16 +140,17 @@ proptest! {
     ) {
         let (n, edges) = case;
         let labels: Vec<String> = picks[..n].iter().map(|&i| LABELS[i].to_owned()).collect();
-        let (g, weights) = build(&labels, &edges);
+        let (g, weights, column) = build(&labels, &edges);
         let merged = reference(&edges);
         prop_assert_eq!(g.node_count(), n);
         prop_assert_eq!(weights.len(), merged.len());
+        prop_assert_eq!(column.len(), n);
         for v in g.nodes() {
-            prop_assert_eq!(g.label(v), labels[v.index()].as_str());
+            prop_assert_eq!(column.label(&g, v), labels[v.index()].as_str());
         }
         for label in LABELS {
             let first = labels.iter().position(|l| l == label).map(NodeId::from_index);
-            prop_assert_eq!(g.find_by_label(label), first);
+            prop_assert_eq!(column.find_by_label(&g, label), first);
         }
         prop_assert_eq!(g.edge_count(), merged.len());
         prop_assert_eq!(g.has_self_loops(), merged.keys().any(|&(s, d)| s == d));
@@ -147,7 +179,7 @@ proptest! {
     #[test]
     fn arena_bytes_are_the_wire_encoding(case in arb_edges(9, 40)) {
         let (n, edges) = case;
-        let (g, _) = build(&vec![String::new(); n], &edges);
+        let (g, _, _) = build(&vec![String::new(); n], &edges);
         let merged = reference(&edges);
         let mut whole = Vec::new();
         for v in g.nodes() {
@@ -167,6 +199,62 @@ proptest! {
         prop_assert_eq!(g.blocks().len(), n);
         prop_assert_eq!(g.blocks().byte_range(NodeId(n as u32)), None);
     }
+
+    // Every write either refuses the graph, naming its first node with a
+    // name the format cannot carry, or reads back bit for bit.
+    #[test]
+    fn text_io_refuses_or_reads_back_bit_for_bit(
+        case in arb_edges(7, 24),
+        picks in proptest::collection::vec((0..40usize, 0..20usize), 7..8),
+    ) {
+        let (n, edges) = case;
+        // Every name, but mostly writable ones (the first four labels and
+        // the first two types), so both outcomes are common.
+        let pick = |(l, t): (usize, usize)| {
+            let label = TEXT_LABELS.get(l).unwrap_or(&TEXT_LABELS[l % 4]);
+            let ty = TEXT_TYPES.get(t).unwrap_or(&TEXT_TYPES[t % 2]);
+            (*label, *ty)
+        };
+        let names: Vec<_> = picks[..n].iter().map(|&p| pick(p)).collect();
+        let mut b = GraphBuilder::new();
+        for &((label, _), (ty, _)) in &names {
+            let ty = b.register_type(ty);
+            b.add_labeled_node(ty, label);
+        }
+        for &(s, d, w) in &edges {
+            b.add_edge(NodeId(s), NodeId(d), w);
+        }
+        let (g, weights, labels) = b.build_with_columns();
+        let refused = names.iter().position(|&((_, l), (_, t))| !(l && t));
+        let mut buf = Vec::new();
+        match write_graph(&g, &weights, &labels, &mut buf) {
+            Err(IoError::Unwritable { node, .. }) => {
+                prop_assert_eq!(Some(node.index()), refused);
+                prop_assert!(buf.is_empty(), "a refused graph wrote {} bytes", buf.len());
+            }
+            Err(e) => prop_assert!(false, "write failed: {e}"),
+            Ok(()) => {
+                prop_assert_eq!(refused, None);
+                let (back, back_weights, back_labels) =
+                    read_graph(buf.as_slice()).map_err(|e| TestCaseError::fail(e.to_string()))?;
+                prop_assert_eq!(back.node_count(), n);
+                prop_assert_eq!(back.edge_count(), g.edge_count());
+                for v in g.nodes() {
+                    prop_assert_eq!(back_labels.label(&back, v), labels.label(&g, v));
+                    prop_assert_eq!(
+                        back.types().name(back.node_type(v)),
+                        g.types().name(g.node_type(v))
+                    );
+                    prop_assert_eq!(
+                        bits(back_weights.out_edges(&back, v)),
+                        bits(weights.out_edges(&g, v))
+                    );
+                    prop_assert_eq!(bits(back.out_edges(v)), bits(g.out_edges(v)));
+                    prop_assert_eq!(bits(back.in_edges(v)), bits(g.in_edges(v)));
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -178,12 +266,58 @@ fn resident_bytes_are_exactly_the_layout() {
     let (n, m) = (g.node_count(), g.edge_count());
     assert!(m > n, "a generated graph with edges: |V| = {n}, |E| = {m}");
     let parts: BTreeMap<_, _> = g.resident_bytes().into_iter().collect();
+    assert_eq!(
+        parts.keys().copied().collect::<Vec<_>>(),
+        ["adjacency", "cold_table", "node_types"]
+    );
     assert_eq!(parts["adjacency"], 12 * n + 24 * m + 4 * (n + 1));
     assert_eq!(parts["cold_table"], 4 * (n + 1) + 4 * m);
     assert_eq!(parts["node_types"], n);
+    assert_eq!(g.memory_bytes(), parts.values().sum::<usize>());
     // Every block is one 12-byte header slot plus one slot per edge end.
     let slots: usize = g.nodes().map(|v| 1 + g.total_degree(v)).sum();
     assert_eq!(g.blocks().as_bytes().len(), slots * wire::EDGE_BYTES);
-    // The raw weights are the column's, not the graph's.
+    // The raw weights and the labels are the columns', not the graph's.
     assert_eq!(log.edge_weights.len(), m);
+    assert_eq!(log.labels.len(), n);
+}
+
+#[test]
+fn repair_and_induce_keep_the_parents_labels() {
+    let log = QLog::generate(&QLogConfig::tiny(), 7);
+    let (g, labels) = (&log.graph, &log.labels);
+    // Every third node in descending id order: new ids, a new label order.
+    let keep: Vec<NodeId> = (0..g.node_count() as u32)
+        .rev()
+        .step_by(3)
+        .map(NodeId)
+        .collect();
+    let sub = Subgraph::induce(g, &log.edge_weights, labels, &keep);
+    assert_eq!(sub.labels.len(), keep.len());
+    for new in sub.graph.nodes() {
+        let old = sub.to_parent(new);
+        assert_eq!(sub.labels.label(&sub.graph, new), labels.label(g, old));
+    }
+    // Only the ascending edges: a DAG of singleton components, which the
+    // repair rebuilds with dummy edges.
+    let mut b = GraphBuilder::new();
+    for (_, name) in g.types().iter() {
+        b.register_type(name);
+    }
+    for v in g.nodes() {
+        b.add_labeled_node(g.node_type(v), labels.label(g, v));
+    }
+    for v in g.nodes() {
+        for (d, w) in log.edge_weights.out_edges(g, v).filter(|&(d, _)| d > v) {
+            b.add_edge(v, d, w);
+        }
+    }
+    let (dag, weights, dag_labels) = b.build_with_columns();
+    let (fixed, fixed_labels, added) =
+        IrreducibilityRepair::default().repair(&dag, &weights, &dag_labels);
+    assert!(added > 0);
+    assert_eq!(fixed_labels.len(), g.node_count());
+    for v in g.nodes() {
+        assert_eq!(fixed_labels.label(&fixed, v), labels.label(g, v));
+    }
 }

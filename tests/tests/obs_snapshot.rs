@@ -282,9 +282,9 @@ fn graph_bytes_are_set_once_at_start_when_metrics_are_on() {
         // Off, the catalog still lists the family, zeroed.
         assert_eq!(gauge(&off), Some(0), "{part}");
     }
-    // The parts the engines read are the graph's `memory_bytes`.
-    let engine: usize = parts.iter().filter(|p| p.0 != "labels").map(|p| p.1).sum();
-    assert_eq!(engine, g.memory_bytes());
+    // The parts are the graph's `memory_bytes`, all of it.
+    let all: usize = parts.iter().map(|p| p.1).sum();
+    assert_eq!(all, g.memory_bytes());
 }
 
 #[test]

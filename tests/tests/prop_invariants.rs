@@ -148,8 +148,8 @@ proptest! {
                 b.add_edge(s, d, 1.0);
             }
         }
-        let (g, weights) = b.build_with_weights();
-        let (fixed, _) = IrreducibilityRepair::default().repair(&g, &weights);
+        let (g, weights, labels) = b.build_with_columns();
+        let (fixed, _, _) = IrreducibilityRepair::default().repair(&g, &weights, &labels);
         prop_assert!(tarjan_scc(&fixed).is_strongly_connected());
     }
 
