@@ -6,7 +6,7 @@
 //! in the effectiveness study (Fig. 5 row "F-Rank/PPR").
 
 use crate::error::CoreError;
-use crate::iterative::{iterate, Direction, IterationStats};
+use crate::iterative::{iterate, Direction};
 use crate::params::RankParams;
 use crate::query::Query;
 use crate::scores::ScoreVec;
@@ -31,16 +31,7 @@ impl FRank {
 
     /// Compute `f(q, ·)` for all nodes.
     pub fn compute(&self, g: &Graph, query: &Query) -> Result<ScoreVec, CoreError> {
-        Ok(self.compute_with_stats(g, query)?.0)
-    }
-
-    /// Compute, also returning iteration statistics.
-    pub fn compute_with_stats(
-        &self,
-        g: &Graph,
-        query: &Query,
-    ) -> Result<(ScoreVec, IterationStats), CoreError> {
-        iterate(g, query, &self.params, Direction::Forward)
+        Ok(iterate(g, query, &self.params, Direction::Forward)?.0)
     }
 }
 

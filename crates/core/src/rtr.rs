@@ -18,7 +18,6 @@
 
 use crate::error::CoreError;
 use crate::frank::FRank;
-use crate::iterative::IterationStats;
 use crate::params::RankParams;
 use crate::query::Query;
 use crate::scores::ScoreVec;
@@ -60,17 +59,6 @@ impl RoundTripRank {
         Ok(self.compute_parts(g, query)?.r)
     }
 
-    /// Compute `r(q, ·)`, also returning the iteration statistics of its
-    /// F and T fixed points (`[f, t]`), each summed over the query nodes.
-    pub fn compute_with_stats(
-        &self,
-        g: &Graph,
-        query: &Query,
-    ) -> Result<(ScoreVec, [IterationStats; 2]), CoreError> {
-        let (parts, stats) = self.parts_with_stats(g, query)?;
-        Ok((parts.r, stats))
-    }
-
     /// Compute `r` along with the `f` and `t` factors.
     ///
     /// For a multi-node query, the paper reduces RoundTripRank to a linear
@@ -78,45 +66,32 @@ impl RoundTripRank {
     /// return `r = Σ_q w_q · f(q,·) ⊙ t(q,·)` and the query-weighted `f`, `t`
     /// (whose product equals `r` exactly in the single-node case).
     pub fn compute_parts(&self, g: &Graph, query: &Query) -> Result<RtrParts, CoreError> {
-        Ok(self.parts_with_stats(g, query)?.0)
-    }
-
-    /// [`RoundTripRank::compute_parts`] with the `[f, t]` iteration
-    /// statistics of [`RoundTripRank::compute_with_stats`].
-    pub(crate) fn parts_with_stats(
-        &self,
-        g: &Graph,
-        query: &Query,
-    ) -> Result<(RtrParts, [IterationStats; 2]), CoreError> {
         query.validate(g)?;
         let frank = FRank::new(self.params);
         let trank = TRank::new(self.params);
         if query.len() == 1 {
-            let (f, f_stats) = frank.compute_with_stats(g, query)?;
-            let (t, t_stats) = trank.compute_with_stats(g, query)?;
+            let f = frank.compute(g, query)?;
+            let t = trank.compute(g, query)?;
             let r = f.hadamard(&t);
-            return Ok((RtrParts { f, t, r }, [f_stats, t_stats]));
+            return Ok(RtrParts { f, t, r });
         }
         let n = g.node_count();
         let mut f_acc = ScoreVec::zeros(n);
         let mut t_acc = ScoreVec::zeros(n);
         let mut r_acc = ScoreVec::zeros(n);
-        let mut stats = [IterationStats::NONE; 2];
         for (node, w) in query.iter() {
             let single = Query::single(node);
-            let (f, f_stats) = frank.compute_with_stats(g, &single)?;
-            let (t, t_stats) = trank.compute_with_stats(g, &single)?;
-            stats = [stats[0].then(f_stats), stats[1].then(t_stats)];
+            let f = frank.compute(g, &single)?;
+            let t = trank.compute(g, &single)?;
             r_acc.accumulate(&f.hadamard(&t), w);
             f_acc.accumulate(&f, w);
             t_acc.accumulate(&t, w);
         }
-        let parts = RtrParts {
+        Ok(RtrParts {
             f: f_acc,
             t: t_acc,
             r: r_acc,
-        };
-        Ok((parts, stats))
+        })
     }
 }
 
@@ -124,7 +99,6 @@ impl RoundTripRank {
 mod tests {
     use super::*;
     use rtr_graph::toy::fig2_toy;
-    use rtr_graph::NodeId;
 
     #[test]
     fn toy_ordering_matches_paper_analysis() {
@@ -173,30 +147,6 @@ mod tests {
         let rq = measure.compute(&g, &q).unwrap();
         let expected = r1.linear_blend(&r2, 0.75, 0.25);
         assert!(rq.linf_distance(&expected) < 1e-12);
-    }
-
-    #[test]
-    fn stats_sum_the_fixed_points_of_every_query_node() {
-        let (g, ids) = fig2_toy();
-        let p = RankParams::default();
-        let sweeps = |q: NodeId| {
-            let single = Query::single(q);
-            let f = FRank::new(p).compute_with_stats(&g, &single).unwrap().1;
-            let t = TRank::new(p).compute_with_stats(&g, &single).unwrap().1;
-            [f.iterations, t.iterations]
-        };
-        let measure = RoundTripRank::new(p);
-        let (r, [f, t]) = measure
-            .compute_with_stats(&g, &Query::uniform(&[ids.t1, ids.t2]))
-            .unwrap();
-        let (one, two) = (sweeps(ids.t1), sweeps(ids.t2));
-        assert_eq!(f.iterations, one[0] + two[0]);
-        assert_eq!(t.iterations, one[1] + two[1]);
-        assert!(f.final_residual < p.tolerance && t.final_residual < p.tolerance);
-        let plain = measure
-            .compute(&g, &Query::uniform(&[ids.t1, ids.t2]))
-            .unwrap();
-        assert_eq!(r.linf_distance(&plain), 0.0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! out-neighbors), one dense vector for all `v` simultaneously.
 
 use crate::error::CoreError;
-use crate::iterative::{iterate, Direction, IterationStats};
+use crate::iterative::{iterate, Direction};
 use crate::params::RankParams;
 use crate::query::Query;
 use crate::scores::ScoreVec;
@@ -34,16 +34,7 @@ impl TRank {
 
     /// Compute `t(q, ·)` for all nodes.
     pub fn compute(&self, g: &Graph, query: &Query) -> Result<ScoreVec, CoreError> {
-        Ok(self.compute_with_stats(g, query)?.0)
-    }
-
-    /// Compute, also returning iteration statistics.
-    pub fn compute_with_stats(
-        &self,
-        g: &Graph,
-        query: &Query,
-    ) -> Result<(ScoreVec, IterationStats), CoreError> {
-        iterate(g, query, &self.params, Direction::Backward)
+        Ok(iterate(g, query, &self.params, Direction::Backward)?.0)
     }
 }
 

@@ -11,7 +11,8 @@
 //! [`crate::bca::Bca::new`] stays a thin wrapper over a freshly created
 //! one, so results are identical either way (the determinism suite in
 //! `tests/` enforces bit-identity). The exact fixed-point iterations
-//! allocate their dense vectors per call: they serve only full rankings.
+//! allocate their dense vectors per call: they are offline references
+//! (the experiments and the tests' oracles), never on the serving path.
 
 use rtr_graph::ScoreMap;
 

@@ -493,6 +493,10 @@ fn put_serve_error(out: &mut BytesMut, e: &ServeError) {
             out.put_u8(2);
             put_string(out, msg);
         }
+        ServeError::Refused(msg) => {
+            out.put_u8(3);
+            put_string(out, msg);
+        }
     }
 }
 
@@ -515,6 +519,7 @@ fn get_serve_error(r: &mut Reader<'_>) -> Result<ServeError, WireError> {
         }),
         1 => ServeError::Backend(r.string()?),
         2 => ServeError::Panicked(r.string()?),
+        3 => ServeError::Refused(r.string()?),
         t => return Err(WireError::Malformed(format!("unknown error kind {t}"))),
     })
 }
@@ -738,6 +743,7 @@ mod tests {
             ServeError::Query(CoreError::InvalidAlpha(2.0)),
             ServeError::Backend("graph processor 2 is not running".into()),
             ServeError::Panicked("boom".into()),
+            ServeError::Refused("k = 12 is not below |V| = 12".into()),
         ] {
             let response = QueryResponse {
                 id: 9,
@@ -755,6 +761,20 @@ mod tests {
             encode_response(&response, &mut buf);
             let back = decode_response(buf.as_slice()).unwrap();
             assert_eq!(back.result.unwrap_err(), err);
+            // Corrupted: every strict prefix fails typed, and an error
+            // kind past the last one (3, `Refused`) is Malformed.
+            let wire = buf.as_slice();
+            for cut in 0..wire.len() {
+                assert!(decode_response(&wire[..cut]).is_err(), "prefix {cut}");
+            }
+            let mut resolved_bytes = BytesMut::new();
+            put_resolved(&mut resolved_bytes, &resolved);
+            let mut bad = wire.to_vec();
+            bad[8 + resolved_bytes.len() + 1] = 4;
+            assert!(matches!(
+                decode_response(&bad),
+                Err(WireError::Malformed(_))
+            ));
         }
     }
 

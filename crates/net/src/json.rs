@@ -645,6 +645,10 @@ fn serve_error_to_json(e: &ServeError) -> Json {
             ("kind", Json::Str("panicked".into())),
             ("message", Json::Str(msg.clone())),
         ]),
+        ServeError::Refused(msg) => obj(vec![
+            ("kind", Json::Str("refused".into())),
+            ("message", Json::Str(msg.clone())),
+        ]),
     }
 }
 
@@ -654,6 +658,9 @@ fn serve_error_from_json(v: &Json) -> Result<ServeError, WireError> {
             v.require("message")?.as_str()?.to_string(),
         )),
         "panicked" => Ok(ServeError::Panicked(
+            v.require("message")?.as_str()?.to_string(),
+        )),
+        "refused" => Ok(ServeError::Refused(
             v.require("message")?.as_str()?.to_string(),
         )),
         "query" => Ok(ServeError::Query(match v.require("code")?.as_str()? {
@@ -813,6 +820,11 @@ mod tests {
             assert_eq!(b.bounds, r.bounds, "f64 bounds survive JSON bit for bit");
             assert_eq!(back.queue_wait, response.queue_wait);
         }
+        let full = QueryRequest::node(NodeId(0)).with_k(g.node_count());
+        let refused = run_serial_requests(&g, &cfg, &[full]).remove(0);
+        let back = response_from_json(&response_to_json(&refused)).unwrap();
+        assert!(matches!(back.result, Err(ServeError::Refused(_))));
+        assert_eq!(back.result.unwrap_err(), refused.result.unwrap_err());
     }
 
     #[test]

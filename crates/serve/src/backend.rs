@@ -1,16 +1,15 @@
-//! Where a request ran, and what running it produced.
+//! Where a request runs, and what running it produced.
 //!
 //! A worker answers every request with one function,
 //! [`ResolvedRequest::execute`](crate::ResolvedRequest::execute), which
-//! decides once whether the bound search serves the request and, when it
-//! does, runs it on the engine's
-//! [`GpCluster`](rtr_distributed::GpCluster) if the engine has one. That
-//! is the paper's AP/GP architecture (Sect. V-B): the worker acts as an
-//! active processor running the same 2SBound as a local engine, paging
-//! node blocks from graph-processor threads instead of reading the shared
-//! graph. Full rankings (k ≥ \|V\|) and queries of more than four nodes
-//! run the exact engines in-process on either kind of engine, and the
-//! outcome records that they ran locally.
+//! runs the one bound search on the engine's
+//! [`GpCluster`](rtr_distributed::GpCluster) if the engine has one and on
+//! the shared graph otherwise. The cluster is the paper's AP/GP
+//! architecture (Sect. V-B): the worker acts as an active processor running
+//! the same 2SBound as a local engine, paging node blocks from
+//! graph-processor threads instead of reading the shared graph. So every
+//! response's backend is the engine's ([`Backend::kind`]); the shapes the
+//! search does not serve are refused on either.
 //!
 //! Because the active processor runs the *same* engine code as the local
 //! path through the shared `rtr_graph::AdjacencyAccess` trait (see
@@ -80,20 +79,16 @@ impl Backend {
     }
 }
 
-/// What one execution produced: the ranking plus provenance — which
-/// backend actually ran (a distributed engine's exact runs record
-/// [`BackendKind::Local`] here) and, for genuinely distributed runs, the
-/// wire cost.
+/// What one execution produced: the ranking and, for a run on a
+/// [`GpCluster`](rtr_distributed::GpCluster), the wire cost.
 #[derive(Clone, Debug)]
 pub struct ExecOutcome {
     /// The top-K result (bit-identical across backends for the same
     /// resolved request). Shared as an `Arc` so a cached outcome is served
     /// by reference count, never by deep-cloning the ranking vectors.
     pub result: Arc<TopKResult>,
-    /// The backend that actually executed the request.
-    pub backend: BackendKind,
     /// Network-level statistics of a distributed execution (`None` for
-    /// local runs, including recorded fallbacks).
+    /// local runs).
     pub distributed: Option<DistributedStats>,
 }
 
@@ -109,6 +104,7 @@ impl EvictionCost for ExecOutcome {
 mod tests {
     use super::*;
     use crate::config::ServeConfig;
+    use crate::engine::ServeError;
     use crate::request::{QueryRequest, MAX_BOUNDED_NODES};
     use rtr_core::{CoreError, Measure, Query};
     use rtr_distributed::{DistributedWorkspace, GpCluster};
@@ -149,8 +145,6 @@ mod tests {
             let resolved = request.resolve(&defaults);
             let local = resolved.execute(&g, None, &mut ws).unwrap();
             let remote = resolved.execute(&g, Some(&cluster), &mut ws).unwrap();
-            assert_eq!(local.backend, BackendKind::Local);
-            assert_eq!(remote.backend, BackendKind::Distributed);
             assert_eq!(local.result.ranking, remote.result.ranking);
             assert_eq!(local.result.bounds, remote.result.bounds);
             assert_eq!(local.result.expansions, remote.result.expansions);
@@ -166,16 +160,17 @@ mod tests {
     }
 
     #[test]
-    fn uncovered_shapes_fall_back_to_local_and_record_it() {
-        // Only full rankings and queries wider than the bound search
-        // serves run locally on a cluster, whatever the measure.
+    fn uncovered_shapes_are_refused_on_a_cluster() {
+        // Full rankings and queries wider than the bound search serves are
+        // refused on a cluster exactly as on the shared graph, whatever
+        // the measure.
         let (g, ids) = fig2_toy();
         let defaults = toy_defaults();
         let cluster = GpCluster::spawn(&g, 2);
         let mut ws = DistributedWorkspace::new();
         let n = g.node_count();
         let wide: Vec<_> = g.nodes().take(MAX_BOUNDED_NODES + 1).collect();
-        let fallbacks = [
+        let refused = [
             QueryRequest::nodes(&wide).with_measure(Measure::F),
             QueryRequest::node(ids.t1).with_k(n),
             QueryRequest::node(ids.t1)
@@ -185,14 +180,12 @@ mod tests {
                 .with_measure(Measure::T)
                 .with_k(n + 3),
         ];
-        for request in fallbacks {
+        for request in refused {
             let resolved = request.resolve(&defaults);
-            let outcome = resolved.execute(&g, Some(&cluster), &mut ws).unwrap();
-            assert_eq!(outcome.backend, BackendKind::Local, "{resolved:?}");
-            assert!(outcome.distributed.is_none());
-            let local = resolved.execute(&g, None, &mut ws).unwrap();
-            assert_eq!(outcome.result.ranking, local.result.ranking);
-            assert_eq!(outcome.result.bounds, local.result.bounds);
+            let remote = resolved.execute(&g, Some(&cluster), &mut ws).unwrap_err();
+            assert!(matches!(remote, ServeError::Refused(_)), "{resolved:?}");
+            let local = resolved.execute(&g, None, &mut ws).unwrap_err();
+            assert_eq!(remote, local);
         }
     }
 
@@ -207,12 +200,12 @@ mod tests {
             .resolve(&defaults);
         assert!(matches!(
             bad_beta.execute(&g, Some(&cluster), &mut ws),
-            Err(CoreError::InvalidBeta(_))
+            Err(ServeError::Query(CoreError::InvalidBeta(_)))
         ));
         let bad_node = QueryRequest::node(rtr_graph::NodeId(9999)).resolve(&defaults);
         assert!(matches!(
             bad_node.execute(&g, Some(&cluster), &mut ws),
-            Err(CoreError::NodeOutOfRange { .. })
+            Err(ServeError::Query(CoreError::NodeOutOfRange { .. }))
         ));
     }
 

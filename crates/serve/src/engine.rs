@@ -53,10 +53,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The engine's result cache: full execution outcomes (ranking + backend
-/// provenance + wire cost), shared as `Arc`s so a hit never clones vectors
-/// under the shard lock. Keys stay backend-agnostic — backends are
-/// bit-identical, so local and distributed traffic share entries.
+/// The engine's result cache: full execution outcomes (ranking + wire
+/// cost), shared as `Arc`s so a hit never clones vectors under the shard
+/// lock. Keys stay backend-agnostic — backends are bit-identical, so the
+/// same key answers on either.
 type OutcomeCache = ShardedCache<CacheKey, Arc<ExecOutcome>>;
 
 /// Why a served query produced no result. Workers survive *any* failing
@@ -77,6 +77,11 @@ pub enum ServeError {
     /// rebuilt its (possibly mid-mutation) workspace as at spawn, and kept
     /// serving.
     Panicked(String),
+    /// A valid request of a shape the bound search does not serve — a
+    /// full ranking (k ≥ \|V\|) or a query wider than the search's node
+    /// limit — refused before any engine ran. The message names the limit
+    /// and the request's value.
+    Refused(String),
 }
 
 impl fmt::Display for ServeError {
@@ -85,6 +90,7 @@ impl fmt::Display for ServeError {
             ServeError::Query(e) => write!(f, "query failed: {e}"),
             ServeError::Backend(msg) => write!(f, "backend failed: {msg}"),
             ServeError::Panicked(msg) => write!(f, "query panicked: {msg}"),
+            ServeError::Refused(msg) => write!(f, "request refused: {msg}"),
         }
     }
 }
@@ -195,10 +201,10 @@ impl Shared {
     fn caught(
         &self,
         ws: &mut DistributedWorkspace,
-        exec: impl FnOnce(&mut DistributedWorkspace) -> Result<ExecOutcome, CoreError>,
+        exec: impl FnOnce(&mut DistributedWorkspace) -> Result<ExecOutcome, ServeError>,
     ) -> Result<ExecOutcome, ServeError> {
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exec(ws))) {
-            Ok(r) => r.map_err(ServeError::from),
+            Ok(r) => r,
             Err(panic) => {
                 let trace = ws.trace.take();
                 *ws = self.workspace();
@@ -225,7 +231,7 @@ impl Shared {
             // output-relevant input is in the (backend-agnostic) key, so
             // the cached ranking is bit-identical to what a fresh run on
             // *either* backend would produce. The stored outcome keeps the
-            // original computation's provenance — and serving it is a
+            // original computation's wire cost — and serving it is a
             // refcount bump, not a deep clone.
             self.respond(job, Some(worker), Ok(hit), true, queue_wait, picked);
             return;
@@ -275,15 +281,9 @@ impl Shared {
         picked: Instant,
     ) {
         let compute = picked.elapsed();
-        let (result, backend, distributed) = match served {
-            Ok(outcome) => (
-                Ok(Arc::clone(&outcome.result)),
-                outcome.backend,
-                outcome.distributed,
-            ),
-            // A failed request reports the engine's backend (nothing
-            // produced a ranking).
-            Err(e) => (Err(e), self.config.backend.kind(), None),
+        let (result, distributed) = match served {
+            Ok(outcome) => (Ok(Arc::clone(&outcome.result)), outcome.distributed),
+            Err(e) => (Err(e), None),
         };
         self.m.on_response(
             job.request.measure,
@@ -308,7 +308,7 @@ impl Shared {
             id: job.id,
             request: job.request,
             result,
-            backend,
+            backend: self.config.backend.kind(),
             distributed,
             from_cache,
             queue_wait,
@@ -603,8 +603,7 @@ pub fn run_serial_requests(
             let started = Instant::now();
             let result = resolved
                 .execute(g, None, &mut ws)
-                .map(|outcome| outcome.result)
-                .map_err(ServeError::from);
+                .map(|outcome| outcome.result);
             QueryResponse {
                 id,
                 request: resolved,
@@ -969,35 +968,37 @@ mod tests {
         let a = local.run_requests(&requests);
         let b = dist.run_requests(&requests);
         for (l, d) in a.iter().zip(&b) {
-            let (lr, dr) = (l.result.as_ref().unwrap(), d.result.as_ref().unwrap());
+            assert_eq!(l.backend, BackendKind::Local);
+            assert_eq!(d.backend, BackendKind::Distributed);
+            let (lr, dr) = match (&l.result, &d.result) {
+                (Ok(lr), Ok(dr)) => (lr, dr),
+                // The full ranking is refused alike on both backends.
+                (Err(le), Err(de)) => {
+                    assert!(matches!(le, ServeError::Refused(_)), "{le:?}");
+                    assert_eq!(le, de);
+                    assert!(d.distributed.is_none());
+                    continue;
+                }
+                other => panic!("outcomes differ: {other:?}"),
+            };
             assert_eq!(lr.ranking, dr.ranking);
             assert_eq!(lr.bounds, dr.bounds);
             assert_eq!(lr.expansions, dr.expansions);
-            assert_eq!(l.backend, BackendKind::Local);
-            // Every measure and arity runs distributed; the full ranking is
-            // the recorded fallback.
-            if d.request.topk.k < g.node_count() {
-                assert_eq!(d.backend, BackendKind::Distributed);
-                // Every query fetches exactly its own active set.
-                let stats = d.distributed.unwrap();
-                assert!(stats.active_nodes > 0);
-                assert!(stats.bytes_transferred > 0);
-                assert_eq!(stats.blocks_fetched, stats.active_nodes);
-                assert_eq!(stats.blocks_from_cache, 0);
-            } else {
-                assert_eq!(d.backend, BackendKind::Local);
-                assert!(d.distributed.is_none());
-            }
+            // Every query fetches exactly its own active set.
+            let stats = d.distributed.unwrap();
+            assert!(stats.active_nodes > 0);
+            assert!(stats.bytes_transferred > 0);
+            assert_eq!(stats.blocks_fetched, stats.active_nodes);
+            assert_eq!(stats.blocks_from_cache, 0);
         }
     }
 
     #[test]
     fn cache_preserves_backend_provenance_across_routes() {
         // One engine on the distributed backend with a cache, and the two
-        // routes its backend takes: a bounded request runs distributed, a
-        // full ranking (k ≥ |V|) falls back to local. A cache hit on
-        // either keeps the computing run's provenance — including the wire
-        // cost the computation paid.
+        // routes a request takes: a bounded request runs distributed, and a
+        // hit on its entry keeps the wire cost the computation paid; a full
+        // ranking (k ≥ |V|) is refused, never cached, and refused again.
         let (g, ids) = fig2_toy();
         let n = g.node_count();
         let config = ServeConfig::default()
@@ -1006,21 +1007,23 @@ mod tests {
             .with_backend(Backend::Distributed { gps: 2 })
             .with_cache_capacity(64);
         let engine = ServeEngine::start(Arc::new(g), config);
-        for (request, kind) in [
-            (QueryRequest::node(ids.t1), BackendKind::Distributed),
-            (QueryRequest::node(ids.t1).with_k(n), BackendKind::Local),
-        ] {
-            let cold = engine.submit(request.clone()).wait();
-            let warm = engine.submit(request).wait();
-            assert!(!cold.from_cache);
-            assert!(warm.from_cache, "the repeat must hit the entry");
-            assert_eq!(cold.backend, kind, "computed");
-            assert_eq!(warm.backend, kind, "provenance kept on a hit");
-            assert_eq!(cold.distributed.is_some(), kind == BackendKind::Distributed);
-            assert_eq!(warm.distributed, cold.distributed);
-            assert_eq!(cold.result.unwrap().ranking, warm.result.unwrap().ranking);
+        let request = QueryRequest::node(ids.t1);
+        let cold = engine.submit(request.clone()).wait();
+        let warm = engine.submit(request).wait();
+        assert!(!cold.from_cache);
+        assert!(warm.from_cache, "the repeat must hit the entry");
+        assert!(cold.distributed.is_some());
+        assert_eq!(warm.distributed, cold.distributed);
+        assert_eq!(cold.result.unwrap().ranking, warm.result.unwrap().ranking);
+        for _ in 0..2 {
+            let refused = engine.submit(QueryRequest::node(ids.t1).with_k(n)).wait();
+            assert!(!refused.from_cache);
+            assert!(matches!(refused.result, Err(ServeError::Refused(_))));
+            assert!(refused.distributed.is_none());
+            assert_eq!(refused.backend, BackendKind::Distributed);
         }
-        assert_eq!(engine.computed_queries(), 2);
+        assert_eq!(engine.cache_len(), 1);
+        assert_eq!(engine.computed_queries(), 3);
     }
 
     #[test]
@@ -1039,29 +1042,35 @@ mod tests {
 
     #[test]
     fn dead_gp_surfaces_as_backend_error_naming_it() {
-        let (g, ids) = fig2_toy();
+        // Two cycles, one per parity: on two GPs the even nodes' cycle
+        // lives on GP 0's stripe and the odd nodes' on GP 1's.
+        let mut b = rtr_graph::GraphBuilder::new();
+        let ty = b.register_type("n");
+        let nodes: Vec<NodeId> = (0..16).map(|_| b.add_node(ty)).collect();
+        for v in 0..16 {
+            b.add_edge(nodes[v], nodes[(v + 2) % 16], 1.0);
+            b.add_edge(nodes[v], nodes[(v + 4) % 16], 2.0);
+        }
         let config = ServeConfig::default()
             .with_workers(1)
             .with_topk(TopKConfig::toy())
             .with_backend(Backend::Distributed { gps: 2 });
-        let engine = ServeEngine::start(Arc::new(g), config);
+        let engine = ServeEngine::start(Arc::new(b.build()), config);
         engine.cluster().expect("distributed engine").kill_gp(1);
-        // The toy graph's frontier spans both stripes, so the query must
-        // hit the dead GP — and fail as a *backend* error naming it, not a
-        // query error.
-        let response = engine.submit(QueryRequest::node(ids.t1)).wait();
+        // An odd query node's frontier lies on the dead GP's stripe: the
+        // query fails as a *backend* error naming it, not a query error.
+        let response = engine.submit(QueryRequest::node(nodes[1])).wait();
         match &response.result {
             Err(ServeError::Backend(msg)) => {
                 assert!(msg.contains("graph processor 1"), "got: {msg}");
             }
             other => panic!("expected a backend error, got {other:?}"),
         }
-        // The worker survived with usable buffers: a full ranking, which
-        // the distributed backend runs locally, still serves.
-        let n = engine.graph().node_count();
-        let ok = engine.submit(QueryRequest::node(ids.t1).with_k(n)).wait();
-        assert!(ok.result.is_ok());
-        assert_eq!(ok.backend, BackendKind::Local);
+        // The worker survived with usable buffers: a query on the healthy
+        // stripe still serves, distributed.
+        let ok = engine.submit(QueryRequest::node(nodes[0])).wait();
+        assert!(ok.result.is_ok(), "{:?}", ok.result);
+        assert!(ok.distributed.is_some());
         // Engine drop (GpCluster drop with a dead GP) must not hang.
         engine.shutdown();
     }
@@ -1173,14 +1182,19 @@ mod tests {
         let engine = ServeEngine::start(Arc::new(g), config);
         let bad = engine.submit(QueryRequest::node(NodeId(9999))).wait();
         assert!(bad.result.is_err());
+        let n = engine.graph().node_count();
+        let refused = engine.submit(QueryRequest::node(ids.t1).with_k(n)).wait();
+        assert!(matches!(refused.result, Err(ServeError::Refused(_))));
         let ok = engine.submit(QueryRequest::node(ids.t1)).wait();
         assert!(ok.result.is_ok());
         let snap = engine.metrics_snapshot();
-        assert_eq!(
-            snap.counter_value("rtr_serve_errors_total", &[("kind", "query")]),
-            Some(1),
-            "only the failed request counts"
-        );
+        for kind in ["query", "refused"] {
+            assert_eq!(
+                snap.counter_value("rtr_serve_errors_total", &[("kind", kind)]),
+                Some(1),
+                "only the failed request counts, by its kind"
+            );
+        }
     }
 
     #[test]
@@ -1317,7 +1331,6 @@ mod tests {
         assert!(ws.cache.is_empty(), "rebuilt as at spawn");
         for _ in 0..3 {
             let outcome = run(&mut ws);
-            assert_eq!(outcome.backend, BackendKind::Distributed);
             assert_eq!(outcome.result.bounds, fresh.result.bounds);
             assert_eq!(outcome.distributed, fresh.distributed);
             let stats = outcome.distributed.unwrap();
@@ -1334,7 +1347,7 @@ mod tests {
         use std::cell::Cell;
 
         /// The system allocator, counting per thread the live blocks of at
-        /// least `LARGE` bytes.
+        /// least `LARGE` bytes and the most of them ever live at once.
         struct Probe;
 
         #[global_allocator]
@@ -1343,6 +1356,7 @@ mod tests {
         thread_local! {
             static LARGE: Cell<usize> = const { Cell::new(usize::MAX) };
             static LIVE: Cell<isize> = const { Cell::new(0) };
+            static PEAK: Cell<isize> = const { Cell::new(0) };
         }
 
         fn note(size: usize, delta: isize) {
@@ -1350,7 +1364,10 @@ mod tests {
             // are being torn down.
             let large = LARGE.try_with(Cell::get).unwrap_or(usize::MAX);
             if size >= large {
-                let _ = LIVE.try_with(|live| live.set(live.get() + delta));
+                let _ = LIVE.try_with(|live| {
+                    live.set(live.get() + delta);
+                    let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+                });
             }
         }
 
@@ -1453,11 +1470,29 @@ mod tests {
                         .resolve(&config)
                         .execute(&shared.graph, shared.cluster.as_ref(), &mut ws)
                         .unwrap();
-                    assert_eq!(outcome.backend, BackendKind::Distributed);
+                    assert!(outcome.distributed.is_some());
                     assert!(outcome.result.converged, "{measure:?} {query:?}");
                     let live = LIVE.with(Cell::get) - before;
                     assert_eq!(live, ARRAYS, "{measure:?} {query:?}");
                 }
+                // The shapes the search does not serve are refused before
+                // any engine could allocate a dense |V|-sized vector: no
+                // node-indexed block joins the workspace's, even for a
+                // moment.
+                PEAK.with(|peak| peak.set(LIVE.with(Cell::get)));
+                let wide: Vec<NodeId> = (0..5).map(|v| NodeId(8 * v)).collect();
+                for request in [
+                    QueryRequest::node(NodeId(8)).with_k(n),
+                    QueryRequest::nodes(&wide),
+                ] {
+                    let refused = request.with_measure(measure).resolve(&config).execute(
+                        &shared.graph,
+                        shared.cluster.as_ref(),
+                        &mut ws,
+                    );
+                    assert!(matches!(refused, Err(ServeError::Refused(_))));
+                }
+                assert_eq!(PEAK.with(Cell::get) - before, ARRAYS, "{measure:?}");
             }
             drop(ws);
             assert_eq!(LIVE.with(Cell::get), before);

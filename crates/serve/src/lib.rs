@@ -12,24 +12,24 @@
 //!   back to the engine's [`ServeConfig`] defaults — what to rank, never
 //!   how), all answered by one bound search (2SBound, combining the f-
 //!   and t-bounds per measure and summing them over a multi-node query;
-//!   the exact engines only for full rankings, k ≥ |V|, and queries of
-//!   more than four nodes), executed by
+//!   a full ranking, k ≥ |V|, or a query of more than four nodes is
+//!   refused with a typed [`ServeError::Refused`]), executed by
 //! * **one dispatch function** ([`ResolvedRequest::execute`]) on one of
 //!   two **backends** ([`ServeConfig::backend`], one per engine): the
-//!   in-process engines, or the paper's AP/GP architecture — the graph
-//!   striped across GP threads, each worker an active processor running
-//!   the same bound search while fetching node blocks on demand, the
-//!   exact engines still running in-process (and recorded as local). The
-//!   two are bit-identical, so the choice changes where work happens and
-//!   what the response can observe ([`QueryResponse::backend`],
+//!   shared graph in-process, or the paper's AP/GP architecture — the
+//!   graph striped across GP threads, each worker an active processor
+//!   running the same bound search while fetching node blocks on demand.
+//!   The two are bit-identical, so the choice changes where work happens
+//!   and what the response can observe ([`QueryResponse::backend`],
 //!   [`DistributedStats`] wire costs) — never the answers — over
 //! * a **shared read-only graph** (`Arc<Graph>` — the frozen block arena
 //!   is `Send + Sync`, so queries need no locks), served by
 //! * a **fixed pool of worker threads**, each owning one reusable
 //!   [`rtr_distributed::DistributedWorkspace`] (one set of top-K buffers
 //!   for either backend, plus the AP-side per-query block store) so that
-//!   steady-state serving performs zero per-query allocation on the bound
-//!   paths, fed through
+//!   steady-state single-node serving performs zero per-query allocation
+//!   (a multi-node query grows extra neighborhood pairs for its own run),
+//!   fed through
 //! * **one job queue** (an unbounded MPMC channel every worker receives
 //!   from; see [`engine`]) and a reply channel per submission, so
 //!   concurrent batches never interleave results.
@@ -60,8 +60,9 @@
 //! [`run_serial_requests`] even under heterogeneous traffic — the same
 //! suite runs every stream with the cache on, warm, and thrashing. The key is
 //! **backend-agnostic** (where a result was computed is not identity),
-//! and a hit preserves the computing run's provenance and wire cost. With the cache off (the default) the engine
-//! behaves exactly as an uncached pool.
+//! and a hit preserves the computing run's wire cost. Errors, refusals
+//! included, are never cached. With the cache off (the default) the
+//! engine behaves exactly as an uncached pool.
 //!
 //! ```
 //! use std::sync::Arc;

@@ -50,6 +50,7 @@ pub(crate) struct ServeMetrics {
     err_query: Arc<Counter>,
     err_backend: Arc<Counter>,
     err_panicked: Arc<Counter>,
+    err_refused: Arc<Counter>,
     fast_path: Arc<Counter>,
     pub(crate) queue_depth: Arc<Gauge>,
     pub(crate) cache_enabled: Arc<Gauge>,
@@ -126,6 +127,11 @@ impl ServeMetrics {
             err_panicked: registry.counter_with(
                 "rtr_serve_errors_total",
                 &[("kind", "panicked")],
+                "Requests that failed, by error kind.",
+            ),
+            err_refused: registry.counter_with(
+                "rtr_serve_errors_total",
+                &[("kind", "refused")],
                 "Requests that failed, by error kind.",
             ),
             fast_path: registry.counter(
@@ -206,6 +212,7 @@ impl ServeMetrics {
             Some(ServeError::Query(_)) => self.err_query.inc(),
             Some(ServeError::Backend(_)) => self.err_backend.inc(),
             Some(ServeError::Panicked(_)) => self.err_panicked.inc(),
+            Some(ServeError::Refused(_)) => self.err_refused.inc(),
             None => {}
         }
         if !from_cache {

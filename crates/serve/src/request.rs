@@ -13,47 +13,37 @@
 //! paper's full 2SBound (the Fig. 11a ablation schemes are a benchmark,
 //! not a serving option) on the backend the engine was built with.
 //!
-//! **Dispatch.** [`ResolvedRequest::execute`] picks the engine path by k
-//! and the query's node count, the same way for every measure and on
-//! either kind of engine:
+//! **One engine path.** [`ResolvedRequest::execute`] runs every request it
+//! serves through the one bound search, [`TwoSBound`] (the paper's online
+//! algorithm), combining f- and t-bounds per measure and summing them over
+//! a multi-node query — on the engine's [`GpCluster`] when it has one, on
+//! the shared graph otherwise. Its answers carry `[lower, upper]` bounds
+//! and `expansions` counts its expansion rounds. Both reuse the worker's
+//! persistent [`TopKWorkspace`](rtr_topk::TopKWorkspace) (the `topk` of
+//! its [`DistributedWorkspace`]).
 //!
-//! | request | engine |
-//! |---|---|
-//! | k < \|V\|, at most `MAX_BOUNDED_NODES` query nodes | [`TwoSBound`] bound search (the paper's online algorithm), combining f- and t-bounds per measure — on the engine's [`GpCluster`] when it has one |
-//! | k ≥ \|V\|, or a wider query | exact engine, in-process: [`FRank`], [`TRank`], [`RoundTripRank`] or [`RoundTripRankPlus`] |
-//!
-//! The bound search ranks F and T by their own neighborhood alone and a
-//! multi-node query by the query-weighted sum of per-node bounds, so its
-//! answers carry `[lower, upper]` bounds of non-zero width and `expansions`
-//! counts its expansion rounds. A full ranking (k ≥ \|V\|) gives a bound
-//! search nothing to prune, so those requests run the exact engine —
-//! cheaper *and* zero-width bounds, 0 expansions, and an empty active set
-//! (the engine touches the whole graph, so there is no neighborhood to
-//! report). A wide query runs it too, to bound the worker's memory by
-//! \|V\| rather than by the query (see `MAX_BOUNDED_NODES`).
-//!
-//! The bound search reuses the worker's persistent
-//! [`TopKWorkspace`](rtr_topk::TopKWorkspace) (the `topk` of its
-//! [`DistributedWorkspace`], on either path); the exact engines allocate
-//! their dense vectors per request.
+//! Two request shapes are refused before any engine runs, with a typed
+//! [`ServeError::Refused`] naming the limit and the request's value: a
+//! full ranking (k ≥ \|V\|), which leaves a bound search nothing to prune,
+//! and a query of more than `MAX_BOUNDED_NODES` nodes, whose neighborhoods
+//! would grow a worker's memory with the query. The whole-graph fixed
+//! points of `rtr_core` (F-Rank, T-Rank, RoundTripRank, RoundTripRank+)
+//! stay offline references, never a serving path.
 
-use crate::backend::{BackendKind, ExecOutcome};
+use crate::backend::ExecOutcome;
 use crate::config::ServeConfig;
+use crate::engine::ServeError;
 use rtr_cache::CacheKey;
-use rtr_core::iterative::IterationStats;
-use rtr_core::prelude::*;
+use rtr_core::{Measure, Query, RankParams};
 use rtr_distributed::{DistributedTwoSBound, DistributedWorkspace, GpCluster};
 use rtr_graph::{Graph, NodeId};
-use rtr_topk::{ActiveSetStats, TopKConfig, TopKResult, TopKWork, TwoSBound};
+use rtr_topk::{TopKConfig, TwoSBound};
 use std::sync::Arc;
 
 /// The widest query the bound search serves. It holds one neighborhood
 /// pair per query node, each with ≈ 16 B of index arrays per graph node,
-/// while the exact engines hold a few dense score vectors (≈ 32 B per
-/// graph node for F or T, ≈ 72 B for RoundTripRank) whatever the query's
-/// width. Wider queries run exact, so no request can make a worker
-/// allocate more than a small multiple of \|V\|; at four nodes the
-/// search's index arrays stay below exact RoundTripRank's vectors.
+/// so a wider query is refused: no request can make a worker allocate more
+/// than a small multiple of \|V\|.
 pub(crate) const MAX_BOUNDED_NODES: usize = 4;
 
 /// One self-describing query: what to rank, by which measure, and under
@@ -199,85 +189,49 @@ impl ResolvedRequest {
     }
 
     /// Run this request on `g`, reusing the worker's buffers in `ws` (see
-    /// the [module docs](self)). A request the bound search serves runs on
-    /// `cluster` when the engine has one — the worker acting as the
-    /// paper's active processor, paging node blocks from the graph
-    /// processors — and on `g` otherwise; both run the same engine on the
-    /// same `ws.topk`, so only the outcome's provenance and wire cost
-    /// differ. Every other request runs the exact engines on `g` and
-    /// records [`BackendKind::Local`].
+    /// the [module docs](self)): on `cluster` when the engine has one — the
+    /// worker acting as the paper's active processor, paging node blocks
+    /// from the graph processors — and on `g` otherwise. Both run the same
+    /// engine on the same `ws.topk`, so only the outcome's wire cost
+    /// differs. A full ranking or a query wider than `MAX_BOUNDED_NODES`
+    /// is [`ServeError::Refused`] before any engine runs.
     pub fn execute(
         &self,
         g: &Graph,
         cluster: Option<&GpCluster>,
         ws: &mut DistributedWorkspace,
-    ) -> Result<ExecOutcome, CoreError> {
+    ) -> Result<ExecOutcome, ServeError> {
+        let (k, n, width) = (self.topk.k, g.node_count(), self.query.len());
+        if k >= n {
+            let why = format!("k = {k} is not below |V| = {n}: full rankings are not served");
+            return Err(ServeError::Refused(why));
+        }
+        if width > MAX_BOUNDED_NODES {
+            let why = format!("{width} query nodes exceed MAX_BOUNDED_NODES = {MAX_BOUNDED_NODES}");
+            return Err(ServeError::Refused(why));
+        }
         let search = TwoSBound::for_measure(self.params, self.topk, self.measure)?;
-        // A full ranking (k ≥ |V|) prunes nothing, so exact scoring is both
-        // cheaper and tight, and a query wider than MAX_BOUNDED_NODES would
-        // cost the search more memory than the exact engines.
-        let bounded = self.topk.k < g.node_count() && self.query.len() <= MAX_BOUNDED_NODES;
-        let (result, backend, distributed) = match cluster {
-            _ if !bounded => (self.exact(g)?, BackendKind::Local, None),
-            None => {
-                let result = search.run_query_with(g, &self.query, &mut ws.topk)?;
-                (result, BackendKind::Local, None)
-            }
+        let (result, distributed) = match cluster {
+            None => (search.run_query_with(g, &self.query, &mut ws.topk)?, None),
             Some(cluster) => {
                 let (result, stats) =
                     DistributedTwoSBound::from(search).run_query_with(cluster, &self.query, ws)?;
-                (result, BackendKind::Distributed, Some(stats))
+                (result, Some(stats))
             }
         };
         Ok(ExecOutcome {
             result: Arc::new(result),
-            backend,
             distributed,
         })
-    }
-
-    /// Score the whole graph with this request's exact engine and keep the
-    /// top k.
-    fn exact(&self, g: &Graph) -> Result<TopKResult, CoreError> {
-        // Sweeps per side: F and T iterate once on the weighted query;
-        // the round trip runs both sides per query node. The work counts
-        // every node once per sweep of a fixed point on its side (as BCA
-        // pushes for F, absorptions for T), so the cache weighs an exact
-        // answer by what it cost; the active set stays empty.
-        let (p, q) = (self.params, &self.query);
-        let (scores, [f, t]) = match self.measure {
-            Measure::F => {
-                let (scores, f) = FRank::new(p).compute_with_stats(g, q)?;
-                (scores, [f, IterationStats::NONE])
-            }
-            Measure::T => {
-                let (scores, t) = TRank::new(p).compute_with_stats(g, q)?;
-                (scores, [IterationStats::NONE, t])
-            }
-            Measure::Rtr => RoundTripRank::new(p).compute_with_stats(g, q)?,
-            Measure::RtrPlus { beta } => {
-                RoundTripRankPlus::new(p, beta)?.compute_with_stats(g, q)?
-            }
-        };
-        let work = TopKWork {
-            bca_pushes: f.iterations * g.node_count(),
-            t_absorbed: t.iterations * g.node_count(),
-            ..TopKWork::default()
-        };
-        Ok(TopKResult::exact(
-            &scores,
-            self.topk.k,
-            ActiveSetStats::default(),
-            work,
-        ))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtr_core::prelude::*;
     use rtr_graph::toy::fig2_toy;
-    use rtr_topk::TopKWorkspace;
+    use rtr_topk::{TopKResult, TopKWorkspace};
 
     fn toy_defaults() -> ServeConfig {
         ServeConfig::default().with_topk(TopKConfig::toy())
@@ -439,69 +393,70 @@ mod tests {
         assert_eq!(served.bounds, search.bounds);
     }
 
-    #[test]
-    fn full_ranking_requests_run_the_exact_engine() {
-        // k ≥ |V| gives a bound search nothing to prune; the dispatch must
-        // take the exact path — zero-width bounds over the whole graph.
-        let (g, ids) = fig2_toy();
+    /// Every measure's request for `query` with `k`, run on `g`.
+    fn every_measure(
+        g: &Graph,
+        query: &Query,
+        k: Option<usize>,
+    ) -> Vec<Result<ExecOutcome, ServeError>> {
         let defaults = toy_defaults();
         let mut ws = DistributedWorkspace::new();
-        let q = Query::uniform(&[ids.t1, ids.v2]);
-        let p = defaults.params;
-        for measure in [
+        [
             Measure::F,
             Measure::T,
             Measure::Rtr,
             Measure::RtrPlus { beta: 0.7 },
-        ] {
-            let served = QueryRequest::new(q.clone())
-                .with_measure(measure)
-                .with_k(g.node_count())
-                .resolve(&defaults)
-                .execute(&g, None, &mut ws)
-                .unwrap()
-                .result;
-            let exact = match measure {
-                Measure::F => FRank::new(p).compute(&g, &q),
-                Measure::T => TRank::new(p).compute(&g, &q),
-                Measure::Rtr => RoundTripRank::new(p).compute(&g, &q),
-                _ => RoundTripRankPlus::new(p, 0.7).and_then(|m| m.compute(&g, &q)),
+        ]
+        .into_iter()
+        .map(|measure| {
+            let mut request = QueryRequest::new(query.clone()).with_measure(measure);
+            if let Some(k) = k {
+                request = request.with_k(k);
             }
-            .unwrap();
-            assert_eq!(served.expansions, 0);
-            assert_eq!(served.ranking, exact.top_k(g.node_count()));
-            for (v, &(lo, hi)) in served.ranking.iter().zip(&served.bounds) {
-                assert_eq!(lo, exact.score(*v));
-                assert_eq!(hi, lo, "full rankings come from the exact engine");
+            request.resolve(&defaults).execute(g, None, &mut ws)
+        })
+        .collect()
+    }
+
+    #[test]
+    fn full_rankings_are_refused() {
+        // k ≥ |V| gives a bound search nothing to prune: refused under
+        // every measure, naming the limit and the request's k.
+        let (g, ids) = fig2_toy();
+        let n = g.node_count();
+        let q = Query::uniform(&[ids.t1, ids.v2]);
+        for k in [n - 1, n, n + 3] {
+            for outcome in every_measure(&g, &q, Some(k)) {
+                match outcome {
+                    Ok(_) if k < n => {}
+                    Err(ServeError::Refused(why)) if k >= n => {
+                        assert!(why.contains(&format!("k = {k}")), "{why}");
+                        assert!(why.contains(&format!("|V| = {n}")), "{why}");
+                    }
+                    other => panic!("k = {k}: {other:?}"),
+                }
             }
         }
     }
 
     #[test]
-    fn wide_queries_run_the_exact_engine() {
+    fn wide_queries_are_refused() {
         // Up to MAX_BOUNDED_NODES query nodes the bound search runs; one
-        // node more and the request runs exact, zero-width, 0 expansions.
+        // node more and the request is refused under every measure.
         let (g, _) = fig2_toy();
-        let defaults = toy_defaults();
         let nodes: Vec<NodeId> = g.nodes().take(MAX_BOUNDED_NODES + 1).collect();
-        let mut ws = DistributedWorkspace::new();
-        let mut run = |nodes: &[NodeId]| {
-            QueryRequest::nodes(nodes)
-                .resolve(&defaults)
-                .execute(&g, None, &mut ws)
-                .unwrap()
-                .result
-        };
-        assert!(run(&nodes[..MAX_BOUNDED_NODES]).expansions > 0);
-        let wide = run(&nodes);
-        let exact = RoundTripRank::new(defaults.params)
-            .compute(&g, &Query::uniform(&nodes))
-            .unwrap();
-        assert_eq!(wide.expansions, 0);
-        assert_eq!(wide.ranking, exact.top_k(defaults.topk.k));
-        for (v, &(lo, hi)) in wide.ranking.iter().zip(&wide.bounds) {
-            assert_eq!(lo, exact.score(*v));
-            assert_eq!(hi, lo);
+        let widest = Query::uniform(&nodes[..MAX_BOUNDED_NODES]);
+        for outcome in every_measure(&g, &widest, None) {
+            assert!(outcome.unwrap().result.expansions > 0);
+        }
+        for outcome in every_measure(&g, &Query::uniform(&nodes), None) {
+            match outcome {
+                Err(ServeError::Refused(why)) => {
+                    assert!(why.contains("5 query nodes"), "{why}");
+                    assert!(why.contains("MAX_BOUNDED_NODES = 4"), "{why}");
+                }
+                other => panic!("{other:?}"),
+            }
         }
     }
 
@@ -513,7 +468,7 @@ mod tests {
             .resolve(&toy_defaults());
         assert!(matches!(
             resolved.execute(&g, None, &mut DistributedWorkspace::new()),
-            Err(CoreError::InvalidBeta(_))
+            Err(ServeError::Query(CoreError::InvalidBeta(_)))
         ));
     }
 
@@ -523,7 +478,7 @@ mod tests {
         let resolved = QueryRequest::nodes(&[]).resolve(&toy_defaults());
         assert!(matches!(
             resolved.execute(&g, None, &mut DistributedWorkspace::new()),
-            Err(CoreError::EmptyQuery)
+            Err(ServeError::Query(CoreError::EmptyQuery))
         ));
     }
 }

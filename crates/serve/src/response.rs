@@ -2,11 +2,10 @@
 //!
 //! A [`QueryResponse`] reports not just the ranking but the request as it
 //! actually ran ([`ResolvedRequest`]: measure, params, effective k), its
-//! **backend provenance** — which execution backend produced the ranking
-//! (a distributed engine records its local fallbacks here) plus, for
-//! genuinely distributed answers, the wire cost paid
-//! ([`DistributedStats`]: bytes transferred, fetch rounds, resident
-//! active-set size — the paper's Fig. 12 measurements) — whether it was
+//! **backend provenance** — the engine's execution backend plus, for
+//! distributed answers, the wire cost paid ([`DistributedStats`]: bytes
+//! transferred, fetch rounds, resident active-set size — the paper's
+//! Fig. 12 measurements) — whether it was
 //! served from the result cache, and the latency split into queue-wait
 //! (submission → a worker picked it up) and compute (the worker's serving
 //! time, cache lookups included). The split is what makes saturation
@@ -35,14 +34,12 @@ pub struct QueryResponse {
     /// (`Arc`): a cache hit hands out another reference to the stored
     /// ranking instead of deep-cloning its vectors.
     pub result: Result<Arc<TopKResult>, ServeError>,
-    /// Which backend produced the ranking. For a cache hit this is the
-    /// backend that originally computed the entry (backends are
-    /// bit-identical, so entries are shared across them — provenance is
-    /// preserved with the cached value); for a failed request, the engine's
-    /// backend.
+    /// The engine's backend, which runs every request it serves
+    /// ([`crate::Backend::kind`]); the serial reference reports
+    /// [`BackendKind::Local`].
     pub backend: BackendKind,
-    /// Wire cost of a genuinely distributed execution (`None` for local
-    /// runs, recorded fallbacks, and failed requests). Preserved through
+    /// Wire cost of a distributed execution (`None` for local runs and
+    /// failed requests). Preserved through
     /// the cache: a hit reports the cost the original computation paid —
     /// the serving of the hit itself crossed no wire.
     pub distributed: Option<DistributedStats>,

@@ -11,7 +11,7 @@
 use crate::active_set::ActiveSetStats;
 use crate::fbound::FBoundMode;
 use crate::tbound::TBoundMode;
-use crate::two_sbound::{TopKResult, TopKWork};
+use crate::two_sbound::TopKResult;
 use rtr_core::prelude::*;
 use rtr_graph::{Graph, NodeId};
 
@@ -86,12 +86,7 @@ impl NaiveTopK {
     pub fn run(&self, g: &Graph, q: NodeId) -> Result<TopKResult, CoreError> {
         let scores = RoundTripRank::new(self.params).compute(g, &Query::single(q))?;
         let active = ActiveSetStats::measure_pair(g, g.nodes(), g.nodes(), |_| true);
-        Ok(TopKResult::exact(
-            &scores,
-            self.k,
-            active,
-            TopKWork::default(),
-        ))
+        Ok(TopKResult::exact(&scores, self.k, active))
     }
 }
 

@@ -83,10 +83,10 @@ pub struct TopKResult {
 
 impl TopKResult {
     /// An exact answer in the search's result shape: the top `k` of
-    /// `scores` with zero-width bounds, no expansion rounds, converged.
-    /// The caller reports the nodes it touched as `active` and what the
-    /// scoring cost as `work`.
-    pub fn exact(scores: &ScoreVec, k: usize, active: ActiveSetStats, work: TopKWork) -> Self {
+    /// `scores` with zero-width bounds, no expansion rounds, converged and
+    /// no search work. The caller reports the nodes it touched as
+    /// `active`.
+    pub fn exact(scores: &ScoreVec, k: usize, active: ActiveSetStats) -> Self {
         let ranking = scores.top_k(k);
         let bounds = ranking
             .iter()
@@ -98,7 +98,7 @@ impl TopKResult {
             expansions: 0,
             converged: true,
             active,
-            work,
+            work: TopKWork::default(),
         }
     }
 }

@@ -4,7 +4,7 @@
 //! only, so a slow or non-converged F, T or multi-node answer would pass
 //! it silently. This example runs the 2 048 `wire_mixed` identities (the
 //! benchmark's seed, pool, class pattern, k and ε) serially through
-//! `ResolvedRequest::run` on one thread on qlog-26k and prints, per class,
+//! `ResolvedRequest::execute` on one thread on qlog-26k and prints, per class,
 //! expansions and milliseconds per query (p50 / p99 / max), the mean
 //! eviction cost the result cache weighs an answer by (`EvictionCost`:
 //! BCA pushes + T absorptions), the `converged` fraction and an FNV-1a

@@ -4,11 +4,11 @@
 //! response, which backend actually ran and what the answer cost on the
 //! wire.
 //!
-//! Every bound search — any measure, up to four query nodes — runs
-//! genuinely distributed (the AP fetches node blocks on demand and
-//! assembles the active set); full rankings (k ≥ |V|) and wider queries
-//! take the recorded local fallback. Either way the rankings are bit-identical to local execution
-//! — the sample below verifies that against the serial reference.
+//! Every request — any measure, up to four query nodes, k < |V| — runs
+//! as a distributed bound search (the AP fetches node blocks on demand
+//! and assembles the active set); full rankings and wider queries are
+//! refused. The rankings are bit-identical to local execution — the
+//! sample below verifies that against the serial reference.
 //!
 //! ```sh
 //! cargo run --release -p rtr-integration-tests --example distributed_serving

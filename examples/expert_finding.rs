@@ -5,10 +5,10 @@
 //! latest development, while a very specific researcher like a student may
 //! lack authoritativeness." — i.e. β ≈ 0.5.
 //!
-//! Serving-style: the whole β sweep goes through **one** `ServeEngine` as
-//! per-request `QueryRequest`s — the pool dispatches each β to the right
-//! engine path, so a reviewer-matching service never needs one engine per
-//! trade-off setting.
+//! The β sweep ranks every node, so it runs offline on the exact
+//! RoundTripRank+ engine, as Fig. 8's sweep does. The online variant at
+//! the end goes through a `ServeEngine`: a top-K request runs 2SBound and
+//! touches only a neighborhood of the graph.
 //!
 //! ```sh
 //! cargo run --release -p rtr-integration-tests --example expert_finding
@@ -20,7 +20,7 @@ use rtr_serve::{QueryRequest, ServeConfig, ServeEngine};
 use rtr_topk::prelude::*;
 use std::sync::Arc;
 
-fn main() {
+fn main() -> Result<(), CoreError> {
     let net = BibNet::generate(&BibNetConfig::small(), 11);
     let g = Arc::new(net.graph.clone());
     let author_ty = net.author_type();
@@ -47,28 +47,18 @@ fn main() {
     let mut exclude = vec![paper];
     exclude.extend_from_slice(&net.paper_authors[idx]);
 
-    // One pool serves every trade-off. A full ranking (k = |V|) dispatches
-    // to the exact engine — zero-width bounds — and we filter to authors.
-    let engine = ServeEngine::start(Arc::clone(&g), ServeConfig::default().with_workers(2));
+    // Every trade-off ranks the whole graph exactly; we filter to authors.
     let sweeps = [
         ("broad authority (β=0.1)", 0.1),
         ("balanced reviewer (β=0.5)", 0.5),
         ("narrow specialist (β=0.9)", 0.9),
     ];
-    let requests: Vec<QueryRequest> = sweeps
-        .iter()
-        .map(|&(_, beta)| {
-            QueryRequest::node(paper)
-                .with_measure(Measure::RtrPlus { beta })
-                .with_k(g.node_count())
-        })
-        .collect();
-    let responses = engine.run_requests(&requests);
-
+    let params = RankParams::default();
     println!("\nreviewer candidates under different trade-offs:");
-    for ((label, _), response) in sweeps.iter().zip(&responses) {
-        let ranking = &response.result.as_ref().expect("compute").ranking;
-        let names: Vec<&str> = ranking
+    for (label, beta) in sweeps {
+        let scores = RoundTripRankPlus::new(params, beta)?.compute(&g, &Query::single(paper))?;
+        let names: Vec<&str> = scores
+            .top_k(g.node_count())
             .iter()
             .filter(|&&v| g.node_type(v) == author_ty && !exclude.contains(&v))
             .take(4)
@@ -77,9 +67,10 @@ fn main() {
         println!("  {label:<28} {names:?}");
     }
 
-    // Online variant through the same pool: a top-K RoundTripRank request
+    // Online variant through a serving pool: a top-K RoundTripRank request
     // runs 2SBound and touches only a neighborhood of the graph — here
     // over *all* node types; filter as needed.
+    let engine = ServeEngine::start(Arc::clone(&g), ServeConfig::default().with_workers(2));
     let response = engine
         .submit(QueryRequest::node(paper).with_topk(TopKConfig::default()))
         .wait();
@@ -91,4 +82,5 @@ fn main() {
         result.active.active_nodes as f64 / g.node_count() as f64 * 100.0,
         result.expansions
     );
+    Ok(())
 }

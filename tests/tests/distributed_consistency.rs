@@ -20,7 +20,7 @@ use rtr_distributed::{DistributedTwoSBound, DistributedWorkspace, GpCluster};
 use rtr_graph::{AdjacencyError, Graph, NodeId};
 use rtr_integration_tests::SEED;
 use rtr_serve::{
-    run_serial_requests, Backend, BackendKind, QueryRequest, ServeConfig, ServeEngine,
+    run_serial_requests, Backend, BackendKind, QueryRequest, ServeConfig, ServeEngine, ServeError,
 };
 use rtr_topk::prelude::*;
 use std::sync::Arc;
@@ -298,10 +298,15 @@ fn more_gps_spread_the_stripe() {
 // ---------------------------------------------------------------------------
 
 /// A deterministic heterogeneous request mix: RTR, RTR+β, F and T over
-/// single- and two-node queries, all served distributed.
+/// single- and two-node queries, all served distributed, then one
+/// request of each shape the bound search refuses.
 fn mixed_requests(g: &Graph, n: usize, seed: u64) -> Vec<QueryRequest> {
     let pool = queries(g, 64.min(g.node_count()), seed);
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0d15);
+    let refused = [
+        QueryRequest::node(pool[0]).with_k(g.node_count()),
+        QueryRequest::nodes(&pool[..5]).with_measure(Measure::F),
+    ];
     (0..n)
         .map(|_| {
             let node = pool[rng.gen_range(0..pool.len())];
@@ -319,14 +324,8 @@ fn mixed_requests(g: &Graph, n: usize, seed: u64) -> Vec<QueryRequest> {
                 _ => request, // RoundTripRank
             }
         })
+        .chain(refused)
         .collect()
-}
-
-/// Whether this request takes the genuinely distributed path (the bound
-/// search, any measure and arity) or the recorded local fallback (a full
-/// ranking).
-fn expect_distributed(r: &QueryRequest, g: &Graph, defaults: &ServeConfig) -> bool {
-    r.resolve(defaults).topk.k < g.node_count()
 }
 
 #[test]
@@ -350,30 +349,31 @@ fn mixed_measure_batches_match_serial_local_at_every_pool_shape() {
                 assert_eq!(responses.len(), serial.len());
                 for (got, want) in responses.iter().zip(&serial) {
                     let label = format!("gps={gps} workers={workers} cache={cache} id={}", want.id);
-                    let (got_r, want_r) = (
-                        got.result.as_ref().expect("served"),
-                        want.result.as_ref().expect("serial"),
-                    );
+                    assert_eq!(got.backend, BackendKind::Distributed, "{label}");
+                    let (got_r, want_r) = match (&got.result, &want.result) {
+                        (Ok(got_r), Ok(want_r)) => (got_r, want_r),
+                        // The shapes the search does not serve are refused
+                        // alike on both backends, before any fetch.
+                        (Err(got_e), Err(want_e)) => {
+                            assert!(matches!(want_e, ServeError::Refused(_)), "{label}");
+                            assert_eq!(got_e, want_e, "{label}");
+                            assert!(got.distributed.is_none(), "{label}");
+                            continue;
+                        }
+                        other => panic!("{label}: outcomes differ: {other:?}"),
+                    };
                     assert_eq!(got_r.ranking, want_r.ranking, "{label}");
                     assert_eq!(got_r.bounds, want_r.bounds, "{label}");
                     assert_eq!(got_r.expansions, want_r.expansions, "{label}");
-                    // Provenance: the distributed path really ran for the
-                    // shapes the protocol covers, the fallback is recorded
-                    // for the rest, and genuinely distributed answers paid
-                    // a measurable wire cost.
-                    if expect_distributed(&requests[want.id], &g, &base) {
-                        assert_eq!(got.backend, BackendKind::Distributed, "{label}");
-                        let stats = got.distributed.expect("distributed stats");
-                        assert!(stats.active_nodes > 0, "{label}");
-                        assert!(stats.bytes_transferred > 0, "{label}");
-                        assert_eq!(stats.blocks_fetched, stats.active_nodes, "{label}");
-                        assert_eq!(stats.blocks_from_cache, 0, "{label}");
-                        assert_eq!(stats.active_nodes, got_r.active.active_nodes, "{label}");
-                        assert_eq!(stats.blocks_prefetched, 0, "{label}");
-                    } else {
-                        assert_eq!(got.backend, BackendKind::Local, "{label}");
-                        assert!(got.distributed.is_none(), "{label}");
-                    }
+                    // Every answer ran distributed and paid a measurable
+                    // wire cost.
+                    let stats = got.distributed.expect("distributed stats");
+                    assert!(stats.active_nodes > 0, "{label}");
+                    assert!(stats.bytes_transferred > 0, "{label}");
+                    assert_eq!(stats.blocks_fetched, stats.active_nodes, "{label}");
+                    assert_eq!(stats.blocks_from_cache, 0, "{label}");
+                    assert_eq!(stats.active_nodes, got_r.active.active_nodes, "{label}");
+                    assert_eq!(stats.blocks_prefetched, 0, "{label}");
                 }
             }
         }

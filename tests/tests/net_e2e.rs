@@ -1,7 +1,8 @@
 //! End-to-end suite for the network front door (PR-10 acceptance):
 //!
 //! * N concurrent connections over loopback, mixed-measure traffic —
-//!   every wire response bit-identical to `run_serial_requests`;
+//!   every wire response bit-identical to `run_serial_requests`, typed
+//!   refusals of the shapes the bound search does not serve included;
 //! * graceful shutdown drains every accepted request before `Goodbye`;
 //! * a tenant exceeding its token bucket gets typed `Overloaded` while
 //!   another tenant's p99 stays inside the SLO;
@@ -19,7 +20,9 @@ use rtr_net::{
     AdmissionConfig, ErrorCode, NetClient, NetError, NetServer, NetServerConfig, Reject,
     TenantPolicy,
 };
-use rtr_serve::{run_serial_requests, QueryRequest, QueryResponse, ServeConfig, ServeEngine};
+use rtr_serve::{
+    run_serial_requests, QueryRequest, QueryResponse, ServeConfig, ServeEngine, ServeError,
+};
 use rtr_topk::TopKConfig;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -61,8 +64,32 @@ fn toy_config() -> ServeConfig {
 fn concurrent_connections_are_bit_identical_to_serial() {
     let (g, ids) = fig2_toy();
     let config = toy_config();
-    let requests = mixed_requests(&[ids.t1, ids.t2, ids.v1, ids.p[0]]);
+    let mut requests = mixed_requests(&[ids.t1, ids.t2, ids.v1, ids.p[0]]);
+    // A full ranking and a five-node query under every measure, mid-stream:
+    // each is answered with a typed refusal on its own request id, and the
+    // connection goes on serving the requests behind it.
+    let wide: Vec<NodeId> = g.nodes().take(5).collect();
+    let refused: Vec<QueryRequest> = [
+        Measure::F,
+        Measure::T,
+        Measure::Rtr,
+        Measure::RtrPlus { beta: 0.3 },
+    ]
+    .into_iter()
+    .flat_map(|m| {
+        let full = QueryRequest::node(ids.t1).with_k(g.node_count());
+        [
+            full.with_measure(m),
+            QueryRequest::nodes(&wide).with_measure(m),
+        ]
+    })
+    .collect();
+    requests.splice(3..3, refused);
     let serial = run_serial_requests(&g, &config, &requests);
+    for (i, s) in serial.iter().enumerate() {
+        let refusal = matches!(s.result, Err(ServeError::Refused(_)));
+        assert_eq!(refusal, (3..11).contains(&i), "request {i}: {:?}", s.result);
+    }
 
     let engine = Arc::new(ServeEngine::start(Arc::new(g), config.with_workers(4)));
     let server = NetServer::start(Arc::clone(&engine), NetServerConfig::default()).unwrap();

@@ -7,7 +7,9 @@
 //! a 4-entry / 2-shard cache that evicts constantly}`
 //!
 //! for every request stream below: the Fig. 2 toy, a seeded QLog sample,
-//! the full measure/β/k mix on both graphs, and a scheduler stress stream.
+//! the full measure/β/k mix on both graphs, and a scheduler stress stream,
+//! each with one typed refusal of each shape the bound search does not
+//! serve.
 //! Concurrency, the submit-side fast path and the cache may only change
 //! *when* and *where* a request is answered, never *what* the answer is;
 //! a cache hit is a shared copy of a deterministic engine's output and
@@ -23,7 +25,9 @@ use rtr_datagen::{QLog, QLogConfig};
 use rtr_graph::toy::fig2_toy;
 use rtr_graph::{Graph, NodeId};
 use rtr_integration_tests::{assert_same_answer, assert_same_result};
-use rtr_serve::{run_serial_requests, QueryRequest, QueryResponse, ServeConfig, ServeEngine};
+use rtr_serve::{
+    run_serial_requests, QueryRequest, QueryResponse, ServeConfig, ServeEngine, ServeError,
+};
 use rtr_topk::{TopKConfig, TwoSBound};
 use std::sync::Arc;
 
@@ -44,11 +48,24 @@ fn assert_same_batch(label: &str, got: &[QueryResponse], want: &[QueryResponse])
     }
 }
 
-/// Run `requests` through every cell of the matrix and compare each batch
-/// with the serial reference; compare the reference's single-node bound
-/// searches with the allocating engine.
+/// Run `requests`, plus one refused request of each shape (a full ranking
+/// and a five-node query), through every cell of the matrix and compare
+/// each batch with the serial reference; compare the reference's
+/// single-node bound searches with the allocating engine.
 fn check_matrix(stream: &str, g: Graph, requests: &[QueryRequest], config: ServeConfig) {
+    let wide: Vec<NodeId> = g.nodes().take(5).collect();
+    let mut requests = requests.to_vec();
+    requests.push(QueryRequest::node(wide[0]).with_k(g.node_count()));
+    requests.push(QueryRequest::nodes(&wide).with_measure(Measure::T));
+    let requests = &requests[..];
     let serial = run_serial_requests(&g, &config, requests);
+    for s in &serial[requests.len() - 2..] {
+        assert!(
+            matches!(s.result, Err(ServeError::Refused(_))),
+            "{stream}: {:?}",
+            s.result
+        );
+    }
     for s in &serial {
         let r = &s.request;
         if let ([node], true) = (r.query.nodes(), r.topk.k < g.node_count()) {
@@ -74,9 +91,10 @@ fn check_matrix(stream: &str, g: Graph, requests: &[QueryRequest], config: Serve
                 assert_same_batch(&format!("{label}, warm"), &warm, &serial);
                 let stats = engine.cache_stats().expect("cache on");
                 if capacity >= requests.len() {
+                    // Refusals are never cached; every answer is.
                     assert!(
-                        warm.iter().all(|r| r.from_cache),
-                        "{label}: every warm response must come from the cache"
+                        warm.iter().all(|r| r.from_cache == r.result.is_ok()),
+                        "{label}: every warm answer must come from the cache"
                     );
                 } else {
                     assert!(stats.evictions > 0, "{label}: must evict, got {stats:?}");

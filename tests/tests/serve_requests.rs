@@ -11,7 +11,7 @@
 //! parameters, and keeps the ε-contract against the exact engines
 //! (`FRank`, `TRank`, `RoundTripRank`, `RoundTripRankPlus`). It also pins
 //! per-request errors, the dangling-node fast answer, and the eviction
-//! weight of an exact answer.
+//! weight of a costly answer.
 
 use rtr_cache::EvictionCost;
 use rtr_core::prelude::*;
@@ -19,7 +19,7 @@ use rtr_datagen::{QLog, QLogConfig};
 use rtr_graph::toy::fig2_toy;
 use rtr_graph::NodeId;
 use rtr_integration_tests::assert_same_result;
-use rtr_serve::{QueryRequest, QueryResponse, ServeConfig, ServeEngine};
+use rtr_serve::{run_serial_requests, QueryRequest, QueryResponse, ServeConfig, ServeEngine};
 use rtr_topk::{TopKConfig, TopKWorkspace, TwoSBound, TwoSBoundPlus};
 use std::sync::Arc;
 
@@ -199,44 +199,48 @@ fn dangling_query_node_is_answered_at_once_through_submit() {
 }
 
 #[test]
-fn an_exact_answer_outlives_a_stream_of_cheap_misses() {
-    // A full ranking runs the exact engines, which touch every node once
-    // per sweep of each fixed point, so its cache entry weighs |V| × the
-    // F and T sweeps of RoundTripRank; a single-node T search absorbs a
-    // few nodes. In a one-shard, two-entry cache the exact entry survives a
-    // stream of T misses whose costs sum below its own (LRU, or an exact
-    // answer costed at zero, would lose it to the second miss).
+fn a_costly_answer_outlives_a_stream_of_cheap_misses() {
+    // A two-node RoundTripRank+ answer at β = 0.45 runs two bound
+    // searches that each lean on T, so its cache entry weighs more BCA
+    // pushes and T absorptions than a single-node T search's. In a
+    // one-shard, two-entry cache the costly entry survives a stream of T
+    // misses as long as the costs of all but the last sum below its own
+    // (LRU, or an answer costed at zero, would lose it to the second miss).
     let log = QLog::generate(&QLogConfig::small(), 2013);
     let g = Arc::new(log.graph);
-    let n = g.node_count();
     let config = ServeConfig::default()
         .with_cache_capacity(2)
         .with_cache_shards(1)
         .with_workers(1);
     let engine = ServeEngine::start(Arc::clone(&g), config);
     let queries: Vec<NodeId> = g.nodes().filter(|&v| !g.is_dangling(v)).collect();
-    let exact = QueryRequest::node(queries[0]).with_k(n);
-    let first = engine.submit(exact.clone()).wait();
-    let exact_cost = first.result.expect("exact answer").eviction_cost();
-    let (_, [f, t]) = RoundTripRank::new(config.params)
-        .compute_with_stats(&g, &Query::single(queries[0]))
-        .expect("exact engine");
-    let sweeps = f.iterations + t.iterations;
-    assert!(sweeps > 2, "{sweeps} sweeps");
-    assert_eq!(exact_cost, (n * sweeps) as u64);
-    let mut stream_cost = 0;
-    for &q in queries[1..].iter().take(12) {
-        let response = engine
-            .submit(QueryRequest::node(q).with_measure(Measure::T))
-            .wait();
-        assert!(!response.from_cache);
-        stream_cost += response.result.expect("T answer").eviction_cost();
+    let costly = QueryRequest::nodes(&queries[..2]).with_measure(Measure::RtrPlus { beta: 0.45 });
+    let first = engine.submit(costly.clone()).wait();
+    let costly_cost = first.result.expect("costly answer").eviction_cost();
+    // The stream: T misses, cut where the costs of all but the last reach
+    // the costly entry's. The engine is deterministic, so the serial
+    // reference gives each miss's cost ahead of serving it.
+    let candidates: Vec<QueryRequest> = queries[2..]
+        .iter()
+        .take(12)
+        .map(|&q| QueryRequest::node(q).with_measure(Measure::T))
+        .collect();
+    let costs: Vec<u64> = run_serial_requests(&g, &config, &candidates)
+        .into_iter()
+        .map(|r| r.result.expect("T answer").eviction_cost())
+        .collect();
+    let mut misses = 1;
+    while misses < costs.len() && costs[..misses].iter().sum::<u64>() < costly_cost {
+        misses += 1;
     }
-    assert!(
-        stream_cost < exact_cost,
-        "the T misses cost {stream_cost}, the exact answer {exact_cost}"
-    );
-    let again = engine.submit(exact).wait();
-    assert!(again.from_cache, "the exact answer was evicted");
-    assert_eq!(engine.cache_stats().expect("cache on").evictions, 11);
+    assert!(misses >= 3, "costs {costs:?} against {costly_cost}");
+    for (request, &cost) in candidates[..misses].iter().zip(&costs) {
+        let response = engine.submit(request.clone()).wait();
+        assert!(!response.from_cache);
+        assert_eq!(response.result.expect("T answer").eviction_cost(), cost);
+    }
+    let again = engine.submit(costly).wait();
+    assert!(again.from_cache, "the costly answer was evicted");
+    let evictions = engine.cache_stats().expect("cache on").evictions;
+    assert_eq!(evictions, misses as u64 - 1);
 }
